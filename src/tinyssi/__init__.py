@@ -46,7 +46,7 @@ from .identity import (
     validate_document,
 )
 from .resolver import Registry, Resolver
-from .transport import Frame, LinkProfile, Messenger, fragment, make_link, reassemble, send_reliable
+from .transport import Frame, LinkProfile, Messenger, fragment, make_link, reassemble
 from .wallet import Wallet
 
 __version__ = "0.1.0"

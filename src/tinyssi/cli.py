@@ -181,10 +181,9 @@ def cmd_ddoc_rotate_key(args) -> int:
     doc = w.current_document
     if doc is None or w.owner_did is None:
         return _fail(EXIT_VALIDATION, "wallet holds no document")
-    old_keys = [k for k in w.sign_keys() if doc.find_key(k.key_id) is not None]
-    if not old_keys:
+    old_key = w.current_sign_key()
+    if old_key is None:
         return _fail(EXIT_VALIDATION, "no rotatable signing key in wallet")
-    old_key = old_keys[0]
     new_key = crypto.keygen(crypto.PURPOSE_SIGN)
     rotated = rotate_key(
         doc,
@@ -220,19 +219,16 @@ def _parse_claims(pairs: list[str]) -> list[Claim]:
 
 def cmd_vc_issue(args) -> int:
     w = _unlock(args)
-    doc = w.current_document
-    if doc is None or w.owner_did is None:
+    if w.current_document is None or w.owner_did is None:
         return _fail(EXIT_VALIDATION, "issuer wallet holds no identity")
-    sign_keys = [k for k in w.sign_keys() if any(
-        e.key_id == k.key_id for e in doc.public_keys
-    )]
-    if not sign_keys:
+    sign_key = w.current_sign_key()
+    if sign_key is None:
         return _fail(EXIT_VALIDATION, "no current signing key in wallet")
     try:
         subject = parse_did(args.subject)
         claims = _parse_claims(args.claim)
         vc, openings = issue(
-            sign_keys[0],
+            sign_key,
             w.owner_did,
             subject,
             claims,
@@ -268,10 +264,7 @@ def cmd_vc_present(args) -> int:
     try:
         vc = VerifiableCredential.from_bytes(Path(args.vc).read_bytes())
         stored = from_canonical(Path(args.openings).read_bytes())
-        openings = tuple(
-            ClaimOpening(o["name"], o["value"], bytes.fromhex(o["salt"]))
-            for o in stored["openings"]
-        )
+        openings = tuple(ClaimOpening.from_mapping(o) for o in stored["openings"])
         presentation = present(vc, openings, args.disclose.split(","))
     except (CredentialError, KeyError, ValueError) as exc:
         return _fail(EXIT_VALIDATION, str(exc))
@@ -314,15 +307,11 @@ def cmd_vc_revoke(args) -> int:
     resolver = _build_resolver(args)
     if w.owner_did.method == METHOD_PEER and w.current_document is not None:
         resolver.store_peer(w.owner_did, w.current_document)
-    sign_keys = w.sign_keys()
-    if not sign_keys:
-        return _fail(EXIT_VALIDATION, "no signing key in wallet")
-    doc = w.current_document
-    current = [k for k in sign_keys if doc and any(
-        e.key_id == k.key_id for e in doc.public_keys
-    )]
+    sign_key = w.current_sign_key()
+    if sign_key is None:
+        return _fail(EXIT_VALIDATION, "no current signing key in wallet")
     try:
-        revoke(registry, (current or sign_keys)[0], args.vc_id, resolver, _now())
+        revoke(registry, sign_key, args.vc_id, resolver, _now())
     except CredentialError as exc:
         return _fail(EXIT_VERIFICATION, str(exc))
     _save_revocations(args.revoked, registry)

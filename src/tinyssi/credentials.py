@@ -74,6 +74,15 @@ class ClaimOpening:
     def to_mapping(self) -> dict[str, Any]:
         return {"name": self.name, "value": self.value, "salt": self.salt.hex()}
 
+    @classmethod
+    def from_mapping(cls, mapping: Any) -> "ClaimOpening":
+        try:
+            return cls(
+                name=mapping["name"], value=mapping["value"], salt=from_hex(mapping["salt"], 16)
+            )
+        except (TypeError, KeyError, EncodingError) as exc:
+            raise CredentialError(f"malformed claim opening: {exc}") from exc
+
 
 @dataclass(frozen=True)
 class Commitment:
@@ -198,11 +207,8 @@ class Presentation:
         if not isinstance(mapping, dict) or set(mapping) != {"credential", "disclosed"}:
             raise CredentialError("malformed presentation structure")
         try:
-            disclosed = tuple(
-                ClaimOpening(name=o["name"], value=o["value"], salt=from_hex(o["salt"], 16))
-                for o in mapping["disclosed"]
-            )
-        except (TypeError, KeyError, EncodingError) as exc:
+            disclosed = tuple(ClaimOpening.from_mapping(o) for o in mapping["disclosed"])
+        except TypeError as exc:
             raise CredentialError(f"malformed presentation: {exc}") from exc
         return cls(
             credential=VerifiableCredential.from_mapping(mapping["credential"]),

@@ -224,7 +224,11 @@ class NonceSequence:
 
 
 class ReplayGuard:
-    """Accepts each incoming counter once; replays and rewinds are errors."""
+    """Accepts each incoming counter once; replays and rewinds are errors.
+
+    check() a nonce, authenticate the record, and only then commit() it, so a
+    forged record cannot advance the window (RFC 4303 section 3.4.3).
+    """
 
     def __init__(self, role_byte: int):
         self._prefix = bytes([role_byte])
@@ -236,4 +240,7 @@ class ReplayGuard:
         counter = int.from_bytes(nonce[1:], "big")
         if counter <= self._highest:
             raise AuthenticationError(f"nonce counter {counter} replayed")
-        self._highest = counter
+
+    def commit(self, nonce: bytes) -> None:
+        """Record a checked nonce whose record authenticated."""
+        self._highest = int.from_bytes(nonce[1:], "big")

@@ -30,10 +30,6 @@ def from_canonical(raw: bytes) -> Any:
         raise EncodingError(f"not canonical structured text: {exc}") from exc
 
 
-def to_hex(raw: bytes) -> str:
-    return raw.hex()
-
-
 def from_hex(text: str, expected_len: int | None = None) -> bytes:
     if not isinstance(text, str):
         raise EncodingError(f"expected hex string, got {type(text).__name__}")
@@ -63,17 +59,6 @@ def base58_encode(raw: bytes) -> str:
         encoded = _B58_ALPHABET[rem] + encoded
     pad = len(raw) - len(raw.lstrip(b"\x00"))
     return "1" * pad + encoded
-
-
-def base58_decode(text: str) -> bytes:
-    n = 0
-    for char in text:
-        if char not in _B58_INDEX:
-            raise EncodingError(f"invalid base58 character {char!r}")
-        n = n * 58 + _B58_INDEX[char]
-    raw = n.to_bytes((n.bit_length() + 7) // 8, "big")
-    pad = len(text) - len(text.lstrip("1"))
-    return b"\x00" * pad + raw
 
 
 def is_base58(text: str) -> bool:

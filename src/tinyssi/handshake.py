@@ -86,15 +86,20 @@ class State(Enum):
     HELLO_RECEIVED = "HelloReceived"
     AUTH_PENDING = "AuthPending"
     SECURE = "Secure"
-    CREDENTIALS_EXCHANGED = "CredentialsExchanged"
     TRUSTED = "Trusted"
     UNTRUSTED = "Untrusted"
     FAILED = "Failed"
 
 
-_CHANNEL_STATES = frozenset(
-    {State.SECURE, State.CREDENTIALS_EXCHANGED, State.TRUSTED, State.UNTRUSTED}
-)
+_CHANNEL_STATES = frozenset({State.SECURE, State.TRUSTED, State.UNTRUSTED})
+
+# The one plaintext message each role accepts in each layer-1 state.
+_LAYER1_EXPECTS = {
+    (crypto.ROLE_RESPONDER, State.INIT): MSG_HELLO,
+    (crypto.ROLE_INITIATOR, State.HELLO_SENT): MSG_HELLO_ACK,
+    (crypto.ROLE_RESPONDER, State.HELLO_RECEIVED): MSG_AUTH,
+    (crypto.ROLE_INITIATOR, State.AUTH_PENDING): MSG_AUTH_ACK,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -137,40 +142,30 @@ def requested_claims(policy: TrustPolicy) -> tuple[str, ...]:
 
 
 def decide_trust(policy: TrustPolicy, presented: Sequence[Presentation]) -> TrustDecision:
-    """Apply a policy to presentations that have already been verified."""
+    """Apply a policy to presentations that have already been verified.
+
+    OwnerMatch is RequireClaim("owner", <my owner's DID>) restricted to
+    credentials my owner issued; both go through one claim-matching loop.
+    """
     if isinstance(policy, AlwaysTrust):
         return TrustDecision(trusted=True)
     if isinstance(policy, OwnerMatch):
-        if not presented:
-            return TrustDecision(False, "no valid credentials")
-        owner_issued = [p for p in presented if p.credential.issuer == policy.my_owner]
-        if not owner_issued:
-            return TrustDecision(False, "issuer")
-        expected = format_did(policy.my_owner)
-        saw_claim = False
-        for p in owner_issued:
-            for opening in p.disclosed:
-                if opening.name == "owner":
-                    saw_claim = True
-                    if opening.value == expected:
-                        return TrustDecision(trusted=True)
-        if saw_claim:
-            return TrustDecision(False, "owner mismatch")
-        return TrustDecision(False, "owner claim missing")
-    if isinstance(policy, RequireClaim):
-        if not presented:
-            return TrustDecision(False, "no valid credentials")
-        saw_claim = False
-        for p in presented:
-            for opening in p.disclosed:
-                if opening.name == policy.name:
-                    saw_claim = True
-                    if opening.value == policy.value:
-                        return TrustDecision(trusted=True)
-        if saw_claim:
-            return TrustDecision(False, "claim mismatch")
-        return TrustDecision(False, "claim missing")
-    raise HandshakeError(f"unknown policy {policy!r}")
+        name, value = "owner", format_did(policy.my_owner)
+        candidates = [p for p in presented if p.credential.issuer == policy.my_owner]
+        mismatch, missing = "owner mismatch", "owner claim missing"
+    elif isinstance(policy, RequireClaim):
+        name, value, candidates = policy.name, policy.value, presented
+        mismatch, missing = "claim mismatch", "claim missing"
+    else:
+        raise HandshakeError(f"unknown policy {policy!r}")
+    if not presented:
+        return TrustDecision(False, "no valid credentials")
+    if not candidates:
+        return TrustDecision(False, "issuer")
+    values = [o.value for p in candidates for o in p.disclosed if o.name == name]
+    if value in values:
+        return TrustDecision(trusted=True)
+    return TrustDecision(False, mismatch if values else missing)
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +198,7 @@ class SessionConfig:
         doc = wallet.current_document
         if wallet.owner_did is None or doc is None:
             raise HandshakeError("wallet holds no identity")
-        sign_key = next(
-            (
-                k
-                for k in wallet.sign_keys()
-                if any(e.key_id == k.key_id for e in doc.public_keys)
-            ),
-            None,
-        )
+        sign_key = wallet.current_sign_key()
         if sign_key is None:
             raise HandshakeError("wallet holds no current signing key")
         return cls(
@@ -350,30 +338,27 @@ class HandshakeSession:
         )
         return None
 
-    def _encrypt(self, tag: int, body: dict[str, Any]) -> bytes:
-        assert self.session_keys is not None
+    def _seal(self, tag: int, plaintext: bytes) -> bytes:
+        """Seal one channel record: tag byte, nonce, then ciphertext bound to the tag."""
         nonce = self._send_nonces.next()
-        sealed = crypto.seal(
-            self.session_keys.send_key, nonce, canonical_bytes(body), aad=bytes([tag])
-        )
+        sealed = crypto.seal(self.session_keys.send_key, nonce, plaintext, aad=bytes([tag]))
         return bytes([tag]) + nonce + sealed
 
-    def _decrypt(self, tag: int, raw: bytes) -> dict[str, Any]:
-        assert self.session_keys is not None
-        if len(raw) < 1 + crypto.NONCE_LEN + 16:
+    def _open(self, record: bytes) -> bytes:
+        """Open one channel record: check the nonce, unseal, and only then commit it."""
+        if len(record) < 1 + crypto.NONCE_LEN + 16:
             raise ChannelError("truncated channel record")
-        nonce, sealed = raw[1 : 1 + crypto.NONCE_LEN], raw[1 + crypto.NONCE_LEN :]
+        nonce = record[1 : 1 + crypto.NONCE_LEN]
         try:
             self._recv_guard.check(nonce)
             plain = crypto.unseal(
-                self.session_keys.recv_key, nonce, sealed, aad=bytes([tag])
+                self.session_keys.recv_key, nonce, record[1 + crypto.NONCE_LEN :],
+                aad=record[:1],
             )
         except crypto.AuthenticationError as exc:
             raise ChannelError(f"channel authentication failed: {exc}") from exc
-        body = from_canonical(plain)
-        if not isinstance(body, dict):
-            raise ChannelError("channel record is not a mapping")
-        return body
+        self._recv_guard.commit(nonce)
+        return plain
 
     def _build_presentations(self, names: Sequence[str]) -> list[dict[str, Any]]:
         wanted = set(names)
@@ -402,26 +387,20 @@ class HandshakeSession:
         return verified
 
     def _decide(self) -> list[bytes]:
-        self.state = State.CREDENTIALS_EXCHANGED
         decision = decide_trust(self.config.policy, self.presented)
         self.my_verdict = decision
         self.state = State.TRUSTED if decision.trusted else State.UNTRUSTED
-        return [
-            self._encrypt(
-                MSG_TRUST_RESULT,
-                {"trusted": decision.trusted, "reason": decision.reason},
-            )
-        ]
+        result = {"trusted": decision.trusted, "reason": decision.reason}
+        return [self._seal(MSG_TRUST_RESULT, canonical_bytes(result))]
 
     def _layer2_opening(self) -> list[bytes]:
         """Initiator's first encrypted batch: request plus proactive presentation."""
         want = requested_claims(self.config.policy)
         disclose = self.config.disclose if self.config.disclose is not None else want
+        presentations = {"presentations": self._build_presentations(disclose)}
         return [
-            self._encrypt(MSG_CRED_REQUEST, {"want": list(want)}),
-            self._encrypt(
-                MSG_CRED_PRESENT, {"presentations": self._build_presentations(disclose)}
-            ),
+            self._seal(MSG_CRED_REQUEST, canonical_bytes({"want": list(want)})),
+            self._seal(MSG_CRED_PRESENT, canonical_bytes(presentations)),
         ]
 
     # -- protocol steps -----------------------------------------------------
@@ -446,8 +425,10 @@ class HandshakeSession:
             if self.state not in _CHANNEL_STATES:
                 return self._fail(FAIL_PROTOCOL)
             try:
-                body = self._decrypt(tag, incoming)
+                body = from_canonical(self._open(incoming))
             except (ChannelError, EncodingError):
+                return self._fail(FAIL_CHANNEL)
+            if not isinstance(body, dict):
                 return self._fail(FAIL_CHANNEL)
             return self._step_layer2(tag, body, now)
         try:
@@ -461,85 +442,51 @@ class HandshakeSession:
     def _step_layer1(
         self, tag: int, body: dict[str, Any], raw: bytes, now: int
     ) -> list[bytes]:
-        if self.role == crypto.ROLE_RESPONDER and self.state == State.INIT and tag == MSG_HELLO:
+        if _LAYER1_EXPECTS.get((self.role, self.state)) != tag:
+            return self._fail(FAIL_PROTOCOL)
+        if tag in (MSG_HELLO, MSG_HELLO_ACK):
             return self._on_hello(body, raw, now)
-        if (
-            self.role == crypto.ROLE_INITIATOR
-            and self.state == State.HELLO_SENT
-            and tag == MSG_HELLO_ACK
-        ):
-            return self._on_hello_ack(body, raw, now)
-        if (
-            self.role == crypto.ROLE_RESPONDER
-            and self.state == State.HELLO_RECEIVED
-            and tag == MSG_AUTH
-        ):
-            return self._on_auth(body, raw, now)
-        if (
-            self.role == crypto.ROLE_INITIATOR
-            and self.state == State.AUTH_PENDING
-            and tag == MSG_AUTH_ACK
-        ):
-            return self._on_auth_ack(body, raw, now)
-        return self._fail(FAIL_PROTOCOL)
+        return self._on_auth(body, raw, now)
 
     def _on_hello(self, body: dict[str, Any], raw: bytes, now: int) -> list[bytes]:
-        failure = self._check_hello_shape(body) or self._load_peer_identity(body, now)
-        if failure:
-            return self._fail(failure)
-        self.peer_nonce = from_hex(body["nonce"], 16)
-        self.peer_ephemeral = from_hex(body["ephemeral"], crypto.KEY_LEN)
-        self._absorb(raw)
-        reply = _encode_plain(MSG_HELLO_ACK, self._hello_body())
-        self._absorb(reply)
-        self.state = State.HELLO_RECEIVED
-        return [reply]
-
-    def _on_hello_ack(self, body: dict[str, Any], raw: bytes, now: int) -> list[bytes]:
-        failure = self._check_hello_shape(body) or self._load_peer_identity(body, now)
-        if failure:
-            return self._fail(failure)
-        self.peer_nonce = from_hex(body["nonce"], 16)
-        self.peer_ephemeral = from_hex(body["ephemeral"], crypto.KEY_LEN)
-        self._absorb(raw)
-        auth = _encode_plain(MSG_AUTH, self._auth_signature())
-        self._absorb(auth)
-        self.state = State.AUTH_PENDING
-        return [auth]
-
-    def _check_hello_shape(self, body: dict[str, Any]) -> str | None:
+        """Accept HELLO (responder) or HELLO_ACK (initiator); both have one shape."""
         if set(body) != {"did", "document", "ephemeral", "nonce"}:
-            return FAIL_PROTOCOL
+            return self._fail(FAIL_PROTOCOL)
         try:
-            from_hex(body["nonce"], 16)
-            from_hex(body["ephemeral"], crypto.KEY_LEN)
+            nonce = from_hex(body["nonce"], 16)
+            ephemeral = from_hex(body["ephemeral"], crypto.KEY_LEN)
         except EncodingError:
-            return FAIL_PROTOCOL
-        return None
+            return self._fail(FAIL_PROTOCOL)
+        failure = self._load_peer_identity(body, now)
+        if failure:
+            return self._fail(failure)
+        self.peer_nonce = nonce
+        self.peer_ephemeral = ephemeral
+        self._absorb(raw)
+        if self.role == crypto.ROLE_RESPONDER:
+            reply = _encode_plain(MSG_HELLO_ACK, self._hello_body())
+            self.state = State.HELLO_RECEIVED
+        else:
+            reply = _encode_plain(MSG_AUTH, self._auth_signature())
+            self.state = State.AUTH_PENDING
+        self._absorb(reply)
+        return [reply]
 
     def _on_auth(self, body: dict[str, Any], raw: bytes, now: int) -> list[bytes]:
-        # The initiator signed the transcript up to HELLO_ACK.
+        """Accept AUTH (responder) or AUTH_ACK (initiator) and derive the session keys."""
+        # The peer signed the transcript up to the message before this one.
         if not self._verify_peer_auth(body, self.transcript_digest()):
             return self._fail(FAIL_AUTH)
         self._absorb(raw)
-        reply = _encode_plain(MSG_AUTH_ACK, self._auth_signature())
-        self._absorb(reply)
+        reply = None
+        if self.role == crypto.ROLE_RESPONDER:
+            reply = _encode_plain(MSG_AUTH_ACK, self._auth_signature())
+            self._absorb(reply)
         failure = self._establish_keys(now)
         if failure:
             return self._fail(failure)
         self.state = State.SECURE
-        return [reply]
-
-    def _on_auth_ack(self, body: dict[str, Any], raw: bytes, now: int) -> list[bytes]:
-        # The responder signed the transcript up to AUTH.
-        if not self._verify_peer_auth(body, self.transcript_digest()):
-            return self._fail(FAIL_AUTH)
-        self._absorb(raw)
-        failure = self._establish_keys(now)
-        if failure:
-            return self._fail(failure)
-        self.state = State.SECURE
-        return self._layer2_opening()
+        return [reply] if reply is not None else self._layer2_opening()
 
     def _step_layer2(self, tag: int, body: dict[str, Any], now: int) -> list[bytes]:
         if tag == MSG_CRED_REQUEST and self.state == State.SECURE:
@@ -556,10 +503,8 @@ class HandshakeSession:
                     if self.config.disclose is not None
                     else self._peer_requested
                 )
-                reply = self._encrypt(
-                    MSG_CRED_PRESENT,
-                    {"presentations": self._build_presentations(disclose)},
-                )
+                presentations = {"presentations": self._build_presentations(disclose)}
+                reply = self._seal(MSG_CRED_PRESENT, canonical_bytes(presentations))
                 return [reply] + self._decide()
             return self._decide()
         if tag == MSG_TRUST_RESULT and self.state in (State.TRUSTED, State.UNTRUSTED):
@@ -568,8 +513,6 @@ class HandshakeSession:
                 return self._fail(FAIL_PROTOCOL)
             self.peer_verdict = TrustDecision(trusted=trusted, reason=body.get("reason"))
             return []
-        if tag == MSG_DATA:
-            return self._fail(FAIL_PROTOCOL)
         return self._fail(FAIL_PROTOCOL)
 
     # -- secure channel -----------------------------------------------------
@@ -577,30 +520,14 @@ class HandshakeSession:
     def secure_send(self, plaintext: bytes) -> bytes:
         if self.session_keys is None or self.state not in _CHANNEL_STATES:
             raise HandshakeError(f"no secure channel in state {self.state.value}")
-        nonce = self._send_nonces.next()
-        sealed = crypto.seal(
-            self.session_keys.send_key, nonce, plaintext, aad=bytes([MSG_DATA])
-        )
-        return bytes([MSG_DATA]) + nonce + sealed
+        return self._seal(MSG_DATA, plaintext)
 
     def secure_recv(self, data: bytes) -> bytes:
         if self.session_keys is None or self.state not in _CHANNEL_STATES:
             raise HandshakeError(f"no secure channel in state {self.state.value}")
         if not data or data[0] != MSG_DATA:
             raise ChannelError("not a data record")
-        if len(data) < 1 + crypto.NONCE_LEN + 16:
-            raise ChannelError("truncated data record")
-        nonce = data[1 : 1 + crypto.NONCE_LEN]
-        try:
-            self._recv_guard.check(nonce)
-            return crypto.unseal(
-                self.session_keys.recv_key,
-                nonce,
-                data[1 + crypto.NONCE_LEN :],
-                aad=bytes([MSG_DATA]),
-            )
-        except crypto.AuthenticationError as exc:
-            raise ChannelError(f"channel authentication failed: {exc}") from exc
+        return self._open(data)
 
 
 def _other_role(role: str) -> str:

@@ -19,6 +19,7 @@ from . import crypto
 from .credentials import Claim, RevocationRegistry, issue, revoke
 from .encoding import from_canonical, EncodingError
 from .handshake import (
+    _CHANNEL_STATES,
     AlwaysTrust,
     HandshakeSession,
     OwnerMatch,
@@ -469,7 +470,6 @@ class HandshakeRun:
     legs_to_secure: int | None = None
     legs_to_terminal: int | None = None
     fragments_per_message: list[int] = field(default_factory=list)
-    frames_sent: int = 0
     retransmissions: int = 0
     delivery_failed: bool = False
 
@@ -507,9 +507,6 @@ class HandshakeRun:
 
 
 _TERMINAL = frozenset({State.TRUSTED, State.UNTRUSTED, State.FAILED})
-_SECURE_OR_LATER = frozenset(
-    {State.SECURE, State.CREDENTIALS_EXCHANGED, State.TRUSTED, State.UNTRUSTED}
-)
 
 
 def drive_handshake(
@@ -538,7 +535,6 @@ def drive_handshake(
                 run.delivery_failed = True
                 return run
             run.fragments_per_message.append(report.fragments)
-            run.frames_sent += report.frames_sent
             run.retransmissions += report.retransmissions
             received = messengers[receiver_name].receive()
             if received is None:
@@ -548,7 +544,7 @@ def drive_handshake(
                 received = intercept(sessions[receiver_name].role, received)
             replies.extend(sessions[receiver_name].step(received, now))
         if run.legs_to_secure is None and all(
-            s.state in _SECURE_OR_LATER for s in sessions.values()
+            s.state in _CHANNEL_STATES for s in sessions.values()
         ):
             run.legs_to_secure = run.legs
         if run.legs_to_terminal is None and all(

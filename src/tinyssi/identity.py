@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from . import crypto
 from .encoding import (
@@ -153,32 +153,11 @@ class DidDocument:
 
     @classmethod
     def from_mapping(cls, mapping: Any) -> "DidDocument":
-        if not isinstance(mapping, dict):
-            raise DidError("document must be a mapping")
-        unknown = set(mapping) - _DOCUMENT_FIELDS
-        if unknown:
-            raise DidError(
-                f"documents carry no attributes; unknown fields {sorted(unknown)}"
-            )
-        missing = _DOCUMENT_FIELDS - set(mapping)
-        if missing:
-            raise DidError(f"document missing fields {sorted(missing)}")
-        try:
-            keys = tuple(_key_from_mapping(k) for k in mapping["public_keys"])
-            endpoints = tuple(_endpoint_from_mapping(e) for e in mapping["service_endpoints"])
-            retired = tuple(_retired_from_mapping(k) for k in mapping["previous_keys"])
-        except (TypeError, KeyError, EncodingError) as exc:
-            raise DidError(f"malformed document entry: {exc}") from exc
-        version = mapping["version"]
-        if not isinstance(version, int) or isinstance(version, bool):
-            raise DidError("version must be an integer")
-        return cls(
-            id=parse_did(mapping["id"]),
-            public_keys=keys,
-            service_endpoints=endpoints,
-            version=version,
-            previous_keys=retired,
-        )
+        """Parse a document; raises DidError naming every schema violation."""
+        doc, violations = _walk_document(mapping)
+        if violations:
+            raise DidError("; ".join(violations))
+        return doc
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "DidDocument":
@@ -188,9 +167,72 @@ class DidDocument:
             raise DidError(str(exc)) from exc
 
 
+def _walk_document(mapping: Any) -> tuple[DidDocument | None, list[str]]:
+    """The document schema walk: the parsed document, or None and every violation."""
+    if not isinstance(mapping, dict):
+        return None, ["document must be a mapping"]
+    violations = [
+        f"pseudonymity violation: attribute field {name!r} not permitted"
+        for name in sorted(set(mapping) - _DOCUMENT_FIELDS)
+    ]
+    missing = sorted(_DOCUMENT_FIELDS - set(mapping))
+    violations += [f"missing field {name!r}" for name in missing]
+    if missing:
+        return None, violations
+    keys = _walk_entries(
+        mapping["public_keys"], _KEY_FIELDS, _key_from_mapping, "public key", violations
+    )
+    if mapping["public_keys"] == []:
+        violations.append("document must hold at least one public key")
+    endpoints = _walk_entries(
+        mapping["service_endpoints"], _ENDPOINT_FIELDS, _endpoint_from_mapping,
+        "service endpoint", violations,
+    )
+    retired = _walk_entries(
+        mapping["previous_keys"], _RETIRED_FIELDS, _retired_from_mapping,
+        "retired key", violations,
+    )
+    ids = [k.key_id for k in keys] + [k.key_id for k in retired]
+    for key_id in sorted({i for i in ids if ids.count(i) > 1}):
+        violations.append(f"duplicate key id {key_id!r}")
+    version = mapping["version"]
+    if not isinstance(version, int) or isinstance(version, bool) or version < 1:
+        violations.append("version must be a positive integer")
+    try:
+        did = parse_did(mapping["id"])
+    except DidError as exc:
+        violations.append(str(exc))
+    if violations:
+        return None, violations
+    return DidDocument(did, tuple(keys), tuple(endpoints), version, tuple(retired)), []
+
+
+def _walk_entries(
+    entries: Any,
+    fields: frozenset[str],
+    build: Callable[[dict[str, Any]], Any],
+    kind: str,
+    violations: list[str],
+) -> list:
+    """Parse one list of document entries; each bad entry adds a violation."""
+    if not isinstance(entries, list):
+        violations.append(f"{kind} entries must be a list")
+        return []
+    parsed = []
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict) or set(entry) != fields:
+            violations.append(f"malformed {kind} entry {index}")
+            continue
+        try:
+            parsed.append(build(entry))
+        except (DidError, EncodingError) as exc:
+            violations.append(f"malformed {kind} entry {index}: {exc}")
+    return parsed
+
+
 def _key_from_mapping(mapping: dict[str, Any]) -> PublicKeyEntry:
-    if set(mapping) != _KEY_FIELDS:
-        raise DidError(f"malformed public key entry: {sorted(mapping)}")
+    if mapping["purpose"] not in (crypto.PURPOSE_SIGN, crypto.PURPOSE_AGREE):
+        raise DidError("unknown key purpose")
     return PublicKeyEntry(
         key_id=mapping["key_id"],
         purpose=mapping["purpose"],
@@ -199,8 +241,6 @@ def _key_from_mapping(mapping: dict[str, Any]) -> PublicKeyEntry:
 
 
 def _endpoint_from_mapping(mapping: dict[str, Any]) -> ServiceEndpoint:
-    if set(mapping) != _ENDPOINT_FIELDS:
-        raise DidError(f"malformed service endpoint entry: {sorted(mapping)}")
     return ServiceEndpoint(
         endpoint_id=mapping["endpoint_id"],
         type=mapping["type"],
@@ -209,8 +249,6 @@ def _endpoint_from_mapping(mapping: dict[str, Any]) -> ServiceEndpoint:
 
 
 def _retired_from_mapping(mapping: dict[str, Any]) -> RetiredKey:
-    if set(mapping) != _RETIRED_FIELDS:
-        raise DidError(f"malformed retired key entry: {sorted(mapping)}")
     return RetiredKey(
         key_id=mapping["key_id"],
         public=from_hex(mapping["public"], crypto.KEY_LEN),
@@ -290,46 +328,6 @@ def rotate_key(
 
 def validate_document(doc: DidDocument | dict[str, Any]) -> list[str]:
     """Collect structural violations; an empty list means the document is valid."""
-    violations: list[str] = []
     if isinstance(doc, DidDocument):
-        mapping = doc.to_mapping()
-    else:
-        mapping = doc
-    unknown = set(mapping) - _DOCUMENT_FIELDS
-    for field in sorted(unknown):
-        violations.append(
-            f"pseudonymity violation: attribute field {field!r} not permitted"
-        )
-    missing = _DOCUMENT_FIELDS - set(mapping)
-    for field in sorted(missing):
-        violations.append(f"missing field {field!r}")
-    if missing:
-        return violations
-    keys = mapping["public_keys"]
-    if not isinstance(keys, list) or not keys:
-        violations.append("document must hold at least one public key")
-        keys = []
-    ids = []
-    for entry in keys:
-        if not isinstance(entry, dict) or set(entry) != _KEY_FIELDS:
-            violations.append(f"malformed public key entry: {entry!r}")
-            continue
-        ids.append(entry["key_id"])
-        if entry["purpose"] not in (crypto.PURPOSE_SIGN, crypto.PURPOSE_AGREE):
-            violations.append(f"unknown key purpose {entry['purpose']!r}")
-    for entry in mapping["previous_keys"]:
-        if not isinstance(entry, dict) or set(entry) != _RETIRED_FIELDS:
-            violations.append(f"malformed retired key entry: {entry!r}")
-            continue
-        ids.append(entry["key_id"])
-    dupes = sorted({i for i in ids if ids.count(i) > 1})
-    for key_id in dupes:
-        violations.append(f"duplicate key id {key_id!r}")
-    version = mapping["version"]
-    if not isinstance(version, int) or isinstance(version, bool) or version < 1:
-        violations.append(f"version must be a positive integer, got {version!r}")
-    try:
-        parse_did(mapping["id"])
-    except DidError as exc:
-        violations.append(str(exc))
-    return violations
+        doc = doc.to_mapping()
+    return _walk_document(doc)[1]

@@ -151,19 +151,6 @@ def reassemble(frames: Iterable[Frame]) -> bytes | None:
     return b"".join(by_index[i] for i in range(frag_count))
 
 
-class Codec:
-    """Pluggable payload codec; the default is the identity transform."""
-
-    def compress(self, data: bytes) -> bytes:
-        return data
-
-    def decompress(self, data: bytes) -> bytes:
-        return data
-
-
-IDENTITY_CODEC = Codec()
-
-
 # ---------------------------------------------------------------------------
 # Simulated links
 # ---------------------------------------------------------------------------
@@ -212,14 +199,7 @@ class TraceEntry:
 class DeliveryReport:
     frames_sent: int = 0
     retransmissions: int = 0
-    round_trips: int = 0
     fragments: int = 0
-
-    def merge(self, other: "DeliveryReport") -> None:
-        self.frames_sent += other.frames_sent
-        self.retransmissions += other.retransmissions
-        self.round_trips += other.round_trips
-        self.fragments += other.fragments
 
 
 class SimLink:
@@ -333,7 +313,7 @@ def make_link(
 @dataclass
 class _ReceiveState:
     frag_count: int
-    fragments: dict[int, bytes] = field(default_factory=dict)
+    fragments: dict[int, Frame] = field(default_factory=dict)
     delivered: bool = False
 
 
@@ -345,10 +325,9 @@ class Messenger:
     as they arrive; completed messages queue up behind receive().
     """
 
-    def __init__(self, link: SimLink, endpoint: str, codec: Codec = IDENTITY_CODEC):
+    def __init__(self, link: SimLink, endpoint: str):
         self.link = link
         self.endpoint = endpoint
-        self.codec = codec
         self._receiving: dict[int, _ReceiveState] = {}
         self._acked: dict[int, set[int]] = {}
         self._received: deque[bytes] = deque()
@@ -357,16 +336,13 @@ class Messenger:
     def send(self, message: bytes, message_id: int | None = None) -> DeliveryReport:
         if message_id is None:
             message_id = self.link.allocate_message_id()
-        frames = fragment(
-            self.codec.compress(message), self.link.profile.mtu, message_id
-        )
+        frames = fragment(message, self.link.profile.mtu, message_id)
         report = DeliveryReport(fragments=len(frames))
         for frame in frames:
             attempts = 0
             while True:
                 self.link.transmit(self.endpoint, frame)
                 report.frames_sent += 1
-                report.round_trips += 1
                 if attempts > 0:
                     report.retransmissions += 1
                 if self._await_ack(frame.message_id, frame.frag_index):
@@ -401,10 +377,9 @@ class Messenger:
             return
         if frame.frag_count != state.frag_count:
             raise FrameError(f"inconsistent frag_count for message {frame.message_id}")
-        state.fragments.setdefault(frame.frag_index, frame.payload)
+        state.fragments.setdefault(frame.frag_index, frame)
         if len(state.fragments) == state.frag_count:
-            message = b"".join(state.fragments[i] for i in range(state.frag_count))
-            self._received.append(self.codec.decompress(message))
+            self._received.append(reassemble(state.fragments.values()))
             state.delivered = True
             state.fragments.clear()
 
@@ -412,14 +387,3 @@ class Messenger:
         if self._received:
             return self._received.popleft()
         return None
-
-
-def send_reliable(
-    link: SimLink, endpoint_pair: tuple[str, str], message: bytes
-) -> DeliveryReport:
-    """One-shot reliable transfer between two endpoints of a link."""
-    src, dst = endpoint_pair
-    sender = link._handlers.get(src) or Messenger(link, src)
-    if dst not in link._handlers:
-        Messenger(link, dst)
-    return sender.send(message)

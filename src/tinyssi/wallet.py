@@ -95,9 +95,6 @@ class Wallet:
         except KeyError:
             raise WalletError(f"no key {key_id!r} in wallet") from None
 
-    def sign_keys(self) -> list[crypto.KeyPair]:
-        return [k for k in self.keys.values() if k.purpose == crypto.PURPOSE_SIGN]
-
     def put_document(self, doc: DidDocument) -> None:
         """Append a version of my own document; newest last."""
         if self.owner_did is None:
@@ -109,6 +106,18 @@ class Wallet:
     @property
     def current_document(self) -> DidDocument | None:
         return self.documents[-1] if self.documents else None
+
+    def current_sign_key(self) -> crypto.KeyPair | None:
+        """The signing key my current document lists; retired keys never qualify."""
+        doc = self.current_document
+        if doc is None:
+            return None
+        current = {entry.key_id for entry in doc.public_keys}
+        return next(
+            (k for k in self.keys.values()
+             if k.purpose == crypto.PURPOSE_SIGN and k.key_id in current),
+            None,
+        )
 
     def put_credential(self, vc: VerifiableCredential, openings: tuple[ClaimOpening, ...]) -> None:
         self.credentials[vc.vc_id] = StoredCredential(credential=vc, openings=openings)
@@ -172,12 +181,7 @@ class Wallet:
                 wallet.documents.append(DidDocument.from_mapping(mapping))
             for entry in payload["credentials"]:
                 vc = VerifiableCredential.from_mapping(entry["credential"])
-                openings = tuple(
-                    ClaimOpening(
-                        name=o["name"], value=o["value"], salt=from_hex(o["salt"], 16)
-                    )
-                    for o in entry["openings"]
-                )
+                openings = tuple(ClaimOpening.from_mapping(o) for o in entry["openings"])
                 wallet.credentials[vc.vc_id] = StoredCredential(vc, openings)
         except (KeyError, TypeError, ValueError) as exc:
             raise WalletIntegrityError(f"malformed wallet payload: {exc}") from exc

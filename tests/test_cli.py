@@ -9,6 +9,7 @@ from tinyssi.cli import main
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "owner-two-devices.scn"
 LIFECYCLE = Path(__file__).resolve().parent.parent / "scenarios" / "household-lifecycle.scn"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 PASS = "pw"
 
 
@@ -114,6 +115,35 @@ class TestDidCommands:
         assert code == 0
         assert out["version"] == 2
 
+    @pytest.mark.parametrize("method", ["peer", "reg"])
+    def test_repeated_rotation_then_issue(self, method, tmp_path, capsys):
+        # Each rotation must retire the current key, not one retired earlier.
+        # Key ids are random and the wallet lists its keys sorted by id, so a
+        # lookup that also matches retired keys picks the current one by luck:
+        # four rotations leave it a 1-in-24 chance.
+        wallet, registry = tmp_path / "w.wallet", tmp_path / "net.reg"
+        wallet_args = ["--wallet", str(wallet), "--passphrase", PASS]
+        registry_args = ["--registry", str(registry)] if method == "reg" else []
+        run(capsys, "wallet", "create", *wallet_args)
+        code, out = run(capsys, "did", "create", "--method", method, *registry_args, *wallet_args)
+        assert code == 0
+        did = out["did"]
+        for version in (2, 3, 4, 5):
+            code, out = run(capsys, "ddoc", "rotate-key", *registry_args, *wallet_args)
+            assert code == 0, out
+            assert out["version"] == version
+            assert len(out["previous_keys"]) == version - 1
+        code, out = run(
+            capsys, "vc", "issue", *wallet_args, "--subject", did, "--claim", "type=Camera",
+            "--out", str(tmp_path / "c.vc"), "--openings-out", str(tmp_path / "c.openings"),
+        )
+        assert code == 0, out
+        if method == "reg":
+            code, out = run(
+                capsys, "vc", "verify", str(tmp_path / "c.vc"), "--registry", str(registry)
+            )
+            assert code == 0, out
+
 
 class TestVcCommands:
     def _issue(self, issuer, tmp_path, capsys, claims=("owner=Alice", "type=Camera")):
@@ -207,6 +237,14 @@ class TestSimCommands:
         assert run(capsys, "sim", "run", str(SCENARIO), "--seed", "3", "--report", str(a))[0] == 0
         assert run(capsys, "sim", "run", str(SCENARIO), "--seed", "3", "--report", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("scenario", [SCENARIO, LIFECYCLE], ids=lambda p: p.stem)
+    def test_report_and_summary_match_golden(self, scenario, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        assert main(["sim", "run", str(scenario), "--report", str(report_path)]) == 0
+        summary = capsys.readouterr().out
+        assert report_path.read_bytes() == (GOLDEN / f"{scenario.stem}.report.json").read_bytes()
+        assert summary.encode("utf-8") == (GOLDEN / f"{scenario.stem}.summary.txt").read_bytes()
 
     def test_lifecycle_scenario_strict(self, capsys):
         code, _ = run(capsys, "sim", "run", str(LIFECYCLE), "--strict")

@@ -248,6 +248,7 @@ class TestNonces:
         guard = crypto.ReplayGuard(0x02)
         nonce = seq.next()
         guard.check(nonce)
+        guard.commit(nonce)
         with pytest.raises(crypto.AuthenticationError):
             guard.check(nonce)
 

@@ -464,6 +464,16 @@ class TestSecureChannel:
         with pytest.raises(ChannelError):
             session_r.secure_recv(bytes(wire))
 
+    def test_forged_record_does_not_advance_replay_window(self, household):
+        session_i, session_r = self._secure_pair(household)
+        wire = session_i.secure_send(b"genuine")
+        # Same ciphertext under a far-future counter: its tag cannot verify.
+        counter = (2**80).to_bytes(crypto.NONCE_LEN - 1, "big")
+        forged = wire[:2] + counter + wire[1 + crypto.NONCE_LEN :]
+        with pytest.raises(ChannelError):
+            session_r.secure_recv(forged)
+        assert session_r.secure_recv(wire) == b"genuine"
+
     def test_cross_session_ciphertext_rejected(self, household):
         first_i, first_r = self._secure_pair(household, seed_base=500)
         second_i, second_r = self._secure_pair(household, seed_base=600)

@@ -183,6 +183,14 @@ class TestCanonicalSerialization:
         with pytest.raises(DidError):
             DidDocument.from_mapping(mapping)
 
+    def test_unknown_key_purpose_rejected_on_deserialize(self):
+        # Parsing and validate_document share one schema walk, so they agree.
+        mapping = _sample_document().to_mapping()
+        mapping["public_keys"][0]["purpose"] = "encrypt"
+        assert any("unknown key purpose" in v for v in validate_document(mapping))
+        with pytest.raises(DidError, match="unknown key purpose"):
+            DidDocument.from_mapping(mapping)
+
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_serialize_deserialize_bijection_property(self, data):

@@ -19,7 +19,6 @@ from tinyssi.transport import (
     make_ack,
     make_link,
     reassemble,
-    send_reliable,
 )
 
 
@@ -180,7 +179,9 @@ class TestProfiles:
 class TestReliableDelivery:
     def test_lossless_no_retransmissions(self):
         link = make_link("lora", seed=1)
-        report = send_reliable(link, ("A", "B"), bytes(500))
+        sender = Messenger(link, "A")
+        Messenger(link, "B")
+        report = sender.send(bytes(500))
         assert report.retransmissions == 0
         assert report.fragments == 3
         assert report.frames_sent == 3
@@ -258,36 +259,6 @@ class TestReliableDelivery:
         assert receiver.receive() is None
         acks = [e for e in link.trace if e.kind == "ack"]
         assert len(acks) == 3
-
-
-class TestCodecHook:
-    def test_pluggable_codec_roundtrips(self):
-        import zlib
-
-        from tinyssi.transport import Codec
-
-        class Deflate(Codec):
-            def compress(self, data):
-                return zlib.compress(data, 6)
-
-            def decompress(self, data):
-                return zlib.decompress(data)
-
-        link = make_link("lora", seed=8)
-        sender = Messenger(link, "A", codec=Deflate())
-        receiver = Messenger(link, "B", codec=Deflate())
-        message = b"A" * 2000  # compresses well below one LoRa frame
-        report = sender.send(message)
-        assert receiver.receive() == message
-        assert report.fragments == 1
-
-    def test_identity_codec_is_default(self):
-        link = make_link("lora", seed=8)
-        sender = Messenger(link, "A")
-        receiver = Messenger(link, "B")
-        sender.send(b"A" * 2000)
-        assert receiver.receive() == b"A" * 2000
-        assert len([e for e in link.trace if e.kind == "data"]) == 10
 
 
 class TestTrace:
