@@ -264,7 +264,10 @@ def cmd_vc_present(args) -> int:
     try:
         vc = VerifiableCredential.from_bytes(Path(args.vc).read_bytes())
         stored = from_canonical(Path(args.openings).read_bytes())
-        openings = tuple(ClaimOpening.from_mapping(o) for o in stored["openings"])
+        entries = stored.get("openings") if isinstance(stored, dict) else None
+        if not isinstance(entries, list):
+            raise CredentialError('openings file must hold a mapping with an "openings" list')
+        openings = tuple(ClaimOpening.from_mapping(o) for o in entries)
         presentation = present(vc, openings, args.disclose.split(","))
     except (CredentialError, KeyError, ValueError) as exc:
         return _fail(EXIT_VALIDATION, str(exc))

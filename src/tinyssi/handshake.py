@@ -215,8 +215,9 @@ class HandshakeSession:
     """One side of one handshake; single-owner, driven by step()."""
 
     def __init__(self, role: str, config: SessionConfig):
-        if config.document.find_key(config.sign_key.key_id) is None:
-            raise HandshakeError("signing key is not in my document")
+        # Only a current key signs; a retired one would fail the peer's check.
+        if all(k.key_id != config.sign_key.key_id for k in config.document.public_keys):
+            raise HandshakeError("signing key is not a current key of my document")
         if config.sign_key.purpose != crypto.PURPOSE_SIGN:
             raise HandshakeError("handshake needs a signing key")
         self.role = role

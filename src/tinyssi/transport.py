@@ -12,6 +12,11 @@ Frame header, 8 bytes, big-endian:
 ACK frames carry a 2-byte payload: the acknowledged frag_index. Data payload
 capacity is mtu - 8. Timeouts run on simulated ticks, never wall clock, so a
 fixed seed reproduces a run frame for frame.
+
+The ARQ timeout is the link's worst-case round trip: a frame takes
+TRANSIT_TICKS each way, plus REORDER_DELAY_TICKS when the link reorders it.
+That is 2 ticks on a link that never reorders and 6 on one that may. A timer
+that fires then finds nothing in flight, so it never fires on a late ACK.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ FLAG_ACK = 0x01
 FLAG_LAST = 0x02
 
 RETRY_LIMIT = 8          # retransmissions per fragment before giving up
-ACK_TIMEOUT_TICKS = 8    # transit is 1 tick each way, reorder adds up to 2
+TRANSIT_TICKS = 1        # one-way delay of every delivered frame
+REORDER_DELAY_TICKS = 2  # extra one-way delay of a reordered frame
 
 _HEADER = struct.Struct(">BBHHH")
 
@@ -208,6 +214,8 @@ class SimLink:
     Single-threaded: time advances only through tick(), which delivers due
     frames to the attached endpoint handlers. Every transmitted frame is
     bounds-checked against the MTU and logged to the trace, dropped or not.
+    A delivered frame that fails to decode, or that its handler rejects with
+    FrameError, is dropped and counted in malformed_frames.
     """
 
     def __init__(self, profile: LinkProfile, a: str = "A", b: str = "B"):
@@ -215,6 +223,7 @@ class SimLink:
         self.endpoints = (a, b)
         self.now = 0
         self.trace: list[TraceEntry] = []
+        self.malformed_frames = 0
         self._rng = Random(profile.seed)
         self._pending: list[tuple[int, int, str, bytes]] = []
         self._sequence = 0
@@ -229,6 +238,14 @@ class SimLink:
     def allocate_message_id(self) -> int:
         self._next_message_id = (self._next_message_id + 1) % 0x10000
         return self._next_message_id
+
+    @property
+    def round_trip_ticks(self) -> int:
+        """Worst-case ticks from transmitting a frame to receiving its ACK."""
+        one_way = TRANSIT_TICKS
+        if self.profile.reorder_probability > 0:
+            one_way += REORDER_DELAY_TICKS
+        return 2 * one_way
 
     def other_end(self, endpoint: str) -> str:
         a, b = self.endpoints
@@ -246,9 +263,9 @@ class SimLink:
             )
         dst = self.other_end(src)
         dropped = self._rng.random() < self.profile.loss_probability
-        delay = 1
+        delay = TRANSIT_TICKS
         if not dropped and self._rng.random() < self.profile.reorder_probability:
-            delay += 2
+            delay += REORDER_DELAY_TICKS
         self.trace.append(
             TraceEntry(
                 tick=self.now,
@@ -273,8 +290,12 @@ class SimLink:
         while self._pending and self._pending[0][0] <= self.now:
             _, _, dst, raw = heapq.heappop(self._pending)
             handler = self._handlers.get(dst)
-            if handler is not None:
+            if handler is None:
+                continue
+            try:
                 handler.handle_frame(Frame.decode(raw))
+            except FrameError:
+                self.malformed_frames += 1
 
     def bytes_on_wire(self) -> int:
         return sum(entry.length for entry in self.trace)
@@ -356,7 +377,7 @@ class Messenger:
         return report
 
     def _await_ack(self, message_id: int, frag_index: int) -> bool:
-        deadline = self.link.now + ACK_TIMEOUT_TICKS
+        deadline = self.link.now + self.link.round_trip_ticks
         while self.link.now < deadline:
             self.link.tick()
             if frag_index in self._acked.get(message_id, ()):
@@ -364,19 +385,22 @@ class Messenger:
         return False
 
     def handle_frame(self, frame: Frame) -> None:
+        """Take one frame off the link; FrameError means it was not acted on."""
         if frame.is_ack:
+            if len(frame.payload) != 2:
+                raise FrameError(f"ACK payload of {len(frame.payload)} bytes, want 2")
             acked = struct.unpack(">H", frame.payload)[0]
             self._acked.setdefault(frame.message_id, set()).add(acked)
             return
-        # Duplicate data (a lost ACK) is re-acknowledged, never re-delivered.
-        self.link.transmit(self.endpoint, make_ack(frame.message_id, frame.frag_index))
         state = self._receiving.setdefault(
             frame.message_id, _ReceiveState(frag_count=frame.frag_count)
         )
-        if state.delivered:
-            return
         if frame.frag_count != state.frag_count:
             raise FrameError(f"inconsistent frag_count for message {frame.message_id}")
+        # Duplicate data (a lost ACK) is re-acknowledged, never re-delivered.
+        self.link.transmit(self.endpoint, make_ack(frame.message_id, frame.frag_index))
+        if state.delivered:
+            return
         state.fragments.setdefault(frame.frag_index, frame)
         if len(state.fragments) == state.frag_count:
             self._received.append(reassemble(state.fragments.values()))

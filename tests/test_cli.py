@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from tinyssi.cli import main
+from tinyssi.encoding import canonical_bytes
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "owner-two-devices.scn"
 LIFECYCLE = Path(__file__).resolve().parent.parent / "scenarios" / "household-lifecycle.scn"
@@ -198,6 +199,20 @@ class TestVcCommands:
         )
         assert code == 0
         assert out["disclosed"] == {"type": "Camera"}
+
+    @pytest.mark.parametrize("stored", [[], {"vc_id": "x"}, {"openings": {"name": "type"}}],
+                             ids=["list", "no-openings", "openings-not-a-list"])
+    def test_present_with_malformed_openings_file(self, stored, issuer, tmp_path, capsys):
+        vc_path, _, _ = self._issue(issuer, tmp_path, capsys)
+        openings_path = tmp_path / "bad.openings"
+        openings_path.write_bytes(canonical_bytes(stored))
+        code, out = run(
+            capsys, "vc", "present", "--vc", str(vc_path),
+            "--openings", str(openings_path), "--disclose", "type",
+            "--out", str(tmp_path / "subset.vp"),
+        )
+        assert code == 2
+        assert '"openings" list' in out["error"]["reason"]
 
     def test_revoke_then_verify_fails(self, issuer, tmp_path, capsys):
         wallet, did, doc_path = issuer

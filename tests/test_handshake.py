@@ -31,7 +31,7 @@ from tinyssi.handshake import (
     initiate,
     respond,
 )
-from tinyssi.identity import format_did
+from tinyssi.identity import PublicKeyEntry, format_did, rotate_key
 from tinyssi.resolver import Registry
 
 
@@ -174,6 +174,24 @@ class TestHonestRun:
         cfg_i.sign_key = crypto.keygen(crypto.PURPOSE_SIGN)  # not in the document
         with pytest.raises(HandshakeError):
             initiate(cfg_i, now=NOW)
+
+    def test_retired_signing_key_rejected_at_initiate(self):
+        registry = Registry()
+        alice = build_actor("alice", 1, registry, method="reg")
+        cam = build_actor("cam", 2, registry, method="reg")
+        new_key = crypto.keygen(crypto.PURPOSE_SIGN, seed=bytes(31) + b"\x05")
+        cam.document = rotate_key(
+            cam.document, cam.sign_key.key_id,
+            PublicKeyEntry(new_key.key_id, crypto.PURPOSE_SIGN, new_key.public),
+            now=NOW,
+        )
+        registry.register(cam.document, cam.sign_key)
+        assert cam.document.find_key(cam.sign_key.key_id) is not None  # listed as retired
+        with pytest.raises(HandshakeError, match="current key"):
+            initiate(owner_match_config(cam, alice, 100), now=NOW)
+        cam.sign_key = new_key
+        session, _ = initiate(owner_match_config(cam, alice, 100), now=NOW)
+        assert session.state == State.HELLO_SENT
 
     def test_configs_built_from_wallets(self, household):
         from tinyssi.wallet import Wallet

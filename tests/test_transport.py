@@ -1,13 +1,16 @@
 """Frame codec, fragmentation arithmetic, ARQ behavior, simulator determinism."""
 
 import math
+import re
+from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tinyssi.transport import (
     DeliveryError,
+    FLAG_ACK,
     Frame,
     FrameError,
     HEADER_LEN,
@@ -20,6 +23,8 @@ from tinyssi.transport import (
     make_link,
     reassemble,
 )
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 class TestFrameCodec:
@@ -276,3 +281,84 @@ class TestTrace:
         Messenger(link, "B")
         sender.send(bytes(900))
         assert link.bytes_on_wire() == sum(e.length for e in link.trace)
+
+
+class TestAckTimeout:
+    """The ARQ timer is the link's worst-case round trip, never less, never more."""
+
+    @pytest.mark.parametrize("reorder,round_trip", [(0.0, 2), (0.1, 6)])
+    def test_total_loss_retries_one_round_trip_apart(self, reorder, round_trip):
+        link = make_link("lora", loss=1.0, reorder=reorder, seed=1)
+        sender = Messenger(link, "A")
+        Messenger(link, "B")
+        with pytest.raises(DeliveryError):
+            sender.send(b"doomed")
+        ticks = [e.tick for e in link.trace if e.kind == "data"]
+        assert {b - a for a, b in zip(ticks, ticks[1:])} == {round_trip}
+        assert link.now == round_trip * (1 + RETRY_LIMIT)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        reorder=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @example(seed=0, reorder=1.0)
+    def test_no_spurious_timeout_without_loss(self, seed, reorder):
+        link = make_link("lora", reorder=reorder, seed=seed)
+        sender = Messenger(link, "A")
+        receiver = Messenger(link, "B")
+        report = sender.send(bytes(1000))
+        assert report.retransmissions == 0
+        assert receiver.receive() == bytes(1000)
+
+    def test_lossy_reordering_trace_only_loses_idle_ticks(self):
+        # The fixture is this send's trace under the former 8-tick constant
+        # timeout, tick field removed; that run ended at tick 112.
+        link = make_link("lora", loss=0.2, reorder=0.1, seed=12)
+        sender = Messenger(link, "A")
+        receiver = Messenger(link, "B")
+        sender.send(bytes(3000))
+        assert receiver.receive() == bytes(3000)
+        untimed = [re.sub(r"^t=\d+ ", "", line) for line in link.trace_lines()]
+        fixture = FIXTURES / "lora-loss0.2-reorder0.1-seed12.trace"
+        assert untimed == fixture.read_text().splitlines()
+        assert link.now < 112
+
+
+class _BadMagic(Frame):
+    def encode(self) -> bytes:
+        return b"\x55" + super().encode()[1:]
+
+
+class TestMalformedFrames:
+    """A frame the receiver cannot use is dropped and counted, never raised."""
+
+    def _inject_then_deliver(self, src, bad, prelude=()):
+        link = make_link("lora", seed=3)
+        sender = Messenger(link, "A")
+        receiver = Messenger(link, "B")
+        for frame in (*prelude, bad):
+            link.transmit(src, frame)
+            for _ in range(2):
+                link.tick()
+        assert link.malformed_frames == 1
+        message = Random(4).randbytes(500)
+        sender.send(message)
+        assert receiver.receive() == message
+        return link
+
+    def test_bad_magic_dropped(self):
+        self._inject_then_deliver("A", _BadMagic(0, 0x7777, 0, 1, b"x"))
+
+    def test_index_beyond_count_dropped(self):
+        link = self._inject_then_deliver("A", Frame(0, 0x7777, 5, 2, b"x"))
+        assert not any(e.kind == "ack" and e.message_id == 0x7777 for e in link.trace)
+
+    def test_ack_with_wrong_payload_length_dropped(self):
+        self._inject_then_deliver("B", Frame(FLAG_ACK, 0x7777, 0, 1, b"\x00\x00\x00"))
+
+    def test_inconsistent_frag_count_dropped(self):
+        first = Frame(0, 0x7777, 0, 2, b"x")
+        link = self._inject_then_deliver("A", Frame(0, 0x7777, 1, 3, b"y"), prelude=[first])
+        acks = [e for e in link.trace if e.kind == "ack" and e.message_id == 0x7777]
+        assert [e.frag_index for e in acks] == [0]
