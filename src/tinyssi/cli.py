@@ -33,14 +33,11 @@ from .identity import (
     DidError,
     METHOD_PEER,
     METHOD_REG,
-    PublicKeyEntry,
     ServiceEndpoint,
     format_did,
-    generate_peer_did,
     parse_did,
-    rotate_key,
 )
-from .resolver import Registry, RegistryError, ResolutionError, Resolver, registered_did_for
+from .resolver import Registry, RegistryError, ResolutionError, Resolver
 from .transport import PROFILES
 
 EXIT_OK = 0
@@ -121,35 +118,23 @@ def cmd_keygen(args) -> int:
 
 def cmd_did_create(args) -> int:
     w = _unlock(args)
-    if w.owner_did is not None:
-        return _fail(EXIT_VALIDATION, "wallet already holds an identity")
-    sign_key = crypto.keygen(crypto.PURPOSE_SIGN)
-    agree_key = crypto.keygen(crypto.PURPOSE_AGREE)
-    keys = (
-        PublicKeyEntry(sign_key.key_id, crypto.PURPOSE_SIGN, sign_key.public),
-        PublicKeyEntry(agree_key.key_id, crypto.PURPOSE_AGREE, agree_key.public),
-    )
-    endpoints = ()
-    if args.endpoint:
-        endpoints = (ServiceEndpoint("ep-1", "sim-link", args.endpoint),)
-    if args.method == METHOD_PEER:
-        did, doc = generate_peer_did(keys, endpoints)
-    else:
+    registry = None
+    if args.method == METHOD_REG:
         if not args.registry:
             return _fail(EXIT_VALIDATION, "reg method needs --registry")
-        did = registered_did_for(sign_key.public, args.endpoint or "")
-        doc = DidDocument(id=did, public_keys=keys, service_endpoints=endpoints)
         registry = _load_registry(args.registry)
-        try:
-            registry.register(doc, sign_key)
-        except RegistryError as exc:
-            return _fail(EXIT_VALIDATION, str(exc))
+    endpoints = (ServiceEndpoint("ep-1", "sim-link", args.endpoint),) if args.endpoint else ()
+    try:
+        doc = w.create_identity(
+            crypto.keygen(crypto.PURPOSE_SIGN), crypto.keygen(crypto.PURPOSE_AGREE),
+            args.method, endpoints, registry, hint=args.endpoint or "",
+        )
+    except (RegistryError, wallet_mod.WalletError) as exc:
+        return _fail(EXIT_VALIDATION, str(exc))
+    if registry is not None:
         registry.save(args.registry)
-    w.put_key(sign_key)
-    w.put_key(agree_key)
-    w.put_document(doc)
     w.save(args.wallet, args.passphrase)
-    _emit({"did": format_did(did), "document_bytes": len(doc.to_bytes())})
+    _emit({"did": format_did(doc.id), "document_bytes": len(doc.to_bytes())})
     return EXIT_OK
 
 
@@ -178,30 +163,19 @@ def cmd_ddoc_show(args) -> int:
 
 def cmd_ddoc_rotate_key(args) -> int:
     w = _unlock(args)
-    doc = w.current_document
-    if doc is None or w.owner_did is None:
+    if w.owner_did is None:
         return _fail(EXIT_VALIDATION, "wallet holds no document")
-    old_key = w.current_sign_key()
-    if old_key is None:
-        return _fail(EXIT_VALIDATION, "no rotatable signing key in wallet")
-    new_key = crypto.keygen(crypto.PURPOSE_SIGN)
-    rotated = rotate_key(
-        doc,
-        old_key.key_id,
-        PublicKeyEntry(new_key.key_id, crypto.PURPOSE_SIGN, new_key.public),
-        now=_now(),
-    )
+    registry = None
     if w.owner_did.method == METHOD_REG:
         if not args.registry:
             return _fail(EXIT_VALIDATION, "reg method needs --registry")
         registry = _load_registry(args.registry)
-        try:
-            registry.register(rotated, old_key)
-        except RegistryError as exc:
-            return _fail(EXIT_VALIDATION, str(exc))
+    try:
+        rotated = w.rotate_sign_key(crypto.keygen(crypto.PURPOSE_SIGN), _now(), registry)
+    except (RegistryError, wallet_mod.WalletError) as exc:
+        return _fail(EXIT_VALIDATION, str(exc))
+    if registry is not None:
         registry.save(args.registry)
-    w.put_key(new_key)
-    w.put_document(rotated)
     w.save(args.wallet, args.passphrase)
     print(rotated.to_bytes().decode("utf-8"))
     return EXIT_OK

@@ -374,11 +374,15 @@ class HandshakeSession:
         return out
 
     def _verify_presentations(self, mappings: Any, now: int) -> list[Presentation]:
+        """Presentations that verify and whose subject is the authenticated peer."""
         verified = []
         for mapping in mappings:
             try:
                 presentation = Presentation.from_mapping(mapping)
             except Exception:
+                continue
+            # Holder binding: a credential speaks only for its own subject.
+            if presentation.credential.subject != self.peer_did:
                 continue
             verdict = verify_presentation(
                 presentation, self.config.resolver, self.config.revocation, now

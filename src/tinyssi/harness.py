@@ -11,7 +11,7 @@ all derive from it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from random import Random
 from typing import Any
 
@@ -30,19 +30,8 @@ from .handshake import (
     initiate,
     respond,
 )
-from .identity import (
-    Did,
-    DidDocument,
-    METHOD_PEER,
-    METHOD_REG,
-    PublicKeyEntry,
-    ServiceEndpoint,
-    format_did,
-    generate_peer_did,
-    parse_did,
-    rotate_key,
-)
-from .resolver import Registry, ResolutionError, Resolver, registered_did_for
+from .identity import Did, METHOD_PEER, METHOD_REG, ServiceEndpoint, format_did, parse_did
+from .resolver import Registry, ResolutionError, Resolver
 from .transport import DeliveryError, Messenger, PROFILES, make_link
 from .wallet import Wallet
 
@@ -265,9 +254,7 @@ def _seed_int(*parts: Any) -> int:
 class ProvisionedActor:
     spec: ScenarioActor
     did: Did
-    document: DidDocument
     wallet: Wallet
-    sign_key: crypto.KeyPair
     resolver: Resolver
     revocation: RevocationRegistry
 
@@ -288,37 +275,22 @@ class Deployment:
             self._issue(cred)
 
     def _provision(self, actor: ScenarioActor) -> ProvisionedActor:
-        sign_key = crypto.keygen(
-            crypto.PURPOSE_SIGN, seed=_seed_bytes(self.scenario.seed, actor.name, "sign")
-        )
-        agree_key = crypto.keygen(
-            crypto.PURPOSE_AGREE, seed=_seed_bytes(self.scenario.seed, actor.name, "agree")
-        )
-        keys = (
-            PublicKeyEntry(sign_key.key_id, crypto.PURPOSE_SIGN, sign_key.public),
-            PublicKeyEntry(agree_key.key_id, crypto.PURPOSE_AGREE, agree_key.public),
-        )
-        endpoints = (
-            ServiceEndpoint("ep-1", "sim-link", f"sim-link://{actor.name}"),
-        )
-        if actor.did_method == METHOD_PEER:
-            did, document = generate_peer_did(keys, endpoints)
-        else:
-            did = registered_did_for(sign_key.public, actor.name)
-            document = DidDocument(id=did, public_keys=keys, service_endpoints=endpoints)
-            self.registry.register(document, sign_key)
+        seed = self.scenario.seed
         wallet = Wallet()
-        wallet.put_key(sign_key)
-        wallet.put_key(agree_key)
-        wallet.put_document(document)
+        document = wallet.create_identity(
+            crypto.keygen(crypto.PURPOSE_SIGN, seed=_seed_bytes(seed, actor.name, "sign")),
+            crypto.keygen(crypto.PURPOSE_AGREE, seed=_seed_bytes(seed, actor.name, "agree")),
+            actor.did_method,
+            (ServiceEndpoint("ep-1", "sim-link", f"sim-link://{actor.name}"),),
+            self.registry,
+            hint=actor.name,
+        )
         return ProvisionedActor(
             spec=actor,
-            did=did,
-            document=document,
+            did=document.id,
             wallet=wallet,
-            sign_key=sign_key,
             resolver=Resolver(self.registry),
-            revocation=RevocationRegistry(did),
+            revocation=RevocationRegistry(document.id),
         )
 
     def _distribute_documents(self) -> None:
@@ -326,7 +298,7 @@ class Deployment:
         for holder in self.actors.values():
             for other in self.actors.values():
                 if other.did.method == METHOD_PEER:
-                    holder.resolver.store_peer(other.did, other.document)
+                    holder.resolver.store_peer(other.did, other.wallet.current_document)
 
     def _expand(self, value: str) -> str:
         if value.startswith("@"):
@@ -339,7 +311,7 @@ class Deployment:
         claims = [Claim(name, self._expand(value)) for name, value in cred.claims.items()]
         rng = Random(_seed_int(self.scenario.seed, "issue", len(self.issued_ids)))
         vc, openings = issue(
-            issuer.sign_key, issuer.did, subject.did, claims, cred.validity,
+            issuer.wallet.current_sign_key(), issuer.did, subject.did, claims, cred.validity,
             now=self.now, rng=rng,
         )
         subject.wallet.put_credential(vc, openings)
@@ -366,15 +338,8 @@ class Deployment:
                 (a for a in self.actors.values() if a.did == policy.my_owner), None
             )
             revocation = owner.revocation if owner else None
-        return SessionConfig(
-            did=actor.did,
-            document=actor.wallet.current_document or actor.document,
-            sign_key=actor.sign_key,
-            resolver=actor.resolver,
-            policy=policy,
-            credentials=tuple(actor.wallet.credentials.values()),
-            revocation=revocation,
-            rng=rng,
+        return SessionConfig.from_wallet(
+            actor.wallet, actor.resolver, policy=policy, revocation=revocation, rng=rng
         )
 
 
@@ -386,26 +351,13 @@ class Deployment:
 class StepMetrics:
     action: str
     outcome: str
-    expect: str | None
-    matched: bool
+    expect: str | None = None
+    matched: bool = True
     bytes_sent: int = 0
     frames: int = 0
     fragments_per_message: list[int] = field(default_factory=list)
     round_trips: int = 0
     retransmissions: int = 0
-
-    def to_mapping(self) -> dict[str, Any]:
-        return {
-            "action": self.action,
-            "outcome": self.outcome,
-            "expect": self.expect,
-            "matched": self.matched,
-            "bytes_sent": self.bytes_sent,
-            "frames": self.frames,
-            "fragments_per_message": self.fragments_per_message,
-            "round_trips": self.round_trips,
-            "retransmissions": self.retransmissions,
-        }
 
 
 @dataclass
@@ -424,7 +376,7 @@ class MetricsReport:
             "scenario": self.scenario,
             "seed": self.seed,
             "document_sizes": {"ddo_bytes": self.ddo_bytes, "vc_bytes": self.vc_bytes},
-            "steps": [s.to_mapping() for s in self.steps],
+            "steps": [asdict(s) for s in self.steps],
         }
 
     def to_json_bytes(self) -> bytes:
@@ -448,12 +400,6 @@ class MetricsReport:
                 f"{'yes' if s.matched else 'NO'}"
             )
         return lines
-
-
-def _outcome_matches(outcome: str, expect: str | None) -> bool:
-    if expect is None:
-        return True
-    return outcome.startswith(expect)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +516,7 @@ class ScenarioRunner:
             scenario=self.scenario.name,
             seed=self.scenario.seed,
             ddo_bytes={
-                name: len(actor.document.to_bytes())
+                name: len(actor.wallet.current_document.to_bytes())
                 for name, actor in deployment.actors.items()
             },
             vc_bytes=[
@@ -584,15 +530,16 @@ class ScenarioRunner:
         return report
 
     def _run_step(self, index: int, step: ScenarioStep) -> StepMetrics:
-        if step.action == "handshake":
-            return self._run_handshake(index, step)
-        if step.action == "resolve":
-            return self._run_resolve(index, step)
-        if step.action == "revoke":
-            return self._run_revoke(index, step)
-        if step.action == "rotate":
-            return self._run_rotate(index, step)
-        raise ScenarioError(f"unknown action {step.action!r}")
+        runner = {
+            "handshake": self._run_handshake, "resolve": self._run_resolve,
+            "revoke": self._run_revoke, "rotate": self._run_rotate,
+        }.get(step.action)
+        if runner is None:
+            raise ScenarioError(f"unknown action {step.action!r}")
+        metrics = runner(index, step)
+        metrics.expect = step.expect
+        metrics.matched = step.expect is None or metrics.outcome.startswith(step.expect)
+        return metrics
 
     def _run_handshake(self, index: int, step: ScenarioStep) -> StepMetrics:
         deployment = self.deployment
@@ -623,13 +570,10 @@ class ScenarioRunner:
         session, hello = initiate(init_cfg, peer_hint=resp_actor.did, now=now)
         responder = respond(resp_cfg, now=now)
         run = drive_handshake(link, session, hello, responder, now)
-        outcome = run.outcome()
         rts = run.round_trips_to_terminal() or run.round_trips_to_secure() or 0
         return StepMetrics(
             action="handshake",
-            outcome=outcome,
-            expect=step.expect,
-            matched=_outcome_matches(outcome, step.expect),
+            outcome=run.outcome(),
             bytes_sent=link.bytes_on_wire(),
             frames=len(link.trace),
             fragments_per_message=run.fragments_per_message,
@@ -650,58 +594,27 @@ class ScenarioRunner:
             outcome = "resolved"
         except ResolutionError as exc:
             outcome = f"unresolved({type(exc).__name__})"
-        return StepMetrics(
-            action="resolve",
-            outcome=outcome,
-            expect=step.expect,
-            matched=_outcome_matches(outcome, step.expect),
-        )
+        return StepMetrics("resolve", outcome)
 
     def _run_revoke(self, index: int, step: ScenarioStep) -> StepMetrics:
         deployment = self.deployment
         issuer = deployment.actors[step.params["issuer"]]
         vc_id = deployment.issued_ids[step.params["credential"]]
         revoke(
-            issuer.revocation, issuer.sign_key, vc_id,
+            issuer.revocation, issuer.wallet.current_sign_key(), vc_id,
             issuer.resolver, deployment.now + index,
         )
-        outcome = "revoked"
-        return StepMetrics(
-            action="revoke",
-            outcome=outcome,
-            expect=step.expect,
-            matched=_outcome_matches(outcome, step.expect),
-        )
+        return StepMetrics("revoke", "revoked")
 
     def _run_rotate(self, index: int, step: ScenarioStep) -> StepMetrics:
         deployment = self.deployment
         actor = deployment.actors[step.params["actor"]]
-        old_key = actor.sign_key
         new_key = crypto.keygen(
             crypto.PURPOSE_SIGN,
             seed=_seed_bytes(self.scenario.seed, actor.spec.name, "rotate", index),
         )
-        doc = actor.wallet.current_document or actor.document
-        rotated = rotate_key(
-            doc,
-            old_key.key_id,
-            PublicKeyEntry(new_key.key_id, crypto.PURPOSE_SIGN, new_key.public),
-            now=deployment.now + index,
-        )
-        actor.wallet.put_key(new_key)
-        actor.wallet.put_document(rotated)
-        actor.document = rotated
-        actor.sign_key = new_key
-        outcome = "rotated"
-        if actor.did.method == METHOD_REG:
-            # The outgoing key authorizes the update that retires it.
-            deployment.registry.register(rotated, old_key)
-        return StepMetrics(
-            action="rotate",
-            outcome=outcome,
-            expect=step.expect,
-            matched=_outcome_matches(outcome, step.expect),
-        )
+        actor.wallet.rotate_sign_key(new_key, deployment.now + index, deployment.registry)
+        return StepMetrics("rotate", "rotated")
 
 
 def run_scenario(scenario: Scenario) -> MetricsReport:

@@ -261,18 +261,6 @@ def canonical_serialize(doc: DidDocument) -> bytes:
     return canonical_bytes(doc.to_mapping())
 
 
-def peer_did_for(public_keys: Iterable[PublicKeyEntry],
-                 service_endpoints: Iterable[ServiceEndpoint] = ()) -> Did:
-    genesis = {
-        "public_keys": [k.to_mapping() for k in public_keys],
-        "service_endpoints": [e.to_mapping() for e in service_endpoints],
-        "version": 1,
-        "previous_keys": [],
-    }
-    suffix = base58_encode(crypto.digest(canonical_bytes(genesis)))
-    return Did(method=METHOD_PEER, id=suffix)
-
-
 def generate_peer_did(
     public_keys: Iterable[PublicKeyEntry],
     service_endpoints: Iterable[ServiceEndpoint] = (),
@@ -283,11 +271,17 @@ def generate_peer_did(
     yields the final document. Purely a function of the genesis content.
     """
     keys = tuple(public_keys)
-    endpoints = tuple(service_endpoints)
     if not keys:
         raise DidError("peer DID genesis needs at least one public key")
-    did = peer_did_for(keys, endpoints)
-    return did, DidDocument(id=did, public_keys=keys, service_endpoints=endpoints)
+    # content_mapping() leaves the id out, so any placeholder id will do here.
+    genesis = DidDocument(Did(METHOD_PEER, "1"), keys, tuple(service_endpoints))
+    did = Did(method=METHOD_PEER, id=_genesis_digest(genesis))
+    return did, replace(genesis, id=did)
+
+
+def _genesis_digest(doc: DidDocument) -> str:
+    """The peer-method id that a document's body certifies."""
+    return base58_encode(crypto.digest(canonical_bytes(doc.content_mapping())))
 
 
 def verify_peer_document(did: Did, doc: DidDocument) -> bool:
@@ -296,10 +290,7 @@ def verify_peer_document(did: Did, doc: DidDocument) -> bool:
     Only holds for documents still in genesis form (version 1); rotated peer
     documents need a version chain, which is out of scope here.
     """
-    if did.method != METHOD_PEER or doc.id != did:
-        return False
-    recomputed = base58_encode(crypto.digest(canonical_bytes(doc.content_mapping())))
-    return recomputed == did.id
+    return did.method == METHOD_PEER and doc.id == did and _genesis_digest(doc) == did.id
 
 
 def rotate_key(

@@ -344,43 +344,55 @@ class Messenger:
     send() drives the simulation until its message is fully acknowledged.
     The peer's Messenger, attached to the same link, acknowledges data frames
     as they arrive; completed messages queue up behind receive().
+
+    State stays bounded on a long-lived link, whose 16-bit message ids wrap.
+    The sender keeps ACKs only for the message it is sending. Each delivery
+    leaves the receiver with just the delivered message's id: as the ARQ timer
+    is the worst-case round trip, no copy of an earlier message is still in
+    flight when the next one starts, so a duplicate can only belong to it.
+    Other partial messages, abandoned or stray, are forgotten then too.
     """
 
     def __init__(self, link: SimLink, endpoint: str):
         self.link = link
         self.endpoint = endpoint
         self._receiving: dict[int, _ReceiveState] = {}
-        self._acked: dict[int, set[int]] = {}
+        self._sending: int | None = None
+        self._acked: set[int] = set()
         self._received: deque[bytes] = deque()
         link.attach(endpoint, self)
 
-    def send(self, message: bytes, message_id: int | None = None) -> DeliveryReport:
-        if message_id is None:
-            message_id = self.link.allocate_message_id()
+    def send(self, message: bytes) -> DeliveryReport:
+        message_id = self.link.allocate_message_id()
         frames = fragment(message, self.link.profile.mtu, message_id)
         report = DeliveryReport(fragments=len(frames))
-        for frame in frames:
-            attempts = 0
-            while True:
-                self.link.transmit(self.endpoint, frame)
-                report.frames_sent += 1
-                if attempts > 0:
-                    report.retransmissions += 1
-                if self._await_ack(frame.message_id, frame.frag_index):
-                    break
-                attempts += 1
-                if attempts > RETRY_LIMIT:
-                    raise DeliveryError(
-                        f"fragment {frame.frag_index} of message {message_id} "
-                        f"unacknowledged after {RETRY_LIMIT} retries"
-                    )
+        self._sending = message_id
+        try:
+            for frame in frames:
+                attempts = 0
+                while True:
+                    self.link.transmit(self.endpoint, frame)
+                    report.frames_sent += 1
+                    if attempts > 0:
+                        report.retransmissions += 1
+                    if self._await_ack(frame.frag_index):
+                        break
+                    attempts += 1
+                    if attempts > RETRY_LIMIT:
+                        raise DeliveryError(
+                            f"fragment {frame.frag_index} of message {message_id} "
+                            f"unacknowledged after {RETRY_LIMIT} retries"
+                        )
+        finally:
+            self._sending = None
+            self._acked.clear()
         return report
 
-    def _await_ack(self, message_id: int, frag_index: int) -> bool:
+    def _await_ack(self, frag_index: int) -> bool:
         deadline = self.link.now + self.link.round_trip_ticks
         while self.link.now < deadline:
             self.link.tick()
-            if frag_index in self._acked.get(message_id, ()):
+            if frag_index in self._acked:
                 return True
         return False
 
@@ -389,8 +401,8 @@ class Messenger:
         if frame.is_ack:
             if len(frame.payload) != 2:
                 raise FrameError(f"ACK payload of {len(frame.payload)} bytes, want 2")
-            acked = struct.unpack(">H", frame.payload)[0]
-            self._acked.setdefault(frame.message_id, set()).add(acked)
+            if frame.message_id == self._sending:
+                self._acked.add(struct.unpack(">H", frame.payload)[0])
             return
         state = self._receiving.setdefault(
             frame.message_id, _ReceiveState(frag_count=frame.frag_count)
@@ -406,6 +418,7 @@ class Messenger:
             self._received.append(reassemble(state.fragments.values()))
             state.delivered = True
             state.fragments.clear()
+            self._receiving = {frame.message_id: state}
 
     def receive(self) -> bytes | None:
         if self._received:

@@ -30,7 +30,11 @@ from typing import Any
 from . import crypto
 from .credentials import ClaimOpening, StoredCredential, VerifiableCredential
 from .encoding import EncodingError, canonical_bytes, from_canonical, from_hex
-from .identity import Did, DidDocument, format_did, parse_did
+from .identity import (
+    METHOD_PEER, METHOD_REG, Did, DidDocument, PublicKeyEntry, ServiceEndpoint,
+    format_did, generate_peer_did, parse_did, rotate_key,
+)
+from .resolver import Registry, registered_did_for
 
 MAGIC = b"SSIW"
 FORMAT_VERSION = 1
@@ -118,6 +122,58 @@ class Wallet:
              if k.purpose == crypto.PURPOSE_SIGN and k.key_id in current),
             None,
         )
+
+    def create_identity(
+        self, sign_key: crypto.KeyPair, agree_key: crypto.KeyPair, method: str,
+        endpoints: tuple[ServiceEndpoint, ...] = (), registry: Registry | None = None,
+        hint: str = "",
+    ) -> DidDocument:
+        """Make my DID and genesis document from the keys passed in.
+
+        A reg identity is registered, signed by its own key, before the wallet
+        takes the keys and the document; a RegistryError leaves it unchanged.
+        """
+        if self.owner_did is not None:
+            raise WalletError("wallet already holds an identity")
+        keys = (
+            PublicKeyEntry(sign_key.key_id, crypto.PURPOSE_SIGN, sign_key.public),
+            PublicKeyEntry(agree_key.key_id, crypto.PURPOSE_AGREE, agree_key.public),
+        )
+        if method == METHOD_PEER:
+            _, doc = generate_peer_did(keys, endpoints)
+        elif method == METHOD_REG:
+            if registry is None:
+                raise WalletError("a reg identity needs a registry")
+            did = registered_did_for(sign_key.public, hint)
+            doc = DidDocument(id=did, public_keys=keys, service_endpoints=endpoints)
+            registry.register(doc, sign_key)
+        else:
+            raise WalletError(f"unknown did method {method!r}")
+        self.put_key(sign_key)
+        self.put_key(agree_key)
+        self.put_document(doc)
+        return doc
+
+    def rotate_sign_key(
+        self, new_key: crypto.KeyPair, now: int, registry: Registry | None = None
+    ) -> DidDocument:
+        """Retire my current signing key in favour of new_key.
+
+        A reg identity's registry must accept the rotated document, signed by
+        the outgoing key, before the wallet changes.
+        """
+        doc, old_key = self.current_document, self.current_sign_key()
+        if doc is None or old_key is None:
+            raise WalletError("no rotatable signing key in wallet")
+        new_entry = PublicKeyEntry(new_key.key_id, crypto.PURPOSE_SIGN, new_key.public)
+        rotated = rotate_key(doc, old_key.key_id, new_entry, now=now)
+        if doc.id.method == METHOD_REG:
+            if registry is None:
+                raise WalletError("a reg identity needs a registry")
+            registry.register(rotated, old_key)
+        self.put_key(new_key)
+        self.put_document(rotated)
+        return rotated
 
     def put_credential(self, vc: VerifiableCredential, openings: tuple[ClaimOpening, ...]) -> None:
         self.credentials[vc.vc_id] = StoredCredential(credential=vc, openings=openings)

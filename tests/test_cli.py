@@ -102,6 +102,16 @@ class TestDidCommands:
         code, out = run(capsys, "did", "resolve", did, "--registry", str(registry))
         assert code == 0
 
+    def test_second_did_create_is_validation_error(self, issuer, capsys):
+        wallet, did, _ = issuer
+        code, out = run(
+            capsys, "did", "create", "--wallet", str(wallet), "--passphrase", PASS,
+        )
+        assert code == 2
+        assert out["error"]["reason"] == "wallet already holds an identity"
+        code, out = run(capsys, "wallet", "unlock", "--wallet", str(wallet), "--passphrase", PASS)
+        assert (out["owner_did"], out["keys"], out["documents"]) == (did, 2, 1)
+
     def test_resolve_unknown_is_verification_failure(self, tmp_path, capsys):
         registry = tmp_path / "net.reg"
         code, out = run(

@@ -603,3 +603,22 @@ class TestEndToEndPolicies:
         # The lock distrusts the camera too: its policy says owner must be Alice
         # and the camera's credential says exactly that, so the lock trusts.
         assert session_r.state == State.TRUSTED
+
+    def test_presentation_of_another_subject_is_dropped(self, household):
+        # Eve, Bob's device, holds the camera's owner credential and its
+        # openings (as handed over in an earlier handshake with the camera)
+        # and presents it to the lock, which trusts devices Alice owns.
+        alice, camera, lock = household
+        registry = Registry()
+        bob = build_actor("bob", 4, registry)
+        eve = build_actor("eve", 5, registry)
+        introduce(alice, bob, camera, lock, eve)
+        give_owner_credential(bob, eve, 50)
+        eve.credentials = eve.credentials + camera.credentials
+        session_i, session_r, _ = run_direct(
+            owner_match_config(eve, bob, 500),
+            owner_match_config(lock, alice, 501),
+        )
+        assert session_r.state == State.UNTRUSTED
+        assert session_r.my_verdict.reason == "issuer"
+        assert [p.credential.subject for p in session_r.presented] == [eve.did]

@@ -236,7 +236,7 @@ class TestDeployment:
         mapping["actors"][0]["did_method"] = "reg"
         deployment = Deployment(Scenario.from_mapping(mapping))
         alice = deployment.actors["alice"]
-        assert deployment.registry.lookup(alice.did) == alice.document
+        assert deployment.registry.lookup(alice.did) == alice.wallet.current_document
 
     def test_claim_references_expand_to_dids(self):
         deployment = Deployment(scenario())

@@ -325,6 +325,55 @@ class TestAckTimeout:
         assert link.now < 112
 
 
+class TestMessageIds:
+    """16-bit message ids wrap; a reused id is a new message, and state stays bounded."""
+
+    def test_message_after_id_wrap_is_delivered(self):
+        link = make_link("lora", seed=1)
+        sender = Messenger(link, "A")
+        receiver = Messenger(link, "B")
+        for message in (b"first", b"second"):
+            sender.send(message)
+            assert receiver.receive() == message
+        link._next_message_id = 0  # the next send reuses the first message's id
+        report = sender.send(b"third")
+        assert report.frames_sent == 1
+        assert receiver.receive() == b"third"
+
+    def test_state_stays_bounded_over_many_messages(self):
+        link = make_link("lora", loss=0.1, reorder=0.1, seed=6)
+        a = Messenger(link, "A")
+        b = Messenger(link, "B")
+        for index in range(1000):
+            sender, receiver = (a, b) if index % 2 == 0 else (b, a)
+            message = index.to_bytes(2, "big") * 150  # 300 B: two LoRa fragments
+            sender.send(message)
+            assert receiver.receive() == message
+        for messenger in (a, b):
+            assert messenger._acked == set()
+            assert messenger._sending is None
+            assert all(s.delivered for s in messenger._receiving.values())
+        assert list(b._receiving) == [link._next_message_id - 1]
+        assert list(a._receiving) == [link._next_message_id]
+
+    def test_stray_frame_mid_message_does_not_stop_delivery(self):
+        link = make_link("lora", seed=3)
+        sender = Messenger(link, "A")
+        receiver = Messenger(link, "B")
+        transmit = link.transmit
+
+        def transmit_with_stray(src, frame):
+            transmit(src, frame)
+            if src == "A" and frame.message_id != 0x7777 and frame.frag_index == 0:
+                transmit("A", Frame(0, 0x7777, 0, 2, b"stray"))
+
+        link.transmit = transmit_with_stray
+        message = Random(8).randbytes(600)
+        sender.send(message)
+        assert receiver.receive() == message
+        assert list(receiver._receiving) == [1]
+
+
 class _BadMagic(Frame):
     def encode(self) -> bytes:
         return b"\x55" + super().encode()[1:]

@@ -1,11 +1,14 @@
-"""Wallet file format, passphrase handling, and secrecy of on-disk bytes."""
+"""Wallet file format, passphrase handling, secrecy of on-disk bytes, and
+the identity lifecycle the wallet owns: creation and signing-key rotation."""
+
+from dataclasses import replace
 
 import pytest
 
 from conftest import build_actor, give_owner_credential
 from tinyssi import crypto
-from tinyssi.identity import format_did
-from tinyssi.resolver import Registry
+from tinyssi.identity import METHOD_PEER, METHOD_REG, ServiceEndpoint, format_did
+from tinyssi.resolver import Registry, RegistryError
 from tinyssi.wallet import (
     Wallet,
     WalletError,
@@ -189,3 +192,87 @@ class TestContents:
     def test_document_history_newest_last(self):
         w, camera = populated_wallet()
         assert w.current_document == camera.document
+
+
+def _keys(seed: int) -> tuple[crypto.KeyPair, crypto.KeyPair]:
+    return (
+        crypto.keygen(crypto.PURPOSE_SIGN, seed=bytes([seed]) * 32),
+        crypto.keygen(crypto.PURPOSE_AGREE, seed=bytes([seed + 1]) * 32),
+    )
+
+
+ENDPOINTS = (ServiceEndpoint("ep-1", "sim-link", "sim-link://device"),)
+
+
+class TestIdentityLifecycle:
+    @pytest.mark.parametrize("method", [METHOD_PEER, METHOD_REG])
+    def test_create_identity(self, method):
+        registry = Registry()
+        sign_key, agree_key = _keys(1)
+        w = Wallet()
+        doc = w.create_identity(sign_key, agree_key, method, ENDPOINTS, registry, hint="device")
+        assert w.owner_did == doc.id
+        assert doc.id.method == method
+        assert w.current_document == doc
+        assert w.current_sign_key() == sign_key
+        assert w.keys == {sign_key.key_id: sign_key, agree_key.key_id: agree_key}
+        if method == METHOD_REG:
+            assert registry.lookup(doc.id) == doc
+        else:
+            assert registry.write_count == 0
+
+    def test_second_identity_rejected(self):
+        w = Wallet()
+        w.create_identity(*_keys(1), METHOD_PEER)
+        with pytest.raises(WalletError):
+            w.create_identity(*_keys(3), METHOD_PEER)
+
+    def test_reg_identity_needs_a_registry(self):
+        w = Wallet()
+        with pytest.raises(WalletError):
+            w.create_identity(*_keys(1), METHOD_REG)
+        assert w.owner_did is None and w.keys == {}
+
+    def test_rotate_reg_registers_rotated_document(self):
+        registry = Registry()
+        old_key, agree_key = _keys(1)
+        new_key, _ = _keys(7)
+        w = Wallet()
+        w.create_identity(old_key, agree_key, METHOD_REG, ENDPOINTS, registry, hint="device")
+        rotated = w.rotate_sign_key(new_key, now=1234, registry=registry)
+        assert registry.lookup(w.owner_did) == rotated == w.current_document
+        assert rotated.version == 2
+        assert [k.key_id for k in rotated.previous_keys] == [old_key.key_id]
+        assert rotated.previous_keys[0].retired_at == 1234
+        assert old_key.key_id not in {k.key_id for k in rotated.public_keys}
+        assert w.current_sign_key() == new_key
+
+    def test_rotate_peer_needs_no_registry(self):
+        w = Wallet()
+        w.create_identity(*_keys(1), METHOD_PEER)
+        new_key, _ = _keys(7)
+        rotated = w.rotate_sign_key(new_key, now=1234)
+        assert rotated.version == 2 and w.current_sign_key() == new_key
+
+    def test_refused_update_leaves_wallet_unchanged(self):
+        registry = Registry()
+        sign_key, agree_key = _keys(1)
+        w = Wallet()
+        doc = w.create_identity(sign_key, agree_key, METHOD_REG, ENDPOINTS, registry, hint="d")
+        registry.register(replace(doc, version=5), sign_key)
+        keys, documents = dict(w.keys), list(w.documents)
+        with pytest.raises(RegistryError):
+            w.rotate_sign_key(_keys(7)[0], now=1234, registry=registry)
+        assert w.keys == keys
+        assert w.documents == documents
+        assert w.current_sign_key() == sign_key
+
+    def test_refused_registration_leaves_wallet_empty(self):
+        registry = Registry()
+        sign_key, agree_key = _keys(1)
+        Wallet().create_identity(sign_key, agree_key, METHOD_REG, ENDPOINTS, registry, hint="d")
+        w = Wallet()
+        with pytest.raises(RegistryError):
+            w.create_identity(sign_key, agree_key, METHOD_REG, ENDPOINTS, registry, hint="d")
+        assert w.owner_did is None
+        assert w.keys == {} and w.documents == []
