@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import crypto, wallet as wallet_mod
@@ -26,9 +27,10 @@ from .credentials import (
     verify_credential,
     verify_presentation,
 )
-from .encoding import from_canonical, canonical_bytes
+from .encoding import EncodingError, canonical_bytes, decode, encode, from_canonical, from_hex
 from .harness import Scenario, ScenarioError, run_scenario
 from .identity import (
+    Did,
     DidDocument,
     DidError,
     METHOD_PEER,
@@ -73,22 +75,27 @@ def _build_resolver(args) -> Resolver:
     return resolver
 
 
+@dataclass(frozen=True)
+class RevocationList:
+    """A revocation list file: its owner and the credential ids it revoked."""
+
+    owner: Did
+    revoked: tuple[str, ...]
+
+
 def _load_revocations(path: str | None) -> RevocationRegistry | None:
     if not path or not Path(path).exists():
         return None
-    mapping = from_canonical(Path(path).read_bytes())
-    registry = RevocationRegistry(parse_did(mapping["owner"]))
-    for vc_id in mapping["revoked"]:
+    stored = decode(RevocationList, from_canonical(Path(path).read_bytes()))
+    registry = RevocationRegistry(stored.owner)
+    for vc_id in stored.revoked:
         registry.add(vc_id)
     return registry
 
 
 def _save_revocations(path: str, registry: RevocationRegistry) -> None:
-    Path(path).write_bytes(
-        canonical_bytes(
-            {"owner": format_did(registry.owner), "revoked": sorted(registry.revoked)}
-        )
-    )
+    stored = RevocationList(registry.owner, tuple(sorted(registry.revoked)))
+    Path(path).write_bytes(canonical_bytes(encode(stored)))
 
 
 def _unlock(args) -> wallet_mod.Wallet:
@@ -100,19 +107,8 @@ def _unlock(args) -> wallet_mod.Wallet:
 # ---------------------------------------------------------------------------
 
 def cmd_keygen(args) -> int:
-    seed = bytes.fromhex(args.seed) if args.seed else None
-    try:
-        kp = crypto.keygen(args.purpose, seed=seed)
-    except crypto.CryptoError as exc:
-        return _fail(EXIT_VALIDATION, str(exc))
-    _emit(
-        {
-            "key_id": kp.key_id,
-            "purpose": kp.purpose,
-            "public": kp.public.hex(),
-            "secret": kp.secret.hex(),
-        }
-    )
+    seed = from_hex(args.seed) if args.seed else None
+    _emit(encode(crypto.keygen(args.purpose, seed=seed)))
     return EXIT_OK
 
 
@@ -213,9 +209,7 @@ def cmd_vc_issue(args) -> int:
         return _fail(EXIT_VALIDATION, str(exc))
     Path(args.out).write_bytes(vc.to_bytes())
     Path(args.openings_out).write_bytes(
-        canonical_bytes(
-            {"vc_id": vc.vc_id, "openings": [o.to_mapping() for o in openings]}
-        )
+        canonical_bytes({"vc_id": vc.vc_id, "openings": encode(openings)})
     )
     _emit({"vc_id": vc.vc_id, "credential_bytes": len(vc.to_bytes())})
     return EXIT_OK
@@ -487,9 +481,10 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_VERIFICATION, str(exc))
     except wallet_mod.WalletError as exc:
         return _fail(EXIT_VERIFICATION, str(exc))
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _fail(EXIT_VALIDATION, str(exc))
-    except (DidError, CredentialError, ResolutionError) as exc:
+    except (DidError, CredentialError, ResolutionError, RegistryError, EncodingError,
+            crypto.CryptoError) as exc:
         return _fail(EXIT_VALIDATION, str(exc))
 
 

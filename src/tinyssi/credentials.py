@@ -10,18 +10,14 @@ verification key so credentials survive issuer key rotation.
 from __future__ import annotations
 
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from random import Random
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import crypto
-from .encoding import EncodingError, canonical_bytes, from_canonical, from_hex
-from .identity import Did, DidError, PublicKeyEntry, format_did, parse_did
+from .encoding import Record, canonical_bytes, encode
+from .identity import Did, PublicKeyEntry
 from .resolver import ResolutionError, Resolver
-
-_CREDENTIAL_FIELDS = frozenset(
-    {"vc_id", "issuer", "subject", "commitments", "issued_at", "expires_at", "proof"}
-)
 
 # Stable verdict reasons, also surfaced through the CLI.
 REASON_ISSUER_UNRESOLVED = "issuer unresolved"
@@ -63,44 +59,49 @@ class Claim:
     value: str
 
 
+class _Record(Record):
+    """A record of this module: malformed input raises CredentialError."""
+
+    decode_error = CredentialError
+
+
+def _check_length(what: str, raw: bytes, expected: int) -> None:
+    if len(raw) != expected:
+        raise CredentialError(f"{what} must be {expected} bytes, got {len(raw)}")
+
+
 @dataclass(frozen=True)
-class ClaimOpening:
+class ClaimOpening(_Record):
     """Holder-side secret that opens one commitment."""
 
     name: str
     value: str
     salt: bytes
 
-    def to_mapping(self) -> dict[str, Any]:
-        return {"name": self.name, "value": self.value, "salt": self.salt.hex()}
-
-    @classmethod
-    def from_mapping(cls, mapping: Any) -> "ClaimOpening":
-        try:
-            return cls(
-                name=mapping["name"], value=mapping["value"], salt=from_hex(mapping["salt"], 16)
-            )
-        except (TypeError, KeyError, EncodingError) as exc:
-            raise CredentialError(f"malformed claim opening: {exc}") from exc
+    def __post_init__(self) -> None:
+        _check_length("salt", self.salt, crypto.SALT_LEN)
 
 
 @dataclass(frozen=True)
-class Commitment:
+class Commitment(_Record):
     claim_name: str
     value_hash: bytes
 
-    def to_mapping(self) -> dict[str, Any]:
-        return {"claim_name": self.claim_name, "value_hash": self.value_hash.hex()}
+    def __post_init__(self) -> None:
+        _check_length("value hash", self.value_hash, crypto.DIGEST_LEN)
 
 
 @dataclass(frozen=True)
-class Proof:
+class Proof(_Record):
     verification_key_id: str
     signature: bytes
 
+    def __post_init__(self) -> None:
+        _check_length("signature", self.signature, crypto.SIGNATURE_LEN)
+
 
 @dataclass(frozen=True)
-class VerifiableCredential:
+class VerifiableCredential(_Record):
     vc_id: str
     issuer: Did
     subject: Did
@@ -125,106 +126,22 @@ class VerifiableCredential:
         return None
 
     def signing_payload(self) -> bytes:
-        return canonical_bytes(self._unsigned_mapping())
-
-    def _unsigned_mapping(self) -> dict[str, Any]:
-        return {
-            "vc_id": self.vc_id,
-            "issuer": format_did(self.issuer),
-            "subject": format_did(self.subject),
-            "commitments": [c.to_mapping() for c in self.commitments],
-            "issued_at": self.issued_at,
-            "expires_at": self.expires_at,
-        }
-
-    def to_mapping(self) -> dict[str, Any]:
-        mapping = self._unsigned_mapping()
-        mapping["proof"] = {
-            "verification_key_id": self.proof.verification_key_id,
-            "signature": self.proof.signature.hex(),
-        }
-        return mapping
-
-    def to_bytes(self) -> bytes:
-        return canonical_bytes(self.to_mapping())
-
-    @classmethod
-    def from_mapping(cls, mapping: Any) -> "VerifiableCredential":
-        if not isinstance(mapping, dict) or set(mapping) != _CREDENTIAL_FIELDS:
-            raise CredentialError("malformed credential structure")
-        proof = mapping["proof"]
-        if not isinstance(proof, dict) or set(proof) != {"verification_key_id", "signature"}:
-            raise CredentialError("malformed credential proof")
-        try:
-            commitments = tuple(
-                Commitment(
-                    claim_name=c["claim_name"],
-                    value_hash=from_hex(c["value_hash"], 32),
-                )
-                for c in mapping["commitments"]
-            )
-            return cls(
-                vc_id=mapping["vc_id"],
-                issuer=parse_did(mapping["issuer"]),
-                subject=parse_did(mapping["subject"]),
-                commitments=commitments,
-                issued_at=mapping["issued_at"],
-                expires_at=mapping["expires_at"],
-                proof=Proof(
-                    verification_key_id=proof["verification_key_id"],
-                    signature=from_hex(proof["signature"], crypto.SIGNATURE_LEN),
-                ),
-            )
-        except (TypeError, KeyError, EncodingError, DidError) as exc:
-            raise CredentialError(f"malformed credential: {exc}") from exc
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "VerifiableCredential":
-        try:
-            return cls.from_mapping(from_canonical(raw))
-        except EncodingError as exc:
-            raise CredentialError(str(exc)) from exc
+        """Canonical bytes of everything but the proof: what the issuer signs."""
+        mapping = self.to_mapping()
+        del mapping["proof"]
+        return canonical_bytes(mapping)
 
 
 @dataclass(frozen=True)
-class Presentation:
+class Presentation(_Record):
     """A credential plus the openings for exactly the disclosed claims."""
 
     credential: VerifiableCredential
     disclosed: tuple[ClaimOpening, ...]
 
-    def to_mapping(self) -> dict[str, Any]:
-        return {
-            "credential": self.credential.to_mapping(),
-            "disclosed": [o.to_mapping() for o in self.disclosed],
-        }
-
-    def to_bytes(self) -> bytes:
-        return canonical_bytes(self.to_mapping())
-
-    @classmethod
-    def from_mapping(cls, mapping: Any) -> "Presentation":
-        if not isinstance(mapping, dict) or set(mapping) != {"credential", "disclosed"}:
-            raise CredentialError("malformed presentation structure")
-        try:
-            disclosed = tuple(ClaimOpening.from_mapping(o) for o in mapping["disclosed"])
-        except TypeError as exc:
-            raise CredentialError(f"malformed presentation: {exc}") from exc
-        return cls(
-            credential=VerifiableCredential.from_mapping(mapping["credential"]),
-            disclosed=disclosed,
-        )
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "Presentation":
-        try:
-            return cls.from_mapping(from_canonical(raw))
-        except EncodingError as exc:
-            raise CredentialError(str(exc)) from exc
-
 
 @dataclass(frozen=True)
-class StoredCredential:
+class StoredCredential(_Record):
     """What a holder's wallet keeps: the credential and all its openings."""
 
     credential: VerifiableCredential
@@ -286,32 +203,23 @@ def issue(
         raise CredentialError("validity must be positive")
     rand = rng.randbytes if rng is not None else secrets.token_bytes
     openings = tuple(
-        ClaimOpening(name=c.name, value=c.value, salt=rand(16)) for c in claims
+        ClaimOpening(name=c.name, value=c.value, salt=rand(crypto.SALT_LEN)) for c in claims
     )
     commitments = tuple(
         Commitment(claim_name=o.name, value_hash=commitment_hash(o.name, o.value, o.salt))
         for o in openings
     )
     unsigned = VerifiableCredential(
-        vc_id="vc:" + rand(8).hex(),
+        vc_id="vc:" + encode(rand(8)),
         issuer=issuer,
         subject=subject,
         commitments=commitments,
         issued_at=now,
         expires_at=now + validity,
-        proof=Proof(verification_key_id=issuer_kp.key_id, signature=bytes(64)),
+        proof=Proof(verification_key_id=issuer_kp.key_id, signature=bytes(crypto.SIGNATURE_LEN)),
     )
     signature = crypto.sign(issuer_kp, unsigned.signing_payload())
-    vc = VerifiableCredential(
-        vc_id=unsigned.vc_id,
-        issuer=issuer,
-        subject=subject,
-        commitments=commitments,
-        issued_at=now,
-        expires_at=now + validity,
-        proof=Proof(verification_key_id=issuer_kp.key_id, signature=signature),
-    )
-    return vc, openings
+    return replace(unsigned, proof=replace(unsigned.proof, signature=signature)), openings
 
 
 def verify_credential(

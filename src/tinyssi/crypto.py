@@ -37,6 +37,7 @@ import hashlib
 
 KEY_LEN = 32
 SIGNATURE_LEN = 64
+DIGEST_LEN = 32
 NONCE_LEN = 12
 SALT_LEN = 16
 
@@ -54,7 +55,7 @@ _SESSION_INFO = b"tinyssi/session-keys/v1"
 _RAW = {"encoding": Encoding.Raw, "format": PublicFormat.Raw}
 
 
-class CryptoError(Exception):
+class CryptoError(ValueError):
     """Malformed input or misuse of the suite."""
 
 

@@ -33,6 +33,7 @@ from typing import Any, Sequence
 
 from . import crypto
 from .credentials import (
+    CredentialError,
     Presentation,
     RevocationRegistry,
     StoredCredential,
@@ -77,7 +78,7 @@ class HandshakeError(Exception):
 
 
 class ChannelError(HandshakeError):
-    """Secure-channel receive failed: replay, tamper, or wrong session."""
+    """Secure-channel record refused: replay, tamper, wrong session, or expired keys."""
 
 
 class State(Enum):
@@ -184,7 +185,6 @@ class SessionConfig:
     credentials: tuple[StoredCredential, ...] = ()
     revocation: RevocationRegistry | None = None
     disclose: tuple[str, ...] | None = None
-    session_lifetime: int = crypto.DEFAULT_SESSION_LIFETIME
     rng: Random | None = None
 
     def random_bytes(self, n: int) -> bytes:
@@ -331,11 +331,7 @@ class HandshakeSession:
         except crypto.CryptoError:
             return FAIL_AUTH
         self.session_keys = crypto.derive_session(
-            shared,
-            self.transcript_digest(),
-            self.role,
-            established_at=now,
-            lifetime=self.config.session_lifetime,
+            shared, self.transcript_digest(), self.role, established_at=now
         )
         return None
 
@@ -373,13 +369,13 @@ class HandshakeSession:
                 out.append(present(stored.credential, stored.openings, subset).to_mapping())
         return out
 
-    def _verify_presentations(self, mappings: Any, now: int) -> list[Presentation]:
+    def _verify_presentations(self, mappings: list[Any], now: int) -> list[Presentation]:
         """Presentations that verify and whose subject is the authenticated peer."""
         verified = []
         for mapping in mappings:
             try:
                 presentation = Presentation.from_mapping(mapping)
-            except Exception:
+            except CredentialError:
                 continue
             # Holder binding: a credential speaks only for its own subject.
             if presentation.credential.subject != self.peer_did:
@@ -420,9 +416,9 @@ class HandshakeSession:
         if tag == MSG_ERROR:
             try:
                 body = from_canonical(incoming[1:])
-                detail = body.get("reason", "unspecified")
             except EncodingError:
-                detail = "unspecified"
+                body = None
+            detail = body.get("reason", "unspecified") if isinstance(body, dict) else "unspecified"
             self.state = State.FAILED
             self.failure_reason = f"{FAIL_PEER}: {detail}"
             return []
@@ -501,7 +497,10 @@ class HandshakeSession:
             self._peer_requested = tuple(want)
             return []
         if tag == MSG_CRED_PRESENT and self.state == State.SECURE:
-            self.presented = self._verify_presentations(body.get("presentations", []), now)
+            presentations = body.get("presentations", [])
+            if not isinstance(presentations, list):
+                return self._fail(FAIL_PROTOCOL)
+            self.presented = self._verify_presentations(presentations, now)
             if self.role == crypto.ROLE_RESPONDER:
                 disclose = (
                     self.config.disclose
@@ -522,14 +521,18 @@ class HandshakeSession:
 
     # -- secure channel -----------------------------------------------------
 
-    def secure_send(self, plaintext: bytes) -> bytes:
+    def _check_channel(self, now: int) -> None:
         if self.session_keys is None or self.state not in _CHANNEL_STATES:
             raise HandshakeError(f"no secure channel in state {self.state.value}")
+        if now >= self.session_keys.expires_at():
+            raise ChannelError("session keys expired; handshake again")
+
+    def secure_send(self, plaintext: bytes, now: int) -> bytes:
+        self._check_channel(now)
         return self._seal(MSG_DATA, plaintext)
 
-    def secure_recv(self, data: bytes) -> bytes:
-        if self.session_keys is None or self.state not in _CHANNEL_STATES:
-            raise HandshakeError(f"no secure channel in state {self.state.value}")
+    def secure_recv(self, data: bytes, now: int) -> bytes:
+        self._check_channel(now)
         if not data or data[0] != MSG_DATA:
             raise ChannelError("not a data record")
         return self._open(data)

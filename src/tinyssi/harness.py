@@ -11,13 +11,13 @@ all derive from it.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from random import Random
 from typing import Any
 
 from . import crypto
 from .credentials import Claim, RevocationRegistry, issue, revoke
-from .encoding import from_canonical, EncodingError
+from .encoding import EncodingError, decode, from_canonical
 from .handshake import (
     _CHANNEL_STATES,
     AlwaysTrust,
@@ -50,9 +50,9 @@ class ScenarioError(Exception):
 @dataclass(frozen=True)
 class ScenarioActor:
     name: str
-    role: str                 # "owner" | "device"
-    did_method: str           # "peer" | "reg"
-    owner: str | None = None  # actor reference
+    role: str                         # "owner" | "device"
+    did_method: str = METHOD_PEER     # "peer" | "reg"
+    owner: str | None = None          # actor reference
 
 
 @dataclass(frozen=True)
@@ -60,23 +60,73 @@ class ScenarioCredential:
     issuer: str
     subject: str
     claims: dict[str, str]
-    validity: int
+    validity: int = 30 * 24 * 3600
 
 
 @dataclass(frozen=True)
 class ScenarioLink:
     a: str
     b: str
-    profile: str
+    profile: str = "lossless"
     loss: float | None = None
     reorder: float | None = None
 
 
 @dataclass(frozen=True)
+class HandshakeStep:
+    initiator: str
+    responder: str
+    link: int = 0
+    policy: str | RequireClaim = "owner-match"   # or "always-trust"
+
+
+@dataclass(frozen=True)
+class ResolveStep:
+    actor: str
+    target: str                       # a DID, or "@actor"
+
+
+@dataclass(frozen=True)
+class RevokeStep:
+    issuer: str
+    credential: int                   # index into Scenario.credentials
+
+
+@dataclass(frozen=True)
+class RotateStep:
+    actor: str
+
+
+_STEP_PARAMS = {
+    "handshake": HandshakeStep, "resolve": ResolveStep, "revoke": RevokeStep,
+    "rotate": RotateStep,
+}
+
+
+@dataclass(frozen=True)
 class ScenarioStep:
     action: str
-    params: dict[str, Any]
+    params: HandshakeStep | ResolveStep | RevokeStep | RotateStep | None  # None: unknown action
     expect: str | None = None
+
+
+def _filled(cls: type, raw: Any) -> Any:
+    """A scenario record's mapping, with the dataclass defaults of the fields it omits."""
+    if not isinstance(raw, dict):
+        return raw
+    return {**{f.name: f.default for f in fields(cls) if f.default is not MISSING}, **raw}
+
+
+def _read_step(raw: Any) -> ScenarioStep:
+    """A step is one flat mapping: action, optional expect, and the action's fields."""
+    raw = decode(dict[str, Any], raw)
+    action = decode(str, raw.get("action"))
+    kind = _STEP_PARAMS.get(action)
+    params = {k: v for k, v in raw.items() if k not in ("action", "expect")}
+    return ScenarioStep(
+        action, decode(kind, _filled(kind, params)) if kind else None,
+        decode(str | None, raw.get("expect")),
+    )
 
 
 @dataclass
@@ -90,55 +140,20 @@ class Scenario:
 
     @classmethod
     def from_mapping(cls, mapping: Any) -> "Scenario":
-        if not isinstance(mapping, dict):
-            raise ScenarioError("scenario must be a mapping")
+        """Read a scenario; every field that has a default may be left out."""
         try:
-            actors = [
-                ScenarioActor(
-                    name=a["name"],
-                    role=a["role"],
-                    did_method=a.get("did_method", METHOD_PEER),
-                    owner=a.get("owner"),
-                )
-                for a in mapping.get("actors", [])
-            ]
-            credentials = [
-                ScenarioCredential(
-                    issuer=c["issuer"],
-                    subject=c["subject"],
-                    claims=dict(c["claims"]),
-                    validity=c.get("validity", 30 * 24 * 3600),
-                )
-                for c in mapping.get("credentials", [])
-            ]
-            links = [
-                ScenarioLink(
-                    a=l["a"],
-                    b=l["b"],
-                    profile=l.get("profile", "lossless"),
-                    loss=l.get("loss"),
-                    reorder=l.get("reorder"),
-                )
-                for l in mapping.get("links", [])
-            ]
-            steps = [
-                ScenarioStep(
-                    action=s["action"],
-                    params={k: v for k, v in s.items() if k not in ("action", "expect")},
-                    expect=s.get("expect"),
-                )
-                for s in mapping.get("steps", [])
-            ]
-        except (KeyError, TypeError) as exc:
+            mapping = _filled(cls, decode(dict[str, Any], mapping))
+            for name, part in (
+                ("actors", ScenarioActor), ("credentials", ScenarioCredential),
+                ("links", ScenarioLink),
+            ):
+                mapping[name] = [_filled(part, x) for x in decode(list[Any], mapping.get(name, []))]
+            steps = decode(list[Any], mapping.pop("steps", []))
+            scenario = decode(cls, dict(mapping, steps=[]))
+            scenario.steps = [_read_step(step) for step in steps]
+        except EncodingError as exc:
             raise ScenarioError(f"malformed scenario: {exc}") from exc
-        return cls(
-            actors=actors,
-            credentials=credentials,
-            links=links,
-            steps=steps,
-            seed=mapping.get("seed", 0),
-            name=mapping.get("name", "scenario"),
-        )
+        return scenario
 
     @classmethod
     def load(cls, path: str) -> "Scenario":
@@ -179,62 +194,47 @@ class Scenario:
                     problems.append(f"link {i}: unknown actor {ref!r}")
             if link.profile not in PROFILES:
                 problems.append(f"link {i}: unknown profile {link.profile!r}")
+            for name, value in (("loss", link.loss), ("reorder", link.reorder)):
+                if value is not None and not 0 <= value <= 1:
+                    problems.append(f"link {i}: {name} {value} is not in [0, 1]")
         for i, step in enumerate(self.steps):
-            problems.extend(self._validate_step(i, step, known))
+            problems.extend(self._validate_step(i, step.action, step.params, known))
         return problems
 
-    def _validate_step(self, i: int, step: ScenarioStep, known: set[str]) -> list[str]:
-        problems = []
-        p = step.params
-        if step.action == "handshake":
-            for key in ("initiator", "responder"):
-                if p.get(key) not in known:
-                    problems.append(f"step {i}: unknown actor {p.get(key)!r}")
-            link_index = p.get("link", 0)
-            if not self.links or not (0 <= link_index < len(self.links)):
-                problems.append(f"step {i}: link index {link_index} out of range")
-            else:
-                link = self.links[link_index]
-                if {p.get("initiator"), p.get("responder")} != {link.a, link.b}:
-                    problems.append(
-                        f"step {i}: link {link_index} does not join "
-                        f"{p.get('initiator')!r} and {p.get('responder')!r}"
-                    )
-            policy = p.get("policy", "owner-match")
-            if isinstance(policy, str):
-                if policy not in ("owner-match", "always-trust"):
-                    problems.append(f"step {i}: unknown policy {policy!r}")
-                elif policy == "owner-match":
-                    for key in ("initiator", "responder"):
-                        actor = next(
-                            (a for a in self.actors if a.name == p.get(key)), None
-                        )
-                        if actor is not None and actor.owner is None:
-                            problems.append(
-                                f"step {i}: {actor.name!r} has no owner for owner-match"
-                            )
-            elif not (isinstance(policy, dict) and {"name", "value"} <= set(policy)):
-                problems.append(f"step {i}: malformed policy {policy!r}")
-        elif step.action == "resolve":
-            if p.get("actor") not in known:
-                problems.append(f"step {i}: unknown actor {p.get('actor')!r}")
-            target = p.get("target", "")
-            if target.startswith("@") and target[1:] not in known:
-                problems.append(f"step {i}: unknown target {target!r}")
-        elif step.action == "revoke":
-            if p.get("issuer") not in known:
-                problems.append(f"step {i}: unknown actor {p.get('issuer')!r}")
-            index = p.get("credential", -1)
-            if not (0 <= index < len(self.credentials)):
-                problems.append(f"step {i}: credential index {index} out of range")
-            elif self.credentials[index].issuer != p.get("issuer"):
-                problems.append(f"step {i}: credential {index} was not issued by "
-                                f"{p.get('issuer')!r}")
-        elif step.action == "rotate":
-            if p.get("actor") not in known:
-                problems.append(f"step {i}: unknown actor {p.get('actor')!r}")
+    def _validate_step(self, i: int, action: str, p: Any, known: set[str]) -> list[str]:
+        actors = {a.name: a for a in self.actors}
+        refs = [getattr(p, key) for key in ("initiator", "responder", "actor", "issuer")
+                if hasattr(p, key)]
+        problems = [f"step {i}: unknown actor {ref!r}" for ref in refs if ref not in known]
+        if isinstance(p, HandshakeStep):
+            if not 0 <= p.link < len(self.links):
+                problems.append(f"step {i}: link index {p.link} out of range")
+            elif {p.initiator, p.responder} != {self.links[p.link].a, self.links[p.link].b}:
+                problems.append(
+                    f"step {i}: link {p.link} does not join "
+                    f"{p.initiator!r} and {p.responder!r}"
+                )
+            if p.policy == "owner-match":
+                for ref in refs:
+                    if ref in actors and actors[ref].owner is None:
+                        problems.append(f"step {i}: {ref!r} has no owner for owner-match")
+            elif p.policy != "always-trust" and not isinstance(p.policy, RequireClaim):
+                problems.append(f"step {i}: unknown policy {p.policy!r}")
+        elif isinstance(p, ResolveStep):
+            if p.target.startswith("@") and p.target[1:] not in known:
+                problems.append(f"step {i}: unknown target {p.target!r}")
+        elif isinstance(p, RevokeStep):
+            if not 0 <= p.credential < len(self.credentials):
+                problems.append(f"step {i}: credential index {p.credential} out of range")
+            elif self.credentials[p.credential].issuer != p.issuer:
+                problems.append(
+                    f"step {i}: credential {p.credential} was not issued by {p.issuer!r}"
+                )
+        elif isinstance(p, RotateStep):
+            if p.actor in actors and actors[p.actor].did_method == METHOD_PEER:
+                problems.append(f"step {i}: {p.actor!r} is a peer identity, which cannot rotate")
         else:
-            problems.append(f"step {i}: unknown action {step.action!r}")
+            problems.append(f"step {i}: unknown action {action!r}")
         return problems
 
 
@@ -317,11 +317,9 @@ class Deployment:
         subject.wallet.put_credential(vc, openings)
         self.issued_ids.append(vc.vc_id)
 
-    def policy_for(self, actor: ProvisionedActor, policy_spec: Any) -> TrustPolicy:
-        if isinstance(policy_spec, dict):
-            return RequireClaim(
-                name=policy_spec["name"], value=self._expand(policy_spec["value"])
-            )
+    def policy_for(self, actor: ProvisionedActor, policy_spec: str | RequireClaim) -> TrustPolicy:
+        if isinstance(policy_spec, RequireClaim):
+            return replace(policy_spec, value=self._expand(policy_spec.value))
         if policy_spec == "always-trust":
             return AlwaysTrust()
         if policy_spec == "owner-match":
@@ -531,22 +529,19 @@ class ScenarioRunner:
 
     def _run_step(self, index: int, step: ScenarioStep) -> StepMetrics:
         runner = {
-            "handshake": self._run_handshake, "resolve": self._run_resolve,
-            "revoke": self._run_revoke, "rotate": self._run_rotate,
-        }.get(step.action)
-        if runner is None:
-            raise ScenarioError(f"unknown action {step.action!r}")
-        metrics = runner(index, step)
+            HandshakeStep: self._run_handshake, ResolveStep: self._run_resolve,
+            RevokeStep: self._run_revoke, RotateStep: self._run_rotate,
+        }[type(step.params)]
+        metrics = runner(index, step.params)
         metrics.expect = step.expect
         metrics.matched = step.expect is None or metrics.outcome.startswith(step.expect)
         return metrics
 
-    def _run_handshake(self, index: int, step: ScenarioStep) -> StepMetrics:
+    def _run_handshake(self, index: int, p: HandshakeStep) -> StepMetrics:
         deployment = self.deployment
-        p = step.params
-        init_actor = deployment.actors[p["initiator"]]
-        resp_actor = deployment.actors[p["responder"]]
-        link_spec = self.scenario.links[p.get("link", 0)]
+        init_actor = deployment.actors[p.initiator]
+        resp_actor = deployment.actors[p.responder]
+        link_spec = self.scenario.links[p.link]
         link = make_link(
             link_spec.profile,
             a=init_actor.spec.name,
@@ -555,15 +550,14 @@ class ScenarioRunner:
             reorder=link_spec.reorder,
             seed=_seed_int(self.scenario.seed, "link", index),
         )
-        policy_spec = p.get("policy", "owner-match")
         init_cfg = deployment.session_config(
             init_actor,
-            deployment.policy_for(init_actor, policy_spec),
+            deployment.policy_for(init_actor, p.policy),
             Random(_seed_int(self.scenario.seed, "hs", index, "i")),
         )
         resp_cfg = deployment.session_config(
             resp_actor,
-            deployment.policy_for(resp_actor, policy_spec),
+            deployment.policy_for(resp_actor, p.policy),
             Random(_seed_int(self.scenario.seed, "hs", index, "r")),
         )
         now = deployment.now + index
@@ -581,14 +575,13 @@ class ScenarioRunner:
             retransmissions=run.retransmissions,
         )
 
-    def _run_resolve(self, index: int, step: ScenarioStep) -> StepMetrics:
+    def _run_resolve(self, index: int, p: ResolveStep) -> StepMetrics:
         deployment = self.deployment
-        actor = deployment.actors[step.params["actor"]]
-        target = step.params["target"]
-        if target.startswith("@"):
-            did = deployment.actors[target[1:]].did
+        actor = deployment.actors[p.actor]
+        if p.target.startswith("@"):
+            did = deployment.actors[p.target[1:]].did
         else:
-            did = parse_did(target)
+            did = parse_did(p.target)
         try:
             actor.resolver.resolve(did, deployment.now + index)
             outcome = "resolved"
@@ -596,19 +589,18 @@ class ScenarioRunner:
             outcome = f"unresolved({type(exc).__name__})"
         return StepMetrics("resolve", outcome)
 
-    def _run_revoke(self, index: int, step: ScenarioStep) -> StepMetrics:
+    def _run_revoke(self, index: int, p: RevokeStep) -> StepMetrics:
         deployment = self.deployment
-        issuer = deployment.actors[step.params["issuer"]]
-        vc_id = deployment.issued_ids[step.params["credential"]]
+        issuer = deployment.actors[p.issuer]
         revoke(
-            issuer.revocation, issuer.wallet.current_sign_key(), vc_id,
-            issuer.resolver, deployment.now + index,
+            issuer.revocation, issuer.wallet.current_sign_key(),
+            deployment.issued_ids[p.credential], issuer.resolver, deployment.now + index,
         )
         return StepMetrics("revoke", "revoked")
 
-    def _run_rotate(self, index: int, step: ScenarioStep) -> StepMetrics:
+    def _run_rotate(self, index: int, p: RotateStep) -> StepMetrics:
         deployment = self.deployment
-        actor = deployment.actors[step.params["actor"]]
+        actor = deployment.actors[p.actor]
         new_key = crypto.keygen(
             crypto.PURPOSE_SIGN,
             seed=_seed_bytes(self.scenario.seed, actor.spec.name, "rotate", index),

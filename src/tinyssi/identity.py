@@ -11,29 +11,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from . import crypto
-from .encoding import (
-    EncodingError,
-    base58_encode,
-    canonical_bytes,
-    from_canonical,
-    from_hex,
-    is_base58,
-)
+from .encoding import Record, base58_encode, canonical_bytes, is_base58
 
 METHOD_PEER = "peer"
 METHOD_REG = "reg"
 
 _METHOD_RE = re.compile(r"^[a-z0-9]+$")
-
-_DOCUMENT_FIELDS = frozenset(
-    {"id", "public_keys", "service_endpoints", "version", "previous_keys"}
-)
-_KEY_FIELDS = frozenset({"key_id", "purpose", "public"})
-_ENDPOINT_FIELDS = frozenset({"endpoint_id", "type", "address"})
-_RETIRED_FIELDS = frozenset({"key_id", "public", "retired_at"})
 
 
 class DidError(ValueError):
@@ -54,6 +40,10 @@ class Did:
     def __str__(self) -> str:
         return format_did(self)
 
+    @classmethod
+    def from_text(cls, text: str) -> "Did":
+        return parse_did(text)
+
 
 def parse_did(text: str) -> Did:
     """Parse `did:<method>:<id>` text into its parts."""
@@ -70,38 +60,48 @@ def format_did(d: Did) -> str:
     return f"did:{d.method}:{d.id}"
 
 
+class _Record(Record):
+    """A record of this module: malformed input raises DidError."""
+
+    decode_error = DidError
+
+
+def _check_key_length(public: bytes) -> None:
+    if len(public) != crypto.KEY_LEN:
+        raise DidError(f"public key must be {crypto.KEY_LEN} bytes, got {len(public)}")
+
+
 @dataclass(frozen=True)
-class PublicKeyEntry:
+class PublicKeyEntry(_Record):
     key_id: str
     purpose: str
     public: bytes
 
-    def to_mapping(self) -> dict[str, Any]:
-        return {"key_id": self.key_id, "purpose": self.purpose, "public": self.public.hex()}
+    def __post_init__(self) -> None:
+        if self.purpose not in (crypto.PURPOSE_SIGN, crypto.PURPOSE_AGREE):
+            raise DidError(f"unknown key purpose {self.purpose!r}")
+        _check_key_length(self.public)
 
 
 @dataclass(frozen=True)
-class ServiceEndpoint:
+class ServiceEndpoint(_Record):
     endpoint_id: str
     type: str
     address: str
 
-    def to_mapping(self) -> dict[str, Any]:
-        return {"endpoint_id": self.endpoint_id, "type": self.type, "address": self.address}
-
 
 @dataclass(frozen=True)
-class RetiredKey:
+class RetiredKey(_Record):
     key_id: str
     public: bytes
     retired_at: int
 
-    def to_mapping(self) -> dict[str, Any]:
-        return {"key_id": self.key_id, "public": self.public.hex(), "retired_at": self.retired_at}
+    def __post_init__(self) -> None:
+        _check_key_length(self.public)
 
 
 @dataclass(frozen=True)
-class DidDocument:
+class DidDocument(_Record):
     """Pseudonymous record binding a DID to keys and endpoints.
 
     Immutable; mutation operations return a new document with an incremented
@@ -120,7 +120,8 @@ class DidDocument:
             raise DidError("document must hold at least one public key")
         ids = [k.key_id for k in self.public_keys] + [k.key_id for k in self.previous_keys]
         if len(ids) != len(set(ids)):
-            raise DidError("key ids must be unique across current and retired keys")
+            duplicate = next(i for i in ids if ids.count(i) > 1)
+            raise DidError(f"duplicate key id {duplicate!r}")
         if self.version < 1:
             raise DidError("version must be a positive integer")
 
@@ -136,129 +137,23 @@ class DidDocument:
 
     def content_mapping(self) -> dict[str, Any]:
         """The document body without its id (the peer-method genesis form)."""
-        return {
-            "public_keys": [k.to_mapping() for k in self.public_keys],
-            "service_endpoints": [e.to_mapping() for e in self.service_endpoints],
-            "version": self.version,
-            "previous_keys": [k.to_mapping() for k in self.previous_keys],
-        }
-
-    def to_mapping(self) -> dict[str, Any]:
-        mapping = self.content_mapping()
-        mapping["id"] = format_did(self.id)
+        mapping = self.to_mapping()
+        del mapping["id"]
         return mapping
-
-    def to_bytes(self) -> bytes:
-        return canonical_serialize(self)
 
     @classmethod
     def from_mapping(cls, mapping: Any) -> "DidDocument":
-        """Parse a document; raises DidError naming every schema violation."""
-        doc, violations = _walk_document(mapping)
-        if violations:
-            raise DidError("; ".join(violations))
-        return doc
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "DidDocument":
-        try:
-            return cls.from_mapping(from_canonical(raw))
-        except EncodingError as exc:
-            raise DidError(str(exc)) from exc
-
-
-def _walk_document(mapping: Any) -> tuple[DidDocument | None, list[str]]:
-    """The document schema walk: the parsed document, or None and every violation."""
-    if not isinstance(mapping, dict):
-        return None, ["document must be a mapping"]
-    violations = [
-        f"pseudonymity violation: attribute field {name!r} not permitted"
-        for name in sorted(set(mapping) - _DOCUMENT_FIELDS)
-    ]
-    missing = sorted(_DOCUMENT_FIELDS - set(mapping))
-    violations += [f"missing field {name!r}" for name in missing]
-    if missing:
-        return None, violations
-    keys = _walk_entries(
-        mapping["public_keys"], _KEY_FIELDS, _key_from_mapping, "public key", violations
-    )
-    if mapping["public_keys"] == []:
-        violations.append("document must hold at least one public key")
-    endpoints = _walk_entries(
-        mapping["service_endpoints"], _ENDPOINT_FIELDS, _endpoint_from_mapping,
-        "service endpoint", violations,
-    )
-    retired = _walk_entries(
-        mapping["previous_keys"], _RETIRED_FIELDS, _retired_from_mapping,
-        "retired key", violations,
-    )
-    ids = [k.key_id for k in keys] + [k.key_id for k in retired]
-    for key_id in sorted({i for i in ids if ids.count(i) > 1}):
-        violations.append(f"duplicate key id {key_id!r}")
-    version = mapping["version"]
-    if not isinstance(version, int) or isinstance(version, bool) or version < 1:
-        violations.append("version must be a positive integer")
-    try:
-        did = parse_did(mapping["id"])
-    except DidError as exc:
-        violations.append(str(exc))
-    if violations:
-        return None, violations
-    return DidDocument(did, tuple(keys), tuple(endpoints), version, tuple(retired)), []
-
-
-def _walk_entries(
-    entries: Any,
-    fields: frozenset[str],
-    build: Callable[[dict[str, Any]], Any],
-    kind: str,
-    violations: list[str],
-) -> list:
-    """Parse one list of document entries; each bad entry adds a violation."""
-    if not isinstance(entries, list):
-        violations.append(f"{kind} entries must be a list")
-        return []
-    parsed = []
-    for index, entry in enumerate(entries):
-        if not isinstance(entry, dict) or set(entry) != fields:
-            violations.append(f"malformed {kind} entry {index}")
-            continue
-        try:
-            parsed.append(build(entry))
-        except (DidError, EncodingError) as exc:
-            violations.append(f"malformed {kind} entry {index}: {exc}")
-    return parsed
-
-
-def _key_from_mapping(mapping: dict[str, Any]) -> PublicKeyEntry:
-    if mapping["purpose"] not in (crypto.PURPOSE_SIGN, crypto.PURPOSE_AGREE):
-        raise DidError("unknown key purpose")
-    return PublicKeyEntry(
-        key_id=mapping["key_id"],
-        purpose=mapping["purpose"],
-        public=from_hex(mapping["public"], crypto.KEY_LEN),
-    )
-
-
-def _endpoint_from_mapping(mapping: dict[str, Any]) -> ServiceEndpoint:
-    return ServiceEndpoint(
-        endpoint_id=mapping["endpoint_id"],
-        type=mapping["type"],
-        address=mapping["address"],
-    )
-
-
-def _retired_from_mapping(mapping: dict[str, Any]) -> RetiredKey:
-    return RetiredKey(
-        key_id=mapping["key_id"],
-        public=from_hex(mapping["public"], crypto.KEY_LEN),
-        retired_at=mapping["retired_at"],
-    )
+        """Parse a document; any field beyond the schema is an attribute, refused."""
+        fields = cls.__dataclass_fields__.keys()
+        extra = mapping.keys() - fields if isinstance(mapping, dict) else ()
+        if extra:
+            raise DidError(f"pseudonymity violation: attribute field {min(extra)!r} not permitted")
+        return super().from_mapping(mapping)
 
 
 def canonical_serialize(doc: DidDocument) -> bytes:
     """Deterministic document bytes: the wire and storage form."""
-    return canonical_bytes(doc.to_mapping())
+    return doc.to_bytes()
 
 
 def generate_peer_did(
@@ -287,8 +182,8 @@ def _genesis_digest(doc: DidDocument) -> str:
 def verify_peer_document(did: Did, doc: DidDocument) -> bool:
     """Check a peer document's self-certification: digest of genesis == id.
 
-    Only holds for documents still in genesis form (version 1); rotated peer
-    documents need a version chain, which is out of scope here.
+    Only genesis documents (version 1) certify their id, so a peer identity
+    never rotates its keys (see Wallet.rotate_sign_key).
     """
     return did.method == METHOD_PEER and doc.id == did and _genesis_digest(doc) == did.id
 
@@ -318,7 +213,9 @@ def rotate_key(
 
 
 def validate_document(doc: DidDocument | dict[str, Any]) -> list[str]:
-    """Collect structural violations; an empty list means the document is valid."""
-    if isinstance(doc, DidDocument):
-        doc = doc.to_mapping()
-    return _walk_document(doc)[1]
+    """The first structural violation, if any; an empty list means the document is valid."""
+    try:
+        DidDocument.from_mapping(doc.to_mapping() if isinstance(doc, DidDocument) else doc)
+    except DidError as exc:
+        return [str(exc)]
+    return []

@@ -14,10 +14,11 @@ import threading
 from dataclasses import dataclass
 
 from . import crypto
-from .encoding import EncodingError, base58_encode, canonical_bytes, from_canonical, from_hex
+from .encoding import EncodingError, base58_encode, canonical_bytes, decode, encode, from_canonical
 from .identity import Did, DidDocument, METHOD_PEER, METHOD_REG, format_did, verify_peer_document
 
 DEFAULT_TTL = 300
+_SNAPSHOT_FORMAT = "tinyssi-registry/1"
 
 
 class RegistryError(Exception):
@@ -46,6 +47,18 @@ class RegistryRecord:
     version: int
     signature: bytes
     signed_by: str
+
+    def __post_init__(self) -> None:
+        if len(self.signature) != crypto.SIGNATURE_LEN:
+            raise ValueError(f"signature must be {crypto.SIGNATURE_LEN} bytes")
+
+
+@dataclass(frozen=True)
+class _Snapshot:
+    """A registry snapshot file (.reg): every DID's history of signed records."""
+
+    format: str
+    entries: dict[str, tuple[RegistryRecord, ...]]
 
 
 class Registry:
@@ -102,42 +115,19 @@ class Registry:
     def snapshot(self) -> bytes:
         """Registry contents as a single structured-text snapshot (.reg)."""
         with self._lock:
-            entries = {
-                did: [
-                    {
-                        "document": record.document.hex(),
-                        "version": record.version,
-                        "signature": record.signature.hex(),
-                        "signed_by": record.signed_by,
-                    }
-                    for record in history
-                ]
-                for did, history in self._entries.items()
-            }
-        return canonical_bytes({"format": "tinyssi-registry/1", "entries": entries})
+            entries = {did: tuple(history) for did, history in self._entries.items()}
+        return canonical_bytes(encode(_Snapshot(_SNAPSHOT_FORMAT, entries)))
 
     @classmethod
     def from_snapshot(cls, raw: bytes) -> "Registry":
         try:
-            mapping = from_canonical(raw)
+            snapshot = decode(_Snapshot, from_canonical(raw))
         except EncodingError as exc:
             raise RegistryError(f"bad registry snapshot: {exc}") from exc
-        if not isinstance(mapping, dict) or mapping.get("format") != "tinyssi-registry/1":
+        if snapshot.format != _SNAPSHOT_FORMAT:
             raise RegistryError("bad registry snapshot: unknown format")
         registry = cls()
-        try:
-            for did, history in mapping["entries"].items():
-                registry._entries[did] = [
-                    RegistryRecord(
-                        document=from_hex(record["document"]),
-                        version=record["version"],
-                        signature=from_hex(record["signature"], crypto.SIGNATURE_LEN),
-                        signed_by=record["signed_by"],
-                    )
-                    for record in history
-                ]
-        except (TypeError, KeyError, EncodingError) as exc:
-            raise RegistryError(f"bad registry snapshot: {exc}") from exc
+        registry._entries = {did: list(history) for did, history in snapshot.entries.items()}
         return registry
 
     def save(self, path: str) -> None:

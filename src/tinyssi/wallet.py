@@ -29,10 +29,10 @@ from typing import Any
 
 from . import crypto
 from .credentials import ClaimOpening, StoredCredential, VerifiableCredential
-from .encoding import EncodingError, canonical_bytes, from_canonical, from_hex
+from .encoding import EncodingError, canonical_bytes, decode, encode, from_canonical
 from .identity import (
     METHOD_PEER, METHOD_REG, Did, DidDocument, PublicKeyEntry, ServiceEndpoint,
-    format_did, generate_peer_did, parse_did, rotate_key,
+    format_did, generate_peer_did, rotate_key,
 )
 from .resolver import Registry, registered_did_for
 
@@ -74,6 +74,17 @@ def _derive_key(passphrase: str, salt: bytes, n: int, r: int, p: int) -> bytes:
 
 def _check_value(key: bytes) -> bytes:
     return hashlib.sha256(_CHECK_CONTEXT + key).digest()[:8]
+
+
+@dataclass(frozen=True)
+class _Payload:
+    """The canonical payload a wallet file seals."""
+
+    owner_did: Did | None
+    keys: tuple[crypto.KeyPair, ...]
+    documents: tuple[DidDocument, ...]
+    credentials: tuple[StoredCredential, ...]
+    version: int
 
 
 @dataclass
@@ -160,17 +171,20 @@ class Wallet:
         """Retire my current signing key in favour of new_key.
 
         A reg identity's registry must accept the rotated document, signed by
-        the outgoing key, before the wallet changes.
+        the outgoing key, before the wallet changes. A peer identity cannot
+        rotate: only its genesis document certifies its DID, so peers would
+        refuse every later version.
         """
         doc, old_key = self.current_document, self.current_sign_key()
         if doc is None or old_key is None:
             raise WalletError("no rotatable signing key in wallet")
+        if doc.id.method == METHOD_PEER:
+            raise WalletError("a peer identity cannot rotate its keys")
         new_entry = PublicKeyEntry(new_key.key_id, crypto.PURPOSE_SIGN, new_key.public)
         rotated = rotate_key(doc, old_key.key_id, new_entry, now=now)
-        if doc.id.method == METHOD_REG:
-            if registry is None:
-                raise WalletError("a reg identity needs a registry")
-            registry.register(rotated, old_key)
+        if registry is None:
+            raise WalletError("a reg identity needs a registry")
+        registry.register(rotated, old_key)
         self.put_key(new_key)
         self.put_document(rotated)
         return rotated
@@ -197,51 +211,27 @@ class Wallet:
     # -- persistence ----------------------------------------------------------
 
     def _payload(self) -> dict[str, Any]:
-        return {
-            "owner_did": format_did(self.owner_did) if self.owner_did else None,
-            "keys": [
-                {
-                    "key_id": k.key_id,
-                    "purpose": k.purpose,
-                    "public": k.public.hex(),
-                    "secret": k.secret.hex(),
-                }
-                for _, k in sorted(self.keys.items())
-            ],
-            "documents": [d.to_mapping() for d in self.documents],
-            "credentials": [
-                {
-                    "credential": sc.credential.to_mapping(),
-                    "openings": [o.to_mapping() for o in sc.openings],
-                }
-                for _, sc in sorted(self.credentials.items())
-            ],
-            "version": self.format,
-        }
+        return encode(_Payload(
+            owner_did=self.owner_did,
+            keys=tuple(k for _, k in sorted(self.keys.items())),
+            documents=tuple(self.documents),
+            credentials=tuple(sc for _, sc in sorted(self.credentials.items())),
+            version=self.format,
+        ))
 
     @classmethod
-    def _from_payload(cls, payload: Any) -> "Wallet":
+    def _from_payload(cls, mapping: Any) -> "Wallet":
         try:
-            wallet = cls(
-                owner_did=parse_did(payload["owner_did"]) if payload["owner_did"] else None,
-                format=payload["version"],
-            )
-            for entry in payload["keys"]:
-                wallet.keys[entry["key_id"]] = crypto.KeyPair(
-                    key_id=entry["key_id"],
-                    purpose=entry["purpose"],
-                    public=from_hex(entry["public"], crypto.KEY_LEN),
-                    secret=from_hex(entry["secret"], crypto.KEY_LEN),
-                )
-            for mapping in payload["documents"]:
-                wallet.documents.append(DidDocument.from_mapping(mapping))
-            for entry in payload["credentials"]:
-                vc = VerifiableCredential.from_mapping(entry["credential"])
-                openings = tuple(ClaimOpening.from_mapping(o) for o in entry["openings"])
-                wallet.credentials[vc.vc_id] = StoredCredential(vc, openings)
-        except (KeyError, TypeError, ValueError) as exc:
+            payload = decode(_Payload, mapping)
+        except EncodingError as exc:
             raise WalletIntegrityError(f"malformed wallet payload: {exc}") from exc
-        return wallet
+        return cls(
+            owner_did=payload.owner_did,
+            keys={k.key_id: k for k in payload.keys},
+            documents=list(payload.documents),
+            credentials={sc.credential.vc_id: sc for sc in payload.credentials},
+            format=payload.version,
+        )
 
     def save(self, path: str | os.PathLike, passphrase: str) -> None:
         salt = os.urandom(16)

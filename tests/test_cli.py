@@ -120,13 +120,26 @@ class TestDidCommands:
         )
         assert code == 3
 
-    def test_rotate_key_bumps_version(self, issuer, capsys):
-        wallet, did, _ = issuer
-        code, out = run(capsys, "ddoc", "rotate-key", "--wallet", str(wallet), "--passphrase", PASS)
+    def test_rotate_key_bumps_version(self, tmp_path, capsys):
+        wallet, registry = str(tmp_path / "w.wallet"), str(tmp_path / "net.reg")
+        run(capsys, "wallet", "create", "--wallet", wallet, "--passphrase", PASS)
+        run(capsys, "did", "create", "--method", "reg", "--registry", registry,
+            "--wallet", wallet, "--passphrase", PASS)
+        code, out = run(capsys, "ddoc", "rotate-key", "--registry", registry,
+                        "--wallet", wallet, "--passphrase", PASS)
         assert code == 0
         assert out["version"] == 2
 
-    @pytest.mark.parametrize("method", ["peer", "reg"])
+    def test_rotate_key_on_peer_identity_is_validation_error(self, issuer, capsys):
+        wallet, did, _ = issuer
+        code, out = run(capsys, "ddoc", "rotate-key", "--wallet", str(wallet), "--passphrase", PASS)
+        assert code == 2
+        assert out["error"]["reason"] == "a peer identity cannot rotate its keys"
+        code, out = run(capsys, "ddoc", "show", "--wallet", str(wallet), "--passphrase", PASS)
+        assert (out["id"], out["version"]) == (did, 1)
+
+    # Only reg identities rotate: a peer rotation is refused (test above).
+    @pytest.mark.parametrize("method", ["reg"])
     def test_repeated_rotation_then_issue(self, method, tmp_path, capsys):
         # Each rotation must retire the current key, not one retired earlier.
         # Key ids are random and the wallet lists its keys sorted by id, so a
@@ -134,7 +147,7 @@ class TestDidCommands:
         # four rotations leave it a 1-in-24 chance.
         wallet, registry = tmp_path / "w.wallet", tmp_path / "net.reg"
         wallet_args = ["--wallet", str(wallet), "--passphrase", PASS]
-        registry_args = ["--registry", str(registry)] if method == "reg" else []
+        registry_args = ["--registry", str(registry)]
         run(capsys, "wallet", "create", *wallet_args)
         code, out = run(capsys, "did", "create", "--method", method, *registry_args, *wallet_args)
         assert code == 0
@@ -149,11 +162,8 @@ class TestDidCommands:
             "--out", str(tmp_path / "c.vc"), "--openings-out", str(tmp_path / "c.openings"),
         )
         assert code == 0, out
-        if method == "reg":
-            code, out = run(
-                capsys, "vc", "verify", str(tmp_path / "c.vc"), "--registry", str(registry)
-            )
-            assert code == 0, out
+        code, out = run(capsys, "vc", "verify", str(tmp_path / "c.vc"), *registry_args)
+        assert code == 0, out
 
 
 class TestVcCommands:
@@ -324,3 +334,76 @@ class TestSimCommands:
     def test_missing_scenario_file(self, capsys):
         code, _ = run(capsys, "sim", "run", "no-such-file.scn")
         assert code == 2
+
+
+def _edit(path: str, value):
+    """A mutation of the shipped scenario that sets one field (a dotted path)."""
+    def apply(mapping):
+        *parents, leaf = [int(p) if p.isdigit() else p for p in path.split(".")]
+        target = mapping
+        for part in parents:
+            target = target[part]
+        target[leaf] = value
+        return mapping
+    return apply
+
+
+class TestMalformedFiles:
+    """Every file the CLI reads either works or exits 2 with a reason."""
+
+    @pytest.mark.parametrize("edit", [
+        _edit("credentials.0.validity", "x"),
+        _edit("credentials.0.claims.type", 3),
+        _edit("links.0.loss", "high"),
+        _edit("links.0.loss", 2.0),
+        _edit("links.0.reorder", -0.5),
+        _edit("steps.0.link", "0"),
+        _edit("steps.0.expect", 3),
+        _edit("actors.1.name", ["camera"]),
+        _edit("seed", True),
+        _edit("steps", {}),
+        lambda m: m["steps"].append({"action": "rotate", "actor": "camera"}) or m,
+        lambda m: m["steps"].append({"action": "resolve", "actor": "camera"}) or m,
+    ], ids=[
+        "validity-text", "claim-integer", "loss-text", "loss-above-one", "reorder-negative",
+        "link-text", "expect-integer", "actor-name-list", "seed-bool", "steps-mapping",
+        "rotate-peer-actor", "resolve-no-target",
+    ])
+    def test_scenario(self, edit, tmp_path, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(json.dumps(edit(json.loads(SCENARIO.read_text()))))
+        code, out = run(capsys, "sim", "run", str(bad))
+        assert code == 2, out
+        assert out["error"]["reason"]
+
+    @pytest.mark.parametrize("content", [
+        b"[]",
+        b'{"entries":[],"format":"tinyssi-registry/1"}',
+        b'{"entries":{"did:reg:x":[{"document":"00"}]},"format":"tinyssi-registry/1"}',
+        b"not json",
+    ], ids=["list", "entries-list", "record-missing-fields", "not-json"])
+    def test_registry_snapshot(self, content, tmp_path, capsys):
+        registry = tmp_path / "net.reg"
+        registry.write_bytes(content)
+        code, out = run(capsys, "did", "resolve", "did:reg:3Unknown", "--registry", str(registry))
+        assert code == 2, out
+        assert "bad registry snapshot" in out["error"]["reason"]
+
+    @pytest.mark.parametrize("content", [
+        b"[]", b"not json", b'{"owner":"did:peer:1","revoked":[7]}',
+    ], ids=["list", "not-json", "revoked-integer"])
+    def test_revocation_list(self, content, issuer, tmp_path, capsys):
+        vc_path, _, _ = TestVcCommands()._issue(issuer, tmp_path, capsys)
+        revoked = tmp_path / "revoked.json"
+        revoked.write_bytes(content)
+        code, out = run(
+            capsys, "vc", "verify", str(vc_path), "--peer-doc", str(issuer[2]),
+            "--revoked", str(revoked),
+        )
+        assert code == 2, out
+
+    @pytest.mark.parametrize("seed", ["zz", "AB" * 32])
+    def test_keygen_seed(self, seed, capsys):
+        code, out = run(capsys, "keygen", "--seed", seed)
+        assert code == 2, out
+        assert out["error"]["code"] == 2

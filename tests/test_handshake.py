@@ -1,8 +1,11 @@
 """State machine, transcript binding, trust policies, and the secure channel."""
 
+from functools import cache
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     NOW,
@@ -21,6 +24,7 @@ from tinyssi.handshake import (
     HandshakeError,
     MSG_AUTH,
     MSG_CRED_PRESENT,
+    MSG_ERROR,
     MSG_HELLO,
     MSG_HELLO_ACK,
     OwnerMatch,
@@ -33,6 +37,8 @@ from tinyssi.handshake import (
 )
 from tinyssi.identity import PublicKeyEntry, format_did, rotate_key
 from tinyssi.resolver import Registry
+
+ALL_TAGS = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x7F]
 
 
 def run_direct(initiator_cfg, responder_cfg, peer_hint=None, now=NOW, intercept=None):
@@ -397,6 +403,122 @@ class TestProtocolOrder:
                     assert victim.failure_reason in ("protocol", "channel", "peer: unspecified")
 
 
+class TestTotality:
+    """step() never raises: malformed input ends in FAILED with a reason."""
+
+    def _secure_pair(self, household):
+        cfg_i, cfg_r, _ = household_configs(household)
+        session_i, hello = initiate(cfg_i, now=NOW)
+        session_r = respond(cfg_r, now=NOW)
+        (hello_ack,) = session_r.step(hello, NOW)
+        (auth,) = session_i.step(hello_ack, NOW)
+        (auth_ack,) = session_r.step(auth, NOW)
+        session_i.step(auth_ack, NOW)
+        return session_i, session_r
+
+    def _hello_with(self, household, edit):
+        cfg_i, cfg_r, _ = household_configs(household)
+        _, hello = initiate(cfg_i, now=NOW)
+        body = from_canonical(hello[1:])
+        edit(body)
+        session_r = respond(cfg_r, now=NOW)
+        assert session_r.step(bytes([MSG_HELLO]) + canonical_bytes(body), NOW) != []
+        return session_r
+
+    def test_list_valued_retired_key_id_fails_protocol(self, household):
+        def edit(body):
+            body["document"]["previous_keys"] = [
+                {"key_id": ["k"], "public": "00" * 32, "retired_at": 1}
+            ]
+
+        session_r = self._hello_with(household, edit)
+        assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
+
+    def test_non_string_key_id_fails_protocol(self, household):
+        def edit(body):
+            body["document"]["public_keys"][0]["key_id"] = 7
+
+        session_r = self._hello_with(household, edit)
+        assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
+
+    @pytest.mark.parametrize("body", [
+        b'{"did":' + b"1" * 5000 + b"}",   # beyond the int-string limit
+        b"[" * 100_000,                    # beyond the recursion limit
+    ], ids=["long-integer", "deep-nesting"])
+    def test_unparseable_hello_fails_protocol(self, household, body):
+        _, cfg_r, _ = household_configs(household)
+        session_r = respond(cfg_r, now=NOW)
+        assert session_r.step(bytes([MSG_HELLO]) + body, NOW) != []
+        assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
+
+    def test_error_message_that_is_not_a_mapping(self, household):
+        cfg_i, _, _ = household_configs(household)
+        session_i, _ = initiate(cfg_i, now=NOW)
+        assert session_i.step(bytes([MSG_ERROR]) + b"[]", NOW) == []
+        assert session_i.failure_reason == "peer: unspecified"
+
+    def test_presentations_not_a_list_fails_protocol(self, household):
+        session_i, session_r = self._secure_pair(household)
+        record = session_i._seal(MSG_CRED_PRESENT, canonical_bytes({"presentations": 5}))
+        session_r.step(record, NOW)
+        assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_step_never_raises(self, data):
+        """Any bytes, in any state a handshake passes through, from either side."""
+        alice, camera, lock = _household()
+        session_i, hello = initiate(owner_match_config(camera, alice, 1), now=NOW)
+        session_r = respond(owner_match_config(lock, alice, 2), now=NOW)
+        inbox, target, other = [hello], session_r, session_i
+        for _ in range(data.draw(st.integers(0, 5), label="honest legs")):
+            outbox = [reply for message in inbox for reply in target.step(message, NOW)]
+            if not outbox:
+                break
+            inbox, target, other = outbox, other, target
+        tag = data.draw(st.sampled_from(ALL_TAGS) | st.integers(0, 255), label="tag")
+        body = canonical_bytes(data.draw(_JSON, label="body"))
+        message = data.draw(st.sampled_from([
+            bytes([tag]) + body,
+            bytes([tag]) + data.draw(st.binary(max_size=48), label="raw"),
+            other._seal(tag, body) if other.session_keys is not None else bytes([tag]) + body,
+            _flip(inbox[0], data.draw(st.integers(0, 8 * len(inbox[0]) - 1), label="bit")),
+        ]), label="message")
+        assert isinstance(target.step(message, NOW), list)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.sampled_from(["00" * 16, "00" * 32, "did:peer:1", "sign-00"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from([
+            "did", "document", "ephemeral", "nonce", "key_id", "signature", "want",
+            "presentations", "trusted", "reason", "credential", "disclosed",
+        ]) | st.text(max_size=4),
+        inner, max_size=4,
+    ),
+    max_leaves=12,
+)
+
+
+def _flip(message: bytes, bit: int) -> bytes:
+    flipped = bytearray(message)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    return bytes(flipped)
+
+
+@cache
+def _household():
+    registry = Registry()
+    alice = build_actor("alice", 1, registry)
+    camera = build_actor("camera", 2, registry)
+    lock = build_actor("lock", 3, registry)
+    introduce(alice, camera, lock)
+    give_owner_credential(alice, camera, 10, {"type": "Camera"})
+    give_owner_credential(alice, lock, 11, {"type": "Lock"})
+    return alice, camera, lock
+
+
 class TestLayer2:
     def test_tampered_encrypted_presentation_fails_channel(self, household):
         cfg_i, cfg_r, _ = household_configs(household)
@@ -463,48 +585,60 @@ class TestSecureChannel:
 
     def test_roundtrip(self, household):
         session_i, session_r = self._secure_pair(household)
-        wire = session_i.secure_send(b"open the pod bay doors")
-        assert session_r.secure_recv(wire) == b"open the pod bay doors"
-        back = session_r.secure_send(b"affirmative")
-        assert session_i.secure_recv(back) == b"affirmative"
+        wire = session_i.secure_send(b"open the pod bay doors", NOW)
+        assert session_r.secure_recv(wire, NOW) == b"open the pod bay doors"
+        back = session_r.secure_send(b"affirmative", NOW)
+        assert session_i.secure_recv(back, NOW) == b"affirmative"
 
     def test_replay_rejected(self, household):
         session_i, session_r = self._secure_pair(household)
-        wire = session_i.secure_send(b"once only")
-        session_r.secure_recv(wire)
+        wire = session_i.secure_send(b"once only", NOW)
+        session_r.secure_recv(wire, NOW)
         with pytest.raises(ChannelError):
-            session_r.secure_recv(wire)
+            session_r.secure_recv(wire, NOW)
 
     def test_tamper_rejected(self, household):
         session_i, session_r = self._secure_pair(household)
-        wire = bytearray(session_i.secure_send(b"payload"))
+        wire = bytearray(session_i.secure_send(b"payload", NOW))
         wire[-2] ^= 0x10
         with pytest.raises(ChannelError):
-            session_r.secure_recv(bytes(wire))
+            session_r.secure_recv(bytes(wire), NOW)
 
     def test_forged_record_does_not_advance_replay_window(self, household):
         session_i, session_r = self._secure_pair(household)
-        wire = session_i.secure_send(b"genuine")
+        wire = session_i.secure_send(b"genuine", NOW)
         # Same ciphertext under a far-future counter: its tag cannot verify.
         counter = (2**80).to_bytes(crypto.NONCE_LEN - 1, "big")
         forged = wire[:2] + counter + wire[1 + crypto.NONCE_LEN :]
         with pytest.raises(ChannelError):
-            session_r.secure_recv(forged)
-        assert session_r.secure_recv(wire) == b"genuine"
+            session_r.secure_recv(forged, NOW)
+        assert session_r.secure_recv(wire, NOW) == b"genuine"
 
     def test_cross_session_ciphertext_rejected(self, household):
         first_i, first_r = self._secure_pair(household, seed_base=500)
         second_i, second_r = self._secure_pair(household, seed_base=600)
         assert first_i.session_keys.send_key != second_i.session_keys.send_key
-        wire = first_i.secure_send(b"for the first session")
+        wire = first_i.secure_send(b"for the first session", NOW)
         with pytest.raises(ChannelError):
-            second_r.secure_recv(wire)
+            second_r.secure_recv(wire, NOW)
+
+    def test_expired_session_refused(self, household):
+        session_i, session_r = self._secure_pair(household)
+        expires = session_i.session_keys.expires_at()
+        assert expires == NOW + crypto.DEFAULT_SESSION_LIFETIME
+        wire = session_i.secure_send(b"last call", expires - 1)
+        assert session_r.secure_recv(wire, expires - 1) == b"last call"
+        late = session_i.secure_send(b"still here", expires - 1)
+        with pytest.raises(ChannelError, match="expired"):
+            session_r.secure_recv(late, expires)
+        with pytest.raises(ChannelError, match="expired"):
+            session_i.secure_send(b"too late", expires)
 
     def test_channel_refused_before_secure(self, household):
         cfg_i, _, _ = household_configs(household)
         session_i, _ = initiate(cfg_i, now=NOW)
         with pytest.raises(HandshakeError):
-            session_i.secure_send(b"too early")
+            session_i.secure_send(b"too early", NOW)
 
 
 class TestDecideTrust:

@@ -247,12 +247,18 @@ class TestIdentityLifecycle:
         assert old_key.key_id not in {k.key_id for k in rotated.public_keys}
         assert w.current_sign_key() == new_key
 
-    def test_rotate_peer_needs_no_registry(self):
+    def test_rotate_peer_is_refused(self):
+        # Only a peer DID's genesis document certifies it: a rotated one
+        # would be refused by every peer, so the wallet refuses to make it.
+        sign_key, agree_key = _keys(1)
         w = Wallet()
-        w.create_identity(*_keys(1), METHOD_PEER)
-        new_key, _ = _keys(7)
-        rotated = w.rotate_sign_key(new_key, now=1234)
-        assert rotated.version == 2 and w.current_sign_key() == new_key
+        w.create_identity(sign_key, agree_key, METHOD_PEER)
+        keys, documents = dict(w.keys), list(w.documents)
+        with pytest.raises(WalletError, match="peer identity cannot rotate"):
+            w.rotate_sign_key(_keys(7)[0], now=1234, registry=Registry())
+        assert w.keys == keys
+        assert w.documents == documents
+        assert w.current_sign_key() == sign_key
 
     def test_refused_update_leaves_wallet_unchanged(self):
         registry = Registry()
