@@ -38,12 +38,10 @@ from .identity import (
     DidDocument,
     PublicKeyEntry,
     ServiceEndpoint,
-    canonical_serialize,
     format_did,
     generate_peer_did,
     parse_did,
     rotate_key,
-    validate_document,
 )
 from .resolver import Registry, Resolver
 from .transport import Frame, LinkProfile, Messenger, fragment, make_link, reassemble

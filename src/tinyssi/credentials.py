@@ -177,7 +177,8 @@ def commitment_hash(name: str, value: str, salt: bytes) -> bytes:
     return crypto.digest(name.encode("utf-8") + b"\x00" + value.encode("utf-8") + salt)
 
 
-def _check_claims(claims: Sequence[Claim]) -> None:
+def check_claims(claims: Sequence[Claim]) -> None:
+    """Refuse a claim list that issue() cannot commit to: empty, duplicated or unnamed."""
     if not claims:
         raise CredentialError("claim list must not be empty")
     names = [c.name for c in claims]
@@ -198,7 +199,7 @@ def issue(
     rng: Random | None = None,
 ) -> tuple[VerifiableCredential, tuple[ClaimOpening, ...]]:
     """Issue a credential; the openings go to the holder and nobody else."""
-    _check_claims(claims)
+    check_claims(claims)
     if validity <= 0:
         raise CredentialError("validity must be positive")
     rand = rng.randbytes if rng is not None else secrets.token_bytes

@@ -135,7 +135,8 @@ def _decoder(tp: Any) -> Callable[[Any], Any]:
         item = _decoder(args[1])
         return lambda value: {key: item(v) for key, v in _exactly(dict, value).items()}
     if tp is bytes:
-        return from_hex
+        # Looked up per call, so a rebinding of from_hex (a tracer) sees every decode.
+        return lambda value: from_hex(value)
     if tp is Any:
         return lambda value: value
     if tp is float:

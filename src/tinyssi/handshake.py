@@ -4,16 +4,24 @@ Layer 1 turns a document exchange into an authenticated encrypted channel;
 layer 2 exchanges credential presentations over that channel and applies a
 trust policy.
 
-  I -> R  HELLO       did, full document (peer method), ephemeral key, nonce
-  I <- R  HELLO_ACK   same shape
-  I -> R  AUTH        signature over the transcript digest so far
-  I <- R  AUTH_ACK    responder's signature likewise
+  I -> R  HELLO       Hello: did, full document (peer method), ephemeral key, nonce
+  I <- R  HELLO_ACK   Hello likewise
+  I -> R  AUTH        Auth: signature over the transcript digest so far
+  I <- R  AUTH_ACK    Auth: the responder's signature likewise
           both sides now agree on the ephemerals and derive session keys
-  I -> R  CRED_REQUEST + CRED_PRESENT   encrypted; wanted claim names, and
+  I -> R  CRED_REQUEST + CRED_PRESENT   sealed; wanted claim names, and
                                         the initiator's own presentations
   I <- R  CRED_PRESENT + TRUST_RESULT   responder's presentations (tailored
                                         to the request) and its verdict
   I -> R  TRUST_RESULT                  initiator's verdict
+
+A message is a tag byte and a body. Every body is a record in canonical form:
+Hello, Auth, CredRequest, CredPresent, TrustDecision or Error; the bodies of
+CRED_REQUEST, CRED_PRESENT and TRUST_RESULT travel sealed under the session
+keys. step() runs every message through one pipeline: its tag must be one
+the session accepts in its role and state (else `protocol`), a sealed body
+must open (else `channel`), and the body must decode as its tag's record
+(else `protocol`). An ERROR ends the session in any state.
 
 Both sides sign the running transcript, so swapping any key or nonce in
 transit breaks authentication on at least one side. The initiator presents
@@ -33,23 +41,14 @@ from typing import Any, Sequence
 
 from . import crypto
 from .credentials import (
-    CredentialError,
     Presentation,
     RevocationRegistry,
     StoredCredential,
     present,
     verify_presentation,
 )
-from .encoding import EncodingError, canonical_bytes, from_canonical, from_hex
-from .identity import (
-    Did,
-    DidDocument,
-    DidError,
-    METHOD_PEER,
-    format_did,
-    parse_did,
-    verify_peer_document,
-)
+from .encoding import EncodingError, Record, decode, from_canonical
+from .identity import Did, DidDocument, METHOD_PEER, format_did, verify_peer_document
 from .resolver import ResolutionError, Resolver
 
 MSG_HELLO = 0x01
@@ -65,6 +64,8 @@ MSG_ERROR = 0x7F
 _ENCRYPTED_TAGS = frozenset({MSG_CRED_REQUEST, MSG_CRED_PRESENT, MSG_TRUST_RESULT, MSG_DATA})
 
 _ROLE_BYTE = {crypto.ROLE_INITIATOR: 0x01, crypto.ROLE_RESPONDER: 0x02}
+
+HELLO_NONCE_LEN = 16
 
 FAIL_PROTOCOL = "protocol"
 FAIL_AUTH = "auth"
@@ -94,13 +95,66 @@ class State(Enum):
 
 _CHANNEL_STATES = frozenset({State.SECURE, State.TRUSTED, State.UNTRUSTED})
 
-# The one plaintext message each role accepts in each layer-1 state.
-_LAYER1_EXPECTS = {
-    (crypto.ROLE_RESPONDER, State.INIT): MSG_HELLO,
-    (crypto.ROLE_INITIATOR, State.HELLO_SENT): MSG_HELLO_ACK,
-    (crypto.ROLE_RESPONDER, State.HELLO_RECEIVED): MSG_AUTH,
-    (crypto.ROLE_INITIATOR, State.AUTH_PENDING): MSG_AUTH_ACK,
+# The tags each role accepts in each state; any other message fails `protocol`.
+_ACCEPTS: dict[tuple[str, State], set[int]] = {
+    (crypto.ROLE_RESPONDER, State.INIT): {MSG_HELLO},
+    (crypto.ROLE_INITIATOR, State.HELLO_SENT): {MSG_HELLO_ACK},
+    (crypto.ROLE_RESPONDER, State.HELLO_RECEIVED): {MSG_AUTH},
+    (crypto.ROLE_INITIATOR, State.AUTH_PENDING): {MSG_AUTH_ACK},
+    (crypto.ROLE_INITIATOR, State.SECURE): {MSG_CRED_REQUEST, MSG_CRED_PRESENT},
+    (crypto.ROLE_RESPONDER, State.SECURE): {MSG_CRED_REQUEST, MSG_CRED_PRESENT},
+    (crypto.ROLE_INITIATOR, State.TRUSTED): {MSG_TRUST_RESULT},
+    (crypto.ROLE_RESPONDER, State.TRUSTED): {MSG_TRUST_RESULT},
+    (crypto.ROLE_INITIATOR, State.UNTRUSTED): {MSG_TRUST_RESULT},
+    (crypto.ROLE_RESPONDER, State.UNTRUSTED): {MSG_TRUST_RESULT},
 }
+
+
+# ---------------------------------------------------------------------------
+# Message bodies
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Hello(Record):
+    """HELLO and HELLO_ACK: my DID, my document if it is a peer DID, and my key share."""
+
+    did: Did
+    document: DidDocument | None
+    ephemeral: bytes
+    nonce: bytes
+
+    def __post_init__(self) -> None:
+        if len(self.ephemeral) != crypto.KEY_LEN or len(self.nonce) != HELLO_NONCE_LEN:
+            raise ValueError(
+                f"ephemeral key must be {crypto.KEY_LEN} bytes and nonce {HELLO_NONCE_LEN}"
+            )
+
+
+@dataclass(frozen=True)
+class Auth(Record):
+    """AUTH and AUTH_ACK: my signature over the transcript digest so far."""
+
+    key_id: str
+    signature: bytes
+
+    def __post_init__(self) -> None:
+        if len(self.signature) != crypto.SIGNATURE_LEN:
+            raise ValueError(f"signature must be {crypto.SIGNATURE_LEN} bytes")
+
+
+@dataclass(frozen=True)
+class CredRequest(Record):
+    want: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class CredPresent(Record):
+    presentations: tuple[Presentation, ...]
+
+
+@dataclass(frozen=True)
+class Error(Record):
+    reason: str
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +183,23 @@ TrustPolicy = AlwaysTrust | OwnerMatch | RequireClaim
 
 
 @dataclass(frozen=True)
-class TrustDecision:
+class TrustDecision(Record):
+    """A side's verdict on its peer; the body of TRUST_RESULT."""
+
     trusted: bool
     reason: str | None = None
+
+
+# The body record of each tag that _ACCEPTS admits; an ERROR's body is an Error.
+_BODIES: dict[int, type[Record]] = {
+    MSG_HELLO: Hello,
+    MSG_HELLO_ACK: Hello,
+    MSG_AUTH: Auth,
+    MSG_AUTH_ACK: Auth,
+    MSG_CRED_REQUEST: CredRequest,
+    MSG_CRED_PRESENT: CredPresent,
+    MSG_TRUST_RESULT: TrustDecision,
+}
 
 
 def requested_claims(policy: TrustPolicy) -> tuple[str, ...]:
@@ -223,11 +291,9 @@ class HandshakeSession:
         self.role = role
         self.config = config
         self.state = State.INIT
-        self.my_did = config.did
         self.peer_did: Did | None = None
         self.peer_document: DidDocument | None = None
-        self.my_nonce: bytes = config.random_bytes(16)
-        self.peer_nonce: bytes | None = None
+        self.my_nonce: bytes = config.random_bytes(HELLO_NONCE_LEN)
         self.ephemeral = crypto.keygen(crypto.PURPOSE_AGREE, seed=config.random_bytes(32))
         self.peer_ephemeral: bytes | None = None
         self.session_keys: crypto.SessionKeys | None = None
@@ -246,94 +312,27 @@ class HandshakeSession:
     def transcript_digest(self) -> bytes:
         return self._transcript.copy().digest()
 
-    def _absorb(self, message: bytes) -> None:
-        self._transcript.update(message)
-
-    def _fail(self, reason: str, notify: bool = True) -> list[bytes]:
+    def _fail(self, reason: str) -> list[bytes]:
         self.state = State.FAILED
         self.failure_reason = reason
-        if notify:
-            return [_encode_plain(MSG_ERROR, {"reason": reason})]
-        return []
+        return [self._send(MSG_ERROR, Error(reason))]
 
-    def _hello_body(self) -> dict[str, Any]:
-        embed = self.my_did.method == METHOD_PEER
-        return {
-            "did": format_did(self.my_did),
-            "document": self.config.document.to_mapping() if embed else None,
-            "ephemeral": self.ephemeral.public.hex(),
-            "nonce": self.my_nonce.hex(),
-        }
+    def _send(self, tag: int, body: Record) -> bytes:
+        """One message: the tag byte, then the body's canonical bytes, sealed if the tag is."""
+        if tag in _ENCRYPTED_TAGS:
+            return self._seal(tag, body.to_bytes())
+        return bytes([tag]) + body.to_bytes()
 
-    def _load_peer_identity(self, body: dict[str, Any], now: int) -> str | None:
-        """Fix peer did/document from a HELLO body; returns a failure reason."""
-        try:
-            did = parse_did(body["did"])
-        except DidError:
-            return FAIL_PROTOCOL
-        if self._expected_peer_did is not None and did != self._expected_peer_did:
-            return FAIL_AUTH
-        embedded = body.get("document")
-        if did.method == METHOD_PEER:
-            if embedded is None:
-                # Peer-method documents may also have been exchanged earlier.
-                try:
-                    doc = self.config.resolver.resolve(did, now)
-                except ResolutionError:
-                    return FAIL_RESOLVE
-            else:
-                try:
-                    doc = DidDocument.from_mapping(embedded)
-                except DidError:
-                    return FAIL_PROTOCOL
-                if not verify_peer_document(did, doc):
-                    return FAIL_AUTH
-        else:
-            # Only self-certifying documents are trusted off the wire.
-            try:
-                doc = self.config.resolver.resolve(did, now)
-            except ResolutionError:
-                return FAIL_RESOLVE
-        if not any(k.purpose == crypto.PURPOSE_SIGN for k in doc.public_keys):
-            return FAIL_AUTH
-        self.peer_did = did
-        self.peer_document = doc
-        return None
-
-    def _auth_signature(self) -> dict[str, Any]:
-        digest = self.transcript_digest()
-        signature = crypto.sign(self.config.sign_key, digest)
-        return {"key_id": self.config.sign_key.key_id, "signature": signature.hex()}
-
-    def _verify_peer_auth(self, body: dict[str, Any], expected_digest: bytes) -> bool:
-        assert self.peer_document is not None
-        key_id = body.get("key_id")
-        entry = next(
-            (
-                k
-                for k in self.peer_document.public_keys
-                if k.key_id == key_id and k.purpose == crypto.PURPOSE_SIGN
-            ),
-            None,
+    def _hello(self) -> Hello:
+        embed = self.config.did.method == METHOD_PEER
+        return Hello(
+            self.config.did, self.config.document if embed else None,
+            self.ephemeral.public, self.my_nonce,
         )
-        if entry is None:
-            return False
-        try:
-            signature = from_hex(body["signature"], crypto.SIGNATURE_LEN)
-        except (EncodingError, KeyError):
-            return False
-        return crypto.verify(entry.public, expected_digest, signature)
 
-    def _establish_keys(self, now: int) -> str | None:
-        assert self.peer_ephemeral is not None
-        try:
-            shared = crypto.agree(self.ephemeral, self.peer_ephemeral)
-        except crypto.CryptoError:
-            return FAIL_AUTH
-        self.session_keys = crypto.derive_session(
-            shared, self.transcript_digest(), self.role, established_at=now
-        )
-        return None
+    def _auth(self) -> Auth:
+        key = self.config.sign_key
+        return Auth(key.key_id, crypto.sign(key, self.transcript_digest()))
 
     def _seal(self, tag: int, plaintext: bytes) -> bytes:
         """Seal one channel record: tag byte, nonce, then ciphertext bound to the tag."""
@@ -357,52 +356,19 @@ class HandshakeSession:
         self._recv_guard.commit(nonce)
         return plain
 
-    def _build_presentations(self, names: Sequence[str]) -> list[dict[str, Any]]:
-        wanted = set(names)
-        out = []
+    def _present(self, requested: Sequence[str]) -> bytes:
+        """My CRED_PRESENT: the claims config.disclose names, else those requested."""
+        disclose = self.config.disclose if self.config.disclose is not None else requested
+        wanted = set(disclose)
+        presentations = []
         for stored in self.config.credentials:
             subset = [
                 n for n in stored.credential.claim_names()
                 if n in wanted and stored.opening_for(n) is not None
             ]
             if subset:
-                out.append(present(stored.credential, stored.openings, subset).to_mapping())
-        return out
-
-    def _verify_presentations(self, mappings: list[Any], now: int) -> list[Presentation]:
-        """Presentations that verify and whose subject is the authenticated peer."""
-        verified = []
-        for mapping in mappings:
-            try:
-                presentation = Presentation.from_mapping(mapping)
-            except CredentialError:
-                continue
-            # Holder binding: a credential speaks only for its own subject.
-            if presentation.credential.subject != self.peer_did:
-                continue
-            verdict = verify_presentation(
-                presentation, self.config.resolver, self.config.revocation, now
-            )
-            if verdict:
-                verified.append(presentation)
-        return verified
-
-    def _decide(self) -> list[bytes]:
-        decision = decide_trust(self.config.policy, self.presented)
-        self.my_verdict = decision
-        self.state = State.TRUSTED if decision.trusted else State.UNTRUSTED
-        result = {"trusted": decision.trusted, "reason": decision.reason}
-        return [self._seal(MSG_TRUST_RESULT, canonical_bytes(result))]
-
-    def _layer2_opening(self) -> list[bytes]:
-        """Initiator's first encrypted batch: request plus proactive presentation."""
-        want = requested_claims(self.config.policy)
-        disclose = self.config.disclose if self.config.disclose is not None else want
-        presentations = {"presentations": self._build_presentations(disclose)}
-        return [
-            self._seal(MSG_CRED_REQUEST, canonical_bytes({"want": list(want)})),
-            self._seal(MSG_CRED_PRESENT, canonical_bytes(presentations)),
-        ]
+                presentations.append(present(stored.credential, stored.openings, subset))
+        return self._send(MSG_CRED_PRESENT, CredPresent(tuple(presentations)))
 
     # -- protocol steps -----------------------------------------------------
 
@@ -410,114 +376,108 @@ class HandshakeSession:
         """Feed one incoming message; returns messages to send in order."""
         if self.state == State.FAILED:
             return []
-        if not incoming:
-            return self._fail(FAIL_PROTOCOL)
-        tag = incoming[0]
+        tag, body = (incoming[0] if incoming else None), incoming[1:]
         if tag == MSG_ERROR:
-            try:
-                body = from_canonical(incoming[1:])
-            except EncodingError:
-                body = None
-            detail = body.get("reason", "unspecified") if isinstance(body, dict) else "unspecified"
+            error = _read(Error, body)
             self.state = State.FAILED
-            self.failure_reason = f"{FAIL_PEER}: {detail}"
+            self.failure_reason = f"{FAIL_PEER}: {error.reason if error else 'unspecified'}"
             return []
+        if tag not in _ACCEPTS.get((self.role, self.state), ()):
+            return self._fail(FAIL_PROTOCOL)
         if tag in _ENCRYPTED_TAGS:
-            if self.state not in _CHANNEL_STATES:
-                return self._fail(FAIL_PROTOCOL)
             try:
-                body = from_canonical(self._open(incoming))
-            except (ChannelError, EncodingError):
+                body = self._open(incoming)
+            except ChannelError:
                 return self._fail(FAIL_CHANNEL)
-            if not isinstance(body, dict):
-                return self._fail(FAIL_CHANNEL)
-            return self._step_layer2(tag, body, now)
-        try:
-            body = from_canonical(incoming[1:])
-        except EncodingError:
-            return self._fail(FAIL_PROTOCOL)
-        if not isinstance(body, dict):
-            return self._fail(FAIL_PROTOCOL)
-        return self._step_layer1(tag, body, incoming, now)
+        message = _read(_BODIES[tag], body)
+        match message:
+            case Hello():
+                return self._on_hello(message, incoming, now)
+            case Auth():
+                return self._on_auth(message, incoming, now)
+            case CredRequest():
+                self._peer_requested = message.want
+                return []
+            case CredPresent():
+                return self._on_present(message, now)
+            case TrustDecision():
+                self.peer_verdict = message
+                return []
+        return self._fail(FAIL_PROTOCOL)
 
-    def _step_layer1(
-        self, tag: int, body: dict[str, Any], raw: bytes, now: int
-    ) -> list[bytes]:
-        if _LAYER1_EXPECTS.get((self.role, self.state)) != tag:
-            return self._fail(FAIL_PROTOCOL)
-        if tag in (MSG_HELLO, MSG_HELLO_ACK):
-            return self._on_hello(body, raw, now)
-        return self._on_auth(body, raw, now)
-
-    def _on_hello(self, body: dict[str, Any], raw: bytes, now: int) -> list[bytes]:
-        """Accept HELLO (responder) or HELLO_ACK (initiator); both have one shape."""
-        if set(body) != {"did", "document", "ephemeral", "nonce"}:
-            return self._fail(FAIL_PROTOCOL)
-        try:
-            nonce = from_hex(body["nonce"], 16)
-            ephemeral = from_hex(body["ephemeral"], crypto.KEY_LEN)
-        except EncodingError:
-            return self._fail(FAIL_PROTOCOL)
-        failure = self._load_peer_identity(body, now)
-        if failure:
-            return self._fail(failure)
-        self.peer_nonce = nonce
-        self.peer_ephemeral = ephemeral
-        self._absorb(raw)
+    def _on_hello(self, hello: Hello, raw: bytes, now: int) -> list[bytes]:
+        """Accept HELLO (responder) or HELLO_ACK (initiator): fix the peer, then answer."""
+        did, doc = hello.did, hello.document
+        if self._expected_peer_did is not None and did != self._expected_peer_did:
+            return self._fail(FAIL_AUTH)
+        if did.method == METHOD_PEER and doc is not None:
+            if not verify_peer_document(did, doc):
+                return self._fail(FAIL_AUTH)
+        else:
+            # Only self-certifying documents are trusted off the wire; a peer
+            # document may also have been exchanged earlier.
+            try:
+                doc = self.config.resolver.resolve(did, now)
+            except ResolutionError:
+                return self._fail(FAIL_RESOLVE)
+        if not any(k.purpose == crypto.PURPOSE_SIGN for k in doc.public_keys):
+            return self._fail(FAIL_AUTH)
+        self.peer_did, self.peer_document, self.peer_ephemeral = did, doc, hello.ephemeral
+        self._transcript.update(raw)
         if self.role == crypto.ROLE_RESPONDER:
-            reply = _encode_plain(MSG_HELLO_ACK, self._hello_body())
+            reply = self._send(MSG_HELLO_ACK, self._hello())
             self.state = State.HELLO_RECEIVED
         else:
-            reply = _encode_plain(MSG_AUTH, self._auth_signature())
+            reply = self._send(MSG_AUTH, self._auth())
             self.state = State.AUTH_PENDING
-        self._absorb(reply)
+        self._transcript.update(reply)
         return [reply]
 
-    def _on_auth(self, body: dict[str, Any], raw: bytes, now: int) -> list[bytes]:
+    def _on_auth(self, auth: Auth, raw: bytes, now: int) -> list[bytes]:
         """Accept AUTH (responder) or AUTH_ACK (initiator) and derive the session keys."""
-        # The peer signed the transcript up to the message before this one.
-        if not self._verify_peer_auth(body, self.transcript_digest()):
+        # The peer signed the transcript up to the message before this one,
+        # with a current signing key of its document.
+        key = next(
+            (k for k in self.peer_document.public_keys
+             if k.key_id == auth.key_id and k.purpose == crypto.PURPOSE_SIGN),
+            None,
+        )
+        if key is None or not crypto.verify(key.public, self.transcript_digest(), auth.signature):
             return self._fail(FAIL_AUTH)
-        self._absorb(raw)
-        reply = None
+        self._transcript.update(raw)
+        replies = []
         if self.role == crypto.ROLE_RESPONDER:
-            reply = _encode_plain(MSG_AUTH_ACK, self._auth_signature())
-            self._absorb(reply)
-        failure = self._establish_keys(now)
-        if failure:
-            return self._fail(failure)
+            replies.append(self._send(MSG_AUTH_ACK, self._auth()))
+            self._transcript.update(replies[0])
+        try:
+            shared = crypto.agree(self.ephemeral, self.peer_ephemeral)
+        except crypto.CryptoError:
+            return self._fail(FAIL_AUTH)
+        self.session_keys = crypto.derive_session(
+            shared, self.transcript_digest(), self.role, established_at=now
+        )
         self.state = State.SECURE
-        return [reply] if reply is not None else self._layer2_opening()
+        if replies:
+            return replies
+        # The initiator opens layer 2: its request and a proactive presentation.
+        want = requested_claims(self.config.policy)
+        return [self._send(MSG_CRED_REQUEST, CredRequest(want)), self._present(want)]
 
-    def _step_layer2(self, tag: int, body: dict[str, Any], now: int) -> list[bytes]:
-        if tag == MSG_CRED_REQUEST and self.state == State.SECURE:
-            want = body.get("want")
-            if not isinstance(want, list) or not all(isinstance(n, str) for n in want):
-                return self._fail(FAIL_PROTOCOL)
-            self._peer_requested = tuple(want)
-            return []
-        if tag == MSG_CRED_PRESENT and self.state == State.SECURE:
-            presentations = body.get("presentations", [])
-            if not isinstance(presentations, list):
-                return self._fail(FAIL_PROTOCOL)
-            self.presented = self._verify_presentations(presentations, now)
-            if self.role == crypto.ROLE_RESPONDER:
-                disclose = (
-                    self.config.disclose
-                    if self.config.disclose is not None
-                    else self._peer_requested
-                )
-                presentations = {"presentations": self._build_presentations(disclose)}
-                reply = self._seal(MSG_CRED_PRESENT, canonical_bytes(presentations))
-                return [reply] + self._decide()
-            return self._decide()
-        if tag == MSG_TRUST_RESULT and self.state in (State.TRUSTED, State.UNTRUSTED):
-            trusted = body.get("trusted")
-            if not isinstance(trusted, bool):
-                return self._fail(FAIL_PROTOCOL)
-            self.peer_verdict = TrustDecision(trusted=trusted, reason=body.get("reason"))
-            return []
-        return self._fail(FAIL_PROTOCOL)
+    def _on_present(self, message: CredPresent, now: int) -> list[bytes]:
+        """Keep the peer's presentations that verify, answer (responder), and decide."""
+        # Holder binding: a credential speaks only for its own subject.
+        self.presented = [
+            p for p in message.presentations
+            if p.credential.subject == self.peer_did
+            and verify_presentation(p, self.config.resolver, self.config.revocation, now)
+        ]
+        replies = []
+        if self.role == crypto.ROLE_RESPONDER:
+            replies.append(self._present(self._peer_requested))
+        decision = decide_trust(self.config.policy, self.presented)
+        self.my_verdict = decision
+        self.state = State.TRUSTED if decision.trusted else State.UNTRUSTED
+        return replies + [self._send(MSG_TRUST_RESULT, decision)]
 
     # -- secure channel -----------------------------------------------------
 
@@ -544,23 +504,25 @@ def _other_role(role: str) -> str:
     )
 
 
-def _encode_plain(tag: int, body: dict[str, Any]) -> bytes:
-    return bytes([tag]) + canonical_bytes(body)
+def _read(body: type[Record], raw: bytes) -> Any:
+    """The body record that raw canonical bytes hold, or None if they hold none."""
+    try:
+        return decode(body, from_canonical(raw))
+    except EncodingError:
+        return None
 
 
 def initiate(
-    config: SessionConfig,
-    peer_hint: Did | DidDocument | None = None,
-    now: int = 0,
+    config: SessionConfig, peer_hint: Did | None = None, now: int = 0
 ) -> tuple[HandshakeSession, bytes]:
-    """Open a session towards a peer; returns the session and the HELLO bytes."""
+    """Open a session towards a peer, which must prove the DID `peer_hint` if given.
+
+    Returns the session and the HELLO bytes.
+    """
     session = HandshakeSession(crypto.ROLE_INITIATOR, config)
-    if isinstance(peer_hint, DidDocument):
-        session._expected_peer_did = peer_hint.id
-    elif isinstance(peer_hint, Did):
-        session._expected_peer_did = peer_hint
-    hello = _encode_plain(MSG_HELLO, session._hello_body())
-    session._absorb(hello)
+    session._expected_peer_did = peer_hint
+    hello = session._send(MSG_HELLO, session._hello())
+    session._transcript.update(hello)
     session.state = State.HELLO_SENT
     return session, hello
 

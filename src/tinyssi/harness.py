@@ -16,7 +16,7 @@ from random import Random
 from typing import Any
 
 from . import crypto
-from .credentials import Claim, RevocationRegistry, issue, revoke
+from .credentials import Claim, CredentialError, RevocationRegistry, check_claims, issue, revoke
 from .encoding import EncodingError, decode, from_canonical
 from .handshake import (
     _CHANNEL_STATES,
@@ -185,6 +185,10 @@ class Scenario:
                     problems.append(f"credential {i}: unknown actor {ref!r}")
             if cred.validity <= 0:
                 problems.append(f"credential {i}: validity must be positive")
+            try:
+                check_claims([Claim(name, value) for name, value in cred.claims.items()])
+            except CredentialError as exc:
+                problems.append(f"credential {i}: {exc}")
             for value in cred.claims.values():
                 if value.startswith("@") and value[1:] not in known:
                     problems.append(f"credential {i}: unknown actor reference {value!r}")

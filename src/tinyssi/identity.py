@@ -151,11 +151,6 @@ class DidDocument(_Record):
         return super().from_mapping(mapping)
 
 
-def canonical_serialize(doc: DidDocument) -> bytes:
-    """Deterministic document bytes: the wire and storage form."""
-    return doc.to_bytes()
-
-
 def generate_peer_did(
     public_keys: Iterable[PublicKeyEntry],
     service_endpoints: Iterable[ServiceEndpoint] = (),
@@ -211,11 +206,3 @@ def rotate_key(
         version=doc.version + 1,
     )
 
-
-def validate_document(doc: DidDocument | dict[str, Any]) -> list[str]:
-    """The first structural violation, if any; an empty list means the document is valid."""
-    try:
-        DidDocument.from_mapping(doc.to_mapping() if isinstance(doc, DidDocument) else doc)
-    except DidError as exc:
-        return [str(exc)]
-    return []

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 from . import crypto
 from .encoding import EncodingError, base58_encode, canonical_bytes, decode, encode, from_canonical
-from .identity import Did, DidDocument, METHOD_PEER, METHOD_REG, format_did, verify_peer_document
+from .identity import (
+    Did, DidDocument, DidError, METHOD_PEER, METHOD_REG, format_did, verify_peer_document,
+)
 
 DEFAULT_TTL = 300
 _SNAPSHOT_FORMAT = "tinyssi-registry/1"
@@ -38,7 +40,7 @@ class UnsupportedDidMethod(ResolutionError):
 
 
 class DocumentIntegrityError(ResolutionError):
-    """Stored document does not match its self-certifying identifier."""
+    """Stored document does not parse, or does not match its identifier."""
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,10 @@ class Registry:
             if not history:
                 raise DidNotFound(f"{format_did(did)} not registered")
             raw = history[-1].document
-        return DidDocument.from_bytes(raw)
+        try:
+            return DidDocument.from_bytes(raw)
+        except DidError as exc:
+            raise DocumentIntegrityError(f"stored document of {format_did(did)}: {exc}") from exc
 
     def snapshot(self) -> bytes:
         """Registry contents as a single structured-text snapshot (.reg)."""

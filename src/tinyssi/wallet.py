@@ -32,7 +32,7 @@ from .credentials import ClaimOpening, StoredCredential, VerifiableCredential
 from .encoding import EncodingError, canonical_bytes, decode, encode, from_canonical
 from .identity import (
     METHOD_PEER, METHOD_REG, Did, DidDocument, PublicKeyEntry, ServiceEndpoint,
-    format_did, generate_peer_did, rotate_key,
+    generate_peer_did, rotate_key,
 )
 from .resolver import Registry, registered_did_for
 
@@ -103,12 +103,6 @@ class Wallet:
         if kp.key_id in self.keys:
             raise WalletError(f"key id {kp.key_id!r} already in wallet")
         self.keys[kp.key_id] = kp
-
-    def get_key(self, key_id: str) -> crypto.KeyPair:
-        try:
-            return self.keys[key_id]
-        except KeyError:
-            raise WalletError(f"no key {key_id!r} in wallet") from None
 
     def put_document(self, doc: DidDocument) -> None:
         """Append a version of my own document; newest last."""
@@ -200,13 +194,6 @@ class Wallet:
 
     def list_credentials(self) -> list[str]:
         return sorted(self.credentials)
-
-    def export_public(self, did: Did) -> bytes:
-        """Canonical bytes of my current document; contains no secrets."""
-        doc = self.current_document
-        if doc is None or doc.id != did:
-            raise WalletError(f"wallet holds no document for {format_did(did)}")
-        return doc.to_bytes()
 
     # -- persistence ----------------------------------------------------------
 

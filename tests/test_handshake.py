@@ -1,7 +1,18 @@
-"""State machine, transcript binding, trust policies, and the secure channel."""
+"""State machine, transcript binding, trust policies, and the secure channel.
 
+`tests/golden/handshake-messages.json` holds the hex of every wire message of
+every handshake in the two shipped scenarios, in delivery order. Signatures
+and session keys bind these exact bytes, so they must not drift. Regenerate
+only on purpose, from the repository root:
+
+    PYTHONPATH=src python tests/test_handshake.py > tests/golden/handshake-messages.json
+"""
+
+import json
 from functools import cache
+from pathlib import Path
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +26,7 @@ from conftest import (
     introduce,
     owner_match_config,
 )
-from tinyssi import crypto
+from tinyssi import crypto, harness
 from tinyssi.credentials import Claim, StoredCredential, issue
 from tinyssi.encoding import canonical_bytes, from_canonical
 from tinyssi.handshake import (
@@ -27,6 +38,7 @@ from tinyssi.handshake import (
     MSG_ERROR,
     MSG_HELLO,
     MSG_HELLO_ACK,
+    MSG_TRUST_RESULT,
     OwnerMatch,
     RequireClaim,
     SessionConfig,
@@ -36,9 +48,11 @@ from tinyssi.handshake import (
     respond,
 )
 from tinyssi.identity import PublicKeyEntry, format_did, rotate_key
-from tinyssi.resolver import Registry
+from tinyssi.resolver import Registry, Resolver
 
 ALL_TAGS = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x7F]
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_MESSAGES = ROOT / "tests" / "golden" / "handshake-messages.json"
 
 
 def run_direct(initiator_cfg, responder_cfg, peer_hint=None, now=NOW, intercept=None):
@@ -97,6 +111,31 @@ class TestWireFormat:
         request, presentation = session_i.step(auth_ack, NOW)
         assert request[0] == 0x05
         assert presentation[0] == MSG_CRED_PRESENT
+
+
+def scenario_handshake_messages() -> dict[str, list[str]]:
+    """Hex of each message delivered in each handshake step of the shipped scenarios."""
+    messages: dict[str, list[str]] = {}
+    drive = harness.drive_handshake
+
+    def recording(*args, **kwargs):
+        seen = messages[key] = []
+        return drive(*args, **kwargs, intercept=lambda role, m: seen.append(m.hex()) or m)
+
+    for name in ("owner-two-devices", "household-lifecycle"):
+        runner = harness.ScenarioRunner(
+            harness.Scenario.load(str(ROOT / "scenarios" / f"{name}.scn"))
+        )
+        with mock.patch.object(harness, "drive_handshake", recording):
+            for index, step in enumerate(runner.scenario.steps):
+                key = f"{name}/step-{index}"
+                runner._run_step(index, step)
+    return messages
+
+
+def test_handshake_messages_match_golden():
+    golden = json.loads(GOLDEN_MESSAGES.read_text(encoding="utf-8"))
+    assert scenario_handshake_messages() == golden
 
 
 class TestHonestRun:
@@ -298,11 +337,6 @@ class TestAuthFailures:
         assert session_i.state == State.FAILED
         assert session_i.failure_reason == "auth"
 
-    def test_peer_hint_as_full_document(self, household):
-        cfg_i, cfg_r, (alice, camera, lock) = household_configs(household)
-        session_i, session_r, _ = run_direct(cfg_i, cfg_r, peer_hint=lock.document)
-        assert session_i.state == State.TRUSTED
-
     def test_transcript_binding_single_byte_fuzz(self, household):
         # Any single-byte change to any pre-AUTH message fails some party.
         rng = Random(17)
@@ -462,6 +496,44 @@ class TestTotality:
         record = session_i._seal(MSG_CRED_PRESENT, canonical_bytes({"presentations": 5}))
         session_r.step(record, NOW)
         assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
+
+    @pytest.mark.parametrize("tag, body", [
+        (MSG_AUTH, {"extra": 1}),                 # merged into an honest AUTH body
+        (MSG_AUTH, {"signature": "00" * 63}),
+        (MSG_CRED_PRESENT, {}),
+        (MSG_CRED_PRESENT, {"presentations": [{"credential": 5, "disclosed": []}]}),
+        (MSG_TRUST_RESULT, {"trusted": True, "reason": 5}),
+    ], ids=["auth-extra-field", "auth-short-signature", "present-without-presentations",
+            "present-undecodable", "result-reason-not-a-string"])
+    def test_body_that_does_not_decode_fails_protocol(self, household, tag, body):
+        cfg_i, cfg_r, _ = household_configs(household)
+        if tag == MSG_AUTH:
+            session_i, hello = initiate(cfg_i, now=NOW)
+            victim = respond(cfg_r, now=NOW)
+            (auth,) = session_i.step(*victim.step(hello, NOW), NOW)
+            message = bytes([MSG_AUTH]) + canonical_bytes({**from_canonical(auth[1:]), **body})
+        else:
+            if tag == MSG_TRUST_RESULT:
+                sender, victim, _ = run_direct(cfg_i, cfg_r)
+                assert victim.state == State.TRUSTED
+            else:
+                sender, victim = self._secure_pair(household)
+            message = sender._seal(tag, canonical_bytes(body))
+        assert victim.step(message, NOW) != []
+        assert (victim.state, victim.failure_reason) == (State.FAILED, "protocol")
+
+    def test_unparsable_registry_document_fails_resolve(self):
+        registry = Registry()
+        alice = build_actor("alice", 1, registry, method="reg")
+        camera = build_actor("camera", 2, registry, method="reg")
+        lock = build_actor("lock", 3, registry, method="reg")
+        snapshot = from_canonical(registry.snapshot())
+        snapshot["entries"][format_did(camera.did)][-1]["document"] = b"{}".hex()
+        lock.resolver = Resolver(Registry.from_snapshot(canonical_bytes(snapshot)))
+        _, hello = initiate(owner_match_config(camera, alice, 1), now=NOW)
+        session_r = respond(owner_match_config(lock, alice, 2), now=NOW)
+        assert session_r.step(hello, NOW) != []
+        assert (session_r.state, session_r.failure_reason) == (State.FAILED, "resolve")
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -756,3 +828,7 @@ class TestEndToEndPolicies:
         assert session_r.state == State.UNTRUSTED
         assert session_r.my_verdict.reason == "issuer"
         assert [p.credential.subject for p in session_r.presented] == [eve.did]
+
+
+if __name__ == "__main__":
+    print(json.dumps(scenario_handshake_messages(), indent=1, sort_keys=True))

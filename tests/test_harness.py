@@ -75,6 +75,16 @@ class TestValidation:
         problems = Scenario.from_mapping(bad).validate()
         assert any("no owner" in p for p in problems)
 
+    @pytest.mark.parametrize("claims", [{}, {"": "x"}, {"own\x00er": "@alice"}],
+                             ids=["no-claims", "empty-name", "nul-in-name"])
+    def test_claims_issue_cannot_commit_to(self, claims):
+        bad = copy.deepcopy(BASE)
+        bad["credentials"][0]["claims"] = claims
+        problems = Scenario.from_mapping(bad).validate()
+        assert [p for p in problems if p.startswith("credential 0: ")]
+        with pytest.raises(ScenarioError, match="credential 0"):
+            run_scenario(Scenario.from_mapping(bad))
+
     def test_runner_refuses_invalid_scenario(self):
         bad = copy.deepcopy(BASE)
         bad["steps"][0]["initiator"] = "ghost"

@@ -5,6 +5,10 @@ must use each name it imports. A name counts as used when it appears as an
 identifier anywhere in the module; a name written only inside a quoted
 annotation does not count, so such annotations are left unquoted (every
 module has `from __future__ import annotations`).
+
+handshake.py reads every wire field through `encoding.decode` of its message
+record, so it calls none of the hand parsers (`from_hex`, `parse_did`, any
+`from_mapping`).
 """
 
 import ast
@@ -44,3 +48,33 @@ def test_no_unused_imports(module):
 def test_checker_flags_an_unused_import():
     source = "import os\nfrom typing import Any, Iterable\nfrom . import crypto as c\nx: Any = c\n"
     assert unused_imports(source) == {"os", "Iterable"}
+
+
+HAND_PARSERS = frozenset({"from_hex", "parse_did", "from_mapping"})
+
+
+def hand_parser_calls(source: str) -> set[str]:
+    """The hand parsers a module calls, by bare name or as an attribute."""
+    called = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in HAND_PARSERS:
+                called.add(name)
+    return called
+
+
+def test_handshake_reads_the_wire_only_through_the_codec():
+    assert hand_parser_calls((PACKAGE / "handshake.py").read_text(encoding="utf-8")) == set()
+
+
+def test_checker_flags_hand_parsing():
+    source = (
+        "from .encoding import decode, from_hex\n"
+        "a = from_hex(text, 16)\n"
+        "b = identity.parse_did(text)\n"
+        "c = DidDocument.from_mapping(body['document'])\n"
+        "d = decode(Hello, body)\n"
+    )
+    assert hand_parser_calls(source) == {"from_hex", "parse_did", "from_mapping"}

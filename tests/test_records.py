@@ -31,6 +31,7 @@ from tinyssi.credentials import (
     present,
 )
 from tinyssi.encoding import EncodingError, canonical_bytes, decode, encode, from_canonical
+from tinyssi.handshake import Auth, CredPresent, CredRequest, Error, Hello, TrustDecision
 from tinyssi.harness import (
     HandshakeStep,
     Scenario,
@@ -171,6 +172,17 @@ RECORDS = {
         signature=st.binary(min_size=64, max_size=64), signed_by=texts,
     ),
     "RevocationList": st.builds(RevocationList, owner=dids, revoked=tuples(texts)),
+    "Hello": st.builds(
+        Hello, did=dids, document=st.none() | documents(),
+        ephemeral=st.binary(min_size=32, max_size=32), nonce=st.binary(min_size=16, max_size=16),
+    ),
+    "Auth": st.builds(Auth, key_id=texts, signature=st.binary(min_size=64, max_size=64)),
+    "CredRequest": st.builds(CredRequest, want=tuples(texts)),
+    "CredPresent": st.builds(CredPresent, presentations=tuples(
+        st.builds(Presentation, credential=credentials(), disclosed=tuples(openings))
+    )),
+    "TrustDecision": st.builds(TrustDecision, trusted=st.booleans(), reason=st.none() | texts),
+    "Error": st.builds(Error, reason=texts),
     "ScenarioActor": st.builds(ScenarioActor, name=texts, role=texts, did_method=texts,
                                owner=st.none() | texts),
     "ScenarioCredential": st.builds(ScenarioCredential, issuer=texts, subject=texts,

@@ -143,9 +143,9 @@ class TestSecrecy:
                     assert opening.value.encode() not in blob
         assert PASSPHRASE.encode() not in blob
 
-    def test_export_public_has_no_secret_bytes(self):
+    def test_public_document_has_no_secret_bytes(self):
         w, camera = populated_wallet()
-        exported = w.export_public(camera.did)
+        exported = w.current_document.to_bytes()
         for kp in w.keys.values():
             assert kp.secret not in exported
             assert kp.secret.hex().encode() not in exported
@@ -184,10 +184,6 @@ class TestContents:
         w.put_document(a.document)
         with pytest.raises(WalletError):
             w.put_document(b.document)
-
-    def test_missing_key_lookup(self):
-        with pytest.raises(WalletError):
-            Wallet().get_key("nope")
 
     def test_document_history_newest_last(self):
         w, camera = populated_wallet()
