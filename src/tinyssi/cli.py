@@ -83,9 +83,16 @@ class RevocationList:
     revoked: tuple[str, ...]
 
 
-def _load_revocations(path: str | None) -> RevocationRegistry | None:
-    if not path or not Path(path).exists():
-        return None
+@dataclass(frozen=True)
+class OpeningsFile:
+    """An openings file: a credential's id and the holder's openings of its claims."""
+
+    vc_id: str
+    openings: tuple[ClaimOpening, ...]
+
+
+def _load_revocations(path: str) -> RevocationRegistry:
+    """The revocation list in a file; a missing file raises OSError, never reads as empty."""
     stored = decode(RevocationList, from_canonical(Path(path).read_bytes()))
     registry = RevocationRegistry(stored.owner)
     for vc_id in stored.revoked:
@@ -189,11 +196,9 @@ def _parse_claims(pairs: list[str]) -> list[Claim]:
 
 def cmd_vc_issue(args) -> int:
     w = _unlock(args)
-    if w.current_document is None or w.owner_did is None:
-        return _fail(EXIT_VALIDATION, "issuer wallet holds no identity")
     sign_key = w.current_sign_key()
     if sign_key is None:
-        return _fail(EXIT_VALIDATION, "no current signing key in wallet")
+        return _fail(EXIT_VALIDATION, "issuer wallet holds no identity with a current signing key")
     try:
         subject = parse_did(args.subject)
         claims = _parse_claims(args.claim)
@@ -208,9 +213,7 @@ def cmd_vc_issue(args) -> int:
     except (DidError, CredentialError) as exc:
         return _fail(EXIT_VALIDATION, str(exc))
     Path(args.out).write_bytes(vc.to_bytes())
-    Path(args.openings_out).write_bytes(
-        canonical_bytes({"vc_id": vc.vc_id, "openings": encode(openings)})
-    )
+    Path(args.openings_out).write_bytes(canonical_bytes(encode(OpeningsFile(vc.vc_id, openings))))
     _emit({"vc_id": vc.vc_id, "credential_bytes": len(vc.to_bytes())})
     return EXIT_OK
 
@@ -220,8 +223,8 @@ def cmd_vc_verify(args) -> int:
         vc = VerifiableCredential.from_bytes(Path(args.vc).read_bytes())
     except CredentialError as exc:
         return _fail(EXIT_VERIFICATION, f"signature: {exc}")
-    resolver = _build_resolver(args)
-    verdict = verify_credential(vc, resolver, _load_revocations(args.revoked), _now())
+    revocations = _load_revocations(args.revoked) if args.revoked else None
+    verdict = verify_credential(vc, _build_resolver(args), revocations, _now())
     if not verdict:
         return _fail(EXIT_VERIFICATION, verdict.reason or "invalid")
     _emit({"verdict": "valid", "vc_id": vc.vc_id})
@@ -230,14 +233,17 @@ def cmd_vc_verify(args) -> int:
 
 def cmd_vc_present(args) -> int:
     try:
+        stored = decode(OpeningsFile, from_canonical(Path(args.openings).read_bytes()))
+    except EncodingError as exc:
+        return _fail(
+            EXIT_VALIDATION, f'openings file must hold a "vc_id" and an "openings" list: {exc}'
+        )
+    try:
         vc = VerifiableCredential.from_bytes(Path(args.vc).read_bytes())
-        stored = from_canonical(Path(args.openings).read_bytes())
-        entries = stored.get("openings") if isinstance(stored, dict) else None
-        if not isinstance(entries, list):
-            raise CredentialError('openings file must hold a mapping with an "openings" list')
-        openings = tuple(ClaimOpening.from_mapping(o) for o in entries)
-        presentation = present(vc, openings, args.disclose.split(","))
-    except (CredentialError, KeyError, ValueError) as exc:
+        if stored.vc_id != vc.vc_id:
+            raise CredentialError(f"openings file is for {stored.vc_id}, not {vc.vc_id}")
+        presentation = present(vc, stored.openings, args.disclose.split(","))
+    except CredentialError as exc:
         return _fail(EXIT_VALIDATION, str(exc))
     Path(args.out).write_bytes(presentation.to_bytes())
     _emit(
@@ -255,10 +261,8 @@ def cmd_vc_verify_presentation(args) -> int:
         presentation = Presentation.from_bytes(Path(args.presentation).read_bytes())
     except CredentialError as exc:
         return _fail(EXIT_VERIFICATION, f"signature: {exc}")
-    resolver = _build_resolver(args)
-    verdict = verify_presentation(
-        presentation, resolver, _load_revocations(args.revoked), _now()
-    )
+    revocations = _load_revocations(args.revoked) if args.revoked else None
+    verdict = verify_presentation(presentation, _build_resolver(args), revocations, _now())
     if not verdict:
         return _fail(EXIT_VERIFICATION, verdict.reason or "invalid")
     _emit(
@@ -272,15 +276,16 @@ def cmd_vc_verify_presentation(args) -> int:
 
 def cmd_vc_revoke(args) -> int:
     w = _unlock(args)
-    if w.owner_did is None:
-        return _fail(EXIT_VALIDATION, "issuer wallet holds no identity")
-    registry = _load_revocations(args.revoked) or RevocationRegistry(w.owner_did)
-    resolver = _build_resolver(args)
-    if w.owner_did.method == METHOD_PEER and w.current_document is not None:
-        resolver.store_peer(w.owner_did, w.current_document)
     sign_key = w.current_sign_key()
     if sign_key is None:
-        return _fail(EXIT_VALIDATION, "no current signing key in wallet")
+        return _fail(EXIT_VALIDATION, "issuer wallet holds no identity with a current signing key")
+    if Path(args.revoked).exists():
+        registry = _load_revocations(args.revoked)
+    else:
+        registry = RevocationRegistry(w.owner_did)
+    resolver = _build_resolver(args)
+    if w.owner_did.method == METHOD_PEER:
+        resolver.store_peer(w.owner_did, w.current_document)
     try:
         revoke(registry, sign_key, args.vc_id, resolver, _now())
     except CredentialError as exc:

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from . import crypto
 from .encoding import Record, canonical_bytes, encode
-from .identity import Did, PublicKeyEntry
+from .identity import Did
 from .resolver import ResolutionError, Resolver
 
 # Stable verdict reasons, also surfaced through the CLI.
@@ -234,10 +234,8 @@ def verify_credential(
         issuer_doc = resolver.resolve(vc.issuer, now)
     except ResolutionError as exc:
         return Verdict.invalid(f"{REASON_ISSUER_UNRESOLVED}: {exc}")
-    key = issuer_doc.find_key(vc.proof.verification_key_id)
+    key = issuer_doc.proof_key(vc.proof.verification_key_id)
     if key is None:
-        return Verdict.invalid(REASON_UNKNOWN_KEY)
-    if isinstance(key, PublicKeyEntry) and key.purpose != crypto.PURPOSE_SIGN:
         return Verdict.invalid(REASON_UNKNOWN_KEY)
     if not crypto.verify(key.public, vc.signing_payload(), vc.proof.signature):
         return Verdict.invalid(REASON_SIGNATURE)
@@ -304,12 +302,11 @@ def revoke(
     resolver: Resolver,
     now: int,
 ) -> None:
-    """Mark a credential revoked; only a current key of the owner may do this."""
+    """Mark a credential revoked; only a current signing key of the owner may do this."""
     try:
         owner_doc = resolver.resolve(registry.owner, now)
     except ResolutionError as exc:
         raise CredentialError(f"cannot resolve registry owner: {exc}") from exc
-    current = {k.public for k in owner_doc.public_keys}
-    if issuer_kp.public not in current:
+    if not owner_doc.authorizes(issuer_kp):
         raise CredentialError("revocation requires a current issuer key")
     registry.add(vc_id)

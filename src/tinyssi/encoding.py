@@ -44,7 +44,7 @@ def from_canonical(raw: bytes) -> Any:
         raise EncodingError(f"not canonical structured text: {exc}") from exc
 
 
-def from_hex(text: str, expected_len: int | None = None) -> bytes:
+def from_hex(text: str) -> bytes:
     if not isinstance(text, str):
         raise EncodingError(f"expected hex string, got {type(text).__name__}")
     try:
@@ -55,8 +55,6 @@ def from_hex(text: str, expected_len: int | None = None) -> bytes:
     # let two distinct byte strings decode to the same value.
     if raw.hex() != text:
         raise EncodingError(f"non-canonical hex: {text!r}")
-    if expected_len is not None and len(raw) != expected_len:
-        raise EncodingError(f"expected {expected_len} bytes, got {len(raw)}")
     return raw
 
 

@@ -245,7 +245,6 @@ def decide_trust(policy: TrustPolicy, presented: Sequence[Presentation]) -> Trus
 class SessionConfig:
     """Everything one side needs: identity, keys, resolution, and policy."""
 
-    did: Did
     document: DidDocument
     sign_key: crypto.KeyPair
     resolver: Resolver
@@ -255,6 +254,10 @@ class SessionConfig:
     disclose: tuple[str, ...] | None = None
     rng: Random | None = None
 
+    @property
+    def did(self) -> Did:
+        return self.document.id
+
     def random_bytes(self, n: int) -> bytes:
         if self.rng is not None:
             return self.rng.randbytes(n)
@@ -263,15 +266,11 @@ class SessionConfig:
     @classmethod
     def from_wallet(cls, wallet, resolver: Resolver, **kwargs) -> "SessionConfig":
         """Wire a config from a wallet: identity, current sign key, credentials."""
-        doc = wallet.current_document
-        if wallet.owner_did is None or doc is None:
-            raise HandshakeError("wallet holds no identity")
         sign_key = wallet.current_sign_key()
         if sign_key is None:
-            raise HandshakeError("wallet holds no current signing key")
+            raise HandshakeError("wallet holds no identity with a current signing key")
         return cls(
-            did=wallet.owner_did,
-            document=doc,
+            document=wallet.current_document,
             sign_key=sign_key,
             resolver=resolver,
             credentials=tuple(wallet.credentials.values()),
@@ -283,11 +282,9 @@ class HandshakeSession:
     """One side of one handshake; single-owner, driven by step()."""
 
     def __init__(self, role: str, config: SessionConfig):
-        # Only a current key signs; a retired one would fail the peer's check.
-        if all(k.key_id != config.sign_key.key_id for k in config.document.public_keys):
+        # Only a key my document authorizes signs; any other fails the peer's check.
+        if not config.document.authorizes(config.sign_key):
             raise HandshakeError("signing key is not a current key of my document")
-        if config.sign_key.purpose != crypto.PURPOSE_SIGN:
-            raise HandshakeError("handshake needs a signing key")
         self.role = role
         self.config = config
         self.state = State.INIT
@@ -420,8 +417,6 @@ class HandshakeSession:
                 doc = self.config.resolver.resolve(did, now)
             except ResolutionError:
                 return self._fail(FAIL_RESOLVE)
-        if not any(k.purpose == crypto.PURPOSE_SIGN for k in doc.public_keys):
-            return self._fail(FAIL_AUTH)
         self.peer_did, self.peer_document, self.peer_ephemeral = did, doc, hello.ephemeral
         self._transcript.update(raw)
         if self.role == crypto.ROLE_RESPONDER:
@@ -437,11 +432,7 @@ class HandshakeSession:
         """Accept AUTH (responder) or AUTH_ACK (initiator) and derive the session keys."""
         # The peer signed the transcript up to the message before this one,
         # with a current signing key of its document.
-        key = next(
-            (k for k in self.peer_document.public_keys
-             if k.key_id == auth.key_id and k.purpose == crypto.PURPOSE_SIGN),
-            None,
-        )
+        key = self.peer_document.signing_key(auth.key_id)
         if key is None or not crypto.verify(key.public, self.transcript_digest(), auth.signature):
             return self._fail(FAIL_AUTH)
         self._transcript.update(raw)

@@ -257,10 +257,14 @@ def _seed_int(*parts: Any) -> int:
 @dataclass
 class ProvisionedActor:
     spec: ScenarioActor
-    did: Did
     wallet: Wallet
     resolver: Resolver
     revocation: RevocationRegistry
+
+    @property
+    def did(self) -> Did:
+        """The DID of the identity the wallet was provisioned with."""
+        return self.wallet.owner_did
 
 
 class Deployment:
@@ -291,7 +295,6 @@ class Deployment:
         )
         return ProvisionedActor(
             spec=actor,
-            did=document.id,
             wallet=wallet,
             resolver=Resolver(self.registry),
             revocation=RevocationRegistry(document.id),

@@ -106,7 +106,8 @@ class DidDocument(_Record):
 
     Immutable; mutation operations return a new document with an incremented
     version. Retired keys are kept forever so proofs made against them stay
-    checkable.
+    checkable. The document is the signing authority for its DID: every other
+    module asks signing_key, authorizes or proof_key, and none reads the key lists.
     """
 
     id: Did
@@ -125,15 +126,20 @@ class DidDocument(_Record):
         if self.version < 1:
             raise DidError("version must be a positive integer")
 
-    def find_key(self, key_id: str) -> PublicKeyEntry | RetiredKey | None:
-        """Look up a key id among current and retired keys."""
-        for key in self.public_keys:
-            if key.key_id == key_id:
-                return key
-        for key in self.previous_keys:
-            if key.key_id == key_id:
-                return key
-        return None
+    def signing_key(self, key_id: str) -> PublicKeyEntry | None:
+        """The current signing key with this id, else None: who signs for the DID now."""
+        keys = (k for k in self.public_keys if k.key_id == key_id)
+        return next((k for k in keys if k.purpose == crypto.PURPOSE_SIGN), None)
+
+    def authorizes(self, kp: crypto.KeyPair) -> bool:
+        """kp is the current signing key it names: sign purpose, same public bytes."""
+        key = self.signing_key(kp.key_id)
+        return key is not None and kp.purpose == crypto.PURPOSE_SIGN and kp.public == key.public
+
+    def proof_key(self, key_id: str) -> PublicKeyEntry | RetiredKey | None:
+        """The key that checks a proof made in the past: a current signing key or a retired one."""
+        retired = (k for k in self.previous_keys if k.key_id == key_id)
+        return self.signing_key(key_id) or next(retired, None)
 
     def content_mapping(self) -> dict[str, Any]:
         """The document body without its id (the peer-method genesis form)."""
@@ -195,8 +201,6 @@ def rotate_key(
     remaining = tuple(k for k in doc.public_keys if k.key_id != old_key_id)
     if len(remaining) == len(doc.public_keys):
         raise DidError(f"no key {old_key_id!r} in document")
-    if doc.find_key(new_key.key_id) is not None:
-        raise DidError(f"key id {new_key.key_id!r} already present")
     old = next(k for k in doc.public_keys if k.key_id == old_key_id)
     return replace(
         doc,

@@ -1,7 +1,8 @@
 """DID resolution: emulated verifiable data registry, peer store, TTL cache.
 
 The registry stands in for a ledger: an in-process, signature-gated version
-history per DID. Updates must be signed by a key present in the immediately
+history per DID. A genesis version must be signed by a signing key of its
+own document, and an update by a current signing key of the immediately
 preceding version. Resolution goes through a per-device cache so constrained
 devices touch the registry once per TTL window; peer-method documents live in
 a local store and are re-checked against their self-certifying id on every
@@ -67,8 +68,8 @@ class Registry:
     """In-process stand-in for a ledger of DID documents.
 
     Consensus is out of scope; what is kept is the security property the rest
-    of the stack needs: every update is signed by a key of the previous
-    version, and versions per DID strictly increase.
+    of the stack needs: every version is signed by a key the authorizing
+    document lists for signing, and versions per DID strictly increase.
     """
 
     def __init__(self) -> None:
@@ -78,31 +79,27 @@ class Registry:
         self.read_count = 0
 
     def register(self, doc: DidDocument, controller_kp: crypto.KeyPair) -> None:
-        doc_bytes = doc.to_bytes()
-        signature = crypto.sign(controller_kp, doc_bytes)
+        """Sign doc with controller_kp and append it, if its authorizing version authorizes the key.
+
+        A genesis version authorizes its own signer; an update, the version before it.
+        """
         did_text = format_did(doc.id)
         with self._lock:
-            history = self._entries.get(did_text)
-            if history:
-                latest = history[-1]
-                if doc.version <= latest.version:
-                    raise RegistryError(
-                        f"version conflict: {doc.version} <= registered {latest.version}"
-                    )
-                previous = DidDocument.from_bytes(latest.document)
-                authorized = {k.public for k in previous.public_keys}
-                if controller_kp.public not in authorized:
-                    raise RegistryError("update not signed by a key of the previous version")
-            else:
-                history = self._entries.setdefault(did_text, [])
-            history.append(
-                RegistryRecord(
-                    document=doc_bytes,
-                    version=doc.version,
-                    signature=signature,
-                    signed_by=controller_kp.key_id,
+            history = self._entries.get(did_text, [])
+            if history and doc.version <= history[-1].version:
+                raise RegistryError(
+                    f"version conflict: {doc.version} <= registered {history[-1].version}"
                 )
-            )
+            authority = DidDocument.from_bytes(history[-1].document) if history else doc
+            if not authority.authorizes(controller_kp):
+                raise RegistryError(
+                    f"{controller_kp.key_id!r} is not a current signing key of "
+                    + ("the previous version" if history else "the genesis document")
+                )
+            doc_bytes = doc.to_bytes()
+            signature = crypto.sign(controller_kp, doc_bytes)
+            history.append(RegistryRecord(doc_bytes, doc.version, signature, controller_kp.key_id))
+            self._entries[did_text] = history
             self.write_count += 1
 
     def lookup(self, did: Did) -> DidDocument:

@@ -91,13 +91,16 @@ class _Payload:
 class Wallet:
     """In-memory wallet; persisted with save() and opened with unlock()."""
 
-    owner_did: Did | None = None
     keys: dict[str, crypto.KeyPair] = field(default_factory=dict)
     documents: list[DidDocument] = field(default_factory=list)
     credentials: dict[str, StoredCredential] = field(default_factory=dict)
-    format: int = FORMAT_VERSION
 
     # -- contents -----------------------------------------------------------
+
+    @property
+    def owner_did(self) -> Did | None:
+        """My DID: the id of my documents, None before I have one."""
+        return self.documents[0].id if self.documents else None
 
     def put_key(self, kp: crypto.KeyPair) -> None:
         if kp.key_id in self.keys:
@@ -106,9 +109,7 @@ class Wallet:
 
     def put_document(self, doc: DidDocument) -> None:
         """Append a version of my own document; newest last."""
-        if self.owner_did is None:
-            self.owner_did = doc.id
-        elif doc.id != self.owner_did:
+        if self.documents and doc.id != self.owner_did:
             raise WalletError("wallet holds documents for one identity only")
         self.documents.append(doc)
 
@@ -117,16 +118,9 @@ class Wallet:
         return self.documents[-1] if self.documents else None
 
     def current_sign_key(self) -> crypto.KeyPair | None:
-        """The signing key my current document lists; retired keys never qualify."""
+        """A key pair my current document authorizes to sign; retired keys never qualify."""
         doc = self.current_document
-        if doc is None:
-            return None
-        current = {entry.key_id for entry in doc.public_keys}
-        return next(
-            (k for k in self.keys.values()
-             if k.purpose == crypto.PURPOSE_SIGN and k.key_id in current),
-            None,
-        )
+        return next((k for k in self.keys.values() if doc and doc.authorizes(k)), None)
 
     def create_identity(
         self, sign_key: crypto.KeyPair, agree_key: crypto.KeyPair, method: str,
@@ -138,7 +132,7 @@ class Wallet:
         A reg identity is registered, signed by its own key, before the wallet
         takes the keys and the document; a RegistryError leaves it unchanged.
         """
-        if self.owner_did is not None:
+        if self.documents:
             raise WalletError("wallet already holds an identity")
         keys = (
             PublicKeyEntry(sign_key.key_id, crypto.PURPOSE_SIGN, sign_key.public),
@@ -170,7 +164,7 @@ class Wallet:
         refuse every later version.
         """
         doc, old_key = self.current_document, self.current_sign_key()
-        if doc is None or old_key is None:
+        if old_key is None:
             raise WalletError("no rotatable signing key in wallet")
         if doc.id.method == METHOD_PEER:
             raise WalletError("a peer identity cannot rotate its keys")
@@ -203,7 +197,7 @@ class Wallet:
             keys=tuple(k for _, k in sorted(self.keys.items())),
             documents=tuple(self.documents),
             credentials=tuple(sc for _, sc in sorted(self.credentials.items())),
-            version=self.format,
+            version=FORMAT_VERSION,
         ))
 
     @classmethod
@@ -212,13 +206,18 @@ class Wallet:
             payload = decode(_Payload, mapping)
         except EncodingError as exc:
             raise WalletIntegrityError(f"malformed wallet payload: {exc}") from exc
-        return cls(
-            owner_did=payload.owner_did,
+        if payload.version != FORMAT_VERSION:
+            raise WalletIntegrityError(f"unsupported wallet payload version {payload.version}")
+        wallet = cls(
             keys={k.key_id: k for k in payload.keys},
             documents=list(payload.documents),
             credentials={sc.credential.vc_id: sc for sc in payload.credentials},
-            format=payload.version,
         )
+        # The stored owner_did is a copy; the documents are the source.
+        owner = wallet.owner_did
+        if payload.owner_did != owner or any(doc.id != owner for doc in wallet.documents):
+            raise WalletIntegrityError("wallet payload's owner_did is not its documents' id")
+        return wallet
 
     def save(self, path: str | os.PathLike, passphrase: str) -> None:
         salt = os.urandom(16)

@@ -79,7 +79,6 @@ def give_owner_credential(owner: Actor, device: Actor, rng_seed: int,
 
 def owner_match_config(device: Actor, owner: Actor, rng_seed: int) -> SessionConfig:
     return SessionConfig(
-        did=device.did,
         document=device.document,
         sign_key=device.sign_key,
         resolver=device.resolver,

@@ -234,6 +234,19 @@ class TestVcCommands:
         assert code == 2
         assert '"openings" list' in out["error"]["reason"]
 
+    def test_present_with_another_credentials_openings(self, issuer, tmp_path, capsys):
+        vc_path, _, vc_id = self._issue(issuer, tmp_path, capsys)
+        other = tmp_path / "other"
+        other.mkdir()
+        _, other_openings, other_id = self._issue(issuer, other, capsys)
+        code, out = run(
+            capsys, "vc", "present", "--vc", str(vc_path),
+            "--openings", str(other_openings), "--disclose", "type",
+            "--out", str(tmp_path / "subset.vp"),
+        )
+        assert code == 2, out
+        assert out["error"]["reason"] == f"openings file is for {other_id}, not {vc_id}"
+
     def test_revoke_then_verify_fails(self, issuer, tmp_path, capsys):
         wallet, did, doc_path = issuer
         vc_path, _, vc_id = self._issue(issuer, tmp_path, capsys)
@@ -249,6 +262,29 @@ class TestVcCommands:
         )
         assert code == 3
         assert out["error"]["reason"] == "revoked"
+
+    def test_presentation_of_revoked_credential_with_misspelt_list_fails_closed(
+        self, issuer, tmp_path, capsys
+    ):
+        wallet, did, doc_path = issuer
+        vc_path, openings_path, vc_id = self._issue(issuer, tmp_path, capsys)
+        code, _ = run(
+            capsys, "vc", "revoke", "--wallet", str(wallet), "--passphrase", PASS,
+            "--vc-id", vc_id, "--revoked", str(tmp_path / "rev.json"),
+        )
+        assert code == 0
+        vp_path = tmp_path / "subset.vp"
+        code, _ = run(
+            capsys, "vc", "present", "--vc", str(vc_path),
+            "--openings", str(openings_path), "--disclose", "type", "--out", str(vp_path),
+        )
+        assert code == 0
+        code, out = run(
+            capsys, "vc", "verify-presentation", str(vp_path), "--peer-doc", str(doc_path),
+            "--revoked", str(tmp_path / "typo.json"),
+        )
+        assert code == 2, out
+        assert "typo.json" in out["error"]["reason"]
 
 
 class TestSimCommands:
@@ -390,12 +426,13 @@ class TestMalformedFiles:
         assert "bad registry snapshot" in out["error"]["reason"]
 
     @pytest.mark.parametrize("content", [
-        b"[]", b"not json", b'{"owner":"did:peer:1","revoked":[7]}',
-    ], ids=["list", "not-json", "revoked-integer"])
+        b"[]", b"not json", b'{"owner":"did:peer:1","revoked":[7]}', None,
+    ], ids=["list", "not-json", "revoked-integer", "missing"])
     def test_revocation_list(self, content, issuer, tmp_path, capsys):
         vc_path, _, _ = TestVcCommands()._issue(issuer, tmp_path, capsys)
         revoked = tmp_path / "revoked.json"
-        revoked.write_bytes(content)
+        if content is not None:
+            revoked.write_bytes(content)
         code, out = run(
             capsys, "vc", "verify", str(vc_path), "--peer-doc", str(issuer[2]),
             "--revoked", str(revoked),

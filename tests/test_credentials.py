@@ -314,6 +314,22 @@ class TestRevocation:
         with pytest.raises(CredentialError):
             revoke(registry, outsider, "vc:deadbeef", resolver, NOW)
 
+    def test_owner_agreement_key_cannot_revoke(self):
+        sign_kp = crypto.keygen(crypto.PURPOSE_SIGN, seed=(1).to_bytes(32, "big"))
+        agree_kp = crypto.keygen(crypto.PURPOSE_AGREE, seed=(2).to_bytes(32, "big"))
+        issuer, doc = generate_peer_did((
+            PublicKeyEntry(sign_kp.key_id, crypto.PURPOSE_SIGN, sign_kp.public),
+            PublicKeyEntry(agree_kp.key_id, crypto.PURPOSE_AGREE, agree_kp.public),
+        ))
+        resolver = Resolver()
+        resolver.store_peer(issuer, doc)
+        registry = RevocationRegistry(issuer)
+        with pytest.raises(CredentialError):
+            revoke(registry, agree_kp, "vc:deadbeef", resolver, NOW)
+        assert registry.revoked == frozenset()
+        revoke(registry, sign_kp, "vc:deadbeef", resolver, NOW)
+        assert registry.revoked == {"vc:deadbeef"}
+
     def test_registry_is_append_only(self):
         registry = RevocationRegistry(subject_did())
         registry.add("vc:1")

@@ -185,7 +185,7 @@ class TestHonestRun:
         registry = Registry()
         actor = build_actor("regdev", 5, registry, method="reg")
         cfg = SessionConfig(
-            did=actor.did, document=actor.document, sign_key=actor.sign_key,
+            document=actor.document, sign_key=actor.sign_key,
             resolver=actor.resolver, policy=AlwaysTrust(),
         )
         _, hello = initiate(cfg, now=NOW)
@@ -220,6 +220,18 @@ class TestHonestRun:
         with pytest.raises(HandshakeError):
             initiate(cfg_i, now=NOW)
 
+    def test_key_pair_with_a_listed_id_but_other_bytes_rejected_at_initiate(self, household):
+        cfg_i, _, _ = household_configs(household)
+        cfg_i.sign_key = crypto.keygen(crypto.PURPOSE_SIGN, key_id=cfg_i.sign_key.key_id)
+        with pytest.raises(HandshakeError, match="current key"):
+            initiate(cfg_i, now=NOW)
+
+    def test_config_did_is_its_document_id(self, household):
+        cfg_i, cfg_r, _ = household_configs(household)
+        assert cfg_i.did == cfg_i.document.id
+        with pytest.raises(AttributeError):
+            cfg_i.did = cfg_r.did
+
     def test_retired_signing_key_rejected_at_initiate(self):
         registry = Registry()
         alice = build_actor("alice", 1, registry, method="reg")
@@ -231,7 +243,7 @@ class TestHonestRun:
             now=NOW,
         )
         registry.register(cam.document, cam.sign_key)
-        assert cam.document.find_key(cam.sign_key.key_id) is not None  # listed as retired
+        assert cam.document.proof_key(cam.sign_key.key_id) is not None  # listed as retired
         with pytest.raises(HandshakeError, match="current key"):
             initiate(owner_match_config(cam, alice, 100), now=NOW)
         cam.sign_key = new_key

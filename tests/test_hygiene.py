@@ -9,6 +9,11 @@ module has `from __future__ import annotations`).
 handshake.py reads every wire field through `encoding.decode` of its message
 record, so it calls none of the hand parsers (`from_hex`, `parse_did`, any
 `from_mapping`).
+
+Only identity.py reads a document's key lists (`.public_keys`,
+`.previous_keys`). Every other module asks the document who may sign for it
+(`signing_key`, `authorizes`, `proof_key`), so the signing-authority rule has
+one implementation.
 """
 
 import ast
@@ -78,3 +83,29 @@ def test_checker_flags_hand_parsing():
         "d = decode(Hello, body)\n"
     )
     assert hand_parser_calls(source) == {"from_hex", "parse_did", "from_mapping"}
+
+
+KEY_LISTS = frozenset({"public_keys", "previous_keys"})
+
+
+def key_list_reads(source: str) -> set[str]:
+    """The document key lists a module reads as attributes."""
+    return {
+        node.attr for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in KEY_LISTS
+    }
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "identity.py"])
+def test_only_identity_reads_document_key_lists(module):
+    assert key_list_reads((PACKAGE / module).read_text(encoding="utf-8")) == set()
+
+
+def test_checker_flags_key_list_reads():
+    source = (
+        "a = {k.public for k in doc.public_keys}\n"
+        "b = next(k for k in self.peer_document.previous_keys)\n"
+    )
+    assert key_list_reads(source) == {"public_keys", "previous_keys"}
+    # Building a document by keyword, or asking it, reads no key list.
+    assert key_list_reads("c = DidDocument(id=did, public_keys=keys).signing_key(k)\n") == set()

@@ -294,6 +294,6 @@ class TestValidation:
         doc = _sample_document(1, 0)
         old = doc.public_keys[0]
         rotated = rotate_key(doc, old.key_id, _key_entry(9), now=5)
-        found = rotated.find_key(old.key_id)
+        found = rotated.proof_key(old.key_id)
         assert isinstance(found, RetiredKey)
         assert found.public == old.public

@@ -209,7 +209,7 @@ def test_round_trip(name, data):
 @given(doc=documents(), vc=credentials(), key_pairs=st.lists(RECORDS["KeyPair"], max_size=3))
 def test_wallet_payload_and_registry_snapshot_round_trip(doc, vc, key_pairs):
     wallet = Wallet(
-        owner_did=doc.id, keys={k.key_id: k for k in key_pairs}, documents=[doc],
+        keys={k.key_id: k for k in key_pairs}, documents=[doc],
         credentials={vc.vc_id: StoredCredential(vc, ())},
     )
     payload = wallet._payload()

@@ -1,5 +1,6 @@
 """Registry writes, cached resolution, and peer-document self-certification."""
 
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -30,6 +31,14 @@ def reg_identity(seed: int = 1):
     did = registered_did_for(kp.public, f"actor-{seed}")
     doc = DidDocument(id=did, public_keys=(entry,))
     return kp, did, doc
+
+
+def reg_identity_with_agreement_key(seed: int = 1):
+    """A reg identity whose document also lists an agreement key."""
+    kp, did, doc = reg_identity(seed)
+    agree = crypto.keygen(crypto.PURPOSE_AGREE, seed=(seed + 100).to_bytes(32, "big"))
+    entry = PublicKeyEntry(agree.key_id, crypto.PURPOSE_AGREE, agree.public)
+    return kp, agree, did, replace(doc, public_keys=doc.public_keys + (entry,))
 
 
 def peer_identity(seed: int = 2):
@@ -78,6 +87,37 @@ class TestRegistry:
         with pytest.raises(RegistryError):
             registry.register(v3, kp)
         registry.register(v3, new_kp)
+
+    @pytest.mark.parametrize("signer", ["outsider", "own-agreement-key", "listed-id-other-bytes"])
+    def test_genesis_signed_by_a_key_its_document_does_not_authorize(self, signer):
+        registry = Registry()
+        kp, agree, did, doc = reg_identity_with_agreement_key()
+        signers = {
+            "outsider": crypto.keygen(crypto.PURPOSE_SIGN, seed=bytes(31) + b"\x09"),
+            "own-agreement-key": agree,
+            "listed-id-other-bytes": crypto.keygen(
+                crypto.PURPOSE_SIGN, seed=bytes(31) + b"\x09", key_id=kp.key_id
+            ),
+        }
+        with pytest.raises(RegistryError):
+            registry.register(doc, signers[signer])
+        with pytest.raises(DidNotFound):
+            registry.lookup(did)
+        assert registry.snapshot() == Registry().snapshot()
+        registry.register(doc, kp)
+
+    def test_update_signed_by_agreement_key_of_previous_version_rejected(self):
+        registry = Registry()
+        kp, agree, did, doc = reg_identity_with_agreement_key()
+        registry.register(doc, kp)
+        new_kp = crypto.keygen(crypto.PURPOSE_SIGN)
+        v2 = rotate_key(
+            doc, kp.key_id,
+            PublicKeyEntry(new_kp.key_id, crypto.PURPOSE_SIGN, new_kp.public), now=5,
+        )
+        with pytest.raises(RegistryError):
+            registry.register(v2, agree)
+        assert registry.lookup(did) == doc
 
     def test_version_conflict_rejected(self):
         registry = Registry()

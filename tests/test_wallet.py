@@ -76,6 +76,18 @@ class TestRoundtrip:
         with pytest.raises(WalletIntegrityError):
             Wallet.unlock(path, PASSPHRASE)
 
+    @pytest.mark.parametrize("fields", [
+        {"version": 2},
+        {"owner_did": "did:peer:2other"},
+        {"owner_did": None},
+        {"documents": []},
+    ], ids=["version-2", "other-owner", "no-owner", "owner-without-documents"])
+    def test_payload_owner_and_version_checked(self, fields):
+        w, _ = populated_wallet()
+        Wallet._from_payload(w._payload())
+        with pytest.raises(WalletIntegrityError):
+            Wallet._from_payload(dict(w._payload(), **fields))
+
     def test_not_a_wallet_rejected(self, tmp_path):
         path = tmp_path / "w.wallet"
         path.write_bytes(b"\x00" * 100)
