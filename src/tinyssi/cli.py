@@ -100,6 +100,22 @@ def _load_revocations(path: str) -> RevocationRegistry:
     return registry
 
 
+def _issuer_revocations(path: str | None, issuer: Did) -> RevocationRegistry | None:
+    """The --revoked list for a credential of `issuer`, if one is named.
+
+    A list revokes only what its owner issued, so a list kept by anyone else
+    could never revoke this credential: it is refused, like a missing file.
+    """
+    if not path:
+        return None
+    registry = _load_revocations(path)
+    if registry.owner != issuer:
+        raise CredentialError(
+            f"revocation list {path} is kept by {registry.owner}, not by the issuer {issuer}"
+        )
+    return registry
+
+
 def _save_revocations(path: str, registry: RevocationRegistry) -> None:
     stored = RevocationList(registry.owner, tuple(sorted(registry.revoked)))
     Path(path).write_bytes(canonical_bytes(encode(stored)))
@@ -223,7 +239,7 @@ def cmd_vc_verify(args) -> int:
         vc = VerifiableCredential.from_bytes(Path(args.vc).read_bytes())
     except CredentialError as exc:
         return _fail(EXIT_VERIFICATION, f"signature: {exc}")
-    revocations = _load_revocations(args.revoked) if args.revoked else None
+    revocations = _issuer_revocations(args.revoked, vc.issuer)
     verdict = verify_credential(vc, _build_resolver(args), revocations, _now())
     if not verdict:
         return _fail(EXIT_VERIFICATION, verdict.reason or "invalid")
@@ -261,7 +277,7 @@ def cmd_vc_verify_presentation(args) -> int:
         presentation = Presentation.from_bytes(Path(args.presentation).read_bytes())
     except CredentialError as exc:
         return _fail(EXIT_VERIFICATION, f"signature: {exc}")
-    revocations = _load_revocations(args.revoked) if args.revoked else None
+    revocations = _issuer_revocations(args.revoked, presentation.credential.issuer)
     verdict = verify_presentation(presentation, _build_resolver(args), revocations, _now())
     if not verdict:
         return _fail(EXIT_VERIFICATION, verdict.reason or "invalid")

@@ -155,7 +155,11 @@ class StoredCredential(_Record):
 
 
 class RevocationRegistry:
-    """Append-only set of revoked credential ids, owned by one issuer."""
+    """Append-only set of revoked credential ids, owned by one issuer.
+
+    It revokes only credentials its owner issued; for any other credential
+    it holds no authority and verification ignores it.
+    """
 
     def __init__(self, owner: Did):
         self.owner = owner
@@ -243,7 +247,7 @@ def verify_credential(
         return Verdict.invalid(REASON_NOT_YET_VALID)
     if now >= vc.expires_at:
         return Verdict.invalid(REASON_EXPIRED)
-    if registry is not None and vc.vc_id in registry:
+    if registry is not None and registry.owner == vc.issuer and vc.vc_id in registry:
         return Verdict.invalid(REASON_REVOKED)
     return Verdict.valid()
 

@@ -1,18 +1,31 @@
-"""Canonical byte encoding shared by documents, credentials, and handshake messages.
+"""The two byte forms of every record: canonical JSON, and the compact wire form.
 
 Canonical form is UTF-8 JSON with lexicographically sorted keys, no
 insignificant whitespace, and arrays kept in insertion order. Binary fields
 are lowercase hex strings. Serializing the same value twice is byte-identical,
-which is what self-certifying identifiers and signatures rely on.
+which is what self-certifying identifiers and signatures rely on: canonical
+JSON is the form that is signed, hashed and stored.
 
-Records (dataclasses: documents, credentials, wallet and registry contents)
-map to canonical form through their fields alone. `encode` writes each field
-under its own name: bytes as lowercase hex, a type with a `from_text`
-constructor (a DID) as its text, tuples and lists as arrays, nested records
-as mappings. `decode` reads it back strictly: exactly the declared fields,
-each of its declared type (`bool` is not `int`). A record's constructor
-signals a broken invariant with a ValueError, which decoding reports as an
-EncodingError. The decoder for each type is built once and cached.
+Wire form is deterministic CBOR (RFC 8949 section 4.2), the form handshake
+messages travel in. A record is an array of its fields in declared order,
+with no names; bytes travel raw as a byte string; a type with a `from_wire`
+constructor (a DID) is the byte string its `to_wire` writes. Integers and
+lengths take the shortest head, a float the shortest width that keeps its
+value, map keys are text in the order of their encoded bytes, and None and
+bools are the CBOR simple values. `from_cbor` accepts exactly these bytes:
+no tags, no indefinite lengths, no trailing bytes, valid UTF-8 only.
+
+Records (dataclasses: documents, credentials, wallet and registry contents,
+handshake messages) map to both forms through their fields alone, by one plan
+per type and form, built once from `typing.get_type_hints` and cached.
+`encode` writes the canonical form, each field under its own name: bytes as
+lowercase hex, a type with a `from_text` constructor (a DID) as its text,
+tuples and lists as arrays, nested records as mappings. `pack` writes the
+wire form. `decode` and `unpack` read them back strictly: exactly the
+declared fields, each of its declared type (`bool` is not `int`). A record's
+constructor signals a broken invariant with a ValueError, which decoding
+reports as an EncodingError. A wire decode gives the identical record, so its
+canonical bytes, and every digest and signature over them, do not change.
 """
 
 from __future__ import annotations
@@ -20,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import struct
 import types
 import typing
 from typing import Any, Callable
@@ -60,7 +74,7 @@ def from_hex(text: str) -> bytes:
 
 # Bitcoin base58 alphabet: no 0/O/I/l, URL-safe.
 _B58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
-_B58_CHARS = frozenset(_B58_ALPHABET)
+_B58_VALUES = {char: value for value, char in enumerate(_B58_ALPHABET)}
 
 
 def base58_encode(raw: bytes) -> str:
@@ -73,8 +87,182 @@ def base58_encode(raw: bytes) -> str:
     return "1" * pad + encoded
 
 
+def base58_decode(text: str) -> bytes:
+    """The bytes that base58_encode wrote as `text`; text must be base58."""
+    n = 0
+    for char in text:
+        n = n * 58 + _B58_VALUES[char]
+    pad = len(text) - len(text.lstrip("1"))
+    return bytes(pad) + n.to_bytes((n.bit_length() + 7) // 8, "big")
+
+
 def is_base58(text: str) -> bool:
-    return bool(text) and _B58_CHARS.issuperset(text)
+    return bool(text) and _B58_VALUES.keys() >= set(text)
+
+
+# ---------------------------------------------------------------------------
+# Deterministic CBOR (RFC 8949 section 4.2)
+# ---------------------------------------------------------------------------
+
+_UINT, _NEGINT, _BYTES, _TEXT, _ARRAY, _MAP, _TAG, _SIMPLE = range(8)
+_FALSE, _TRUE, _NULL = 20, 21, 22
+# The least argument each head size (additional information 24..27) may carry.
+_HEAD_MIN = {24: 24, 25: 1 << 8, 26: 1 << 16, 27: 1 << 32}
+_FLOAT_FORMATS = {25: ">e", 26: ">f", 27: ">d"}
+
+
+def cbor_bytes(value: Any) -> bytes:
+    """The deterministic CBOR of a value made of None, bool, int, float, bytes,
+    str, lists (or tuples) and str-keyed dicts."""
+    out = bytearray()
+    _write(out, value)
+    return bytes(out)
+
+
+def _head(out: bytearray, major: int, n: int) -> None:
+    """The shortest head of a major type and its argument n."""
+    if n < 24:
+        out.append(major << 5 | n)
+        return
+    for info in _HEAD_MIN:
+        size = 1 << (info - 24)
+        if n >> (8 * size) == 0:
+            out.append(major << 5 | info)
+            out += n.to_bytes(size, "big")
+            return
+    raise EncodingError(f"integer {n} does not fit a CBOR head")
+
+
+def _float_item(x: float) -> bytes:
+    """A float at the narrowest width that keeps its value (NaN as 0xf97e00)."""
+    if x != x:
+        return b"\xf9\x7e\x00"
+    for info, fmt in _FLOAT_FORMATS.items():
+        try:
+            raw = struct.pack(fmt, x)
+        except OverflowError:
+            continue
+        if struct.unpack(fmt, raw)[0] == x:
+            return bytes([_SIMPLE << 5 | info]) + raw
+    raise AssertionError("a float always fits 64 bits")
+
+
+def _write(out: bytearray, value: Any) -> None:
+    kind = type(value)
+    if kind is bytes:
+        _head(out, _BYTES, len(value))
+        out += value
+    elif kind is str:
+        raw = value.encode("utf-8")
+        _head(out, _TEXT, len(raw))
+        out += raw
+    elif kind is int:
+        if value >= 0:
+            _head(out, _UINT, value)
+        else:
+            _head(out, _NEGINT, -1 - value)
+    elif kind is list or kind is tuple:
+        _head(out, _ARRAY, len(value))
+        for item in value:
+            _write(out, item)
+    elif kind is dict:
+        keys = {}
+        for key in value:
+            if type(key) is not str:
+                raise EncodingError(f"map keys must be text, got {type(key).__name__}")
+            keys[cbor_bytes(key)] = key
+        _head(out, _MAP, len(keys))
+        for raw_key in sorted(keys):
+            out += raw_key
+            _write(out, value[keys[raw_key]])
+    elif value is None:
+        out.append(_SIMPLE << 5 | _NULL)
+    elif kind is bool:
+        out.append(_SIMPLE << 5 | (_TRUE if value else _FALSE))
+    elif kind is float:
+        out += _float_item(value)
+    else:
+        raise EncodingError(f"no CBOR form for {kind.__name__}")
+
+
+def from_cbor(raw: bytes) -> Any:
+    """Parse exactly one deterministic CBOR item; anything else is an EncodingError."""
+    raw = bytes(raw)
+    try:
+        value, end = _read_item(raw, 0)
+    except RecursionError as exc:
+        raise EncodingError("CBOR nested too deeply") from exc
+    if end != len(raw):
+        raise EncodingError(f"{len(raw) - end} trailing bytes after the CBOR item")
+    return value
+
+
+def _take(raw: bytes, at: int, n: int) -> int:
+    """Where n bytes from `at` end; they must all be there."""
+    end = at + n
+    if end > len(raw):
+        raise EncodingError("truncated CBOR")
+    return end
+
+
+def _read_item(raw: bytes, at: int) -> tuple[Any, int]:
+    """The item at `at` and where it ends."""
+    _take(raw, at, 1)
+    initial = raw[at]
+    major, info, at = initial >> 5, initial & 0x1F, at + 1
+    if major == _SIMPLE:
+        return _read_simple(raw, at, info)
+    if info < 24:
+        n = info
+    elif info in _HEAD_MIN:
+        end = _take(raw, at, 1 << (info - 24))
+        n, at = int.from_bytes(raw[at:end], "big"), end
+        if n < _HEAD_MIN[info]:
+            raise EncodingError(f"non-shortest CBOR head for {n}")
+    else:
+        raise EncodingError(f"indefinite length or reserved CBOR head 0x{initial:02x}")
+    if major == _UINT:
+        return n, at
+    if major == _NEGINT:
+        return -1 - n, at
+    if major in (_BYTES, _TEXT):
+        end = _take(raw, at, n)
+        if major == _BYTES:
+            return raw[at:end], end
+        try:
+            return raw[at:end].decode("utf-8"), end
+        except UnicodeDecodeError as exc:
+            raise EncodingError(f"invalid UTF-8 in CBOR text: {exc}") from exc
+    if major == _ARRAY:
+        items = []
+        for _ in range(n):
+            item, at = _read_item(raw, at)
+            items.append(item)
+        return items, at
+    if major == _MAP:
+        mapping, last = {}, b""
+        for _ in range(n):
+            key, end = _read_item(raw, at)
+            if type(key) is not str:
+                raise EncodingError(f"CBOR map key must be text, got {type(key).__name__}")
+            if raw[at:end] <= last:
+                raise EncodingError(f"CBOR map keys out of order or repeated at {key!r}")
+            last = raw[at:end]
+            mapping[key], at = _read_item(raw, end)
+        return mapping, at
+    raise EncodingError("CBOR tags are not part of the wire form")
+
+
+def _read_simple(raw: bytes, at: int, info: int) -> tuple[Any, int]:
+    if info in (_FALSE, _TRUE, _NULL):
+        return (False, True, None)[info - _FALSE], at
+    if info not in _FLOAT_FORMATS:
+        raise EncodingError(f"CBOR simple value {info} is not part of the wire form")
+    end = _take(raw, at, 1 << (info - 24))
+    value = struct.unpack(_FLOAT_FORMATS[info], raw[at:end])[0]
+    if _float_item(value) != raw[at - 1 : end]:
+        raise EncodingError(f"non-shortest CBOR float for {value}")
+    return value, end
 
 
 # ---------------------------------------------------------------------------
@@ -83,29 +271,46 @@ def is_base58(text: str) -> bool:
 
 def encode(value: Any) -> Any:
     """The canonical form of a record, or of any value a record field holds."""
-    encoder = _encoder(type(value))
-    return value if encoder is None else encoder(value)
+    return _laid_out(value, False)
+
+
+def pack(value: Any) -> bytes:
+    """The wire bytes of a record, or of any value a record field holds."""
+    return cbor_bytes(_laid_out(value, True))
+
+
+def _laid_out(value: Any, wire: bool) -> Any:
+    layout = _encoder(type(value), wire)
+    return value if layout is None else layout(value)
 
 
 @functools.cache
-def _encoder(tp: Any) -> Callable[[Any], Any] | None:
-    """How a value declared as `tp` is written; None when it is its own canonical form."""
+def _encoder(tp: Any, wire: bool) -> Callable[[Any], Any] | None:
+    """How a value declared as `tp` is laid out in canonical (or, if `wire`, wire)
+    form; None when it is its own layout."""
     origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
     if origin in (types.UnionType, typing.Union):
-        return encode
+        return functools.partial(_laid_out, wire=wire)
     if origin in (tuple, list):
-        item = _encoder(args[0]) if args else encode
+        item = _encoder(args[0], wire) if args else functools.partial(_laid_out, wire=wire)
         return list if item is None else lambda items: [item(v) for v in items]
     if origin is dict:
-        item = _encoder(args[1]) if args else encode
+        item = _encoder(args[1], wire) if args else functools.partial(_laid_out, wire=wire)
         return dict if item is None else lambda mapping: {k: item(v) for k, v in mapping.items()}
     if tp is bytes:
-        return bytes.hex
-    if hasattr(tp, "from_text"):
+        return None if wire else bytes.hex
+    if wire and hasattr(tp, "from_wire"):
+        return lambda value: _construct(value.to_wire)
+    if not wire and hasattr(tp, "from_text"):
         return str
     if dataclasses.is_dataclass(tp):
         hints = typing.get_type_hints(tp)
-        plan = [(f.name, _encoder(hints[f.name])) for f in dataclasses.fields(tp)]
+        plan = [(f.name, _encoder(hints[f.name], wire)) for f in dataclasses.fields(tp)]
+        if wire:
+            return lambda record: [
+                getattr(record, name) if write is None else write(getattr(record, name))
+                for name, write in plan
+            ]
         return lambda record: {
             name: getattr(record, name) if write is None else write(getattr(record, name))
             for name, write in plan
@@ -117,34 +322,42 @@ def _encoder(tp: Any) -> Callable[[Any], Any] | None:
 
 def decode(tp: Any, value: Any) -> Any:
     """Read a canonical value back as type `tp`; raises EncodingError."""
-    return _decoder(tp)(value)
+    return _decoder(tp, False)(value)
+
+
+def unpack(tp: Any, raw: bytes) -> Any:
+    """Read wire bytes back as type `tp`; raises EncodingError."""
+    return _decoder(tp, True)(from_cbor(raw))
 
 
 @functools.cache
-def _decoder(tp: Any) -> Callable[[Any], Any]:
-    """How a canonical value is read back as `tp`; a bad value raises EncodingError."""
+def _decoder(tp: Any, wire: bool) -> Callable[[Any], Any]:
+    """How a canonical (or, if `wire`, a parsed wire) value is read back as `tp`;
+    a bad value raises EncodingError."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (types.UnionType, typing.Union):
-        return _union_decoder(tp, [_decoder(arg) for arg in args])
+        return _union_decoder(tp, [_decoder(arg, wire) for arg in args])
     if origin in (tuple, list):
-        item = _decoder(args[0])
+        item = _decoder(args[0], wire)
         return lambda value: origin(item(v) for v in _exactly(list, value))
     if origin is dict:
-        item = _decoder(args[1])
+        item = _decoder(args[1], wire)
         return lambda value: {key: item(v) for key, v in _exactly(dict, value).items()}
-    if tp is bytes:
+    if tp is bytes and not wire:
         # Looked up per call, so a rebinding of from_hex (a tracer) sees every decode.
         return lambda value: from_hex(value)
     if tp is Any:
         return lambda value: value
-    if tp is float:
+    if tp is float and not wire:
         return lambda value: float(value if type(value) is int else _exactly(float, value))
-    if tp in (str, int, bool, type(None)):
+    if tp in (bytes, str, int, float, bool, type(None)):
         return functools.partial(_exactly, tp)
-    if hasattr(tp, "from_text"):
+    if wire and hasattr(tp, "from_wire"):
+        return lambda value: _construct(tp.from_wire, _exactly(bytes, value))
+    if not wire and hasattr(tp, "from_text"):
         return lambda value: _construct(tp.from_text, _exactly(str, value))
     if dataclasses.is_dataclass(tp):
-        return _record_decoder(tp)
+        return _record_decoder(tp, wire)
     raise TypeError(f"no canonical form for {tp!r}")
 
 
@@ -175,22 +388,32 @@ def _union_decoder(tp: Any, options: list[Callable[[Any], Any]]) -> Callable[[An
     return decode_union
 
 
-def _record_decoder(tp: type) -> Callable[[Any], Any]:
+def _record_decoder(tp: type, wire: bool) -> Callable[[Any], Any]:
     hints = typing.get_type_hints(tp)
-    readers = [(f.name, _decoder(hints[f.name])) for f in dataclasses.fields(tp)]
+    readers = [(f.name, _decoder(hints[f.name], wire)) for f in dataclasses.fields(tp)]
     names = frozenset(name for name, _ in readers)
 
-    def decode_record(value: Any) -> Any:
+    def field_values(value: Any) -> list[Any]:
+        """The record's field values in declared order: an array, or a mapping by name."""
+        if wire:
+            if type(value) is not list:
+                raise EncodingError(f"{tp.__name__} must be an array, got {type(value).__name__}")
+            if len(value) != len(readers):
+                raise EncodingError(f"{tp.__name__} has {len(readers)} fields, got {len(value)}")
+            return value
         if type(value) is not dict:
             raise EncodingError(f"{tp.__name__} must be a mapping, got {type(value).__name__}")
         if value.keys() != names:
             problems = [f"unknown field {n!r}" for n in sorted(value.keys() - names)]
             problems += [f"missing field {n!r}" for n in sorted(names - value.keys())]
             raise EncodingError(f"{tp.__name__}: {', '.join(problems)}")
+        return [value[name] for name, _ in readers]
+
+    def decode_record(value: Any) -> Any:
         kwargs = {}
-        for name, read in readers:
+        for (name, read), field_value in zip(readers, field_values(value)):
             try:
-                kwargs[name] = read(value[name])
+                kwargs[name] = read(field_value)
             except EncodingError as exc:
                 raise EncodingError(f"{name}: {exc}") from exc
         return _construct(tp, **kwargs)

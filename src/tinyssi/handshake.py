@@ -15,13 +15,16 @@ trust policy.
                                         to the request) and its verdict
   I -> R  TRUST_RESULT                  initiator's verdict
 
-A message is a tag byte and a body. Every body is a record in canonical form:
-Hello, Auth, CredRequest, CredPresent, TrustDecision or Error; the bodies of
-CRED_REQUEST, CRED_PRESENT and TRUST_RESULT travel sealed under the session
-keys. step() runs every message through one pipeline: its tag must be one
-the session accepts in its role and state (else `protocol`), a sealed body
-must open (else `channel`), and the body must decode as its tag's record
-(else `protocol`). An ERROR ends the session in any state.
+A message is a tag byte and a body. Every body is a record in wire form
+(deterministic CBOR, `encoding.pack`): Hello, Auth, CredRequest, CredPresent,
+TrustDecision or Error; the bodies of CRED_REQUEST, CRED_PRESENT and
+TRUST_RESULT travel sealed under the session keys. Documents and credentials
+inside a body are the same records that are signed and stored as canonical
+JSON, so a decoded body gives back their canonical bytes exactly. step() runs
+every message through one pipeline: its tag must be one the session accepts
+in its role and state (else `protocol`), a sealed body must open (else
+`channel`), and the body must decode as its tag's record (else `protocol`).
+An ERROR ends the session in any state.
 
 Both sides sign the running transcript, so swapping any key or nonce in
 transit breaks authentication on at least one side. The initiator presents
@@ -47,7 +50,7 @@ from .credentials import (
     present,
     verify_presentation,
 )
-from .encoding import EncodingError, Record, decode, from_canonical
+from .encoding import EncodingError, Record, pack, unpack
 from .identity import Did, DidDocument, METHOD_PEER, format_did, verify_peer_document
 from .resolver import ResolutionError, Resolver
 
@@ -315,10 +318,10 @@ class HandshakeSession:
         return [self._send(MSG_ERROR, Error(reason))]
 
     def _send(self, tag: int, body: Record) -> bytes:
-        """One message: the tag byte, then the body's canonical bytes, sealed if the tag is."""
+        """One message: the tag byte, then the body's wire bytes, sealed if the tag is."""
         if tag in _ENCRYPTED_TAGS:
-            return self._seal(tag, body.to_bytes())
-        return bytes([tag]) + body.to_bytes()
+            return self._seal(tag, pack(body))
+        return bytes([tag]) + pack(body)
 
     def _hello(self) -> Hello:
         embed = self.config.did.method == METHOD_PEER
@@ -496,9 +499,9 @@ def _other_role(role: str) -> str:
 
 
 def _read(body: type[Record], raw: bytes) -> Any:
-    """The body record that raw canonical bytes hold, or None if they hold none."""
+    """The body record that raw wire bytes hold, or None if they hold none."""
     try:
-        return decode(body, from_canonical(raw))
+        return unpack(body, raw)
     except EncodingError:
         return None
 

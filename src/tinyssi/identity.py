@@ -14,10 +14,14 @@ from dataclasses import dataclass, replace
 from typing import Any, Iterable
 
 from . import crypto
-from .encoding import Record, base58_encode, canonical_bytes, is_base58
+from .encoding import Record, base58_decode, base58_encode, canonical_bytes, is_base58
 
 METHOD_PEER = "peer"
 METHOD_REG = "reg"
+
+# A DID's wire form: one byte naming its method, then its id decoded from base58.
+_METHOD_BYTES = {METHOD_PEER: 0x01, METHOD_REG: 0x02}
+_BYTE_METHODS = {byte: method for method, byte in _METHOD_BYTES.items()}
 
 _METHOD_RE = re.compile(r"^[a-z0-9]+$")
 
@@ -43,6 +47,17 @@ class Did:
     @classmethod
     def from_text(cls, text: str) -> "Did":
         return parse_did(text)
+
+    def to_wire(self) -> bytes:
+        if self.method not in _METHOD_BYTES:
+            raise DidError(f"method {self.method!r} has no wire form")
+        return bytes([_METHOD_BYTES[self.method]]) + base58_decode(self.id)
+
+    @classmethod
+    def from_wire(cls, raw: bytes) -> "Did":
+        if not raw or raw[0] not in _BYTE_METHODS:
+            raise DidError(f"unknown DID method byte in {raw[:1].hex()!r}")
+        return cls(method=_BYTE_METHODS[raw[0]], id=base58_encode(raw[1:]))
 
 
 def parse_did(text: str) -> Did:

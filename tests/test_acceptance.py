@@ -6,6 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the pass/fail lines.
 import copy
 import math
 import time
+from dataclasses import replace
 from random import Random
 
 from conftest import (
@@ -26,7 +27,7 @@ from tinyssi.credentials import (
     verify_credential,
     verify_presentation,
 )
-from tinyssi.encoding import canonical_bytes, from_canonical
+from tinyssi.encoding import pack, unpack
 from tinyssi.handshake import State, initiate, respond
 from tinyssi.harness import Scenario, drive_handshake, run_scenario
 from tinyssi.identity import (
@@ -161,7 +162,7 @@ def test_criterion_03_handshake_correctness():
 
 
 def test_criterion_04_mitm_resistance():
-    from tinyssi.handshake import MSG_HELLO, MSG_HELLO_ACK
+    from tinyssi.handshake import MSG_HELLO, MSG_HELLO_ACK, Hello
 
     rng = Random(404)
     failures = 0
@@ -174,14 +175,15 @@ def test_criterion_04_mitm_resistance():
         def intercept(role, message):
             if message[0] != target_tag:
                 return message
-            body = from_canonical(message[1:])
+            body = unpack(Hello, message[1:])
             if substitute_static:
-                victim_keys = body["document"]["public_keys"]
-                sign_slots = [k for k in victim_keys if k["purpose"] == "sign"]
-                sign_slots[0]["public"] = mitm_sign.public.hex()
+                victim_keys = list(body.document.public_keys)
+                sign_slot = next(i for i, k in enumerate(victim_keys) if k.purpose == "sign")
+                victim_keys[sign_slot] = replace(victim_keys[sign_slot], public=mitm_sign.public)
+                body = replace(body, document=replace(body.document, public_keys=tuple(victim_keys)))
             else:
-                body["ephemeral"] = mitm_agree.public.hex()
-            return bytes([message[0]]) + canonical_bytes(body)
+                body = replace(body, ephemeral=mitm_agree.public)
+            return bytes([message[0]]) + pack(body)
 
         registry = Registry()
         alice = build_actor("alice", rng.randrange(2**31), registry)

@@ -263,6 +263,41 @@ class TestVcCommands:
         assert code == 3
         assert out["error"]["reason"] == "revoked"
 
+    def test_revocation_list_of_another_identity_is_refused(self, issuer, tmp_path, capsys):
+        wallet, did, doc_path = issuer
+        vc_path, openings_path, vc_id = self._issue(issuer, tmp_path, capsys)
+        other = tmp_path / "other.wallet"
+        assert run(capsys, "wallet", "create", "--wallet", str(other), "--passphrase", PASS)[0] == 0
+        code, _ = run(
+            capsys, "did", "create", "--method", "peer",
+            "--wallet", str(other), "--passphrase", PASS,
+        )
+        assert code == 0
+        foreign = tmp_path / "other-rev.json"
+        code, _ = run(
+            capsys, "vc", "revoke", "--wallet", str(other), "--passphrase", PASS,
+            "--vc-id", vc_id, "--revoked", str(foreign),
+        )
+        assert code == 0
+        code, out = run(
+            capsys, "vc", "verify", str(vc_path), "--peer-doc", str(doc_path),
+            "--revoked", str(foreign),
+        )
+        assert code == 2, out
+        assert "not by the issuer" in out["error"]["reason"]
+        vp_path = tmp_path / "subset.vp"
+        code, _ = run(
+            capsys, "vc", "present", "--vc", str(vc_path),
+            "--openings", str(openings_path), "--disclose", "type", "--out", str(vp_path),
+        )
+        assert code == 0
+        code, out = run(
+            capsys, "vc", "verify-presentation", str(vp_path), "--peer-doc", str(doc_path),
+            "--revoked", str(foreign),
+        )
+        assert code == 2, out
+        assert "not by the issuer" in out["error"]["reason"]
+
     def test_presentation_of_revoked_credential_with_misspelt_list_fails_closed(
         self, issuer, tmp_path, capsys
     ):

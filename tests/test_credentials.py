@@ -300,6 +300,15 @@ class TestRevocation:
         revoke(registry, sign_kp, vc.vc_id, resolver, NOW)
         assert verify_credential(vc, resolver, registry, NOW + 1).reason == "revoked"
 
+    def test_list_revokes_only_credentials_its_owner_issued(self):
+        sign_kp, issuer, _, resolver, _ = make_issuer(1)
+        other_kp, other, _, other_resolver, _ = make_issuer(2)
+        vc, _ = issue(sign_kp, issuer, subject_did(), [Claim("a", "b")], MONTH, NOW)
+        foreign = RevocationRegistry(other)
+        revoke(foreign, other_kp, vc.vc_id, other_resolver, NOW)
+        assert vc.vc_id in foreign
+        assert verify_credential(vc, resolver, foreign, NOW + 1).ok
+
     def test_revoke_idempotent(self):
         sign_kp, issuer, _, resolver, _ = make_issuer()
         registry = RevocationRegistry(issuer)

@@ -9,6 +9,7 @@ only on purpose, from the repository root:
 """
 
 import json
+from dataclasses import fields, replace
 from functools import cache
 from pathlib import Path
 from random import Random
@@ -28,11 +29,13 @@ from conftest import (
 )
 from tinyssi import crypto, harness
 from tinyssi.credentials import Claim, StoredCredential, issue
-from tinyssi.encoding import canonical_bytes, from_canonical
+from tinyssi.encoding import cbor_bytes, canonical_bytes, from_canonical, from_cbor, pack, unpack
 from tinyssi.handshake import (
     AlwaysTrust,
+    Auth,
     ChannelError,
     HandshakeError,
+    Hello,
     MSG_AUTH,
     MSG_CRED_PRESENT,
     MSG_ERROR,
@@ -47,7 +50,7 @@ from tinyssi.handshake import (
     initiate,
     respond,
 )
-from tinyssi.identity import PublicKeyEntry, format_did, rotate_key
+from tinyssi.identity import DidDocument, PublicKeyEntry, format_did, rotate_key
 from tinyssi.resolver import Registry, Resolver
 
 ALL_TAGS = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x7F]
@@ -72,6 +75,16 @@ def run_direct(initiator_cfg, responder_cfg, peer_hint=None, now=NOW, intercept=
         legs.append(outbox)
         inbox, target, other = outbox, other, target
     return session_i, session_r, legs
+
+
+def forge(message: bytes, body: type, **changes) -> bytes:
+    """A plain message whose body record has the given fields replaced, packed again."""
+    return message[:1] + pack(replace(unpack(body, message[1:]), **changes))
+
+
+def slot(record: type, name: str) -> int:
+    """The position of a record's field in its wire array."""
+    return [f.name for f in fields(record)].index(name)
 
 
 def household_configs(household, policy_override=None):
@@ -138,6 +151,28 @@ def test_handshake_messages_match_golden():
     assert scenario_handshake_messages() == golden
 
 
+class TestWireSize:
+    """The owner-two-devices handshake as its LoRa link carries it: 9 messages."""
+
+    TAGS = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x06, 0x07, 0x07]
+    MESSAGE_BYTES = [271, 269, 82, 82, 37, 376, 376, 32, 32]
+    LORA_FRAGMENTS = [2, 2, 1, 1, 1, 2, 2, 1, 1]
+
+    def test_owner_two_devices_message_sizes_and_fragments(self):
+        messages = [
+            bytes.fromhex(m) for m in scenario_handshake_messages()["owner-two-devices/step-0"]
+        ]
+        assert [m[0] for m in messages] == self.TAGS
+        assert [len(m) for m in messages] == self.MESSAGE_BYTES
+        report = harness.run_scenario(
+            harness.Scenario.load(str(ROOT / "scenarios" / "owner-two-devices.scn"))
+        )
+        (step,) = report.steps
+        assert step.outcome == "trusted"
+        assert list(step.fragments_per_message) == self.LORA_FRAGMENTS
+        assert sum(step.fragments_per_message) <= 13
+
+
 class TestHonestRun:
     def test_both_sides_reach_trusted_under_owner_match(self, household):
         cfg_i, cfg_r, (alice, camera, lock) = household_configs(household)
@@ -178,8 +213,7 @@ class TestHonestRun:
     def test_hello_embeds_document_for_peer_method(self, household):
         cfg_i, _, _ = household_configs(household)
         _, hello = initiate(cfg_i, now=NOW)
-        body = from_canonical(hello[1:])
-        assert body["document"] is not None
+        assert unpack(Hello, hello[1:]).document == cfg_i.document
 
     def test_hello_carries_did_only_for_reg_method(self):
         registry = Registry()
@@ -189,9 +223,9 @@ class TestHonestRun:
             resolver=actor.resolver, policy=AlwaysTrust(),
         )
         _, hello = initiate(cfg, now=NOW)
-        body = from_canonical(hello[1:])
-        assert body["document"] is None
-        assert body["did"] == format_did(actor.did)
+        body = unpack(Hello, hello[1:])
+        assert body.document is None
+        assert body.did == actor.did
 
     def test_two_initiations_use_distinct_nonces_and_ephemerals(self, household):
         cfg_i, _, _ = household_configs(household)
@@ -289,9 +323,7 @@ class TestAuthFailures:
 
         def intercept(role, message):
             if message[0] == MSG_AUTH:
-                body = from_canonical(message[1:])
-                body["signature"] = crypto.sign(rogue, b"anything").hex()
-                return bytes([MSG_AUTH]) + canonical_bytes(body)
+                return forge(message, Auth, signature=crypto.sign(rogue, b"anything"))
             return message
 
         session_i, session_r, _ = run_direct(cfg_i, cfg_r, intercept=intercept)
@@ -303,9 +335,7 @@ class TestAuthFailures:
 
         def intercept(role, message):
             if message[0] == MSG_AUTH:
-                body = from_canonical(message[1:])
-                body["key_id"] = "sign-ffffffff"
-                return bytes([MSG_AUTH]) + canonical_bytes(body)
+                return forge(message, Auth, key_id="sign-ffffffff")
             return message
 
         _, session_r, _ = run_direct(cfg_i, cfg_r, intercept=intercept)
@@ -318,9 +348,7 @@ class TestAuthFailures:
 
         def intercept(role, message):
             if message[0] == MSG_HELLO:
-                body = from_canonical(message[1:])
-                body["ephemeral"] = mitm.public.hex()
-                return bytes([MSG_HELLO]) + canonical_bytes(body)
+                return forge(message, Hello, ephemeral=mitm.public)
             return message
 
         session_i, session_r, _ = run_direct(cfg_i, cfg_r, intercept=intercept)
@@ -333,9 +361,9 @@ class TestAuthFailures:
 
         def intercept(role, message):
             if message[0] == MSG_HELLO:
-                body = from_canonical(message[1:])
-                body["document"]["public_keys"][0]["public"] = mitm.public.hex()
-                return bytes([MSG_HELLO]) + canonical_bytes(body)
+                doc = unpack(Hello, message[1:]).document
+                keys = (replace(doc.public_keys[0], public=mitm.public),) + doc.public_keys[1:]
+                return forge(message, Hello, document=replace(doc, public_keys=keys))
             return message
 
         _, session_r, _ = run_direct(cfg_i, cfg_r, intercept=intercept)
@@ -377,7 +405,7 @@ class TestProtocolOrder:
     def test_out_of_order_message_fails_protocol(self, household):
         cfg_i, cfg_r, _ = household_configs(household)
         session_r = respond(cfg_r, now=NOW)
-        auth_like = bytes([MSG_AUTH]) + canonical_bytes({"key_id": "x", "signature": "00"})
+        auth_like = bytes([MSG_AUTH]) + cbor_bytes(["x", b"\x00"])
         session_r.step(auth_like, NOW)
         assert session_r.state == State.FAILED
         assert session_r.failure_reason == "protocol"
@@ -421,7 +449,7 @@ class TestProtocolOrder:
                     session, _ = initiate(cfg_i, now=NOW)
                 else:
                     session = respond(cfg_r, now=NOW)
-                session.step(bytes([tag]) + canonical_bytes({}), NOW)
+                session.step(bytes([tag]) + cbor_bytes([]), NOW)
                 if tag in allowed[(role_name, state)]:
                     continue  # shape errors may still fail, checked elsewhere
                 assert session.state == State.FAILED
@@ -465,31 +493,31 @@ class TestTotality:
     def _hello_with(self, household, edit):
         cfg_i, cfg_r, _ = household_configs(household)
         _, hello = initiate(cfg_i, now=NOW)
-        body = from_canonical(hello[1:])
-        edit(body)
+        body = from_cbor(hello[1:])
+        edit(body[slot(Hello, "document")])
         session_r = respond(cfg_r, now=NOW)
-        assert session_r.step(bytes([MSG_HELLO]) + canonical_bytes(body), NOW) != []
+        assert session_r.step(bytes([MSG_HELLO]) + cbor_bytes(body), NOW) != []
         return session_r
 
     def test_list_valued_retired_key_id_fails_protocol(self, household):
-        def edit(body):
-            body["document"]["previous_keys"] = [
-                {"key_id": ["k"], "public": "00" * 32, "retired_at": 1}
-            ]
+        def edit(document):
+            # One retired key: [key_id, public, retired_at], its key id an array.
+            document[slot(DidDocument, "previous_keys")] = [[["k"], bytes(32), 1]]
 
         session_r = self._hello_with(household, edit)
         assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
 
     def test_non_string_key_id_fails_protocol(self, household):
-        def edit(body):
-            body["document"]["public_keys"][0]["key_id"] = 7
+        def edit(document):
+            # The text slot of the first key's id holds an integer.
+            document[slot(DidDocument, "public_keys")][0][slot(PublicKeyEntry, "key_id")] = 7
 
         session_r = self._hello_with(household, edit)
         assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
 
     @pytest.mark.parametrize("body", [
-        b'{"did":' + b"1" * 5000 + b"}",   # beyond the int-string limit
-        b"[" * 100_000,                    # beyond the recursion limit
+        b"\xc2\x59\x13\x88" + b"\xff" * 5000,  # a 5000-byte bignum: tags are not wire form
+        b"\x81" * 100_000,                    # arrays beyond the recursion limit
     ], ids=["long-integer", "deep-nesting"])
     def test_unparseable_hello_fails_protocol(self, household, body):
         _, cfg_r, _ = household_configs(household)
@@ -505,16 +533,17 @@ class TestTotality:
 
     def test_presentations_not_a_list_fails_protocol(self, household):
         session_i, session_r = self._secure_pair(household)
-        record = session_i._seal(MSG_CRED_PRESENT, canonical_bytes({"presentations": 5}))
+        record = session_i._seal(MSG_CRED_PRESENT, cbor_bytes([5]))  # [presentations]
         session_r.step(record, NOW)
         assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
 
+    # `body` maps the honest AUTH array (None for other tags) to the body sent.
     @pytest.mark.parametrize("tag, body", [
-        (MSG_AUTH, {"extra": 1}),                 # merged into an honest AUTH body
-        (MSG_AUTH, {"signature": "00" * 63}),
-        (MSG_CRED_PRESENT, {}),
-        (MSG_CRED_PRESENT, {"presentations": [{"credential": 5, "disclosed": []}]}),
-        (MSG_TRUST_RESULT, {"trusted": True, "reason": 5}),
+        (MSG_AUTH, lambda auth: auth + [1]),              # [key_id, signature, extra]
+        (MSG_AUTH, lambda auth: [auth[0], bytes(63)]),
+        (MSG_CRED_PRESENT, lambda _: []),
+        (MSG_CRED_PRESENT, lambda _: [[[5, []]]]),        # [[[credential, disclosed]]]
+        (MSG_TRUST_RESULT, lambda _: [True, 5]),          # [trusted, reason]
     ], ids=["auth-extra-field", "auth-short-signature", "present-without-presentations",
             "present-undecodable", "result-reason-not-a-string"])
     def test_body_that_does_not_decode_fails_protocol(self, household, tag, body):
@@ -523,14 +552,14 @@ class TestTotality:
             session_i, hello = initiate(cfg_i, now=NOW)
             victim = respond(cfg_r, now=NOW)
             (auth,) = session_i.step(*victim.step(hello, NOW), NOW)
-            message = bytes([MSG_AUTH]) + canonical_bytes({**from_canonical(auth[1:]), **body})
+            message = bytes([MSG_AUTH]) + cbor_bytes(body(from_cbor(auth[1:])))
         else:
             if tag == MSG_TRUST_RESULT:
                 sender, victim, _ = run_direct(cfg_i, cfg_r)
                 assert victim.state == State.TRUSTED
             else:
                 sender, victim = self._secure_pair(household)
-            message = sender._seal(tag, canonical_bytes(body))
+            message = sender._seal(tag, cbor_bytes(body(None)))
         assert victim.step(message, NOW) != []
         assert (victim.state, victim.failure_reason) == (State.FAILED, "protocol")
 
@@ -561,27 +590,26 @@ class TestTotality:
                 break
             inbox, target, other = outbox, other, target
         tag = data.draw(st.sampled_from(ALL_TAGS) | st.integers(0, 255), label="tag")
-        body = canonical_bytes(data.draw(_JSON, label="body"))
+        body = data.draw(st.sampled_from([
+            cbor_bytes(data.draw(_CBOR, label="value")),
+            data.draw(st.binary(max_size=96), label="raw"),
+        ]), label="body")
         message = data.draw(st.sampled_from([
             bytes([tag]) + body,
-            bytes([tag]) + data.draw(st.binary(max_size=48), label="raw"),
             other._seal(tag, body) if other.session_keys is not None else bytes([tag]) + body,
             _flip(inbox[0], data.draw(st.integers(0, 8 * len(inbox[0]) - 1), label="bit")),
         ]), label="message")
         assert isinstance(target.step(message, NOW), list)
 
 
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
-    | st.sampled_from(["00" * 16, "00" * 32, "did:peer:1", "sign-00"]),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
-        st.sampled_from([
-            "did", "document", "ephemeral", "nonce", "key_id", "signature", "want",
-            "presentations", "trusted", "reason", "credential", "disclosed",
-        ]) | st.text(max_size=4),
-        inner, max_size=4,
-    ),
-    max_leaves=12,
+# Wire values shaped like message fields: byte strings of key, nonce, signature
+# and DID length, key ids, and arrays the length of a record.
+_CBOR = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**64), 2**64 - 1) | st.floats()
+    | st.text(max_size=6) | st.binary(max_size=8)
+    | st.sampled_from([bytes(16), bytes(32), bytes(64), b"\x01" + bytes(32), "sign-00"]),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=16,
 )
 
 

@@ -6,9 +6,10 @@ identifier anywhere in the module; a name written only inside a quoted
 annotation does not count, so such annotations are left unquoted (every
 module has `from __future__ import annotations`).
 
-handshake.py reads every wire field through `encoding.decode` of its message
+handshake.py reads every wire field through `encoding.unpack` of its message
 record, so it calls none of the hand parsers (`from_hex`, `parse_did`, any
-`from_mapping`).
+`from_mapping`). Its messages travel in the wire form only: it calls none of
+the canonical JSON functions (`to_bytes`, `canonical_bytes`, `from_canonical`).
 
 Only identity.py reads a document's key lists (`.public_keys`,
 `.previous_keys`). Every other module asks the document who may sign for it
@@ -56,22 +57,24 @@ def test_checker_flags_an_unused_import():
 
 
 HAND_PARSERS = frozenset({"from_hex", "parse_did", "from_mapping"})
+CANONICAL_JSON = frozenset({"to_bytes", "canonical_bytes", "from_canonical"})
 
 
-def hand_parser_calls(source: str) -> set[str]:
-    """The hand parsers a module calls, by bare name or as an attribute."""
+def calls_to(source: str, functions: frozenset[str]) -> set[str]:
+    """Which of `functions` a module calls, by bare name or as an attribute."""
     called = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in HAND_PARSERS:
+            if name in functions:
                 called.add(name)
     return called
 
 
 def test_handshake_reads_the_wire_only_through_the_codec():
-    assert hand_parser_calls((PACKAGE / "handshake.py").read_text(encoding="utf-8")) == set()
+    source = (PACKAGE / "handshake.py").read_text(encoding="utf-8")
+    assert calls_to(source, HAND_PARSERS) == set()
 
 
 def test_checker_flags_hand_parsing():
@@ -82,7 +85,24 @@ def test_checker_flags_hand_parsing():
         "c = DidDocument.from_mapping(body['document'])\n"
         "d = decode(Hello, body)\n"
     )
-    assert hand_parser_calls(source) == {"from_hex", "parse_did", "from_mapping"}
+    assert calls_to(source, HAND_PARSERS) == {"from_hex", "parse_did", "from_mapping"}
+
+
+def test_handshake_has_one_wire_form():
+    source = (PACKAGE / "handshake.py").read_text(encoding="utf-8")
+    assert calls_to(source, CANONICAL_JSON) == set()
+
+
+def test_checker_flags_canonical_json_on_the_wire():
+    source = (
+        "from .encoding import canonical_bytes, pack\n"
+        "a = bytes([tag]) + body.to_bytes()\n"
+        "b = canonical_bytes(encode(body))\n"
+        "c = encoding.from_canonical(raw)\n"
+        "d = bytes([tag]) + pack(body)\n"
+        "e = unpack(Hello, raw)\n"
+    )
+    assert calls_to(source, CANONICAL_JSON) == {"to_bytes", "canonical_bytes", "from_canonical"}
 
 
 KEY_LISTS = frozenset({"public_keys", "previous_keys"})

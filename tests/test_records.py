@@ -1,5 +1,5 @@
-"""The record codec: canonical bytes pinned by a golden file, round trips,
-and strict decoding.
+"""The record codec: canonical bytes pinned by a golden file, round trips
+through canonical JSON and through the CBOR wire form, and strict decoding.
 
 `tests/golden/records.json` holds the canonical bytes of every document,
 credential, signing payload, presentation, wallet payload and registry
@@ -11,6 +11,8 @@ only on purpose, from the repository root:
 """
 
 import json
+import math
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,7 +32,17 @@ from tinyssi.credentials import (
     VerifiableCredential,
     present,
 )
-from tinyssi.encoding import EncodingError, canonical_bytes, decode, encode, from_canonical
+from tinyssi.encoding import (
+    EncodingError,
+    canonical_bytes,
+    cbor_bytes,
+    decode,
+    encode,
+    from_canonical,
+    from_cbor,
+    pack,
+    unpack,
+)
 from tinyssi.handshake import Auth, CredPresent, CredRequest, Error, Hello, TrustDecision
 from tinyssi.harness import (
     HandshakeStep,
@@ -42,12 +54,15 @@ from tinyssi.harness import (
     ScenarioRunner,
 )
 from tinyssi.identity import (
+    METHOD_PEER,
+    METHOD_REG,
     Did,
     DidDocument,
     DidError,
     PublicKeyEntry,
     RetiredKey,
     ServiceEndpoint,
+    generate_peer_did,
 )
 from tinyssi.resolver import Registry, RegistryError, RegistryRecord
 from tinyssi.wallet import Wallet, WalletIntegrityError
@@ -106,6 +121,12 @@ dids = st.builds(
     method=st.from_regex(r"[a-z0-9]{1,6}", fullmatch=True),
     id=st.text(alphabet=B58, min_size=1, max_size=44),
 )
+# The wire form has a method byte for the peer and reg methods only.
+wire_dids = st.builds(
+    Did,
+    method=st.sampled_from([METHOD_PEER, METHOD_REG]),
+    id=st.text(alphabet=B58, min_size=1, max_size=44),
+)
 purposes = st.sampled_from([crypto.PURPOSE_SIGN, crypto.PURPOSE_AGREE])
 keys = st.builds(
     PublicKeyEntry, key_id=texts, purpose=purposes, public=st.binary(min_size=32, max_size=32),
@@ -125,7 +146,7 @@ proofs = st.builds(
 
 
 @st.composite
-def documents(draw):
+def documents(draw, dids=dids):
     # Key ids are unique across current and retired keys.
     current = draw(st.lists(keys, min_size=1, max_size=3))
     old = draw(st.lists(retired, max_size=2))
@@ -139,7 +160,7 @@ def documents(draw):
 
 
 @st.composite
-def credentials(draw):
+def credentials(draw, dids=dids):
     issued_at = draw(ints)
     return VerifiableCredential(
         vc_id=draw(texts), issuer=draw(dids), subject=draw(dids),
@@ -150,46 +171,57 @@ def credentials(draw):
 
 
 tuples = lambda strategy: st.lists(strategy, max_size=3).map(tuple)  # noqa: E731
-RECORDS = {
-    "PublicKeyEntry": keys,
-    "ServiceEndpoint": endpoints,
-    "RetiredKey": retired,
-    "DidDocument": documents(),
-    "ClaimOpening": openings,
-    "Commitment": commitments,
-    "Proof": proofs,
-    "VerifiableCredential": credentials(),
-    "Presentation": st.builds(Presentation, credential=credentials(), disclosed=tuples(openings)),
-    "StoredCredential": st.builds(
-        StoredCredential, credential=credentials(), openings=tuples(openings)
-    ),
-    "KeyPair": st.builds(
-        crypto.KeyPair, key_id=texts, purpose=purposes,
-        public=st.binary(min_size=32, max_size=32), secret=st.binary(min_size=32, max_size=32),
-    ),
-    "RegistryRecord": st.builds(
-        RegistryRecord, document=st.binary(max_size=40), version=ints,
-        signature=st.binary(min_size=64, max_size=64), signed_by=texts,
-    ),
-    "RevocationList": st.builds(RevocationList, owner=dids, revoked=tuples(texts)),
-    "Hello": st.builds(
-        Hello, did=dids, document=st.none() | documents(),
-        ephemeral=st.binary(min_size=32, max_size=32), nonce=st.binary(min_size=16, max_size=16),
-    ),
-    "Auth": st.builds(Auth, key_id=texts, signature=st.binary(min_size=64, max_size=64)),
-    "CredRequest": st.builds(CredRequest, want=tuples(texts)),
-    "CredPresent": st.builds(CredPresent, presentations=tuples(
-        st.builds(Presentation, credential=credentials(), disclosed=tuples(openings))
-    )),
-    "TrustDecision": st.builds(TrustDecision, trusted=st.booleans(), reason=st.none() | texts),
-    "Error": st.builds(Error, reason=texts),
-    "ScenarioActor": st.builds(ScenarioActor, name=texts, role=texts, did_method=texts,
-                               owner=st.none() | texts),
-    "ScenarioCredential": st.builds(ScenarioCredential, issuer=texts, subject=texts,
-                                    claims=st.dictionaries(texts, texts), validity=ints),
-    "ScenarioLink": st.builds(ScenarioLink, a=texts, b=texts, profile=texts,
-                              loss=st.none() | st.floats(0, 1), reorder=st.none() | st.floats(0, 1)),
-}
+
+
+def record_strategies(dids):
+    """A strategy for every record type, its DIDs drawn from `dids`."""
+    presentations = st.builds(
+        Presentation, credential=credentials(dids), disclosed=tuples(openings)
+    )
+    return {
+        "PublicKeyEntry": keys,
+        "ServiceEndpoint": endpoints,
+        "RetiredKey": retired,
+        "DidDocument": documents(dids),
+        "ClaimOpening": openings,
+        "Commitment": commitments,
+        "Proof": proofs,
+        "VerifiableCredential": credentials(dids),
+        "Presentation": presentations,
+        "StoredCredential": st.builds(
+            StoredCredential, credential=credentials(dids), openings=tuples(openings)
+        ),
+        "KeyPair": st.builds(
+            crypto.KeyPair, key_id=texts, purpose=purposes,
+            public=st.binary(min_size=32, max_size=32), secret=st.binary(min_size=32, max_size=32),
+        ),
+        "RegistryRecord": st.builds(
+            RegistryRecord, document=st.binary(max_size=40), version=ints,
+            signature=st.binary(min_size=64, max_size=64), signed_by=texts,
+        ),
+        "RevocationList": st.builds(RevocationList, owner=dids, revoked=tuples(texts)),
+        "Hello": st.builds(
+            Hello, did=dids, document=st.none() | documents(dids),
+            ephemeral=st.binary(min_size=32, max_size=32),
+            nonce=st.binary(min_size=16, max_size=16),
+        ),
+        "Auth": st.builds(Auth, key_id=texts, signature=st.binary(min_size=64, max_size=64)),
+        "CredRequest": st.builds(CredRequest, want=tuples(texts)),
+        "CredPresent": st.builds(CredPresent, presentations=tuples(presentations)),
+        "TrustDecision": st.builds(TrustDecision, trusted=st.booleans(), reason=st.none() | texts),
+        "Error": st.builds(Error, reason=texts),
+        "ScenarioActor": st.builds(ScenarioActor, name=texts, role=texts, did_method=texts,
+                                   owner=st.none() | texts),
+        "ScenarioCredential": st.builds(ScenarioCredential, issuer=texts, subject=texts,
+                                        claims=st.dictionaries(texts, texts), validity=ints),
+        "ScenarioLink": st.builds(ScenarioLink, a=texts, b=texts, profile=texts,
+                                  loss=st.none() | st.floats(0, 1),
+                                  reorder=st.none() | st.floats(0, 1)),
+    }
+
+
+RECORDS = record_strategies(dids)
+WIRE_RECORDS = record_strategies(wire_dids)
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -203,6 +235,19 @@ def test_round_trip(name, data):
     assert canonical_bytes(encode(restored)) == raw
     if hasattr(record, "from_bytes"):
         assert type(record).from_bytes(record.to_bytes()) == record
+
+
+@pytest.mark.parametrize("name", sorted(WIRE_RECORDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_wire_round_trip(name, data):
+    record = data.draw(WIRE_RECORDS[name])
+    raw = pack(record)
+    restored = unpack(type(record), raw)
+    assert restored == record
+    assert pack(restored) == raw
+    # The wire carries the very record whose canonical bytes are signed and stored.
+    assert canonical_bytes(encode(restored)) == canonical_bytes(encode(record))
 
 
 @settings(max_examples=40, deadline=None)
@@ -318,6 +363,112 @@ def test_record_wants_every_field():
 def test_from_canonical_raises_only_encoding_error(raw):
     with pytest.raises(EncodingError):
         from_canonical(raw)
+
+
+# ---------------------------------------------------------------------------
+# The wire form: deterministic CBOR, read strictly
+# ---------------------------------------------------------------------------
+
+# RFC 8949 Appendix A, the examples that preferred serialization writes.
+@pytest.mark.parametrize("value, hex_form", [
+    (0, "00"), (23, "17"), (24, "1818"), (100, "1864"), (1000, "1903e8"),
+    (1000000, "1a000f4240"), (1000000000000, "1b000000e8d4a51000"),
+    (18446744073709551615, "1bffffffffffffffff"), (-1, "20"), (-100, "3863"),
+    (-1000, "3903e7"), (-18446744073709551616, "3bffffffffffffffff"),
+    (0.0, "f90000"), (-0.0, "f98000"), (1.0, "f93c00"), (1.1, "fb3ff199999999999a"),
+    (1.5, "f93e00"), (65504.0, "f97bff"), (100000.0, "fa47c35000"),
+    (3.4028234663852886e38, "fa7f7fffff"), (1.0e300, "fb7e37e43c8800759c"),
+    (5.960464477539063e-8, "f90001"), (-4.1, "fbc010666666666666"),
+    (math.inf, "f97c00"), (-math.inf, "f9fc00"), (math.nan, "f97e00"),
+    (False, "f4"), (True, "f5"), (None, "f6"),
+    (b"", "40"), (b"\x01\x02\x03\x04", "4401020304"),
+    ("", "60"), ("IETF", "6449455446"), ("\u00fc", "62c3bc"), ("\u6c34", "63e6b0b4"),
+    ([], "80"), ([1, [2, 3], [4, 5]], "8301820203820405"),
+    (list(range(1, 26)), "98190102030405060708090a0b0c0d0e0f101112131415161718181819"),
+    ({}, "a0"), ({"a": 1, "b": [2, 3]}, "a26161016162820203"),
+    ({"e": "E", "a": "A", "c": "C", "b": "B", "d": "D"},
+     "a56161614161626142616361436164614461656145"),
+])
+def test_cbor_matches_rfc_8949_examples(value, hex_form):
+    assert cbor_bytes(value).hex() == hex_form
+    parsed = from_cbor(bytes.fromhex(hex_form))
+    assert parsed == value or (math.isnan(parsed) and math.isnan(value))
+    assert type(parsed) is type(value)
+
+
+def test_cbor_map_keys_sort_by_their_encoded_bytes():
+    # Length first: the 1-byte text "b" sorts before the 2-byte text "aa".
+    assert cbor_bytes({"aa": 1, "b": 2}).hex() == "a2616202626161" + "01"
+
+
+AUTH = Auth("k", bytes(64))
+SIGNATURE = b"\x58\x40" + bytes(64)   # a 64-byte byte string
+HELLO = Hello(*generate_peer_did([PublicKeyEntry("k1", crypto.PURPOSE_SIGN, bytes(32))]),
+              bytes(32), bytes(16))
+
+
+def test_wire_form_of_a_record_is_an_array_of_its_fields():
+    assert pack(AUTH) == b"\x82" + b"\x61k" + SIGNATURE
+    assert unpack(Auth, b"\x82" + b"\x61k" + SIGNATURE) == AUTH
+    assert pack(TrustDecision(False)) == b"\x82\xf4\xf6"
+
+
+def test_a_did_travels_as_its_method_byte_and_raw_id():
+    did = HELLO.did
+    assert did.to_wire() == b"\x01" + crypto.digest(canonical_bytes(HELLO.document.content_mapping()))
+    assert pack(HELLO)[1:36] == b"\x58\x21" + did.to_wire()
+    assert Did.from_wire(Did(METHOD_REG, "11z").to_wire()) == Did(METHOD_REG, "11z")
+    with pytest.raises(EncodingError, match="no wire form"):
+        pack(Did("web", "abc"))
+
+
+def _with_did_byte(raw: bytes, method_byte: int) -> bytes:
+    """HELLO's wire bytes with the DID's method byte replaced."""
+    return raw[:3] + bytes([method_byte]) + raw[4:]
+
+
+@pytest.mark.parametrize("tp, raw", [
+    (Auth, b"\x82" + b"\x41k" + SIGNATURE),
+    (Auth, b"\x82" + b"\x61k" + b"\x78\x40" + b"0" * 64),
+    (TrustDecision, b"\x82\x01\xf6"),
+    (ScenarioLink, b"\x85\x61a\x61b\x64lora\x00\xf6"),
+    (Auth, b"\x81\x61k"),
+    (Auth, b"\x83\x61k" + SIGNATURE + b"\x00"),
+    (Auth, b"\x82" + b"\x78\x01k" + SIGNATURE),
+    (Auth, b"\x98\x02" + b"\x61k" + SIGNATURE),
+    (RetiredKey, b"\x83\x61k\x58\x20" + bytes(32) + b"\x19\x00\x01"),
+    (ScenarioLink, b"\x85\x61a\x61b\x64lora\xfb" + struct.pack(">d", 0.5) + b"\xf6"),
+    (Auth, pack(AUTH)[:-1]),
+    (Auth, b""),
+    (Auth, pack(AUTH) + b"\x00"),
+    (Auth, b"\x82" + b"\x61\xff" + SIGNATURE),
+    (Auth, b"\x82" + b"\x63\xed\xa0\x80" + SIGNATURE),
+    (Hello, _with_did_byte(pack(HELLO), 0x07)),
+    (Hello, _with_did_byte(pack(HELLO), 0x00)),
+    (Auth, b"\x82" + b"\x61k" + b"\x58\x3f" + bytes(63)),
+    (Auth, b"\x9f" + b"\x61k" + SIGNATURE + b"\xff"),
+    (Auth, b"\xd8\x18" + pack(AUTH)),
+    (dict[str, int], b"\xa2\x61b\x01\x61a\x02"),
+    (dict[str, int], b"\xa2\x61a\x01\x61a\x02"),
+    (dict[str, int], b"\xa1\x01\x02"),
+    (TrustDecision, b"\x82\xf5\xf7"),
+], ids=[
+    "major-type-bytes-for-text", "major-type-text-for-bytes", "major-type-int-for-bool",
+    "major-type-int-for-float",
+    "field-count-short", "field-count-long",
+    "non-shortest-text-length", "non-shortest-array-length", "non-shortest-integer",
+    "non-shortest-float",
+    "truncated", "empty", "trailing-byte",
+    "invalid-utf8", "utf8-surrogate",
+    "unknown-method-byte", "method-byte-zero",
+    "constructor-invariant",
+    "indefinite-length", "tag",
+    "map-keys-out-of-order", "map-key-repeated", "map-key-not-text",
+    "undefined-simple-value",
+])
+def test_unpack_rejects(tp, raw):
+    with pytest.raises(EncodingError):
+        unpack(tp, raw)
 
 
 if __name__ == "__main__":
