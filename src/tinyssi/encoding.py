@@ -166,15 +166,13 @@ def _write(out: bytearray, value: Any) -> None:
         for item in value:
             _write(out, item)
     elif kind is dict:
-        keys = {}
-        for key in value:
-            if type(key) is not str:
-                raise EncodingError(f"map keys must be text, got {type(key).__name__}")
-            keys[cbor_bytes(key)] = key
-        _head(out, _MAP, len(keys))
-        for raw_key in sorted(keys):
+        if any(type(key) is not str for key in value):
+            raise EncodingError("map keys must be text")
+        _head(out, _MAP, len(value))
+        # Distinct keys have distinct encodings, so the sort never compares items.
+        for raw_key, item in sorted((cbor_bytes(key), item) for key, item in value.items()):
             out += raw_key
-            _write(out, value[keys[raw_key]])
+            _write(out, item)
     elif value is None:
         out.append(_SIMPLE << 5 | _NULL)
     elif kind is bool:
@@ -289,13 +287,15 @@ def _encoder(tp: Any, wire: bool) -> Callable[[Any], Any] | None:
     """How a value declared as `tp` is laid out in canonical (or, if `wire`, wire)
     form; None when it is its own layout."""
     origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
+    # A value whose type is known only at run time is laid out by that type.
+    by_value = functools.partial(_laid_out, wire=wire)
     if origin in (types.UnionType, typing.Union):
-        return functools.partial(_laid_out, wire=wire)
+        return by_value
     if origin in (tuple, list):
-        item = _encoder(args[0], wire) if args else functools.partial(_laid_out, wire=wire)
+        item = _encoder(args[0], wire) if args else by_value
         return list if item is None else lambda items: [item(v) for v in items]
     if origin is dict:
-        item = _encoder(args[1], wire) if args else functools.partial(_laid_out, wire=wire)
+        item = _encoder(args[1], wire) if args else by_value
         return dict if item is None else lambda mapping: {k: item(v) for k, v in mapping.items()}
     if tp is bytes:
         return None if wire else bytes.hex
@@ -306,15 +306,17 @@ def _encoder(tp: Any, wire: bool) -> Callable[[Any], Any] | None:
     if dataclasses.is_dataclass(tp):
         hints = typing.get_type_hints(tp)
         plan = [(f.name, _encoder(hints[f.name], wire)) for f in dataclasses.fields(tp)]
-        if wire:
-            return lambda record: [
+
+        def field_values(record: Any) -> list[Any]:
+            return [
                 getattr(record, name) if write is None else write(getattr(record, name))
                 for name, write in plan
             ]
-        return lambda record: {
-            name: getattr(record, name) if write is None else write(getattr(record, name))
-            for name, write in plan
-        }
+
+        if wire:
+            return field_values
+        names = [name for name, _ in plan]
+        return lambda record: dict(zip(names, field_values(record)))
     if tp in (str, int, float, bool, type(None)):
         return None
     raise TypeError(f"no canonical form for {tp!r}")

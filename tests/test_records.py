@@ -401,6 +401,13 @@ def test_cbor_map_keys_sort_by_their_encoded_bytes():
     assert cbor_bytes({"aa": 1, "b": 2}).hex() == "a2616202626161" + "01"
 
 
+@pytest.mark.parametrize("value", [{1: 2}, 2**64, -(2**64) - 1, {"a"}],
+                         ids=["int-map-key", "int-too-large", "int-too-small", "set"])
+def test_cbor_writes_only_wire_values(value):
+    with pytest.raises(EncodingError):
+        cbor_bytes(value)
+
+
 AUTH = Auth("k", bytes(64))
 SIGNATURE = b"\x58\x40" + bytes(64)   # a 64-byte byte string
 HELLO = Hello(*generate_peer_did([PublicKeyEntry("k1", crypto.PURPOSE_SIGN, bytes(32))]),
