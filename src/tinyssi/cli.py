@@ -158,10 +158,7 @@ def cmd_did_create(args) -> int:
 
 
 def cmd_did_resolve(args) -> int:
-    try:
-        did = parse_did(args.did)
-    except DidError as exc:
-        return _fail(EXIT_VALIDATION, str(exc))
+    did = parse_did(args.did)
     resolver = _build_resolver(args)
     try:
         doc = resolver.resolve(did, _now())
@@ -215,19 +212,14 @@ def cmd_vc_issue(args) -> int:
     sign_key = w.current_sign_key()
     if sign_key is None:
         return _fail(EXIT_VALIDATION, "issuer wallet holds no identity with a current signing key")
-    try:
-        subject = parse_did(args.subject)
-        claims = _parse_claims(args.claim)
-        vc, openings = issue(
-            sign_key,
-            w.owner_did,
-            subject,
-            claims,
-            validity=args.validity_days * 24 * 3600,
-            now=_now(),
-        )
-    except (DidError, CredentialError) as exc:
-        return _fail(EXIT_VALIDATION, str(exc))
+    vc, openings = issue(
+        sign_key,
+        w.owner_did,
+        parse_did(args.subject),
+        _parse_claims(args.claim),
+        validity=args.validity_days * 24 * 3600,
+        now=_now(),
+    )
     Path(args.out).write_bytes(vc.to_bytes())
     Path(args.openings_out).write_bytes(canonical_bytes(encode(OpeningsFile(vc.vc_id, openings))))
     _emit({"vc_id": vc.vc_id, "credential_bytes": len(vc.to_bytes())})
@@ -254,13 +246,10 @@ def cmd_vc_present(args) -> int:
         return _fail(
             EXIT_VALIDATION, f'openings file must hold a "vc_id" and an "openings" list: {exc}'
         )
-    try:
-        vc = VerifiableCredential.from_bytes(Path(args.vc).read_bytes())
-        if stored.vc_id != vc.vc_id:
-            raise CredentialError(f"openings file is for {stored.vc_id}, not {vc.vc_id}")
-        presentation = present(vc, stored.openings, args.disclose.split(","))
-    except CredentialError as exc:
-        return _fail(EXIT_VALIDATION, str(exc))
+    vc = VerifiableCredential.from_bytes(Path(args.vc).read_bytes())
+    if stored.vc_id != vc.vc_id:
+        return _fail(EXIT_VALIDATION, f"openings file is for {stored.vc_id}, not {vc.vc_id}")
+    presentation = present(vc, stored.openings, args.disclose.split(","))
     Path(args.out).write_bytes(presentation.to_bytes())
     _emit(
         {
@@ -344,13 +333,10 @@ def cmd_wallet_list(args) -> int:
 
 
 def cmd_sim_run(args) -> int:
-    try:
-        scenario = Scenario.load(args.scenario)
-        if args.seed is not None:
-            scenario.seed = args.seed
-        report = run_scenario(scenario)
-    except ScenarioError as exc:
-        return _fail(EXIT_VALIDATION, str(exc))
+    scenario = Scenario.load(args.scenario)
+    if args.seed is not None:
+        scenario.seed = args.seed
+    report = run_scenario(scenario)
     for line in report.summary_lines():
         print(line)
     if args.report:
@@ -498,14 +484,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except wallet_mod.WrongPassphraseError as exc:
+    except wallet_mod.WalletError as exc:  # a wrong passphrase too
         return _fail(EXIT_VERIFICATION, str(exc))
-    except wallet_mod.WalletError as exc:
-        return _fail(EXIT_VERIFICATION, str(exc))
-    except OSError as exc:
-        return _fail(EXIT_VALIDATION, str(exc))
-    except (DidError, CredentialError, ResolutionError, RegistryError, EncodingError,
-            crypto.CryptoError) as exc:
+    except (OSError, DidError, CredentialError, ResolutionError, RegistryError, EncodingError,
+            ScenarioError, crypto.CryptoError) as exc:
         return _fail(EXIT_VALIDATION, str(exc))
 
 

@@ -7,13 +7,15 @@ which is what self-certifying identifiers and signatures rely on: canonical
 JSON is the form that is signed, hashed and stored.
 
 Wire form is deterministic CBOR (RFC 8949 section 4.2), the form handshake
-messages travel in. A record is an array of its fields in declared order,
-with no names; bytes travel raw as a byte string; a type with a `from_wire`
-constructor (a DID) is the byte string its `to_wire` writes. Integers and
-lengths take the shortest head, a float the shortest width that keeps its
-value, map keys are text in the order of their encoded bytes, and None and
-bools are the CBOR simple values. `from_cbor` accepts exactly these bytes:
-no tags, no indefinite lengths, no trailing bytes, valid UTF-8 only.
+messages travel in, limited to the items their records hold: unsigned and
+negative integers, byte strings, text, arrays, and false, true and null. A
+record is an array of its fields in declared order, with no names; bytes
+travel raw as a byte string; a type with a `from_wire` constructor (a DID) is
+the byte string its `to_wire` writes. Integers and lengths take the shortest
+head. `from_cbor` accepts exactly these bytes and refuses the rest of CBOR:
+maps, tags, floats and every other simple value, indefinite lengths, trailing
+bytes and invalid UTF-8. `cbor_bytes` likewise refuses a dict or a float, so
+a record with such a field (a scenario file's) has no wire form.
 
 Records (dataclasses: documents, credentials, wallet and registry contents,
 handshake messages) map to both forms through their fields alone, by one plan
@@ -33,7 +35,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import struct
 import types
 import typing
 from typing import Any, Callable
@@ -108,12 +109,11 @@ _UINT, _NEGINT, _BYTES, _TEXT, _ARRAY, _MAP, _TAG, _SIMPLE = range(8)
 _FALSE, _TRUE, _NULL = 20, 21, 22
 # The least argument each head size (additional information 24..27) may carry.
 _HEAD_MIN = {24: 24, 25: 1 << 8, 26: 1 << 16, 27: 1 << 32}
-_FLOAT_FORMATS = {25: ">e", 26: ">f", 27: ">d"}
 
 
 def cbor_bytes(value: Any) -> bytes:
-    """The deterministic CBOR of a value made of None, bool, int, float, bytes,
-    str, lists (or tuples) and str-keyed dicts."""
+    """The deterministic CBOR of a value made of None, bool, int, bytes, str and
+    lists (or tuples)."""
     out = bytearray()
     _write(out, value)
     return bytes(out)
@@ -131,20 +131,6 @@ def _head(out: bytearray, major: int, n: int) -> None:
             out += n.to_bytes(size, "big")
             return
     raise EncodingError(f"integer {n} does not fit a CBOR head")
-
-
-def _float_item(x: float) -> bytes:
-    """A float at the narrowest width that keeps its value (NaN as 0xf97e00)."""
-    if x != x:
-        return b"\xf9\x7e\x00"
-    for info, fmt in _FLOAT_FORMATS.items():
-        try:
-            raw = struct.pack(fmt, x)
-        except OverflowError:
-            continue
-        if struct.unpack(fmt, raw)[0] == x:
-            return bytes([_SIMPLE << 5 | info]) + raw
-    raise AssertionError("a float always fits 64 bits")
 
 
 def _write(out: bytearray, value: Any) -> None:
@@ -165,22 +151,12 @@ def _write(out: bytearray, value: Any) -> None:
         _head(out, _ARRAY, len(value))
         for item in value:
             _write(out, item)
-    elif kind is dict:
-        if any(type(key) is not str for key in value):
-            raise EncodingError("map keys must be text")
-        _head(out, _MAP, len(value))
-        # Distinct keys have distinct encodings, so the sort never compares items.
-        for raw_key, item in sorted((cbor_bytes(key), item) for key, item in value.items()):
-            out += raw_key
-            _write(out, item)
     elif value is None:
         out.append(_SIMPLE << 5 | _NULL)
     elif kind is bool:
         out.append(_SIMPLE << 5 | (_TRUE if value else _FALSE))
-    elif kind is float:
-        out += _float_item(value)
     else:
-        raise EncodingError(f"no CBOR form for {kind.__name__}")
+        raise EncodingError(f"{kind.__name__} is not part of the wire form")
 
 
 def from_cbor(raw: bytes) -> Any:
@@ -209,7 +185,9 @@ def _read_item(raw: bytes, at: int) -> tuple[Any, int]:
     initial = raw[at]
     major, info, at = initial >> 5, initial & 0x1F, at + 1
     if major == _SIMPLE:
-        return _read_simple(raw, at, info)
+        if info in (_FALSE, _TRUE, _NULL):
+            return (False, True, None)[info - _FALSE], at
+        raise EncodingError(f"CBOR float or simple 0x{initial:02x} is not part of the wire form")
     if info < 24:
         n = info
     elif info in _HEAD_MIN:
@@ -237,30 +215,7 @@ def _read_item(raw: bytes, at: int) -> tuple[Any, int]:
             item, at = _read_item(raw, at)
             items.append(item)
         return items, at
-    if major == _MAP:
-        mapping, last = {}, b""
-        for _ in range(n):
-            key, end = _read_item(raw, at)
-            if type(key) is not str:
-                raise EncodingError(f"CBOR map key must be text, got {type(key).__name__}")
-            if raw[at:end] <= last:
-                raise EncodingError(f"CBOR map keys out of order or repeated at {key!r}")
-            last = raw[at:end]
-            mapping[key], at = _read_item(raw, end)
-        return mapping, at
-    raise EncodingError("CBOR tags are not part of the wire form")
-
-
-def _read_simple(raw: bytes, at: int, info: int) -> tuple[Any, int]:
-    if info in (_FALSE, _TRUE, _NULL):
-        return (False, True, None)[info - _FALSE], at
-    if info not in _FLOAT_FORMATS:
-        raise EncodingError(f"CBOR simple value {info} is not part of the wire form")
-    end = _take(raw, at, 1 << (info - 24))
-    value = struct.unpack(_FLOAT_FORMATS[info], raw[at:end])[0]
-    if _float_item(value) != raw[at - 1 : end]:
-        raise EncodingError(f"non-shortest CBOR float for {value}")
-    return value, end
+    raise EncodingError("CBOR maps and tags are not part of the wire form")
 
 
 # ---------------------------------------------------------------------------

@@ -288,6 +288,12 @@ class HandshakeSession:
         # Only a key my document authorizes signs; any other fails the peer's check.
         if not config.document.authorizes(config.sign_key):
             raise HandshakeError("signing key is not a current key of my document")
+        # My HELLO carries my document and my CRED_PRESENT my credentials; both must travel.
+        try:
+            pack(config.document)
+            pack(config.credentials)
+        except EncodingError as exc:
+            raise HandshakeError(f"my document or credentials have no wire form: {exc}") from exc
         self.role = role
         self.config = config
         self.state = State.INIT

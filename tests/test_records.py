@@ -10,9 +10,10 @@ only on purpose, from the repository root:
     PYTHONPATH=src python tests/test_records.py > tests/golden/records.json
 """
 
+import dataclasses
 import json
-import math
 import struct
+import typing
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,7 +44,15 @@ from tinyssi.encoding import (
     pack,
     unpack,
 )
-from tinyssi.handshake import Auth, CredPresent, CredRequest, Error, Hello, TrustDecision
+from tinyssi.handshake import (
+    _BODIES,
+    Auth,
+    CredPresent,
+    CredRequest,
+    Error,
+    Hello,
+    TrustDecision,
+)
 from tinyssi.harness import (
     HandshakeStep,
     Scenario,
@@ -220,8 +229,26 @@ def record_strategies(dids):
     }
 
 
+def travelling_records() -> list[str]:
+    """The names of every record a handshake message carries: each body record
+    and, field by field, every record nested in it. A type with its own wire
+    form (a DID) is a leaf."""
+    seen, todo = set(), [*_BODIES.values(), Error]
+    while todo:
+        tp = todo.pop()
+        if dataclasses.is_dataclass(tp) and not hasattr(tp, "from_wire") and tp not in seen:
+            seen.add(tp)
+            todo += [t for hint in typing.get_type_hints(tp).values() for t in _types_in(hint)]
+    return sorted(tp.__name__ for tp in seen)
+
+
+def _types_in(hint):
+    return [hint, *(t for arg in typing.get_args(hint) for t in _types_in(arg))]
+
+
 RECORDS = record_strategies(dids)
 WIRE_RECORDS = record_strategies(wire_dids)
+TRAVELLING = travelling_records()
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -237,7 +264,7 @@ def test_round_trip(name, data):
         assert type(record).from_bytes(record.to_bytes()) == record
 
 
-@pytest.mark.parametrize("name", sorted(WIRE_RECORDS))
+@pytest.mark.parametrize("name", TRAVELLING)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_wire_round_trip(name, data):
@@ -248,6 +275,19 @@ def test_wire_round_trip(name, data):
     assert pack(restored) == raw
     # The wire carries the very record whose canonical bytes are signed and stored.
     assert canonical_bytes(encode(restored)) == canonical_bytes(encode(record))
+
+
+def test_every_message_record_is_walked():
+    assert {"Hello", "RetiredKey", "Presentation", "Proof", "Error"} <= set(TRAVELLING)
+    assert "ScenarioLink" not in TRAVELLING
+
+
+def test_scenario_records_have_no_wire_form():
+    # A scenario file's links and credentials hold floats and maps; neither travels.
+    with pytest.raises(EncodingError):
+        pack(ScenarioLink("a", "b", "lora", loss=0.5))
+    with pytest.raises(EncodingError):
+        pack(ScenarioCredential("alice", "camera", {"owner": "alice"}))
 
 
 @settings(max_examples=40, deadline=None)
@@ -369,43 +409,81 @@ def test_from_canonical_raises_only_encoding_error(raw):
 # The wire form: deterministic CBOR, read strictly
 # ---------------------------------------------------------------------------
 
-# RFC 8949 Appendix A, the examples that preferred serialization writes.
+# RFC 8949 Appendix A, the examples of the items the wire form holds.
 @pytest.mark.parametrize("value, hex_form", [
     (0, "00"), (23, "17"), (24, "1818"), (100, "1864"), (1000, "1903e8"),
     (1000000, "1a000f4240"), (1000000000000, "1b000000e8d4a51000"),
     (18446744073709551615, "1bffffffffffffffff"), (-1, "20"), (-100, "3863"),
     (-1000, "3903e7"), (-18446744073709551616, "3bffffffffffffffff"),
-    (0.0, "f90000"), (-0.0, "f98000"), (1.0, "f93c00"), (1.1, "fb3ff199999999999a"),
-    (1.5, "f93e00"), (65504.0, "f97bff"), (100000.0, "fa47c35000"),
-    (3.4028234663852886e38, "fa7f7fffff"), (1.0e300, "fb7e37e43c8800759c"),
-    (5.960464477539063e-8, "f90001"), (-4.1, "fbc010666666666666"),
-    (math.inf, "f97c00"), (-math.inf, "f9fc00"), (math.nan, "f97e00"),
     (False, "f4"), (True, "f5"), (None, "f6"),
     (b"", "40"), (b"\x01\x02\x03\x04", "4401020304"),
     ("", "60"), ("IETF", "6449455446"), ("\u00fc", "62c3bc"), ("\u6c34", "63e6b0b4"),
     ([], "80"), ([1, [2, 3], [4, 5]], "8301820203820405"),
     (list(range(1, 26)), "98190102030405060708090a0b0c0d0e0f101112131415161718181819"),
-    ({}, "a0"), ({"a": 1, "b": [2, 3]}, "a26161016162820203"),
-    ({"e": "E", "a": "A", "c": "C", "b": "B", "d": "D"},
-     "a56161614161626142616361436164614461656145"),
 ])
 def test_cbor_matches_rfc_8949_examples(value, hex_form):
     assert cbor_bytes(value).hex() == hex_form
     parsed = from_cbor(bytes.fromhex(hex_form))
-    assert parsed == value or (math.isnan(parsed) and math.isnan(value))
+    assert parsed == value
     assert type(parsed) is type(value)
 
 
-def test_cbor_map_keys_sort_by_their_encoded_bytes():
-    # Length first: the 1-byte text "b" sorts before the 2-byte text "aa".
-    assert cbor_bytes({"aa": 1, "b": 2}).hex() == "a2616202626161" + "01"
-
-
-@pytest.mark.parametrize("value", [{1: 2}, 2**64, -(2**64) - 1, {"a"}],
-                         ids=["int-map-key", "int-too-large", "int-too-small", "set"])
+@pytest.mark.parametrize("value", [{1: 2}, 2**64, -(2**64) - 1, {"a"}, 1.5, {"a": 1}],
+                         ids=["int-map-key", "int-too-large", "int-too-small", "set",
+                              "float", "map"])
 def test_cbor_writes_only_wire_values(value):
     with pytest.raises(EncodingError):
         cbor_bytes(value)
+
+
+@pytest.mark.parametrize("hex_form", [
+    "a26161016162820203", "f93e00", "fa47c35000", "fb3ff199999999999a", "f7",
+], ids=["map", "half-float", "single-float", "double-float", "simple-23"])
+def test_cbor_reads_no_item_outside_the_wire_form(hex_form):
+    with pytest.raises(EncodingError, match="not part of the wire form"):
+        from_cbor(bytes.fromhex(hex_form))
+
+
+# Wire values: a drawn item, or a drawn record packed, then maybe damaged.
+# Random bytes alone decode about 1% of the time.
+_wire_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**64), 2**64 - 1) | st.text(max_size=8)
+    | st.binary(max_size=8),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _cbor_inputs(draw):
+    if draw(st.booleans()):
+        raw = cbor_bytes(draw(_wire_values))
+    else:
+        raw = pack(draw(WIRE_RECORDS[draw(st.sampled_from(TRAVELLING))]))
+    damage = draw(st.sampled_from(["none", "truncate", "flip", "widen", "random"]))
+    at = draw(st.integers(0, len(raw) - 1))
+    if damage == "truncate":
+        return raw[:at]
+    if damage == "widen" and raw[at] & 0x1F < 24:
+        # If the byte at `at` is a head, the same item with a head one byte too long.
+        return raw[:at] + bytes([raw[at] & 0xE0 | 24, raw[at] & 0x1F]) + raw[at + 1 :]
+    if damage == "flip":
+        flipped = bytearray(raw)
+        flipped[at] ^= 1 << draw(st.integers(0, 7))
+        return bytes(flipped)
+    if damage == "random":
+        return draw(st.binary(max_size=24))
+    return raw
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=_cbor_inputs())
+def test_from_cbor_reads_exactly_what_cbor_bytes_writes(raw):
+    try:
+        value = from_cbor(raw)
+    except EncodingError:
+        return
+    assert cbor_bytes(value) == raw
 
 
 AUTH = Auth("k", bytes(64))
@@ -438,13 +516,11 @@ def _with_did_byte(raw: bytes, method_byte: int) -> bytes:
     (Auth, b"\x82" + b"\x41k" + SIGNATURE),
     (Auth, b"\x82" + b"\x61k" + b"\x78\x40" + b"0" * 64),
     (TrustDecision, b"\x82\x01\xf6"),
-    (ScenarioLink, b"\x85\x61a\x61b\x64lora\x00\xf6"),
     (Auth, b"\x81\x61k"),
     (Auth, b"\x83\x61k" + SIGNATURE + b"\x00"),
     (Auth, b"\x82" + b"\x78\x01k" + SIGNATURE),
     (Auth, b"\x98\x02" + b"\x61k" + SIGNATURE),
     (RetiredKey, b"\x83\x61k\x58\x20" + bytes(32) + b"\x19\x00\x01"),
-    (ScenarioLink, b"\x85\x61a\x61b\x64lora\xfb" + struct.pack(">d", 0.5) + b"\xf6"),
     (Auth, pack(AUTH)[:-1]),
     (Auth, b""),
     (Auth, pack(AUTH) + b"\x00"),
@@ -455,22 +531,21 @@ def _with_did_byte(raw: bytes, method_byte: int) -> bytes:
     (Auth, b"\x82" + b"\x61k" + b"\x58\x3f" + bytes(63)),
     (Auth, b"\x9f" + b"\x61k" + SIGNATURE + b"\xff"),
     (Auth, b"\xd8\x18" + pack(AUTH)),
-    (dict[str, int], b"\xa2\x61b\x01\x61a\x02"),
-    (dict[str, int], b"\xa2\x61a\x01\x61a\x02"),
-    (dict[str, int], b"\xa1\x01\x02"),
+    (TrustDecision, b"\x82\xf5\xa1\x61a\x61b"),
+    (TrustDecision, b"\x82\xf5\xf9\x3e\x00"),
+    (TrustDecision, b"\x82\xf5\xfa" + struct.pack(">f", 1.5)),
+    (TrustDecision, b"\x82\xf5\xfb" + struct.pack(">d", 1.5)),
     (TrustDecision, b"\x82\xf5\xf7"),
 ], ids=[
     "major-type-bytes-for-text", "major-type-text-for-bytes", "major-type-int-for-bool",
-    "major-type-int-for-float",
     "field-count-short", "field-count-long",
     "non-shortest-text-length", "non-shortest-array-length", "non-shortest-integer",
-    "non-shortest-float",
     "truncated", "empty", "trailing-byte",
     "invalid-utf8", "utf8-surrogate",
     "unknown-method-byte", "method-byte-zero",
     "constructor-invariant",
     "indefinite-length", "tag",
-    "map-keys-out-of-order", "map-key-repeated", "map-key-not-text",
+    "map", "half-float", "single-float", "double-float",
     "undefined-simple-value",
 ])
 def test_unpack_rejects(tp, raw):
