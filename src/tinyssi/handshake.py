@@ -76,6 +76,9 @@ FAIL_CHANNEL = "channel"
 FAIL_RESOLVE = "resolve"
 FAIL_PEER = "peer"
 
+# Why a presented credential did not count; the others are Verdict reasons.
+REASON_NOT_SUBJECT = "not the authenticated subject"
+
 
 class HandshakeError(Exception):
     """Misuse of the session API (not an on-protocol failure)."""
@@ -213,11 +216,15 @@ def requested_claims(policy: TrustPolicy) -> tuple[str, ...]:
     return ()
 
 
-def decide_trust(policy: TrustPolicy, presented: Sequence[Presentation]) -> TrustDecision:
+def decide_trust(
+    policy: TrustPolicy, presented: Sequence[Presentation], rejected: Sequence[str] = (),
+) -> TrustDecision:
     """Apply a policy to presentations that have already been verified.
 
     OwnerMatch is RequireClaim("owner", <my owner's DID>) restricted to
     credentials my owner issued; both go through one claim-matching loop.
+    `rejected` holds the reasons the other presentations did not verify;
+    when none verified, they are the verdict's reason.
     """
     if isinstance(policy, AlwaysTrust):
         return TrustDecision(trusted=True)
@@ -231,7 +238,7 @@ def decide_trust(policy: TrustPolicy, presented: Sequence[Presentation]) -> Trus
     else:
         raise HandshakeError(f"unknown policy {policy!r}")
     if not presented:
-        return TrustDecision(False, "no valid credentials")
+        return TrustDecision(False, "; ".join(dict.fromkeys(rejected)) or "no valid credentials")
     if not candidates:
         return TrustDecision(False, "issuer")
     values = [o.value for p in candidates for o in p.disclosed if o.name == name]
@@ -304,6 +311,7 @@ class HandshakeSession:
         self.peer_ephemeral: bytes | None = None
         self.session_keys: crypto.SessionKeys | None = None
         self.presented: list[Presentation] = []
+        self.rejected: list[str] = []
         self.peer_verdict: TrustDecision | None = None
         self.my_verdict: TrustDecision | None = None
         self.failure_reason: str | None = None
@@ -464,17 +472,21 @@ class HandshakeSession:
         return [self._send(MSG_CRED_REQUEST, CredRequest(want)), self._present(want)]
 
     def _on_present(self, message: CredPresent, now: int) -> list[bytes]:
-        """Keep the peer's presentations that verify, answer (responder), and decide."""
-        # Holder binding: a credential speaks only for its own subject.
-        self.presented = [
-            p for p in message.presentations
-            if p.credential.subject == self.peer_did
-            and verify_presentation(p, self.config.resolver, self.config.revocation, now)
-        ]
+        """Sort the peer's presentations into verified and rejected, answer (responder), decide."""
+        for p in message.presentations:
+            # Holder binding: a credential speaks only for its own subject.
+            if p.credential.subject != self.peer_did:
+                self.rejected.append(REASON_NOT_SUBJECT)
+                continue
+            verdict = verify_presentation(p, self.config.resolver, self.config.revocation, now)
+            if verdict:
+                self.presented.append(p)
+            else:
+                self.rejected.append(verdict.reason)
         replies = []
         if self.role == crypto.ROLE_RESPONDER:
             replies.append(self._present(self._peer_requested))
-        decision = decide_trust(self.config.policy, self.presented)
+        decision = decide_trust(self.config.policy, self.presented, self.rejected)
         self.my_verdict = decision
         self.state = State.TRUSTED if decision.trusted else State.UNTRUSTED
         return replies + [self._send(MSG_TRUST_RESULT, decision)]

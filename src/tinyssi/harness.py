@@ -363,6 +363,7 @@ class StepMetrics:
     fragments_per_message: list[int] = field(default_factory=list)
     round_trips: int = 0
     retransmissions: int = 0
+    ticks: int = 0  # simulated time the step's link ran, in ticks
 
 
 @dataclass
@@ -395,13 +396,13 @@ class MetricsReport:
             lines.append(f"  vc {i}: {size} bytes")
         header = (
             f"  {'step':<12} {'outcome':<28} {'bytes':>7} {'frames':>7} "
-            f"{'rts':>4} {'retx':>5} match"
+            f"{'rts':>4} {'retx':>5} {'ticks':>5} match"
         )
         lines.append(header)
         for s in self.steps:
             lines.append(
                 f"  {s.action:<12} {s.outcome:<28} {s.bytes_sent:>7} {s.frames:>7} "
-                f"{s.round_trips:>4} {s.retransmissions:>5} "
+                f"{s.round_trips:>4} {s.retransmissions:>5} {s.ticks:>5} "
                 f"{'yes' if s.matched else 'NO'}"
             )
         return lines
@@ -580,6 +581,7 @@ class ScenarioRunner:
             fragments_per_message=run.fragments_per_message,
             round_trips=rts,
             retransmissions=run.retransmissions,
+            ticks=link.now,
         )
 
     def _run_resolve(self, index: int, p: ResolveStep) -> StepMetrics:

@@ -1,4 +1,4 @@
-"""MTU-bounded framing with fragmentation, stop-and-wait ARQ, and a
+"""MTU-bounded framing with fragmentation, selective-repeat ARQ, and a
 deterministic lossy-link simulator.
 
 Frame header, 8 bytes, big-endian:
@@ -13,7 +13,11 @@ ACK frames carry a 2-byte payload: the acknowledged frag_index. Data payload
 capacity is mtu - 8. Timeouts run on simulated ticks, never wall clock, so a
 fixed seed reproduces a run frame for frame.
 
-The ARQ timeout is the link's worst-case round trip: a frame takes
+The ARQ window is the whole message: every fragment goes out at once, and
+one timer waits for all their ACKs. When it fires, only the fragments still
+unacknowledged go out again. That is the retransmission pattern of SCHC's
+ACK-on-Error mode (RFC 8724 §8.4.3), with one ACK per fragment where SCHC
+sends a bitmap. The timer is the link's worst-case round trip: a frame takes
 TRANSIT_TICKS each way, plus REORDER_DELAY_TICKS when the link reorders it.
 That is 2 ticks on a link that never reorders and 6 on one that may. A timer
 that fires then finds nothing in flight, so it never fires on a late ACK.
@@ -339,18 +343,31 @@ class _ReceiveState:
 
 
 class Messenger:
-    """Reliable message endpoint over a SimLink: stop-and-wait per fragment.
+    """Reliable message endpoint over a SimLink: selective repeat over the whole message.
 
-    send() drives the simulation until its message is fully acknowledged.
-    The peer's Messenger, attached to the same link, acknowledges data frames
-    as they arrive; completed messages queue up behind receive().
+    send() transmits every fragment of its message, then drives the
+    simulation for one round trip, or until every fragment is acknowledged.
+    When that timer fires, it retransmits only the fragments still
+    unacknowledged and waits again; a fragment still unacknowledged after
+    RETRY_LIMIT retransmissions raises DeliveryError. The peer's Messenger,
+    attached to the same link, acknowledges data frames as they arrive;
+    completed messages queue up behind receive().
+
+    The simulator charges transit, not airtime: frames sent in the same tick
+    all arrive one transit later. So a k-fragment message costs one round
+    trip here where a round trip per fragment would cost k; the saving is the
+    k - 1 idle ACK turnarounds, with the same frames, bytes and airtime.
 
     State stays bounded on a long-lived link, whose 16-bit message ids wrap.
-    The sender keeps ACKs only for the message it is sending. Each delivery
-    leaves the receiver with just the delivered message's id: as the ARQ timer
-    is the worst-case round trip, no copy of an earlier message is still in
-    flight when the next one starts, so a duplicate can only belong to it.
-    Other partial messages, abandoned or stray, are forgotten then too.
+    The sender keeps ACKs only for the message it is sending. A round sends at
+    most one copy of each unacknowledged fragment, and the timer is the
+    worst-case round trip, so every round ends with none of its frames in
+    flight: either the timer fired, or the one copy of each fragment has been
+    acknowledged. Once the last ACK is in, no copy of the message's data is in
+    flight. Each delivery therefore leaves the receiver with just the
+    delivered message's id: no copy of an earlier message is still in flight
+    when the next one starts, so a duplicate can only belong to it. Other
+    partial messages, abandoned or stray, are forgotten then too.
     """
 
     def __init__(self, link: SimLink, endpoint: str):
@@ -364,35 +381,32 @@ class Messenger:
 
     def send(self, message: bytes) -> DeliveryReport:
         message_id = self.link.allocate_message_id()
-        frames = fragment(message, self.link.profile.mtu, message_id)
-        report = DeliveryReport(fragments=len(frames))
+        outstanding = fragment(message, self.link.profile.mtu, message_id)
+        report = DeliveryReport(fragments=len(outstanding))
         self._sending = message_id
         try:
-            for frame in frames:
-                attempts = 0
-                while True:
+            for _ in range(1 + RETRY_LIMIT):
+                for frame in outstanding:
                     self.link.transmit(self.endpoint, frame)
-                    report.frames_sent += 1
-                    if attempts > 0:
-                        report.retransmissions += 1
-                    if self._await_ack(frame.frag_index):
-                        break
-                    attempts += 1
-                    if attempts > RETRY_LIMIT:
-                        raise DeliveryError(
-                            f"fragment {frame.frag_index} of message {message_id} "
-                            f"unacknowledged after {RETRY_LIMIT} retries"
-                        )
+                report.frames_sent += len(outstanding)
+                if self._await_ack({frame.frag_index for frame in outstanding}):
+                    report.retransmissions = report.frames_sent - report.fragments
+                    return report
+                outstanding = [f for f in outstanding if f.frag_index not in self._acked]
+            raise DeliveryError(
+                f"fragments {[f.frag_index for f in outstanding]} of message {message_id} "
+                f"unacknowledged after {RETRY_LIMIT} retries"
+            )
         finally:
             self._sending = None
             self._acked.clear()
-        return report
 
-    def _await_ack(self, frag_index: int) -> bool:
+    def _await_ack(self, frag_indexes: set[int]) -> bool:
+        """Tick until every fragment in frag_indexes is acknowledged, or a round trip passes."""
         deadline = self.link.now + self.link.round_trip_ticks
         while self.link.now < deadline:
             self.link.tick()
-            if frag_index in self._acked:
+            if frag_indexes <= self._acked:
                 return True
         return False
 

@@ -28,7 +28,7 @@ from conftest import (
     owner_match_config,
 )
 from tinyssi import crypto, harness
-from tinyssi.credentials import Claim, StoredCredential, issue
+from tinyssi.credentials import Claim, RevocationRegistry, StoredCredential, issue, revoke
 from tinyssi.encoding import cbor_bytes, canonical_bytes, from_canonical, from_cbor, pack, unpack
 from tinyssi.handshake import (
     AlwaysTrust,
@@ -46,6 +46,7 @@ from tinyssi.handshake import (
     RequireClaim,
     SessionConfig,
     State,
+    TrustDecision,
     decide_trust,
     initiate,
     respond,
@@ -817,6 +818,13 @@ class TestDecideTrust:
         assert not decision.trusted
         assert decision.reason == "no valid credentials"
 
+    def test_no_verified_presentations_untrusted_for_their_rejection_reasons(self, household):
+        alice, _, _ = household
+        decision = decide_trust(
+            OwnerMatch(my_owner=alice.did), [], ["revoked", "expired", "revoked"]
+        )
+        assert decision == TrustDecision(False, "revoked; expired")
+
     def test_always_trust(self):
         assert decide_trust(AlwaysTrust(), []).trusted
 
@@ -888,6 +896,22 @@ class TestEndToEndPolicies:
         assert session_r.state == State.UNTRUSTED
         assert session_r.my_verdict.reason == "issuer"
         assert [p.credential.subject for p in session_r.presented] == [eve.did]
+        assert session_r.rejected == ["not the authenticated subject"]
+
+    def test_revoked_credential_is_named_in_both_verdicts(self, household):
+        alice, camera, _ = household
+        revocation = RevocationRegistry(owner=alice.did)
+        revoke(revocation, alice.sign_key, camera.credentials[0].credential.vc_id,
+               alice.resolver, NOW)
+        cfg_i, cfg_r, _ = household_configs(household)
+        cfg_r.revocation = revocation
+        session_i, session_r, _ = run_direct(cfg_i, cfg_r)
+        assert session_r.state == State.UNTRUSTED
+        assert session_r.rejected == ["revoked"]
+        assert session_r.my_verdict == TrustDecision(False, "revoked")
+        # The camera learns the reason from the lock's TRUST_RESULT.
+        assert session_i.state == State.TRUSTED
+        assert session_i.peer_verdict == TrustDecision(False, "revoked")
 
 
 if __name__ == "__main__":

@@ -109,7 +109,7 @@ class TestOwnerScenario:
         report = run_scenario(loaded)
         assert [s.outcome for s in report.steps] == [
             "resolved", "trusted", "rotated", "trusted", "revoked",
-            "untrusted(no valid credentials)",
+            "untrusted(revoked)",
         ]
         assert report.all_matched()
 
@@ -128,6 +128,11 @@ class TestOwnerScenario:
     def test_round_trips_to_trusted(self):
         report = run_scenario(scenario())
         assert report.steps[0].round_trips == 3
+
+    def test_ticks_are_one_link_round_trip_per_message(self):
+        step = run_scenario(scenario()).steps[0]
+        # Lossless LoRa: each message's fragments go out together, ACKed 2 ticks later.
+        assert step.ticks == 2 * len(step.fragments_per_message) == 18
 
     def test_differing_owner_value_is_owner_mismatch(self):
         mapping = copy.deepcopy(BASE)
@@ -215,7 +220,7 @@ class TestDeterminismAndConservation:
         step = decoded["steps"][0]
         assert set(step) == {
             "action", "outcome", "expect", "matched", "bytes_sent", "frames",
-            "fragments_per_message", "round_trips", "retransmissions",
+            "fragments_per_message", "round_trips", "retransmissions", "ticks",
         }
         assert decoded["document_sizes"]["ddo_bytes"] == report.ddo_bytes
 

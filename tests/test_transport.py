@@ -1,7 +1,15 @@
-"""Frame codec, fragmentation arithmetic, ARQ behavior, simulator determinism."""
+"""Frame codec, fragmentation arithmetic, ARQ behavior, simulator determinism.
+
+`tests/fixtures/lora-loss0.2-reorder0.1-seed12.trace` holds the frame trace,
+ticks included, of one 3,000-byte send over a lossy, reordering LoRa link. It
+pins the ARQ's frame order and timing, so it changes only with them.
+Regenerate it only on purpose, from the repository root:
+
+    PYTHONPATH=src python tests/test_transport.py > tests/fixtures/lora-loss0.2-reorder0.1-seed12.trace
+"""
 
 import math
-import re
+import sys
 from pathlib import Path
 from random import Random
 
@@ -25,6 +33,17 @@ from tinyssi.transport import (
 )
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+LOSSY_TRACE = FIXTURES / "lora-loss0.2-reorder0.1-seed12.trace"
+
+
+def lossy_reordering_trace() -> list[str]:
+    """The trace of the send the fixture pins; the message must arrive intact."""
+    link = make_link("lora", loss=0.2, reorder=0.1, seed=12)
+    sender = Messenger(link, "A")
+    receiver = Messenger(link, "B")
+    sender.send(bytes(3000))
+    assert receiver.receive() == bytes(3000)
+    return link.trace_lines()
 
 
 class TestFrameCodec:
@@ -284,7 +303,40 @@ class TestTrace:
 
 
 class TestAckTimeout:
-    """The ARQ timer is the link's worst-case round trip, never less, never more."""
+    """One timer, the link's worst-case round trip, covers every unacknowledged fragment."""
+
+    @pytest.mark.parametrize("fragments", [1, 2, 15])
+    def test_lossless_message_is_acknowledged_in_one_round_trip(self, fragments):
+        link = make_link("lora", seed=1)
+        sender = Messenger(link, "A")
+        receiver = Messenger(link, "B")
+        message = Random(fragments).randbytes(fragments * (link.profile.mtu - HEADER_LEN))
+        report = sender.send(message)
+        assert report.fragments == report.frames_sent == fragments
+        assert receiver.receive() == message
+        assert link.now == link.round_trip_ticks
+
+    def test_only_the_lost_fragment_is_retransmitted(self):
+        link = make_link("lora", seed=1)
+        sender = Messenger(link, "A")
+        receiver = Messenger(link, "B")
+        transmit, lost = link.transmit, []
+
+        def lose_first_copy_of_fragment_1(src, frame):
+            if not frame.is_ack and frame.frag_index == 1 and not lost:
+                lost.append(frame)
+                return
+            transmit(src, frame)
+
+        link.transmit = lose_first_copy_of_fragment_1
+        message = Random(2).randbytes(600)  # three LoRa fragments
+        report = sender.send(message)
+        assert receiver.receive() == message
+        assert report.retransmissions == 1
+        round_trip = link.round_trip_ticks
+        data = [(e.tick, e.frag_index) for e in link.trace if e.kind == "data"]
+        assert data == [(0, 0), (0, 2), (round_trip, 1)]
+        assert link.now == 2 * round_trip
 
     @pytest.mark.parametrize("reorder,round_trip", [(0.0, 2), (0.1, 6)])
     def test_total_loss_retries_one_round_trip_apart(self, reorder, round_trip):
@@ -292,37 +344,55 @@ class TestAckTimeout:
         sender = Messenger(link, "A")
         Messenger(link, "B")
         with pytest.raises(DeliveryError):
-            sender.send(b"doomed")
-        ticks = [e.tick for e in link.trace if e.kind == "data"]
-        assert {b - a for a, b in zip(ticks, ticks[1:])} == {round_trip}
+            sender.send(bytes(300))  # two LoRa fragments
+        rounds = [round_trip * r for r in range(1 + RETRY_LIMIT)]
+        for index in (0, 1):
+            assert [e.tick for e in link.trace if e.frag_index == index] == rounds
         assert link.now == round_trip * (1 + RETRY_LIMIT)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
+        loss=st.floats(min_value=0.0, max_value=0.5),
         reorder=st.floats(min_value=0.0, max_value=1.0),
+        size=st.integers(min_value=1, max_value=1500),
     )
-    @example(seed=0, reorder=1.0)
-    def test_no_spurious_timeout_without_loss(self, seed, reorder):
-        link = make_link("lora", reorder=reorder, seed=seed)
+    @example(seed=0, loss=0.0, reorder=1.0, size=1000)
+    def test_retransmits_only_after_a_drop(self, seed, loss, reorder, size):
+        link = make_link("lora", loss=loss, reorder=reorder, seed=seed)
         sender = Messenger(link, "A")
         receiver = Messenger(link, "B")
-        report = sender.send(bytes(1000))
-        assert report.retransmissions == 0
-        assert receiver.receive() == bytes(1000)
+        message = Random(seed).randbytes(size)
+        try:
+            report = sender.send(message)
+        except DeliveryError:
+            report = None
+        received = receiver.receive()
+        data = [e for e in link.trace if e.kind == "data"]
+        acks = [e for e in link.trace if e.kind == "ack"]
+        ticks = sorted({e.tick for e in data})
+        assert all(b - a == link.round_trip_ticks for a, b in zip(ticks, ticks[1:]))
+        sent = [{e.frag_index: e for e in data if e.tick == t} for t in ticks]
+        for before, start, after in zip(sent, ticks, sent[1:]):
+            end = start + link.round_trip_ticks
+            assert after.keys() <= before.keys()
+            for index in after:
+                # A fragment goes out again only if its last copy or that copy's ACK was lost.
+                ack_dropped = any(
+                    a.dropped for a in acks if a.frag_index == index and start <= a.tick < end
+                )
+                assert before[index].dropped or ack_dropped
+        if report is None:
+            assert len(sent) == 1 + RETRY_LIMIT
+            assert received in (None, message)
+        else:
+            assert received == message
+            assert report.retransmissions == len(data) - report.fragments
+            if loss == 0.0:
+                assert report.retransmissions == 0
 
-    def test_lossy_reordering_trace_only_loses_idle_ticks(self):
-        # The fixture is this send's trace under the former 8-tick constant
-        # timeout, tick field removed; that run ended at tick 112.
-        link = make_link("lora", loss=0.2, reorder=0.1, seed=12)
-        sender = Messenger(link, "A")
-        receiver = Messenger(link, "B")
-        sender.send(bytes(3000))
-        assert receiver.receive() == bytes(3000)
-        untimed = [re.sub(r"^t=\d+ ", "", line) for line in link.trace_lines()]
-        fixture = FIXTURES / "lora-loss0.2-reorder0.1-seed12.trace"
-        assert untimed == fixture.read_text().splitlines()
-        assert link.now < 112
+    def test_lossy_reordering_trace_matches_fixture(self):
+        assert lossy_reordering_trace() == LOSSY_TRACE.read_text(encoding="utf-8").splitlines()
 
 
 class TestMessageIds:
@@ -411,3 +481,7 @@ class TestMalformedFrames:
         link = self._inject_then_deliver("A", Frame(0, 0x7777, 1, 3, b"y"), prelude=[first])
         acks = [e for e in link.trace if e.kind == "ack" and e.message_id == 0x7777]
         assert [e.frag_index for e in acks] == [0]
+
+
+if __name__ == "__main__":
+    sys.stdout.buffer.write("".join(f"{line}\n" for line in lossy_reordering_trace()).encode())
