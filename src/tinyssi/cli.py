@@ -40,7 +40,7 @@ from .identity import (
     parse_did,
 )
 from .resolver import Registry, RegistryError, ResolutionError, Resolver
-from .transport import PROFILES
+from .transport import PROFILES, TransportError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -486,6 +486,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except wallet_mod.WalletError as exc:  # a wrong passphrase too
         return _fail(EXIT_VERIFICATION, str(exc))
+    except TransportError as exc:  # a message the transport cannot carry
+        return _fail(EXIT_TRANSPORT, str(exc))
     except (OSError, DidError, CredentialError, ResolutionError, RegistryError, EncodingError,
             ScenarioError, crypto.CryptoError) as exc:
         return _fail(EXIT_VALIDATION, str(exc))

@@ -421,7 +421,7 @@ class HandshakeRun:
     legs: int = 0
     legs_to_secure: int | None = None
     legs_to_terminal: int | None = None
-    fragments_per_message: list[int] = field(default_factory=list)
+    fragments_per_message: list[int] = field(default_factory=list)  # one per leg
     retransmissions: int = 0
     delivery_failed: bool = False
 
@@ -465,8 +465,10 @@ def drive_handshake(
     link, initiator: HandshakeSession, first_message: bytes,
     responder: HandshakeSession, now: int, intercept=None,
 ) -> HandshakeRun:
-    """Alternate message batches between the two sessions over the link.
+    """Alternate legs between the two sessions over the link.
 
+    A leg is the messages one session's step()s just produced. They travel
+    as one transport message, and the receiver steps them in order.
     `intercept(receiver_role, message) -> message` models an on-path attacker:
     it may rewrite any message after reassembly, before the receiver steps it.
     """
@@ -479,15 +481,17 @@ def drive_handshake(
     while outbox and run.legs < MAX_LEGS:
         run.legs += 1
         receiver_name = b if sender == a else a
+        try:
+            report = messengers[sender].send(*outbox)
+        except DeliveryError as exc:
+            report = exc.report
+            run.delivery_failed = True
+        run.fragments_per_message.append(report.fragments)
+        run.retransmissions += report.retransmissions
+        if run.delivery_failed:
+            return run
         replies: list[bytes] = []
-        for message in outbox:
-            try:
-                report = messengers[sender].send(message)
-            except DeliveryError:
-                run.delivery_failed = True
-                return run
-            run.fragments_per_message.append(report.fragments)
-            run.retransmissions += report.retransmissions
+        for _ in outbox:
             received = messengers[receiver_name].receive()
             if received is None:
                 run.delivery_failed = True

@@ -4,7 +4,7 @@ deterministic lossy-link simulator.
 Frame header, 8 bytes, big-endian:
 
   byte 0    magic 0xD1
-  byte 1    flags: bit0 = ACK, bit1 = last fragment
+  byte 1    flags: bit0 = ACK, bit1 = last fragment, bit2 = batch
   bytes 2-3 message_id
   bytes 4-5 frag_index
   bytes 6-7 frag_count
@@ -12,6 +12,15 @@ Frame header, 8 bytes, big-endian:
 ACK frames carry a 2-byte payload: the acknowledged frag_index. Data payload
 capacity is mtu - 8. Timeouts run on simulated ticks, never wall clock, so a
 fixed seed reproduces a run frame for frame.
+
+Messenger.send takes one or more protocol messages and sends them as one
+transport message: one message id, one fragment stream, one ARQ timer. One
+message travels as it is. Two or more travel as a batch: each is preceded by
+its 2-byte big-endian length, and every fragment sets the batch flag. The
+receiver queues a completed batch's messages in send order, and drops a batch
+whose length prefixes do not tile its payload exactly. So a handshake leg of
+several messages costs one round trip, not one per message, the way DTLS 1.3
+packs several records into one datagram (RFC 9147 §4).
 
 The ARQ window is the whole message: every fragment goes out at once, and
 one timer waits for all their ACKs. When it fires, only the fragments still
@@ -37,12 +46,14 @@ MAGIC = 0xD1
 HEADER_LEN = 8
 FLAG_ACK = 0x01
 FLAG_LAST = 0x02
+FLAG_BATCH = 0x04
 
 RETRY_LIMIT = 8          # retransmissions per fragment before giving up
 TRANSIT_TICKS = 1        # one-way delay of every delivered frame
 REORDER_DELAY_TICKS = 2  # extra one-way delay of a reordered frame
 
 _HEADER = struct.Struct(">BBHHH")
+_LENGTH = struct.Struct(">H")
 
 
 class TransportError(Exception):
@@ -54,7 +65,11 @@ class FrameError(TransportError):
 
 
 class DeliveryError(TransportError):
-    """Retry budget exhausted on a lossy link."""
+    """Retry budget exhausted on a lossy link; `report` counts the failed send."""
+
+    def __init__(self, message: str, report: DeliveryReport):
+        super().__init__(message)
+        self.report = report
 
 
 @dataclass(frozen=True)
@@ -106,8 +121,11 @@ def make_ack(message_id: int, frag_index: int) -> Frame:
     )
 
 
-def fragment(message: bytes, mtu: int, message_id: int) -> list[Frame]:
-    """Split a message into ceil(len / (mtu - 8)) frames, last one flagged."""
+def fragment(message: bytes, mtu: int, message_id: int, flags: int = 0) -> list[Frame]:
+    """Split a message into ceil(len / (mtu - 8)) frames, last one flagged.
+
+    Every frame carries `flags`, the last one FLAG_LAST as well.
+    """
     if mtu <= HEADER_LEN:
         raise TransportError(f"mtu must exceed the {HEADER_LEN}-byte header")
     if not message:
@@ -121,10 +139,9 @@ def fragment(message: bytes, mtu: int, message_id: int) -> list[Frame]:
     frames = []
     for index in range(count):
         chunk = message[index * capacity : (index + 1) * capacity]
-        flags = FLAG_LAST if index == count - 1 else 0
         frames.append(
             Frame(
-                flags=flags,
+                flags=flags | FLAG_LAST if index == count - 1 else flags,
                 message_id=message_id,
                 frag_index=index,
                 frag_count=count,
@@ -159,6 +176,38 @@ def reassemble(frames: Iterable[Frame]) -> bytes | None:
     if frag_count is None or len(by_index) < frag_count:
         return None
     return b"".join(by_index[i] for i in range(frag_count))
+
+
+def _payload(messages: tuple[bytes, ...]) -> tuple[bytes, int]:
+    """The payload and flags of the transport message that carries `messages`."""
+    if not messages:
+        raise TransportError("send needs at least one message")
+    if not all(messages):
+        raise TransportError("cannot send an empty message")
+    if len(messages) == 1:
+        return messages[0], 0
+    if any(len(m) > 0xFFFF for m in messages):
+        raise TransportError("a batched message is limited to 65535 bytes")
+    return b"".join(_LENGTH.pack(len(m)) + m for m in messages), FLAG_BATCH
+
+
+def _unbatch(payload: bytes) -> list[bytes]:
+    """Split a batch payload; FrameError unless its length prefixes tile it exactly."""
+    messages, offset = [], 0
+    while offset < len(payload):
+        if offset + _LENGTH.size > len(payload):
+            raise FrameError("batch ends inside a length prefix")
+        (length,) = _LENGTH.unpack_from(payload, offset)
+        offset += _LENGTH.size
+        if length == 0:
+            raise FrameError("batch holds an empty message")
+        if offset + length > len(payload):
+            raise FrameError(f"batch entry of {length} bytes overruns the payload")
+        messages.append(payload[offset : offset + length])
+        offset += length
+    if len(messages) < 2:
+        raise FrameError("batch of fewer than two messages")
+    return messages
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +387,7 @@ def make_link(
 @dataclass
 class _ReceiveState:
     frag_count: int
+    batch: bool
     fragments: dict[int, Frame] = field(default_factory=dict)
     delivered: bool = False
 
@@ -345,18 +395,23 @@ class _ReceiveState:
 class Messenger:
     """Reliable message endpoint over a SimLink: selective repeat over the whole message.
 
-    send() transmits every fragment of its message, then drives the
-    simulation for one round trip, or until every fragment is acknowledged.
-    When that timer fires, it retransmits only the fragments still
-    unacknowledged and waits again; a fragment still unacknowledged after
-    RETRY_LIMIT retransmissions raises DeliveryError. The peer's Messenger,
-    attached to the same link, acknowledges data frames as they arrive;
-    completed messages queue up behind receive().
+    send(*messages) carries its messages as one transport message, batched
+    when there are two or more (see the module docstring). It transmits every
+    fragment, then drives the simulation for one round trip, or until every
+    fragment is acknowledged. When that timer fires, it retransmits only the
+    fragments still unacknowledged and waits again; a fragment still
+    unacknowledged after RETRY_LIMIT retransmissions raises DeliveryError,
+    which carries the send's DeliveryReport. The peer's Messenger, attached to
+    the same link, acknowledges data frames as they arrive; the messages of a
+    completed transport message queue up, in send order, behind receive().
 
     The simulator charges transit, not airtime: frames sent in the same tick
     all arrive one transit later. So a k-fragment message costs one round
     trip here where a round trip per fragment would cost k; the saving is the
-    k - 1 idle ACK turnarounds, with the same frames, bytes and airtime.
+    k - 1 idle ACK turnarounds, with the same frames, bytes and airtime. A
+    batch of m messages saves m - 1 round trips the same way. It costs 2
+    bytes of length prefix per message, and may need fewer fragments, and so
+    fewer ACKs, than m sends would: only its last fragment is partly filled.
 
     State stays bounded on a long-lived link, whose 16-bit message ids wrap.
     The sender keeps ACKs only for the message it is sending. A round sends at
@@ -367,7 +422,9 @@ class Messenger:
     flight. Each delivery therefore leaves the receiver with just the
     delivered message's id: no copy of an earlier message is still in flight
     when the next one starts, so a duplicate can only belong to it. Other
-    partial messages, abandoned or stray, are forgotten then too.
+    partial messages, abandoned or stray, are forgotten then too. A batch
+    changes none of this: it is one message id, sent and delivered once, and
+    its messages wait in the receive() queue only until the caller takes them.
     """
 
     def __init__(self, link: SimLink, endpoint: str):
@@ -379,9 +436,10 @@ class Messenger:
         self._received: deque[bytes] = deque()
         link.attach(endpoint, self)
 
-    def send(self, message: bytes) -> DeliveryReport:
+    def send(self, *messages: bytes) -> DeliveryReport:
+        payload, flags = _payload(messages)
         message_id = self.link.allocate_message_id()
-        outstanding = fragment(message, self.link.profile.mtu, message_id)
+        outstanding = fragment(payload, self.link.profile.mtu, message_id, flags)
         report = DeliveryReport(fragments=len(outstanding))
         self._sending = message_id
         try:
@@ -389,13 +447,14 @@ class Messenger:
                 for frame in outstanding:
                     self.link.transmit(self.endpoint, frame)
                 report.frames_sent += len(outstanding)
+                report.retransmissions = report.frames_sent - report.fragments
                 if self._await_ack({frame.frag_index for frame in outstanding}):
-                    report.retransmissions = report.frames_sent - report.fragments
                     return report
                 outstanding = [f for f in outstanding if f.frag_index not in self._acked]
             raise DeliveryError(
                 f"fragments {[f.frag_index for f in outstanding]} of message {message_id} "
-                f"unacknowledged after {RETRY_LIMIT} retries"
+                f"unacknowledged after {RETRY_LIMIT} retries",
+                report,
             )
         finally:
             self._sending = None
@@ -411,28 +470,37 @@ class Messenger:
         return False
 
     def handle_frame(self, frame: Frame) -> None:
-        """Take one frame off the link; FrameError means it was not acted on."""
+        """Take one frame off the link.
+
+        FrameError means the frame was not acted on, or that the batch it
+        completed did not split and was dropped.
+        """
         if frame.is_ack:
             if len(frame.payload) != 2:
                 raise FrameError(f"ACK payload of {len(frame.payload)} bytes, want 2")
             if frame.message_id == self._sending:
                 self._acked.add(struct.unpack(">H", frame.payload)[0])
             return
+        batch = bool(frame.flags & FLAG_BATCH)
         state = self._receiving.setdefault(
-            frame.message_id, _ReceiveState(frag_count=frame.frag_count)
+            frame.message_id, _ReceiveState(frag_count=frame.frag_count, batch=batch)
         )
         if frame.frag_count != state.frag_count:
             raise FrameError(f"inconsistent frag_count for message {frame.message_id}")
+        if batch != state.batch:
+            raise FrameError(f"inconsistent batch flag for message {frame.message_id}")
         # Duplicate data (a lost ACK) is re-acknowledged, never re-delivered.
         self.link.transmit(self.endpoint, make_ack(frame.message_id, frame.frag_index))
         if state.delivered:
             return
         state.fragments.setdefault(frame.frag_index, frame)
         if len(state.fragments) == state.frag_count:
-            self._received.append(reassemble(state.fragments.values()))
+            payload = reassemble(state.fragments.values())
+            # Delivered before the split: a batch that does not split is dropped once.
             state.delivered = True
             state.fragments.clear()
             self._receiving = {frame.message_id: state}
+            self._received.extend(_unbatch(payload) if state.batch else [payload])
 
     def receive(self) -> bytes | None:
         if self._received:

@@ -393,6 +393,18 @@ class TestSimCommands:
         assert code == 4
         assert "delivery-failed" in out
 
+    def test_message_too_long_to_batch_is_transport_exit_code(self, tmp_path, capsys):
+        mapping = json.loads(SCENARIO.read_text())
+        mapping["links"][0]["profile"] = "lossless"
+        for credential in mapping["credentials"]:
+            # Each claim adds a commitment: 2,000 make CRED_PRESENT longer than 65,535 B.
+            credential["claims"].update({f"c{i}": "v" for i in range(2000)})
+        scn = tmp_path / "huge-presentation.scn"
+        scn.write_text(json.dumps(mapping))
+        code, out = run(capsys, "sim", "run", str(scn))
+        assert code == 4
+        assert "65535" in out["error"]["reason"]
+
     def test_invalid_scenario_is_validation_error(self, tmp_path, capsys):
         mapping = json.loads(SCENARIO.read_text())
         mapping["steps"][0]["initiator"] = "ghost"

@@ -153,11 +153,11 @@ def test_handshake_messages_match_golden():
 
 
 class TestWireSize:
-    """The owner-two-devices handshake as its LoRa link carries it: 9 messages."""
+    """The owner-two-devices handshake as its LoRa link carries it: 9 messages in 7 legs."""
 
     TAGS = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x06, 0x07, 0x07]
     MESSAGE_BYTES = [271, 269, 82, 82, 37, 376, 376, 32, 32]
-    LORA_FRAGMENTS = [2, 2, 1, 1, 1, 2, 2, 1, 1]
+    LORA_FRAGMENTS = [2, 2, 1, 1, 2, 2, 1]  # one transport message per leg
 
     def test_owner_two_devices_message_sizes_and_fragments(self):
         messages = [
@@ -171,7 +171,7 @@ class TestWireSize:
         (step,) = report.steps
         assert step.outcome == "trusted"
         assert list(step.fragments_per_message) == self.LORA_FRAGMENTS
-        assert sum(step.fragments_per_message) <= 13
+        assert sum(step.fragments_per_message) <= 11
 
 
 class TestHonestRun:

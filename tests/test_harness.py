@@ -3,15 +3,18 @@
 import copy
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from tinyssi import harness
 from tinyssi.harness import (
     Deployment,
     Scenario,
     ScenarioError,
     run_scenario,
 )
+from tinyssi.transport import RETRY_LIMIT
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -129,10 +132,38 @@ class TestOwnerScenario:
         report = run_scenario(scenario())
         assert report.steps[0].round_trips == 3
 
-    def test_ticks_are_one_link_round_trip_per_message(self):
+    def test_ticks_are_one_link_round_trip_per_leg(self):
         step = run_scenario(scenario()).steps[0]
-        # Lossless LoRa: each message's fragments go out together, ACKed 2 ticks later.
-        assert step.ticks == 2 * len(step.fragments_per_message) == 18
+        # Lossless LoRa: each leg's fragments go out together, ACKed 2 ticks later.
+        assert step.ticks == 2 * len(step.fragments_per_message) == 14
+
+    def test_every_data_frame_of_a_leg_goes_out_in_the_same_tick(self):
+        links, make_link = [], harness.make_link
+
+        def recording_make_link(*args, **kwargs):
+            links.append(make_link(*args, **kwargs))
+            return links[-1]
+
+        with mock.patch.object(harness, "make_link", recording_make_link):
+            step = run_scenario(scenario()).steps[0]
+        (link,) = links
+        ticks: dict[int, list[int]] = {}
+        for entry in link.trace:
+            if entry.kind == "data":
+                ticks.setdefault(entry.message_id, []).append(entry.tick)
+        # One transport message per leg, one leg per round trip.
+        assert [set(t) for t in ticks.values()] == [{2 * leg} for leg in range(7)]
+        assert [len(t) for t in ticks.values()] == step.fragments_per_message
+
+    def test_delivery_failure_reports_what_the_link_carried(self):
+        mapping = copy.deepcopy(BASE)
+        mapping["links"][0]["loss"] = 1.0
+        step = run_scenario(Scenario.from_mapping(mapping)).steps[0]
+        assert step.outcome == "delivery-failed"
+        # The HELLO's 2 LoRa fragments, each sent 1 + RETRY_LIMIT times, none ACKed.
+        assert step.fragments_per_message == [2]
+        assert step.retransmissions == 2 * RETRY_LIMIT == 16
+        assert step.frames == 2 * (1 + RETRY_LIMIT)
 
     def test_differing_owner_value_is_owner_mismatch(self):
         mapping = copy.deepcopy(BASE)

@@ -19,6 +19,8 @@ from hypothesis import example, given, settings, strategies as st
 from tinyssi.transport import (
     DeliveryError,
     FLAG_ACK,
+    FLAG_BATCH,
+    FLAG_LAST,
     Frame,
     FrameError,
     HEADER_LEN,
@@ -34,6 +36,18 @@ from tinyssi.transport import (
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 LOSSY_TRACE = FIXTURES / "lora-loss0.2-reorder0.1-seed12.trace"
+
+
+def batch_payload(*entries: bytes) -> bytes:
+    """Each entry preceded by its 2-byte big-endian length."""
+    return b"".join(len(e).to_bytes(2, "big") + e for e in entries)
+
+
+def drain(messenger: Messenger) -> list[bytes]:
+    received = []
+    while (message := messenger.receive()) is not None:
+        received.append(message)
+    return received
 
 
 def lossy_reordering_trace() -> list[str]:
@@ -228,6 +242,17 @@ class TestReliableDelivery:
         assert len(data_frames) == 1 + RETRY_LIMIT
         assert all(e.frag_index == 0 for e in data_frames)
 
+    def test_total_loss_error_carries_the_send_report(self):
+        link = make_link("lora", loss=1.0, seed=1)
+        sender = Messenger(link, "A")
+        Messenger(link, "B")
+        with pytest.raises(DeliveryError) as failed:
+            sender.send(bytes(300), b"x")  # one batch, two LoRa fragments
+        report = failed.value.report
+        assert report.fragments == 2
+        assert report.frames_sent == len(link.trace) == 2 * (1 + RETRY_LIMIT)
+        assert report.retransmissions == 2 * RETRY_LIMIT
+
     def test_lossy_link_deterministic_reports(self):
         def run():
             link = make_link("lora", loss=0.1, seed=42)
@@ -283,6 +308,61 @@ class TestReliableDelivery:
         assert receiver.receive() is None
         acks = [e for e in link.trace if e.kind == "ack"]
         assert len(acks) == 3
+
+
+class TestBatch:
+    """send(*messages): one transport message per call, batched when there are several."""
+
+    def _sent_frames(self, *messages):
+        link = make_link("lora", seed=1)
+        sender = Messenger(link, "A")
+        receiver = Messenger(link, "B")
+        frames, transmit = [], link.transmit
+
+        def recording_transmit(src, frame):
+            if src == "A":
+                frames.append(frame)
+            transmit(src, frame)
+
+        link.transmit = recording_transmit
+        report = sender.send(*messages)
+        return frames, report, drain(receiver), link
+
+    def test_one_message_travels_unbatched(self):
+        frames, _, received, _ = self._sent_frames(b"abc")
+        assert [(f.flags, f.payload) for f in frames] == [(FLAG_LAST, b"abc")]
+        assert received == [b"abc"]
+
+    def test_batch_payload_is_length_prefixed_messages(self):
+        frames, _, received, _ = self._sent_frames(b"abc", b"de")
+        assert [(f.flags, f.payload) for f in frames] == [
+            (FLAG_BATCH | FLAG_LAST, b"\x00\x03abc\x00\x02de")
+        ]
+        assert received == [b"abc", b"de"]
+
+    def test_batch_is_one_message_with_one_timer(self):
+        messages = [Random(i).randbytes(size) for i, size in enumerate((37, 376, 300))]
+        frames, report, received, link = self._sent_frames(*messages)
+        assert received == messages
+        assert {f.message_id for f in frames} == {1}
+        assert all(f.flags & FLAG_BATCH for f in frames)
+        # 3 * 2 B of lengths + 713 B of messages: 4 LoRa fragments, one round trip.
+        assert report.fragments == len(frames) == math.ceil(719 / 214) == 4
+        assert link.now == link.round_trip_ticks
+
+    @pytest.mark.parametrize(
+        "messages",
+        [(), (b"",), (b"a", b""), (bytes(0x10000), b"a")],
+        ids=["none", "empty", "empty-in-batch", "too-long-to-batch"],
+    )
+    def test_unsendable_messages_rejected_before_transmitting(self, messages):
+        link = make_link("lora", seed=1)
+        sender = Messenger(link, "A")
+        Messenger(link, "B")
+        with pytest.raises(TransportError):
+            sender.send(*messages)
+        assert link.trace == []
+        assert sender._sending is None
 
 
 class TestTrace:
@@ -426,6 +506,35 @@ class TestMessageIds:
         assert list(b._receiving) == [link._next_message_id - 1]
         assert list(a._receiving) == [link._next_message_id]
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        batches=st.lists(
+            st.lists(st.integers(min_value=1, max_value=600), min_size=1, max_size=3),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_batches_delivered_once_in_order_under_loss(self, seed, batches):
+        link = make_link("lora", loss=0.3, reorder=0.1, seed=seed)
+        sender = Messenger(link, "A")
+        receiver = Messenger(link, "B")
+        rng = Random(seed)
+        for sizes in batches:
+            messages = [rng.randbytes(size) for size in sizes]
+            try:
+                sender.send(*messages)
+            except DeliveryError:
+                # The last ACK may be what was lost: all of the batch or none of it.
+                assert drain(receiver) in ([], messages)
+                assert sender._acked == set()
+                return
+            assert drain(receiver) == messages
+            assert sender._acked == set()
+            assert list(receiver._receiving) == [link._next_message_id]
+        for _ in range(4 * link.round_trip_ticks):
+            link.tick()  # late duplicates are re-acknowledged, never re-delivered
+        assert drain(receiver) == []
+
     def test_stray_frame_mid_message_does_not_stop_delivery(self):
         link = make_link("lora", seed=3)
         sender = Messenger(link, "A")
@@ -475,6 +584,34 @@ class TestMalformedFrames:
 
     def test_ack_with_wrong_payload_length_dropped(self):
         self._inject_then_deliver("B", Frame(FLAG_ACK, 0x7777, 0, 1, b"\x00\x00\x00"))
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            batch_payload(b"ab", b"cd")[:-1],  # the last entry overruns the payload
+            batch_payload(b"ab", b"cd") + b"\x00",  # a 1-byte tail
+            batch_payload(b"ab", b""),  # a zero-length entry
+            batch_payload(b"ab"),  # one message is never batched
+        ],
+        ids=["overrun", "one-byte-tail", "zero-length-entry", "single-entry"],
+    )
+    def test_batch_that_does_not_split_dropped(self, payload):
+        bad = Frame(FLAG_BATCH | FLAG_LAST, 0x7777, 0, 1, payload)
+        # Sent twice: the duplicate is re-acknowledged, not split or counted again.
+        link = self._inject_then_deliver("A", bad, prelude=[bad])
+        assert [e.kind for e in link.trace if e.message_id == 0x7777] == ["data", "ack"] * 2
+
+    def test_batch_split_across_frames_that_does_not_split_dropped(self):
+        payload = batch_payload(b"ab", b"cd") + b"\x00"
+        first = Frame(FLAG_BATCH, 0x7777, 0, 2, payload[:4])
+        self._inject_then_deliver("A", Frame(FLAG_BATCH | FLAG_LAST, 0x7777, 1, 2, payload[4:]),
+                                  prelude=[first])
+
+    def test_inconsistent_batch_flag_dropped(self):
+        first = Frame(FLAG_BATCH, 0x7777, 0, 2, b"\x00\x01")
+        link = self._inject_then_deliver("A", Frame(FLAG_LAST, 0x7777, 1, 2, b"a"), prelude=[first])
+        acks = [e for e in link.trace if e.kind == "ack" and e.message_id == 0x7777]
+        assert [e.frag_index for e in acks] == [0]
 
     def test_inconsistent_frag_count_dropped(self):
         first = Frame(0, 0x7777, 0, 2, b"x")
