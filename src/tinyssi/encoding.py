@@ -10,12 +10,16 @@ Wire form is deterministic CBOR (RFC 8949 section 4.2), the form handshake
 messages travel in, limited to the items their records hold: unsigned and
 negative integers, byte strings, text, arrays, and false, true and null. A
 record is an array of its fields in declared order, with no names; bytes
-travel raw as a byte string; a type with a `from_wire` constructor (a DID) is
-the byte string its `to_wire` writes. Integers and lengths take the shortest
-head. `from_cbor` accepts exactly these bytes and refuses the rest of CBOR:
-maps, tags, floats and every other simple value, indefinite lengths, trailing
-bytes and invalid UTF-8. `cbor_bytes` likewise refuses a dict or a float, so
-a record with such a field (a scenario file's) has no wire form.
+travel raw as a byte string. A type with a `from_wire` constructor travels as
+its `wire_form`: `to_wire` gives that value and `from_wire` takes it back. A
+DID is a byte string; a document is its body, the reader deriving the DID
+from it (did:peer); a HELLO leaves out the DID its document gives. Bytes the
+reader can derive do not travel (SCHC, RFC 8724). Integers and lengths take
+the shortest head. `from_cbor` accepts exactly these bytes and refuses the
+rest of CBOR: maps, tags, floats and every other simple value, indefinite
+lengths, trailing bytes and invalid UTF-8. `cbor_bytes` likewise refuses a
+dict or a float, so a record with such a field (a scenario file's) has no
+wire form.
 
 Records (dataclasses: documents, credentials, wallet and registry contents,
 handshake messages) map to both forms through their fields alone, by one plan
@@ -27,7 +31,9 @@ wire form. `decode` and `unpack` read them back strictly: exactly the
 declared fields, each of its declared type (`bool` is not `int`). A record's
 constructor signals a broken invariant with a ValueError, which decoding
 reports as an EncodingError. A wire decode gives the identical record, so its
-canonical bytes, and every digest and signature over them, do not change.
+canonical bytes, and every digest and signature over them, do not change; a
+document whose id is not the DID its body certifies decodes with the DID that
+its body does certify.
 """
 
 from __future__ import annotations
@@ -255,7 +261,7 @@ def _encoder(tp: Any, wire: bool) -> Callable[[Any], Any] | None:
     if tp is bytes:
         return None if wire else bytes.hex
     if wire and hasattr(tp, "from_wire"):
-        return lambda value: _construct(value.to_wire)
+        return lambda value: _laid_out(_construct(value.to_wire), True)
     if not wire and hasattr(tp, "from_text"):
         return str
     if dataclasses.is_dataclass(tp):
@@ -310,7 +316,8 @@ def _decoder(tp: Any, wire: bool) -> Callable[[Any], Any]:
     if tp in (bytes, str, int, float, bool, type(None)):
         return functools.partial(_exactly, tp)
     if wire and hasattr(tp, "from_wire"):
-        return lambda value: _construct(tp.from_wire, _exactly(bytes, value))
+        read = _decoder(tp.wire_form, True)
+        return lambda value: _construct(tp.from_wire, read(value))
     if not wire and hasattr(tp, "from_text"):
         return lambda value: _construct(tp.from_text, _exactly(str, value))
     if dataclasses.is_dataclass(tp):

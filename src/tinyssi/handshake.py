@@ -4,7 +4,8 @@ Layer 1 turns a document exchange into an authenticated encrypted channel;
 layer 2 exchanges credential presentations over that channel and applies a
 trust policy.
 
-  I -> R  HELLO       Hello: did, full document (peer method), ephemeral key, nonce
+  I -> R  HELLO       Hello: did (reg) or document (peer, the did derived from it),
+                      ephemeral key, nonce
   I <- R  HELLO_ACK   Hello likewise
   I -> R  AUTH        Auth: signature over the transcript digest so far
   I <- R  AUTH_ACK    Auth: the responder's signature likewise
@@ -51,7 +52,7 @@ from .credentials import (
     verify_presentation,
 )
 from .encoding import EncodingError, Record, pack, unpack
-from .identity import Did, DidDocument, METHOD_PEER, format_did, verify_peer_document
+from .identity import Did, DidDocument, METHOD_PEER, format_did
 from .resolver import ResolutionError, Resolver
 
 MSG_HELLO = 0x01
@@ -121,6 +122,16 @@ _ACCEPTS: dict[tuple[str, State], set[int]] = {
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class _WireHello(Record):
+    """A Hello as it travels: its DID, or its document (the DID derived from it); not both."""
+
+    did: Did | None
+    document: DidDocument | None
+    ephemeral: bytes
+    nonce: bytes
+
+
+@dataclass(frozen=True)
 class Hello(Record):
     """HELLO and HELLO_ACK: my DID, my document if it is a peer DID, and my key share."""
 
@@ -134,6 +145,21 @@ class Hello(Record):
             raise ValueError(
                 f"ephemeral key must be {crypto.KEY_LEN} bytes and nonce {HELLO_NONCE_LEN}"
             )
+        if self.document is not None and self.document.id != self.did:
+            raise ValueError("a Hello's document must be its DID's")
+
+    wire_form = _WireHello
+
+    def to_wire(self) -> _WireHello:
+        did = None if self.document is not None else self.did
+        return _WireHello(did, self.document, self.ephemeral, self.nonce)
+
+    @classmethod
+    def from_wire(cls, wire: _WireHello) -> Hello:
+        if (wire.did is None) == (wire.document is None):
+            raise ValueError("a Hello carries a DID or a document, exactly one")
+        did = wire.did if wire.document is None else wire.document.id
+        return cls(did, wire.document, wire.ephemeral, wire.nonce)
 
 
 @dataclass(frozen=True)
@@ -295,9 +321,15 @@ class HandshakeSession:
         # Only a key my document authorizes signs; any other fails the peer's check.
         if not config.document.authorizes(config.sign_key):
             raise HandshakeError("signing key is not a current key of my document")
-        # My HELLO carries my document and my CRED_PRESENT my credentials; both must travel.
+        self.my_nonce: bytes = config.random_bytes(HELLO_NONCE_LEN)
+        self.ephemeral = crypto.keygen(crypto.PURPOSE_AGREE, seed=config.random_bytes(32))
+        # My HELLO, packed once here, carries my document (peer) or DID, and my
+        # CRED_PRESENT my credentials; both must travel.
+        document = config.document if config.did.method == METHOD_PEER else None
         try:
-            pack(config.document)
+            self._hello_body = pack(
+                Hello(config.did, document, self.ephemeral.public, self.my_nonce)
+            )
             pack(config.credentials)
         except EncodingError as exc:
             raise HandshakeError(f"my document or credentials have no wire form: {exc}") from exc
@@ -306,8 +338,6 @@ class HandshakeSession:
         self.state = State.INIT
         self.peer_did: Did | None = None
         self.peer_document: DidDocument | None = None
-        self.my_nonce: bytes = config.random_bytes(HELLO_NONCE_LEN)
-        self.ephemeral = crypto.keygen(crypto.PURPOSE_AGREE, seed=config.random_bytes(32))
         self.peer_ephemeral: bytes | None = None
         self.session_keys: crypto.SessionKeys | None = None
         self.presented: list[Presentation] = []
@@ -336,13 +366,6 @@ class HandshakeSession:
         if tag in _ENCRYPTED_TAGS:
             return self._seal(tag, pack(body))
         return bytes([tag]) + pack(body)
-
-    def _hello(self) -> Hello:
-        embed = self.config.did.method == METHOD_PEER
-        return Hello(
-            self.config.did, self.config.document if embed else None,
-            self.ephemeral.public, self.my_nonce,
-        )
 
     def _auth(self) -> Auth:
         key = self.config.sign_key
@@ -420,16 +443,16 @@ class HandshakeSession:
         return self._fail(FAIL_PROTOCOL)
 
     def _on_hello(self, hello: Hello, raw: bytes, now: int) -> list[bytes]:
-        """Accept HELLO (responder) or HELLO_ACK (initiator): fix the peer, then answer."""
+        """Accept HELLO (responder) or HELLO_ACK (initiator): fix the peer, then answer.
+
+        A document off the wire is self-certifying: its DID was derived from it
+        as it was read, so a substituted key names another DID.
+        """
         did, doc = hello.did, hello.document
         if self._expected_peer_did is not None and did != self._expected_peer_did:
             return self._fail(FAIL_AUTH)
-        if did.method == METHOD_PEER and doc is not None:
-            if not verify_peer_document(did, doc):
-                return self._fail(FAIL_AUTH)
-        else:
-            # Only self-certifying documents are trusted off the wire; a peer
-            # document may also have been exchanged earlier.
+        if doc is None:
+            # A reg DID, or a peer DID whose document was exchanged earlier.
             try:
                 doc = self.config.resolver.resolve(did, now)
             except ResolutionError:
@@ -437,7 +460,7 @@ class HandshakeSession:
         self.peer_did, self.peer_document, self.peer_ephemeral = did, doc, hello.ephemeral
         self._transcript.update(raw)
         if self.role == crypto.ROLE_RESPONDER:
-            reply = self._send(MSG_HELLO_ACK, self._hello())
+            reply = bytes([MSG_HELLO_ACK]) + self._hello_body
             self.state = State.HELLO_RECEIVED
         else:
             reply = self._send(MSG_AUTH, self._auth())
@@ -533,7 +556,7 @@ def initiate(
     """
     session = HandshakeSession(crypto.ROLE_INITIATOR, config)
     session._expected_peer_did = peer_hint
-    hello = session._send(MSG_HELLO, session._hello())
+    hello = bytes([MSG_HELLO]) + session._hello_body
     session._transcript.update(hello)
     session.state = State.HELLO_SENT
     return session, hello

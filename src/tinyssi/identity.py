@@ -3,8 +3,9 @@
 A DID is `did:<method>:<id>`. Its document lists public keys and service
 endpoints and nothing else: documents are pseudonymous by construction and
 never carry attributes or claims. Peer-method DIDs are self-certifying, the
-id being the digest of the canonical genesis document, so two devices can
-exchange them directly with no registry.
+id being the digest of the canonical genesis body (the document without its
+id), so two devices can exchange them directly with no registry. A document
+travels as its body alone and the receiver derives its DID.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Iterable
 
 from . import crypto
-from .encoding import Record, base58_decode, base58_encode, canonical_bytes, is_base58
+from .encoding import Record, base58_decode, base58_encode, is_base58
 
 METHOD_PEER = "peer"
 METHOD_REG = "reg"
@@ -47,6 +48,8 @@ class Did:
     @classmethod
     def from_text(cls, text: str) -> "Did":
         return parse_did(text)
+
+    wire_form = bytes
 
     def to_wire(self) -> bytes:
         if self.method not in _METHOD_BYTES:
@@ -116,6 +119,20 @@ class RetiredKey(_Record):
 
 
 @dataclass(frozen=True)
+class DocumentBody(_Record):
+    """A document without its id: what a peer DID is the digest of, and what travels."""
+
+    public_keys: tuple[PublicKeyEntry, ...]
+    service_endpoints: tuple[ServiceEndpoint, ...] = ()
+    version: int = 1
+    previous_keys: tuple[RetiredKey, ...] = ()
+
+    def peer_did(self) -> Did:
+        """The peer DID this body certifies: base58 of the digest of its canonical bytes."""
+        return Did(METHOD_PEER, base58_encode(crypto.digest(self.to_bytes())))
+
+
+@dataclass(frozen=True)
 class DidDocument(_Record):
     """Pseudonymous record binding a DID to keys and endpoints.
 
@@ -156,11 +173,27 @@ class DidDocument(_Record):
         retired = (k for k in self.previous_keys if k.key_id == key_id)
         return self.signing_key(key_id) or next(retired, None)
 
-    def content_mapping(self) -> dict[str, Any]:
-        """The document body without its id (the peer-method genesis form)."""
-        mapping = self.to_mapping()
-        del mapping["id"]
-        return mapping
+    def body(self) -> DocumentBody:
+        return DocumentBody(
+            self.public_keys, self.service_endpoints, self.version, self.previous_keys
+        )
+
+    # The wire form (encoding.pack) of a document is its body: the reader
+    # derives the id, so only a peer document travels.
+    wire_form = DocumentBody
+
+    def to_wire(self) -> DocumentBody:
+        if self.id.method != METHOD_PEER:
+            raise DidError(f"a {self.id.method} document has no wire form: its DID does not derive")
+        return self.body()
+
+    @classmethod
+    def from_wire(cls, body: DocumentBody) -> DidDocument:
+        """The peer document a body certifies: its id is derived from the body, never read."""
+        return cls(
+            body.peer_did(), body.public_keys, body.service_endpoints, body.version,
+            body.previous_keys,
+        )
 
     @classmethod
     def from_mapping(cls, mapping: Any) -> "DidDocument":
@@ -178,21 +211,14 @@ def generate_peer_did(
 ) -> tuple[Did, DidDocument]:
     """Derive a self-certifying peer DID from a genesis key set.
 
-    The id is the base58 digest of the canonical genesis bytes; inserting it
-    yields the final document. Purely a function of the genesis content.
+    The id is the base58 digest of the canonical genesis body, derived as a
+    receiver derives it from the wire. Purely a function of the genesis content.
     """
     keys = tuple(public_keys)
     if not keys:
         raise DidError("peer DID genesis needs at least one public key")
-    # content_mapping() leaves the id out, so any placeholder id will do here.
-    genesis = DidDocument(Did(METHOD_PEER, "1"), keys, tuple(service_endpoints))
-    did = Did(method=METHOD_PEER, id=_genesis_digest(genesis))
-    return did, replace(genesis, id=did)
-
-
-def _genesis_digest(doc: DidDocument) -> str:
-    """The peer-method id that a document's body certifies."""
-    return base58_encode(crypto.digest(canonical_bytes(doc.content_mapping())))
+    doc = DidDocument.from_wire(DocumentBody(keys, tuple(service_endpoints)))
+    return doc.id, doc
 
 
 def verify_peer_document(did: Did, doc: DidDocument) -> bool:
@@ -201,7 +227,7 @@ def verify_peer_document(did: Did, doc: DidDocument) -> bool:
     Only genesis documents (version 1) certify their id, so a peer identity
     never rotates its keys (see Wallet.rotate_sign_key).
     """
-    return did.method == METHOD_PEER and doc.id == did and _genesis_digest(doc) == did.id
+    return did.method == METHOD_PEER and doc.id == did and doc.body().peer_did() == did
 
 
 def rotate_key(

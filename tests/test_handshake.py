@@ -9,6 +9,8 @@ only on purpose, from the repository root:
 """
 
 import json
+import math
+import re
 from dataclasses import fields, replace
 from functools import cache
 from pathlib import Path
@@ -27,7 +29,7 @@ from conftest import (
     introduce,
     owner_match_config,
 )
-from tinyssi import crypto, harness
+from tinyssi import crypto, harness, transport
 from tinyssi.credentials import Claim, RevocationRegistry, StoredCredential, issue, revoke
 from tinyssi.encoding import cbor_bytes, canonical_bytes, from_canonical, from_cbor, pack, unpack
 from tinyssi.handshake import (
@@ -84,8 +86,9 @@ def forge(message: bytes, body: type, **changes) -> bytes:
 
 
 def slot(record: type, name: str) -> int:
-    """The position of a record's field in its wire array."""
-    return [f.name for f in fields(record)].index(name)
+    """The position of a record's field in its wire array: the array of its
+    wire form's fields where it has one (a Hello, a document)."""
+    return [f.name for f in fields(getattr(record, "wire_form", record))].index(name)
 
 
 def household_configs(household, policy_override=None):
@@ -152,12 +155,18 @@ def test_handshake_messages_match_golden():
     assert scenario_handshake_messages() == golden
 
 
+# What one LoRa frame carries after the 8-byte frame header.
+LORA_PAYLOAD = transport.PROFILES["lora"].mtu - transport.HEADER_LEN
+README = ROOT / "README.md"
+
+
 class TestWireSize:
     """The owner-two-devices handshake as its LoRa link carries it: 9 messages in 7 legs."""
 
     TAGS = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x06, 0x07, 0x07]
-    MESSAGE_BYTES = [271, 269, 82, 82, 37, 376, 376, 32, 32]
-    LORA_FRAGMENTS = [2, 2, 1, 1, 2, 2, 1]  # one transport message per leg
+    MESSAGE_BYTES = [202, 200, 82, 82, 37, 376, 376, 32, 32]
+    LORA_FRAGMENTS = [1, 1, 1, 1, 2, 2, 1]  # one transport message per leg
+    AIR_BYTES = 1589  # data and ACK frames
 
     def test_owner_two_devices_message_sizes_and_fragments(self):
         messages = [
@@ -171,7 +180,45 @@ class TestWireSize:
         (step,) = report.steps
         assert step.outcome == "trusted"
         assert list(step.fragments_per_message) == self.LORA_FRAGMENTS
-        assert sum(step.fragments_per_message) <= 11
+        assert sum(step.fragments_per_message) <= 9
+        assert step.bytes_sent == self.AIR_BYTES
+
+    def test_every_hello_of_the_shipped_scenarios_is_one_lora_fragment(self):
+        """A peer HELLO omits both copies of its DID, which the reader derives
+        from the document, so it fits one 214-byte LoRa payload: the
+        owner-two-devices HELLO is 202 B, a margin of 12 B. A reg HELLO carries
+        its DID and no document."""
+        hellos = [
+            bytes.fromhex(m) for messages in scenario_handshake_messages().values()
+            for m in messages if m[:2] in ("01", "02")
+        ]
+        assert len(hellos) == 8  # a HELLO and a HELLO_ACK in each of 4 handshakes
+        assert all(len(m) <= LORA_PAYLOAD for m in hellos)
+        assert LORA_PAYLOAD - max(len(m) for m in hellos) == 12
+
+    def test_readme_handshake_table_states_the_pinned_figures(self):
+        """The README's message table and the paragraph under it give today's
+        figures: the last `bytes (fragments)` of each row, and the totals."""
+        text = README.read_text(encoding="utf-8")
+        stated = {
+            int(tag, 16): tuple(map(int, figures))
+            for tag, *figures in re.findall(
+                r"^\| `0x(0[1-7])` \|.*?(\d+) \((\d+)\) \|$", text, re.M
+            )
+        }
+        pinned = {
+            tag: (size, math.ceil(size / LORA_PAYLOAD))
+            for tag, size in zip(self.TAGS, self.MESSAGE_BYTES)
+        }
+        assert stated == pinned
+        total = re.search(
+            r"now (\d+) LoRa data fragments `\[([\d,]+)\]`.*? and ([\d,]+) B", text, re.S
+        )
+        assert total is not None
+        fragments, per_leg, air_bytes = total.groups()
+        assert int(fragments) == sum(self.LORA_FRAGMENTS)
+        assert [int(n) for n in per_leg.split(",")] == self.LORA_FRAGMENTS
+        assert int(air_bytes.replace(",", "")) == self.AIR_BYTES
 
 
 class TestHonestRun:
@@ -502,29 +549,69 @@ class TestTotality:
         session_i.step(auth_ack, NOW)
         return session_i, session_r
 
-    def _hello_with(self, household, edit):
-        cfg_i, cfg_r, _ = household_configs(household)
-        _, hello = initiate(cfg_i, now=NOW)
+    def _hello_with(self, edit, initiator, responder):
+        """The responder after a HELLO whose wire array `edit` changed in place."""
+        _, hello = initiate(initiator, now=NOW)
         body = from_cbor(hello[1:])
-        edit(body[slot(Hello, "document")])
-        session_r = respond(cfg_r, now=NOW)
+        edit(body)
+        session_r = respond(responder, now=NOW)
         assert session_r.step(bytes([MSG_HELLO]) + cbor_bytes(body), NOW) != []
         return session_r
 
     def test_list_valued_retired_key_id_fails_protocol(self, household):
-        def edit(document):
+        def edit(body):
             # One retired key: [key_id, public, retired_at], its key id an array.
+            document = body[slot(Hello, "document")]
             document[slot(DidDocument, "previous_keys")] = [[["k"], bytes(32), 1]]
 
-        session_r = self._hello_with(household, edit)
+        session_r = self._hello_with(edit, *household_configs(household)[:2])
         assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
 
     def test_non_string_key_id_fails_protocol(self, household):
-        def edit(document):
+        def edit(body):
             # The text slot of the first key's id holds an integer.
+            document = body[slot(Hello, "document")]
             document[slot(DidDocument, "public_keys")][0][slot(PublicKeyEntry, "key_id")] = 7
 
-        session_r = self._hello_with(household, edit)
+        session_r = self._hello_with(edit, *household_configs(household)[:2])
+        assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
+
+    # A HELLO has one wire form: a DID and no document, or a document without
+    # its id and no DID, the DID derived from the document.
+    def test_peer_hello_that_also_carries_its_did_fails_protocol(self, household):
+        cfg_i, cfg_r, _ = household_configs(household)
+
+        def edit(body):
+            assert body[slot(Hello, "did")] is None
+            body[slot(Hello, "did")] = cfg_i.did.to_wire()
+
+        session_r = self._hello_with(edit, cfg_i, cfg_r)
+        assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
+
+    def test_document_that_still_has_its_id_slot_fails_protocol(self, household):
+        cfg_i, cfg_r, _ = household_configs(household)
+
+        def edit(body):
+            body[slot(Hello, "document")].insert(0, cfg_i.did.to_wire())
+
+        session_r = self._hello_with(edit, cfg_i, cfg_r)
+        assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
+
+    def test_reg_hello_that_carries_a_document_fails_protocol(self, household):
+        registry = Registry()
+        alice, cam, lock = (
+            build_actor(name, seed, registry, method="reg")
+            for name, seed in (("alice", 1), ("cam", 2), ("lock", 3))
+        )
+        peer_document = household[1].document
+
+        def edit(body):
+            assert body[slot(Hello, "document")] is None
+            body[slot(Hello, "document")] = from_cbor(pack(peer_document))
+
+        session_r = self._hello_with(
+            edit, owner_match_config(cam, alice, 1), owner_match_config(lock, alice, 2)
+        )
         assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
 
     @pytest.mark.parametrize("body", [
@@ -604,11 +691,15 @@ class TestTotality:
         tag = data.draw(st.sampled_from(ALL_TAGS) | st.integers(0, 255), label="tag")
         value = cbor_bytes(data.draw(_CBOR, label="value"))
         not_wire = data.draw(_NOT_WIRE, label="not wire")
+        document = pack(data.draw(st.sampled_from([alice, camera, lock]), label="doc").document)
         body = data.draw(st.sampled_from([
             value,
             data.draw(st.binary(max_size=96), label="raw"),
             not_wire,
             b"\x82" + value + not_wire,  # a two-field record holding one
+            # A peer HELLO's layout: no DID, a document without its id, then
+            # the drawn value and another as ephemeral key and nonce.
+            b"\x84\xf6" + document + value + cbor_bytes(data.draw(_CBOR, label="nonce")),
         ]), label="body")
         message = data.draw(st.sampled_from([
             bytes([tag]) + body,

@@ -160,10 +160,10 @@ class TestOwnerScenario:
         mapping["links"][0]["loss"] = 1.0
         step = run_scenario(Scenario.from_mapping(mapping)).steps[0]
         assert step.outcome == "delivery-failed"
-        # The HELLO's 2 LoRa fragments, each sent 1 + RETRY_LIMIT times, none ACKed.
-        assert step.fragments_per_message == [2]
-        assert step.retransmissions == 2 * RETRY_LIMIT == 16
-        assert step.frames == 2 * (1 + RETRY_LIMIT)
+        # The HELLO's one LoRa fragment, sent 1 + RETRY_LIMIT times, never ACKed.
+        assert step.fragments_per_message == [1]
+        assert step.retransmissions == RETRY_LIMIT == 8
+        assert step.frames == 1 + RETRY_LIMIT == 9
 
     def test_differing_owner_value_is_owner_mismatch(self):
         mapping = copy.deepcopy(BASE)

@@ -179,11 +179,29 @@ def credentials(draw, dids=dids):
     )
 
 
+# The documents that travel: a peer DID with the genesis content it certifies,
+# since the wire derives a document's DID from its content.
+peer_documents = documents().map(
+    lambda doc: generate_peer_did(doc.public_keys, doc.service_endpoints)[1]
+)
+
 tuples = lambda strategy: st.lists(strategy, max_size=3).map(tuple)  # noqa: E731
 
 
-def record_strategies(dids):
-    """A strategy for every record type, its DIDs drawn from `dids`."""
+def hellos(dids, documents):
+    """Hellos with a DID and no document, or with a document and its DID."""
+    key_share = {
+        "ephemeral": st.binary(min_size=32, max_size=32),
+        "nonce": st.binary(min_size=16, max_size=16),
+    }
+    return st.builds(Hello, did=dids, document=st.none(), **key_share) | documents.flatmap(
+        lambda doc: st.builds(Hello, did=st.just(doc.id), document=st.just(doc), **key_share)
+    )
+
+
+def record_strategies(dids, documents):
+    """A strategy for every record type, its DIDs drawn from `dids` and its
+    documents from `documents`."""
     presentations = st.builds(
         Presentation, credential=credentials(dids), disclosed=tuples(openings)
     )
@@ -191,7 +209,7 @@ def record_strategies(dids):
         "PublicKeyEntry": keys,
         "ServiceEndpoint": endpoints,
         "RetiredKey": retired,
-        "DidDocument": documents(dids),
+        "DidDocument": documents,
         "ClaimOpening": openings,
         "Commitment": commitments,
         "Proof": proofs,
@@ -209,11 +227,7 @@ def record_strategies(dids):
             signature=st.binary(min_size=64, max_size=64), signed_by=texts,
         ),
         "RevocationList": st.builds(RevocationList, owner=dids, revoked=tuples(texts)),
-        "Hello": st.builds(
-            Hello, did=dids, document=st.none() | documents(dids),
-            ephemeral=st.binary(min_size=32, max_size=32),
-            nonce=st.binary(min_size=16, max_size=16),
-        ),
+        "Hello": hellos(dids, documents),
         "Auth": st.builds(Auth, key_id=texts, signature=st.binary(min_size=64, max_size=64)),
         "CredRequest": st.builds(CredRequest, want=tuples(texts)),
         "CredPresent": st.builds(CredPresent, presentations=tuples(presentations)),
@@ -231,14 +245,16 @@ def record_strategies(dids):
 
 def travelling_records() -> list[str]:
     """The names of every record a handshake message carries: each body record
-    and, field by field, every record nested in it. A type with its own wire
-    form (a DID) is a leaf."""
+    and, field by field, every record nested in it. A record with a wire form
+    of its own (a Hello, a document) travels as that form's fields; a type
+    whose wire form is no record (a DID) is a leaf."""
     seen, todo = set(), [*_BODIES.values(), Error]
     while todo:
         tp = todo.pop()
-        if dataclasses.is_dataclass(tp) and not hasattr(tp, "from_wire") and tp not in seen:
+        form = getattr(tp, "wire_form", tp)
+        if dataclasses.is_dataclass(form) and tp not in seen:
             seen.add(tp)
-            todo += [t for hint in typing.get_type_hints(tp).values() for t in _types_in(hint)]
+            todo += [t for hint in typing.get_type_hints(form).values() for t in _types_in(hint)]
     return sorted(tp.__name__ for tp in seen)
 
 
@@ -246,8 +262,8 @@ def _types_in(hint):
     return [hint, *(t for arg in typing.get_args(hint) for t in _types_in(arg))]
 
 
-RECORDS = record_strategies(dids)
-WIRE_RECORDS = record_strategies(wire_dids)
+RECORDS = record_strategies(dids, documents(dids))
+WIRE_RECORDS = record_strategies(wire_dids, peer_documents)
 TRAVELLING = travelling_records()
 
 
@@ -490,6 +506,9 @@ AUTH = Auth("k", bytes(64))
 SIGNATURE = b"\x58\x40" + bytes(64)   # a 64-byte byte string
 HELLO = Hello(*generate_peer_did([PublicKeyEntry("k1", crypto.PURPOSE_SIGN, bytes(32))]),
               bytes(32), bytes(16))
+# The same 32-byte id under the reg method: a HELLO that carries its DID and no document.
+REG_HELLO = Hello(Did(METHOD_REG, HELLO.did.id), None, bytes(32), bytes(16))
+KEY_SHARE = b"\x58\x20" + bytes(32) + b"\x50" + bytes(16)   # ephemeral, nonce
 
 
 def test_wire_form_of_a_record_is_an_array_of_its_fields():
@@ -499,16 +518,43 @@ def test_wire_form_of_a_record_is_an_array_of_its_fields():
 
 
 def test_a_did_travels_as_its_method_byte_and_raw_id():
-    did = HELLO.did
-    assert did.to_wire() == b"\x01" + crypto.digest(canonical_bytes(HELLO.document.content_mapping()))
-    assert pack(HELLO)[1:36] == b"\x58\x21" + did.to_wire()
+    genesis = {name: value for name, value in encode(HELLO.document).items() if name != "id"}
+    assert HELLO.did.to_wire() == b"\x01" + crypto.digest(canonical_bytes(genesis))
+    assert pack(REG_HELLO) == b"\x84\x58\x21" + REG_HELLO.did.to_wire() + b"\xf6" + KEY_SHARE
     assert Did.from_wire(Did(METHOD_REG, "11z").to_wire()) == Did(METHOD_REG, "11z")
     with pytest.raises(EncodingError, match="no wire form"):
         pack(Did("web", "abc"))
 
 
+def test_a_peer_hello_travels_without_either_did():
+    body = pack(HELLO.document)
+    # The document's body alone: [public_keys, service_endpoints, version, previous_keys].
+    assert from_cbor(body) == [[["k1", crypto.PURPOSE_SIGN, bytes(32)]], [], 1, []]
+    assert pack(HELLO) == b"\x84\xf6" + body + KEY_SHARE
+    # The reader derives the DID from the document and fills in both.
+    assert unpack(Hello, pack(HELLO)) == HELLO
+    assert unpack(DidDocument, body) == HELLO.document
+
+
+def test_a_substituted_key_derives_another_did():
+    key = PublicKeyEntry("k1", crypto.PURPOSE_SIGN, b"\x01" * 32)
+    forged = replace(HELLO, document=replace(HELLO.document, public_keys=(key,)))
+    read = unpack(Hello, pack(forged))
+    assert read.did == read.document.id == generate_peer_did([key])[0] != HELLO.did
+
+
+def test_only_a_peer_document_travels():
+    reg_document = replace(HELLO.document, id=REG_HELLO.did)
+    with pytest.raises(EncodingError, match="no wire form"):
+        pack(reg_document)
+    with pytest.raises(EncodingError, match="no wire form"):
+        pack(Hello(REG_HELLO.did, reg_document, bytes(32), bytes(16)))
+    with pytest.raises(ValueError, match="its DID"):
+        Hello(REG_HELLO.did, HELLO.document, bytes(32), bytes(16))
+
+
 def _with_did_byte(raw: bytes, method_byte: int) -> bytes:
-    """HELLO's wire bytes with the DID's method byte replaced."""
+    """A reg HELLO's wire bytes with the DID's method byte replaced."""
     return raw[:3] + bytes([method_byte]) + raw[4:]
 
 
@@ -526,8 +572,11 @@ def _with_did_byte(raw: bytes, method_byte: int) -> bytes:
     (Auth, pack(AUTH) + b"\x00"),
     (Auth, b"\x82" + b"\x61\xff" + SIGNATURE),
     (Auth, b"\x82" + b"\x63\xed\xa0\x80" + SIGNATURE),
-    (Hello, _with_did_byte(pack(HELLO), 0x07)),
-    (Hello, _with_did_byte(pack(HELLO), 0x00)),
+    (Hello, _with_did_byte(pack(REG_HELLO), 0x07)),
+    (Hello, _with_did_byte(pack(REG_HELLO), 0x00)),
+    (Hello, b"\x84\x58\x21" + HELLO.did.to_wire() + pack(HELLO)[2:]),
+    (Hello, b"\x84\xf6\xf6" + KEY_SHARE),
+    (Hello, b"\x84\xf6\x85\x58\x21" + HELLO.did.to_wire() + pack(HELLO.document)[1:] + KEY_SHARE),
     (Auth, b"\x82" + b"\x61k" + b"\x58\x3f" + bytes(63)),
     (Auth, b"\x9f" + b"\x61k" + SIGNATURE + b"\xff"),
     (Auth, b"\xd8\x18" + pack(AUTH)),
@@ -543,6 +592,7 @@ def _with_did_byte(raw: bytes, method_byte: int) -> bytes:
     "truncated", "empty", "trailing-byte",
     "invalid-utf8", "utf8-surrogate",
     "unknown-method-byte", "method-byte-zero",
+    "hello-did-and-document", "hello-neither-did-nor-document", "document-id-slot",
     "constructor-invariant",
     "indefinite-length", "tag",
     "map", "half-float", "single-float", "double-float",
