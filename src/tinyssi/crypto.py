@@ -47,8 +47,8 @@ PURPOSE_AGREE = "agree"
 ROLE_INITIATOR = "initiator"
 ROLE_RESPONDER = "responder"
 
-# Session keys live long by default and are refreshed infrequently to spare
-# constrained devices; once a day.
+# Session keys live long and are refreshed infrequently to spare constrained
+# devices: once a day, for every session.
 DEFAULT_SESSION_LIFETIME = 24 * 60 * 60
 
 _SESSION_INFO = b"tinyssi/session-keys/v1"
@@ -86,16 +86,13 @@ class SessionKeys:
     send_key: bytes
     recv_key: bytes
     established_at: int
-    lifetime: int
 
     def __post_init__(self) -> None:
         if self.send_key == self.recv_key:
             raise CryptoError("send and receive keys must differ")
-        if self.lifetime <= 0:
-            raise CryptoError("session lifetime must be positive")
 
     def expires_at(self) -> int:
-        return self.established_at + self.lifetime
+        return self.established_at + DEFAULT_SESSION_LIFETIME
 
 
 def digest(data: bytes) -> bytes:
@@ -161,7 +158,6 @@ def derive_session(
     transcript_hash: bytes,
     role: str,
     established_at: int = 0,
-    lifetime: int = DEFAULT_SESSION_LIFETIME,
 ) -> SessionKeys:
     """Expand a shared secret into mirrored directional session keys.
 
@@ -181,12 +177,7 @@ def derive_session(
         send_key, recv_key = to_responder, to_initiator
     else:
         send_key, recv_key = to_initiator, to_responder
-    return SessionKeys(
-        send_key=send_key,
-        recv_key=recv_key,
-        established_at=established_at,
-        lifetime=lifetime,
-    )
+    return SessionKeys(send_key, recv_key, established_at)
 
 
 def seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:

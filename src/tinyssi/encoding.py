@@ -11,15 +11,13 @@ messages travel in, limited to the items their records hold: unsigned and
 negative integers, byte strings, text, arrays, and false, true and null. A
 record is an array of its fields in declared order, with no names; bytes
 travel raw as a byte string. A type with a `from_wire` constructor travels as
-its `wire_form`: `to_wire` gives that value and `from_wire` takes it back. A
-DID is a byte string; a document is its body, the reader deriving the DID
-from it (did:peer); a HELLO leaves out the DID its document gives. Bytes the
-reader can derive do not travel (SCHC, RFC 8724). Integers and lengths take
-the shortest head. `from_cbor` accepts exactly these bytes and refuses the
-rest of CBOR: maps, tags, floats and every other simple value, indefinite
-lengths, trailing bytes and invalid UTF-8. `cbor_bytes` likewise refuses a
-dict or a float, so a record with such a field (a scenario file's) has no
-wire form.
+its `wire_form`: `to_wire` gives that value and `from_wire` takes it back. Its
+one user is the DID, a byte string of its method byte and raw id. Integers
+and lengths take the shortest head. `from_cbor` accepts exactly these bytes
+and refuses the rest of CBOR: maps, tags, floats and every other simple
+value, indefinite lengths, trailing bytes and invalid UTF-8. `cbor_bytes`
+likewise refuses a dict or a float, so a record with such a field (a
+scenario file's) has no wire form.
 
 Records (dataclasses: documents, credentials, wallet and registry contents,
 handshake messages) map to both forms through their fields alone, by one plan
@@ -31,9 +29,7 @@ wire form. `decode` and `unpack` read them back strictly: exactly the
 declared fields, each of its declared type (`bool` is not `int`). A record's
 constructor signals a broken invariant with a ValueError, which decoding
 reports as an EncodingError. A wire decode gives the identical record, so its
-canonical bytes, and every digest and signature over them, do not change; a
-document whose id is not the DID its body certifies decodes with the DID that
-its body does certify.
+canonical bytes, and every digest and signature over them, do not change.
 """
 
 from __future__ import annotations

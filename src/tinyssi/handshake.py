@@ -4,8 +4,8 @@ Layer 1 turns a document exchange into an authenticated encrypted channel;
 layer 2 exchanges credential presentations over that channel and applies a
 trust policy.
 
-  I -> R  HELLO       Hello: did (reg) or document (peer, the did derived from it),
-                      ephemeral key, nonce
+  I -> R  HELLO       Hello: did (reg) or document body (peer, the did derived
+                      from it), ephemeral key, nonce
   I <- R  HELLO_ACK   Hello likewise
   I -> R  AUTH        Auth: signature over the transcript digest so far
   I <- R  AUTH_ACK    Auth: the responder's signature likewise
@@ -19,12 +19,13 @@ trust policy.
 A message is a tag byte and a body. Every body is a record in wire form
 (deterministic CBOR, `encoding.pack`): Hello, Auth, CredRequest, CredPresent,
 TrustDecision or Error; the bodies of CRED_REQUEST, CRED_PRESENT and
-TRUST_RESULT travel sealed under the session keys. Documents and credentials
-inside a body are the same records that are signed and stored as canonical
-JSON, so a decoded body gives back their canonical bytes exactly. step() runs
-every message through one pipeline: its tag must be one the session accepts
-in its role and state (else `protocol`), a sealed body must open (else
-`channel`), and the body must decode as its tag's record (else `protocol`).
+TRUST_RESULT travel sealed under the session keys. Credentials inside a body
+are the same records that are signed and stored as canonical JSON, and a
+document travels as the body its peer DID is the digest of, so a decoded body
+gives back their canonical bytes exactly. step() runs every message through
+one pipeline: its tag must be one the session accepts in its state (else
+`protocol`), a sealed body must open (else `channel`), and the body must
+decode as its tag's record (else `protocol`).
 An ERROR ends the session in any state.
 
 Both sides sign the running transcript, so swapping any key or nonce in
@@ -52,7 +53,7 @@ from .credentials import (
     verify_presentation,
 )
 from .encoding import EncodingError, Record, pack, unpack
-from .identity import Did, DidDocument, METHOD_PEER, format_did
+from .identity import Did, DidDocument, DocumentBody, METHOD_PEER, format_did
 from .resolver import ResolutionError, Resolver
 
 MSG_HELLO = 0x01
@@ -102,18 +103,16 @@ class State(Enum):
 
 _CHANNEL_STATES = frozenset({State.SECURE, State.TRUSTED, State.UNTRUSTED})
 
-# The tags each role accepts in each state; any other message fails `protocol`.
-_ACCEPTS: dict[tuple[str, State], set[int]] = {
-    (crypto.ROLE_RESPONDER, State.INIT): {MSG_HELLO},
-    (crypto.ROLE_INITIATOR, State.HELLO_SENT): {MSG_HELLO_ACK},
-    (crypto.ROLE_RESPONDER, State.HELLO_RECEIVED): {MSG_AUTH},
-    (crypto.ROLE_INITIATOR, State.AUTH_PENDING): {MSG_AUTH_ACK},
-    (crypto.ROLE_INITIATOR, State.SECURE): {MSG_CRED_REQUEST, MSG_CRED_PRESENT},
-    (crypto.ROLE_RESPONDER, State.SECURE): {MSG_CRED_REQUEST, MSG_CRED_PRESENT},
-    (crypto.ROLE_INITIATOR, State.TRUSTED): {MSG_TRUST_RESULT},
-    (crypto.ROLE_RESPONDER, State.TRUSTED): {MSG_TRUST_RESULT},
-    (crypto.ROLE_INITIATOR, State.UNTRUSTED): {MSG_TRUST_RESULT},
-    (crypto.ROLE_RESPONDER, State.UNTRUSTED): {MSG_TRUST_RESULT},
+# The tags each state accepts; any other message fails `protocol`. Each set-up
+# state belongs to one role, and the channel states accept the same tags in both.
+_ACCEPTS: dict[State, set[int]] = {
+    State.INIT: {MSG_HELLO},
+    State.HELLO_SENT: {MSG_HELLO_ACK},
+    State.HELLO_RECEIVED: {MSG_AUTH},
+    State.AUTH_PENDING: {MSG_AUTH_ACK},
+    State.SECURE: {MSG_CRED_REQUEST, MSG_CRED_PRESENT},
+    State.TRUSTED: {MSG_TRUST_RESULT},
+    State.UNTRUSTED: {MSG_TRUST_RESULT},
 }
 
 
@@ -122,21 +121,12 @@ _ACCEPTS: dict[tuple[str, State], set[int]] = {
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _WireHello(Record):
-    """A Hello as it travels: its DID, or its document (the DID derived from it); not both."""
+class Hello(Record):
+    """HELLO and HELLO_ACK: my DID (reg) or my document's body (peer, the DID
+    derived from it), never both, and my key share."""
 
     did: Did | None
-    document: DidDocument | None
-    ephemeral: bytes
-    nonce: bytes
-
-
-@dataclass(frozen=True)
-class Hello(Record):
-    """HELLO and HELLO_ACK: my DID, my document if it is a peer DID, and my key share."""
-
-    did: Did
-    document: DidDocument | None
+    document: DocumentBody | None
     ephemeral: bytes
     nonce: bytes
 
@@ -145,21 +135,8 @@ class Hello(Record):
             raise ValueError(
                 f"ephemeral key must be {crypto.KEY_LEN} bytes and nonce {HELLO_NONCE_LEN}"
             )
-        if self.document is not None and self.document.id != self.did:
-            raise ValueError("a Hello's document must be its DID's")
-
-    wire_form = _WireHello
-
-    def to_wire(self) -> _WireHello:
-        did = None if self.document is not None else self.did
-        return _WireHello(did, self.document, self.ephemeral, self.nonce)
-
-    @classmethod
-    def from_wire(cls, wire: _WireHello) -> Hello:
-        if (wire.did is None) == (wire.document is None):
+        if (self.did is None) == (self.document is None):
             raise ValueError("a Hello carries a DID or a document, exactly one")
-        did = wire.did if wire.document is None else wire.document.id
-        return cls(did, wire.document, wire.ephemeral, wire.nonce)
 
 
 @dataclass(frozen=True)
@@ -323,13 +300,14 @@ class HandshakeSession:
             raise HandshakeError("signing key is not a current key of my document")
         self.my_nonce: bytes = config.random_bytes(HELLO_NONCE_LEN)
         self.ephemeral = crypto.keygen(crypto.PURPOSE_AGREE, seed=config.random_bytes(32))
-        # My HELLO, packed once here, carries my document (peer) or DID, and my
-        # CRED_PRESENT my credentials; both must travel.
-        document = config.document if config.did.method == METHOD_PEER else None
+        # My HELLO, packed once here, carries my document's body (peer) or my
+        # DID (reg), and my CRED_PRESENT my credentials; both must travel.
+        if config.did.method == METHOD_PEER:
+            did, body = None, config.document.body()
+        else:
+            did, body = config.did, None
         try:
-            self._hello_body = pack(
-                Hello(config.did, document, self.ephemeral.public, self.my_nonce)
-            )
+            self._hello_body = pack(Hello(did, body, self.ephemeral.public, self.my_nonce))
             pack(config.credentials)
         except EncodingError as exc:
             raise HandshakeError(f"my document or credentials have no wire form: {exc}") from exc
@@ -419,7 +397,7 @@ class HandshakeSession:
             self.state = State.FAILED
             self.failure_reason = f"{FAIL_PEER}: {error.reason if error else 'unspecified'}"
             return []
-        if tag not in _ACCEPTS.get((self.role, self.state), ()):
+        if tag not in _ACCEPTS.get(self.state, ()):
             return self._fail(FAIL_PROTOCOL)
         if tag in _ENCRYPTED_TAGS:
             try:
@@ -445,10 +423,13 @@ class HandshakeSession:
     def _on_hello(self, hello: Hello, raw: bytes, now: int) -> list[bytes]:
         """Accept HELLO (responder) or HELLO_ACK (initiator): fix the peer, then answer.
 
-        A document off the wire is self-certifying: its DID was derived from it
-        as it was read, so a substituted key names another DID.
+        A document off the wire is self-certifying: its DID is derived from its
+        body, so a substituted key names another DID.
         """
-        did, doc = hello.did, hello.document
+        did, doc = hello.did, None
+        if hello.document is not None:
+            doc = DidDocument.from_body(hello.document)
+            did = doc.id
         if self._expected_peer_did is not None and did != self._expected_peer_did:
             return self._fail(FAIL_AUTH)
         if doc is None:

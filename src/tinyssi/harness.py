@@ -30,7 +30,9 @@ from .handshake import (
     initiate,
     respond,
 )
-from .identity import Did, METHOD_PEER, METHOD_REG, ServiceEndpoint, format_did, parse_did
+from .identity import (
+    Did, DidError, METHOD_PEER, METHOD_REG, ServiceEndpoint, format_did, parse_did,
+)
 from .resolver import Registry, ResolutionError, Resolver
 from .transport import DeliveryError, Messenger, PROFILES, make_link
 from .wallet import Wallet
@@ -190,7 +192,7 @@ class Scenario:
             except CredentialError as exc:
                 problems.append(f"credential {i}: {exc}")
             for value in cred.claims.values():
-                if value.startswith("@") and value[1:] not in known:
+                if _dangling(value, known):
                     problems.append(f"credential {i}: unknown actor reference {value!r}")
         for i, link in enumerate(self.links):
             for ref in (link.a, link.b):
@@ -218,15 +220,23 @@ class Scenario:
                     f"step {i}: link {p.link} does not join "
                     f"{p.initiator!r} and {p.responder!r}"
                 )
-            if p.policy == "owner-match":
+            if isinstance(p.policy, RequireClaim):
+                if _dangling(p.policy.value, known):
+                    problems.append(f"step {i}: unknown actor reference {p.policy.value!r}")
+            elif p.policy == "owner-match":
                 for ref in refs:
                     if ref in actors and actors[ref].owner is None:
                         problems.append(f"step {i}: {ref!r} has no owner for owner-match")
-            elif p.policy != "always-trust" and not isinstance(p.policy, RequireClaim):
+            elif p.policy != "always-trust":
                 problems.append(f"step {i}: unknown policy {p.policy!r}")
         elif isinstance(p, ResolveStep):
-            if p.target.startswith("@") and p.target[1:] not in known:
+            if _dangling(p.target, known):
                 problems.append(f"step {i}: unknown target {p.target!r}")
+            elif not p.target.startswith("@"):
+                try:
+                    parse_did(p.target)
+                except DidError as exc:
+                    problems.append(f"step {i}: target is not a DID: {exc}")
         elif isinstance(p, RevokeStep):
             if not 0 <= p.credential < len(self.credentials):
                 problems.append(f"step {i}: credential index {p.credential} out of range")
@@ -240,6 +250,11 @@ class Scenario:
         else:
             problems.append(f"step {i}: unknown action {action!r}")
         return problems
+
+
+def _dangling(value: str, known: set[str]) -> bool:
+    """`value` refers to an actor ("@name") that the scenario does not have."""
+    return value.startswith("@") and value[1:] not in known
 
 
 # ---------------------------------------------------------------------------

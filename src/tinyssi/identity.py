@@ -5,7 +5,8 @@ endpoints and nothing else: documents are pseudonymous by construction and
 never carry attributes or claims. Peer-method DIDs are self-certifying, the
 id being the digest of the canonical genesis body (the document without its
 id), so two devices can exchange them directly with no registry. A document
-travels as its body alone and the receiver derives its DID.
+travels as a DocumentBody, which holds the document invariants, and the
+receiver derives the document and its DID with `DidDocument.from_body`.
 """
 
 from __future__ import annotations
@@ -127,6 +128,16 @@ class DocumentBody(_Record):
     version: int = 1
     previous_keys: tuple[RetiredKey, ...] = ()
 
+    def __post_init__(self) -> None:
+        if len(self.public_keys) < 1:
+            raise DidError("document must hold at least one public key")
+        ids = [k.key_id for k in self.public_keys] + [k.key_id for k in self.previous_keys]
+        if len(ids) != len(set(ids)):
+            duplicate = next(i for i in ids if ids.count(i) > 1)
+            raise DidError(f"duplicate key id {duplicate!r}")
+        if self.version < 1:
+            raise DidError("version must be a positive integer")
+
     def peer_did(self) -> Did:
         """The peer DID this body certifies: base58 of the digest of its canonical bytes."""
         return Did(METHOD_PEER, base58_encode(crypto.digest(self.to_bytes())))
@@ -149,14 +160,7 @@ class DidDocument(_Record):
     previous_keys: tuple[RetiredKey, ...] = ()
 
     def __post_init__(self) -> None:
-        if len(self.public_keys) < 1:
-            raise DidError("document must hold at least one public key")
-        ids = [k.key_id for k in self.public_keys] + [k.key_id for k in self.previous_keys]
-        if len(ids) != len(set(ids)):
-            duplicate = next(i for i in ids if ids.count(i) > 1)
-            raise DidError(f"duplicate key id {duplicate!r}")
-        if self.version < 1:
-            raise DidError("version must be a positive integer")
+        self.body()  # the body holds the document invariants
 
     def signing_key(self, key_id: str) -> PublicKeyEntry | None:
         """The current signing key with this id, else None: who signs for the DID now."""
@@ -178,17 +182,8 @@ class DidDocument(_Record):
             self.public_keys, self.service_endpoints, self.version, self.previous_keys
         )
 
-    # The wire form (encoding.pack) of a document is its body: the reader
-    # derives the id, so only a peer document travels.
-    wire_form = DocumentBody
-
-    def to_wire(self) -> DocumentBody:
-        if self.id.method != METHOD_PEER:
-            raise DidError(f"a {self.id.method} document has no wire form: its DID does not derive")
-        return self.body()
-
     @classmethod
-    def from_wire(cls, body: DocumentBody) -> DidDocument:
+    def from_body(cls, body: DocumentBody) -> DidDocument:
         """The peer document a body certifies: its id is derived from the body, never read."""
         return cls(
             body.peer_did(), body.public_keys, body.service_endpoints, body.version,
@@ -214,10 +209,7 @@ def generate_peer_did(
     The id is the base58 digest of the canonical genesis body, derived as a
     receiver derives it from the wire. Purely a function of the genesis content.
     """
-    keys = tuple(public_keys)
-    if not keys:
-        raise DidError("peer DID genesis needs at least one public key")
-    doc = DidDocument.from_wire(DocumentBody(keys, tuple(service_endpoints)))
+    doc = DidDocument.from_body(DocumentBody(tuple(public_keys), tuple(service_endpoints)))
     return doc.id, doc
 
 

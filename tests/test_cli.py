@@ -447,10 +447,14 @@ class TestMalformedFiles:
         _edit("steps", {}),
         lambda m: m["steps"].append({"action": "rotate", "actor": "camera"}) or m,
         lambda m: m["steps"].append({"action": "resolve", "actor": "camera"}) or m,
+        lambda m: m["steps"].append(
+            {"action": "resolve", "actor": "camera", "target": "did:reg:0OIl"}
+        ) or m,
+        _edit("steps.0.policy", {"name": "owner", "value": "@ghost"}),
     ], ids=[
         "validity-text", "claim-integer", "loss-text", "loss-above-one", "reorder-negative",
         "link-text", "expect-integer", "actor-name-list", "seed-bool", "steps-mapping",
-        "rotate-peer-actor", "resolve-no-target",
+        "rotate-peer-actor", "resolve-no-target", "resolve-not-a-did", "policy-unknown-actor",
     ])
     def test_scenario(self, edit, tmp_path, capsys):
         bad = tmp_path / "bad.scn"

@@ -169,7 +169,6 @@ class TestDeriveSession:
         keys = crypto.derive_session(
             bytes(32), crypto.digest(b""), crypto.ROLE_INITIATOR, established_at=100
         )
-        assert keys.lifetime == 24 * 60 * 60
         assert keys.expires_at() == 100 + 24 * 60 * 60
 
 

@@ -53,7 +53,7 @@ from tinyssi.handshake import (
     initiate,
     respond,
 )
-from tinyssi.identity import Did, DidDocument, PublicKeyEntry, format_did, rotate_key
+from tinyssi.identity import Did, DocumentBody, PublicKeyEntry, format_did, rotate_key
 from tinyssi.resolver import Registry, Resolver
 
 ALL_TAGS = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x7F]
@@ -86,9 +86,8 @@ def forge(message: bytes, body: type, **changes) -> bytes:
 
 
 def slot(record: type, name: str) -> int:
-    """The position of a record's field in its wire array: the array of its
-    wire form's fields where it has one (a Hello, a document)."""
-    return [f.name for f in fields(getattr(record, "wire_form", record))].index(name)
+    """The position of a record's field in its wire array."""
+    return [f.name for f in fields(record)].index(name)
 
 
 def household_configs(household, policy_override=None):
@@ -261,7 +260,9 @@ class TestHonestRun:
     def test_hello_embeds_document_for_peer_method(self, household):
         cfg_i, _, _ = household_configs(household)
         _, hello = initiate(cfg_i, now=NOW)
-        assert unpack(Hello, hello[1:]).document == cfg_i.document
+        body = unpack(Hello, hello[1:])
+        assert body.did is None
+        assert body.document == cfg_i.document.body()
 
     def test_hello_carries_did_only_for_reg_method(self):
         registry = Registry()
@@ -562,7 +563,7 @@ class TestTotality:
         def edit(body):
             # One retired key: [key_id, public, retired_at], its key id an array.
             document = body[slot(Hello, "document")]
-            document[slot(DidDocument, "previous_keys")] = [[["k"], bytes(32), 1]]
+            document[slot(DocumentBody, "previous_keys")] = [[["k"], bytes(32), 1]]
 
         session_r = self._hello_with(edit, *household_configs(household)[:2])
         assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
@@ -571,10 +572,33 @@ class TestTotality:
         def edit(body):
             # The text slot of the first key's id holds an integer.
             document = body[slot(Hello, "document")]
-            document[slot(DidDocument, "public_keys")][0][slot(PublicKeyEntry, "key_id")] = 7
+            document[slot(DocumentBody, "public_keys")][0][slot(PublicKeyEntry, "key_id")] = 7
 
         session_r = self._hello_with(edit, *household_configs(household)[:2])
         assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
+
+    # A document body that breaks a document invariant decodes as no Hello, on
+    # either side: the body record holds the invariants, so its decode fails.
+    @pytest.mark.parametrize("tag", [MSG_HELLO, MSG_HELLO_ACK], ids=["hello", "hello-ack"])
+    @pytest.mark.parametrize("edit", [
+        lambda document: document[slot(DocumentBody, "public_keys")].clear(),
+        lambda document: document[slot(DocumentBody, "public_keys")].append(
+            document[slot(DocumentBody, "public_keys")][0]
+        ),
+        lambda document: document.__setitem__(slot(DocumentBody, "version"), 0),
+    ], ids=["no-keys", "duplicate-key-id", "version-zero"])
+    def test_document_body_that_breaks_an_invariant_fails_protocol(self, household, tag, edit):
+        cfg_i, cfg_r, _ = household_configs(household)
+        session_i, hello = initiate(cfg_i, now=NOW)
+        session_r = respond(cfg_r, now=NOW)
+        if tag == MSG_HELLO:
+            victim, message = session_r, hello
+        else:
+            victim, (message,) = session_i, session_r.step(hello, NOW)
+        body = from_cbor(message[1:])
+        edit(body[slot(Hello, "document")])
+        assert victim.step(bytes([tag]) + cbor_bytes(body), NOW) != []
+        assert (victim.state, victim.failure_reason) == (State.FAILED, "protocol")
 
     # A HELLO has one wire form: a DID and no document, or a document without
     # its id and no DID, the DID derived from the document.
@@ -607,7 +631,7 @@ class TestTotality:
 
         def edit(body):
             assert body[slot(Hello, "document")] is None
-            body[slot(Hello, "document")] = from_cbor(pack(peer_document))
+            body[slot(Hello, "document")] = from_cbor(pack(peer_document.body()))
 
         session_r = self._hello_with(
             edit, owner_match_config(cam, alice, 1), owner_match_config(lock, alice, 2)
@@ -691,7 +715,8 @@ class TestTotality:
         tag = data.draw(st.sampled_from(ALL_TAGS) | st.integers(0, 255), label="tag")
         value = cbor_bytes(data.draw(_CBOR, label="value"))
         not_wire = data.draw(_NOT_WIRE, label="not wire")
-        document = pack(data.draw(st.sampled_from([alice, camera, lock]), label="doc").document)
+        actor = data.draw(st.sampled_from([alice, camera, lock]), label="doc")
+        document = pack(actor.document.body())
         body = data.draw(st.sampled_from([
             value,
             data.draw(st.binary(max_size=96), label="raw"),

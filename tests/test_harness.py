@@ -88,6 +88,28 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="credential 0"):
             run_scenario(Scenario.from_mapping(bad))
 
+    def test_claim_policy_actor_reference(self):
+        good = copy.deepcopy(BASE)
+        good["steps"][0]["policy"] = {"name": "owner", "value": "@alice"}
+        assert Scenario.from_mapping(good).validate() == []
+        bad = copy.deepcopy(BASE)
+        bad["steps"][0]["policy"] = {"name": "owner", "value": "@ghost"}
+        problems = Scenario.from_mapping(bad).validate()
+        assert problems == ["step 0: unknown actor reference '@ghost'"]
+        with pytest.raises(ScenarioError, match="ghost"):
+            run_scenario(Scenario.from_mapping(bad))
+
+    @pytest.mark.parametrize("target", ["not-a-did", "did:reg:0OIl", "did:reg", "did::abc"])
+    def test_resolve_target_must_be_a_did(self, target):
+        bad = copy.deepcopy(BASE)
+        bad["steps"].append(
+            {"action": "resolve", "actor": "camera", "target": target, "expect": "resolved"}
+        )
+        problems = Scenario.from_mapping(bad).validate()
+        assert [p for p in problems if p.startswith("step 1: target is not a DID")]
+        with pytest.raises(ScenarioError, match="step 1"):
+            run_scenario(Scenario.from_mapping(bad))
+
     def test_runner_refuses_invalid_scenario(self):
         bad = copy.deepcopy(BASE)
         bad["steps"][0]["initiator"] = "ghost"

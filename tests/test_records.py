@@ -68,6 +68,7 @@ from tinyssi.identity import (
     Did,
     DidDocument,
     DidError,
+    DocumentBody,
     PublicKeyEntry,
     RetiredKey,
     ServiceEndpoint,
@@ -179,23 +180,18 @@ def credentials(draw, dids=dids):
     )
 
 
-# The documents that travel: a peer DID with the genesis content it certifies,
-# since the wire derives a document's DID from its content.
-peer_documents = documents().map(
-    lambda doc: generate_peer_did(doc.public_keys, doc.service_endpoints)[1]
-)
-
 tuples = lambda strategy: st.lists(strategy, max_size=3).map(tuple)  # noqa: E731
 
 
-def hellos(dids, documents):
-    """Hellos with a DID and no document, or with a document and its DID."""
+def hellos(dids, bodies):
+    """Hellos with a DID and no document, or with a document body and no DID."""
     key_share = {
         "ephemeral": st.binary(min_size=32, max_size=32),
         "nonce": st.binary(min_size=16, max_size=16),
     }
-    return st.builds(Hello, did=dids, document=st.none(), **key_share) | documents.flatmap(
-        lambda doc: st.builds(Hello, did=st.just(doc.id), document=st.just(doc), **key_share)
+    return (
+        st.builds(Hello, did=dids, document=st.none(), **key_share)
+        | st.builds(Hello, did=st.none(), document=bodies, **key_share)
     )
 
 
@@ -205,11 +201,13 @@ def record_strategies(dids, documents):
     presentations = st.builds(
         Presentation, credential=credentials(dids), disclosed=tuples(openings)
     )
+    bodies = documents.map(DidDocument.body)
     return {
         "PublicKeyEntry": keys,
         "ServiceEndpoint": endpoints,
         "RetiredKey": retired,
         "DidDocument": documents,
+        "DocumentBody": bodies,
         "ClaimOpening": openings,
         "Commitment": commitments,
         "Proof": proofs,
@@ -227,7 +225,7 @@ def record_strategies(dids, documents):
             signature=st.binary(min_size=64, max_size=64), signed_by=texts,
         ),
         "RevocationList": st.builds(RevocationList, owner=dids, revoked=tuples(texts)),
-        "Hello": hellos(dids, documents),
+        "Hello": hellos(dids, bodies),
         "Auth": st.builds(Auth, key_id=texts, signature=st.binary(min_size=64, max_size=64)),
         "CredRequest": st.builds(CredRequest, want=tuples(texts)),
         "CredPresent": st.builds(CredPresent, presentations=tuples(presentations)),
@@ -245,9 +243,8 @@ def record_strategies(dids, documents):
 
 def travelling_records() -> list[str]:
     """The names of every record a handshake message carries: each body record
-    and, field by field, every record nested in it. A record with a wire form
-    of its own (a Hello, a document) travels as that form's fields; a type
-    whose wire form is no record (a DID) is a leaf."""
+    and, field by field, every record nested in it. A type whose wire form is
+    no record (a DID) is a leaf."""
     seen, todo = set(), [*_BODIES.values(), Error]
     while todo:
         tp = todo.pop()
@@ -263,7 +260,7 @@ def _types_in(hint):
 
 
 RECORDS = record_strategies(dids, documents(dids))
-WIRE_RECORDS = record_strategies(wire_dids, peer_documents)
+WIRE_RECORDS = record_strategies(wire_dids, documents(wire_dids))
 TRAVELLING = travelling_records()
 
 
@@ -296,6 +293,13 @@ def test_wire_round_trip(name, data):
 def test_every_message_record_is_walked():
     assert {"Hello", "RetiredKey", "Presentation", "Proof", "Error"} <= set(TRAVELLING)
     assert "ScenarioLink" not in TRAVELLING
+
+
+def test_no_message_carries_a_document_with_its_did():
+    # A document travels only as its body, so no DID travels next to the body
+    # it derives from: no record a message carries, at any depth, is a DidDocument.
+    assert "DocumentBody" in TRAVELLING
+    assert "DidDocument" not in TRAVELLING
 
 
 def test_scenario_records_have_no_wire_form():
@@ -504,10 +508,12 @@ def test_from_cbor_reads_exactly_what_cbor_bytes_writes(raw):
 
 AUTH = Auth("k", bytes(64))
 SIGNATURE = b"\x58\x40" + bytes(64)   # a 64-byte byte string
-HELLO = Hello(*generate_peer_did([PublicKeyEntry("k1", crypto.PURPOSE_SIGN, bytes(32))]),
-              bytes(32), bytes(16))
+PEER_DID, PEER_DOCUMENT = generate_peer_did(
+    [PublicKeyEntry("k1", crypto.PURPOSE_SIGN, bytes(32))]
+)
+HELLO = Hello(None, PEER_DOCUMENT.body(), bytes(32), bytes(16))
 # The same 32-byte id under the reg method: a HELLO that carries its DID and no document.
-REG_HELLO = Hello(Did(METHOD_REG, HELLO.did.id), None, bytes(32), bytes(16))
+REG_HELLO = Hello(Did(METHOD_REG, PEER_DID.id), None, bytes(32), bytes(16))
 KEY_SHARE = b"\x58\x20" + bytes(32) + b"\x50" + bytes(16)   # ephemeral, nonce
 
 
@@ -518,8 +524,7 @@ def test_wire_form_of_a_record_is_an_array_of_its_fields():
 
 
 def test_a_did_travels_as_its_method_byte_and_raw_id():
-    genesis = {name: value for name, value in encode(HELLO.document).items() if name != "id"}
-    assert HELLO.did.to_wire() == b"\x01" + crypto.digest(canonical_bytes(genesis))
+    assert PEER_DID.to_wire() == b"\x01" + crypto.digest(canonical_bytes(encode(HELLO.document)))
     assert pack(REG_HELLO) == b"\x84\x58\x21" + REG_HELLO.did.to_wire() + b"\xf6" + KEY_SHARE
     assert Did.from_wire(Did(METHOD_REG, "11z").to_wire()) == Did(METHOD_REG, "11z")
     with pytest.raises(EncodingError, match="no wire form"):
@@ -531,26 +536,23 @@ def test_a_peer_hello_travels_without_either_did():
     # The document's body alone: [public_keys, service_endpoints, version, previous_keys].
     assert from_cbor(body) == [[["k1", crypto.PURPOSE_SIGN, bytes(32)]], [], 1, []]
     assert pack(HELLO) == b"\x84\xf6" + body + KEY_SHARE
-    # The reader derives the DID from the document and fills in both.
     assert unpack(Hello, pack(HELLO)) == HELLO
-    assert unpack(DidDocument, body) == HELLO.document
+    # The reader derives the document, and with it the DID, from the body.
+    assert DidDocument.from_body(unpack(DocumentBody, body)) == PEER_DOCUMENT
 
 
 def test_a_substituted_key_derives_another_did():
     key = PublicKeyEntry("k1", crypto.PURPOSE_SIGN, b"\x01" * 32)
     forged = replace(HELLO, document=replace(HELLO.document, public_keys=(key,)))
     read = unpack(Hello, pack(forged))
-    assert read.did == read.document.id == generate_peer_did([key])[0] != HELLO.did
+    assert DidDocument.from_body(read.document).id == generate_peer_did([key])[0] != PEER_DID
 
 
 def test_only_a_peer_document_travels():
-    reg_document = replace(HELLO.document, id=REG_HELLO.did)
-    with pytest.raises(EncodingError, match="no wire form"):
-        pack(reg_document)
-    with pytest.raises(EncodingError, match="no wire form"):
-        pack(Hello(REG_HELLO.did, reg_document, bytes(32), bytes(16)))
-    with pytest.raises(ValueError, match="its DID"):
-        Hello(REG_HELLO.did, HELLO.document, bytes(32), bytes(16))
+    # A HELLO carries a reg DID or a peer document's body: never both, never neither.
+    for did, document in ((REG_HELLO.did, HELLO.document), (None, None)):
+        with pytest.raises(ValueError, match="exactly one"):
+            Hello(did, document, bytes(32), bytes(16))
 
 
 def _with_did_byte(raw: bytes, method_byte: int) -> bytes:
@@ -574,9 +576,9 @@ def _with_did_byte(raw: bytes, method_byte: int) -> bytes:
     (Auth, b"\x82" + b"\x63\xed\xa0\x80" + SIGNATURE),
     (Hello, _with_did_byte(pack(REG_HELLO), 0x07)),
     (Hello, _with_did_byte(pack(REG_HELLO), 0x00)),
-    (Hello, b"\x84\x58\x21" + HELLO.did.to_wire() + pack(HELLO)[2:]),
+    (Hello, b"\x84\x58\x21" + PEER_DID.to_wire() + pack(HELLO)[2:]),
     (Hello, b"\x84\xf6\xf6" + KEY_SHARE),
-    (Hello, b"\x84\xf6\x85\x58\x21" + HELLO.did.to_wire() + pack(HELLO.document)[1:] + KEY_SHARE),
+    (Hello, b"\x84\xf6\x85\x58\x21" + PEER_DID.to_wire() + pack(HELLO.document)[1:] + KEY_SHARE),
     (Auth, b"\x82" + b"\x61k" + b"\x58\x3f" + bytes(63)),
     (Auth, b"\x9f" + b"\x61k" + SIGNATURE + b"\xff"),
     (Auth, b"\xd8\x18" + pack(AUTH)),
