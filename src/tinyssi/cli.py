@@ -341,6 +341,8 @@ def cmd_sim_run(args) -> int:
         print(line)
     if args.report:
         Path(args.report).write_bytes(report.to_json_bytes())
+    if args.trace:
+        Path(args.trace).write_bytes("".join(f"{line}\n" for line in report.trace_lines()).encode())
     if args.strict and not report.all_matched():
         mismatched = [s for s in report.steps if not s.matched]
         if any(s.outcome == "delivery-failed" for s in mismatched):
@@ -471,6 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--seed", type=int)
     p.add_argument("--report", help="write the metrics report here")
+    p.add_argument("--trace", help="write every handshake step's frame trace here")
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero unless every step matched its expectation")
     p.set_defaults(func=cmd_sim_run)

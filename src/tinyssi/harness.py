@@ -379,6 +379,7 @@ class StepMetrics:
     round_trips: int = 0
     retransmissions: int = 0
     ticks: int = 0  # simulated time the step's link ran, in ticks
+    trace: list[str] = field(default_factory=list)  # the link's frame trace; not in the report
 
 
 @dataclass
@@ -397,7 +398,9 @@ class MetricsReport:
             "scenario": self.scenario,
             "seed": self.seed,
             "document_sizes": {"ddo_bytes": self.ddo_bytes, "vc_bytes": self.vc_bytes},
-            "steps": [asdict(s) for s in self.steps],
+            "steps": [
+                {k: v for k, v in asdict(s).items() if k != "trace"} for s in self.steps
+            ],
         }
 
     def to_json_bytes(self) -> bytes:
@@ -420,6 +423,15 @@ class MetricsReport:
                 f"{s.round_trips:>4} {s.retransmissions:>5} {s.ticks:>5} "
                 f"{'yes' if s.matched else 'NO'}"
             )
+        return lines
+
+    def trace_lines(self) -> list[str]:
+        """Each handshake step's frame trace, one line per frame, under a `# step i` line."""
+        lines = []
+        for index, step in enumerate(self.steps):
+            if step.action == "handshake":
+                lines.append(f"# step {index}")
+                lines.extend(step.trace)
         return lines
 
 
@@ -601,6 +613,7 @@ class ScenarioRunner:
             round_trips=rts,
             retransmissions=run.retransmissions,
             ticks=link.now,
+            trace=link.trace_lines(),
         )
 
     def _run_resolve(self, index: int, p: ResolveStep) -> StepMetrics:

@@ -9,9 +9,16 @@ Frame header, 8 bytes, big-endian:
   bytes 4-5 frag_index
   bytes 6-7 frag_count
 
-ACK frames carry a 2-byte payload: the acknowledged frag_index. Data payload
-capacity is mtu - 8. Timeouts run on simulated ticks, never wall clock, so a
-fixed seed reproduces a run frame for frame.
+Data payload capacity is mtu - 8. An ACK frame acknowledges a whole message:
+its header carries frag_index 0 and the message's frag_count, and its payload
+is a bitmap of ceil(frag_count / 8) bytes, bit i (least significant bit of
+byte 0 first) set when the receiver holds fragment i. Once the message is
+delivered, every bit is set. So a message of up to 8 fragments is
+acknowledged in 9 bytes. The receiver sends at most one ACK per message per
+tick, after the tick's frames have all arrived. A message whose ACK would not
+fit the MTU, more than 8 * (mtu - 8) fragments, is refused before it is sent.
+Timeouts run on simulated ticks, never wall clock, so a fixed seed reproduces
+a run frame for frame.
 
 Messenger.send takes one or more protocol messages and sends them as one
 transport message: one message id, one fragment stream, one ARQ timer. One
@@ -24,12 +31,14 @@ packs several records into one datagram (RFC 9147 §4).
 
 The ARQ window is the whole message: every fragment goes out at once, and
 one timer waits for all their ACKs. When it fires, only the fragments still
-unacknowledged go out again. That is the retransmission pattern of SCHC's
-ACK-on-Error mode (RFC 8724 §8.4.3), with one ACK per fragment where SCHC
-sends a bitmap. The timer is the link's worst-case round trip: a frame takes
-TRANSIT_TICKS each way, plus REORDER_DELAY_TICKS when the link reorders it.
-That is 2 ticks on a link that never reorders and 6 on one that may. A timer
-that fires then finds nothing in flight, so it never fires on a late ACK.
+unacknowledged go out again. That is SCHC's ACK-on-Error mode (RFC 8724
+§8.4.3): its retransmission pattern, and its ACK, one bitmap for the window.
+An ACK states everything the receiver holds, so a later ACK also covers
+fragments whose earlier ACK was lost. The timer is the link's worst-case
+round trip: a frame takes TRANSIT_TICKS each way, plus REORDER_DELAY_TICKS
+when the link reorders it. That is 2 ticks on a link that never reorders and
+6 on one that may. A timer that fires then finds nothing in flight, so it
+never fires on a late ACK.
 """
 
 from __future__ import annotations
@@ -111,14 +120,42 @@ class Frame:
         )
 
 
-def make_ack(message_id: int, frag_index: int) -> Frame:
+def _bitmap_len(frag_count: int) -> int:
+    return (frag_count + 7) // 8
+
+
+def _ackable_fragments(mtu: int) -> int:
+    """The most fragments one ACK frame within `mtu` can acknowledge."""
+    return 8 * (mtu - HEADER_LEN)
+
+
+def make_ack(message_id: int, frag_count: int, held: int) -> Frame:
+    """The ACK of a message of frag_count fragments; bit i of `held` is fragment i."""
     return Frame(
         flags=FLAG_ACK,
         message_id=message_id,
-        frag_index=frag_index,
-        frag_count=frag_index + 1,
-        payload=struct.pack(">H", frag_index),
+        frag_index=0,
+        frag_count=frag_count,
+        payload=held.to_bytes(_bitmap_len(frag_count), "little"),
     )
+
+
+def ack_bitmap(frame: Frame) -> int:
+    """The fragments an ACK frame acknowledges, bit i for fragment i.
+
+    FrameError unless frag_index is 0, the bitmap is ceil(frag_count / 8)
+    bytes long, and no bit at or beyond frag_count is set.
+    """
+    if frame.frag_index != 0:
+        raise FrameError(f"ACK with frag_index {frame.frag_index}, want 0")
+    if len(frame.payload) != _bitmap_len(frame.frag_count):
+        raise FrameError(
+            f"ACK bitmap of {len(frame.payload)} bytes for {frame.frag_count} fragments"
+        )
+    held = int.from_bytes(frame.payload, "little")
+    if held >> frame.frag_count:
+        raise FrameError(f"ACK bitmap sets a bit at or beyond fragment {frame.frag_count}")
+    return held
 
 
 def fragment(message: bytes, mtu: int, message_id: int, flags: int = 0) -> list[Frame]:
@@ -245,11 +282,16 @@ class TraceEntry:
     frag_count: int
     length: int
     dropped: bool
+    acked: tuple[int, ...] = ()  # an ACK's bitmap, as the fragment indexes it sets
 
     def line(self) -> str:
+        if self.kind == "ack":
+            position = f"acked={','.join(map(str, self.acked)) or 'none'}"
+        else:
+            position = f"idx={self.frag_index}/{self.frag_count}"
         return (
             f"t={self.tick} dir={self.src}→{self.dst} type={self.kind} "
-            f"id={self.message_id} idx={self.frag_index}/{self.frag_count} "
+            f"id={self.message_id} {position} "
             f"len={self.length} dropped={str(self.dropped).lower()}"
         )
 
@@ -319,6 +361,10 @@ class SimLink:
         delay = TRANSIT_TICKS
         if not dropped and self._rng.random() < self.profile.reorder_probability:
             delay += REORDER_DELAY_TICKS
+        acked = ()
+        if frame.is_ack:
+            bits = int.from_bytes(frame.payload, "little")
+            acked = tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
         self.trace.append(
             TraceEntry(
                 tick=self.now,
@@ -330,6 +376,7 @@ class SimLink:
                 frag_count=frame.frag_count,
                 length=len(raw),
                 dropped=dropped,
+                acked=acked,
             )
         )
         if dropped:
@@ -338,7 +385,11 @@ class SimLink:
         heapq.heappush(self._pending, (self.now + delay, self._sequence, dst, raw))
 
     def tick(self) -> None:
-        """Advance one tick and hand due frames to their endpoint handlers."""
+        """Advance one tick and hand due frames to their endpoint handlers.
+
+        Once every frame due in the tick is delivered, each handler sends
+        the ACKs the tick made due.
+        """
         self.now += 1
         while self._pending and self._pending[0][0] <= self.now:
             _, _, dst, raw = heapq.heappop(self._pending)
@@ -349,6 +400,8 @@ class SimLink:
                 handler.handle_frame(Frame.decode(raw))
             except FrameError:
                 self.malformed_frames += 1
+        for handler in self._handlers.values():
+            handler.send_acks()
 
     def bytes_on_wire(self) -> int:
         return sum(entry.length for entry in self.trace)
@@ -402,27 +455,39 @@ class Messenger:
     fragments still unacknowledged and waits again; a fragment still
     unacknowledged after RETRY_LIMIT retransmissions raises DeliveryError,
     which carries the send's DeliveryReport. The peer's Messenger, attached to
-    the same link, acknowledges data frames as they arrive; the messages of a
-    completed transport message queue up, in send order, behind receive().
+    the same link, acknowledges each message whose data arrived in a tick with
+    one bitmap ACK at the end of that tick; the messages of a completed
+    transport message queue up, in send order, behind receive().
 
     The simulator charges transit, not airtime: frames sent in the same tick
     all arrive one transit later. So a k-fragment message costs one round
     trip here where a round trip per fragment would cost k; the saving is the
-    k - 1 idle ACK turnarounds, with the same frames, bytes and airtime. A
-    batch of m messages saves m - 1 round trips the same way. It costs 2
-    bytes of length prefix per message, and may need fewer fragments, and so
-    fewer ACKs, than m sends would: only its last fragment is partly filled.
+    k - 1 idle ACK turnarounds, with the same data frames and airtime. Its
+    fragments arrive in the same tick on a lossless link, so they draw one
+    ACK, not k. A batch of m messages saves m - 1 round trips the same way. It
+    costs 2 bytes of length prefix per message, and may need fewer fragments
+    than m sends would: only its last fragment is partly filled.
 
     State stays bounded on a long-lived link, whose 16-bit message ids wrap.
-    The sender keeps ACKs only for the message it is sending. A round sends at
-    most one copy of each unacknowledged fragment, and the timer is the
-    worst-case round trip, so every round ends with none of its frames in
-    flight: either the timer fired, or the one copy of each fragment has been
-    acknowledged. Once the last ACK is in, no copy of the message's data is in
-    flight. Each delivery therefore leaves the receiver with just the
-    delivered message's id: no copy of an earlier message is still in flight
-    when the next one starts, so a duplicate can only belong to it. Other
-    partial messages, abandoned or stray, are forgotten then too. A batch
+    The sender keeps one bitmap, of the message it is sending, and ignores
+    ACKs for any other id. The receiver keeps the ids whose data arrived in
+    the current tick; send_acks(), at the end of the tick, sends one ACK per
+    id and empties the list. An id whose receive state a delivery in the same
+    tick has forgotten gets no ACK. Each delivery leaves the receiver with
+    just the delivered message's receive state: other partial messages,
+    abandoned or stray, are forgotten then.
+
+    A duplicate can belong only to the message whose id it carries. A round
+    sends at most one copy of each unacknowledged fragment, and its timer is
+    the worst-case round trip, so a round that ends on the timer has none of
+    its frames in flight. A round can also end early, on an ACK that covers
+    every fragment, while one of its copies is still on the way: a fragment
+    the receiver already held, whose earlier ACK was lost. That copy left at
+    the round's start, so it lands within a worst-case one-way trip. A send
+    lasts at least one round trip, so at most one more message id is
+    allocated before it lands, far from the 65,536 a wrap needs. It is
+    re-acknowledged if its message's receive state is still there, and
+    otherwise opens a partial state that the next delivery forgets. A batch
     changes none of this: it is one message id, sent and delivered once, and
     its messages wait in the receive() queue only until the caller takes them.
     """
@@ -431,8 +496,9 @@ class Messenger:
         self.link = link
         self.endpoint = endpoint
         self._receiving: dict[int, _ReceiveState] = {}
-        self._sending: int | None = None
-        self._acked: set[int] = set()
+        self._ack_due: list[int] = []
+        self._sending: tuple[int, int] | None = None  # (message_id, frag_count)
+        self._acked = 0  # bit i: fragment i of the message being sent
         self._received: deque[bytes] = deque()
         link.attach(endpoint, self)
 
@@ -440,17 +506,20 @@ class Messenger:
         payload, flags = _payload(messages)
         message_id = self.link.allocate_message_id()
         outstanding = fragment(payload, self.link.profile.mtu, message_id, flags)
-        report = DeliveryReport(fragments=len(outstanding))
-        self._sending = message_id
+        count = len(outstanding)
+        if count > _ackable_fragments(self.link.profile.mtu):
+            raise TransportError(f"message needs {count} fragments; its ACK would exceed the mtu")
+        report = DeliveryReport(fragments=count)
+        self._sending = (message_id, count)
         try:
             for _ in range(1 + RETRY_LIMIT):
                 for frame in outstanding:
                     self.link.transmit(self.endpoint, frame)
                 report.frames_sent += len(outstanding)
                 report.retransmissions = report.frames_sent - report.fragments
-                if self._await_ack({frame.frag_index for frame in outstanding}):
+                if self._await_ack((1 << count) - 1):
                     return report
-                outstanding = [f for f in outstanding if f.frag_index not in self._acked]
+                outstanding = [f for f in outstanding if not self._acked >> f.frag_index & 1]
             raise DeliveryError(
                 f"fragments {[f.frag_index for f in outstanding]} of message {message_id} "
                 f"unacknowledged after {RETRY_LIMIT} retries",
@@ -458,14 +527,14 @@ class Messenger:
             )
         finally:
             self._sending = None
-            self._acked.clear()
+            self._acked = 0
 
-    def _await_ack(self, frag_indexes: set[int]) -> bool:
-        """Tick until every fragment in frag_indexes is acknowledged, or a round trip passes."""
+    def _await_ack(self, everything: int) -> bool:
+        """Tick until the ACKs cover every fragment in `everything`, or a round trip passes."""
         deadline = self.link.now + self.link.round_trip_ticks
         while self.link.now < deadline:
             self.link.tick()
-            if frag_indexes <= self._acked:
+            if self._acked == everything:
                 return True
         return False
 
@@ -476,11 +545,18 @@ class Messenger:
         completed did not split and was dropped.
         """
         if frame.is_ack:
-            if len(frame.payload) != 2:
-                raise FrameError(f"ACK payload of {len(frame.payload)} bytes, want 2")
-            if frame.message_id == self._sending:
-                self._acked.add(struct.unpack(">H", frame.payload)[0])
+            held = ack_bitmap(frame)
+            if self._sending is None or frame.message_id != self._sending[0]:
+                return
+            if frame.frag_count != self._sending[1]:
+                raise FrameError(
+                    f"ACK for {frame.frag_count} fragments of message {frame.message_id}, "
+                    f"which has {self._sending[1]}"
+                )
+            self._acked |= held
             return
+        if frame.frag_count > _ackable_fragments(self.link.profile.mtu):
+            raise FrameError(f"{frame.frag_count} fragments: their ACK would exceed the mtu")
         batch = bool(frame.flags & FLAG_BATCH)
         state = self._receiving.setdefault(
             frame.message_id, _ReceiveState(frag_count=frame.frag_count, batch=batch)
@@ -490,7 +566,8 @@ class Messenger:
         if batch != state.batch:
             raise FrameError(f"inconsistent batch flag for message {frame.message_id}")
         # Duplicate data (a lost ACK) is re-acknowledged, never re-delivered.
-        self.link.transmit(self.endpoint, make_ack(frame.message_id, frame.frag_index))
+        if frame.message_id not in self._ack_due:
+            self._ack_due.append(frame.message_id)
         if state.delivered:
             return
         state.fragments.setdefault(frame.frag_index, frame)
@@ -501,6 +578,19 @@ class Messenger:
             state.fragments.clear()
             self._receiving = {frame.message_id: state}
             self._received.extend(_unbatch(payload) if state.batch else [payload])
+
+    def send_acks(self) -> None:
+        """Acknowledge, once each, the messages whose data arrived this tick."""
+        for message_id in self._ack_due:
+            state = self._receiving.get(message_id)
+            if state is None:
+                continue  # forgotten by a delivery in the same tick
+            if state.delivered:
+                held = (1 << state.frag_count) - 1
+            else:
+                held = sum(1 << index for index in state.fragments)
+            self.link.transmit(self.endpoint, make_ack(message_id, state.frag_count, held))
+        self._ack_due.clear()
 
     def receive(self) -> bytes | None:
         if self._received:

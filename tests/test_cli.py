@@ -352,6 +352,32 @@ class TestSimCommands:
         assert report_path.read_bytes() == (GOLDEN / f"{scenario.stem}.report.json").read_bytes()
         assert summary.encode("utf-8") == (GOLDEN / f"{scenario.stem}.summary.txt").read_bytes()
 
+    def test_trace_file_holds_each_handshake_steps_frames(self, tmp_path, capsys):
+        report_path, trace_path = tmp_path / "report.json", tmp_path / "frames.trace"
+        assert main([
+            "sim", "run", str(LIFECYCLE), "--report", str(report_path), "--trace", str(trace_path),
+        ]) == 0
+        steps = json.loads(report_path.read_text())["steps"]
+        # The trace travels only in its own file: the report is the golden one.
+        assert report_path.read_bytes() == (GOLDEN / "household-lifecycle.report.json").read_bytes()
+        text = trace_path.read_text(encoding="utf-8")
+        assert text.endswith("\n")
+        sections = text.split("# step ")[1:]
+        handshakes = [i for i, s in enumerate(steps) if s["action"] == "handshake"]
+        assert [int(section.split("\n")[0]) for section in sections] == handshakes
+        for index, section in zip(handshakes, sections):
+            frames = section.splitlines()[1:]
+            assert len(frames) == steps[index]["frames"]
+            lengths = [int(line.split(" len=")[1].split()[0]) for line in frames]
+            assert sum(lengths) == steps[index]["bytes_sent"]
+            assert frames[1] == "t=1 dir=lock→camera type=ack id=1 acked=0 len=9 dropped=false"
+
+    def test_unwritable_trace_path_is_validation_error(self, tmp_path, capsys):
+        code = main(["sim", "run", str(SCENARIO), "--trace", str(tmp_path / "no-dir" / "t")])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert json.loads(out[out.index("{"):])["error"]["code"] == 2
+
     def test_lifecycle_scenario_strict(self, capsys):
         code, _ = run(capsys, "sim", "run", str(LIFECYCLE), "--strict")
         assert code == 0

@@ -165,7 +165,8 @@ class TestWireSize:
     TAGS = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x06, 0x07, 0x07]
     MESSAGE_BYTES = [202, 200, 82, 82, 37, 376, 376, 32, 32]
     LORA_FRAGMENTS = [1, 1, 1, 1, 2, 2, 1]  # one transport message per leg
-    AIR_BYTES = 1589  # data and ACK frames
+    AIR_BYTES = 1562  # data and ACK frames
+    FRAMES = 16  # 9 data frames and one bitmap ACK per leg
 
     def test_owner_two_devices_message_sizes_and_fragments(self):
         messages = [
@@ -181,6 +182,7 @@ class TestWireSize:
         assert list(step.fragments_per_message) == self.LORA_FRAGMENTS
         assert sum(step.fragments_per_message) <= 9
         assert step.bytes_sent == self.AIR_BYTES
+        assert step.frames == self.FRAMES
 
     def test_every_hello_of_the_shipped_scenarios_is_one_lora_fragment(self):
         """A peer HELLO omits both copies of its DID, which the reader derives
@@ -211,12 +213,14 @@ class TestWireSize:
         }
         assert stated == pinned
         total = re.search(
-            r"now (\d+) LoRa data fragments `\[([\d,]+)\]`.*? and ([\d,]+) B", text, re.S
+            r"now (\d+) LoRa data fragments `\[([\d,]+)\]`.*? (\d+) frames and ([\d,]+) B",
+            text, re.S,
         )
         assert total is not None
-        fragments, per_leg, air_bytes = total.groups()
+        fragments, per_leg, frames, air_bytes = total.groups()
         assert int(fragments) == sum(self.LORA_FRAGMENTS)
         assert [int(n) for n in per_leg.split(",")] == self.LORA_FRAGMENTS
+        assert int(frames) == self.FRAMES
         assert int(air_bytes.replace(",", "")) == self.AIR_BYTES
 
 

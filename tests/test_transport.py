@@ -14,7 +14,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tinyssi.transport import (
     DeliveryError,
@@ -24,10 +24,12 @@ from tinyssi.transport import (
     Frame,
     FrameError,
     HEADER_LEN,
+    LinkProfile,
     Messenger,
     PROFILES,
     RETRY_LIMIT,
     TransportError,
+    ack_bitmap,
     fragment,
     make_ack,
     make_link,
@@ -84,12 +86,33 @@ class TestFrameCodec:
             Frame.decode(b"\xd1\x00\x00")
 
     def test_ack_frame_carries_acknowledged_index(self):
-        ack = make_ack(message_id=7, frag_index=513)
+        """One ACK per message: frag_index 0, the message's frag_count, and a
+        bitmap of ceil(frag_count / 8) bytes, bit i (LSB first) for fragment i."""
+        held = 1 << 0 | 1 << 2 | 1 << 9  # fragments 0, 2 and 9 of 10
+        ack = make_ack(message_id=7, frag_count=10, held=held)
         assert ack.is_ack
-        assert ack.payload == (513).to_bytes(2, "big")
-        decoded = Frame.decode(ack.encode())
+        raw = ack.encode()
+        assert raw[:8] == b"\xd1\x01\x00\x07\x00\x00\x00\x0a"
+        assert raw[8:] == bytes([0b0000_0101, 0b0000_0010])
+        decoded = Frame.decode(raw)
         assert decoded.is_ack
-        assert int.from_bytes(decoded.payload, "big") == 513
+        assert ack_bitmap(decoded) == held
+        # Up to 8 fragments are acknowledged in 9 bytes.
+        assert [len(make_ack(1, n, (1 << n) - 1).encode()) for n in (1, 8, 9)] == [9, 9, 10]
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            Frame(FLAG_ACK, 1, 0, 10, b"\xff"),  # bitmap one byte short
+            Frame(FLAG_ACK, 1, 0, 3, b"\x07\x00"),  # bitmap one byte long
+            Frame(FLAG_ACK, 1, 0, 3, b"\x08"),  # bit 3 of a 3-fragment message
+            Frame(FLAG_ACK, 1, 1, 3, b"\x07"),  # frag_index not 0
+        ],
+        ids=["short", "long", "bit-beyond-count", "nonzero-index"],
+    )
+    def test_malformed_ack_bitmap_rejected(self, frame):
+        with pytest.raises(FrameError):
+            ack_bitmap(frame)
 
 
 class TestFragment:
@@ -309,6 +332,23 @@ class TestReliableDelivery:
         acks = [e for e in link.trace if e.kind == "ack"]
         assert len(acks) == 3
 
+    def test_ack_that_would_exceed_the_mtu_is_never_needed(self):
+        # An ACK within a 9-byte MTU has one bitmap byte: 8 fragments of 1 byte.
+        link = make_link(LinkProfile("tiny", mtu=9), seed=1)
+        sender = Messenger(link, "A")
+        receiver = Messenger(link, "B")
+        with pytest.raises(TransportError):
+            sender.send(bytes(9))
+        assert link.trace == []
+        sender.send(bytes(range(8)))
+        assert receiver.receive() == bytes(range(8))
+        # A frame of a 9-fragment message is dropped, never acknowledged.
+        link.transmit("A", Frame(0, 0x7777, 0, 9, b"x"))
+        for _ in range(2):
+            link.tick()
+        assert link.malformed_frames == 1
+        assert [e.kind for e in link.trace if e.message_id == 0x7777] == ["data"]
+
 
 class TestBatch:
     """send(*messages): one transport message per call, batched when there are several."""
@@ -373,6 +413,13 @@ class TestTrace:
         sender.send(bytes(300))
         line = link.trace_lines()[0]
         assert line.startswith("t=0 dir=cam→lock type=data id=1 idx=0/2 len=222 dropped=false")
+
+    def test_ack_trace_line_names_the_acknowledged_fragments(self):
+        link = make_link("lora", a="cam", b="lock", seed=1)
+        sender = Messenger(link, "cam")
+        Messenger(link, "lock")
+        sender.send(bytes(300))
+        assert link.trace_lines()[2] == "t=1 dir=lock→cam type=ack id=1 acked=0,1 len=9 dropped=false"
 
     def test_bytes_on_wire_matches_trace_sum(self):
         link = make_link("lora", loss=0.15, seed=3)
@@ -456,12 +503,18 @@ class TestAckTimeout:
         for before, start, after in zip(sent, ticks, sent[1:]):
             end = start + link.round_trip_ticks
             assert after.keys() <= before.keys()
-            for index in after:
-                # A fragment goes out again only if its last copy or that copy's ACK was lost.
-                ack_dropped = any(
-                    a.dropped for a in acks if a.frag_index == index and start <= a.tick < end
-                )
-                assert before[index].dropped or ack_dropped
+            # Every ACK sent within a round reaches the sender by its end, unless dropped.
+            acked = {
+                index for a in acks if start <= a.tick < end and not a.dropped
+                for index in a.acked
+            }
+            for index in before:
+                # A fragment goes out again only if its last copy was dropped,
+                # or no ACK with its bit set reached the sender within that round.
+                if index in after:
+                    assert before[index].dropped or index not in acked
+                else:
+                    assert index in acked
         if report is None:
             assert len(sent) == 1 + RETRY_LIMIT
             assert received in (None, message)
@@ -470,6 +523,37 @@ class TestAckTimeout:
             assert report.retransmissions == len(data) - report.fragments
             if loss == 0.0:
                 assert report.retransmissions == 0
+
+    def test_lossless_send_draws_exactly_one_ack(self):
+        link = make_link("lora", seed=1)
+        sender = Messenger(link, "A")
+        receiver = Messenger(link, "B")
+        for fragments in range(1, 6):
+            message = Random(fragments).randbytes(fragments * (link.profile.mtu - HEADER_LEN))
+            report = sender.send(message)
+            assert report.fragments == fragments
+            assert receiver.receive() == message
+            acks = [e for e in link.trace if e.kind == "ack" and e.message_id == fragments]
+            assert [(a.acked, a.length) for a in acks] == [(tuple(range(fragments)), 9)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        loss=st.floats(min_value=0.0, max_value=0.5),
+        reorder=st.floats(min_value=0.0, max_value=1.0),
+        size=st.integers(min_value=1, max_value=1500),
+    )
+    def test_acks_never_outnumber_delivered_data_frames(self, seed, loss, reorder, size):
+        link = make_link("lora", loss=loss, reorder=reorder, seed=seed)
+        sender = Messenger(link, "A")
+        Messenger(link, "B")
+        try:
+            sender.send(Random(seed).randbytes(size))
+        except DeliveryError:
+            pass
+        delivered = [e for e in link.trace if e.kind == "data" and not e.dropped]
+        acks = [e for e in link.trace if e.kind == "ack"]
+        assert len(acks) <= len(delivered)
 
     def test_lossy_reordering_trace_matches_fixture(self):
         assert lossy_reordering_trace() == LOSSY_TRACE.read_text(encoding="utf-8").splitlines()
@@ -500,7 +584,7 @@ class TestMessageIds:
             sender.send(message)
             assert receiver.receive() == message
         for messenger in (a, b):
-            assert messenger._acked == set()
+            assert messenger._acked == 0
             assert messenger._sending is None
             assert all(s.delivered for s in messenger._receiving.values())
         assert list(b._receiving) == [link._next_message_id - 1]
@@ -526,10 +610,10 @@ class TestMessageIds:
             except DeliveryError:
                 # The last ACK may be what was lost: all of the batch or none of it.
                 assert drain(receiver) in ([], messages)
-                assert sender._acked == set()
+                assert sender._acked == 0
                 return
             assert drain(receiver) == messages
-            assert sender._acked == set()
+            assert sender._acked == 0
             assert list(receiver._receiving) == [link._next_message_id]
         for _ in range(4 * link.round_trip_ticks):
             link.tick()  # late duplicates are re-acknowledged, never re-delivered
@@ -611,13 +695,66 @@ class TestMalformedFrames:
         first = Frame(FLAG_BATCH, 0x7777, 0, 2, b"\x00\x01")
         link = self._inject_then_deliver("A", Frame(FLAG_LAST, 0x7777, 1, 2, b"a"), prelude=[first])
         acks = [e for e in link.trace if e.kind == "ack" and e.message_id == 0x7777]
-        assert [e.frag_index for e in acks] == [0]
+        assert [e.acked for e in acks] == [(0,)]
 
     def test_inconsistent_frag_count_dropped(self):
         first = Frame(0, 0x7777, 0, 2, b"x")
         link = self._inject_then_deliver("A", Frame(0, 0x7777, 1, 3, b"y"), prelude=[first])
         acks = [e for e in link.trace if e.kind == "ack" and e.message_id == 0x7777]
-        assert [e.frag_index for e in acks] == [0]
+        assert [e.acked for e in acks] == [(0,)]
+
+
+class TestAckDefects:
+    """An ACK that does not fit the message being sent acknowledges nothing."""
+
+    @staticmethod
+    def _defective_ack(defect: str, message_id: int, count: int, n: int) -> Frame:
+        """An ACK for `message_id` (of `count` fragments) claiming every fragment, with one defect."""
+        every = (1 << count) - 1
+        if defect == "bitmap-length":
+            length = (count + 7) // 8 + (n if n <= 4 else 4 - n)  # 1..4 bytes long or short
+            return Frame(FLAG_ACK, message_id, 0, count, b"\xff" * max(length, 0))
+        if defect == "bit-beyond-count":
+            stray = every | 1 << (count + n % (8 - count % 8))
+            return Frame(FLAG_ACK, message_id, 0, count, stray.to_bytes((count + 7) // 8, "little"))
+        if defect == "frag-index":
+            return Frame(FLAG_ACK, message_id, n, count, every.to_bytes((count + 7) // 8, "little"))
+        if defect == "frag-count":
+            other = count + n
+            return make_ack(message_id, other, (1 << other) - 1)
+        return make_ack((message_id + n) % 0x10000, count, every)  # an id not being sent
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        defect=st.sampled_from(
+            ["bitmap-length", "bit-beyond-count", "frag-index", "frag-count", "other-id"]
+        ),
+        count=st.integers(min_value=1, max_value=20),
+        n=st.integers(min_value=1, max_value=8),
+    )
+    def test_defective_ack_marks_nothing_acknowledged(self, defect, count, n):
+        if defect == "bit-beyond-count":
+            assume(count % 8)  # a bitmap of whole bytes has no spare bit
+        link = make_link("lora", seed=1)
+        sender = Messenger(link, "A")
+        receiver = Messenger(link, "B")
+        transmit, first_round = link.transmit, []
+
+        def lose_first_round_and_inject(src, frame):
+            if src == "A" and not frame.is_ack and len(first_round) < count:
+                # The receiver holds nothing when the defective ACK arrives.
+                first_round.append(frame)
+                if frame.is_last:
+                    transmit("B", self._defective_ack(defect, frame.message_id, count, n))
+                return
+            transmit(src, frame)
+
+        link.transmit = lose_first_round_and_inject
+        message = Random(count).randbytes(count * (link.profile.mtu - HEADER_LEN))
+        report = sender.send(message)  # nothing raises out of tick()
+        assert receiver.receive() == message
+        assert report.retransmissions == count  # every fragment went out again
+        assert link.malformed_frames == (0 if defect == "other-id" else 1)
 
 
 if __name__ == "__main__":
