@@ -34,7 +34,7 @@ from .identity import (
     Did, DidError, METHOD_PEER, METHOD_REG, ServiceEndpoint, format_did, parse_did,
 )
 from .resolver import Registry, ResolutionError, Resolver
-from .transport import DeliveryError, Messenger, PROFILES, make_link
+from .transport import Messenger, PROFILES, make_link
 from .wallet import Wallet
 
 EPOCH = 1_700_000_000
@@ -492,40 +492,40 @@ def drive_handshake(
     link, initiator: HandshakeSession, first_message: bytes,
     responder: HandshakeSession, now: int, intercept=None,
 ) -> HandshakeRun:
-    """Alternate legs between the two sessions over the link.
+    """Run the handshake over the link, each session answering a leg in the tick it arrives.
 
-    A leg is the messages one session's step()s just produced. They travel
-    as one transport message, and the receiver steps them in order.
+    A leg is the messages one session's step()s just produced. It travels as
+    one transport message, sent once its endpoint has nothing in flight. Then
+    the link ticks, and each session steps, in order, the messages delivered
+    to it; their replies form its next leg. The run ends when nothing is in
+    flight and no leg waits to be sent, or when a send gives up.
     `intercept(receiver_role, message) -> message` models an on-path attacker:
     it may rewrite any message after reassembly, before the receiver steps it.
     """
     a, b = link.endpoints
     messengers = {a: Messenger(link, a), b: Messenger(link, b)}
     sessions = {a: initiator, b: responder}
+    outboxes: dict[str, list[bytes]] = {a: [first_message], b: []}
     run = HandshakeRun(initiator=initiator, responder=responder)
-    outbox: list[bytes] = [first_message]
-    sender = a
-    while outbox and run.legs < MAX_LEGS:
-        run.legs += 1
-        receiver_name = b if sender == a else a
-        try:
-            report = messengers[sender].send(*outbox)
-        except DeliveryError as exc:
-            report = exc.report
+    reports = []
+    while True:
+        for name, messenger in messengers.items():
+            if outboxes[name] and messenger.idle and run.legs < MAX_LEGS:
+                run.legs += 1
+                reports.append(messenger.send(*outboxes[name]))
+                run.fragments_per_message.append(reports[-1].fragments)
+                outboxes[name] = []
+        if all(m.idle for m in messengers.values()):
+            break
+        link.tick()
+        if any(m.failure for m in messengers.values()):
             run.delivery_failed = True
-        run.fragments_per_message.append(report.fragments)
-        run.retransmissions += report.retransmissions
-        if run.delivery_failed:
-            return run
-        replies: list[bytes] = []
-        for _ in outbox:
-            received = messengers[receiver_name].receive()
-            if received is None:
-                run.delivery_failed = True
-                return run
-            if intercept is not None:
-                received = intercept(sessions[receiver_name].role, received)
-            replies.extend(sessions[receiver_name].step(received, now))
+            break
+        for name, messenger in messengers.items():
+            while (received := messenger.receive()) is not None:
+                if intercept is not None:
+                    received = intercept(sessions[name].role, received)
+                outboxes[name].extend(sessions[name].step(received, now))
         if run.legs_to_secure is None and all(
             s.state in _CHANNEL_STATES for s in sessions.values()
         ):
@@ -534,8 +534,7 @@ def drive_handshake(
             s.state in _TERMINAL for s in sessions.values()
         ):
             run.legs_to_terminal = run.legs
-        outbox = replies
-        sender = receiver_name
+    run.retransmissions = sum(r.retransmissions for r in reports)
     return run
 
 

@@ -4,21 +4,22 @@ deterministic lossy-link simulator.
 Frame header, 8 bytes, big-endian:
 
   byte 0    magic 0xD1
-  byte 1    flags: bit0 = ACK, bit1 = last fragment, bit2 = batch
+  byte 1    flags: bit0 = ACK, bit2 = batch; the other bits are sent as 0
   bytes 2-3 message_id
   bytes 4-5 frag_index
   bytes 6-7 frag_count
 
-Data payload capacity is mtu - 8. An ACK frame acknowledges a whole message:
-its header carries frag_index 0 and the message's frag_count, and its payload
-is a bitmap of ceil(frag_count / 8) bytes, bit i (least significant bit of
-byte 0 first) set when the receiver holds fragment i. Once the message is
-delivered, every bit is set. So a message of up to 8 fragments is
-acknowledged in 9 bytes. The receiver sends at most one ACK per message per
-tick, after the tick's frames have all arrived. A message whose ACK would not
-fit the MTU, more than 8 * (mtu - 8) fragments, is refused before it is sent.
-Timeouts run on simulated ticks, never wall clock, so a fixed seed reproduces
-a run frame for frame.
+Data payload capacity is mtu - 8. A data frame is its message's last
+fragment when frag_index == frag_count - 1. An ACK frame acknowledges a whole
+message: its header carries frag_index 0 and the message's frag_count, and
+its payload is a bitmap of ceil(frag_count / 8) bytes, bit i (least
+significant bit of byte 0 first) set when the receiver holds fragment i.
+Once the message is delivered, every bit is set. So a message of up to 8
+fragments is acknowledged in 9 bytes. The receiver sends at most one ACK per
+message per tick, after the tick's frames have all arrived. A message whose
+ACK would not fit the MTU, more than 8 * (mtu - 8) fragments, is refused
+before it is sent. Timeouts run on simulated ticks, never wall clock, so a
+fixed seed reproduces a run frame for frame.
 
 Messenger.send takes one or more protocol messages and sends them as one
 transport message: one message id, one fragment stream, one ARQ timer. One
@@ -39,6 +40,17 @@ round trip: a frame takes TRANSIT_TICKS each way, plus REORDER_DELAY_TICKS
 when the link reorders it. That is 2 ticks on a link that never reorders and
 6 on one that may. A timer that fires then finds nothing in flight, so it
 never fires on a late ACK.
+
+Sending does not block. Messenger.send transmits every fragment, arms the
+timer and returns; SimLink.tick() carries the message to its end. Each tick
+runs in this order: the frames due are delivered; every endpoint sends its
+ACKs; each sender finishes a message that is fully acknowledged, or, if its
+timer has expired, sends the unacknowledged fragments again, or gives up
+after RETRY_LIMIT retransmissions. So a receiver can answer in the tick a
+message arrives, while that message's ACK is still on its way back, the way
+DTLS 1.3 sends its next flight (RFC 9147 §7) and CoAP piggybacks a response
+on its ACK (RFC 7252 §5.2.1). Each endpoint has at most one message in
+flight, so a link carries at most one per direction.
 """
 
 from __future__ import annotations
@@ -54,7 +66,6 @@ from typing import Iterable
 MAGIC = 0xD1
 HEADER_LEN = 8
 FLAG_ACK = 0x01
-FLAG_LAST = 0x02
 FLAG_BATCH = 0x04
 
 RETRY_LIMIT = 8          # retransmissions per fragment before giving up
@@ -92,10 +103,6 @@ class Frame:
     @property
     def is_ack(self) -> bool:
         return bool(self.flags & FLAG_ACK)
-
-    @property
-    def is_last(self) -> bool:
-        return bool(self.flags & FLAG_LAST)
 
     def encode(self) -> bytes:
         return _HEADER.pack(
@@ -159,10 +166,7 @@ def ack_bitmap(frame: Frame) -> int:
 
 
 def fragment(message: bytes, mtu: int, message_id: int, flags: int = 0) -> list[Frame]:
-    """Split a message into ceil(len / (mtu - 8)) frames, last one flagged.
-
-    Every frame carries `flags`, the last one FLAG_LAST as well.
-    """
+    """Split a message into ceil(len / (mtu - 8)) frames, each carrying `flags`."""
     if mtu <= HEADER_LEN:
         raise TransportError(f"mtu must exceed the {HEADER_LEN}-byte header")
     if not message:
@@ -178,7 +182,7 @@ def fragment(message: bytes, mtu: int, message_id: int, flags: int = 0) -> list[
         chunk = message[index * capacity : (index + 1) * capacity]
         frames.append(
             Frame(
-                flags=flags | FLAG_LAST if index == count - 1 else flags,
+                flags=flags,
                 message_id=message_id,
                 frag_index=index,
                 frag_count=count,
@@ -307,8 +311,9 @@ class SimLink:
     """Two endpoints joined by a lossy, possibly reordering pipe.
 
     Single-threaded: time advances only through tick(), which delivers due
-    frames to the attached endpoint handlers. Every transmitted frame is
-    bounds-checked against the MTU and logged to the trace, dropped or not.
+    frames to the attached endpoint handlers, then lets each send its ACKs
+    and run its retransmission timer. Every transmitted frame is bounds-checked
+    against the MTU and logged to the trace, dropped or not.
     A delivered frame that fails to decode, or that its handler rejects with
     FrameError, is dropped and counted in malformed_frames.
     """
@@ -388,7 +393,7 @@ class SimLink:
         """Advance one tick and hand due frames to their endpoint handlers.
 
         Once every frame due in the tick is delivered, each handler sends
-        the ACKs the tick made due.
+        the ACKs the tick made due; then each runs its timer.
         """
         self.now += 1
         while self._pending and self._pending[0][0] <= self.now:
@@ -402,6 +407,8 @@ class SimLink:
                 self.malformed_frames += 1
         for handler in self._handlers.values():
             handler.send_acks()
+        for handler in self._handlers.values():
+            handler.check_timer()
 
     def bytes_on_wire(self) -> int:
         return sum(entry.length for entry in self.trace)
@@ -445,19 +452,35 @@ class _ReceiveState:
     delivered: bool = False
 
 
+@dataclass
+class _Outbound:
+    """The message a Messenger has in flight."""
+
+    message_id: int
+    frames: list[Frame]  # the fragments its last round sent
+    report: DeliveryReport
+    deadline: int = 0  # the tick its timer fires
+    rounds: int = 0
+    acked: int = 0  # bit i: fragment i
+
+
 class Messenger:
     """Reliable message endpoint over a SimLink: selective repeat over the whole message.
 
     send(*messages) carries its messages as one transport message, batched
     when there are two or more (see the module docstring). It transmits every
-    fragment, then drives the simulation for one round trip, or until every
-    fragment is acknowledged. When that timer fires, it retransmits only the
-    fragments still unacknowledged and waits again; a fragment still
-    unacknowledged after RETRY_LIMIT retransmissions raises DeliveryError,
-    which carries the send's DeliveryReport. The peer's Messenger, attached to
-    the same link, acknowledges each message whose data arrived in a tick with
-    one bitmap ACK at the end of that tick; the messages of a completed
-    transport message queue up, in send order, behind receive().
+    fragment, arms a timer of one round trip, and returns the send's
+    DeliveryReport, which fills in as the message goes. It raises
+    TransportError while an earlier message is still in flight: `idle` says
+    when there is none. From then on SimLink.tick() drives the message: the
+    tick in which the ACKs cover every fragment ends it. When the timer fires
+    first, check_timer() sends only the fragments still unacknowledged and
+    arms it again; when a fragment is still unacknowledged after RETRY_LIMIT
+    retransmissions, the send gives up and `failure` holds a DeliveryError
+    that carries its report. The peer's Messenger, attached to the same link,
+    acknowledges each message whose data arrived in a tick with one bitmap ACK
+    at the end of that tick; the messages of a completed transport message
+    queue up, in send order, behind receive().
 
     The simulator charges transit, not airtime: frames sent in the same tick
     all arrive one transit later. So a k-fragment message costs one round
@@ -466,16 +489,24 @@ class Messenger:
     fragments arrive in the same tick on a lossless link, so they draw one
     ACK, not k. A batch of m messages saves m - 1 round trips the same way. It
     costs 2 bytes of length prefix per message, and may need fewer fragments
-    than m sends would: only its last fragment is partly filled.
+    than m sends would: only its last fragment is partly filled. A reply sent
+    in the tick its request is delivered saves the rest of that request's
+    round trip: a chain of n messages that each answer the one before, every
+    one delivered at its first try, costs n + 1 ticks on a link that never
+    reorders, not 2n.
 
     State stays bounded on a long-lived link, whose 16-bit message ids wrap.
-    The sender keeps one bitmap, of the message it is sending, and ignores
-    ACKs for any other id. The receiver keeps the ids whose data arrived in
-    the current tick; send_acks(), at the end of the tick, sends one ACK per
-    id and empties the list. An id whose receive state a delivery in the same
-    tick has forgotten gets no ACK. Each delivery leaves the receiver with
-    just the delivered message's receive state: other partial messages,
-    abandoned or stray, are forgotten then.
+    The sender keeps one message, the one in flight, with its bitmap and
+    timer, and ignores ACKs for any other id. Each endpoint has at most one
+    message in flight, so a link carries at most two at once, one each way.
+    The receiver keeps the ids whose data arrived in the current tick;
+    send_acks(), at the end of the tick, sends one ACK per id and empties the
+    list. An id whose receive state a delivery in the same tick has forgotten
+    gets no ACK. Each delivery leaves the receiver with just the delivered
+    message's receive state: other partial messages, abandoned or stray, are
+    forgotten then. A receiver's messages all come from the one peer, which
+    starts its next message only once this one is acknowledged, so that
+    state is still there for as long as the peer may send the message again.
 
     A duplicate can belong only to the message whose id it carries. A round
     sends at most one copy of each unacknowledged fragment, and its timer is
@@ -483,11 +514,13 @@ class Messenger:
     its frames in flight. A round can also end early, on an ACK that covers
     every fragment, while one of its copies is still on the way: a fragment
     the receiver already held, whose earlier ACK was lost. That copy left at
-    the round's start, so it lands within a worst-case one-way trip. A send
-    lasts at least one round trip, so at most one more message id is
-    allocated before it lands, far from the 65,536 a wrap needs. It is
+    the round's start, so it lands within a worst-case one-way trip, at most
+    3 ticks. A send lasts at least a round trip, 2 ticks, so until it lands
+    each endpoint starts at most two more sends: at most four more message
+    ids are allocated on the link, far from the 65,536 a wrap needs. It is
     re-acknowledged if its message's receive state is still there, and
-    otherwise opens a partial state that the next delivery forgets. A batch
+    otherwise opens a partial state that the next delivery forgets; the
+    sender ignores that ACK, whose id is not the one in flight. A batch
     changes none of this: it is one message id, sent and delivered once, and
     its messages wait in the receive() queue only until the caller takes them.
     """
@@ -495,48 +528,66 @@ class Messenger:
     def __init__(self, link: SimLink, endpoint: str):
         self.link = link
         self.endpoint = endpoint
+        self.failure: DeliveryError | None = None  # set when the last send gave up
         self._receiving: dict[int, _ReceiveState] = {}
         self._ack_due: list[int] = []
-        self._sending: tuple[int, int] | None = None  # (message_id, frag_count)
-        self._acked = 0  # bit i: fragment i of the message being sent
+        self._sending: _Outbound | None = None
         self._received: deque[bytes] = deque()
         link.attach(endpoint, self)
 
+    @property
+    def idle(self) -> bool:
+        """No message in flight: the last one sent was acknowledged, or gave up."""
+        return self._sending is None
+
     def send(self, *messages: bytes) -> DeliveryReport:
+        """Start sending `messages` as one transport message; SimLink.tick() finishes it."""
+        if self._sending is not None:
+            raise TransportError(f"message {self._sending.message_id} is still in flight")
         payload, flags = _payload(messages)
         message_id = self.link.allocate_message_id()
-        outstanding = fragment(payload, self.link.profile.mtu, message_id, flags)
-        count = len(outstanding)
+        frames = fragment(payload, self.link.profile.mtu, message_id, flags)
+        count = len(frames)
         if count > _ackable_fragments(self.link.profile.mtu):
             raise TransportError(f"message needs {count} fragments; its ACK would exceed the mtu")
-        report = DeliveryReport(fragments=count)
-        self._sending = (message_id, count)
-        try:
-            for _ in range(1 + RETRY_LIMIT):
-                for frame in outstanding:
-                    self.link.transmit(self.endpoint, frame)
-                report.frames_sent += len(outstanding)
-                report.retransmissions = report.frames_sent - report.fragments
-                if self._await_ack((1 << count) - 1):
-                    return report
-                outstanding = [f for f in outstanding if not self._acked >> f.frag_index & 1]
-            raise DeliveryError(
-                f"fragments {[f.frag_index for f in outstanding]} of message {message_id} "
-                f"unacknowledged after {RETRY_LIMIT} retries",
-                report,
-            )
-        finally:
-            self._sending = None
-            self._acked = 0
+        self.failure = None
+        self._sending = _Outbound(message_id, frames, DeliveryReport(fragments=count))
+        self._transmit_round()
+        return self._sending.report
 
-    def _await_ack(self, everything: int) -> bool:
-        """Tick until the ACKs cover every fragment in `everything`, or a round trip passes."""
-        deadline = self.link.now + self.link.round_trip_ticks
-        while self.link.now < deadline:
-            self.link.tick()
-            if self._acked == everything:
-                return True
-        return False
+    def _transmit_round(self) -> None:
+        out = self._sending
+        for frame in out.frames:
+            self.link.transmit(self.endpoint, frame)
+        out.rounds += 1
+        out.deadline = self.link.now + self.link.round_trip_ticks
+        out.report.frames_sent += len(out.frames)
+        out.report.retransmissions = out.report.frames_sent - out.report.fragments
+
+    def check_timer(self) -> None:
+        """End the message in flight once every fragment is acknowledged; at its
+        timer, send the unacknowledged fragments again, or give up after RETRY_LIMIT.
+
+        SimLink.tick() calls it once a tick, after every endpoint sent its ACKs.
+        """
+        out = self._sending
+        if out is None:
+            return
+        if out.acked == (1 << out.report.fragments) - 1:
+            self._sending = None
+            return
+        if self.link.now < out.deadline:
+            return
+        out.frames = [f for f in out.frames if not out.acked >> f.frag_index & 1]
+        if out.rounds > RETRY_LIMIT:
+            self._sending = None
+            self.failure = DeliveryError(
+                f"fragments {[f.frag_index for f in out.frames]} of message {out.message_id} "
+                f"unacknowledged after {RETRY_LIMIT} retries",
+                out.report,
+            )
+            return
+        self._transmit_round()
 
     def handle_frame(self, frame: Frame) -> None:
         """Take one frame off the link.
@@ -546,14 +597,15 @@ class Messenger:
         """
         if frame.is_ack:
             held = ack_bitmap(frame)
-            if self._sending is None or frame.message_id != self._sending[0]:
+            out = self._sending
+            if out is None or frame.message_id != out.message_id:
                 return
-            if frame.frag_count != self._sending[1]:
+            if frame.frag_count != out.report.fragments:
                 raise FrameError(
                     f"ACK for {frame.frag_count} fragments of message {frame.message_id}, "
-                    f"which has {self._sending[1]}"
+                    f"which has {out.report.fragments}"
                 )
-            self._acked |= held
+            out.acked |= held
             return
         if frame.frag_count > _ackable_fragments(self.link.profile.mtu):
             raise FrameError(f"{frame.frag_count} fragments: their ACK would exceed the mtu")

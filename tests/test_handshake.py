@@ -167,6 +167,7 @@ class TestWireSize:
     LORA_FRAGMENTS = [1, 1, 1, 1, 2, 2, 1]  # one transport message per leg
     AIR_BYTES = 1562  # data and ACK frames
     FRAMES = 16  # 9 data frames and one bitmap ACK per leg
+    TICKS = 8  # a leg a tick, each answering the one before, and the last ACK's return
 
     def test_owner_two_devices_message_sizes_and_fragments(self):
         messages = [
@@ -183,6 +184,7 @@ class TestWireSize:
         assert sum(step.fragments_per_message) <= 9
         assert step.bytes_sent == self.AIR_BYTES
         assert step.frames == self.FRAMES
+        assert step.ticks == self.TICKS
 
     def test_every_hello_of_the_shipped_scenarios_is_one_lora_fragment(self):
         """A peer HELLO omits both copies of its DID, which the reader derives
@@ -213,15 +215,17 @@ class TestWireSize:
         }
         assert stated == pinned
         total = re.search(
-            r"now (\d+) LoRa data fragments `\[([\d,]+)\]`.*? (\d+) frames and ([\d,]+) B",
+            r"now (\d+) LoRa data fragments `\[([\d,]+)\]`.*? (\d+) frames and ([\d,]+) B"
+            r".*? in (\d+) ticks",
             text, re.S,
         )
         assert total is not None
-        fragments, per_leg, frames, air_bytes = total.groups()
+        fragments, per_leg, frames, air_bytes, ticks = total.groups()
         assert int(fragments) == sum(self.LORA_FRAGMENTS)
         assert [int(n) for n in per_leg.split(",")] == self.LORA_FRAGMENTS
         assert int(frames) == self.FRAMES
         assert int(air_bytes.replace(",", "")) == self.AIR_BYTES
+        assert int(ticks) == self.TICKS
 
 
 class TestHonestRun:

@@ -2,19 +2,21 @@
 
 import copy
 import json
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from tinyssi import harness
+from tinyssi import crypto, harness
+from tinyssi.handshake import HandshakeSession
 from tinyssi.harness import (
     Deployment,
     Scenario,
     ScenarioError,
     run_scenario,
 )
-from tinyssi.transport import RETRY_LIMIT
+from tinyssi.transport import RETRY_LIMIT, SimLink
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -44,6 +46,51 @@ def scenario(**overrides) -> Scenario:
     mapping = copy.deepcopy(BASE)
     mapping.update(overrides)
     return Scenario.from_mapping(mapping)
+
+
+@contextmanager
+def kept_links(prepare=lambda link: None):
+    """Collect every link the harness makes, each passed to `prepare` first."""
+    links, make_link = [], harness.make_link
+
+    def recording_make_link(*args, **kwargs):
+        link = make_link(*args, **kwargs)
+        prepare(link)
+        links.append(link)
+        return link
+
+    with mock.patch.object(harness, "make_link", recording_make_link):
+        yield links
+
+
+def data_ticks(link) -> dict[int, list[int]]:
+    """The ticks each message's data frames went out in, by message id."""
+    ticks: dict[int, list[int]] = {}
+    for entry in link.trace:
+        if entry.kind == "data":
+            ticks.setdefault(entry.message_id, []).append(entry.tick)
+    return ticks
+
+
+def assert_one_message_in_flight_per_endpoint(link) -> None:
+    """No endpoint sends data of a message before its previous one is acknowledged."""
+    for src in link.endpoints:
+        mine = [e for e in link.trace if e.src == src and e.kind == "data"]
+        order = []
+        for entry in mine:
+            if not order or order[-1] != entry.message_id:
+                assert entry.message_id not in order  # never back to an earlier message
+                order.append(entry.message_id)
+        for earlier, later in zip(order, order[1:]):
+            start = next(e.tick for e in mine if e.message_id == later)
+            count = next(e.frag_count for e in mine if e.message_id == earlier)
+            acked = {
+                index for e in link.trace
+                if e.kind == "ack" and e.dst == src and e.message_id == earlier
+                and not e.dropped and e.tick < start
+                for index in e.acked
+            }
+            assert acked == set(range(count)), (src, earlier, later)
 
 
 class TestValidation:
@@ -156,25 +203,17 @@ class TestOwnerScenario:
 
     def test_ticks_are_one_link_round_trip_per_leg(self):
         step = run_scenario(scenario()).steps[0]
-        # Lossless LoRa: each leg's fragments go out together, ACKed 2 ticks later.
-        assert step.ticks == 2 * len(step.fragments_per_message) == 14
+        # Lossless LoRa: each leg goes out in the tick its request arrives, and
+        # the last leg's ACK comes back a round trip after it left.
+        assert step.ticks == len(step.fragments_per_message) + 1 == 8
 
     def test_every_data_frame_of_a_leg_goes_out_in_the_same_tick(self):
-        links, make_link = [], harness.make_link
-
-        def recording_make_link(*args, **kwargs):
-            links.append(make_link(*args, **kwargs))
-            return links[-1]
-
-        with mock.patch.object(harness, "make_link", recording_make_link):
+        with kept_links() as links:
             step = run_scenario(scenario()).steps[0]
         (link,) = links
-        ticks: dict[int, list[int]] = {}
-        for entry in link.trace:
-            if entry.kind == "data":
-                ticks.setdefault(entry.message_id, []).append(entry.tick)
-        # One transport message per leg, one leg per round trip.
-        assert [set(t) for t in ticks.values()] == [{2 * leg} for leg in range(7)]
+        ticks = data_ticks(link)
+        # One transport message per leg, each answering the one before a tick later.
+        assert [set(t) for t in ticks.values()] == [{leg} for leg in range(7)]
         assert [len(t) for t in ticks.values()] == step.fragments_per_message
 
     def test_delivery_failure_reports_what_the_link_carried(self):
@@ -239,6 +278,77 @@ class TestOwnerScenario:
         report = run_scenario(Scenario.from_mapping(mapping))
         assert report.steps[0].outcome == "resolved"
         assert report.steps[1].outcome.startswith("unresolved")
+
+
+class TestPipelinedLegs:
+    """Each leg goes out in the tick its request arrives, one message in flight per endpoint."""
+
+    def test_lost_ack_holds_the_next_leg_until_the_previous_is_acknowledged(self):
+        def lose_first_ack(link):
+            transmit, lost = link.transmit, []
+
+            def transmit_losing_first_ack(src, frame):
+                if frame.is_ack and not lost:
+                    lost.append(frame)
+                    return
+                transmit(src, frame)
+
+            link.transmit = transmit_losing_first_ack
+
+        with kept_links(lose_first_ack) as links:
+            step = run_scenario(scenario()).steps[0]
+        (link,) = links
+        assert step.outcome == "trusted"
+        # The lock answers the HELLO (1) at tick 1, though the HELLO's ACK is
+        # lost. The camera sends the HELLO again at its timer, tick 2, and
+        # holds AUTH (3), ready at tick 2, until that ACK is back at tick 4.
+        assert data_ticks(link) == {
+            1: [0, 2], 2: [1], 3: [4], 4: [5], 5: [6, 6], 6: [7, 7], 7: [8],
+        }
+        assert step.retransmissions == 1
+        assert step.ticks == 8 + 2  # the 2 ticks AUTH was held
+        assert_one_message_in_flight_per_endpoint(link)
+
+    def test_lossy_sweep_ends_trusted_or_delivery_failed(self):
+        mapping = copy.deepcopy(BASE)
+        mapping["links"][0].update(loss=0.3, reorder=0.1)
+        handshake = {k: v for k, v in BASE["steps"][0].items() if k != "expect"}
+        mapping["steps"] = [handshake] * 200  # each step runs on its own seeded link
+        with kept_links() as links:
+            report = run_scenario(Scenario.from_mapping(mapping))
+        outcomes = [s.outcome for s in report.steps]
+        assert set(outcomes) <= {"trusted", "delivery-failed"}
+        assert "trusted" in outcomes
+        assert len({link.profile.seed for link in links}) == 200
+        for link in links:
+            assert_one_message_in_flight_per_endpoint(link)
+
+
+class TestBenchmarkReconciliation:
+    """The counts `bench/run.py --trace 1` reconciles on pair-lora, checked here in seconds."""
+
+    def test_lossless_handshake_steps_verifies_and_frames(self):
+        runner = harness.ScenarioRunner(Scenario.load(str(SCENARIO_DIR / "owner-two-devices.scn")))
+        with (
+            kept_links() as links,
+            mock.patch.object(
+                HandshakeSession, "step", autospec=True, side_effect=HandshakeSession.step
+            ) as step,
+            mock.patch.object(crypto, "verify", wraps=crypto.verify) as verify,
+            mock.patch.object(
+                SimLink, "transmit", autospec=True, side_effect=SimLink.transmit
+            ) as transmit,
+        ):
+            (metrics,) = runner.run().steps
+        (link,) = links
+        assert metrics.outcome == "trusted"
+        assert step.call_count == 9
+        assert verify.call_count == 4
+        frames = [call.args[2] for call in transmit.call_args_list]
+        data = sum(1 for frame in frames if not frame.is_ack)
+        acks = sum(1 for frame in frames if frame.is_ack)
+        assert (data, acks) == (9, 7)
+        assert data + acks == len(link.trace) == metrics.frames
 
 
 class TestDeterminismAndConservation:

@@ -18,9 +18,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from tinyssi.transport import (
     DeliveryError,
+    DeliveryReport,
     FLAG_ACK,
     FLAG_BATCH,
-    FLAG_LAST,
     Frame,
     FrameError,
     HEADER_LEN,
@@ -45,6 +45,16 @@ def batch_payload(*entries: bytes) -> bytes:
     return b"".join(len(e).to_bytes(2, "big") + e for e in entries)
 
 
+def deliver(sender: Messenger, *messages: bytes) -> DeliveryReport:
+    """Send, then tick the link until the send ends; raise its DeliveryError if it gave up."""
+    report = sender.send(*messages)
+    while not sender.idle:
+        sender.link.tick()
+    if sender.failure is not None:
+        raise sender.failure
+    return report
+
+
 def drain(messenger: Messenger) -> list[bytes]:
     received = []
     while (message := messenger.receive()) is not None:
@@ -57,7 +67,7 @@ def lossy_reordering_trace() -> list[str]:
     link = make_link("lora", loss=0.2, reorder=0.1, seed=12)
     sender = Messenger(link, "A")
     receiver = Messenger(link, "B")
-    sender.send(bytes(3000))
+    deliver(sender, bytes(3000))
     assert receiver.receive() == bytes(3000)
     return link.trace_lines()
 
@@ -120,7 +130,7 @@ class TestFragment:
         frames = fragment(bytes(500), mtu=222, message_id=1)
         assert len(frames) == 3
         assert [len(f.payload) for f in frames] == [214, 214, 72]
-        assert frames[-1].is_last and not frames[0].is_last
+        assert [(f.frag_index, f.frag_count) for f in frames] == [(0, 3), (1, 3), (2, 3)]
 
     def test_500_bytes_over_ble_is_three_frames(self):
         frames = fragment(bytes(500), mtu=244, message_id=1)
@@ -128,8 +138,7 @@ class TestFragment:
 
     def test_exact_capacity_single_frame(self):
         frames = fragment(bytes(214), mtu=222, message_id=1)
-        assert len(frames) == 1
-        assert frames[0].is_last
+        assert [(f.frag_index, f.frag_count) for f in frames] == [(0, 1)]
 
     def test_one_byte_over_ble_single_frame(self):
         assert len(fragment(b"x", mtu=244, message_id=1)) == 1
@@ -242,7 +251,7 @@ class TestReliableDelivery:
         link = make_link("lora", seed=1)
         sender = Messenger(link, "A")
         Messenger(link, "B")
-        report = sender.send(bytes(500))
+        report = deliver(sender, bytes(500))
         assert report.retransmissions == 0
         assert report.fragments == 3
         assert report.frames_sent == 3
@@ -252,7 +261,7 @@ class TestReliableDelivery:
         sender = Messenger(link, "A")
         receiver = Messenger(link, "B")
         message = Random(3).randbytes(700)
-        sender.send(message)
+        deliver(sender, message)
         assert receiver.receive() == message
 
     def test_total_loss_fails_after_retry_budget(self):
@@ -260,7 +269,7 @@ class TestReliableDelivery:
         sender = Messenger(link, "A")
         Messenger(link, "B")
         with pytest.raises(DeliveryError):
-            sender.send(b"doomed")
+            deliver(sender, b"doomed")
         data_frames = [e for e in link.trace if e.kind == "data"]
         assert len(data_frames) == 1 + RETRY_LIMIT
         assert all(e.frag_index == 0 for e in data_frames)
@@ -270,7 +279,7 @@ class TestReliableDelivery:
         sender = Messenger(link, "A")
         Messenger(link, "B")
         with pytest.raises(DeliveryError) as failed:
-            sender.send(bytes(300), b"x")  # one batch, two LoRa fragments
+            deliver(sender, bytes(300), b"x")  # one batch, two LoRa fragments
         report = failed.value.report
         assert report.fragments == 2
         assert report.frames_sent == len(link.trace) == 2 * (1 + RETRY_LIMIT)
@@ -281,7 +290,7 @@ class TestReliableDelivery:
             link = make_link("lora", loss=0.1, seed=42)
             sender = Messenger(link, "A")
             receiver = Messenger(link, "B")
-            report = sender.send(bytes(1000))
+            report = deliver(sender, bytes(1000))
             return report, link.trace_lines(), receiver.receive()
 
         first_report, first_trace, first_msg = run()
@@ -294,7 +303,7 @@ class TestReliableDelivery:
         link = make_link("lora", loss=0.3, seed=7)
         sender = Messenger(link, "A")
         receiver = Messenger(link, "B")
-        report = sender.send(bytes(600))
+        report = deliver(sender, bytes(600))
         assert receiver.receive() == bytes(600)
         assert report.retransmissions > 0
 
@@ -303,14 +312,14 @@ class TestReliableDelivery:
         sender = Messenger(link, "A")
         receiver = Messenger(link, "B")
         message = Random(9).randbytes(2000)
-        sender.send(message)
+        deliver(sender, message)
         assert receiver.receive() == message
 
     def test_no_frame_exceeds_mtu(self):
         link = make_link("lora", loss=0.2, seed=12)
         sender = Messenger(link, "A")
         Messenger(link, "B")
-        sender.send(bytes(3000))
+        deliver(sender, bytes(3000))
         assert all(entry.length <= 222 for entry in link.trace)
 
     def test_oversized_frame_rejected_at_link_boundary(self):
@@ -338,9 +347,9 @@ class TestReliableDelivery:
         sender = Messenger(link, "A")
         receiver = Messenger(link, "B")
         with pytest.raises(TransportError):
-            sender.send(bytes(9))
+            deliver(sender, bytes(9))
         assert link.trace == []
-        sender.send(bytes(range(8)))
+        deliver(sender, bytes(range(8)))
         assert receiver.receive() == bytes(range(8))
         # A frame of a 9-fragment message is dropped, never acknowledged.
         link.transmit("A", Frame(0, 0x7777, 0, 9, b"x"))
@@ -348,6 +357,63 @@ class TestReliableDelivery:
             link.tick()
         assert link.malformed_frames == 1
         assert [e.kind for e in link.trace if e.message_id == 0x7777] == ["data"]
+
+
+class TestNonBlockingSend:
+    """send() starts a message and returns; SimLink.tick() carries it to its end."""
+
+    def test_send_transmits_every_fragment_and_returns_without_ticking(self):
+        link = make_link("lora", seed=1)
+        sender = Messenger(link, "A")
+        receiver = Messenger(link, "B")
+        report = sender.send(bytes(500))
+        assert link.now == 0 and not sender.idle
+        assert [e.frag_index for e in link.trace] == [0, 1, 2]
+        assert report == DeliveryReport(frames_sent=3, retransmissions=0, fragments=3)
+        link.tick()
+        assert receiver.receive() == bytes(500) and not sender.idle  # the ACK is on its way
+        link.tick()
+        assert sender.idle and sender.failure is None
+        assert link.now == link.round_trip_ticks
+
+    def test_second_send_while_one_is_in_flight_is_refused(self):
+        link = make_link("lora", seed=1)
+        sender = Messenger(link, "A")
+        Messenger(link, "B")
+        sender.send(b"first")
+        with pytest.raises(TransportError, match="still in flight"):
+            sender.send(b"second")
+        assert [e.message_id for e in link.trace] == [1]
+        assert link._next_message_id == 1  # refused before an id was taken
+
+    def test_both_directions_in_flight_at_once(self):
+        link = make_link("lora", seed=1)
+        a = Messenger(link, "A")
+        b = Messenger(link, "B")
+        a.send(bytes(300))
+        b.send(b"reply")
+        link.tick()
+        assert drain(b) == [bytes(300)] and drain(a) == [b"reply"]
+        link.tick()
+        assert a.idle and b.idle
+        kinds = [(e.tick, e.src, e.kind, e.message_id) for e in link.trace]
+        assert kinds == [
+            (0, "A", "data", 1), (0, "A", "data", 1), (0, "B", "data", 2),
+            (1, "A", "ack", 2), (1, "B", "ack", 1),
+        ]
+
+    def test_a_send_that_gives_up_leaves_its_error_and_the_next_send_clears_it(self):
+        link = make_link("lora", loss=1.0, seed=1)
+        sender = Messenger(link, "A")
+        Messenger(link, "B")
+        report = sender.send(b"doomed")
+        while not sender.idle:
+            link.tick()  # nothing raises out of tick()
+        assert isinstance(sender.failure, DeliveryError)
+        assert sender.failure.report is report
+        assert report.retransmissions == RETRY_LIMIT
+        sender.send(b"again")
+        assert sender.failure is None
 
 
 class TestBatch:
@@ -365,18 +431,18 @@ class TestBatch:
             transmit(src, frame)
 
         link.transmit = recording_transmit
-        report = sender.send(*messages)
+        report = deliver(sender, *messages)
         return frames, report, drain(receiver), link
 
     def test_one_message_travels_unbatched(self):
         frames, _, received, _ = self._sent_frames(b"abc")
-        assert [(f.flags, f.payload) for f in frames] == [(FLAG_LAST, b"abc")]
+        assert [(f.flags, f.payload) for f in frames] == [(0, b"abc")]
         assert received == [b"abc"]
 
     def test_batch_payload_is_length_prefixed_messages(self):
         frames, _, received, _ = self._sent_frames(b"abc", b"de")
         assert [(f.flags, f.payload) for f in frames] == [
-            (FLAG_BATCH | FLAG_LAST, b"\x00\x03abc\x00\x02de")
+            (FLAG_BATCH, b"\x00\x03abc\x00\x02de")
         ]
         assert received == [b"abc", b"de"]
 
@@ -400,7 +466,7 @@ class TestBatch:
         sender = Messenger(link, "A")
         Messenger(link, "B")
         with pytest.raises(TransportError):
-            sender.send(*messages)
+            deliver(sender, *messages)
         assert link.trace == []
         assert sender._sending is None
 
@@ -410,7 +476,7 @@ class TestTrace:
         link = make_link("lora", a="cam", b="lock", seed=1)
         sender = Messenger(link, "cam")
         Messenger(link, "lock")
-        sender.send(bytes(300))
+        deliver(sender, bytes(300))
         line = link.trace_lines()[0]
         assert line.startswith("t=0 dir=cam→lock type=data id=1 idx=0/2 len=222 dropped=false")
 
@@ -418,14 +484,14 @@ class TestTrace:
         link = make_link("lora", a="cam", b="lock", seed=1)
         sender = Messenger(link, "cam")
         Messenger(link, "lock")
-        sender.send(bytes(300))
+        deliver(sender, bytes(300))
         assert link.trace_lines()[2] == "t=1 dir=lock→cam type=ack id=1 acked=0,1 len=9 dropped=false"
 
     def test_bytes_on_wire_matches_trace_sum(self):
         link = make_link("lora", loss=0.15, seed=3)
         sender = Messenger(link, "A")
         Messenger(link, "B")
-        sender.send(bytes(900))
+        deliver(sender, bytes(900))
         assert link.bytes_on_wire() == sum(e.length for e in link.trace)
 
 
@@ -438,7 +504,7 @@ class TestAckTimeout:
         sender = Messenger(link, "A")
         receiver = Messenger(link, "B")
         message = Random(fragments).randbytes(fragments * (link.profile.mtu - HEADER_LEN))
-        report = sender.send(message)
+        report = deliver(sender, message)
         assert report.fragments == report.frames_sent == fragments
         assert receiver.receive() == message
         assert link.now == link.round_trip_ticks
@@ -457,7 +523,7 @@ class TestAckTimeout:
 
         link.transmit = lose_first_copy_of_fragment_1
         message = Random(2).randbytes(600)  # three LoRa fragments
-        report = sender.send(message)
+        report = deliver(sender, message)
         assert receiver.receive() == message
         assert report.retransmissions == 1
         round_trip = link.round_trip_ticks
@@ -471,7 +537,7 @@ class TestAckTimeout:
         sender = Messenger(link, "A")
         Messenger(link, "B")
         with pytest.raises(DeliveryError):
-            sender.send(bytes(300))  # two LoRa fragments
+            deliver(sender, bytes(300))  # two LoRa fragments
         rounds = [round_trip * r for r in range(1 + RETRY_LIMIT)]
         for index in (0, 1):
             assert [e.tick for e in link.trace if e.frag_index == index] == rounds
@@ -491,7 +557,7 @@ class TestAckTimeout:
         receiver = Messenger(link, "B")
         message = Random(seed).randbytes(size)
         try:
-            report = sender.send(message)
+            report = deliver(sender, message)
         except DeliveryError:
             report = None
         received = receiver.receive()
@@ -530,7 +596,7 @@ class TestAckTimeout:
         receiver = Messenger(link, "B")
         for fragments in range(1, 6):
             message = Random(fragments).randbytes(fragments * (link.profile.mtu - HEADER_LEN))
-            report = sender.send(message)
+            report = deliver(sender, message)
             assert report.fragments == fragments
             assert receiver.receive() == message
             acks = [e for e in link.trace if e.kind == "ack" and e.message_id == fragments]
@@ -548,7 +614,7 @@ class TestAckTimeout:
         sender = Messenger(link, "A")
         Messenger(link, "B")
         try:
-            sender.send(Random(seed).randbytes(size))
+            deliver(sender, Random(seed).randbytes(size))
         except DeliveryError:
             pass
         delivered = [e for e in link.trace if e.kind == "data" and not e.dropped]
@@ -567,10 +633,10 @@ class TestMessageIds:
         sender = Messenger(link, "A")
         receiver = Messenger(link, "B")
         for message in (b"first", b"second"):
-            sender.send(message)
+            deliver(sender, message)
             assert receiver.receive() == message
         link._next_message_id = 0  # the next send reuses the first message's id
-        report = sender.send(b"third")
+        report = deliver(sender, b"third")
         assert report.frames_sent == 1
         assert receiver.receive() == b"third"
 
@@ -581,11 +647,10 @@ class TestMessageIds:
         for index in range(1000):
             sender, receiver = (a, b) if index % 2 == 0 else (b, a)
             message = index.to_bytes(2, "big") * 150  # 300 B: two LoRa fragments
-            sender.send(message)
+            deliver(sender, message)
             assert receiver.receive() == message
         for messenger in (a, b):
-            assert messenger._acked == 0
-            assert messenger._sending is None
+            assert messenger._sending is None  # the ACK bitmap goes with it
             assert all(s.delivered for s in messenger._receiving.values())
         assert list(b._receiving) == [link._next_message_id - 1]
         assert list(a._receiving) == [link._next_message_id]
@@ -606,14 +671,14 @@ class TestMessageIds:
         for sizes in batches:
             messages = [rng.randbytes(size) for size in sizes]
             try:
-                sender.send(*messages)
+                deliver(sender, *messages)
             except DeliveryError:
                 # The last ACK may be what was lost: all of the batch or none of it.
                 assert drain(receiver) in ([], messages)
-                assert sender._acked == 0
+                assert sender._sending is None
                 return
             assert drain(receiver) == messages
-            assert sender._acked == 0
+            assert sender._sending is None
             assert list(receiver._receiving) == [link._next_message_id]
         for _ in range(4 * link.round_trip_ticks):
             link.tick()  # late duplicates are re-acknowledged, never re-delivered
@@ -632,7 +697,7 @@ class TestMessageIds:
 
         link.transmit = transmit_with_stray
         message = Random(8).randbytes(600)
-        sender.send(message)
+        deliver(sender, message)
         assert receiver.receive() == message
         assert list(receiver._receiving) == [1]
 
@@ -655,7 +720,7 @@ class TestMalformedFrames:
                 link.tick()
         assert link.malformed_frames == 1
         message = Random(4).randbytes(500)
-        sender.send(message)
+        deliver(sender, message)
         assert receiver.receive() == message
         return link
 
@@ -680,7 +745,7 @@ class TestMalformedFrames:
         ids=["overrun", "one-byte-tail", "zero-length-entry", "single-entry"],
     )
     def test_batch_that_does_not_split_dropped(self, payload):
-        bad = Frame(FLAG_BATCH | FLAG_LAST, 0x7777, 0, 1, payload)
+        bad = Frame(FLAG_BATCH, 0x7777, 0, 1, payload)
         # Sent twice: the duplicate is re-acknowledged, not split or counted again.
         link = self._inject_then_deliver("A", bad, prelude=[bad])
         assert [e.kind for e in link.trace if e.message_id == 0x7777] == ["data", "ack"] * 2
@@ -688,12 +753,12 @@ class TestMalformedFrames:
     def test_batch_split_across_frames_that_does_not_split_dropped(self):
         payload = batch_payload(b"ab", b"cd") + b"\x00"
         first = Frame(FLAG_BATCH, 0x7777, 0, 2, payload[:4])
-        self._inject_then_deliver("A", Frame(FLAG_BATCH | FLAG_LAST, 0x7777, 1, 2, payload[4:]),
+        self._inject_then_deliver("A", Frame(FLAG_BATCH, 0x7777, 1, 2, payload[4:]),
                                   prelude=[first])
 
     def test_inconsistent_batch_flag_dropped(self):
         first = Frame(FLAG_BATCH, 0x7777, 0, 2, b"\x00\x01")
-        link = self._inject_then_deliver("A", Frame(FLAG_LAST, 0x7777, 1, 2, b"a"), prelude=[first])
+        link = self._inject_then_deliver("A", Frame(0, 0x7777, 1, 2, b"a"), prelude=[first])
         acks = [e for e in link.trace if e.kind == "ack" and e.message_id == 0x7777]
         assert [e.acked for e in acks] == [(0,)]
 
@@ -744,14 +809,14 @@ class TestAckDefects:
             if src == "A" and not frame.is_ack and len(first_round) < count:
                 # The receiver holds nothing when the defective ACK arrives.
                 first_round.append(frame)
-                if frame.is_last:
+                if frame.frag_index == frame.frag_count - 1:
                     transmit("B", self._defective_ack(defect, frame.message_id, count, n))
                 return
             transmit(src, frame)
 
         link.transmit = lose_first_round_and_inject
         message = Random(count).randbytes(count * (link.profile.mtu - HEADER_LEN))
-        report = sender.send(message)  # nothing raises out of tick()
+        report = deliver(sender, message)  # nothing raises out of tick()
         assert receiver.receive() == message
         assert report.retransmissions == count  # every fragment went out again
         assert link.malformed_frames == (0 if defect == "other-id" else 1)
