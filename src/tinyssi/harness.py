@@ -497,8 +497,10 @@ def drive_handshake(
     A leg is the messages one session's step()s just produced. It travels as
     one transport message, sent once its endpoint has nothing in flight. Then
     the link ticks, and each session steps, in order, the messages delivered
-    to it; their replies form its next leg. The run ends when nothing is in
-    flight and no leg waits to be sent, or when a send gives up.
+    to it; their replies form its next leg, which carries the ACK of what it
+    answers. The run ends when nothing is in flight and no leg waits to be
+    sent, or when a send gives up; the ACKs its last tick made due still go
+    out, alone.
     `intercept(receiver_role, message) -> message` models an on-path attacker:
     it may rewrite any message after reassembly, before the receiver steps it.
     """
@@ -534,6 +536,8 @@ def drive_handshake(
             s.state in _TERMINAL for s in sessions.values()
         ):
             run.legs_to_terminal = run.legs
+    for messenger in messengers.values():
+        messenger.send_acks()
     run.retransmissions = sum(r.retransmissions for r in reports)
     return run
 

@@ -15,11 +15,21 @@ message: its header carries frag_index 0 and the message's frag_count, and
 its payload is a bitmap of ceil(frag_count / 8) bytes, bit i (least
 significant bit of byte 0 first) set when the receiver holds fragment i.
 Once the message is delivered, every bit is set. So a message of up to 8
-fragments is acknowledged in 9 bytes. The receiver sends at most one ACK per
-message per tick, after the tick's frames have all arrived. A message whose
-ACK would not fit the MTU, more than 8 * (mtu - 8) fragments, is refused
-before it is sent. Timeouts run on simulated ticks, never wall clock, so a
-fixed seed reproduces a run frame for frame.
+fragments is acknowledged in 9 bytes. A message whose ACK would not fit the
+MTU, more than 8 * (mtu - 8) fragments, is refused before it is sent.
+Timeouts run on simulated ticks, never wall clock, so a fixed seed
+reproduces a run frame for frame.
+
+A link packet is one frame, or an ACK frame followed by a data frame. An ACK
+states its own length, 8 + ceil(frag_count / 8) bytes, so the packet needs
+no length field or flag to say where the data frame starts, and every frame
+keeps its bytes. The packet as a whole is bounded by the MTU. The receiver of a
+packet checks every frame in it before it acts on any: one that does not
+decode or does not fit drops the whole packet. An ACK riding a data frame
+costs its bytes but no frame of its own, the way a CoAP response is
+piggybacked on its ACK (RFC 7252 §5.2.1) and DTLS 1.3 packs several records
+into one datagram (RFC 9147 §4); on LoRa a frame costs its preamble and
+header in airtime, whatever its length.
 
 Messenger.send takes one or more protocol messages and sends them as one
 transport message: one message id, one fragment stream, one ARQ timer. One
@@ -27,8 +37,7 @@ message travels as it is. Two or more travel as a batch: each is preceded by
 its 2-byte big-endian length, and every fragment sets the batch flag. The
 receiver queues a completed batch's messages in send order, and drops a batch
 whose length prefixes do not tile its payload exactly. So a handshake leg of
-several messages costs one round trip, not one per message, the way DTLS 1.3
-packs several records into one datagram (RFC 9147 §4).
+several messages costs one round trip, not one per message.
 
 The ARQ window is the whole message: every fragment goes out at once, and
 one timer waits for all their ACKs. When it fires, only the fragments still
@@ -43,14 +52,18 @@ never fires on a late ACK.
 
 Sending does not block. Messenger.send transmits every fragment, arms the
 timer and returns; SimLink.tick() carries the message to its end. Each tick
-runs in this order: the frames due are delivered; every endpoint sends its
-ACKs; each sender finishes a message that is fully acknowledged, or, if its
-timer has expired, sends the unacknowledged fragments again, or gives up
-after RETRY_LIMIT retransmissions. So a receiver can answer in the tick a
-message arrives, while that message's ACK is still on its way back, the way
-DTLS 1.3 sends its next flight (RFC 9147 §7) and CoAP piggybacks a response
-on its ACK (RFC 7252 §5.2.1). Each endpoint has at most one message in
-flight, so a link carries at most one per direction.
+runs in this order: the packets due are delivered; each sender finishes a
+message that is fully acknowledged, or, if its timer has expired, sends the
+unacknowledged fragments again, or gives up after RETRY_LIMIT
+retransmissions; then the endpoints send their new messages, which the
+caller starts between ticks; last, before the clock advances, each endpoint
+sends alone the ACKs that rode none of its data frames. A receiver
+acknowledges each message whose data arrived in a tick once, in that tick:
+the ACK rides the first data frame with room for it that the receiver
+transmits in the tick, a retransmission or a new message. So a receiver can
+answer in the tick a message arrives, and the answer carries that message's
+ACK, the way DTLS 1.3 sends its next flight (RFC 9147 §7). Each endpoint has
+at most one message in flight, so a link carries at most one per direction.
 """
 
 from __future__ import annotations
@@ -192,6 +205,25 @@ def fragment(message: bytes, mtu: int, message_id: int, flags: int = 0) -> list[
     return frames
 
 
+def decode_packet(raw: bytes) -> tuple[Frame | None, Frame | None]:
+    """Split a link packet into its ACK and its data frame; either may be absent.
+
+    A packet is one frame, or an ACK followed by a data frame: the ACK ends
+    after its ceil(frag_count / 8)-byte bitmap. FrameError unless every part
+    decodes and a second frame, if any, is a data frame.
+    """
+    first = Frame.decode(raw)
+    if not first.is_ack:
+        return None, first
+    end = HEADER_LEN + _bitmap_len(first.frag_count)
+    if len(raw) <= end:
+        return first, None
+    data = Frame.decode(raw[end:])
+    if data.is_ack:
+        raise FrameError("a packet carries at most one ACK")
+    return replace(first, payload=raw[HEADER_LEN:end]), data
+
+
 def reassemble(frames: Iterable[Frame]) -> bytes | None:
     """Rebuild one message; order-insensitive, duplicates ignored.
 
@@ -277,27 +309,36 @@ PROFILES = {
 
 @dataclass(frozen=True)
 class TraceEntry:
+    """One packet on the link: a data frame, with the ACK riding it if any, or an ACK alone."""
+
     tick: int
     src: str
     dst: str
-    kind: str  # "data" | "ack"
+    kind: str  # "data" | "ack": the packet's last frame
     message_id: int
     frag_index: int
     frag_count: int
-    length: int
+    length: int  # of the whole packet
     dropped: bool
-    acked: tuple[int, ...] = ()  # an ACK's bitmap, as the fragment indexes it sets
+    ack_id: int | None = None  # the message id of the ACK the packet carries, alone or riding
+    acked: tuple[int, ...] = ()  # that ACK's bitmap, as the fragment indexes it sets
 
     def line(self) -> str:
         if self.kind == "ack":
-            position = f"acked={','.join(map(str, self.acked)) or 'none'}"
+            position = f"acked={_indexes(self.acked)}"
         else:
             position = f"idx={self.frag_index}/{self.frag_count}"
+            if self.ack_id is not None:
+                position += f" ack={self.ack_id}:{_indexes(self.acked)}"
         return (
             f"t={self.tick} dir={self.src}→{self.dst} type={self.kind} "
             f"id={self.message_id} {position} "
             f"len={self.length} dropped={str(self.dropped).lower()}"
         )
+
+
+def _indexes(acked: tuple[int, ...]) -> str:
+    return ",".join(map(str, acked)) or "none"
 
 
 @dataclass
@@ -310,12 +351,13 @@ class DeliveryReport:
 class SimLink:
     """Two endpoints joined by a lossy, possibly reordering pipe.
 
-    Single-threaded: time advances only through tick(), which delivers due
-    frames to the attached endpoint handlers, then lets each send its ACKs
-    and run its retransmission timer. Every transmitted frame is bounds-checked
-    against the MTU and logged to the trace, dropped or not.
-    A delivered frame that fails to decode, or that its handler rejects with
-    FrameError, is dropped and counted in malformed_frames.
+    Single-threaded: time advances only through tick(), which lets each
+    attached endpoint handler send the ACKs of the tick that ends, then
+    delivers due packets to the handlers and runs their retransmission
+    timers. Every transmitted packet is bounds-checked against the MTU and
+    logged to the trace, dropped or not. A delivered packet that fails to
+    decode, or that its handler rejects with FrameError, is dropped whole and
+    counted once in malformed_frames.
     """
 
     def __init__(self, profile: LinkProfile, a: str = "A", b: str = "B"):
@@ -355,20 +397,23 @@ class SimLink:
             return a
         raise TransportError(f"unknown endpoint {endpoint!r}")
 
-    def transmit(self, src: str, frame: Frame) -> None:
-        raw = frame.encode()
+    def transmit(self, src: str, frame: Frame, ack: Frame | None = None) -> None:
+        """Put one packet on the link: `frame`, with `ack`, if given, riding ahead of it."""
+        raw = frame.encode() if ack is None else ack.encode() + frame.encode()
         if len(raw) > self.profile.mtu:
             raise TransportError(
-                f"frame of {len(raw)} bytes exceeds mtu {self.profile.mtu}"
+                f"packet of {len(raw)} bytes exceeds mtu {self.profile.mtu}"
             )
         dst = self.other_end(src)
         dropped = self._rng.random() < self.profile.loss_probability
         delay = TRANSIT_TICKS
         if not dropped and self._rng.random() < self.profile.reorder_probability:
             delay += REORDER_DELAY_TICKS
-        acked = ()
-        if frame.is_ack:
-            bits = int.from_bytes(frame.payload, "little")
+        carried = frame if frame.is_ack else ack
+        ack_id, acked = None, ()
+        if carried is not None:
+            bits = int.from_bytes(carried.payload, "little")
+            ack_id = carried.message_id
             acked = tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
         self.trace.append(
             TraceEntry(
@@ -381,6 +426,7 @@ class SimLink:
                 frag_count=frame.frag_count,
                 length=len(raw),
                 dropped=dropped,
+                ack_id=ack_id,
                 acked=acked,
             )
         )
@@ -390,11 +436,14 @@ class SimLink:
         heapq.heappush(self._pending, (self.now + delay, self._sequence, dst, raw))
 
     def tick(self) -> None:
-        """Advance one tick and hand due frames to their endpoint handlers.
+        """Advance one tick and hand due packets to their endpoint handlers.
 
-        Once every frame due in the tick is delivered, each handler sends
-        the ACKs the tick made due; then each runs its timer.
+        Before the clock advances, each handler sends alone the ACKs of the
+        tick that ends that rode no data frame. Once every packet due in the
+        new tick is delivered, each handler runs its timer.
         """
+        for handler in self._handlers.values():
+            handler.send_acks()
         self.now += 1
         while self._pending and self._pending[0][0] <= self.now:
             _, _, dst, raw = heapq.heappop(self._pending)
@@ -402,11 +451,9 @@ class SimLink:
             if handler is None:
                 continue
             try:
-                handler.handle_frame(Frame.decode(raw))
+                handler.handle_packet(*decode_packet(raw))
             except FrameError:
                 self.malformed_frames += 1
-        for handler in self._handlers.values():
-            handler.send_acks()
         for handler in self._handlers.values():
             handler.check_timer()
 
@@ -479,8 +526,19 @@ class Messenger:
     retransmissions, the send gives up and `failure` holds a DeliveryError
     that carries its report. The peer's Messenger, attached to the same link,
     acknowledges each message whose data arrived in a tick with one bitmap ACK
-    at the end of that tick; the messages of a completed transport message
-    queue up, in send order, behind receive().
+    in that tick; the messages of a completed transport message queue up, in
+    send order, behind receive().
+
+    An ACK rides the first data frame this endpoint transmits in the tick
+    that has room for it: the packet, ACK and data frame, stays within the
+    MTU. A full fragment has no room, so the ACK goes with a message's last
+    fragment or a short retransmission. When no data frame leaves in the tick,
+    or none has room, send_acks() sends the ACK alone at the tick's end,
+    before the clock advances. Either way the ACK leaves in the tick its data
+    arrived, so the ARQ timer and the tick count are what they would be with
+    every ACK alone; only the frame count falls. A reply that answers a
+    message carries that message's ACK, and the two are lost or delivered
+    together.
 
     The simulator charges transit, not airtime: frames sent in the same tick
     all arrive one transit later. So a k-fragment message costs one round
@@ -493,20 +551,24 @@ class Messenger:
     in the tick its request is delivered saves the rest of that request's
     round trip: a chain of n messages that each answer the one before, every
     one delivered at its first try, costs n + 1 ticks on a link that never
-    reorders, not 2n.
+    reorders, not 2n. It costs one ACK frame, not n, when each reply's last
+    fragment has room for the ACK of the message it answers: the first n - 1
+    ACKs ride the replies, and only the last goes alone.
 
     State stays bounded on a long-lived link, whose 16-bit message ids wrap.
     The sender keeps one message, the one in flight, with its bitmap and
     timer, and ignores ACKs for any other id. Each endpoint has at most one
     message in flight, so a link carries at most two at once, one each way.
-    The receiver keeps the ids whose data arrived in the current tick;
-    send_acks(), at the end of the tick, sends one ACK per id and empties the
-    list. An id whose receive state a delivery in the same tick has forgotten
-    gets no ACK. Each delivery leaves the receiver with just the delivered
-    message's receive state: other partial messages, abandoned or stray, are
-    forgotten then. A receiver's messages all come from the one peer, which
-    starts its next message only once this one is acknowledged, so that
-    state is still there for as long as the peer may send the message again.
+    The receiver keeps the ids whose data arrived in the current tick. Each
+    leaves the list when its ACK rides a data frame, and send_acks() sends
+    the rest and empties it, so the list is empty whenever the clock
+    advances. An id whose receive state a delivery in the same tick has
+    forgotten gets no ACK. Each delivery leaves the receiver with just the
+    delivered message's receive state: other partial messages, abandoned or
+    stray, are forgotten then. A receiver's messages all come from the one
+    peer, which starts its next message only once this one is acknowledged,
+    so that state is still there for as long as the peer may send the
+    message again.
 
     A duplicate can belong only to the message whose id it carries. A round
     sends at most one copy of each unacknowledged fragment, and its timer is
@@ -520,9 +582,11 @@ class Messenger:
     ids are allocated on the link, far from the 65,536 a wrap needs. It is
     re-acknowledged if its message's receive state is still there, and
     otherwise opens a partial state that the next delivery forgets; the
-    sender ignores that ACK, whose id is not the one in flight. A batch
-    changes none of this: it is one message id, sent and delivered once, and
-    its messages wait in the receive() queue only until the caller takes them.
+    sender ignores that ACK, whose id is not the one in flight. An ACK that
+    rides a data frame changes none of this: it leaves in the same tick, with
+    the same bitmap, as it would alone. A batch changes none of it either: it
+    is one message id, sent and delivered once, and its messages wait in the
+    receive() queue only until the caller takes them.
     """
 
     def __init__(self, link: SimLink, endpoint: str):
@@ -558,17 +622,28 @@ class Messenger:
     def _transmit_round(self) -> None:
         out = self._sending
         for frame in out.frames:
-            self.link.transmit(self.endpoint, frame)
+            self._transmit(frame)
         out.rounds += 1
         out.deadline = self.link.now + self.link.round_trip_ticks
         out.report.frames_sent += len(out.frames)
         out.report.retransmissions = out.report.frames_sent - out.report.fragments
 
+    def _transmit(self, frame: Frame) -> None:
+        """Transmit a data frame with the first ACK due that fits riding ahead of it."""
+        room = self.link.profile.mtu - HEADER_LEN - len(frame.payload)
+        for message_id in self._ack_due:
+            ack = self._ack(message_id)
+            if ack is not None and HEADER_LEN + len(ack.payload) <= room:
+                self._ack_due.remove(message_id)
+                self.link.transmit(self.endpoint, frame, ack)
+                return
+        self.link.transmit(self.endpoint, frame)
+
     def check_timer(self) -> None:
         """End the message in flight once every fragment is acknowledged; at its
         timer, send the unacknowledged fragments again, or give up after RETRY_LIMIT.
 
-        SimLink.tick() calls it once a tick, after every endpoint sent its ACKs.
+        SimLink.tick() calls it once a tick, after the tick's packets are delivered.
         """
         out = self._sending
         if out is None:
@@ -589,34 +664,50 @@ class Messenger:
             return
         self._transmit_round()
 
-    def handle_frame(self, frame: Frame) -> None:
-        """Take one frame off the link.
+    def handle_packet(self, ack: Frame | None, data: Frame | None) -> None:
+        """Take one packet off the link: an ACK, a data frame, or both, ACK first.
 
-        FrameError means the frame was not acted on, or that the batch it
-        completed did not split and was dropped.
+        Both are checked before either is acted on. FrameError means nothing
+        in the packet was acted on, or that the batch its data frame completed
+        did not split and was dropped.
         """
-        if frame.is_ack:
-            held = ack_bitmap(frame)
-            out = self._sending
-            if out is None or frame.message_id != out.message_id:
-                return
-            if frame.frag_count != out.report.fragments:
-                raise FrameError(
-                    f"ACK for {frame.frag_count} fragments of message {frame.message_id}, "
-                    f"which has {out.report.fragments}"
-                )
-            out.acked |= held
-            return
+        held = 0 if ack is None else self._acknowledged(ack)
+        state = None if data is None else self._receive_state(data)
+        if held:
+            self._sending.acked |= held
+        if data is not None:
+            self._take(data, state)
+
+    def _acknowledged(self, ack: Frame) -> int:
+        """The fragments of the message in flight that `ack` acknowledges: none for another id."""
+        held = ack_bitmap(ack)
+        out = self._sending
+        if out is None or ack.message_id != out.message_id:
+            return 0
+        if ack.frag_count != out.report.fragments:
+            raise FrameError(
+                f"ACK for {ack.frag_count} fragments of message {ack.message_id}, "
+                f"which has {out.report.fragments}"
+            )
+        return held
+
+    def _receive_state(self, frame: Frame) -> _ReceiveState:
+        """The receive state `frame` belongs to, new if its message has none; FrameError
+        if the frame does not fit it."""
         if frame.frag_count > _ackable_fragments(self.link.profile.mtu):
             raise FrameError(f"{frame.frag_count} fragments: their ACK would exceed the mtu")
         batch = bool(frame.flags & FLAG_BATCH)
-        state = self._receiving.setdefault(
-            frame.message_id, _ReceiveState(frag_count=frame.frag_count, batch=batch)
-        )
+        state = self._receiving.get(frame.message_id)
+        if state is None:
+            return _ReceiveState(frag_count=frame.frag_count, batch=batch)
         if frame.frag_count != state.frag_count:
             raise FrameError(f"inconsistent frag_count for message {frame.message_id}")
         if batch != state.batch:
             raise FrameError(f"inconsistent batch flag for message {frame.message_id}")
+        return state
+
+    def _take(self, frame: Frame, state: _ReceiveState) -> None:
+        self._receiving[frame.message_id] = state
         # Duplicate data (a lost ACK) is re-acknowledged, never re-delivered.
         if frame.message_id not in self._ack_due:
             self._ack_due.append(frame.message_id)
@@ -631,17 +722,23 @@ class Messenger:
             self._receiving = {frame.message_id: state}
             self._received.extend(_unbatch(payload) if state.batch else [payload])
 
+    def _ack(self, message_id: int) -> Frame | None:
+        """The ACK of a message whose data arrived this tick; None if its state is forgotten."""
+        state = self._receiving.get(message_id)
+        if state is None:
+            return None  # forgotten by a delivery in the same tick
+        if state.delivered:
+            held = (1 << state.frag_count) - 1
+        else:
+            held = sum(1 << index for index in state.fragments)
+        return make_ack(message_id, state.frag_count, held)
+
     def send_acks(self) -> None:
-        """Acknowledge, once each, the messages whose data arrived this tick."""
+        """Send alone, once each, the ACKs due this tick that rode no data frame."""
         for message_id in self._ack_due:
-            state = self._receiving.get(message_id)
-            if state is None:
-                continue  # forgotten by a delivery in the same tick
-            if state.delivered:
-                held = (1 << state.frag_count) - 1
-            else:
-                held = sum(1 << index for index in state.fragments)
-            self.link.transmit(self.endpoint, make_ack(message_id, state.frag_count, held))
+            ack = self._ack(message_id)
+            if ack is not None:
+                self.link.transmit(self.endpoint, ack)
         self._ack_due.clear()
 
     def receive(self) -> bytes | None:

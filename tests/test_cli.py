@@ -370,7 +370,10 @@ class TestSimCommands:
             assert len(frames) == steps[index]["frames"]
             lengths = [int(line.split(" len=")[1].split()[0]) for line in frames]
             assert sum(lengths) == steps[index]["bytes_sent"]
-            assert frames[1] == "t=1 dir=lock→camera type=ack id=1 acked=0 len=9 dropped=false"
+            # The HELLO's 9-byte ACK rides the 97-byte HELLO_ACK frame: one 106-byte packet.
+            assert frames[1] == (
+                "t=1 dir=lock→camera type=data id=2 idx=0/1 ack=1:0 len=106 dropped=false"
+            )
 
     def test_unwritable_trace_path_is_validation_error(self, tmp_path, capsys):
         code = main(["sim", "run", str(SCENARIO), "--trace", str(tmp_path / "no-dir" / "t")])

@@ -166,7 +166,7 @@ class TestWireSize:
     MESSAGE_BYTES = [202, 200, 82, 82, 37, 376, 376, 32, 32]
     LORA_FRAGMENTS = [1, 1, 1, 1, 2, 2, 1]  # one transport message per leg
     AIR_BYTES = 1562  # data and ACK frames
-    FRAMES = 16  # 9 data frames and one bitmap ACK per leg
+    FRAMES = 10  # 9 data frames, 6 of them carrying an ACK, and the last leg's ACK alone
     TICKS = 8  # a leg a tick, each answering the one before, and the last ACK's return
 
     def test_owner_two_devices_message_sizes_and_fragments(self):

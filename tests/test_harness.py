@@ -16,7 +16,7 @@ from tinyssi.harness import (
     ScenarioError,
     run_scenario,
 )
-from tinyssi.transport import RETRY_LIMIT, SimLink
+from tinyssi.transport import RETRY_LIMIT, Frame, SimLink
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -72,6 +72,41 @@ def data_ticks(link) -> dict[int, list[int]]:
     return ticks
 
 
+def record_acks_due(link) -> None:
+    """Keep on `link.acks_due` a (tick, endpoint, message id) for each message
+    whose data arrived in a tick and whose receive state that tick's deliveries
+    left in place: each of these owes one ACK, in that tick."""
+    link.acks_due = []
+    attach = link.attach
+
+    def recording_attach(endpoint, messenger):
+        handle, check_timer, arrived = messenger.handle_packet, messenger.check_timer, []
+
+        def recording_handle(ack, data):
+            handle(ack, data)
+            if data is not None:
+                arrived.append(data.message_id)
+
+        def recording_check_timer():  # runs once a tick, after its deliveries
+            link.acks_due.extend(
+                (link.now, endpoint, message_id) for message_id in dict.fromkeys(arrived)
+                if message_id in messenger._receiving
+            )
+            arrived.clear()
+            check_timer()
+
+        messenger.handle_packet = recording_handle
+        messenger.check_timer = recording_check_timer
+        attach(endpoint, messenger)
+
+    link.attach = recording_attach
+
+
+def acks(link) -> list:
+    """The trace entries that carry an ACK: ACKs alone, and data frames an ACK rides."""
+    return [e for e in link.trace if e.ack_id is not None]
+
+
 def assert_one_message_in_flight_per_endpoint(link) -> None:
     """No endpoint sends data of a message before its previous one is acknowledged."""
     for src in link.endpoints:
@@ -85,9 +120,8 @@ def assert_one_message_in_flight_per_endpoint(link) -> None:
             start = next(e.tick for e in mine if e.message_id == later)
             count = next(e.frag_count for e in mine if e.message_id == earlier)
             acked = {
-                index for e in link.trace
-                if e.kind == "ack" and e.dst == src and e.message_id == earlier
-                and not e.dropped and e.tick < start
+                index for e in acks(link)
+                if e.dst == src and e.ack_id == earlier and not e.dropped and e.tick < start
                 for index in e.acked
             }
             assert acked == set(range(count)), (src, earlier, later)
@@ -287,11 +321,13 @@ class TestPipelinedLegs:
         def lose_first_ack(link):
             transmit, lost = link.transmit, []
 
-            def transmit_losing_first_ack(src, frame):
-                if frame.is_ack and not lost:
-                    lost.append(frame)
-                    return
-                transmit(src, frame)
+            def transmit_losing_first_ack(src, frame, ack=None):
+                if not lost and (ack is not None or frame.is_ack):
+                    lost.append(ack or frame)  # the data frame it rode still goes
+                    if ack is None:
+                        return
+                    ack = None
+                transmit(src, frame, ack)
 
             link.transmit = transmit_losing_first_ack
 
@@ -299,9 +335,10 @@ class TestPipelinedLegs:
             step = run_scenario(scenario()).steps[0]
         (link,) = links
         assert step.outcome == "trusted"
-        # The lock answers the HELLO (1) at tick 1, though the HELLO's ACK is
-        # lost. The camera sends the HELLO again at its timer, tick 2, and
-        # holds AUTH (3), ready at tick 2, until that ACK is back at tick 4.
+        # The lock answers the HELLO (1) at tick 1, though the HELLO's ACK,
+        # which rode that answer, is lost. The camera sends the HELLO again at
+        # its timer, tick 2, and holds AUTH (3), ready at tick 2, until that
+        # ACK is back at tick 4.
         assert data_ticks(link) == {
             1: [0, 2], 2: [1], 3: [4], 4: [5], 5: [6, 6], 6: [7, 7], 7: [8],
         }
@@ -314,14 +351,20 @@ class TestPipelinedLegs:
         mapping["links"][0].update(loss=0.3, reorder=0.1)
         handshake = {k: v for k, v in BASE["steps"][0].items() if k != "expect"}
         mapping["steps"] = [handshake] * 200  # each step runs on its own seeded link
-        with kept_links() as links:
+        with kept_links(record_acks_due) as links:
             report = run_scenario(Scenario.from_mapping(mapping))
         outcomes = [s.outcome for s in report.steps]
         assert set(outcomes) <= {"trusted", "delivery-failed"}
         assert "trusted" in outcomes
         assert len({link.profile.seed for link in links}) == 200
+        riding = 0
         for link in links:
             assert_one_message_in_flight_per_endpoint(link)
+            # Every ACK, riding a data frame or alone, leaves in the tick its data arrived.
+            sent = [(e.tick, e.src, e.ack_id) for e in acks(link)]
+            assert sorted(sent) == sorted(link.acks_due)
+            riding += sum(1 for e in acks(link) if e.kind == "data")
+        assert riding > 0
 
 
 class TestBenchmarkReconciliation:
@@ -344,11 +387,21 @@ class TestBenchmarkReconciliation:
         assert metrics.outcome == "trusted"
         assert step.call_count == 9
         assert verify.call_count == 4
+        # bench/layers.reconcile counts one transmit call per packet and reads
+        # its third positional argument: the data frame, or the ACK sent alone.
         frames = [call.args[2] for call in transmit.call_args_list]
+        assert all(isinstance(frame, Frame) for frame in frames)
+        assert [(f.is_ack, f.message_id) for f in frames] == [
+            (e.kind == "ack", e.message_id) for e in link.trace
+        ]
         data = sum(1 for frame in frames if not frame.is_ack)
-        acks = sum(1 for frame in frames if frame.is_ack)
-        assert (data, acks) == (9, 7)
-        assert data + acks == len(link.trace) == metrics.frames
+        alone = sum(1 for frame in frames if frame.is_ack)
+        assert (data, alone) == (9, 1)
+        assert data + alone == len(link.trace) == metrics.frames == 10
+        riding = [e for e in acks(link) if e.kind == "data"]
+        assert [(e.message_id, e.ack_id) for e in riding] == [
+            (2, 1), (3, 2), (4, 3), (5, 4), (6, 5), (7, 6),
+        ]
 
 
 class TestDeterminismAndConservation:

@@ -30,6 +30,7 @@ from tinyssi.transport import (
     RETRY_LIMIT,
     TransportError,
     ack_bitmap,
+    decode_packet,
     fragment,
     make_ack,
     make_link,
@@ -487,6 +488,19 @@ class TestTrace:
         deliver(sender, bytes(300))
         assert link.trace_lines()[2] == "t=1 dir=lock→cam type=ack id=1 acked=0,1 len=9 dropped=false"
 
+    def test_ack_riding_a_reply_is_on_the_reply_trace_line(self):
+        link = make_link("lora", a="cam", b="lock", seed=1)
+        cam = Messenger(link, "cam")
+        lock = Messenger(link, "lock")
+        cam.send(bytes(300))
+        link.tick()
+        lock.send(b"reply")  # answers in the tick the message arrived
+        assert link.trace_lines()[2] == (
+            "t=1 dir=lock→cam type=data id=2 idx=0/1 ack=1:0,1 len=22 dropped=false"
+        )
+        link.tick()
+        assert cam.idle and drain(cam) == [b"reply"]
+
     def test_bytes_on_wire_matches_trace_sum(self):
         link = make_link("lora", loss=0.15, seed=3)
         sender = Messenger(link, "A")
@@ -623,6 +637,137 @@ class TestAckTimeout:
 
     def test_lossy_reordering_trace_matches_fixture(self):
         assert lossy_reordering_trace() == LOSSY_TRACE.read_text(encoding="utf-8").splitlines()
+
+
+class TestPiggybackedAck:
+    """An ACK rides the first data frame with room that its endpoint sends in the
+    tick its data arrived, and goes alone in that tick when there is none."""
+
+    def test_ack_rides_a_retransmission_round(self):
+        link = make_link("lora", seed=1)
+        a = Messenger(link, "A")
+        b = Messenger(link, "B")
+        transmit, lost = link.transmit, []
+
+        def lose_first_frame_of_b(src, frame, ack=None):
+            if src == "B" and not lost:
+                lost.append(frame)
+                return
+            transmit(src, frame, ack)
+
+        link.transmit = lose_first_frame_of_b
+        b.send(b"from B")  # lost; B's timer fires at tick 2
+        link.tick()
+        a.send(b"from A")  # arrives at B in tick 2
+        link.tick()
+        entry = link.trace[-1]
+        assert (entry.tick, entry.src, entry.kind, entry.message_id) == (2, "B", "data", 1)
+        assert (entry.ack_id, entry.acked) == (2, (0,))
+        link.tick()
+        link.tick()
+        assert a.idle and b.idle
+        assert drain(a) == [b"from B"] and drain(b) == [b"from A"]
+        # A has nothing to send in tick 3, so B's message's ACK goes alone.
+        assert [(e.tick, e.src, e.ack_id) for e in link.trace if e.kind == "ack"] == [
+            (3, "A", 1)
+        ]
+
+    @pytest.mark.parametrize("profile", ["lora", "ble"])
+    @pytest.mark.parametrize("acked_fragments", [1, 9], ids=["9-byte-ack", "10-byte-ack"])
+    def test_a_packet_never_exceeds_the_mtu(self, profile, acked_fragments):
+        """Near capacity, the ACK rides the reply's last fragment only if the packet fits."""
+        capacity = PROFILES[profile].mtu - HEADER_LEN
+        ack_len = HEADER_LEN + (acked_fragments + 7) // 8
+        for last in range(capacity - ack_len - 3, capacity + 1):
+            link = make_link(profile, seed=1)
+            a = Messenger(link, "A")
+            b = Messenger(link, "B")
+            request = bytes(acked_fragments * capacity)
+            reply = Random(last).randbytes(capacity + last)  # two fragments
+            a.send(request)
+            link.tick()
+            b.send(reply)
+            link.tick()
+            link.tick()
+            assert drain(b) == [request] and drain(a) == [reply]
+            assert a.idle and b.idle
+            assert all(e.length <= link.profile.mtu for e in link.trace)
+            replies = [e for e in link.trace if e.src == "B"]
+            fits = HEADER_LEN + last + ack_len <= link.profile.mtu
+            assert [(e.tick, e.kind, e.frag_index, e.ack_id) for e in replies] == (
+                [(1, "data", 0, None), (1, "data", 1, 1)] if fits
+                else [(1, "data", 0, None), (1, "data", 1, None), (1, "ack", 0, 1)]
+            )
+            assert replies[1].length == HEADER_LEN + last + (ack_len if fits else 0)
+
+    def test_packet_layout_is_the_ack_then_the_data_frame(self):
+        ack = make_ack(7, 10, 0b11_1111_1111)
+        data = Frame(FLAG_BATCH, 8, 1, 2, b"payload")
+        raw = ack.encode() + data.encode()
+        assert len(raw) == 10 + 15
+        assert decode_packet(raw) == (ack, data)
+        assert decode_packet(ack.encode()) == (ack, None)
+        assert decode_packet(data.encode()) == (None, data)
+
+
+class _Truncated(Frame):
+    def encode(self) -> bytes:
+        return super().encode()[:5]
+
+
+class TestMalformedPackets:
+    """A packet with any part that does not decode or fit is dropped whole:
+    its ACK acknowledges nothing and its data frame delivers nothing."""
+
+    @staticmethod
+    def _send_packet(trailer: Frame, prelude=()):
+        """A's one-fragment message is lost; B's packet, a valid ACK claiming it
+        followed by `trailer`, arrives in tick 1, after the `prelude` frames."""
+        link = make_link("lora", seed=3)
+        a = Messenger(link, "A")
+        b = Messenger(link, "B")
+        transmit, lost = link.transmit, []
+
+        def lose_first_round(src, frame, ack=None):
+            if src == "A" and not frame.is_ack and not lost:
+                lost.append(frame)
+                return
+            transmit(src, frame, ack)
+
+        link.transmit = lose_first_round
+        message = Random(5).randbytes(100)
+        report = a.send(message)
+        for frame in prelude:
+            transmit("B", frame)
+        transmit("B", trailer, make_ack(lost[0].message_id, 1, 1))
+        link.tick()
+        assert link.malformed_frames == 1
+        assert not a.idle  # the ACK in the dropped packet acknowledged nothing
+        while not a.idle:
+            link.tick()
+        assert a.failure is None and b.receive() == message
+        assert report.retransmissions == 1
+        assert a.receive() is None
+        return link
+
+    def test_ack_then_a_truncated_data_frame(self):
+        link = self._send_packet(_Truncated(0, 0x7777, 0, 1, b"x"))
+        assert not any(e.src == "A" and e.ack_id == 0x7777 for e in link.trace)
+
+    def test_ack_then_an_ack(self):
+        link = self._send_packet(make_ack(0x7777, 1, 1))
+        assert not any(e.src == "A" and e.ack_id is not None for e in link.trace)
+
+    def test_ack_then_a_trailer_with_bad_magic(self):
+        link = self._send_packet(_BadMagic(0, 0x7777, 0, 1, b"x"))
+        assert not any(e.src == "A" and e.ack_id == 0x7777 for e in link.trace)
+
+    def test_ack_then_data_with_an_inconsistent_frag_count(self):
+        link = self._send_packet(
+            Frame(0, 0x7777, 1, 3, b"y"), prelude=[Frame(0, 0x7777, 0, 2, b"x")]
+        )
+        acks = [e for e in link.trace if e.src == "A" and e.ack_id == 0x7777]
+        assert [e.acked for e in acks] == [(0,)]  # the prelude's, not the trailer's
 
 
 class TestMessageIds:
@@ -820,6 +965,43 @@ class TestAckDefects:
         assert receiver.receive() == message
         assert report.retransmissions == count  # every fragment went out again
         assert link.malformed_frames == (0 if defect == "other-id" else 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        defect=st.sampled_from(
+            ["bitmap-length", "bit-beyond-count", "frag-index", "frag-count", "other-id"]
+        ),
+        count=st.integers(min_value=1, max_value=20),
+        n=st.integers(min_value=1, max_value=8),
+    )
+    def test_defective_ack_riding_a_data_frame_drops_the_packet(self, defect, count, n):
+        if defect == "bit-beyond-count":
+            assume(count % 8)
+        link = make_link("lora", seed=1)
+        sender = Messenger(link, "A")
+        receiver = Messenger(link, "B")
+        transmit, first_round = link.transmit, []
+
+        def lose_first_round(src, frame, ack=None):
+            if src == "A" and not frame.is_ack and len(first_round) < count:
+                first_round.append(frame)
+                return
+            transmit(src, frame, ack)
+
+        link.transmit = lose_first_round
+        message = Random(count).randbytes(count * (link.profile.mtu - HEADER_LEN))
+        report = sender.send(message)
+        defective = self._defective_ack(defect, first_round[0].message_id, count, n)
+        transmit("B", Frame(0, 0x7777, 0, 1, b"rider"), defective)
+        while not sender.idle:
+            link.tick()
+        assert sender.failure is None and receiver.receive() == message
+        assert report.retransmissions == count  # the ACK acknowledged nothing
+        dropped = defect != "other-id"  # an ACK for another id is ignored, its packet kept
+        assert link.malformed_frames == int(dropped)
+        assert sender.receive() == (None if dropped else b"rider")
+        acks = [e for e in link.trace if e.src == "A" and e.ack_id == 0x7777]
+        assert len(acks) == int(not dropped)
 
 
 if __name__ == "__main__":
