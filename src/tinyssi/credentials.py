@@ -81,6 +81,10 @@ class ClaimOpening(_Record):
     def __post_init__(self) -> None:
         _check_length("salt", self.salt, crypto.SALT_LEN)
 
+    def commitment(self) -> "Commitment":
+        """The commitment this opening opens."""
+        return Commitment(self.name, commitment_hash(self.name, self.value, self.salt))
+
 
 @dataclass(frozen=True)
 class Commitment(_Record):
@@ -210,10 +214,7 @@ def issue(
     openings = tuple(
         ClaimOpening(name=c.name, value=c.value, salt=rand(crypto.SALT_LEN)) for c in claims
     )
-    commitments = tuple(
-        Commitment(claim_name=o.name, value_hash=commitment_hash(o.name, o.value, o.salt))
-        for o in openings
-    )
+    commitments = tuple(o.commitment() for o in openings)
     unsigned = VerifiableCredential(
         vc_id="vc:" + encode(rand(8)),
         issuer=issuer,

@@ -201,18 +201,23 @@ def unseal(key: bytes, nonce: bytes, ciphertext: bytes, aad: bytes = b"") -> byt
         raise AuthenticationError("authentication failed") from exc
 
 
+def channel_nonce(role_byte: int, counter: int) -> bytes:
+    """The 12-byte nonce of a channel record: its sender's role byte, then its counter."""
+    return bytes([role_byte]) + counter.to_bytes(NONCE_LEN - 1, "big")
+
+
 class NonceSequence:
     """Strictly increasing 12-byte nonces for one direction of one session."""
 
     def __init__(self, role_byte: int):
         if not 0 <= role_byte <= 0xFF:
             raise CryptoError("role byte out of range")
-        self._prefix = bytes([role_byte])
+        self._role_byte = role_byte
         self._counter = 0
 
     def next(self) -> bytes:
         self._counter += 1
-        return self._prefix + self._counter.to_bytes(NONCE_LEN - 1, "big")
+        return channel_nonce(self._role_byte, self._counter)
 
 
 class ReplayGuard:

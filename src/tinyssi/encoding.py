@@ -15,7 +15,8 @@ its `wire_form`: `to_wire` gives that value and `from_wire` takes it back. Its
 one user is the DID, a byte string of its method byte and raw id. Integers
 and lengths take the shortest head. `from_cbor` accepts exactly these bytes
 and refuses the rest of CBOR: maps, tags, floats and every other simple
-value, indefinite lengths, trailing bytes and invalid UTF-8. `cbor_bytes`
+value, indefinite lengths, trailing bytes and invalid UTF-8; `read_uint`
+reads one unsigned integer's head at the front of longer bytes. `cbor_bytes`
 likewise refuses a dict or a float, so a record with such a field (a
 scenario file's) has no wire form.
 
@@ -171,6 +172,15 @@ def from_cbor(raw: bytes) -> Any:
     if end != len(raw):
         raise EncodingError(f"{len(raw) - end} trailing bytes after the CBOR item")
     return value
+
+
+def read_uint(raw: bytes, at: int = 0) -> tuple[int, int]:
+    """The unsigned integer whose shortest CBOR head starts at `at`, and where
+    that head ends; anything else there is an EncodingError."""
+    _take(raw, at, 1)
+    if raw[at] >> 5 != _UINT:
+        raise EncodingError(f"expected a CBOR unsigned integer, got 0x{raw[at]:02x}")
+    return _read_item(raw, at)
 
 
 def _take(raw: bytes, at: int, n: int) -> int:

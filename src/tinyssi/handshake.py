@@ -18,15 +18,26 @@ trust policy.
 
 A message is a tag byte and a body. Every body is a record in wire form
 (deterministic CBOR, `encoding.pack`): Hello, Auth, CredRequest, CredPresent,
-TrustDecision or Error; the bodies of CRED_REQUEST, CRED_PRESENT and
-TRUST_RESULT travel sealed under the session keys. Credentials inside a body
-are the same records that are signed and stored as canonical JSON, and a
-document travels as the body its peer DID is the digest of, so a decoded body
-gives back their canonical bytes exactly. step() runs every message through
-one pipeline: its tag must be one the session accepts in its state (else
-`protocol`), a sealed body must open (else `channel`), and the body must
-decode as its tag's record (else `protocol`).
-An ERROR ends the session in any state.
+TrustDecision or Error. step() runs every message through one pipeline: its
+tag must be one the session accepts in its state (else `protocol`), a sealed
+body must open (else `channel`), and the body must decode as its tag's record
+(else `protocol`). An ERROR ends the session in any state.
+
+The wire leaves out what its reader can derive (as SCHC does, RFC 8724):
+- A document travels as the body its peer DID is the digest of, so the
+  reader derives the DID and the decoded body gives back its canonical bytes.
+- A presentation travels as a PresentationWire: its credential without the
+  subject, which holder binding makes the authenticated peer, and with null
+  for each commitment a disclosed opening opens, the digest of that opening.
+  The reader restores both before it verifies the presentation, and the
+  restored credential is the one the issuer signed and the holder stores as
+  canonical JSON, so another subject or a changed opening fails `signature`.
+- The bodies of CRED_REQUEST, CRED_PRESENT, TRUST_RESULT and DATA travel
+  sealed, each as one record `tag | counter | ciphertext`. The counter is the
+  sender's record number as a shortest CBOR unsigned head (1 byte up to 23),
+  and the reader rebuilds the 12-byte nonce from the sender's role byte and
+  the counter, as OSCORE rebuilds its nonce from a Partial IV (RFC 8613). The
+  tag byte is the ciphertext's associated data.
 
 Both sides sign the running transcript, so swapping any key or nonce in
 transit breaks authentication on at least one side. The initiator presents
@@ -46,13 +57,18 @@ from typing import Any, Sequence
 
 from . import crypto
 from .credentials import (
+    ClaimOpening,
+    Commitment,
+    CredentialError,
     Presentation,
+    Proof,
     RevocationRegistry,
     StoredCredential,
+    VerifiableCredential,
     present,
     verify_presentation,
 )
-from .encoding import EncodingError, Record, pack, unpack
+from .encoding import EncodingError, Record, cbor_bytes, pack, read_uint, unpack
 from .identity import Did, DidDocument, DocumentBody, METHOD_PEER, format_did
 from .resolver import ResolutionError, Resolver
 
@@ -77,9 +93,7 @@ FAIL_AUTH = "auth"
 FAIL_CHANNEL = "channel"
 FAIL_RESOLVE = "resolve"
 FAIL_PEER = "peer"
-
-# Why a presented credential did not count; the others are Verdict reasons.
-REASON_NOT_SUBJECT = "not the authenticated subject"
+FAIL_CREDENTIALS = "credentials"
 
 
 class HandshakeError(Exception):
@@ -157,8 +171,49 @@ class CredRequest(Record):
 
 
 @dataclass(frozen=True)
+class PresentationWire(Record):
+    """A presentation as CRED_PRESENT carries it, less what its reader derives.
+
+    Its credential's subject is left out: holder binding makes it the
+    authenticated peer. Each commitment that a disclosed opening opens is
+    None: it is that opening's digest. Undisclosed commitments travel whole.
+    """
+
+    vc_id: str
+    issuer: Did
+    commitments: tuple[Commitment | None, ...]
+    issued_at: int
+    expires_at: int
+    proof: Proof
+    disclosed: tuple[ClaimOpening, ...]
+
+    @classmethod
+    def of(cls, p: Presentation) -> "PresentationWire":
+        vc, opened = p.credential, {o.name for o in p.disclosed}
+        commitments = tuple(None if c.claim_name in opened else c for c in vc.commitments)
+        return cls(vc.vc_id, vc.issuer, commitments, vc.issued_at, vc.expires_at, vc.proof,
+                   p.disclosed)
+
+    def restore(self, subject: Did) -> Presentation:
+        """The presentation of `subject`, each None commitment rebuilt from the
+        next disclosed opening in order. CredentialError if the None slots and
+        the openings do not pair one to one, or the credential breaks an invariant."""
+        if sum(c is None for c in self.commitments) != len(self.disclosed):
+            raise CredentialError("derived commitments do not pair with the disclosed openings")
+        openings = iter(self.disclosed)
+        commitments = tuple(
+            next(openings).commitment() if c is None else c for c in self.commitments
+        )
+        credential = VerifiableCredential(
+            self.vc_id, self.issuer, subject, commitments, self.issued_at, self.expires_at,
+            self.proof,
+        )
+        return Presentation(credential, self.disclosed)
+
+
+@dataclass(frozen=True)
 class CredPresent(Record):
-    presentations: tuple[Presentation, ...]
+    presentations: tuple[PresentationWire, ...]
 
 
 @dataclass(frozen=True)
@@ -301,16 +356,15 @@ class HandshakeSession:
         self.my_nonce: bytes = config.random_bytes(HELLO_NONCE_LEN)
         self.ephemeral = crypto.keygen(crypto.PURPOSE_AGREE, seed=config.random_bytes(32))
         # My HELLO, packed once here, carries my document's body (peer) or my
-        # DID (reg), and my CRED_PRESENT my credentials; both must travel.
+        # DID (reg), which must travel.
         if config.did.method == METHOD_PEER:
             did, body = None, config.document.body()
         else:
             did, body = config.did, None
         try:
             self._hello_body = pack(Hello(did, body, self.ephemeral.public, self.my_nonce))
-            pack(config.credentials)
         except EncodingError as exc:
-            raise HandshakeError(f"my document or credentials have no wire form: {exc}") from exc
+            raise HandshakeError(f"my document has no wire form: {exc}") from exc
         self.role = role
         self.config = config
         self.state = State.INIT
@@ -327,7 +381,8 @@ class HandshakeSession:
         self._expected_peer_did: Did | None = None
         self._peer_requested: tuple[str, ...] = ()
         self._send_nonces = crypto.NonceSequence(_ROLE_BYTE[role])
-        self._recv_guard = crypto.ReplayGuard(_ROLE_BYTE[_other_role(role)])
+        self._peer_role_byte = _ROLE_BYTE[_other_role(role)]
+        self._recv_guard = crypto.ReplayGuard(self._peer_role_byte)
 
     # -- helpers ------------------------------------------------------------
 
@@ -350,29 +405,33 @@ class HandshakeSession:
         return Auth(key.key_id, crypto.sign(key, self.transcript_digest()))
 
     def _seal(self, tag: int, plaintext: bytes) -> bytes:
-        """Seal one channel record: tag byte, nonce, then ciphertext bound to the tag."""
+        """Seal one channel record: tag byte, counter, then ciphertext bound to the tag."""
         nonce = self._send_nonces.next()
         sealed = crypto.seal(self.session_keys.send_key, nonce, plaintext, aad=bytes([tag]))
-        return bytes([tag]) + nonce + sealed
+        # The reader knows my role byte, so only the counter travels.
+        return bytes([tag]) + cbor_bytes(int.from_bytes(nonce[1:], "big")) + sealed
 
     def _open(self, record: bytes) -> bytes:
-        """Open one channel record: check the nonce, unseal, and only then commit it."""
-        if len(record) < 1 + crypto.NONCE_LEN + 16:
-            raise ChannelError("truncated channel record")
-        nonce = record[1 : 1 + crypto.NONCE_LEN]
+        """Open one channel record: rebuild and check its nonce, unseal, and only then commit it."""
         try:
+            counter, start = read_uint(record, 1)
+            nonce = crypto.channel_nonce(self._peer_role_byte, counter)
             self._recv_guard.check(nonce)
             plain = crypto.unseal(
-                self.session_keys.recv_key, nonce, record[1 + crypto.NONCE_LEN :],
-                aad=record[:1],
+                self.session_keys.recv_key, nonce, record[start:], aad=record[:1]
             )
-        except crypto.AuthenticationError as exc:
-            raise ChannelError(f"channel authentication failed: {exc}") from exc
+        except (EncodingError, crypto.CryptoError) as exc:
+            # A bad counter head, a replay, or a short or forged ciphertext.
+            raise ChannelError(f"channel record refused: {exc}") from exc
         self._recv_guard.commit(nonce)
         return plain
 
-    def _present(self, requested: Sequence[str]) -> bytes:
-        """My CRED_PRESENT: the claims config.disclose names, else those requested."""
+    def _present(self, requested: Sequence[str]) -> list[bytes]:
+        """My CRED_PRESENT: the claims config.disclose names, else those requested.
+
+        A credential with no wire form (its issuer's DID method has none) never
+        leaves: the session fails `credentials` instead.
+        """
         disclose = self.config.disclose if self.config.disclose is not None else requested
         wanted = set(disclose)
         presentations = []
@@ -382,8 +441,12 @@ class HandshakeSession:
                 if n in wanted and stored.opening_for(n) is not None
             ]
             if subset:
-                presentations.append(present(stored.credential, stored.openings, subset))
-        return self._send(MSG_CRED_PRESENT, CredPresent(tuple(presentations)))
+                p = present(stored.credential, stored.openings, subset)
+                presentations.append(PresentationWire.of(p))
+        try:
+            return [self._send(MSG_CRED_PRESENT, CredPresent(tuple(presentations)))]
+        except EncodingError:
+            return self._fail(FAIL_CREDENTIALS)
 
     # -- protocol steps -----------------------------------------------------
 
@@ -473,15 +536,18 @@ class HandshakeSession:
             return replies
         # The initiator opens layer 2: its request and a proactive presentation.
         want = requested_claims(self.config.policy)
-        return [self._send(MSG_CRED_REQUEST, CredRequest(want)), self._present(want)]
+        return [self._send(MSG_CRED_REQUEST, CredRequest(want)), *self._present(want)]
 
     def _on_present(self, message: CredPresent, now: int) -> list[bytes]:
-        """Sort the peer's presentations into verified and rejected, answer (responder), decide."""
-        for p in message.presentations:
-            # Holder binding: a credential speaks only for its own subject.
-            if p.credential.subject != self.peer_did:
-                self.rejected.append(REASON_NOT_SUBJECT)
-                continue
+        """Restore the peer's presentations, sort them into verified and rejected,
+        answer (responder), decide."""
+        try:
+            # Holder binding: a credential speaks only for its own subject, so
+            # the authenticated peer is the subject of each.
+            presentations = [p.restore(self.peer_did) for p in message.presentations]
+        except CredentialError:
+            return self._fail(FAIL_PROTOCOL)
+        for p in presentations:
             verdict = verify_presentation(p, self.config.resolver, self.config.revocation, now)
             if verdict:
                 self.presented.append(p)
@@ -489,7 +555,9 @@ class HandshakeSession:
                 self.rejected.append(verdict.reason)
         replies = []
         if self.role == crypto.ROLE_RESPONDER:
-            replies.append(self._present(self._peer_requested))
+            replies = self._present(self._peer_requested)
+            if self.state is State.FAILED:
+                return replies
         decision = decide_trust(self.config.policy, self.presented, self.rejected)
         self.my_verdict = decision
         self.state = State.TRUSTED if decision.trusted else State.UNTRUSTED

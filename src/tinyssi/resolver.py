@@ -11,7 +11,6 @@ resolve.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from . import crypto
@@ -74,7 +73,6 @@ class Registry:
 
     def __init__(self) -> None:
         self._entries: dict[str, list[RegistryRecord]] = {}
-        self._lock = threading.Lock()
         self.write_count = 0
         self.read_count = 0
 
@@ -84,40 +82,36 @@ class Registry:
         A genesis version authorizes its own signer; an update, the version before it.
         """
         did_text = format_did(doc.id)
-        with self._lock:
-            history = self._entries.get(did_text, [])
-            if history and doc.version <= history[-1].version:
-                raise RegistryError(
-                    f"version conflict: {doc.version} <= registered {history[-1].version}"
-                )
-            authority = DidDocument.from_bytes(history[-1].document) if history else doc
-            if not authority.authorizes(controller_kp):
-                raise RegistryError(
-                    f"{controller_kp.key_id!r} is not a current signing key of "
-                    + ("the previous version" if history else "the genesis document")
-                )
-            doc_bytes = doc.to_bytes()
-            signature = crypto.sign(controller_kp, doc_bytes)
-            history.append(RegistryRecord(doc_bytes, doc.version, signature, controller_kp.key_id))
-            self._entries[did_text] = history
-            self.write_count += 1
+        history = self._entries.get(did_text, [])
+        if history and doc.version <= history[-1].version:
+            raise RegistryError(
+                f"version conflict: {doc.version} <= registered {history[-1].version}"
+            )
+        authority = DidDocument.from_bytes(history[-1].document) if history else doc
+        if not authority.authorizes(controller_kp):
+            raise RegistryError(
+                f"{controller_kp.key_id!r} is not a current signing key of "
+                + ("the previous version" if history else "the genesis document")
+            )
+        doc_bytes = doc.to_bytes()
+        signature = crypto.sign(controller_kp, doc_bytes)
+        history.append(RegistryRecord(doc_bytes, doc.version, signature, controller_kp.key_id))
+        self._entries[did_text] = history
+        self.write_count += 1
 
     def lookup(self, did: Did) -> DidDocument:
-        with self._lock:
-            self.read_count += 1
-            history = self._entries.get(format_did(did))
-            if not history:
-                raise DidNotFound(f"{format_did(did)} not registered")
-            raw = history[-1].document
+        self.read_count += 1
+        history = self._entries.get(format_did(did))
+        if not history:
+            raise DidNotFound(f"{format_did(did)} not registered")
         try:
-            return DidDocument.from_bytes(raw)
+            return DidDocument.from_bytes(history[-1].document)
         except DidError as exc:
             raise DocumentIntegrityError(f"stored document of {format_did(did)}: {exc}") from exc
 
     def snapshot(self) -> bytes:
         """Registry contents as a single structured-text snapshot (.reg)."""
-        with self._lock:
-            entries = {did: tuple(history) for did, history in self._entries.items()}
+        entries = {did: tuple(history) for did, history in self._entries.items()}
         return canonical_bytes(encode(_Snapshot(_SNAPSHOT_FORMAT, entries)))
 
     @classmethod
@@ -158,7 +152,6 @@ class Resolver:
         self.miss_count = 0
         self._cache: dict[str, _CacheEntry] = {}
         self.peer_documents: dict[str, DidDocument] = {}
-        self._lock = threading.Lock()
 
     def store_peer(self, did: Did, doc: DidDocument) -> None:
         """Accept a directly exchanged peer document iff it certifies itself."""
@@ -168,8 +161,7 @@ class Resolver:
             raise DocumentIntegrityError(
                 f"document digest does not match {format_did(did)}"
             )
-        with self._lock:
-            self.peer_documents[format_did(did)] = doc
+        self.peer_documents[format_did(did)] = doc
 
     def resolve(self, did: Did, now: int) -> DidDocument:
         if did.method == METHOD_PEER:
@@ -179,8 +171,7 @@ class Resolver:
         raise UnsupportedDidMethod(f"cannot resolve method {did.method!r}")
 
     def _resolve_peer(self, did: Did) -> DidDocument:
-        with self._lock:
-            doc = self.peer_documents.get(format_did(did))
+        doc = self.peer_documents.get(format_did(did))
         if doc is None:
             raise DidNotFound(f"{format_did(did)} not in local peer store")
         if not verify_peer_document(did, doc):
@@ -191,20 +182,17 @@ class Resolver:
 
     def _resolve_registered(self, did: Did, now: int) -> DidDocument:
         did_text = format_did(did)
-        # The miss path stays under the lock so concurrent resolves of one
-        # DID within a TTL window still cost exactly one registry read.
-        with self._lock:
-            entry = self._cache.get(did_text)
-            if entry is not None and now - entry.fetched_at < self.ttl:
-                self.hit_count += 1
-                return entry.document
-            self.miss_count += 1
-            if self.registry is None:
-                raise ResolutionError("no registry configured for this resolver")
-            doc = self.registry.lookup(did)
-            if doc.id != did:
-                raise DocumentIntegrityError(f"registry returned a document for {doc.id}")
-            self._cache[did_text] = _CacheEntry(document=doc, fetched_at=now)
+        entry = self._cache.get(did_text)
+        if entry is not None and now - entry.fetched_at < self.ttl:
+            self.hit_count += 1
+            return entry.document
+        self.miss_count += 1
+        if self.registry is None:
+            raise ResolutionError("no registry configured for this resolver")
+        doc = self.registry.lookup(did)
+        if doc.id != did:
+            raise DocumentIntegrityError(f"registry returned a document for {doc.id}")
+        self._cache[did_text] = _CacheEntry(document=doc, fetched_at=now)
         return doc
 
 

@@ -30,21 +30,41 @@ from conftest import (
     owner_match_config,
 )
 from tinyssi import crypto, harness, transport
-from tinyssi.credentials import Claim, RevocationRegistry, StoredCredential, issue, revoke
-from tinyssi.encoding import cbor_bytes, canonical_bytes, from_canonical, from_cbor, pack, unpack
+from tinyssi.credentials import (
+    Claim,
+    ClaimOpening,
+    RevocationRegistry,
+    StoredCredential,
+    issue,
+    present,
+    revoke,
+)
+from tinyssi.encoding import (
+    canonical_bytes,
+    cbor_bytes,
+    from_canonical,
+    from_cbor,
+    pack,
+    read_uint,
+    unpack,
+)
 from tinyssi.handshake import (
     AlwaysTrust,
     Auth,
     ChannelError,
+    CredRequest,
     HandshakeError,
     Hello,
     MSG_AUTH,
     MSG_CRED_PRESENT,
+    MSG_CRED_REQUEST,
+    MSG_DATA,
     MSG_ERROR,
     MSG_HELLO,
     MSG_HELLO_ACK,
     MSG_TRUST_RESULT,
     OwnerMatch,
+    PresentationWire,
     RequireClaim,
     SessionConfig,
     State,
@@ -98,6 +118,27 @@ def household_configs(household, policy_override=None):
         cfg_i.policy = policy_override
         cfg_r.policy = policy_override
     return cfg_i, cfg_r, (alice, camera, lock)
+
+
+def secure_pair(household):
+    """Both sides just past AUTH_ACK, Secure, and the initiator's leg 5
+    (CRED_REQUEST, CRED_PRESENT), not yet delivered."""
+    cfg_i, cfg_r, _ = household_configs(household)
+    session_i, hello = initiate(cfg_i, now=NOW)
+    session_r = respond(cfg_r, now=NOW)
+    (hello_ack,) = session_r.step(hello, NOW)
+    (auth,) = session_i.step(hello_ack, NOW)
+    (auth_ack,) = session_r.step(auth, NOW)
+    return session_i, session_r, session_i.step(auth_ack, NOW)
+
+
+def camera_wire(household) -> list:
+    """The wire array of the camera's presentation of its owner claim: the
+    commitments [null, type] and the owner opening."""
+    stored = household[1].credentials[0]
+    assert stored.credential.claim_names() == ("owner", "type")
+    p = present(stored.credential, stored.openings, ["owner"])
+    return from_cbor(pack(PresentationWire.of(p)))
 
 
 class TestWireFormat:
@@ -163,9 +204,9 @@ class TestWireSize:
     """The owner-two-devices handshake as its LoRa link carries it: 9 messages in 7 legs."""
 
     TAGS = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x06, 0x07, 0x07]
-    MESSAGE_BYTES = [202, 200, 82, 82, 37, 376, 376, 32, 32]
+    MESSAGE_BYTES = [202, 200, 82, 82, 26, 289, 289, 21, 21]
     LORA_FRAGMENTS = [1, 1, 1, 1, 2, 2, 1]  # one transport message per leg
-    AIR_BYTES = 1562  # data and ACK frames
+    AIR_BYTES = 1355  # data and ACK frames
     FRAMES = 10  # 9 data frames, 6 of them carrying an ACK, and the last leg's ACK alone
     TICKS = 8  # a leg a tick, each answering the one before, and the last ACK's return
 
@@ -316,17 +357,6 @@ class TestHonestRun:
         cfg_i.sign_key = crypto.keygen(crypto.PURPOSE_SIGN, key_id=cfg_i.sign_key.key_id)
         with pytest.raises(HandshakeError, match="current key"):
             initiate(cfg_i, now=NOW)
-
-    def test_credential_without_a_wire_form_rejected_at_initiate(self, household):
-        alice, camera, _ = household
-        vc, openings = issue(alice.sign_key, alice.did, Did("web", "abc"),
-                             [Claim("owner", format_did(alice.did))], 3600, NOW)
-        cfg_i = owner_match_config(camera, alice, 1)
-        cfg_i.credentials += (StoredCredential(vc, openings),)
-        with pytest.raises(HandshakeError, match="no wire form"):
-            initiate(cfg_i, now=NOW)
-        with pytest.raises(HandshakeError, match="no wire form"):
-            respond(cfg_i, now=NOW)
 
     def test_config_did_is_its_document_id(self, household):
         cfg_i, cfg_r, _ = household_configs(household)
@@ -548,16 +578,6 @@ class TestProtocolOrder:
 class TestTotality:
     """step() never raises: malformed input ends in FAILED with a reason."""
 
-    def _secure_pair(self, household):
-        cfg_i, cfg_r, _ = household_configs(household)
-        session_i, hello = initiate(cfg_i, now=NOW)
-        session_r = respond(cfg_r, now=NOW)
-        (hello_ack,) = session_r.step(hello, NOW)
-        (auth,) = session_i.step(hello_ack, NOW)
-        (auth_ack,) = session_r.step(auth, NOW)
-        session_i.step(auth_ack, NOW)
-        return session_i, session_r
-
     def _hello_with(self, edit, initiator, responder):
         """The responder after a HELLO whose wire array `edit` changed in place."""
         _, hello = initiate(initiator, now=NOW)
@@ -663,7 +683,7 @@ class TestTotality:
         assert session_i.failure_reason == "peer: unspecified"
 
     def test_presentations_not_a_list_fails_protocol(self, household):
-        session_i, session_r = self._secure_pair(household)
+        session_i, session_r, _ = secure_pair(household)
         record = session_i._seal(MSG_CRED_PRESENT, cbor_bytes([5]))  # [presentations]
         session_r.step(record, NOW)
         assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
@@ -689,7 +709,7 @@ class TestTotality:
                 sender, victim, _ = run_direct(cfg_i, cfg_r)
                 assert victim.state == State.TRUSTED
             else:
-                sender, victim = self._secure_pair(household)
+                sender, victim, _ = secure_pair(household)
             message = sender._seal(tag, cbor_bytes(body(None)))
         assert victim.step(message, NOW) != []
         assert (victim.state, victim.failure_reason) == (State.FAILED, "protocol")
@@ -725,6 +745,15 @@ class TestTotality:
         not_wire = data.draw(_NOT_WIRE, label="not wire")
         actor = data.draw(st.sampled_from([alice, camera, lock]), label="doc")
         document = pack(actor.document.body())
+        # The camera's presentation with drawn null slots and openings.
+        wire = camera_wire((alice, camera, lock))
+        stored = camera.credentials[0]
+        wire[slot(PresentationWire, "commitments")] = data.draw(st.lists(
+            st.sampled_from([None, *from_cbor(pack(stored.credential.commitments))]), max_size=3,
+        ), label="commitments")
+        wire[slot(PresentationWire, "disclosed")] = data.draw(st.lists(
+            st.sampled_from(from_cbor(pack(stored.openings))), max_size=3,
+        ), label="openings")
         body = data.draw(st.sampled_from([
             value,
             data.draw(st.binary(max_size=96), label="raw"),
@@ -733,6 +762,7 @@ class TestTotality:
             # A peer HELLO's layout: no DID, a document without its id, then
             # the drawn value and another as ephemeral key and nonce.
             b"\x84\xf6" + document + value + cbor_bytes(data.draw(_CBOR, label="nonce")),
+            cbor_bytes([[wire]]),  # [presentations]
         ]), label="body")
         message = data.draw(st.sampled_from([
             bytes([tag]) + body,
@@ -830,6 +860,109 @@ class TestLayer2:
         assert session_r.state == State.TRUSTED   # trusts regardless
         assert session_r.presented == []          # camera disclosed nothing
 
+    @pytest.mark.parametrize("holder", ["initiator", "responder"])
+    def test_credential_without_a_wire_form_never_leaves(self, household, holder):
+        # A did:web issuer has no wire byte. The subject does not travel, so the
+        # issuer is the credential's one DID that must have a wire form.
+        alice, camera, lock = household
+        cfg_i, cfg_r, _ = household_configs(household)
+        config, device = (cfg_i, camera) if holder == "initiator" else (cfg_r, lock)
+        vc, openings = issue(alice.sign_key, Did("web", "abc"), device.did,
+                             [Claim("owner", format_did(alice.did))], 3600, NOW)
+        config.credentials += (StoredCredential(vc, openings),)
+        session_i, session_r, legs = run_direct(cfg_i, cfg_r)
+        sender, receiver = (session_i, session_r) if holder == "initiator" else (session_r, session_i)
+        assert (sender.state, sender.failure_reason) == (State.FAILED, "credentials")
+        assert (receiver.state, receiver.failure_reason) == (State.FAILED, "peer: credentials")
+        sent = legs[0::2] if holder == "initiator" else legs[1::2]
+        assert MSG_CRED_PRESENT not in [m[0] for leg in sent for m in leg]
+        assert sent[-1][-1][0] == MSG_ERROR
+
+
+class TestDerivedFields:
+    """A presentation's subject and disclosed commitments are derived by its
+    reader; no edit of what travels instead makes it count, or raises."""
+
+    def _presented(self, household, edit):
+        """The lock after a CRED_PRESENT holding the camera's presentation, its
+        wire array changed by `edit`."""
+        session_i, session_r, _ = secure_pair(household)
+        wire = camera_wire(household)
+        edit(wire)
+        record = session_i._seal(MSG_CRED_PRESENT, cbor_bytes([[wire]]))  # [presentations]
+        assert session_r.step(record, NOW) != []
+        return session_r
+
+    def test_honest_presentation_is_restored_and_counts(self, household):
+        session_r = self._presented(household, lambda wire: None)
+        assert session_r.state == State.TRUSTED
+        (p,) = session_r.presented
+        assert p.credential == household[1].credentials[0].credential
+
+    @pytest.mark.parametrize("field, value", [
+        ("value", "did:peer:3somebodyelse"),
+        ("salt", bytes(16)),
+    ])
+    def test_changed_opening_is_dropped_for_signature(self, household, field, value):
+        def edit(wire):
+            (opening,) = wire[slot(PresentationWire, "disclosed")]
+            opening[slot(ClaimOpening, field)] = value
+
+        session_r = self._presented(household, edit)
+        assert session_r.presented == []
+        assert session_r.rejected == ["signature"]
+        assert session_r.my_verdict == TrustDecision(False, "signature")
+
+    # The honest commitments slot is [null, type commitment], with one opening (owner).
+    @pytest.mark.parametrize("commitments, outcome", [
+        (lambda owner, kind: [None, None], "protocol"),    # one null too many
+        (lambda owner, kind: [owner, kind], "protocol"),   # one too few
+        (lambda owner, kind: [owner, None], "signature"),  # a null at an undisclosed claim
+    ], ids=["one-null-too-many", "one-null-too-few", "null-at-undisclosed-claim"])
+    def test_null_slots_that_do_not_pair_with_the_openings_are_refused(
+        self, household, commitments, outcome,
+    ):
+        owner, kind = from_cbor(pack(household[1].credentials[0].credential.commitments))
+
+        def edit(wire):
+            wire[slot(PresentationWire, "commitments")] = commitments(owner, kind)
+
+        session_r = self._presented(household, edit)
+        if outcome == "protocol":
+            assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
+        else:
+            assert session_r.presented == []
+            assert session_r.rejected == [outcome]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        claims=st.dictionaries(
+            st.text(min_size=1, max_size=6).filter(lambda n: "\x00" not in n),
+            st.text(max_size=12), min_size=1, max_size=4,
+        ),
+        data=st.data(),
+    )
+    def test_wire_form_restores_the_presentation(self, claims, data):
+        alice, camera, lock = _household()
+        subject = data.draw(st.sampled_from([alice.did, camera.did, lock.did]), label="subject")
+        subset = data.draw(st.sets(st.sampled_from(sorted(claims)), min_size=1), label="subset")
+        vc, openings = issue(
+            alice.sign_key, alice.did, subject, [Claim(n, v) for n, v in claims.items()],
+            3600, NOW, rng=Random(data.draw(st.integers(0, 2**32), label="seed")),
+        )
+        p = present(vc, openings, subset)
+        wire = unpack(PresentationWire, pack(PresentationWire.of(p)))
+        restored = wire.restore(subject)
+        assert restored == p
+        assert restored.credential.signing_payload() == vc.signing_payload()
+
+
+# Sealed records that must be refused without moving the replay window.
+CHANNEL_DEFECTS = [
+    "replayed", "rewound", "non-shortest-counter", "truncated-counter", "truncated-tag",
+    "reflected",
+]
+
 
 class TestSecureChannel:
     def _secure_pair(self, household, seed_base: int = 100):
@@ -865,11 +998,71 @@ class TestSecureChannel:
         session_i, session_r = self._secure_pair(household)
         wire = session_i.secure_send(b"genuine", NOW)
         # Same ciphertext under a far-future counter: its tag cannot verify.
-        counter = (2**80).to_bytes(crypto.NONCE_LEN - 1, "big")
-        forged = wire[:2] + counter + wire[1 + crypto.NONCE_LEN :]
+        _, start = read_uint(wire, 1)
+        forged = wire[:1] + cbor_bytes(2**63) + wire[start:]
         with pytest.raises(ChannelError):
             session_r.secure_recv(forged, NOW)
         assert session_r.secure_recv(wire, NOW) == b"genuine"
+
+    def test_record_is_tag_counter_ciphertext(self, household):
+        session_i, _ = self._secure_pair(household)
+        # The handshake sealed 3 records each way, so this is the 4th: a 1-byte
+        # counter head, then the 16-byte tag of an empty plaintext.
+        wire = session_i.secure_send(b"", NOW)
+        assert wire[:2] == bytes([MSG_DATA, 4]) and len(wire) == 2 + 16
+
+    @pytest.mark.parametrize("defect", CHANNEL_DEFECTS)
+    def test_defective_data_record_is_refused(self, household, defect):
+        session_i, session_r = self._secure_pair(household)
+        # Counters 4 to 27, after the handshake's 3: the last ones take a 2-byte head.
+        sent = [session_i.secure_send(bytes([n]), NOW) for n in range(24)]
+        first, last = sent[0], sent[-1]
+        counter, start = read_uint(first, 1)
+        receiver = session_r
+        if defect == "replayed":
+            session_r.secure_recv(first, NOW)
+            record = first
+        elif defect == "rewound":
+            session_r.secure_recv(sent[1], NOW)
+            record = first
+        elif defect == "non-shortest-counter":
+            record = first[:1] + bytes([0x18, counter]) + first[start:]
+        elif defect == "truncated-counter":
+            assert last[1] == 0x18  # counter 27 takes a 2-byte head
+            record = last[:2]
+        elif defect == "truncated-tag":
+            record = first[: start + 15]
+        else:
+            receiver, record = session_i, first
+        with pytest.raises(ChannelError):
+            receiver.secure_recv(record, NOW)
+        if defect not in ("replayed", "rewound"):
+            # The refused record did not move the window.
+            assert session_r.secure_recv(first, NOW) == b"\x00"
+
+    @pytest.mark.parametrize("defect", CHANNEL_DEFECTS)
+    def test_defective_handshake_record_fails_channel(self, household, defect):
+        """The same defects on the initiator's CRED_REQUEST (counter 1), which a
+        Secure session of either role accepts by its tag."""
+        session_i, session_r, (request, _) = secure_pair(household)
+        assert request[:2] == bytes([MSG_CRED_REQUEST, 1])
+        victim = session_r
+        if defect == "replayed":
+            session_r.step(request, NOW)
+            record = request
+        elif defect == "rewound":
+            session_r.step(session_i._seal(MSG_CRED_REQUEST, pack(CredRequest(()))), NOW)
+            record = request
+        elif defect == "non-shortest-counter":
+            record = request[:1] + bytes([0x18, 1]) + request[2:]
+        elif defect == "truncated-counter":
+            record = request[:1] + bytes([0x19, 0])  # a 2-byte counter cut after 1
+        elif defect == "truncated-tag":
+            record = request[: 2 + 15]
+        else:
+            victim, record = session_i, request
+        assert victim.step(record, NOW) != []
+        assert (victim.state, victim.failure_reason) == (State.FAILED, "channel")
 
     def test_cross_session_ciphertext_rejected(self, household):
         first_i, first_r = self._secure_pair(household, seed_base=500)
@@ -1020,7 +1213,9 @@ class TestEndToEndPolicies:
         assert session_r.state == State.UNTRUSTED
         assert session_r.my_verdict.reason == "issuer"
         assert [p.credential.subject for p in session_r.presented] == [eve.did]
-        assert session_r.rejected == ["not the authenticated subject"]
+        # The subject does not travel: the lock restores the camera's credential
+        # with Eve's DID, which Alice never signed.
+        assert session_r.rejected == ["signature"]
 
     def test_revoked_credential_is_named_in_both_verdicts(self, household):
         alice, camera, _ = household

@@ -51,6 +51,7 @@ from tinyssi.handshake import (
     CredRequest,
     Error,
     Hello,
+    PresentationWire,
     TrustDecision,
 )
 from tinyssi.harness import (
@@ -201,6 +202,13 @@ def record_strategies(dids, documents):
     presentations = st.builds(
         Presentation, credential=credentials(dids), disclosed=tuples(openings)
     )
+    # Any mix of whole and derived (null) commitments: the wire record pairs
+    # them with the openings only when it is restored.
+    presentation_wires = st.builds(
+        PresentationWire, vc_id=texts, issuer=dids,
+        commitments=tuples(st.none() | commitments), issued_at=ints, expires_at=ints,
+        proof=proofs, disclosed=tuples(openings),
+    )
     bodies = documents.map(DidDocument.body)
     return {
         "PublicKeyEntry": keys,
@@ -213,6 +221,7 @@ def record_strategies(dids, documents):
         "Proof": proofs,
         "VerifiableCredential": credentials(dids),
         "Presentation": presentations,
+        "PresentationWire": presentation_wires,
         "StoredCredential": st.builds(
             StoredCredential, credential=credentials(dids), openings=tuples(openings)
         ),
@@ -228,7 +237,7 @@ def record_strategies(dids, documents):
         "Hello": hellos(dids, bodies),
         "Auth": st.builds(Auth, key_id=texts, signature=st.binary(min_size=64, max_size=64)),
         "CredRequest": st.builds(CredRequest, want=tuples(texts)),
-        "CredPresent": st.builds(CredPresent, presentations=tuples(presentations)),
+        "CredPresent": st.builds(CredPresent, presentations=tuples(presentation_wires)),
         "TrustDecision": st.builds(TrustDecision, trusted=st.booleans(), reason=st.none() | texts),
         "Error": st.builds(Error, reason=texts),
         "ScenarioActor": st.builds(ScenarioActor, name=texts, role=texts, did_method=texts,
@@ -291,7 +300,9 @@ def test_wire_round_trip(name, data):
 
 
 def test_every_message_record_is_walked():
-    assert {"Hello", "RetiredKey", "Presentation", "Proof", "Error"} <= set(TRAVELLING)
+    assert {"Hello", "RetiredKey", "PresentationWire", "Proof", "Error"} <= set(TRAVELLING)
+    # A presentation travels as its wire record, its credential never whole.
+    assert {"Presentation", "VerifiableCredential"}.isdisjoint(TRAVELLING)
     assert "ScenarioLink" not in TRAVELLING
 
 

@@ -207,49 +207,6 @@ class TestResolverCache:
         with pytest.raises(UnsupportedDidMethod):
             resolver.resolve(Did(method="btcr", id="abcdefgh12345678"), 0)
 
-    def test_concurrent_resolves_cost_one_read(self):
-        import threading
-
-        registry = Registry()
-        kp, did, doc = reg_identity()
-        registry.register(doc, kp)
-        resolver = Resolver(registry, ttl=300)
-        results = []
-
-        def worker():
-            for _ in range(50):
-                results.append(resolver.resolve(did, 1000))
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert registry.read_count == 1
-        assert len(results) == 400
-        assert all(r == doc for r in results)
-
-    def test_concurrent_registry_writes_all_land(self):
-        import threading
-
-        registry = Registry()
-        identities = [reg_identity(seed) for seed in range(1, 17)]
-
-        def worker(chunk):
-            for kp, _, doc in chunk:
-                registry.register(doc, kp)
-
-        threads = [
-            threading.Thread(target=worker, args=(identities[i::4],)) for i in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert registry.write_count == 16
-        for _, did, doc in identities:
-            assert registry.lookup(did) == doc
-
 
 class TestPeerStore:
     def test_honest_store_and_resolve(self):
