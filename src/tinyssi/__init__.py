@@ -28,7 +28,6 @@ from .handshake import (
     RequireClaim,
     SessionConfig,
     State,
-    TrustDecision,
     decide_trust,
     initiate,
     respond,

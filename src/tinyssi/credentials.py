@@ -35,25 +35,6 @@ class CredentialError(ValueError):
 
 
 @dataclass(frozen=True)
-class Verdict:
-    """Verification outcome; failures carry a reason instead of raising."""
-
-    ok: bool
-    reason: str | None = None
-
-    @classmethod
-    def valid(cls) -> "Verdict":
-        return cls(ok=True)
-
-    @classmethod
-    def invalid(cls, reason: str) -> "Verdict":
-        return cls(ok=False, reason=reason)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass(frozen=True)
 class Claim:
     name: str
     value: str
@@ -63,6 +44,18 @@ class _Record(Record):
     """A record of this module: malformed input raises CredentialError."""
 
     decode_error = CredentialError
+
+
+@dataclass(frozen=True)
+class Verdict(_Record):
+    """A verification outcome, failures with a reason instead of raising; also a
+    handshake side's verdict on its peer, the body of TRUST_RESULT."""
+
+    ok: bool
+    reason: str | None = None
+
+    def __bool__(self) -> bool:
+        return self.ok
 
 
 def _check_length(what: str, raw: bytes, expected: int) -> None:
@@ -238,19 +231,19 @@ def verify_credential(
     try:
         issuer_doc = resolver.resolve(vc.issuer, now)
     except ResolutionError as exc:
-        return Verdict.invalid(f"{REASON_ISSUER_UNRESOLVED}: {exc}")
+        return Verdict(False, f"{REASON_ISSUER_UNRESOLVED}: {exc}")
     key = issuer_doc.proof_key(vc.proof.verification_key_id)
     if key is None:
-        return Verdict.invalid(REASON_UNKNOWN_KEY)
+        return Verdict(False, REASON_UNKNOWN_KEY)
     if not crypto.verify(key.public, vc.signing_payload(), vc.proof.signature):
-        return Verdict.invalid(REASON_SIGNATURE)
+        return Verdict(False, REASON_SIGNATURE)
     if now < vc.issued_at:
-        return Verdict.invalid(REASON_NOT_YET_VALID)
+        return Verdict(False, REASON_NOT_YET_VALID)
     if now >= vc.expires_at:
-        return Verdict.invalid(REASON_EXPIRED)
+        return Verdict(False, REASON_EXPIRED)
     if registry is not None and registry.owner == vc.issuer and vc.vc_id in registry:
-        return Verdict.invalid(REASON_REVOKED)
-    return Verdict.valid()
+        return Verdict(False, REASON_REVOKED)
+    return Verdict(True)
 
 
 def present(
@@ -289,15 +282,14 @@ def verify_presentation(
     seen: set[str] = set()
     for opening in p.disclosed:
         if opening.name in seen:
-            return Verdict.invalid(f"duplicate disclosure of {opening.name!r}")
+            return Verdict(False, f"duplicate disclosure of {opening.name!r}")
         seen.add(opening.name)
         commitment = p.credential.commitment_for(opening.name)
         if commitment is None:
-            return Verdict.invalid(f"{REASON_UNKNOWN_CLAIM}: {opening.name!r}")
-        recomputed = commitment_hash(opening.name, opening.value, opening.salt)
-        if recomputed != commitment.value_hash:
-            return Verdict.invalid(REASON_COMMITMENT)
-    return Verdict.valid()
+            return Verdict(False, f"{REASON_UNKNOWN_CLAIM}: {opening.name!r}")
+        if opening.commitment() != commitment:
+            return Verdict(False, REASON_COMMITMENT)
+    return Verdict(True)
 
 
 def revoke(

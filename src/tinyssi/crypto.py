@@ -9,9 +9,10 @@ constrained links:
   channel AEAD    ChaCha20-Poly1305 (12-byte nonces)
   hashing         SHA-256
 
-Nonces for the secure channel are a role byte followed by an 11-byte
-big-endian counter; each direction counts independently and a replayed or
-rewound counter is rejected.
+A secure-channel nonce is its sender's role byte followed by an 11-byte
+big-endian counter (`channel_nonce`). Each direction counts independently;
+the session that seals and opens the records keeps both counts and refuses
+a replayed or rewound counter.
 """
 
 from __future__ import annotations
@@ -204,40 +205,3 @@ def unseal(key: bytes, nonce: bytes, ciphertext: bytes, aad: bytes = b"") -> byt
 def channel_nonce(role_byte: int, counter: int) -> bytes:
     """The 12-byte nonce of a channel record: its sender's role byte, then its counter."""
     return bytes([role_byte]) + counter.to_bytes(NONCE_LEN - 1, "big")
-
-
-class NonceSequence:
-    """Strictly increasing 12-byte nonces for one direction of one session."""
-
-    def __init__(self, role_byte: int):
-        if not 0 <= role_byte <= 0xFF:
-            raise CryptoError("role byte out of range")
-        self._role_byte = role_byte
-        self._counter = 0
-
-    def next(self) -> bytes:
-        self._counter += 1
-        return channel_nonce(self._role_byte, self._counter)
-
-
-class ReplayGuard:
-    """Accepts each incoming counter once; replays and rewinds are errors.
-
-    check() a nonce, authenticate the record, and only then commit() it, so a
-    forged record cannot advance the window (RFC 4303 section 3.4.3).
-    """
-
-    def __init__(self, role_byte: int):
-        self._prefix = bytes([role_byte])
-        self._highest = 0
-
-    def check(self, nonce: bytes) -> None:
-        if len(nonce) != NONCE_LEN or nonce[:1] != self._prefix:
-            raise AuthenticationError("nonce from wrong direction")
-        counter = int.from_bytes(nonce[1:], "big")
-        if counter <= self._highest:
-            raise AuthenticationError(f"nonce counter {counter} replayed")
-
-    def commit(self, nonce: bytes) -> None:
-        """Record a checked nonce whose record authenticated."""
-        self._highest = int.from_bytes(nonce[1:], "big")

@@ -18,10 +18,11 @@ trust policy.
 
 A message is a tag byte and a body. Every body is a record in wire form
 (deterministic CBOR, `encoding.pack`): Hello, Auth, CredRequest, CredPresent,
-TrustDecision or Error. step() runs every message through one pipeline: its
-tag must be one the session accepts in its state (else `protocol`), a sealed
-body must open (else `channel`), and the body must decode as its tag's record
-(else `protocol`). An ERROR ends the session in any state.
+`credentials.Verdict` or Error. step() runs every message through one
+pipeline: its tag must be one the session accepts in its state (else
+`protocol`), a sealed body must open (else `channel`), and the body must
+decode as its tag's record (else `protocol`). An ERROR ends the session in
+any state.
 
 The wire leaves out what its reader can derive (as SCHC does, RFC 8724):
 - A document travels as the body its peer DID is the digest of, so the
@@ -37,7 +38,9 @@ The wire leaves out what its reader can derive (as SCHC does, RFC 8724):
   sender's record number as a shortest CBOR unsigned head (1 byte up to 23),
   and the reader rebuilds the 12-byte nonce from the sender's role byte and
   the counter, as OSCORE rebuilds its nonce from a Partial IV (RFC 8613). The
-  tag byte is the ciphertext's associated data.
+  tag byte is the ciphertext's associated data. The session keeps one count
+  per direction, as OSCORE keeps one replay window (RFC 8613 section 7.4):
+  the records it sealed, and the highest counter it opened.
 
 Both sides sign the running transcript, so swapping any key or nonce in
 transit breaks authentication on at least one side. The initiator presents
@@ -64,6 +67,7 @@ from .credentials import (
     Proof,
     RevocationRegistry,
     StoredCredential,
+    Verdict,
     VerifiableCredential,
     present,
     verify_presentation,
@@ -84,7 +88,8 @@ MSG_ERROR = 0x7F
 
 _ENCRYPTED_TAGS = frozenset({MSG_CRED_REQUEST, MSG_CRED_PRESENT, MSG_TRUST_RESULT, MSG_DATA})
 
-_ROLE_BYTE = {crypto.ROLE_INITIATOR: 0x01, crypto.ROLE_RESPONDER: 0x02}
+# Each role's byte, which leads the nonces it seals under, and its peer's.
+_ROLE_BYTES = {crypto.ROLE_INITIATOR: (0x01, 0x02), crypto.ROLE_RESPONDER: (0x02, 0x01)}
 
 HELLO_NONCE_LEN = 16
 
@@ -246,14 +251,6 @@ class RequireClaim:
 TrustPolicy = AlwaysTrust | OwnerMatch | RequireClaim
 
 
-@dataclass(frozen=True)
-class TrustDecision(Record):
-    """A side's verdict on its peer; the body of TRUST_RESULT."""
-
-    trusted: bool
-    reason: str | None = None
-
-
 # The body record of each tag that _ACCEPTS admits; an ERROR's body is an Error.
 _BODIES: dict[int, type[Record]] = {
     MSG_HELLO: Hello,
@@ -262,7 +259,7 @@ _BODIES: dict[int, type[Record]] = {
     MSG_AUTH_ACK: Auth,
     MSG_CRED_REQUEST: CredRequest,
     MSG_CRED_PRESENT: CredPresent,
-    MSG_TRUST_RESULT: TrustDecision,
+    MSG_TRUST_RESULT: Verdict,
 }
 
 
@@ -276,7 +273,7 @@ def requested_claims(policy: TrustPolicy) -> tuple[str, ...]:
 
 def decide_trust(
     policy: TrustPolicy, presented: Sequence[Presentation], rejected: Sequence[str] = (),
-) -> TrustDecision:
+) -> Verdict:
     """Apply a policy to presentations that have already been verified.
 
     OwnerMatch is RequireClaim("owner", <my owner's DID>) restricted to
@@ -285,7 +282,7 @@ def decide_trust(
     when none verified, they are the verdict's reason.
     """
     if isinstance(policy, AlwaysTrust):
-        return TrustDecision(trusted=True)
+        return Verdict(True)
     if isinstance(policy, OwnerMatch):
         name, value = "owner", format_did(policy.my_owner)
         candidates = [p for p in presented if p.credential.issuer == policy.my_owner]
@@ -296,13 +293,13 @@ def decide_trust(
     else:
         raise HandshakeError(f"unknown policy {policy!r}")
     if not presented:
-        return TrustDecision(False, "; ".join(dict.fromkeys(rejected)) or "no valid credentials")
+        return Verdict(False, "; ".join(dict.fromkeys(rejected)) or "no valid credentials")
     if not candidates:
-        return TrustDecision(False, "issuer")
+        return Verdict(False, "issuer")
     values = [o.value for p in candidates for o in p.disclosed if o.name == name]
     if value in values:
-        return TrustDecision(trusted=True)
-    return TrustDecision(False, mismatch if values else missing)
+        return Verdict(True)
+    return Verdict(False, mismatch if values else missing)
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +371,16 @@ class HandshakeSession:
         self.session_keys: crypto.SessionKeys | None = None
         self.presented: list[Presentation] = []
         self.rejected: list[str] = []
-        self.peer_verdict: TrustDecision | None = None
-        self.my_verdict: TrustDecision | None = None
+        self.peer_verdict: Verdict | None = None
+        self.my_verdict: Verdict | None = None
         self.failure_reason: str | None = None
         self._transcript = hashlib.sha256()
         self._expected_peer_did: Did | None = None
         self._peer_requested: tuple[str, ...] = ()
-        self._send_nonces = crypto.NonceSequence(_ROLE_BYTE[role])
-        self._peer_role_byte = _ROLE_BYTE[_other_role(role)]
-        self._recv_guard = crypto.ReplayGuard(self._peer_role_byte)
+        self._role_byte, self._peer_role_byte = _ROLE_BYTES[role]
+        # The channel's counts: records I sealed, and the highest counter I opened.
+        self._sealed = 0
+        self._opened = 0
 
     # -- helpers ------------------------------------------------------------
 
@@ -406,24 +404,28 @@ class HandshakeSession:
 
     def _seal(self, tag: int, plaintext: bytes) -> bytes:
         """Seal one channel record: tag byte, counter, then ciphertext bound to the tag."""
-        nonce = self._send_nonces.next()
+        self._sealed += 1
+        nonce = crypto.channel_nonce(self._role_byte, self._sealed)
         sealed = crypto.seal(self.session_keys.send_key, nonce, plaintext, aad=bytes([tag]))
         # The reader knows my role byte, so only the counter travels.
-        return bytes([tag]) + cbor_bytes(int.from_bytes(nonce[1:], "big")) + sealed
+        return bytes([tag]) + cbor_bytes(self._sealed) + sealed
 
     def _open(self, record: bytes) -> bytes:
-        """Open one channel record: rebuild and check its nonce, unseal, and only then commit it."""
+        """Open one channel record: read its counter, refuse a replay, unseal, and
+        only then take the counter as the highest opened (RFC 4303 section 3.4.3),
+        so a forged record cannot advance the window."""
         try:
             counter, start = read_uint(record, 1)
-            nonce = crypto.channel_nonce(self._peer_role_byte, counter)
-            self._recv_guard.check(nonce)
+            if counter <= self._opened:
+                raise ChannelError(f"counter {counter} replayed")
             plain = crypto.unseal(
-                self.session_keys.recv_key, nonce, record[start:], aad=record[:1]
+                self.session_keys.recv_key, crypto.channel_nonce(self._peer_role_byte, counter),
+                record[start:], aad=record[:1],
             )
         except (EncodingError, crypto.CryptoError) as exc:
-            # A bad counter head, a replay, or a short or forged ciphertext.
+            # A bad counter head, or a short or forged ciphertext.
             raise ChannelError(f"channel record refused: {exc}") from exc
-        self._recv_guard.commit(nonce)
+        self._opened = counter
         return plain
 
     def _present(self, requested: Sequence[str]) -> list[bytes]:
@@ -478,7 +480,7 @@ class HandshakeSession:
                 return []
             case CredPresent():
                 return self._on_present(message, now)
-            case TrustDecision():
+            case Verdict():
                 self.peer_verdict = message
                 return []
         return self._fail(FAIL_PROTOCOL)
@@ -560,7 +562,7 @@ class HandshakeSession:
                 return replies
         decision = decide_trust(self.config.policy, self.presented, self.rejected)
         self.my_verdict = decision
-        self.state = State.TRUSTED if decision.trusted else State.UNTRUSTED
+        self.state = State.TRUSTED if decision.ok else State.UNTRUSTED
         return replies + [self._send(MSG_TRUST_RESULT, decision)]
 
     # -- secure channel -----------------------------------------------------
@@ -580,12 +582,6 @@ class HandshakeSession:
         if not data or data[0] != MSG_DATA:
             raise ChannelError("not a data record")
         return self._open(data)
-
-
-def _other_role(role: str) -> str:
-    return (
-        crypto.ROLE_RESPONDER if role == crypto.ROLE_INITIATOR else crypto.ROLE_INITIATOR
-    )
 
 
 def _read(body: type[Record], raw: bytes) -> Any:

@@ -445,7 +445,6 @@ class HandshakeRun:
 
     initiator: HandshakeSession
     responder: HandshakeSession
-    legs: int = 0
     legs_to_secure: int | None = None
     legs_to_terminal: int | None = None
     fragments_per_message: list[int] = field(default_factory=list)  # one per leg
@@ -463,26 +462,27 @@ class HandshakeRun:
                 return f"failed({reason})"
         if self.initiator.state == State.FAILED or self.responder.state == State.FAILED:
             return "failed(peer)"
-        if (
-            self.initiator.state == State.TRUSTED
-            and self.responder.state == State.TRUSTED
-        ):
+        if self.initiator.state == self.responder.state == State.TRUSTED:
             return "trusted"
         for session in (self.initiator, self.responder):
             if session.state == State.UNTRUSTED:
-                reason = (session.my_verdict.reason if session.my_verdict else None) or "policy"
-                return f"untrusted({reason})"
+                return f"untrusted({session.my_verdict.reason or 'policy'})"
         return f"stalled({self.initiator.state.value}/{self.responder.state.value})"
 
+    @property
+    def legs(self) -> int:
+        return len(self.fragments_per_message)
+
     def round_trips_to_secure(self) -> int | None:
-        if self.legs_to_secure is None:
-            return None
-        return (self.legs_to_secure + 1) // 2
+        return _round_trips(self.legs_to_secure)
 
     def round_trips_to_terminal(self) -> int | None:
-        if self.legs_to_terminal is None:
-            return None
-        return (self.legs_to_terminal + 1) // 2
+        return _round_trips(self.legs_to_terminal)
+
+
+def _round_trips(legs: int | None) -> int | None:
+    """The round trips `legs` one-way legs take, a last lone leg counting as one."""
+    return None if legs is None else (legs + 1) // 2
 
 
 _TERMINAL = frozenset({State.TRUSTED, State.UNTRUSTED, State.FAILED})
@@ -513,7 +513,6 @@ def drive_handshake(
     while True:
         for name, messenger in messengers.items():
             if outboxes[name] and messenger.idle and run.legs < MAX_LEGS:
-                run.legs += 1
                 reports.append(messenger.send(*outboxes[name]))
                 run.fragments_per_message.append(reports[-1].fragments)
                 outboxes[name] = []

@@ -98,11 +98,7 @@ class FrameError(TransportError):
 
 
 class DeliveryError(TransportError):
-    """Retry budget exhausted on a lossy link; `report` counts the failed send."""
-
-    def __init__(self, message: str, report: DeliveryReport):
-        super().__init__(message)
-        self.report = report
+    """Retry budget exhausted on a lossy link."""
 
 
 @dataclass(frozen=True)
@@ -344,8 +340,11 @@ def _indexes(acked: tuple[int, ...]) -> str:
 @dataclass
 class DeliveryReport:
     frames_sent: int = 0
-    retransmissions: int = 0
     fragments: int = 0
+
+    @property
+    def retransmissions(self) -> int:
+        return self.frames_sent - self.fragments
 
 
 class SimLink:
@@ -523,8 +522,8 @@ class Messenger:
     tick in which the ACKs cover every fragment ends it. When the timer fires
     first, check_timer() sends only the fragments still unacknowledged and
     arms it again; when a fragment is still unacknowledged after RETRY_LIMIT
-    retransmissions, the send gives up and `failure` holds a DeliveryError
-    that carries its report. The peer's Messenger, attached to the same link,
+    retransmissions, the send gives up and `failure` holds a DeliveryError;
+    the report send() returned counts what it sent. The peer's Messenger, attached to the same link,
     acknowledges each message whose data arrived in a tick with one bitmap ACK
     in that tick; the messages of a completed transport message queue up, in
     send order, behind receive().
@@ -626,7 +625,6 @@ class Messenger:
         out.rounds += 1
         out.deadline = self.link.now + self.link.round_trip_ticks
         out.report.frames_sent += len(out.frames)
-        out.report.retransmissions = out.report.frames_sent - out.report.fragments
 
     def _transmit(self, frame: Frame) -> None:
         """Transmit a data frame with the first ACK due that fits riding ahead of it."""
@@ -658,8 +656,7 @@ class Messenger:
             self._sending = None
             self.failure = DeliveryError(
                 f"fragments {[f.frag_index for f in out.frames]} of message {out.message_id} "
-                f"unacknowledged after {RETRY_LIMIT} retries",
-                out.report,
+                f"unacknowledged after {RETRY_LIMIT} retries"
             )
             return
         self._transmit_round()

@@ -232,26 +232,3 @@ class TestDigest:
 
     def test_one_bit_change(self):
         assert crypto.digest(b"abc") != crypto.digest(b"abd")
-
-
-class TestNonces:
-    def test_sequence_is_role_prefixed_and_increasing(self):
-        seq = crypto.NonceSequence(0x01)
-        first, second = seq.next(), seq.next()
-        assert first[0] == 0x01 and second[0] == 0x01
-        assert len(first) == 12
-        assert int.from_bytes(second[1:], "big") == int.from_bytes(first[1:], "big") + 1
-
-    def test_replay_guard_rejects_repeat(self):
-        seq = crypto.NonceSequence(0x02)
-        guard = crypto.ReplayGuard(0x02)
-        nonce = seq.next()
-        guard.check(nonce)
-        guard.commit(nonce)
-        with pytest.raises(crypto.AuthenticationError):
-            guard.check(nonce)
-
-    def test_replay_guard_rejects_wrong_direction(self):
-        guard = crypto.ReplayGuard(0x01)
-        with pytest.raises(crypto.AuthenticationError):
-            guard.check(crypto.NonceSequence(0x02).next())

@@ -35,6 +35,7 @@ from tinyssi.credentials import (
     ClaimOpening,
     RevocationRegistry,
     StoredCredential,
+    Verdict,
     issue,
     present,
     revoke,
@@ -68,7 +69,6 @@ from tinyssi.handshake import (
     RequireClaim,
     SessionConfig,
     State,
-    TrustDecision,
     decide_trust,
     initiate,
     respond,
@@ -277,7 +277,7 @@ class TestHonestRun:
         assert session_r.state == State.TRUSTED
         assert session_i.peer_did == lock.did
         assert session_r.peer_did == camera.did
-        assert session_i.peer_verdict.trusted and session_r.peer_verdict.trusted
+        assert session_i.peer_verdict.ok and session_r.peer_verdict.ok
 
     def test_session_keys_mirror(self, household):
         cfg_i, cfg_r, _ = household_configs(household)
@@ -694,7 +694,7 @@ class TestTotality:
         (MSG_AUTH, lambda auth: [auth[0], bytes(63)]),
         (MSG_CRED_PRESENT, lambda _: []),
         (MSG_CRED_PRESENT, lambda _: [[[5, []]]]),        # [[[credential, disclosed]]]
-        (MSG_TRUST_RESULT, lambda _: [True, 5]),          # [trusted, reason]
+        (MSG_TRUST_RESULT, lambda _: [True, 5]),          # [ok, reason]
     ], ids=["auth-extra-field", "auth-short-signature", "present-without-presentations",
             "present-undecodable", "result-reason-not-a-string"])
     def test_body_that_does_not_decode_fails_protocol(self, household, tag, body):
@@ -911,7 +911,7 @@ class TestDerivedFields:
         session_r = self._presented(household, edit)
         assert session_r.presented == []
         assert session_r.rejected == ["signature"]
-        assert session_r.my_verdict == TrustDecision(False, "signature")
+        assert session_r.my_verdict == Verdict(False, "signature")
 
     # The honest commitments slot is [null, type commitment], with one opening (owner).
     @pytest.mark.parametrize("commitments, outcome", [
@@ -1109,13 +1109,13 @@ class TestDecideTrust:
             alice, lock, {"owner": format_did(alice.did)}, {"owner"}
         )
         decision = decide_trust(OwnerMatch(my_owner=alice.did), [p])
-        assert decision.trusted
+        assert decision.ok
 
     def test_different_owner_value_is_owner_mismatch(self, household):
         alice, camera, lock = household
         p = self._presentation(alice, lock, {"owner": "did:peer:3somebodyelse"}, {"owner"})
         decision = decide_trust(OwnerMatch(my_owner=alice.did), [p])
-        assert not decision.trusted
+        assert not decision.ok
         assert decision.reason == "owner mismatch"
 
     def test_non_owner_issuer_is_issuer_reason(self, household):
@@ -1126,13 +1126,13 @@ class TestDecideTrust:
             mallory, lock, {"owner": format_did(alice.did)}, {"owner"}
         )
         decision = decide_trust(OwnerMatch(my_owner=alice.did), [p])
-        assert not decision.trusted
+        assert not decision.ok
         assert decision.reason == "issuer"
 
     def test_no_presentations_untrusted(self, household):
         alice, _, _ = household
         decision = decide_trust(OwnerMatch(my_owner=alice.did), [])
-        assert not decision.trusted
+        assert not decision.ok
         assert decision.reason == "no valid credentials"
 
     def test_no_verified_presentations_untrusted_for_their_rejection_reasons(self, household):
@@ -1140,15 +1140,15 @@ class TestDecideTrust:
         decision = decide_trust(
             OwnerMatch(my_owner=alice.did), [], ["revoked", "expired", "revoked"]
         )
-        assert decision == TrustDecision(False, "revoked; expired")
+        assert decision == Verdict(False, "revoked; expired")
 
     def test_always_trust(self):
-        assert decide_trust(AlwaysTrust(), []).trusted
+        assert decide_trust(AlwaysTrust(), []).ok
 
     def test_require_claim(self, household):
         alice, camera, lock = household
         p = self._presentation(alice, lock, {"type": "Lock"}, {"type"})
-        assert decide_trust(RequireClaim("type", "Lock"), [p]).trusted
+        assert decide_trust(RequireClaim("type", "Lock"), [p]).ok
         assert decide_trust(RequireClaim("type", "Camera"), [p]).reason == "claim mismatch"
         assert decide_trust(RequireClaim("site", "x"), [p]).reason == "claim missing"
 
@@ -1227,10 +1227,10 @@ class TestEndToEndPolicies:
         session_i, session_r, _ = run_direct(cfg_i, cfg_r)
         assert session_r.state == State.UNTRUSTED
         assert session_r.rejected == ["revoked"]
-        assert session_r.my_verdict == TrustDecision(False, "revoked")
+        assert session_r.my_verdict == Verdict(False, "revoked")
         # The camera learns the reason from the lock's TRUST_RESULT.
         assert session_i.state == State.TRUSTED
-        assert session_i.peer_verdict == TrustDecision(False, "revoked")
+        assert session_i.peer_verdict == Verdict(False, "revoked")
 
 
 if __name__ == "__main__":

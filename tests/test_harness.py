@@ -269,6 +269,17 @@ class TestOwnerScenario:
         report = run_scenario(Scenario.from_mapping(mapping))
         assert report.steps[0].outcome == "untrusted(owner mismatch)"
 
+    def test_differing_claim_value_is_claim_mismatch(self):
+        """An untrusted step names its verdict's reason, never the `policy` fallback."""
+        mapping = copy.deepcopy(BASE)
+        mapping["actors"].append(
+            {"name": "bob", "role": "owner", "did_method": "peer"}
+        )
+        mapping["credentials"][1]["claims"]["owner"] = "@bob"
+        mapping["steps"][0]["policy"] = {"name": "owner", "value": "@alice"}
+        report = run_scenario(Scenario.from_mapping(mapping))
+        assert report.steps[0].outcome == "untrusted(claim mismatch)"
+
     def test_non_owner_issuer_is_issuer(self):
         mapping = copy.deepcopy(BASE)
         mapping["actors"].append(

@@ -15,9 +15,15 @@ Only identity.py reads a document's key lists (`.public_keys`,
 `.previous_keys`). Every other module asks the document who may sign for it
 (`signing_key`, `authorizes`, `proof_key`), so the signing-authority rule has
 one implementation.
+
+Every class in crypto.py is an exception or a frozen dataclass: the suite
+holds no per-session state, which lives in the session that uses it. Only
+`ClaimOpening.commitment` calls `commitment_hash`, so the commitment rule is
+written once.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -129,3 +135,85 @@ def test_checker_flags_key_list_reads():
     assert key_list_reads(source) == {"public_keys", "previous_keys"}
     # Building a document by keyword, or asking it, reads no key list.
     assert key_list_reads("c = DidDocument(id=did, public_keys=keys).signing_key(k)\n") == set()
+
+
+def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+        and any(k.arg == "frozen" and getattr(k.value, "value", None) is True for k in d.keywords)
+        for d in node.decorator_list
+    )
+
+
+def stateful_classes(source: str) -> set[str]:
+    """The top-level classes of a module that are neither an exception (a builtin
+    exception's subclass, or one of the module's own) nor a frozen dataclass."""
+    exceptions, found = set(), set()
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bases = {getattr(base, "id", None) for base in node.bases}
+        builtin = [getattr(builtins, name, None) for name in bases if name]
+        if bases & exceptions or any(
+            isinstance(tp, type) and issubclass(tp, BaseException) for tp in builtin
+        ):
+            exceptions.add(node.name)
+        elif not _is_frozen_dataclass(node):
+            found.add(node.name)
+    return found
+
+
+def test_crypto_keeps_no_per_session_state():
+    assert stateful_classes((PACKAGE / "crypto.py").read_text(encoding="utf-8")) == set()
+
+
+def test_checker_flags_a_stateful_class():
+    source = (
+        "class CryptoError(ValueError): pass\n"
+        "class AuthenticationError(CryptoError): pass\n"
+        "@dataclass(frozen=True)\nclass KeyPair:\n    public: bytes\n"
+        "@dataclass\nclass Window:\n    highest: int\n"
+        "class Counter:\n    def next(self): ...\n"
+    )
+    assert stateful_classes(source) == {"Window", "Counter"}
+
+
+def callers_of(source: str, function: str) -> set[str]:
+    """Where a module calls `function`, by bare name or as an attribute: the
+    qualified name of each enclosing function, or `<module>` at top level."""
+    callers = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == function:
+                callers.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return callers
+
+
+def test_only_an_opening_computes_its_commitment():
+    callers = set().union(*(
+        callers_of((PACKAGE / module).read_text(encoding="utf-8"), "commitment_hash")
+        for module in MODULES
+    ))
+    assert callers == {"ClaimOpening.commitment"}
+
+
+def test_checker_flags_a_second_commitment_rule():
+    source = (
+        "class ClaimOpening:\n"
+        "    def commitment(self):\n"
+        "        return Commitment(self.name, commitment_hash(self.name, self.value, self.salt))\n"
+        "def verify_presentation(p):\n"
+        "    return credentials.commitment_hash(o.name, o.value, o.salt)\n"
+        "DEFAULT = commitment_hash('a', 'b', bytes(16))\n"
+    )
+    assert callers_of(source, "commitment_hash") == {
+        "ClaimOpening.commitment", "verify_presentation", "<module>",
+    }

@@ -30,6 +30,7 @@ from tinyssi.credentials import (
     Presentation,
     Proof,
     StoredCredential,
+    Verdict,
     VerifiableCredential,
     present,
 )
@@ -52,7 +53,6 @@ from tinyssi.handshake import (
     Error,
     Hello,
     PresentationWire,
-    TrustDecision,
 )
 from tinyssi.harness import (
     HandshakeStep,
@@ -238,7 +238,7 @@ def record_strategies(dids, documents):
         "Auth": st.builds(Auth, key_id=texts, signature=st.binary(min_size=64, max_size=64)),
         "CredRequest": st.builds(CredRequest, want=tuples(texts)),
         "CredPresent": st.builds(CredPresent, presentations=tuples(presentation_wires)),
-        "TrustDecision": st.builds(TrustDecision, trusted=st.booleans(), reason=st.none() | texts),
+        "Verdict": st.builds(Verdict, ok=st.booleans(), reason=st.none() | texts),
         "Error": st.builds(Error, reason=texts),
         "ScenarioActor": st.builds(ScenarioActor, name=texts, role=texts, did_method=texts,
                                    owner=st.none() | texts),
@@ -531,7 +531,7 @@ KEY_SHARE = b"\x58\x20" + bytes(32) + b"\x50" + bytes(16)   # ephemeral, nonce
 def test_wire_form_of_a_record_is_an_array_of_its_fields():
     assert pack(AUTH) == b"\x82" + b"\x61k" + SIGNATURE
     assert unpack(Auth, b"\x82" + b"\x61k" + SIGNATURE) == AUTH
-    assert pack(TrustDecision(False)) == b"\x82\xf4\xf6"
+    assert pack(Verdict(False)) == b"\x82\xf4\xf6"
 
 
 def test_a_did_travels_as_its_method_byte_and_raw_id():
@@ -574,7 +574,7 @@ def _with_did_byte(raw: bytes, method_byte: int) -> bytes:
 @pytest.mark.parametrize("tp, raw", [
     (Auth, b"\x82" + b"\x41k" + SIGNATURE),
     (Auth, b"\x82" + b"\x61k" + b"\x78\x40" + b"0" * 64),
-    (TrustDecision, b"\x82\x01\xf6"),
+    (Verdict, b"\x82\x01\xf6"),
     (Auth, b"\x81\x61k"),
     (Auth, b"\x83\x61k" + SIGNATURE + b"\x00"),
     (Auth, b"\x82" + b"\x78\x01k" + SIGNATURE),
@@ -593,11 +593,11 @@ def _with_did_byte(raw: bytes, method_byte: int) -> bytes:
     (Auth, b"\x82" + b"\x61k" + b"\x58\x3f" + bytes(63)),
     (Auth, b"\x9f" + b"\x61k" + SIGNATURE + b"\xff"),
     (Auth, b"\xd8\x18" + pack(AUTH)),
-    (TrustDecision, b"\x82\xf5\xa1\x61a\x61b"),
-    (TrustDecision, b"\x82\xf5\xf9\x3e\x00"),
-    (TrustDecision, b"\x82\xf5\xfa" + struct.pack(">f", 1.5)),
-    (TrustDecision, b"\x82\xf5\xfb" + struct.pack(">d", 1.5)),
-    (TrustDecision, b"\x82\xf5\xf7"),
+    (Verdict, b"\x82\xf5\xa1\x61a\x61b"),
+    (Verdict, b"\x82\xf5\xf9\x3e\x00"),
+    (Verdict, b"\x82\xf5\xfa" + struct.pack(">f", 1.5)),
+    (Verdict, b"\x82\xf5\xfb" + struct.pack(">d", 1.5)),
+    (Verdict, b"\x82\xf5\xf7"),
 ], ids=[
     "major-type-bytes-for-text", "major-type-text-for-bytes", "major-type-int-for-bool",
     "field-count-short", "field-count-long",
