@@ -76,14 +76,6 @@ def _build_resolver(args) -> Resolver:
 
 
 @dataclass(frozen=True)
-class RevocationList:
-    """A revocation list file: its owner and the credential ids it revoked."""
-
-    owner: Did
-    revoked: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class OpeningsFile:
     """An openings file: a credential's id and the holder's openings of its claims."""
 
@@ -91,34 +83,21 @@ class OpeningsFile:
     openings: tuple[ClaimOpening, ...]
 
 
-def _load_revocations(path: str) -> RevocationRegistry:
-    """The revocation list in a file; a missing file raises OSError, never reads as empty."""
-    stored = decode(RevocationList, from_canonical(Path(path).read_bytes()))
-    registry = RevocationRegistry(stored.owner)
-    for vc_id in stored.revoked:
-        registry.add(vc_id)
-    return registry
-
-
 def _issuer_revocations(path: str | None, issuer: Did) -> RevocationRegistry | None:
     """The --revoked list for a credential of `issuer`, if one is named.
 
     A list revokes only what its owner issued, so a list kept by anyone else
-    could never revoke this credential: it is refused, like a missing file.
+    could never revoke this credential: it is refused, like a missing file
+    (which raises OSError, never reads as empty).
     """
     if not path:
         return None
-    registry = _load_revocations(path)
+    registry = RevocationRegistry.from_bytes(Path(path).read_bytes())
     if registry.owner != issuer:
         raise CredentialError(
             f"revocation list {path} is kept by {registry.owner}, not by the issuer {issuer}"
         )
     return registry
-
-
-def _save_revocations(path: str, registry: RevocationRegistry) -> None:
-    stored = RevocationList(registry.owner, tuple(sorted(registry.revoked)))
-    Path(path).write_bytes(canonical_bytes(encode(stored)))
 
 
 def _unlock(args) -> wallet_mod.Wallet:
@@ -285,7 +264,7 @@ def cmd_vc_revoke(args) -> int:
     if sign_key is None:
         return _fail(EXIT_VALIDATION, "issuer wallet holds no identity with a current signing key")
     if Path(args.revoked).exists():
-        registry = _load_revocations(args.revoked)
+        registry = RevocationRegistry.from_bytes(Path(args.revoked).read_bytes())
     else:
         registry = RevocationRegistry(w.owner_did)
     resolver = _build_resolver(args)
@@ -295,7 +274,7 @@ def cmd_vc_revoke(args) -> int:
         revoke(registry, sign_key, args.vc_id, resolver, _now())
     except CredentialError as exc:
         return _fail(EXIT_VERIFICATION, str(exc))
-    _save_revocations(args.revoked, registry)
+    Path(args.revoked).write_bytes(registry.to_bytes())
     _emit({"revoked": args.vc_id})
     return EXIT_OK
 

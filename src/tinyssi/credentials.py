@@ -151,26 +151,24 @@ class StoredCredential(_Record):
         return None
 
 
-class RevocationRegistry:
-    """Append-only set of revoked credential ids, owned by one issuer.
+@dataclass
+class RevocationRegistry(_Record):
+    """Append-only list of revoked credential ids, owned by one issuer; its
+    canonical bytes are the CLI's --revoked file.
 
     It revokes only credentials its owner issued; for any other credential
-    it holds no authority and verification ignores it.
+    it holds no authority and verification ignores it. Mutable on purpose:
+    add() reaches every holder of this one object.
     """
 
-    def __init__(self, owner: Did):
-        self.owner = owner
-        self._revoked: set[str] = set()
-
-    @property
-    def revoked(self) -> frozenset[str]:
-        return frozenset(self._revoked)
+    owner: Did
+    revoked: tuple[str, ...] = ()
 
     def __contains__(self, vc_id: str) -> bool:
-        return vc_id in self._revoked
+        return vc_id in self.revoked
 
     def add(self, vc_id: str) -> None:
-        self._revoked.add(vc_id)
+        self.revoked = tuple(sorted({*self.revoked, vc_id}))
 
 
 def commitment_hash(name: str, value: str, salt: bytes) -> bytes:

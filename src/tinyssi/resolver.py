@@ -5,8 +5,7 @@ history per DID. A genesis version must be signed by a signing key of its
 own document, and an update by a current signing key of the immediately
 preceding version. Resolution goes through a per-device cache so constrained
 devices touch the registry once per TTL window; peer-method documents live in
-a local store and are re-checked against their self-certifying id on every
-resolve.
+a local store, checked against their self-certifying id once, when stored.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ class Registry:
     """
 
     def __init__(self) -> None:
-        self._entries: dict[str, list[RegistryRecord]] = {}
+        self._entries: dict[str, tuple[RegistryRecord, ...]] = {}
         self.write_count = 0
         self.read_count = 0
 
@@ -82,7 +81,7 @@ class Registry:
         A genesis version authorizes its own signer; an update, the version before it.
         """
         did_text = format_did(doc.id)
-        history = self._entries.get(did_text, [])
+        history = self._entries.get(did_text, ())
         if history and doc.version <= history[-1].version:
             raise RegistryError(
                 f"version conflict: {doc.version} <= registered {history[-1].version}"
@@ -95,8 +94,8 @@ class Registry:
             )
         doc_bytes = doc.to_bytes()
         signature = crypto.sign(controller_kp, doc_bytes)
-        history.append(RegistryRecord(doc_bytes, doc.version, signature, controller_kp.key_id))
-        self._entries[did_text] = history
+        record = RegistryRecord(doc_bytes, doc.version, signature, controller_kp.key_id)
+        self._entries[did_text] = history + (record,)
         self.write_count += 1
 
     def lookup(self, did: Did) -> DidDocument:
@@ -111,8 +110,7 @@ class Registry:
 
     def snapshot(self) -> bytes:
         """Registry contents as a single structured-text snapshot (.reg)."""
-        entries = {did: tuple(history) for did, history in self._entries.items()}
-        return canonical_bytes(encode(_Snapshot(_SNAPSHOT_FORMAT, entries)))
+        return canonical_bytes(encode(_Snapshot(_SNAPSHOT_FORMAT, self._entries)))
 
     @classmethod
     def from_snapshot(cls, raw: bytes) -> "Registry":
@@ -123,7 +121,7 @@ class Registry:
         if snapshot.format != _SNAPSHOT_FORMAT:
             raise RegistryError("bad registry snapshot: unknown format")
         registry = cls()
-        registry._entries = {did: list(history) for did, history in snapshot.entries.items()}
+        registry._entries = snapshot.entries
         return registry
 
     def save(self, path: str) -> None:
@@ -150,18 +148,17 @@ class Resolver:
         self.ttl = ttl
         self.hit_count = 0
         self.miss_count = 0
-        self._cache: dict[str, _CacheEntry] = {}
-        self.peer_documents: dict[str, DidDocument] = {}
+        self._cache: dict[Did, _CacheEntry] = {}
+        self._peers: dict[Did, DidDocument] = {}
 
     def store_peer(self, did: Did, doc: DidDocument) -> None:
-        """Accept a directly exchanged peer document iff it certifies itself."""
+        """Accept a directly exchanged peer document iff it certifies itself: its
+        only check, as a stored document is frozen and cannot change."""
         if did.method != METHOD_PEER:
             raise UnsupportedDidMethod(f"store_peer only takes peer DIDs, got {did.method!r}")
         if not verify_peer_document(did, doc):
-            raise DocumentIntegrityError(
-                f"document digest does not match {format_did(did)}"
-            )
-        self.peer_documents[format_did(did)] = doc
+            raise DocumentIntegrityError(f"document digest does not match {format_did(did)}")
+        self._peers[did] = doc
 
     def resolve(self, did: Did, now: int) -> DidDocument:
         if did.method == METHOD_PEER:
@@ -171,18 +168,13 @@ class Resolver:
         raise UnsupportedDidMethod(f"cannot resolve method {did.method!r}")
 
     def _resolve_peer(self, did: Did) -> DidDocument:
-        doc = self.peer_documents.get(format_did(did))
+        doc = self._peers.get(did)
         if doc is None:
             raise DidNotFound(f"{format_did(did)} not in local peer store")
-        if not verify_peer_document(did, doc):
-            raise DocumentIntegrityError(
-                f"stored document digest does not match {format_did(did)}"
-            )
         return doc
 
     def _resolve_registered(self, did: Did, now: int) -> DidDocument:
-        did_text = format_did(did)
-        entry = self._cache.get(did_text)
+        entry = self._cache.get(did)
         if entry is not None and now - entry.fetched_at < self.ttl:
             self.hit_count += 1
             return entry.document
@@ -192,7 +184,7 @@ class Resolver:
         doc = self.registry.lookup(did)
         if doc.id != did:
             raise DocumentIntegrityError(f"registry returned a document for {doc.id}")
-        self._cache[did_text] = _CacheEntry(document=doc, fetched_at=now)
+        self._cache[did] = _CacheEntry(document=doc, fetched_at=now)
         return doc
 
 

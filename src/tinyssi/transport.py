@@ -68,7 +68,6 @@ at most one message in flight, so a link carries at most one per direction.
 
 from __future__ import annotations
 
-import heapq
 import math
 import struct
 from collections import deque
@@ -366,8 +365,9 @@ class SimLink:
         self.trace: list[TraceEntry] = []
         self.malformed_frames = 0
         self._rng = Random(profile.seed)
-        self._pending: list[tuple[int, int, str, bytes]] = []
-        self._sequence = 0
+        # Packets in flight by arrival tick, in send order; each arrives after
+        # the tick it was sent in, so tick() delivers just the new tick's key.
+        self._pending: dict[int, list[tuple[str, bytes]]] = {}
         self._handlers: dict[str, "Messenger"] = {}
         self._next_message_id = 0
 
@@ -431,8 +431,7 @@ class SimLink:
         )
         if dropped:
             return
-        self._sequence += 1
-        heapq.heappush(self._pending, (self.now + delay, self._sequence, dst, raw))
+        self._pending.setdefault(self.now + delay, []).append((dst, raw))
 
     def tick(self) -> None:
         """Advance one tick and hand due packets to their endpoint handlers.
@@ -444,8 +443,7 @@ class SimLink:
         for handler in self._handlers.values():
             handler.send_acks()
         self.now += 1
-        while self._pending and self._pending[0][0] <= self.now:
-            _, _, dst, raw = heapq.heappop(self._pending)
+        for dst, raw in self._pending.pop(self.now, ()):
             handler = self._handlers.get(dst)
             if handler is None:
                 continue

@@ -263,6 +263,27 @@ class TestVcCommands:
         assert code == 3
         assert out["error"]["reason"] == "revoked"
 
+    def test_revocation_file_is_the_owner_and_sorted_ids(self, issuer, tmp_path, capsys):
+        wallet, did, doc_path = issuer
+        vc_path, _, vc_id = self._issue(issuer, tmp_path, capsys)
+        later = "vc:zz"  # sorts after every hex id
+        revoked = tmp_path / "revoked.json"
+        for revoked_id in (later, vc_id):
+            code, _ = run(
+                capsys, "vc", "revoke", "--wallet", str(wallet), "--passphrase", PASS,
+                "--vc-id", revoked_id, "--revoked", str(revoked),
+            )
+            assert code == 0
+        assert revoked.read_bytes() == canonical_bytes({"owner": did, "revoked": [vc_id, later]})
+        # A hand-written list need not be sorted or unique to revoke.
+        revoked.write_bytes(canonical_bytes({"owner": did, "revoked": [later, vc_id, later]}))
+        code, out = run(
+            capsys, "vc", "verify", str(vc_path), "--peer-doc", str(doc_path),
+            "--revoked", str(revoked),
+        )
+        assert code == 3
+        assert out["error"]["reason"] == "revoked"
+
     def test_revocation_list_of_another_identity_is_refused(self, issuer, tmp_path, capsys):
         wallet, did, doc_path = issuer
         vc_path, openings_path, vc_id = self._issue(issuer, tmp_path, capsys)

@@ -314,7 +314,7 @@ class TestRevocation:
         registry = RevocationRegistry(issuer)
         revoke(registry, sign_kp, "vc:deadbeef", resolver, NOW)
         revoke(registry, sign_kp, "vc:deadbeef", resolver, NOW)
-        assert registry.revoked == {"vc:deadbeef"}
+        assert registry.revoked == ("vc:deadbeef",)
 
     def test_non_issuer_cannot_revoke(self):
         _, issuer, _, resolver, _ = make_issuer()
@@ -335,9 +335,9 @@ class TestRevocation:
         registry = RevocationRegistry(issuer)
         with pytest.raises(CredentialError):
             revoke(registry, agree_kp, "vc:deadbeef", resolver, NOW)
-        assert registry.revoked == frozenset()
+        assert registry.revoked == ()
         revoke(registry, sign_kp, "vc:deadbeef", resolver, NOW)
-        assert registry.revoked == {"vc:deadbeef"}
+        assert registry.revoked == ("vc:deadbeef",)
 
     def test_registry_is_append_only(self):
         registry = RevocationRegistry(subject_did())

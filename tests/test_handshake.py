@@ -268,6 +268,20 @@ class TestWireSize:
         assert int(air_bytes.replace(",", "")) == self.AIR_BYTES
         assert int(ticks) == self.TICKS
 
+    def test_readme_scenarios_paragraph_states_the_pinned_figures(self):
+        """The Scenarios section's step description gives the same totals."""
+        text = README.read_text(encoding="utf-8")
+        stated = re.findall(
+            r"owner-two-devices` handshake, .*? takes\s+(\d+)\s+ticks,\s+(\d+)\s+frames"
+            r"\s+and\s+([\d,]+) B",
+            text, re.S,
+        )
+        assert len(stated) == 1
+        ((ticks, frames, air_bytes),) = stated
+        assert int(ticks) == self.TICKS
+        assert int(frames) == self.FRAMES
+        assert int(air_bytes.replace(",", "")) == self.AIR_BYTES
+
 
 class TestHonestRun:
     def test_both_sides_reach_trusted_under_owner_match(self, household):

@@ -19,7 +19,8 @@ one implementation.
 Every class in crypto.py is an exception or a frozen dataclass: the suite
 holds no per-session state, which lives in the session that uses it. Only
 `ClaimOpening.commitment` calls `commitment_hash`, so the commitment rule is
-written once.
+written once. Only `Resolver.store_peer` calls `verify_peer_document`: a peer
+document is checked once, where it enters the store, not again on resolve.
 """
 
 import ast
@@ -216,4 +217,30 @@ def test_checker_flags_a_second_commitment_rule():
     )
     assert callers_of(source, "commitment_hash") == {
         "ClaimOpening.commitment", "verify_presentation", "<module>",
+    }
+
+
+def test_only_the_peer_store_checks_a_peer_document():
+    callers = {
+        (module, scope)
+        for module in MODULES
+        for scope in callers_of(
+            (PACKAGE / module).read_text(encoding="utf-8"), "verify_peer_document"
+        )
+    }
+    assert callers == {("resolver.py", "Resolver.store_peer")}
+
+
+def test_checker_flags_a_peer_document_check_on_resolve():
+    source = (
+        "class Resolver:\n"
+        "    def store_peer(self, did, doc):\n"
+        "        if not verify_peer_document(did, doc):\n"
+        "            raise DocumentIntegrityError(did)\n"
+        "    def _resolve_peer(self, did):\n"
+        "        doc = self._peers[did]\n"
+        "        return doc if identity.verify_peer_document(did, doc) else None\n"
+    )
+    assert callers_of(source, "verify_peer_document") == {
+        "Resolver.store_peer", "Resolver._resolve_peer",
     }

@@ -22,13 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tinyssi import crypto
-from tinyssi.cli import RevocationList
 from tinyssi.credentials import (
     ClaimOpening,
     Commitment,
     CredentialError,
     Presentation,
     Proof,
+    RevocationRegistry,
     StoredCredential,
     Verdict,
     VerifiableCredential,
@@ -233,7 +233,7 @@ def record_strategies(dids, documents):
             RegistryRecord, document=st.binary(max_size=40), version=ints,
             signature=st.binary(min_size=64, max_size=64), signed_by=texts,
         ),
-        "RevocationList": st.builds(RevocationList, owner=dids, revoked=tuples(texts)),
+        "RevocationRegistry": st.builds(RevocationRegistry, owner=dids, revoked=tuples(texts)),
         "Hello": hellos(dids, bodies),
         "Auth": st.builds(Auth, key_id=texts, signature=st.binary(min_size=64, max_size=64)),
         "CredRequest": st.builds(CredRequest, want=tuples(texts)),

@@ -1,6 +1,6 @@
 """Registry writes, cached resolution, and peer-document self-certification."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from random import Random
 
 import pytest
@@ -10,7 +10,6 @@ from tinyssi.identity import (
     Did,
     DidDocument,
     PublicKeyEntry,
-    format_did,
     generate_peer_did,
     rotate_key,
 )
@@ -234,16 +233,28 @@ class TestPeerStore:
         resolver.store_peer(did, doc)
         assert resolver.resolve(did, 0) == doc
 
-    def test_corrupted_store_is_detected_on_resolve(self):
+    def test_substituted_document_is_refused_on_store(self):
         _, did, doc = peer_identity()
         _, _, other_doc = peer_identity(seed=9)
         resolver = Resolver()
         resolver.store_peer(did, doc)
-        resolver.peer_documents[format_did(did)] = DidDocument(
-            id=did, public_keys=other_doc.public_keys
-        )
         with pytest.raises(DocumentIntegrityError):
-            resolver.resolve(did, 0)
+            resolver.store_peer(did, DidDocument(id=did, public_keys=other_doc.public_keys))
+        assert resolver.resolve(did, 0) == doc
+
+    def test_stored_document_cannot_change(self):
+        # The store checks a document once, on store_peer; that check holds
+        # for as long as the document is kept because nothing in it can change.
+        _, did, doc = peer_identity()
+        _, _, other_doc = peer_identity(seed=9)
+        resolver = Resolver()
+        resolver.store_peer(did, doc)
+        stored = resolver.resolve(did, 0)
+        with pytest.raises(FrozenInstanceError):
+            stored.public_keys = other_doc.public_keys
+        with pytest.raises(FrozenInstanceError):
+            stored.public_keys[0].public = other_doc.public_keys[0].public
+        assert resolver.resolve(did, 0) == doc
 
     def test_unknown_peer_not_found(self):
         _, did, _ = peer_identity()
@@ -257,8 +268,8 @@ class TestPeerStore:
             resolver.store_peer(did, doc)
 
     def test_no_mismatched_document_ever_returned(self):
-        # Fuzz the store with corrupted variants: resolve never returns a
-        # document whose digest disagrees with the identifier.
+        # Fuzz the store with corrupted variants: store_peer refuses each, so
+        # resolve never returns a document whose digest disagrees with the id.
         rng = Random(3)
         _, did, doc = peer_identity()
         resolver = Resolver()
@@ -274,6 +285,6 @@ class TestPeerStore:
                     ),
                 ),
             )
-            resolver.peer_documents[format_did(did)] = forged
             with pytest.raises(DocumentIntegrityError):
-                resolver.resolve(did, 0)
+                resolver.store_peer(did, forged)
+            assert resolver.resolve(did, 0) == doc

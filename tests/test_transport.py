@@ -275,7 +275,7 @@ class TestReliableDelivery:
         assert len(data_frames) == 1 + RETRY_LIMIT
         assert all(e.frag_index == 0 for e in data_frames)
 
-    def test_total_loss_error_carries_the_send_report(self):
+    def test_total_loss_report_counts_every_round(self):
         link = make_link("lora", loss=1.0, seed=1)
         sender = Messenger(link, "A")
         Messenger(link, "B")
