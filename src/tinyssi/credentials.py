@@ -227,7 +227,7 @@ def verify_credential(
 ) -> Verdict:
     """Full credential check; never raises, all failures become reasons."""
     try:
-        issuer_doc = resolver.resolve(vc.issuer, now)
+        issuer_doc = resolver.resolve(vc.issuer, now, vc.proof.verification_key_id)
     except ResolutionError as exc:
         return Verdict(False, f"{REASON_ISSUER_UNRESOLVED}: {exc}")
     key = issuer_doc.proof_key(vc.proof.verification_key_id)
@@ -299,7 +299,7 @@ def revoke(
 ) -> None:
     """Mark a credential revoked; only a current signing key of the owner may do this."""
     try:
-        owner_doc = resolver.resolve(registry.owner, now)
+        owner_doc = resolver.resolve(registry.owner, now, issuer_kp.key_id)
     except ResolutionError as exc:
         raise CredentialError(f"cannot resolve registry owner: {exc}") from exc
     if not owner_doc.authorizes(issuer_kp):

@@ -22,7 +22,8 @@ A message is a tag byte and a body. Every body is a record in wire form
 pipeline: its tag must be one the session accepts in its state (else
 `protocol`), a sealed body must open (else `channel`), and the body must
 decode as its tag's record (else `protocol`). An ERROR ends the session in
-any state.
+any state until it is complete; a complete session, holding both verdicts,
+ignores whatever arrives.
 
 The wire leaves out what its reader can derive (as SCHC does, RFC 8724):
 - A document travels as the body its peer DID is the digest of, so the
@@ -454,7 +455,10 @@ class HandshakeSession:
 
     def step(self, incoming: bytes, now: int) -> list[bytes]:
         """Feed one incoming message; returns messages to send in order."""
-        if self.state == State.FAILED:
+        # A failed session, or a complete one (both verdicts in), ignores what arrives.
+        if self.state == State.FAILED or (
+            self.my_verdict is not None and self.peer_verdict is not None
+        ):
             return []
         tag, body = (incoming[0] if incoming else None), incoming[1:]
         if tag == MSG_ERROR:
@@ -517,8 +521,15 @@ class HandshakeSession:
     def _on_auth(self, auth: Auth, raw: bytes, now: int) -> list[bytes]:
         """Accept AUTH (responder) or AUTH_ACK (initiator) and derive the session keys."""
         # The peer signed the transcript up to the message before this one,
-        # with a current signing key of its document.
+        # with a current signing key of its document. A reg document that does
+        # not know the key may predate a rotation: the resolver re-reads it once.
         key = self.peer_document.signing_key(auth.key_id)
+        if key is None and self.peer_did.method != METHOD_PEER:
+            try:
+                self.peer_document = self.config.resolver.resolve(self.peer_did, now, auth.key_id)
+            except ResolutionError:
+                return self._fail(FAIL_RESOLVE)
+            key = self.peer_document.signing_key(auth.key_id)
         if key is None or not crypto.verify(key.public, self.transcript_digest(), auth.signature):
             return self._fail(FAIL_AUTH)
         self._transcript.update(raw)

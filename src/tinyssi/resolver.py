@@ -3,9 +3,12 @@
 The registry stands in for a ledger: an in-process, signature-gated version
 history per DID. A genesis version must be signed by a signing key of its
 own document, and an update by a current signing key of the immediately
-preceding version. Resolution goes through a per-device cache so constrained
-devices touch the registry once per TTL window; peer-method documents live in
-a local store, checked against their self-certifying id once, when stored.
+preceding version. A snapshot loaded from a file is held to the same rules
+when it loads, the one place records enter from outside. Resolution goes
+through a per-device cache so constrained devices touch the registry once per
+TTL window, and once more when a signed artifact names a key that the cached
+document does not know; peer-method documents live in a local store, checked
+against their self-certifying id once, when stored.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ class UnsupportedDidMethod(ResolutionError):
 
 
 class DocumentIntegrityError(ResolutionError):
-    """Stored document does not parse, or does not match its identifier."""
+    """A peer document does not match its self-certifying identifier."""
 
 
 @dataclass(frozen=True)
@@ -82,12 +85,8 @@ class Registry:
         """
         did_text = format_did(doc.id)
         history = self._entries.get(did_text, ())
-        if history and doc.version <= history[-1].version:
-            raise RegistryError(
-                f"version conflict: {doc.version} <= registered {history[-1].version}"
-            )
-        authority = DidDocument.from_bytes(history[-1].document) if history else doc
-        if not authority.authorizes(controller_kp):
+        previous = DidDocument.from_bytes(history[-1].document) if history else None
+        if not _authority(previous, doc).authorizes(controller_kp):
             raise RegistryError(
                 f"{controller_kp.key_id!r} is not a current signing key of "
                 + ("the previous version" if history else "the genesis document")
@@ -103,10 +102,7 @@ class Registry:
         history = self._entries.get(format_did(did))
         if not history:
             raise DidNotFound(f"{format_did(did)} not registered")
-        try:
-            return DidDocument.from_bytes(history[-1].document)
-        except DidError as exc:
-            raise DocumentIntegrityError(f"stored document of {format_did(did)}: {exc}") from exc
+        return DidDocument.from_bytes(history[-1].document)
 
     def snapshot(self) -> bytes:
         """Registry contents as a single structured-text snapshot (.reg)."""
@@ -114,12 +110,19 @@ class Registry:
 
     @classmethod
     def from_snapshot(cls, raw: bytes) -> "Registry":
+        """A registry holding a snapshot's histories, each checked as register() checks
+        a write: records enter from outside only here, so they are checked once, here."""
         try:
             snapshot = decode(_Snapshot, from_canonical(raw))
         except EncodingError as exc:
             raise RegistryError(f"bad registry snapshot: {exc}") from exc
         if snapshot.format != _SNAPSHOT_FORMAT:
             raise RegistryError("bad registry snapshot: unknown format")
+        for did_text, history in snapshot.entries.items():
+            try:
+                _check_history(did_text, history)
+            except (DidError, RegistryError) as exc:
+                raise RegistryError(f"bad registry snapshot: {did_text}: {exc}") from exc
         registry = cls()
         registry._entries = snapshot.entries
         return registry
@@ -132,6 +135,37 @@ class Registry:
     def load(cls, path: str) -> "Registry":
         with open(path, "rb") as fh:
             return cls.from_snapshot(fh.read())
+
+
+def _authority(previous: DidDocument | None, doc: DidDocument) -> DidDocument:
+    """The version whose signing keys may write doc: the one before it, or doc itself
+    as a genesis. RegistryError if doc does not come after the previous version."""
+    if previous is None:
+        return doc
+    if doc.version <= previous.version:
+        raise RegistryError(f"version conflict: {doc.version} <= registered {previous.version}")
+    return previous
+
+
+def _check_history(did_text: str, history: tuple[RegistryRecord, ...]) -> None:
+    """Refuse a history that register() could not have written: each document parses
+    (else DidError), is filed under its own DID, comes after the one before it, and is
+    signed by a current signing key of its authorizing version (else RegistryError)."""
+    previous = None
+    for record in history:
+        doc = DidDocument.from_bytes(record.document)
+        if format_did(doc.id) != did_text or doc.version != record.version:
+            raise RegistryError(
+                f"record of version {record.version} holds version {doc.version} "
+                f"of {format_did(doc.id)}"
+            )
+        key = _authority(previous, doc).signing_key(record.signed_by)
+        if key is None or not crypto.verify(key.public, record.document, record.signature):
+            raise RegistryError(
+                f"version {doc.version} is not signed by a current signing key "
+                "of its authorizing version"
+            )
+        previous = doc
 
 
 @dataclass
@@ -160,12 +194,26 @@ class Resolver:
             raise DocumentIntegrityError(f"document digest does not match {format_did(did)}")
         self._peers[did] = doc
 
-    def resolve(self, did: Did, now: int) -> DidDocument:
+    def resolve(self, did: Did, now: int, key_id: str | None = None) -> DidDocument:
+        """The document of did; for a reg DID, one that knows key_id if the registry has one.
+
+        A signed artifact names its key. A cached reg document that lists that key
+        neither as current nor as retired is stale if the signer rotated since it was
+        read, so it is re-read once, bypassing the cache (DID Resolution's noCache),
+        unless it was read at this same instant. One artifact thus costs at most one
+        registry read. A peer document is frozen: it is returned as stored.
+        """
         if did.method == METHOD_PEER:
             return self._resolve_peer(did)
-        if did.method == METHOD_REG:
-            return self._resolve_registered(did, now)
-        raise UnsupportedDidMethod(f"cannot resolve method {did.method!r}")
+        if did.method != METHOD_REG:
+            raise UnsupportedDidMethod(f"cannot resolve method {did.method!r}")
+        entry = self._cache.get(did)
+        if (
+            key_id is not None and entry is not None and entry.fetched_at != now
+            and entry.document.proof_key(key_id) is None
+        ):
+            del self._cache[did]
+        return self._resolve_registered(did, now)
 
     def _resolve_peer(self, did: Did) -> DidDocument:
         doc = self._peers.get(did)
@@ -182,8 +230,6 @@ class Resolver:
         if self.registry is None:
             raise ResolutionError("no registry configured for this resolver")
         doc = self.registry.lookup(did)
-        if doc.id != did:
-            raise DocumentIntegrityError(f"registry returned a document for {doc.id}")
         self._cache[did] = _CacheEntry(document=doc, fetched_at=now)
         return doc
 

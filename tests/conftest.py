@@ -1,12 +1,13 @@
 """Shared builders: owners, devices, and wired-up session configs."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from random import Random
 
 import pytest
 
 from tinyssi import crypto
 from tinyssi.credentials import Claim, StoredCredential, issue
+from tinyssi.encoding import canonical_bytes, from_canonical
 from tinyssi.handshake import OwnerMatch, SessionConfig
 from tinyssi.identity import (
     Did,
@@ -15,6 +16,7 @@ from tinyssi.identity import (
     ServiceEndpoint,
     format_did,
     generate_peer_did,
+    rotate_key,
 )
 from tinyssi.resolver import Registry, Resolver, registered_did_for
 
@@ -99,3 +101,55 @@ def household():
     give_owner_credential(alice, camera, 10, {"type": "Camera"})
     give_owner_credential(alice, lock, 11, {"type": "Lock"})
     return alice, camera, lock
+
+
+# Ways to tamper with a registry snapshot, each of which loading must refuse.
+TAMPERINGS = (
+    "swapped-document", "bad-signature", "unparsable-document", "zero-signed-genesis",
+    "genesis-replayed", "filed-under-another-did",
+)
+
+
+def rotated_registry() -> tuple[Registry, Did, Did]:
+    """A registry of two reg identities, the first rotated once: (registry, rotated, other)."""
+    registry = Registry()
+    first = build_actor("first", 1, registry, method="reg")
+    other = build_actor("other", 2, registry, method="reg")
+    new_key = crypto.keygen(crypto.PURPOSE_SIGN, seed=bytes(31) + b"\x07")
+    entry = PublicKeyEntry(new_key.key_id, crypto.PURPOSE_SIGN, new_key.public)
+    registry.register(rotate_key(first.document, first.sign_key.key_id, entry, NOW), first.sign_key)
+    return registry, first.did, other.did
+
+
+def tampered_snapshot(how: str) -> tuple[bytes, Did]:
+    """The snapshot of rotated_registry() tampered `how` (one of TAMPERINGS), and the
+    DID whose history it changed."""
+    registry, did, other = rotated_registry()
+    snapshot = from_canonical(registry.snapshot())
+    history = snapshot["entries"][format_did(did)]
+    latest = history[-1]
+    attacker = crypto.keygen(crypto.PURPOSE_SIGN, seed=bytes(31) + b"\xee")
+    attacker_keys = (PublicKeyEntry(attacker.key_id, crypto.PURPOSE_SIGN, attacker.public),)
+    if how == "swapped-document":
+        # The attacker's keys in the latest version; its signature is the owner's.
+        doc = DidDocument.from_bytes(bytes.fromhex(latest["document"]))
+        latest["document"] = replace(doc, public_keys=attacker_keys).to_bytes().hex()
+    elif how == "bad-signature":
+        signature = bytearray(bytes.fromhex(latest["signature"]))
+        signature[0] ^= 1
+        latest["signature"] = signature.hex()
+    elif how == "unparsable-document":
+        latest["document"] = b"{}".hex()
+    elif how == "zero-signed-genesis":
+        # One record: the attacker's document under the DID, signed by nobody.
+        doc = DidDocument(did, attacker_keys)
+        history[:] = [{"document": doc.to_bytes().hex(), "signature": bytes(64).hex(),
+                       "signed_by": attacker.key_id, "version": 1}]
+    elif how == "genesis-replayed":
+        # A valid record again, after a later version.
+        history.append(history[0])
+    elif how == "filed-under-another-did":
+        snapshot["entries"][format_did(other)] = history
+    else:
+        raise ValueError(how)
+    return canonical_bytes(snapshot), did

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import TAMPERINGS, tampered_snapshot
 from tinyssi.cli import main
 from tinyssi.encoding import canonical_bytes
 
@@ -523,6 +524,15 @@ class TestMalformedFiles:
         registry = tmp_path / "net.reg"
         registry.write_bytes(content)
         code, out = run(capsys, "did", "resolve", "did:reg:3Unknown", "--registry", str(registry))
+        assert code == 2, out
+        assert "bad registry snapshot" in out["error"]["reason"]
+
+    @pytest.mark.parametrize("how", TAMPERINGS)
+    def test_tampered_registry_snapshot(self, how, tmp_path, capsys):
+        raw, did = tampered_snapshot(how)
+        registry = tmp_path / "net.reg"
+        registry.write_bytes(raw)
+        code, out = run(capsys, "did", "resolve", str(did), "--registry", str(registry))
         assert code == 2, out
         assert "bad registry snapshot" in out["error"]["reason"]
 

@@ -48,6 +48,15 @@ def make_issuer(seed: int = 1, method: str = "peer"):
     return sign_kp, did, doc, resolver, registry
 
 
+def rotate_issuer(sign_kp, doc, registry, now):
+    """Register doc with sign_kp retired for a new key: (new key pair, rotated document)."""
+    new_kp = crypto.keygen(crypto.PURPOSE_SIGN, seed=bytes(31) + b"\x77")
+    entry = PublicKeyEntry(new_kp.key_id, crypto.PURPOSE_SIGN, new_kp.public)
+    rotated = rotate_key(doc, sign_kp.key_id, entry, now=now)
+    registry.register(rotated, sign_kp)
+    return new_kp, rotated
+
+
 def subject_did(seed: int = 50):
     kp = crypto.keygen(crypto.PURPOSE_SIGN, seed=seed.to_bytes(32, "big"))
     did, _ = generate_peer_did(
@@ -157,6 +166,16 @@ class TestVerifyCredential:
         assert after.ok
         # And the credential bytes were never touched by the rotation.
         assert verify_credential(vc, fresh, None, NOW + 20) == before
+
+    def test_credential_issued_after_a_rotation_verifies_through_a_stale_cache(self):
+        sign_kp, issuer, doc, resolver, registry = make_issuer(method="reg")
+        resolver.resolve(issuer, NOW)
+        new_kp, _ = rotate_issuer(sign_kp, doc, registry, NOW + 10)
+        vc, _ = issue(new_kp, issuer, subject_did(), [Claim("a", "b")], MONTH, NOW + 20)
+        reads = registry.read_count
+        assert verify_credential(vc, resolver, None, NOW + 30).ok
+        assert verify_credential(vc, resolver, None, NOW + 40).ok
+        assert registry.read_count == reads + 1
 
     def test_single_byte_mutations_always_rejected(self):
         sign_kp, issuer, _, resolver, _ = make_issuer()
@@ -315,6 +334,17 @@ class TestRevocation:
         revoke(registry, sign_kp, "vc:deadbeef", resolver, NOW)
         revoke(registry, sign_kp, "vc:deadbeef", resolver, NOW)
         assert registry.revoked == ("vc:deadbeef",)
+
+    def test_revoke_with_the_new_key_through_a_stale_cache(self):
+        sign_kp, issuer, doc, resolver, registry = make_issuer(method="reg")
+        resolver.resolve(issuer, NOW)
+        new_kp, _ = rotate_issuer(sign_kp, doc, registry, NOW + 10)
+        revocations = RevocationRegistry(issuer)
+        revoke(revocations, new_kp, "vc:deadbeef", resolver, NOW + 20)
+        assert revocations.revoked == ("vc:deadbeef",)
+        # The retired key is known to the re-read document, and refused.
+        with pytest.raises(CredentialError):
+            revoke(revocations, sign_kp, "vc:cafebabe", resolver, NOW + 30)
 
     def test_non_issuer_cannot_revoke(self):
         _, issuer, _, resolver, _ = make_issuer()

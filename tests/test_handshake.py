@@ -41,9 +41,7 @@ from tinyssi.credentials import (
     revoke,
 )
 from tinyssi.encoding import (
-    canonical_bytes,
     cbor_bytes,
-    from_canonical,
     from_cbor,
     pack,
     read_uint,
@@ -54,6 +52,7 @@ from tinyssi.handshake import (
     Auth,
     ChannelError,
     CredRequest,
+    Error,
     HandshakeError,
     Hello,
     MSG_AUTH,
@@ -75,6 +74,7 @@ from tinyssi.handshake import (
 )
 from tinyssi.identity import Did, DocumentBody, PublicKeyEntry, format_did, rotate_key
 from tinyssi.resolver import Registry, Resolver
+from tinyssi.wallet import Wallet
 
 ALL_TAGS = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x7F]
 ROOT = Path(__file__).resolve().parent.parent
@@ -130,6 +130,37 @@ def secure_pair(household):
     (auth,) = session_i.step(hello_ack, NOW)
     (auth_ack,) = session_r.step(auth, NOW)
     return session_i, session_r, session_i.step(auth_ack, NOW)
+
+
+def reg_household():
+    """Alice (peer) and her reg camera and lock, each device holding the other's
+    document as read at NOW: (registry, alice, camera, lock)."""
+    registry = Registry()
+    alice = build_actor("alice", 1, registry)
+    camera = build_actor("camera", 2, registry, method="reg")
+    lock = build_actor("lock", 3, registry, method="reg")
+    introduce(alice, camera, lock)
+    give_owner_credential(alice, camera, 10, {"type": "Camera"})
+    give_owner_credential(alice, lock, 11, {"type": "Lock"})
+    camera.resolver.resolve(lock.did, NOW)
+    lock.resolver.resolve(camera.did, NOW)
+    return registry, alice, camera, lock
+
+
+def rotate(actor: Actor, registry: Registry, now: int) -> None:
+    """Retire a reg actor's signing key through a wallet holding its identity."""
+    keys = {k.key_id: k for k in (actor.sign_key, actor.agree_key)}
+    wallet = Wallet(keys=keys, documents=[actor.document])
+    new_key = crypto.keygen(crypto.PURPOSE_SIGN, seed=bytes(31) + b"\x42")
+    actor.document = wallet.rotate_sign_key(new_key, now, registry)
+    actor.sign_key = wallet.current_sign_key()
+
+
+def forged_key_id(role, message):
+    """An intercept naming a key id that no document holds in AUTH."""
+    if message[0] == MSG_AUTH:
+        return forge(message, Auth, key_id="sign-ffffffff")
+    return message
 
 
 def camera_wire(household) -> list:
@@ -454,6 +485,17 @@ class TestAuthFailures:
         assert session_r.state == State.FAILED
         assert session_r.failure_reason == "auth"
 
+    @pytest.mark.parametrize("stored", [True, False], ids=["stored", "from-hello"])
+    def test_unknown_key_id_of_a_peer_did_reads_no_registry(self, household, stored):
+        # A peer document is frozen, whether stored or derived from the HELLO.
+        cfg_i, cfg_r, _ = household_configs(household)
+        registry = cfg_r.resolver.registry
+        if not stored:
+            cfg_r.resolver = Resolver(registry)
+        _, session_r, _ = run_direct(cfg_i, cfg_r, intercept=forged_key_id)
+        assert (session_r.state, session_r.failure_reason) == (State.FAILED, "auth")
+        assert registry.read_count == 0
+
     def test_substituted_ephemeral_breaks_transcript(self, household):
         cfg_i, cfg_r, _ = household_configs(household)
         mitm = crypto.keygen(crypto.PURPOSE_AGREE)
@@ -513,6 +555,40 @@ class TestAuthFailures:
                 assert State.TRUSTED not in states
 
 
+class TestStaleDocument:
+    """A cached reg document that does not know the key an AUTH names is re-read once."""
+
+    @pytest.mark.parametrize("rotating", ["initiator", "responder"])
+    def test_pairing_after_a_rotation_re_reads_once(self, rotating):
+        registry, alice, camera, lock = reg_household()
+        rotated = camera if rotating == "initiator" else lock
+        rotate(rotated, registry, NOW + 10)
+        for now, reads in ((NOW + 20, 1), (NOW + 30, 0)):
+            before = registry.read_count
+            session_i, session_r, _ = run_direct(
+                owner_match_config(camera, alice, 1), owner_match_config(lock, alice, 2),
+                now=now,
+            )
+            assert session_i.state == session_r.state == State.TRUSTED
+            assert registry.read_count - before == reads
+            verifier = session_r if rotating == "initiator" else session_i
+            assert verifier.peer_document == rotated.document
+
+    def test_unknown_key_id_costs_at_most_one_read_per_session(self):
+        registry, alice, camera, lock = reg_household()
+        reads = []
+        for now in (NOW + 10, NOW + 20, NOW + 20):
+            before = registry.read_count
+            _, session_r, _ = run_direct(
+                owner_match_config(camera, alice, 1), owner_match_config(lock, alice, 2),
+                now=now, intercept=forged_key_id,
+            )
+            assert (session_r.state, session_r.failure_reason) == (State.FAILED, "auth")
+            reads.append(registry.read_count - before)
+        # The second session at NOW + 20 finds the document read at that instant.
+        assert reads == [1, 1, 0]
+
+
 class TestProtocolOrder:
     def test_out_of_order_message_fails_protocol(self, household):
         cfg_i, cfg_r, _ = household_configs(household)
@@ -542,6 +618,25 @@ class TestProtocolOrder:
         session_r.step(bytes([0x55]) + b"{}", NOW)
         assert session_r.step(bytes([MSG_HELLO]) + b"{}", NOW) == []
         assert session_r.state == State.FAILED
+
+    def test_complete_session_ignores_what_arrives(self, household):
+        # Both verdicts are in: a spoofed ERROR, a replayed record or junk
+        # changes nothing on either side.
+        cfg_i, cfg_r, _ = household_configs(household)
+        session_i, hello = initiate(cfg_i, now=NOW)
+        session_r = respond(cfg_r, now=NOW)
+        link = transport.make_link("lossless", a="camera", b="lock")
+        run = harness.drive_handshake(link, session_i, hello, session_r, NOW)
+        assert run.outcome() == "trusted"
+        spoofed = bytes([MSG_ERROR]) + pack(Error("spoofed"))
+        replayed = session_i._seal(MSG_TRUST_RESULT, pack(Verdict(False, "replayed")))
+        for session in (session_i, session_r):
+            verdicts = (session.my_verdict, session.peer_verdict)
+            for late in (spoofed, replayed, bytes([MSG_HELLO]) + b"junk", b""):
+                assert session.step(late, NOW) == []
+            assert (session.state, session.failure_reason) == (State.TRUSTED, None)
+            assert (session.my_verdict, session.peer_verdict) == verdicts
+        assert run.outcome() == "trusted"
 
     def test_state_machine_safety_unexpected_pairs_only_fail(self, household):
         # Feeding every message tag into a fresh session in each reachable
@@ -720,7 +815,10 @@ class TestTotality:
             message = bytes([MSG_AUTH]) + cbor_bytes(body(from_cbor(auth[1:])))
         else:
             if tag == MSG_TRUST_RESULT:
-                sender, victim, _ = run_direct(cfg_i, cfg_r)
+                # The responder has its own verdict and waits for the initiator's.
+                sender, victim, leg5 = secure_pair(household)
+                for message in leg5:
+                    victim.step(message, NOW)
                 assert victim.state == State.TRUSTED
             else:
                 sender, victim, _ = secure_pair(household)
@@ -728,17 +826,14 @@ class TestTotality:
         assert victim.step(message, NOW) != []
         assert (victim.state, victim.failure_reason) == (State.FAILED, "protocol")
 
-    def test_unparsable_registry_document_fails_resolve(self):
-        registry = Registry()
-        alice = build_actor("alice", 1, registry, method="reg")
-        camera = build_actor("camera", 2, registry, method="reg")
-        lock = build_actor("lock", 3, registry, method="reg")
-        snapshot = from_canonical(registry.snapshot())
-        snapshot["entries"][format_did(camera.did)][-1]["document"] = b"{}".hex()
-        lock.resolver = Resolver(Registry.from_snapshot(canonical_bytes(snapshot)))
-        _, hello = initiate(owner_match_config(camera, alice, 1), now=NOW)
-        session_r = respond(owner_match_config(lock, alice, 2), now=NOW)
-        assert session_r.step(hello, NOW) != []
+    def test_did_gone_at_re_read_fails_resolve(self):
+        registry, alice, camera, lock = reg_household()
+        lock.resolver.registry = Registry()  # the camera's DID is gone from it
+        rotate(camera, registry, NOW + 10)
+        _, session_r, _ = run_direct(
+            owner_match_config(camera, alice, 1), owner_match_config(lock, alice, 2),
+            now=NOW + 20,
+        )
         assert (session_r.state, session_r.failure_reason) == (State.FAILED, "resolve")
 
     @settings(max_examples=150, deadline=None)

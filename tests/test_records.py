@@ -330,9 +330,11 @@ def test_wallet_payload_and_registry_snapshot_round_trip(doc, vc, key_pairs):
     )
     payload = wallet._payload()
     assert Wallet._from_payload(from_canonical(canonical_bytes(payload)))._payload() == payload
+    # A genesis the registry accepts: the drawn document plus a key that signs it.
+    controller = crypto.keygen(crypto.PURPOSE_SIGN, seed=bytes(32), key_id="controller")
+    entry = PublicKeyEntry(controller.key_id, crypto.PURPOSE_SIGN, controller.public)
     registry = Registry()
-    record = RegistryRecord(doc.to_bytes(), doc.version, bytes(64), "k")
-    registry._entries = {str(doc.id): [record]}
+    registry.register(replace(doc, public_keys=doc.public_keys + (entry,)), controller)
     assert Registry.from_snapshot(registry.snapshot()).snapshot() == registry.snapshot()
 
 

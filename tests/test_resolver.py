@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from conftest import TAMPERINGS, rotated_registry, tampered_snapshot
 from tinyssi import crypto
 from tinyssi.identity import (
     Did,
@@ -140,6 +141,23 @@ class TestRegistry:
         assert restored.snapshot() == registry.snapshot()
 
 
+class TestSnapshotCheck:
+    """A snapshot loads only if register() could have written every history in it."""
+
+    def test_rotated_history_round_trips(self):
+        registry, did, _ = rotated_registry()
+        restored = Registry.from_snapshot(registry.snapshot())
+        assert restored.lookup(did) == registry.lookup(did)
+        assert restored.lookup(did).version == 2
+        assert restored.snapshot() == registry.snapshot()
+
+    @pytest.mark.parametrize("how", TAMPERINGS)
+    def test_tampered_snapshot_is_refused_on_load(self, how):
+        raw, _ = tampered_snapshot(how)
+        with pytest.raises(RegistryError, match="bad registry snapshot"):
+            Registry.from_snapshot(raw)
+
+
 class TestResolverCache:
     def test_resolves_within_ttl_hit_registry_once(self):
         registry = Registry()
@@ -205,6 +223,83 @@ class TestResolverCache:
         resolver = Resolver(Registry())
         with pytest.raises(UnsupportedDidMethod):
             resolver.resolve(Did(method="btcr", id="abcdefgh12345678"), 0)
+
+
+def rotated(kp, doc, now, seed=9):
+    """doc with kp retired for a new signing key: (new key pair, rotated document)."""
+    new_kp = crypto.keygen(crypto.PURPOSE_SIGN, seed=seed.to_bytes(32, "big"))
+    entry = PublicKeyEntry(new_kp.key_id, crypto.PURPOSE_SIGN, new_kp.public)
+    return new_kp, rotate_key(doc, kp.key_id, entry, now=now)
+
+
+class TestKeyRefresh:
+    """resolve(did, now, key_id) re-reads a cached reg document that does not know key_id."""
+
+    def test_known_key_is_a_cache_hit(self):
+        registry = Registry()
+        kp, did, doc = reg_identity()
+        registry.register(doc, kp)
+        resolver = Resolver(registry)
+        resolver.resolve(did, 1000)
+        assert resolver.resolve(did, 1010, kp.key_id) == doc
+        assert registry.read_count == 1
+
+    def test_stale_document_is_re_read_once(self):
+        registry = Registry()
+        kp, did, doc = reg_identity()
+        registry.register(doc, kp)
+        resolver = Resolver(registry)
+        resolver.resolve(did, 1000)
+        new_kp, v2 = rotated(kp, doc, 1005)
+        registry.register(v2, kp)
+        assert resolver.resolve(did, 1010) == doc  # within the TTL, unchanged
+        assert resolver.resolve(did, 1010, new_kp.key_id) == v2
+        assert resolver.resolve(did, 1020, new_kp.key_id) == v2
+        assert registry.read_count == resolver.miss_count == 2
+
+    def test_retired_key_is_known(self):
+        # A retired key checks proofs made in the past: re-reading cannot help.
+        registry = Registry()
+        kp, did, doc = reg_identity()
+        registry.register(doc, kp)
+        _, v2 = rotated(kp, doc, 1005)
+        registry.register(v2, kp)
+        resolver = Resolver(registry)
+        assert resolver.resolve(did, 1010, kp.key_id) == v2
+        assert resolver.resolve(did, 1020, kp.key_id) == v2
+        assert registry.read_count == 1
+
+    def test_unknown_key_costs_one_read_per_instant(self):
+        registry = Registry()
+        kp, did, doc = reg_identity()
+        registry.register(doc, kp)
+        resolver = Resolver(registry)
+        resolver.resolve(did, 1000)
+        reads = []
+        for now, key_id in [(1010, "sign-x"), (1010, "sign-y"), (1010, "sign-x"), (1020, "sign-z")]:
+            before = registry.read_count
+            assert resolver.resolve(did, now, key_id) == doc
+            reads.append(registry.read_count - before)
+        # A document read at this instant is as fresh as the registry has.
+        assert reads == [1, 0, 0, 1]
+
+    def test_peer_document_is_never_re_read(self):
+        registry = Registry()
+        _, did, doc = peer_identity()
+        resolver = Resolver(registry)
+        resolver.store_peer(did, doc)
+        assert resolver.resolve(did, 1000, "sign-unknown") == doc
+        assert registry.read_count == resolver.miss_count == 0
+
+    def test_did_gone_at_re_read_raises(self):
+        registry = Registry()
+        kp, did, doc = reg_identity()
+        registry.register(doc, kp)
+        resolver = Resolver(registry)
+        resolver.resolve(did, 1000)
+        resolver.registry = Registry()
+        with pytest.raises(DidNotFound):
+            resolver.resolve(did, 1010, "sign-unknown")
 
 
 class TestPeerStore:
