@@ -225,9 +225,9 @@ class TestResolverCache:
             resolver.resolve(Did(method="btcr", id="abcdefgh12345678"), 0)
 
 
-def rotated(kp, doc, now, seed=9):
+def rotated(kp, doc, now):
     """doc with kp retired for a new signing key: (new key pair, rotated document)."""
-    new_kp = crypto.keygen(crypto.PURPOSE_SIGN, seed=seed.to_bytes(32, "big"))
+    new_kp = crypto.keygen(crypto.PURPOSE_SIGN, seed=(9).to_bytes(32, "big"))
     entry = PublicKeyEntry(new_kp.key_id, crypto.PURPOSE_SIGN, new_kp.public)
     return new_kp, rotate_key(doc, kp.key_id, entry, now=now)
 
