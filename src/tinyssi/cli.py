@@ -125,7 +125,7 @@ def cmd_did_create(args) -> int:
     try:
         doc = w.create_identity(
             crypto.keygen(crypto.PURPOSE_SIGN), crypto.keygen(crypto.PURPOSE_AGREE),
-            args.method, endpoints, registry, hint=args.endpoint or "",
+            args.method, endpoints, registry,
         )
     except (RegistryError, wallet_mod.WalletError) as exc:
         return _fail(EXIT_VALIDATION, str(exc))

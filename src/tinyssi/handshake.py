@@ -46,8 +46,8 @@ The wire leaves out what its reader can derive (as SCHC does, RFC 8724):
 Both sides sign the running transcript, so swapping any key or nonce in
 transit breaks authentication on at least one side. The initiator presents
 proactively (without waiting for a request) so that both sides can reach a
-verdict within three round trips; by default it discloses the claims its own
-policy would ask of the peer.
+verdict within three round trips; it discloses the claims its own policy
+would ask of the peer.
 """
 
 from __future__ import annotations
@@ -122,18 +122,6 @@ class State(Enum):
 
 
 _CHANNEL_STATES = frozenset({State.SECURE, State.TRUSTED, State.UNTRUSTED})
-
-# The tags each state accepts; any other message fails `protocol`. Each set-up
-# state belongs to one role, and the channel states accept the same tags in both.
-_ACCEPTS: dict[State, set[int]] = {
-    State.INIT: {MSG_HELLO},
-    State.HELLO_SENT: {MSG_HELLO_ACK},
-    State.HELLO_RECEIVED: {MSG_AUTH},
-    State.AUTH_PENDING: {MSG_AUTH_ACK},
-    State.SECURE: {MSG_CRED_REQUEST, MSG_CRED_PRESENT},
-    State.TRUSTED: {MSG_TRUST_RESULT},
-    State.UNTRUSTED: {MSG_TRUST_RESULT},
-}
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +240,17 @@ class RequireClaim:
 TrustPolicy = AlwaysTrust | OwnerMatch | RequireClaim
 
 
-# The body record of each tag that _ACCEPTS admits; an ERROR's body is an Error.
-_BODIES: dict[int, type[Record]] = {
-    MSG_HELLO: Hello,
-    MSG_HELLO_ACK: Hello,
-    MSG_AUTH: Auth,
-    MSG_AUTH_ACK: Auth,
-    MSG_CRED_REQUEST: CredRequest,
-    MSG_CRED_PRESENT: CredPresent,
-    MSG_TRUST_RESULT: Verdict,
+# The tags each state accepts, each with its body record; any other message
+# fails `protocol`, and an ERROR's body is an Error. Each set-up state belongs
+# to one role, and the channel states accept the same tags in both.
+_ACCEPTS: dict[State, dict[int, type[Record]]] = {
+    State.INIT: {MSG_HELLO: Hello},
+    State.HELLO_SENT: {MSG_HELLO_ACK: Hello},
+    State.HELLO_RECEIVED: {MSG_AUTH: Auth},
+    State.AUTH_PENDING: {MSG_AUTH_ACK: Auth},
+    State.SECURE: {MSG_CRED_REQUEST: CredRequest, MSG_CRED_PRESENT: CredPresent},
+    State.TRUSTED: {MSG_TRUST_RESULT: Verdict},
+    State.UNTRUSTED: {MSG_TRUST_RESULT: Verdict},
 }
 
 
@@ -317,7 +307,6 @@ class SessionConfig:
     policy: TrustPolicy = field(default_factory=AlwaysTrust)
     credentials: tuple[StoredCredential, ...] = ()
     revocation: RevocationRegistry | None = None
-    disclose: tuple[str, ...] | None = None
     rng: Random | None = None
 
     @property
@@ -430,18 +419,16 @@ class HandshakeSession:
         return plain
 
     def _present(self, requested: Sequence[str]) -> list[bytes]:
-        """My CRED_PRESENT: the claims config.disclose names, else those requested.
+        """My CRED_PRESENT: the claims requested, from each credential that holds them.
 
         A credential with no wire form (its issuer's DID method has none) never
         leaves: the session fails `credentials` instead.
         """
-        disclose = self.config.disclose if self.config.disclose is not None else requested
-        wanted = set(disclose)
         presentations = []
         for stored in self.config.credentials:
             subset = [
                 n for n in stored.credential.claim_names()
-                if n in wanted and stored.opening_for(n) is not None
+                if n in requested and stored.opening_for(n) is not None
             ]
             if subset:
                 p = present(stored.credential, stored.openings, subset)
@@ -466,14 +453,15 @@ class HandshakeSession:
             self.state = State.FAILED
             self.failure_reason = f"{FAIL_PEER}: {error.reason if error else 'unspecified'}"
             return []
-        if tag not in _ACCEPTS.get(self.state, ()):
+        bodies = _ACCEPTS.get(self.state, {})
+        if tag not in bodies:
             return self._fail(FAIL_PROTOCOL)
         if tag in _ENCRYPTED_TAGS:
             try:
                 body = self._open(incoming)
             except ChannelError:
                 return self._fail(FAIL_CHANNEL)
-        message = _read(_BODIES[tag], body)
+        message = _read(bodies[tag], body)
         match message:
             case Hello():
                 return self._on_hello(message, incoming, now)
@@ -497,7 +485,7 @@ class HandshakeSession:
         """
         did, doc = hello.did, None
         if hello.document is not None:
-            doc = DidDocument.from_body(hello.document)
+            doc = DidDocument.from_body(hello.document, METHOD_PEER)
             did = doc.id
         if self._expected_peer_did is not None and did != self._expected_peer_did:
             return self._fail(FAIL_AUTH)

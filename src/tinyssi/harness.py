@@ -306,7 +306,6 @@ class Deployment:
             actor.did_method,
             (ServiceEndpoint("ep-1", "sim-link", f"sim-link://{actor.name}"),),
             self.registry,
-            hint=actor.name,
         )
         return ProvisionedActor(
             spec=actor,
@@ -509,12 +508,11 @@ def drive_handshake(
     sessions = {a: initiator, b: responder}
     outboxes: dict[str, list[bytes]] = {a: [first_message], b: []}
     run = HandshakeRun(initiator=initiator, responder=responder)
-    reports = []
+    first_entry = len(link.trace)
     while True:
         for name, messenger in messengers.items():
             if outboxes[name] and messenger.idle and run.legs < MAX_LEGS:
-                reports.append(messenger.send(*outboxes[name]))
-                run.fragments_per_message.append(reports[-1].fragments)
+                run.fragments_per_message.append(messenger.send(*outboxes[name]))
                 outboxes[name] = []
         if all(m.idle for m in messengers.values()):
             break
@@ -537,7 +535,9 @@ def drive_handshake(
             run.legs_to_terminal = run.legs
     for messenger in messengers.values():
         messenger.send_acks()
-    run.retransmissions = sum(r.retransmissions for r in reports)
+    # Every data frame on the trace beyond each leg's first copy of its fragments.
+    data_frames = sum(e.kind == "data" for e in link.trace[first_entry:])
+    run.retransmissions = data_frames - sum(run.fragments_per_message)
     return run
 
 

@@ -2,9 +2,10 @@
 
 A DID is `did:<method>:<id>`. Its document lists public keys and service
 endpoints and nothing else: documents are pseudonymous by construction and
-never carry attributes or claims. Peer-method DIDs are self-certifying, the
-id being the digest of the canonical genesis body (the document without its
-id), so two devices can exchange them directly with no registry. A document
+never carry attributes or claims. A DID of either method is self-certifying:
+its id is the digest of the canonical genesis body (the document without its
+id), so two devices can exchange peer documents directly with no registry,
+and a registry can check that a genesis belongs to its DID. A document
 travels as a DocumentBody, which holds the document invariants, and the
 receiver derives the document and its DID with `DidDocument.from_body`.
 """
@@ -138,9 +139,10 @@ class DocumentBody(_Record):
         if self.version < 1:
             raise DidError("version must be a positive integer")
 
-    def peer_did(self) -> Did:
-        """The peer DID this body certifies: base58 of the digest of its canonical bytes."""
-        return Did(METHOD_PEER, base58_encode(crypto.digest(self.to_bytes())))
+    def derive_did(self, method: str) -> Did:
+        """The DID of `method` this genesis body certifies: base58 of the digest of its
+        canonical bytes. The one rule that makes a DID, for every method."""
+        return Did(method, base58_encode(crypto.digest(self.to_bytes())))
 
 
 @dataclass(frozen=True)
@@ -182,11 +184,15 @@ class DidDocument(_Record):
             self.public_keys, self.service_endpoints, self.version, self.previous_keys
         )
 
+    def certifies_its_id(self) -> bool:
+        """Its id is the DID its body derives: true of a genesis document, of either method."""
+        return self.body().derive_did(self.id.method) == self.id
+
     @classmethod
-    def from_body(cls, body: DocumentBody) -> DidDocument:
-        """The peer document a body certifies: its id is derived from the body, never read."""
+    def from_body(cls, body: DocumentBody, method: str) -> DidDocument:
+        """The genesis document of `method` a body certifies: its id is derived, never read."""
         return cls(
-            body.peer_did(), body.public_keys, body.service_endpoints, body.version,
+            body.derive_did(method), body.public_keys, body.service_endpoints, body.version,
             body.previous_keys,
         )
 
@@ -209,7 +215,9 @@ def generate_peer_did(
     The id is the base58 digest of the canonical genesis body, derived as a
     receiver derives it from the wire. Purely a function of the genesis content.
     """
-    doc = DidDocument.from_body(DocumentBody(tuple(public_keys), tuple(service_endpoints)))
+    doc = DidDocument.from_body(
+        DocumentBody(tuple(public_keys), tuple(service_endpoints)), METHOD_PEER
+    )
     return doc.id, doc
 
 
@@ -219,7 +227,7 @@ def verify_peer_document(did: Did, doc: DidDocument) -> bool:
     Only genesis documents (version 1) certify their id, so a peer identity
     never rotates its keys (see Wallet.rotate_sign_key).
     """
-    return did.method == METHOD_PEER and doc.id == did and doc.body().peer_did() == did
+    return did.method == METHOD_PEER and doc.id == did and doc.certifies_its_id()
 
 
 def rotate_key(

@@ -1,12 +1,13 @@
 """DID resolution: emulated verifiable data registry, peer store, TTL cache.
 
 The registry stands in for a ledger: an in-process, signature-gated version
-history per DID. A genesis version must be signed by a signing key of its
-own document, and an update by a current signing key of the immediately
-preceding version. A snapshot loaded from a file is held to the same rules
-when it loads, the one place records enter from outside. Resolution goes
-through a per-device cache so constrained devices touch the registry once per
-TTL window, and once more when a signed artifact names a key that the cached
+history per DID. A genesis version must certify its DID (the DID is derived
+from its body, as a peer DID is) and be signed by a signing key of its own
+document; an update, by a current signing key of the immediately preceding
+version. A snapshot loaded from a file is held to the same rules when it
+loads, the one place records enter from outside. Resolution goes through a
+per-device cache so constrained devices touch the registry once per TTL
+window, and once more when a signed artifact names a key that the cached
 document does not know; peer-method documents live in a local store, checked
 against their self-certifying id once, when stored.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import crypto
-from .encoding import EncodingError, base58_encode, canonical_bytes, decode, encode, from_canonical
+from .encoding import EncodingError, canonical_bytes, decode, encode, from_canonical
 from .identity import (
     Did, DidDocument, DidError, METHOD_PEER, METHOD_REG, format_did, verify_peer_document,
 )
@@ -81,7 +82,8 @@ class Registry:
     def register(self, doc: DidDocument, controller_kp: crypto.KeyPair) -> None:
         """Sign doc with controller_kp and append it, if its authorizing version authorizes the key.
 
-        A genesis version authorizes its own signer; an update, the version before it.
+        A genesis version authorizes its own signer, once its body derives its DID; an
+        update, the version before it. A refused write signs nothing.
         """
         did_text = format_did(doc.id)
         history = self._entries.get(did_text, ())
@@ -139,8 +141,11 @@ class Registry:
 
 def _authority(previous: DidDocument | None, doc: DidDocument) -> DidDocument:
     """The version whose signing keys may write doc: the one before it, or doc itself
-    as a genesis. RegistryError if doc does not come after the previous version."""
+    as a genesis. RegistryError if doc does not come after the previous version, or
+    is a genesis whose id is not the DID its body derives."""
     if previous is None:
+        if not doc.certifies_its_id():
+            raise RegistryError(f"genesis body does not derive {format_did(doc.id)}")
         return doc
     if doc.version <= previous.version:
         raise RegistryError(f"version conflict: {doc.version} <= registered {previous.version}")
@@ -149,8 +154,9 @@ def _authority(previous: DidDocument | None, doc: DidDocument) -> DidDocument:
 
 def _check_history(did_text: str, history: tuple[RegistryRecord, ...]) -> None:
     """Refuse a history that register() could not have written: each document parses
-    (else DidError), is filed under its own DID, comes after the one before it, and is
-    signed by a current signing key of its authorizing version (else RegistryError)."""
+    (else DidError), is filed under its own DID, comes after the one before it (a
+    genesis certifying that DID), and is signed by a current signing key of its
+    authorizing version (else RegistryError)."""
     previous = None
     for record in history:
         doc = DidDocument.from_bytes(record.document)
@@ -232,9 +238,3 @@ class Resolver:
         doc = self.registry.lookup(did)
         self._cache[did] = _CacheEntry(document=doc, fetched_at=now)
         return doc
-
-
-def registered_did_for(public: bytes, hint: str = "") -> Did:
-    """Self-generated registry-method DID from key material and an optional hint."""
-    suffix = base58_encode(crypto.digest(public + hint.encode("utf-8")))
-    return Did(method=METHOD_REG, id=suffix)

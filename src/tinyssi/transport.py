@@ -336,16 +336,6 @@ def _indexes(acked: tuple[int, ...]) -> str:
     return ",".join(map(str, acked)) or "none"
 
 
-@dataclass
-class DeliveryReport:
-    frames_sent: int = 0
-    fragments: int = 0
-
-    @property
-    def retransmissions(self) -> int:
-        return self.frames_sent - self.fragments
-
-
 class SimLink:
     """Two endpoints joined by a lossy, possibly reordering pipe.
 
@@ -502,7 +492,7 @@ class _Outbound:
 
     message_id: int
     frames: list[Frame]  # the fragments its last round sent
-    report: DeliveryReport
+    fragments: int  # the message's fragment count
     deadline: int = 0  # the tick its timer fires
     rounds: int = 0
     acked: int = 0  # bit i: fragment i
@@ -513,18 +503,18 @@ class Messenger:
 
     send(*messages) carries its messages as one transport message, batched
     when there are two or more (see the module docstring). It transmits every
-    fragment, arms a timer of one round trip, and returns the send's
-    DeliveryReport, which fills in as the message goes. It raises
+    fragment, arms a timer of one round trip, and returns the message's
+    fragment count; the link's trace logs every frame it sends. It raises
     TransportError while an earlier message is still in flight: `idle` says
     when there is none. From then on SimLink.tick() drives the message: the
     tick in which the ACKs cover every fragment ends it. When the timer fires
     first, check_timer() sends only the fragments still unacknowledged and
     arms it again; when a fragment is still unacknowledged after RETRY_LIMIT
-    retransmissions, the send gives up and `failure` holds a DeliveryError;
-    the report send() returned counts what it sent. The peer's Messenger, attached to the same link,
-    acknowledges each message whose data arrived in a tick with one bitmap ACK
-    in that tick; the messages of a completed transport message queue up, in
-    send order, behind receive().
+    retransmissions, the send gives up and `failure` holds a DeliveryError.
+    The peer's Messenger, attached to the same link, acknowledges each message
+    whose data arrived in a tick with one bitmap ACK in that tick; the
+    messages of a completed transport message queue up, in send order, behind
+    receive().
 
     An ACK rides the first data frame this endpoint transmits in the tick
     that has room for it: the packet, ACK and data frame, stays within the
@@ -601,7 +591,7 @@ class Messenger:
         """No message in flight: the last one sent was acknowledged, or gave up."""
         return self._sending is None
 
-    def send(self, *messages: bytes) -> DeliveryReport:
+    def send(self, *messages: bytes) -> int:
         """Start sending `messages` as one transport message; SimLink.tick() finishes it."""
         if self._sending is not None:
             raise TransportError(f"message {self._sending.message_id} is still in flight")
@@ -612,9 +602,9 @@ class Messenger:
         if count > _ackable_fragments(self.link.profile.mtu):
             raise TransportError(f"message needs {count} fragments; its ACK would exceed the mtu")
         self.failure = None
-        self._sending = _Outbound(message_id, frames, DeliveryReport(fragments=count))
+        self._sending = _Outbound(message_id, frames, count)
         self._transmit_round()
-        return self._sending.report
+        return count
 
     def _transmit_round(self) -> None:
         out = self._sending
@@ -622,7 +612,6 @@ class Messenger:
             self._transmit(frame)
         out.rounds += 1
         out.deadline = self.link.now + self.link.round_trip_ticks
-        out.report.frames_sent += len(out.frames)
 
     def _transmit(self, frame: Frame) -> None:
         """Transmit a data frame with the first ACK due that fits riding ahead of it."""
@@ -644,7 +633,7 @@ class Messenger:
         out = self._sending
         if out is None:
             return
-        if out.acked == (1 << out.report.fragments) - 1:
+        if out.acked == (1 << out.fragments) - 1:
             self._sending = None
             return
         if self.link.now < out.deadline:
@@ -679,10 +668,10 @@ class Messenger:
         out = self._sending
         if out is None or ack.message_id != out.message_id:
             return 0
-        if ack.frag_count != out.report.fragments:
+        if ack.frag_count != out.fragments:
             raise FrameError(
                 f"ACK for {ack.frag_count} fragments of message {ack.message_id}, "
-                f"which has {out.report.fragments}"
+                f"which has {out.fragments}"
             )
         return held
 

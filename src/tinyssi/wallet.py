@@ -31,10 +31,10 @@ from . import crypto
 from .credentials import ClaimOpening, StoredCredential, VerifiableCredential
 from .encoding import EncodingError, canonical_bytes, decode, encode, from_canonical
 from .identity import (
-    METHOD_PEER, METHOD_REG, Did, DidDocument, PublicKeyEntry, ServiceEndpoint,
-    generate_peer_did, rotate_key,
+    METHOD_PEER, METHOD_REG, Did, DidDocument, DocumentBody, PublicKeyEntry, ServiceEndpoint,
+    rotate_key,
 )
-from .resolver import Registry, registered_did_for
+from .resolver import Registry
 
 MAGIC = b"SSIW"
 FORMAT_VERSION = 1
@@ -125,29 +125,25 @@ class Wallet:
     def create_identity(
         self, sign_key: crypto.KeyPair, agree_key: crypto.KeyPair, method: str,
         endpoints: tuple[ServiceEndpoint, ...] = (), registry: Registry | None = None,
-        hint: str = "",
     ) -> DidDocument:
-        """Make my DID and genesis document from the keys passed in.
+        """Make my genesis document from the keys passed in, and my DID from its body.
 
         A reg identity is registered, signed by its own key, before the wallet
         takes the keys and the document; a RegistryError leaves it unchanged.
         """
         if self.documents:
             raise WalletError("wallet already holds an identity")
+        if method not in (METHOD_PEER, METHOD_REG):
+            raise WalletError(f"unknown did method {method!r}")
         keys = (
             PublicKeyEntry(sign_key.key_id, crypto.PURPOSE_SIGN, sign_key.public),
             PublicKeyEntry(agree_key.key_id, crypto.PURPOSE_AGREE, agree_key.public),
         )
-        if method == METHOD_PEER:
-            _, doc = generate_peer_did(keys, endpoints)
-        elif method == METHOD_REG:
+        doc = DidDocument.from_body(DocumentBody(keys, endpoints), method)
+        if method == METHOD_REG:
             if registry is None:
                 raise WalletError("a reg identity needs a registry")
-            did = registered_did_for(sign_key.public, hint)
-            doc = DidDocument(id=did, public_keys=keys, service_endpoints=endpoints)
             registry.register(doc, sign_key)
-        else:
-            raise WalletError(f"unknown did method {method!r}")
         self.put_key(sign_key)
         self.put_key(agree_key)
         self.put_document(doc)

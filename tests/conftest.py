@@ -12,13 +12,13 @@ from tinyssi.handshake import OwnerMatch, SessionConfig
 from tinyssi.identity import (
     Did,
     DidDocument,
+    DocumentBody,
     PublicKeyEntry,
     ServiceEndpoint,
     format_did,
-    generate_peer_did,
     rotate_key,
 )
-from tinyssi.resolver import Registry, Resolver, registered_did_for
+from tinyssi.resolver import Registry, Resolver
 
 NOW = 1_700_000_000
 MONTH = 30 * 24 * 3600
@@ -44,15 +44,12 @@ def build_actor(name: str, seed: int, registry: Registry, method: str = "peer") 
         PublicKeyEntry(agree_key.key_id, crypto.PURPOSE_AGREE, agree_key.public),
     )
     endpoints = (ServiceEndpoint("ep-1", "sim-link", f"sim-link://{name}"),)
-    if method == "peer":
-        did, document = generate_peer_did(keys, endpoints)
-    else:
-        did = registered_did_for(sign_key.public, name)
-        document = DidDocument(id=did, public_keys=keys, service_endpoints=endpoints)
+    document = DidDocument.from_body(DocumentBody(keys, endpoints), method)
+    if method == "reg":
         registry.register(document, sign_key)
     return Actor(
         name=name,
-        did=did,
+        did=document.id,
         document=document,
         sign_key=sign_key,
         agree_key=agree_key,
@@ -106,7 +103,7 @@ def household():
 # Ways to tamper with a registry snapshot, each of which loading must refuse.
 TAMPERINGS = (
     "swapped-document", "bad-signature", "unparsable-document", "zero-signed-genesis",
-    "genesis-replayed", "filed-under-another-did",
+    "genesis-replayed", "filed-under-another-did", "self-signed-genesis",
 )
 
 
@@ -140,10 +137,12 @@ def tampered_snapshot(how: str) -> tuple[bytes, Did]:
         latest["signature"] = signature.hex()
     elif how == "unparsable-document":
         latest["document"] = b"{}".hex()
-    elif how == "zero-signed-genesis":
-        # One record: the attacker's document under the DID, signed by nobody.
-        doc = DidDocument(did, attacker_keys)
-        history[:] = [{"document": doc.to_bytes().hex(), "signature": bytes(64).hex(),
+    elif how in ("zero-signed-genesis", "self-signed-genesis"):
+        # One record: the attacker's document under the DID, signed by nobody or by
+        # the attacker's own key, which that genesis lists.
+        doc = DidDocument(did, attacker_keys).to_bytes()
+        signature = bytes(64) if how == "zero-signed-genesis" else crypto.sign(attacker, doc)
+        history[:] = [{"document": doc.hex(), "signature": signature.hex(),
                        "signed_by": attacker.key_id, "version": 1}]
     elif how == "genesis-replayed":
         # A valid record again, after a later version.

@@ -22,11 +22,12 @@ from tinyssi.credentials import (
 )
 from tinyssi.identity import (
     DidDocument,
+    DocumentBody,
     PublicKeyEntry,
     generate_peer_did,
     rotate_key,
 )
-from tinyssi.resolver import Registry, Resolver, registered_did_for
+from tinyssi.resolver import Registry, Resolver
 
 NOW = 1_700_000_000
 MONTH = 30 * 24 * 3600
@@ -38,14 +39,12 @@ def make_issuer(seed: int = 1, method: str = "peer"):
     entry = PublicKeyEntry(sign_kp.key_id, crypto.PURPOSE_SIGN, sign_kp.public)
     registry = Registry()
     resolver = Resolver(registry)
+    doc = DidDocument.from_body(DocumentBody((entry,)), method)
     if method == "peer":
-        did, doc = generate_peer_did((entry,))
-        resolver.store_peer(did, doc)
+        resolver.store_peer(doc.id, doc)
     else:
-        did = registered_did_for(sign_kp.public, f"issuer-{seed}")
-        doc = DidDocument(id=did, public_keys=(entry,))
         registry.register(doc, sign_kp)
-    return sign_kp, did, doc, resolver, registry
+    return sign_kp, doc.id, doc, resolver, registry
 
 
 def rotate_issuer(sign_kp, doc, registry, now):

@@ -957,11 +957,12 @@ class TestLayer2:
         assert disclosed_names == {"owner"}
 
     def test_one_sided_exchange(self, household):
-        # Initiator discloses nothing and trusts anyone; the responder still
-        # presents on request, so the initiator's policy could check it.
+        # Initiator holds no credential, so it discloses nothing; the responder
+        # trusts anyone and still presents on request, so the initiator's
+        # policy could check it.
         alice, camera, lock = household
         cfg_i = owner_match_config(camera, alice, 700)
-        cfg_i.disclose = ()
+        cfg_i.credentials = ()
         cfg_r = owner_match_config(lock, alice, 701)
         cfg_r.policy = AlwaysTrust()
         session_i, session_r, _ = run_direct(cfg_i, cfg_r)

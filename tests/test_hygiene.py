@@ -21,6 +21,10 @@ holds no per-session state, which lives in the session that uses it. Only
 `ClaimOpening.commitment` calls `commitment_hash`, so the commitment rule is
 written once. Only `Resolver.store_peer` calls `verify_peer_document`: a peer
 document is checked once, where it enters the store, not again on resolve.
+
+One rule makes a DID of any method: only `DocumentBody.derive_did` (the digest
+of a genesis body) and `Did.from_wire` (the id read off the wire) call
+`base58_encode`.
 """
 
 import ast
@@ -243,4 +247,26 @@ def test_checker_flags_a_peer_document_check_on_resolve():
     )
     assert callers_of(source, "verify_peer_document") == {
         "Resolver.store_peer", "Resolver._resolve_peer",
+    }
+
+
+def test_one_rule_derives_every_did():
+    callers = {
+        (module, scope)
+        for module in MODULES
+        for scope in callers_of((PACKAGE / module).read_text(encoding="utf-8"), "base58_encode")
+    }
+    assert callers == {("identity.py", "DocumentBody.derive_did"), ("identity.py", "Did.from_wire")}
+
+
+def test_checker_flags_a_second_did_rule():
+    source = (
+        "def registered_did_for(public, hint=''):\n"
+        "    return Did('reg', base58_encode(crypto.digest(public + hint.encode())))\n"
+        "class DocumentBody:\n"
+        "    def derive_did(self, method):\n"
+        "        return Did(method, encoding.base58_encode(crypto.digest(self.to_bytes())))\n"
+    )
+    assert callers_of(source, "base58_encode") == {
+        "registered_did_for", "DocumentBody.derive_did",
     }

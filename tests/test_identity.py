@@ -1,6 +1,7 @@
 """DID syntax, peer-method generation, canonical documents, key rotation."""
 
 import hashlib
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from tinyssi import crypto
 from tinyssi.encoding import canonical_bytes
 from tinyssi.identity import (
+    METHOD_PEER,
+    METHOD_REG,
     Did,
     DidDocument,
     DidError,
@@ -136,6 +139,23 @@ class TestPeerDid:
     def test_zero_keys_rejected(self):
         with pytest.raises(DidError):
             generate_peer_did(())
+
+    def test_reg_genesis_of_the_same_body_differs_only_in_method(self):
+        # One rule derives every DID: a reg genesis has its peer twin's id.
+        _, peer = generate_peer_did((_key_entry(1), _key_entry(2, "agree")))
+        reg = DidDocument.from_body(peer.body(), METHOD_REG)
+        assert (peer.id.method, reg.id.method) == (METHOD_PEER, METHOD_REG)
+        assert reg.id.id == peer.id.id
+        assert reg.id.to_wire()[1:] == peer.id.to_wire()[1:]
+        assert replace(reg, id=peer.id) == peer
+        assert reg.certifies_its_id() and peer.certifies_its_id()
+        assert not verify_peer_document(reg.id, reg)  # a peer document has a peer DID
+
+    def test_only_a_genesis_certifies_its_id(self):
+        _, doc = generate_peer_did((_key_entry(1),))
+        rotated = rotate_key(doc, doc.public_keys[0].key_id, _key_entry(3), now=5)
+        assert doc.certifies_its_id() and not rotated.certifies_its_id()
+        assert not replace(doc, id=Did(METHOD_PEER, "11z")).certifies_its_id()
 
     def test_inserting_id_yields_final_document(self):
         did, doc = generate_peer_did((_key_entry(1),))

@@ -46,7 +46,7 @@ from tinyssi.encoding import (
     unpack,
 )
 from tinyssi.handshake import (
-    _BODIES,
+    _ACCEPTS,
     Auth,
     CredPresent,
     CredRequest,
@@ -254,7 +254,7 @@ def travelling_records() -> list[str]:
     """The names of every record a handshake message carries: each body record
     and, field by field, every record nested in it. A type whose wire form is
     no record (a DID) is a leaf."""
-    seen, todo = set(), [*_BODIES.values(), Error]
+    seen, todo = set(), [*(tp for bodies in _ACCEPTS.values() for tp in bodies.values()), Error]
     while todo:
         tp = todo.pop()
         form = getattr(tp, "wire_form", tp)
@@ -330,11 +330,13 @@ def test_wallet_payload_and_registry_snapshot_round_trip(doc, vc, key_pairs):
     )
     payload = wallet._payload()
     assert Wallet._from_payload(from_canonical(canonical_bytes(payload)))._payload() == payload
-    # A genesis the registry accepts: the drawn document plus a key that signs it.
+    # A genesis the registry accepts: the drawn document's body plus a key that
+    # signs it, under the reg DID that body derives.
     controller = crypto.keygen(crypto.PURPOSE_SIGN, seed=bytes(32), key_id="controller")
     entry = PublicKeyEntry(controller.key_id, crypto.PURPOSE_SIGN, controller.public)
+    body = replace(doc.body(), public_keys=doc.public_keys + (entry,))
     registry = Registry()
-    registry.register(replace(doc, public_keys=doc.public_keys + (entry,)), controller)
+    registry.register(DidDocument.from_body(body, METHOD_REG), controller)
     assert Registry.from_snapshot(registry.snapshot()).snapshot() == registry.snapshot()
 
 
@@ -551,14 +553,15 @@ def test_a_peer_hello_travels_without_either_did():
     assert pack(HELLO) == b"\x84\xf6" + body + KEY_SHARE
     assert unpack(Hello, pack(HELLO)) == HELLO
     # The reader derives the document, and with it the DID, from the body.
-    assert DidDocument.from_body(unpack(DocumentBody, body)) == PEER_DOCUMENT
+    assert DidDocument.from_body(unpack(DocumentBody, body), METHOD_PEER) == PEER_DOCUMENT
 
 
 def test_a_substituted_key_derives_another_did():
     key = PublicKeyEntry("k1", crypto.PURPOSE_SIGN, b"\x01" * 32)
     forged = replace(HELLO, document=replace(HELLO.document, public_keys=(key,)))
     read = unpack(Hello, pack(forged))
-    assert DidDocument.from_body(read.document).id == generate_peer_did([key])[0] != PEER_DID
+    did = DidDocument.from_body(read.document, METHOD_PEER).id
+    assert did == generate_peer_did([key])[0] != PEER_DID
 
 
 def test_only_a_peer_document_travels():

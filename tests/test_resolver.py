@@ -9,7 +9,9 @@ from conftest import TAMPERINGS, rotated_registry, tampered_snapshot
 from tinyssi import crypto
 from tinyssi.identity import (
     Did,
+    METHOD_REG,
     DidDocument,
+    DocumentBody,
     PublicKeyEntry,
     generate_peer_did,
     rotate_key,
@@ -21,24 +23,24 @@ from tinyssi.resolver import (
     RegistryError,
     Resolver,
     UnsupportedDidMethod,
-    registered_did_for,
 )
 
 
 def reg_identity(seed: int = 1):
     kp = crypto.keygen(crypto.PURPOSE_SIGN, seed=seed.to_bytes(32, "big"))
     entry = PublicKeyEntry(kp.key_id, crypto.PURPOSE_SIGN, kp.public)
-    did = registered_did_for(kp.public, f"actor-{seed}")
-    doc = DidDocument(id=did, public_keys=(entry,))
-    return kp, did, doc
+    doc = DidDocument.from_body(DocumentBody((entry,)), METHOD_REG)
+    return kp, doc.id, doc
 
 
 def reg_identity_with_agreement_key(seed: int = 1):
-    """A reg identity whose document also lists an agreement key."""
-    kp, did, doc = reg_identity(seed)
+    """A reg identity whose document also lists an agreement key: a genesis of its
+    own, so its DID is derived from the longer key list."""
+    kp, _, doc = reg_identity(seed)
     agree = crypto.keygen(crypto.PURPOSE_AGREE, seed=(seed + 100).to_bytes(32, "big"))
     entry = PublicKeyEntry(agree.key_id, crypto.PURPOSE_AGREE, agree.public)
-    return kp, agree, did, replace(doc, public_keys=doc.public_keys + (entry,))
+    genesis = DidDocument.from_body(DocumentBody(doc.public_keys + (entry,)), METHOD_REG)
+    return kp, agree, genesis.id, genesis
 
 
 def peer_identity(seed: int = 2):
@@ -106,6 +108,30 @@ class TestRegistry:
         assert registry.snapshot() == Registry().snapshot()
         registry.register(doc, kp)
 
+    @pytest.mark.parametrize("claimed", ["another-did", "arbitrary-id", "later-version-first"])
+    def test_genesis_not_derived_from_its_body_is_refused_before_signing(
+        self, claimed, monkeypatch
+    ):
+        registry = Registry()
+        kp, _, doc = reg_identity()
+        new_kp = crypto.keygen(crypto.PURPOSE_SIGN, seed=bytes(31) + b"\x09")
+        new_entry = PublicKeyEntry(new_kp.key_id, crypto.PURPOSE_SIGN, new_kp.public)
+        # Each genesis is signed by a signing key it lists; only its id is wrong.
+        genesis, signer = {
+            "another-did": (replace(doc, id=reg_identity(2)[1]), kp),
+            "arbitrary-id": (replace(doc, id=Did("reg", "11z")), kp),
+            "later-version-first": (rotate_key(doc, kp.key_id, new_entry, now=5), new_kp),
+        }[claimed]
+
+        def refuse_to_sign(*_):
+            raise AssertionError("signed a genesis the registry refuses")
+
+        monkeypatch.setattr(crypto, "sign", refuse_to_sign)
+        with pytest.raises(RegistryError, match="does not derive"):
+            registry.register(genesis, signer)
+        assert registry.write_count == 0
+        assert registry.snapshot() == Registry().snapshot()
+
     def test_update_signed_by_agreement_key_of_previous_version_rejected(self):
         registry = Registry()
         kp, agree, did, doc = reg_identity_with_agreement_key()
@@ -155,6 +181,13 @@ class TestSnapshotCheck:
     def test_tampered_snapshot_is_refused_on_load(self, how):
         raw, _ = tampered_snapshot(how)
         with pytest.raises(RegistryError, match="bad registry snapshot"):
+            Registry.from_snapshot(raw)
+
+    def test_self_signed_genesis_of_another_key_is_refused_by_its_binding(self):
+        # Its signature verifies against the key it lists: only the DID, derived
+        # from another body, gives it away.
+        raw, did = tampered_snapshot("self-signed-genesis")
+        with pytest.raises(RegistryError, match=f"genesis body does not derive {did}"):
             Registry.from_snapshot(raw)
 
 

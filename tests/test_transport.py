@@ -18,7 +18,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from tinyssi.transport import (
     DeliveryError,
-    DeliveryReport,
     FLAG_ACK,
     FLAG_BATCH,
     Frame,
@@ -46,14 +45,20 @@ def batch_payload(*entries: bytes) -> bytes:
     return b"".join(len(e).to_bytes(2, "big") + e for e in entries)
 
 
-def deliver(sender: Messenger, *messages: bytes) -> DeliveryReport:
-    """Send, then tick the link until the send ends; raise its DeliveryError if it gave up."""
-    report = sender.send(*messages)
+def deliver(sender: Messenger, *messages: bytes) -> int:
+    """Send, then tick the link until the send ends; raise its DeliveryError if it gave up.
+    Returns the message's fragment count, as send() does."""
+    fragments = sender.send(*messages)
     while not sender.idle:
         sender.link.tick()
     if sender.failure is not None:
         raise sender.failure
-    return report
+    return fragments
+
+
+def data_frames(link, src: str = "A") -> int:
+    """The data frames `src` put on the link, as the link's trace logs them."""
+    return sum(e.kind == "data" and e.src == src for e in link.trace)
 
 
 def drain(messenger: Messenger) -> list[bytes]:
@@ -252,10 +257,8 @@ class TestReliableDelivery:
         link = make_link("lora", seed=1)
         sender = Messenger(link, "A")
         Messenger(link, "B")
-        report = deliver(sender, bytes(500))
-        assert report.retransmissions == 0
-        assert report.fragments == 3
-        assert report.frames_sent == 3
+        assert deliver(sender, bytes(500)) == 3
+        assert data_frames(link) == 3  # no retransmissions
 
     def test_message_arrives_intact(self):
         link = make_link("ble", seed=2)
@@ -279,25 +282,25 @@ class TestReliableDelivery:
         link = make_link("lora", loss=1.0, seed=1)
         sender = Messenger(link, "A")
         Messenger(link, "B")
-        report = sender.send(bytes(300), b"x")  # one batch, two LoRa fragments
+        fragments = sender.send(bytes(300), b"x")  # one batch, two LoRa fragments
         while not sender.idle:
             link.tick()
         assert isinstance(sender.failure, DeliveryError)
-        assert report.fragments == 2
-        assert report.frames_sent == len(link.trace) == 2 * (1 + RETRY_LIMIT)
-        assert report.retransmissions == 2 * RETRY_LIMIT
+        assert fragments == 2
+        assert data_frames(link) == len(link.trace) == 2 * (1 + RETRY_LIMIT)
+        assert data_frames(link) - fragments == 2 * RETRY_LIMIT
 
     def test_lossy_link_deterministic_reports(self):
         def run():
             link = make_link("lora", loss=0.1, seed=42)
             sender = Messenger(link, "A")
             receiver = Messenger(link, "B")
-            report = deliver(sender, bytes(1000))
-            return report, link.trace_lines(), receiver.receive()
+            fragments = deliver(sender, bytes(1000))
+            return fragments, link.trace_lines(), receiver.receive()
 
-        first_report, first_trace, first_msg = run()
-        second_report, second_trace, second_msg = run()
-        assert first_report == second_report
+        first_fragments, first_trace, first_msg = run()
+        second_fragments, second_trace, second_msg = run()
+        assert first_fragments == second_fragments
         assert first_trace == second_trace
         assert first_msg == second_msg == bytes(1000)
 
@@ -305,9 +308,9 @@ class TestReliableDelivery:
         link = make_link("lora", loss=0.3, seed=7)
         sender = Messenger(link, "A")
         receiver = Messenger(link, "B")
-        report = deliver(sender, bytes(600))
+        fragments = deliver(sender, bytes(600))
         assert receiver.receive() == bytes(600)
-        assert report.retransmissions > 0
+        assert data_frames(link) > fragments  # some went out again
 
     def test_reordering_survived(self):
         link = make_link("ble", reorder=0.5, seed=5)
@@ -368,11 +371,9 @@ class TestNonBlockingSend:
         link = make_link("lora", seed=1)
         sender = Messenger(link, "A")
         receiver = Messenger(link, "B")
-        report = sender.send(bytes(500))
+        assert sender.send(bytes(500)) == 3
         assert link.now == 0 and not sender.idle
         assert [e.frag_index for e in link.trace] == [0, 1, 2]
-        assert report == DeliveryReport(frames_sent=3, fragments=3)
-        assert report.retransmissions == 0
         link.tick()
         assert receiver.receive() == bytes(500) and not sender.idle  # the ACK is on its way
         link.tick()
@@ -409,11 +410,11 @@ class TestNonBlockingSend:
         link = make_link("lora", loss=1.0, seed=1)
         sender = Messenger(link, "A")
         Messenger(link, "B")
-        report = sender.send(b"doomed")
+        sender.send(b"doomed")
         while not sender.idle:
             link.tick()  # nothing raises out of tick()
         assert isinstance(sender.failure, DeliveryError)
-        assert report.retransmissions == RETRY_LIMIT
+        assert data_frames(link) == 1 + RETRY_LIMIT
         sender.send(b"again")
         assert sender.failure is None
 
@@ -433,8 +434,8 @@ class TestBatch:
             transmit(src, frame)
 
         link.transmit = recording_transmit
-        report = deliver(sender, *messages)
-        return frames, report, drain(receiver), link
+        fragments = deliver(sender, *messages)
+        return frames, fragments, drain(receiver), link
 
     def test_one_message_travels_unbatched(self):
         frames, _, received, _ = self._sent_frames(b"abc")
@@ -450,12 +451,12 @@ class TestBatch:
 
     def test_batch_is_one_message_with_one_timer(self):
         messages = [Random(i).randbytes(size) for i, size in enumerate((37, 376, 300))]
-        frames, report, received, link = self._sent_frames(*messages)
+        frames, fragments, received, link = self._sent_frames(*messages)
         assert received == messages
         assert {f.message_id for f in frames} == {1}
         assert all(f.flags & FLAG_BATCH for f in frames)
         # 3 * 2 B of lengths + 713 B of messages: 4 LoRa fragments, one round trip.
-        assert report.fragments == len(frames) == math.ceil(719 / 214) == 4
+        assert fragments == len(frames) == math.ceil(719 / 214) == 4
         assert link.now == link.round_trip_ticks
 
     @pytest.mark.parametrize(
@@ -519,8 +520,7 @@ class TestAckTimeout:
         sender = Messenger(link, "A")
         receiver = Messenger(link, "B")
         message = Random(fragments).randbytes(fragments * (link.profile.mtu - HEADER_LEN))
-        report = deliver(sender, message)
-        assert report.fragments == report.frames_sent == fragments
+        assert deliver(sender, message) == data_frames(link) == fragments
         assert receiver.receive() == message
         assert link.now == link.round_trip_ticks
 
@@ -538,9 +538,10 @@ class TestAckTimeout:
 
         link.transmit = lose_first_copy_of_fragment_1
         message = Random(2).randbytes(600)  # three LoRa fragments
-        report = deliver(sender, message)
+        assert deliver(sender, message) == 3
         assert receiver.receive() == message
-        assert report.retransmissions == 1
+        # The lost copy never reached the trace; the one after it did.
+        assert [f.frag_index for f in lost] == [1]
         round_trip = link.round_trip_ticks
         data = [(e.tick, e.frag_index) for e in link.trace if e.kind == "data"]
         assert data == [(0, 0), (0, 2), (round_trip, 1)]
@@ -572,9 +573,9 @@ class TestAckTimeout:
         receiver = Messenger(link, "B")
         message = Random(seed).randbytes(size)
         try:
-            report = deliver(sender, message)
+            fragments = deliver(sender, message)
         except DeliveryError:
-            report = None
+            fragments = None
         received = receiver.receive()
         data = [e for e in link.trace if e.kind == "data"]
         acks = [e for e in link.trace if e.kind == "ack"]
@@ -596,14 +597,13 @@ class TestAckTimeout:
                     assert before[index].dropped or index not in acked
                 else:
                     assert index in acked
-        if report is None:
+        if fragments is None:
             assert len(sent) == 1 + RETRY_LIMIT
             assert received in (None, message)
         else:
             assert received == message
-            assert report.retransmissions == len(data) - report.fragments
             if loss == 0.0:
-                assert report.retransmissions == 0
+                assert len(data) == fragments  # no retransmissions
 
     def test_lossless_send_draws_exactly_one_ack(self):
         link = make_link("lora", seed=1)
@@ -611,8 +611,7 @@ class TestAckTimeout:
         receiver = Messenger(link, "B")
         for fragments in range(1, 6):
             message = Random(fragments).randbytes(fragments * (link.profile.mtu - HEADER_LEN))
-            report = deliver(sender, message)
-            assert report.fragments == fragments
+            assert deliver(sender, message) == fragments
             assert receiver.receive() == message
             acks = [e for e in link.trace if e.kind == "ack" and e.message_id == fragments]
             assert [(a.acked, a.length) for a in acks] == [(tuple(range(fragments)), 9)]
@@ -737,7 +736,7 @@ class TestMalformedPackets:
 
         link.transmit = lose_first_round
         message = Random(5).randbytes(100)
-        report = a.send(message)
+        a.send(message)
         for frame in prelude:
             transmit("B", frame)
         transmit("B", trailer, make_ack(lost[0].message_id, 1, 1))
@@ -747,7 +746,7 @@ class TestMalformedPackets:
         while not a.idle:
             link.tick()
         assert a.failure is None and b.receive() == message
-        assert report.retransmissions == 1
+        assert len(lost) == data_frames(link) == 1  # the lost round, then one more
         assert a.receive() is None
         return link
 
@@ -782,8 +781,9 @@ class TestMessageIds:
             deliver(sender, message)
             assert receiver.receive() == message
         link._next_message_id = 0  # the next send reuses the first message's id
-        report = deliver(sender, b"third")
-        assert report.frames_sent == 1
+        before = data_frames(link)
+        assert deliver(sender, b"third") == 1
+        assert data_frames(link) - before == 1
         assert receiver.receive() == b"third"
 
     def test_state_stays_bounded_over_many_messages(self):
@@ -962,9 +962,9 @@ class TestAckDefects:
 
         link.transmit = lose_first_round_and_inject
         message = Random(count).randbytes(count * (link.profile.mtu - HEADER_LEN))
-        report = deliver(sender, message)  # nothing raises out of tick()
+        deliver(sender, message)  # nothing raises out of tick()
         assert receiver.receive() == message
-        assert report.retransmissions == count  # every fragment went out again
+        assert len(first_round) == data_frames(link) == count  # every fragment went out again
         assert link.malformed_frames == (0 if defect == "other-id" else 1)
 
     @settings(max_examples=150, deadline=None)
@@ -991,13 +991,14 @@ class TestAckDefects:
 
         link.transmit = lose_first_round
         message = Random(count).randbytes(count * (link.profile.mtu - HEADER_LEN))
-        report = sender.send(message)
+        sender.send(message)
         defective = self._defective_ack(defect, first_round[0].message_id, count, n)
         transmit("B", Frame(0, 0x7777, 0, 1, b"rider"), defective)
         while not sender.idle:
             link.tick()
         assert sender.failure is None and receiver.receive() == message
-        assert report.retransmissions == count  # the ACK acknowledged nothing
+        # The ACK acknowledged nothing: every fragment went out again.
+        assert len(first_round) == data_frames(link) == count
         dropped = defect != "other-id"  # an ACK for another id is ignored, its packet kept
         assert link.malformed_frames == int(dropped)
         assert sender.receive() == (None if dropped else b"rider")

@@ -218,9 +218,10 @@ class TestIdentityLifecycle:
         registry = Registry()
         sign_key, agree_key = _keys(1)
         w = Wallet()
-        doc = w.create_identity(sign_key, agree_key, method, ENDPOINTS, registry, hint="device")
+        doc = w.create_identity(sign_key, agree_key, method, ENDPOINTS, registry)
         assert w.owner_did == doc.id
         assert doc.id.method == method
+        assert doc.certifies_its_id()  # the DID is derived from the genesis body
         assert w.current_document == doc
         assert w.current_sign_key() == sign_key
         assert w.keys == {sign_key.key_id: sign_key, agree_key.key_id: agree_key}
@@ -246,7 +247,7 @@ class TestIdentityLifecycle:
         old_key, agree_key = _keys(1)
         new_key, _ = _keys(7)
         w = Wallet()
-        w.create_identity(old_key, agree_key, METHOD_REG, ENDPOINTS, registry, hint="device")
+        w.create_identity(old_key, agree_key, METHOD_REG, ENDPOINTS, registry)
         rotated = w.rotate_sign_key(new_key, now=1234, registry=registry)
         assert registry.lookup(w.owner_did) == rotated == w.current_document
         assert rotated.version == 2
@@ -272,7 +273,7 @@ class TestIdentityLifecycle:
         registry = Registry()
         sign_key, agree_key = _keys(1)
         w = Wallet()
-        doc = w.create_identity(sign_key, agree_key, METHOD_REG, ENDPOINTS, registry, hint="d")
+        doc = w.create_identity(sign_key, agree_key, METHOD_REG, ENDPOINTS, registry)
         registry.register(replace(doc, version=5), sign_key)
         keys, documents = dict(w.keys), list(w.documents)
         with pytest.raises(RegistryError):
@@ -284,9 +285,9 @@ class TestIdentityLifecycle:
     def test_refused_registration_leaves_wallet_empty(self):
         registry = Registry()
         sign_key, agree_key = _keys(1)
-        Wallet().create_identity(sign_key, agree_key, METHOD_REG, ENDPOINTS, registry, hint="d")
+        Wallet().create_identity(sign_key, agree_key, METHOD_REG, ENDPOINTS, registry)
         w = Wallet()
         with pytest.raises(RegistryError):
-            w.create_identity(sign_key, agree_key, METHOD_REG, ENDPOINTS, registry, hint="d")
+            w.create_identity(sign_key, agree_key, METHOD_REG, ENDPOINTS, registry)
         assert w.owner_did is None
         assert w.keys == {} and w.documents == []
