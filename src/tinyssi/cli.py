@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 ok, 2 validation problem, 3 verification failure, 4 transport
-failure. Failures print a machine-readable error object to stdout.
+failure, 5 stdout closed before the output was written. Failures print a
+machine-readable error object to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -46,6 +48,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_VERIFICATION = 3
 EXIT_TRANSPORT = 4
+EXIT_OUTPUT_CLOSED = 5
 
 
 def _emit(payload) -> None:
@@ -368,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keygen", help="generate a keypair")
-    p.add_argument("--purpose", choices=[crypto.PURPOSE_SIGN, crypto.PURPOSE_AGREE],
+    p.add_argument("--purpose", choices=crypto.PURPOSES,
                    default=crypto.PURPOSE_SIGN)
     p.add_argument("--seed", help="32-byte hex seed for deterministic output")
     p.set_defaults(func=cmd_keygen)
@@ -465,7 +468,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`). Point it at devnull, so that the
+        # flush at exit finds nothing to write to the closed pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OUTPUT_CLOSED
+
+
+def _run(args) -> int:
+    """Run a command; each failure it may meet becomes its exit code."""
+    try:
         return args.func(args)
+    except BrokenPipeError:
+        raise  # an OSError, but of stdout rather than of a file: main's to handle
     except wallet_mod.WalletError as exc:  # a wrong passphrase too
         return _fail(EXIT_VERIFICATION, str(exc))
     except TransportError as exc:  # a message the transport cannot carry

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from . import crypto
 from .encoding import Record, canonical_bytes, encode
-from .identity import Did
+from .identity import Did, DidError
 from .resolver import ResolutionError, Resolver
 
 # Stable verdict reasons, also surfaced through the CLI.
@@ -63,6 +63,24 @@ def _check_length(what: str, raw: bytes, expected: int) -> None:
         raise CredentialError(f"{what} must be {expected} bytes, got {len(raw)}")
 
 
+def _did_wire(value: str) -> bytes | None:
+    """The wire bytes of a value that is the text of a DID with a wire form, else None.
+    Its id is base58, which the raw id gives back exactly, so the text round-trips."""
+    try:
+        return Did.from_text(value).to_wire()
+    except DidError:
+        return None
+
+
+@dataclass(frozen=True)
+class _OpeningWire:
+    """A ClaimOpening as it travels: a DID value as its wire bytes, other text as text."""
+
+    name: str
+    value: bytes | str
+    salt: bytes
+
+
 @dataclass(frozen=True)
 class ClaimOpening(_Record):
     """Holder-side secret that opens one commitment."""
@@ -73,6 +91,22 @@ class ClaimOpening(_Record):
 
     def __post_init__(self) -> None:
         _check_length("salt", self.salt, crypto.SALT_LEN)
+
+    wire_form = _OpeningWire
+
+    def to_wire(self) -> _OpeningWire:
+        return _OpeningWire(self.name, _did_wire(self.value) or self.value, self.salt)
+
+    @classmethod
+    def from_wire(cls, wire: _OpeningWire) -> "ClaimOpening":
+        """The opening a wire opening names: bytes are a DID's wire form (else DidError),
+        and text that a DID's wire form would carry is refused, so each opening has one
+        wire form."""
+        if isinstance(wire.value, bytes):
+            return cls(wire.name, str(Did.from_wire(wire.value)), wire.salt)
+        if _did_wire(wire.value) is not None:
+            raise CredentialError(f"DID value {wire.value!r} must travel as its wire bytes")
+        return cls(wire.name, wire.value, wire.salt)
 
     def commitment(self) -> "Commitment":
         """The commitment this opening opens."""

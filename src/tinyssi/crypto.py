@@ -44,6 +44,8 @@ SALT_LEN = 16
 
 PURPOSE_SIGN = "sign"
 PURPOSE_AGREE = "agree"
+# Every purpose, in the order whose index names it on the wire.
+PURPOSES = (PURPOSE_SIGN, PURPOSE_AGREE)
 
 ROLE_INITIATOR = "initiator"
 ROLE_RESPONDER = "responder"
@@ -74,7 +76,7 @@ class KeyPair:
     secret: bytes
 
     def __post_init__(self) -> None:
-        if self.purpose not in (PURPOSE_SIGN, PURPOSE_AGREE):
+        if self.purpose not in PURPOSES:
             raise CryptoError(f"unknown key purpose {self.purpose!r}")
         if len(self.public) != KEY_LEN or len(self.secret) != KEY_LEN:
             raise CryptoError("public and secret keys must be 32 bytes")
@@ -100,6 +102,12 @@ def digest(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+def default_key_id(purpose: str, public: bytes) -> str:
+    """The id of a key whose maker names none: its purpose and a 4-byte digest prefix,
+    so a reader that holds the key derives it."""
+    return f"{purpose}-{digest(public)[:4].hex()}"
+
+
 def keygen(purpose: str, seed: bytes | None = None, key_id: str | None = None) -> KeyPair:
     """Generate a keypair; a fixed 32-byte seed gives a deterministic pair."""
     if seed is not None and len(seed) != KEY_LEN:
@@ -116,7 +124,7 @@ def keygen(purpose: str, seed: bytes | None = None, key_id: str | None = None) -
     else:
         raise CryptoError(f"unknown key purpose {purpose!r}")
     if key_id is None:
-        key_id = f"{purpose}-{digest(public)[:4].hex()}"
+        key_id = default_key_id(purpose, public)
     return KeyPair(key_id=key_id, purpose=purpose, public=public, secret=secret)
 
 

@@ -12,13 +12,14 @@ negative integers, byte strings, text, arrays, and false, true and null. A
 record is an array of its fields in declared order, with no names; bytes
 travel raw as a byte string. A type with a `from_wire` constructor travels as
 its `wire_form`: `to_wire` gives that value and `from_wire` takes it back. Its
-one user is the DID, a byte string of its method byte and raw id. Integers
-and lengths take the shortest head. `from_cbor` accepts exactly these bytes
-and refuses the rest of CBOR: maps, tags, floats and every other simple
-value, indefinite lengths, trailing bytes and invalid UTF-8; `read_uint`
-reads one unsigned integer's head at the front of longer bytes. `cbor_bytes`
-likewise refuses a dict or a float, so a record with such a field (a
-scenario file's) has no wire form.
+users are the DID (a byte string of its method byte and raw id), a document's
+public key and a credential's claim opening (each a record that leaves out or
+shortens what its reader derives). Integers and lengths take the shortest
+head. `from_cbor` accepts exactly these bytes and refuses the rest of CBOR:
+maps, tags, floats and every other simple value, indefinite lengths,
+trailing bytes and invalid UTF-8; `read_uint` reads one unsigned integer's
+head at the front of longer bytes. `cbor_bytes` likewise refuses a dict or
+a float, so a record with such a field (a scenario file's) has no wire form.
 
 Records (dataclasses: documents, credentials, wallet and registry contents,
 handshake messages) map to both forms through their fields alone, by one plan

@@ -28,6 +28,12 @@ ignores whatever arrives.
 The wire leaves out what its reader can derive (as SCHC does, RFC 8724):
 - A document travels as the body its peer DID is the digest of, so the
   reader derives the DID and the decoded body gives back its canonical bytes.
+- A key travels with null for its id when the id is the default
+  (`crypto.default_key_id` of its purpose and public key), and with its
+  purpose as an index into `crypto.PURPOSES`. AUTH and proofs keep their
+  key ids, which the resolver needs to detect a stale `reg` document.
+- A disclosed claim value that is DID text of a method with a wire form
+  travels as that DID's wire bytes; the reader writes its text back.
 - A presentation travels as a PresentationWire: its credential without the
   subject, which holder binding makes the authenticated peer, and with null
   for each commitment a disclosed opening opens, the digest of that opening.

@@ -7,7 +7,9 @@ its id is the digest of the canonical genesis body (the document without its
 id), so two devices can exchange peer documents directly with no registry,
 and a registry can check that a genesis belongs to its DID. A document
 travels as a DocumentBody, which holds the document invariants, and the
-receiver derives the document and its DID with `DidDocument.from_body`.
+receiver derives the document and its DID with `DidDocument.from_body`. A
+key's default id (`crypto.default_key_id`) does not travel: the receiver
+derives it from the key.
 """
 
 from __future__ import annotations
@@ -92,15 +94,45 @@ def _check_key_length(public: bytes) -> None:
 
 
 @dataclass(frozen=True)
+class _KeyWire:
+    """A PublicKeyEntry as it travels: its id, or None when it is the default id
+    the reader derives, and its purpose's index in crypto.PURPOSES."""
+
+    key_id: str | None
+    purpose: int
+    public: bytes
+
+
+@dataclass(frozen=True)
 class PublicKeyEntry(_Record):
     key_id: str
     purpose: str
     public: bytes
 
     def __post_init__(self) -> None:
-        if self.purpose not in (crypto.PURPOSE_SIGN, crypto.PURPOSE_AGREE):
+        if self.purpose not in crypto.PURPOSES:
             raise DidError(f"unknown key purpose {self.purpose!r}")
         _check_key_length(self.public)
+
+    wire_form = _KeyWire
+
+    def to_wire(self) -> _KeyWire:
+        default = self.key_id == crypto.default_key_id(self.purpose, self.public)
+        return _KeyWire(
+            None if default else self.key_id, crypto.PURPOSES.index(self.purpose), self.public
+        )
+
+    @classmethod
+    def from_wire(cls, wire: _KeyWire) -> "PublicKeyEntry":
+        """The entry a wire key names; an id equal to the default must travel as None,
+        so each entry has one wire form."""
+        if not 0 <= wire.purpose < len(crypto.PURPOSES):
+            raise DidError(f"unknown key purpose index {wire.purpose}")
+        purpose = crypto.PURPOSES[wire.purpose]
+        default = crypto.default_key_id(purpose, wire.public)
+        if wire.key_id == default:
+            raise DidError(f"default key id {default!r} must travel as null")
+        return cls(default if wire.key_id is None else wire.key_id, purpose, wire.public)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """DID resolution: emulated verifiable data registry, peer store, TTL cache.
 
 The registry stands in for a ledger: an in-process, signature-gated version
-history per DID. A genesis version must certify its DID (the DID is derived
+history per `reg` DID. A genesis version must certify its DID (the DID is derived
 from its body, as a peer DID is) and be signed by a signing key of its own
 document; an update, by a current signing key of the immediately preceding
 version. A snapshot loaded from a file is held to the same rules when it
@@ -141,8 +141,11 @@ class Registry:
 
 def _authority(previous: DidDocument | None, doc: DidDocument) -> DidDocument:
     """The version whose signing keys may write doc: the one before it, or doc itself
-    as a genesis. RegistryError if doc does not come after the previous version, or
+    as a genesis. RegistryError if doc is of a DID that is not `reg` (a resolver never
+    reads any other from the registry), does not come after the previous version, or
     is a genesis whose id is not the DID its body derives."""
+    if doc.id.method != METHOD_REG:
+        raise RegistryError(f"the registry holds only {METHOD_REG} DIDs, not {format_did(doc.id)}")
     if previous is None:
         if not doc.certifies_its_id():
             raise RegistryError(f"genesis body does not derive {format_did(doc.id)}")

@@ -103,7 +103,7 @@ def household():
 # Ways to tamper with a registry snapshot, each of which loading must refuse.
 TAMPERINGS = (
     "swapped-document", "bad-signature", "unparsable-document", "zero-signed-genesis",
-    "genesis-replayed", "filed-under-another-did", "self-signed-genesis",
+    "genesis-replayed", "filed-under-another-did", "self-signed-genesis", "peer-did-history",
 )
 
 
@@ -149,6 +149,15 @@ def tampered_snapshot(how: str) -> tuple[bytes, Did]:
         history.append(history[0])
     elif how == "filed-under-another-did":
         snapshot["entries"][format_did(other)] = history
+    elif how == "peer-did-history":
+        # A history the registry would write for a reg DID, but of a peer DID: a
+        # self-certifying genesis signed by the key it lists.
+        doc = DidDocument.from_body(DocumentBody(attacker_keys), "peer").to_bytes()
+        did = DidDocument.from_bytes(doc).id
+        snapshot["entries"][format_did(did)] = [{
+            "document": doc.hex(), "signature": crypto.sign(attacker, doc).hex(),
+            "signed_by": attacker.key_id, "version": 1,
+        }]
     else:
         raise ValueError(how)
     return canonical_bytes(snapshot), did

@@ -1,12 +1,15 @@
 """End-to-end command-line flows through the public entry point."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import TAMPERINGS, tampered_snapshot
-from tinyssi.cli import main
+from tinyssi.cli import EXIT_OUTPUT_CLOSED, main
 from tinyssi.encoding import canonical_bytes
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "owner-two-devices.scn"
@@ -555,3 +558,24 @@ class TestMalformedFiles:
         code, out = run(capsys, "keygen", "--seed", seed)
         assert code == 2, out
         assert out["error"]["code"] == 2
+
+
+class TestClosedOutput:
+    """A reader that closes stdout early (`| head`) ends the command with exit 5."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sim", "profiles"],
+        ["did", "resolve", "did:bad"],  # a validation failure, whose error object cannot go out
+    ], ids=["output", "error-object"])
+    def test_closed_stdout_exits_with_its_code_and_no_traceback(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "tinyssi.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (EXIT_OUTPUT_CLOSED, b"")

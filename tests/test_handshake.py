@@ -235,9 +235,10 @@ class TestWireSize:
     """The owner-two-devices handshake as its LoRa link carries it: 9 messages in 7 legs."""
 
     TAGS = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x06, 0x07, 0x07]
-    MESSAGE_BYTES = [202, 200, 82, 82, 26, 289, 289, 21, 21]
+    MESSAGE_BYTES = [166, 164, 82, 82, 26, 269, 269, 21, 21]
     LORA_FRAGMENTS = [1, 1, 1, 1, 2, 2, 1]  # one transport message per leg
-    AIR_BYTES = 1355  # data and ACK frames
+    AIR_BYTES = 1243  # data and ACK frames
+    HELLO_MARGIN = 48  # what the largest HELLO leaves of one LoRa fragment's payload
     FRAMES = 10  # 9 data frames, 6 of them carrying an ACK, and the last leg's ACK alone
     TICKS = 8  # a leg a tick, each answering the one before, and the last ACK's return
 
@@ -260,16 +261,36 @@ class TestWireSize:
 
     def test_every_hello_of_the_shipped_scenarios_is_one_lora_fragment(self):
         """A peer HELLO omits both copies of its DID, which the reader derives
-        from the document, so it fits one 214-byte LoRa payload: the
-        owner-two-devices HELLO is 202 B, a margin of 12 B. A reg HELLO carries
-        its DID and no document."""
+        from the document, and each default key id, which the reader derives
+        from the key, so it fits one 214-byte LoRa payload: the owner-two-devices
+        HELLO is 166 B, a margin of 48 B, as the README says. A reg HELLO
+        carries its DID and no document."""
         hellos = [
             bytes.fromhex(m) for messages in scenario_handshake_messages().values()
             for m in messages if m[:2] in ("01", "02")
         ]
         assert len(hellos) == 8  # a HELLO and a HELLO_ACK in each of 4 handshakes
         assert all(len(m) <= LORA_PAYLOAD for m in hellos)
-        assert LORA_PAYLOAD - max(len(m) for m in hellos) == 12
+        assert LORA_PAYLOAD - max(len(m) for m in hellos) == self.HELLO_MARGIN
+        stated = re.findall(r"fragment \((\d+) B, (\d+) B to spare\)", README.read_text("utf-8"))
+        assert stated == [(str(self.MESSAGE_BYTES[0]), str(self.HELLO_MARGIN))]
+
+    def test_owner_two_devices_at_sf12_saves_whole_fragments(self):
+        """At LoRa SF12 (a 51-byte MTU, so 43 B of payload per fragment) the
+        derived key ids and DID values save a fragment in each HELLO leg and
+        in each presentation leg: 27 fragments, where sending them took 31."""
+        sf12 = transport.LinkProfile(name="lora-sf12", mtu=51)
+        make_link = harness.make_link
+        with mock.patch.object(
+            harness, "make_link", lambda profile, **kwargs: make_link(sf12, **kwargs)
+        ):
+            report = harness.run_scenario(
+                harness.Scenario.load(str(ROOT / "scenarios" / "owner-two-devices.scn"))
+            )
+        (step,) = report.steps
+        assert step.outcome == "trusted"
+        assert list(step.fragments_per_message) == [4, 4, 2, 2, 7, 7, 1]
+        assert (step.bytes_sent, step.ticks) == (1387, self.TICKS)
 
     def test_readme_handshake_table_states_the_pinned_figures(self):
         """The README's message table and the paragraph under it give today's
@@ -714,6 +735,40 @@ class TestTotality:
         session_r = self._hello_with(edit, *household_configs(household)[:2])
         assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
 
+    @pytest.mark.parametrize("index", [len(crypto.PURPOSES), -1], ids=["past-the-end", "negative"])
+    def test_key_purpose_index_out_of_range_fails_protocol(self, household, index):
+        def edit(body):
+            key = body[slot(Hello, "document")][slot(DocumentBody, "public_keys")][0]
+            key[slot(PublicKeyEntry, "purpose")] = index
+
+        session_r = self._hello_with(edit, *household_configs(household)[:2])
+        assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
+
+    def test_default_key_id_spelled_out_fails_protocol(self, household):
+        cfg_i, cfg_r, _ = household_configs(household)
+
+        def edit(body):
+            # A key has one wire form: its default id travels as null.
+            key = body[slot(Hello, "document")][slot(DocumentBody, "public_keys")][0]
+            assert key[slot(PublicKeyEntry, "key_id")] is None
+            key[slot(PublicKeyEntry, "key_id")] = cfg_i.sign_key.key_id
+
+        session_r = self._hello_with(edit, cfg_i, cfg_r)
+        assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
+
+    # An opening's value is a DID's wire bytes or text that is not DID text.
+    @pytest.mark.parametrize("value", [b"\x07" + bytes(32), b"\x01", b"", None],
+                             ids=["unknown-method-byte", "no-id", "empty", "did-as-text"])
+    def test_opening_value_of_no_did_bytes_fails_protocol(self, household, value):
+        session_i, session_r, _ = secure_pair(household)
+        wire = camera_wire(household)
+        (opening,) = wire[slot(PresentationWire, "disclosed")]
+        # None: the owner DID written as text, where its wire bytes must travel.
+        opening[slot(ClaimOpening, "value")] = str(household[0].did) if value is None else value
+        record = session_i._seal(MSG_CRED_PRESENT, cbor_bytes([[wire]]))  # [presentations]
+        assert session_r.step(record, NOW) != []
+        assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
+
     # A document body that breaks a document invariant decodes as no Hello, on
     # either side: the body record holds the invariants, so its decode fails.
     @pytest.mark.parametrize("tag", [MSG_HELLO, MSG_HELLO_ACK], ids=["hello", "hello-ack"])
@@ -1022,6 +1077,19 @@ class TestDerivedFields:
         assert session_r.presented == []
         assert session_r.rejected == ["signature"]
         assert session_r.my_verdict == Verdict(False, "signature")
+
+    def test_disclosed_did_swapped_for_another_did_is_dropped_for_signature(self, household):
+        alice, _, lock = household
+
+        def edit(wire):
+            # The owner value travels as Alice's DID in its wire form; the lock's replaces it.
+            (opening,) = wire[slot(PresentationWire, "disclosed")]
+            assert opening[slot(ClaimOpening, "value")] == alice.did.to_wire()
+            opening[slot(ClaimOpening, "value")] = lock.did.to_wire()
+
+        session_r = self._presented(household, edit)
+        assert session_r.presented == []
+        assert session_r.rejected == ["signature"]
 
     # The honest commitments slot is [null, type commitment], with one opening (owner).
     @pytest.mark.parametrize("commitments, outcome", [

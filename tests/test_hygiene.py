@@ -24,7 +24,9 @@ document is checked once, where it enters the store, not again on resolve.
 
 One rule makes a DID of any method: only `DocumentBody.derive_did` (the digest
 of a genesis body) and `Did.from_wire` (the id read off the wire) call
-`base58_encode`.
+`base58_encode`. One rule names a key whose maker names none: only
+`crypto.default_key_id` writes the `f"{purpose}-…"` format, which `keygen`
+and a key read off the wire both ask it for.
 """
 
 import ast
@@ -183,23 +185,33 @@ def test_checker_flags_a_stateful_class():
     assert stateful_classes(source) == {"Window", "Counter"}
 
 
-def callers_of(source: str, function: str) -> set[str]:
-    """Where a module calls `function`, by bare name or as an attribute: the
-    qualified name of each enclosing function, or `<module>` at top level."""
-    callers = set()
+def _name(node: ast.AST) -> str | None:
+    """The name a bare name or an attribute ends in."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def scopes_holding(source: str, wanted) -> set[str]:
+    """Where a module holds a node that `wanted(node)` accepts: the qualified
+    name of each enclosing function, or `<module>` at top level."""
+    scopes = set()
 
     def visit(node: ast.AST, scope: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == function:
-                callers.add(scope)
+        if wanted(node):
+            scopes.add(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(ast.parse(source), "<module>")
-    return callers
+    return scopes
+
+
+def callers_of(source: str, function: str) -> set[str]:
+    """Where a module calls `function`, by bare name or as an attribute."""
+    return scopes_holding(
+        source, lambda node: isinstance(node, ast.Call) and _name(node.func) == function
+    )
 
 
 def test_only_an_opening_computes_its_commitment():
@@ -269,4 +281,41 @@ def test_checker_flags_a_second_did_rule():
     )
     assert callers_of(source, "base58_encode") == {
         "registered_did_for", "DocumentBody.derive_did",
+    }
+
+
+def _formats_a_key_id(node: ast.AST) -> bool:
+    """An f-string that writes a purpose and then a "-": a key id's format."""
+    parts = node.values if isinstance(node, ast.JoinedStr) else []
+    return any(
+        isinstance(part, ast.FormattedValue)
+        and any("purpose" in (_name(n) or "").lower() for n in ast.walk(part.value))
+        and isinstance(after, ast.Constant) and str(after.value).startswith("-")
+        for part, after in zip(parts, parts[1:])
+    )
+
+
+def test_one_rule_names_a_default_key():
+    formats = {
+        (module, scope)
+        for module in MODULES
+        for scope in scopes_holding((PACKAGE / module).read_text(encoding="utf-8"),
+                                    _formats_a_key_id)
+    }
+    assert formats == {("crypto.py", "default_key_id")}
+
+
+def test_checker_flags_a_second_key_id_rule():
+    source = (
+        "def default_key_id(purpose, public):\n"
+        "    return f\"{purpose}-{digest(public)[:4].hex()}\"\n"
+        "class PublicKeyEntry:\n"
+        "    def from_wire(cls, wire):\n"
+        "        return f\"{crypto.PURPOSES[wire.purpose]}-{digest(wire.public)[:4].hex()}\"\n"
+        "def keygen(purpose):\n"
+        "    return f\"{kp.purpose}-{public.hex()}\", f\"{purpose}:{public.hex()}\"\n"
+        "LABEL = f\"{name}-{n}\"\n"
+    )
+    assert scopes_holding(source, _formats_a_key_id) == {
+        "default_key_id", "PublicKeyEntry.from_wire", "keygen",
     }

@@ -138,15 +138,24 @@ wire_dids = st.builds(
     method=st.sampled_from([METHOD_PEER, METHOD_REG]),
     id=st.text(alphabet=B58, min_size=1, max_size=44),
 )
-purposes = st.sampled_from([crypto.PURPOSE_SIGN, crypto.PURPOSE_AGREE])
-keys = st.builds(
-    PublicKeyEntry, key_id=texts, purpose=purposes, public=st.binary(min_size=32, max_size=32),
+purposes = st.sampled_from(crypto.PURPOSES)
+publics = st.binary(min_size=32, max_size=32)
+# A key named by its maker, or one with the default id, which travels as null.
+keys = st.builds(PublicKeyEntry, key_id=texts, purpose=purposes, public=publics) | st.builds(
+    lambda purpose, public: PublicKeyEntry(crypto.default_key_id(purpose, public), purpose, public),
+    purposes, publics,
 )
 endpoints = st.builds(ServiceEndpoint, endpoint_id=texts, type=texts, address=texts)
 retired = st.builds(RetiredKey, key_id=texts, public=st.binary(min_size=32, max_size=32),
                     retired_at=ints)
+# DID-like text that is not DID text of a method with a wire form.
+NOT_WIRE_DIDS = ("did:web:example.com", "did:peer:0OIl", "did:reg:", "did:peer", "did:reg:a:b")
+# An opening's value: a DID that travels as its wire bytes, or text that travels as text.
+did_values = wire_dids.map(str)
+text_values = texts | st.sampled_from(NOT_WIRE_DIDS)
 openings = st.builds(
-    ClaimOpening, name=texts, value=texts, salt=st.binary(min_size=16, max_size=16)
+    ClaimOpening, name=texts, value=did_values | text_values,
+    salt=st.binary(min_size=16, max_size=16),
 )
 commitments = st.builds(
     Commitment, claim_name=texts, value_hash=st.binary(min_size=32, max_size=32)
@@ -297,6 +306,23 @@ def test_wire_round_trip(name, data):
     assert pack(restored) == raw
     # The wire carries the very record whose canonical bytes are signed and stored.
     assert canonical_bytes(encode(restored)) == canonical_bytes(encode(record))
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=keys, did_value=did_values, text_value=text_values, data=st.data())
+def test_keys_and_openings_leave_out_what_their_reader_derives(key, did_value, text_value, data):
+    # A key id travels as null exactly when it is the default, and the purpose as its index.
+    key_id, purpose, public = from_cbor(pack(key))
+    assert (key_id is None) == (key.key_id == crypto.default_key_id(key.purpose, key.public))
+    assert (crypto.PURPOSES[purpose], public) == (key.purpose, key.public)
+    assert unpack(PublicKeyEntry, pack(key)) == key
+    # A DID value travels as the DID's wire bytes; any other text, DID-like or not, as text.
+    salt = data.draw(st.binary(min_size=16, max_size=16))
+    for value, wire_value in ((did_value, Did.from_text(did_value).to_wire()),
+                              (text_value, text_value)):
+        opening = ClaimOpening("owner", value, salt)
+        assert from_cbor(pack(opening)) == ["owner", wire_value, salt]
+        assert unpack(ClaimOpening, pack(opening)) == opening
 
 
 def test_every_message_record_is_walked():
@@ -549,7 +575,9 @@ def test_a_did_travels_as_its_method_byte_and_raw_id():
 def test_a_peer_hello_travels_without_either_did():
     body = pack(HELLO.document)
     # The document's body alone: [public_keys, service_endpoints, version, previous_keys].
-    assert from_cbor(body) == [[["k1", crypto.PURPOSE_SIGN, bytes(32)]], [], 1, []]
+    # A key is [key_id | null, purpose index, public].
+    assert from_cbor(body) == [[["k1", crypto.PURPOSES.index(crypto.PURPOSE_SIGN), bytes(32)]],
+                               [], 1, []]
     assert pack(HELLO) == b"\x84\xf6" + body + KEY_SHARE
     assert unpack(Hello, pack(HELLO)) == HELLO
     # The reader derives the document, and with it the DID, from the body.
@@ -603,6 +631,13 @@ def _with_did_byte(raw: bytes, method_byte: int) -> bytes:
     (Verdict, b"\x82\xf5\xfa" + struct.pack(">f", 1.5)),
     (Verdict, b"\x82\xf5\xfb" + struct.pack(">d", 1.5)),
     (Verdict, b"\x82\xf5\xf7"),
+    (PublicKeyEntry, cbor_bytes([None, len(crypto.PURPOSES), bytes(32)])),
+    (PublicKeyEntry, cbor_bytes([None, -1, bytes(32)])),
+    (PublicKeyEntry, cbor_bytes([crypto.default_key_id(crypto.PURPOSE_SIGN, bytes(32)), 0,
+                                 bytes(32)])),
+    (ClaimOpening, cbor_bytes(["owner", b"\x07" + bytes(32), bytes(16)])),
+    (ClaimOpening, cbor_bytes(["owner", b"\x01", bytes(16)])),
+    (ClaimOpening, cbor_bytes(["owner", str(PEER_DID), bytes(16)])),
 ], ids=[
     "major-type-bytes-for-text", "major-type-text-for-bytes", "major-type-int-for-bool",
     "field-count-short", "field-count-long",
@@ -615,6 +650,8 @@ def _with_did_byte(raw: bytes, method_byte: int) -> bytes:
     "indefinite-length", "tag",
     "map", "half-float", "single-float", "double-float",
     "undefined-simple-value",
+    "purpose-index-past-the-end", "negative-purpose-index", "default-key-id-spelled-out",
+    "did-value-of-unknown-method-byte", "did-value-without-id", "did-value-as-text",
 ])
 def test_unpack_rejects(tp, raw):
     with pytest.raises(EncodingError):

@@ -132,6 +132,23 @@ class TestRegistry:
         assert registry.write_count == 0
         assert registry.snapshot() == Registry().snapshot()
 
+    def test_peer_genesis_is_refused_before_signing(self, monkeypatch):
+        # A peer document certifies its own DID and lists its signer, yet no
+        # resolver reads a peer DID from the registry, so the registry holds none.
+        kp = crypto.keygen(crypto.PURPOSE_SIGN, seed=bytes(31) + b"\x05")
+        did, doc = generate_peer_did([PublicKeyEntry(kp.key_id, crypto.PURPOSE_SIGN, kp.public)])
+        assert doc.certifies_its_id() and doc.authorizes(kp)
+        registry = Registry()
+
+        def refuse_to_sign(*_):
+            raise AssertionError("signed a document the registry refuses")
+
+        monkeypatch.setattr(crypto, "sign", refuse_to_sign)
+        with pytest.raises(RegistryError, match="holds only reg DIDs"):
+            registry.register(doc, kp)
+        assert registry.write_count == 0
+        assert registry.snapshot() == Registry().snapshot()
+
     def test_update_signed_by_agreement_key_of_previous_version_rejected(self):
         registry = Registry()
         kp, agree, did, doc = reg_identity_with_agreement_key()
