@@ -64,14 +64,11 @@ def _now() -> int:
     return int(time.time())
 
 
-def _load_registry(path: str | None) -> Registry:
-    if path and Path(path).exists():
-        return Registry.load(path)
-    return Registry()
-
-
 def _build_resolver(args) -> Resolver:
-    resolver = Resolver(_load_registry(getattr(args, "registry", None)))
+    """A resolver over the --registry file, if one is named; a missing file raises
+    OSError (only `did create` may start a registry)."""
+    path = getattr(args, "registry", None)
+    resolver = Resolver(Registry.load(path) if path else Registry())
     for doc_path in getattr(args, "peer_doc", None) or []:
         doc = DidDocument.from_bytes(Path(doc_path).read_bytes())
         resolver.store_peer(doc.id, doc)
@@ -123,7 +120,7 @@ def cmd_did_create(args) -> int:
     if args.method == METHOD_REG:
         if not args.registry:
             return _fail(EXIT_VALIDATION, "reg method needs --registry")
-        registry = _load_registry(args.registry)
+        registry = Registry.load(args.registry) if Path(args.registry).exists() else Registry()
     endpoints = (ServiceEndpoint("ep-1", "sim-link", args.endpoint),) if args.endpoint else ()
     try:
         doc = w.create_identity(
@@ -167,7 +164,7 @@ def cmd_ddoc_rotate_key(args) -> int:
     if w.owner_did.method == METHOD_REG:
         if not args.registry:
             return _fail(EXIT_VALIDATION, "reg method needs --registry")
-        registry = _load_registry(args.registry)
+        registry = Registry.load(args.registry)
     try:
         rotated = w.rotate_sign_key(crypto.keygen(crypto.PURPOSE_SIGN), _now(), registry)
     except (RegistryError, wallet_mod.WalletError) as exc:
@@ -382,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = did.add_parser("create")
     p.add_argument("--method", choices=[METHOD_PEER, METHOD_REG], default=METHOD_PEER)
     p.add_argument("--endpoint", help="service endpoint address")
-    p.add_argument("--registry", help="registry snapshot for reg method")
+    p.add_argument("--registry", help="registry snapshot for reg method; created if missing")
     _add_wallet_args(p)
     p.set_defaults(func=cmd_did_create)
     p = did.add_parser("resolve")

@@ -1,15 +1,17 @@
 """DID resolution: emulated verifiable data registry, peer store, TTL cache.
 
-The registry stands in for a ledger: an in-process, signature-gated version
-history per `reg` DID. A genesis version must certify its DID (the DID is derived
-from its body, as a peer DID is) and be signed by a signing key of its own
-document; an update, by a current signing key of the immediately preceding
-version. A snapshot loaded from a file is held to the same rules when it
-loads, the one place records enter from outside. Resolution goes through a
-per-device cache so constrained devices touch the registry once per TTL
-window, and once more when a signed artifact names a key that the cached
-document does not know; peer-method documents live in a local store, checked
-against their self-certifying id once, when stored.
+The registry stands in for a ledger: an in-process write log of signed
+versions of `reg` DID documents. A genesis version must certify its DID (the
+DID is derived from its body, as a peer DID is) and be signed by a signing key
+of its own document; an update, by a current signing key of the immediately
+preceding version. One rule, `Registry._authority`, says which version may
+write a document: `register` asks it before it signs, and a snapshot loaded
+from a file replays its log through it, the one place records enter from
+outside. Resolution goes through a per-device cache so constrained devices
+touch the registry once per TTL window, and once more when a signed artifact
+names a key that the cached document does not know; peer-method documents
+live in a local store, checked against their self-certifying id once, when
+stored.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .identity import (
 )
 
 DEFAULT_TTL = 300
-_SNAPSHOT_FORMAT = "tinyssi-registry/1"
+_SNAPSHOT_FORMAT = "tinyssi-registry/2"
 
 
 class RegistryError(Exception):
@@ -48,8 +50,9 @@ class DocumentIntegrityError(ResolutionError):
 
 @dataclass(frozen=True)
 class RegistryRecord:
+    """One write: a document's canonical bytes, signed by the key named `signed_by`."""
+
     document: bytes
-    version: int
     signature: bytes
     signed_by: str
 
@@ -60,10 +63,10 @@ class RegistryRecord:
 
 @dataclass(frozen=True)
 class _Snapshot:
-    """A registry snapshot file (.reg): every DID's history of signed records."""
+    """A registry snapshot file (.reg): the write log, every signed record in write order."""
 
     format: str
-    entries: dict[str, tuple[RegistryRecord, ...]]
+    records: tuple[RegistryRecord, ...]
 
 
 class Registry:
@@ -71,62 +74,87 @@ class Registry:
 
     Consensus is out of scope; what is kept is the security property the rest
     of the stack needs: every version is signed by a key the authorizing
-    document lists for signing, and versions per DID strictly increase.
+    document lists for signing, and versions per DID strictly increase. It
+    holds its write log and, parsed, the latest document of each DID.
     """
 
     def __init__(self) -> None:
-        self._entries: dict[str, tuple[RegistryRecord, ...]] = {}
+        self._log: list[RegistryRecord] = []
+        self._latest: dict[Did, DidDocument] = {}
         self.write_count = 0
         self.read_count = 0
 
     def register(self, doc: DidDocument, controller_kp: crypto.KeyPair) -> None:
-        """Sign doc with controller_kp and append it, if its authorizing version authorizes the key.
-
-        A genesis version authorizes its own signer, once its body derives its DID; an
-        update, the version before it. A refused write signs nothing.
-        """
-        did_text = format_did(doc.id)
-        history = self._entries.get(did_text, ())
-        previous = DidDocument.from_bytes(history[-1].document) if history else None
-        if not _authority(previous, doc).authorizes(controller_kp):
+        """Sign doc with controller_kp and append it, if its authorizing version authorizes
+        the key. A refused write signs nothing."""
+        if not self._authority(doc).authorizes(controller_kp):
             raise RegistryError(
                 f"{controller_kp.key_id!r} is not a current signing key of "
-                + ("the previous version" if history else "the genesis document")
+                + ("the previous version" if doc.id in self._latest else "the genesis document")
             )
         doc_bytes = doc.to_bytes()
         signature = crypto.sign(controller_kp, doc_bytes)
-        record = RegistryRecord(doc_bytes, doc.version, signature, controller_kp.key_id)
-        self._entries[did_text] = history + (record,)
+        self._append(doc, RegistryRecord(doc_bytes, signature, controller_kp.key_id))
         self.write_count += 1
+
+    def _append(self, doc: DidDocument, record: RegistryRecord) -> None:
+        self._log.append(record)
+        self._latest[doc.id] = doc
+
+    def _authority(self, doc: DidDocument) -> DidDocument:
+        """The version whose signing keys may write doc: the latest one of its DID, or doc
+        itself as a genesis. RegistryError if doc is of a DID that is not `reg` (a resolver
+        never reads any other from the registry), does not come after the latest version,
+        or is a genesis whose id is not the DID its body derives."""
+        if doc.id.method != METHOD_REG:
+            raise RegistryError(
+                f"the registry holds only {METHOD_REG} DIDs, not {format_did(doc.id)}"
+            )
+        previous = self._latest.get(doc.id)
+        if previous is None:
+            if not doc.certifies_its_id():
+                raise RegistryError(f"genesis body does not derive {format_did(doc.id)}")
+            return doc
+        if doc.version <= previous.version:
+            raise RegistryError(f"version conflict: {doc.version} <= registered {previous.version}")
+        return previous
 
     def lookup(self, did: Did) -> DidDocument:
         self.read_count += 1
-        history = self._entries.get(format_did(did))
-        if not history:
+        doc = self._latest.get(did)
+        if doc is None:
             raise DidNotFound(f"{format_did(did)} not registered")
-        return DidDocument.from_bytes(history[-1].document)
+        return doc
 
     def snapshot(self) -> bytes:
-        """Registry contents as a single structured-text snapshot (.reg)."""
-        return canonical_bytes(encode(_Snapshot(_SNAPSHOT_FORMAT, self._entries)))
+        """The write log as a single structured-text snapshot (.reg)."""
+        return canonical_bytes(encode(_Snapshot(_SNAPSHOT_FORMAT, tuple(self._log))))
 
     @classmethod
     def from_snapshot(cls, raw: bytes) -> "Registry":
-        """A registry holding a snapshot's histories, each checked as register() checks
-        a write: records enter from outside only here, so they are checked once, here."""
+        """A registry that replays a snapshot's write log: each record must parse, be
+        written as register() would allow, and carry a valid signature of the key it
+        names. Records enter from outside only here, so they are checked once, here."""
         try:
-            snapshot = decode(_Snapshot, from_canonical(raw))
+            mapping = from_canonical(raw)
+            if not isinstance(mapping, dict) or mapping.get("format") != _SNAPSHOT_FORMAT:
+                raise EncodingError(f"not a {_SNAPSHOT_FORMAT} file")
+            records = decode(_Snapshot, mapping).records
         except EncodingError as exc:
             raise RegistryError(f"bad registry snapshot: {exc}") from exc
-        if snapshot.format != _SNAPSHOT_FORMAT:
-            raise RegistryError("bad registry snapshot: unknown format")
-        for did_text, history in snapshot.entries.items():
-            try:
-                _check_history(did_text, history)
-            except (DidError, RegistryError) as exc:
-                raise RegistryError(f"bad registry snapshot: {did_text}: {exc}") from exc
         registry = cls()
-        registry._entries = snapshot.entries
+        for index, record in enumerate(records):
+            try:
+                doc = DidDocument.from_bytes(record.document)
+                key = registry._authority(doc).signing_key(record.signed_by)
+                if key is None or not crypto.verify(key.public, record.document, record.signature):
+                    raise RegistryError(
+                        f"version {doc.version} of {format_did(doc.id)} is not signed by a "
+                        "current signing key of its authorizing version"
+                    )
+            except (DidError, RegistryError) as exc:
+                raise RegistryError(f"bad registry snapshot: record {index}: {exc}") from exc
+            registry._append(doc, record)
         return registry
 
     def save(self, path: str) -> None:
@@ -139,44 +167,6 @@ class Registry:
             return cls.from_snapshot(fh.read())
 
 
-def _authority(previous: DidDocument | None, doc: DidDocument) -> DidDocument:
-    """The version whose signing keys may write doc: the one before it, or doc itself
-    as a genesis. RegistryError if doc is of a DID that is not `reg` (a resolver never
-    reads any other from the registry), does not come after the previous version, or
-    is a genesis whose id is not the DID its body derives."""
-    if doc.id.method != METHOD_REG:
-        raise RegistryError(f"the registry holds only {METHOD_REG} DIDs, not {format_did(doc.id)}")
-    if previous is None:
-        if not doc.certifies_its_id():
-            raise RegistryError(f"genesis body does not derive {format_did(doc.id)}")
-        return doc
-    if doc.version <= previous.version:
-        raise RegistryError(f"version conflict: {doc.version} <= registered {previous.version}")
-    return previous
-
-
-def _check_history(did_text: str, history: tuple[RegistryRecord, ...]) -> None:
-    """Refuse a history that register() could not have written: each document parses
-    (else DidError), is filed under its own DID, comes after the one before it (a
-    genesis certifying that DID), and is signed by a current signing key of its
-    authorizing version (else RegistryError)."""
-    previous = None
-    for record in history:
-        doc = DidDocument.from_bytes(record.document)
-        if format_did(doc.id) != did_text or doc.version != record.version:
-            raise RegistryError(
-                f"record of version {record.version} holds version {doc.version} "
-                f"of {format_did(doc.id)}"
-            )
-        key = _authority(previous, doc).signing_key(record.signed_by)
-        if key is None or not crypto.verify(key.public, record.document, record.signature):
-            raise RegistryError(
-                f"version {doc.version} is not signed by a current signing key "
-                "of its authorizing version"
-            )
-        previous = doc
-
-
 @dataclass
 class _CacheEntry:
     document: DidDocument
@@ -186,7 +176,7 @@ class _CacheEntry:
 class Resolver:
     """Resolves DIDs through a TTL cache, with a local store for peer documents."""
 
-    def __init__(self, registry: Registry | None = None, ttl: int = DEFAULT_TTL):
+    def __init__(self, registry: Registry, ttl: int = DEFAULT_TTL):
         self.registry = registry
         self.ttl = ttl
         self.hit_count = 0
@@ -236,8 +226,6 @@ class Resolver:
             self.hit_count += 1
             return entry.document
         self.miss_count += 1
-        if self.registry is None:
-            raise ResolutionError("no registry configured for this resolver")
         doc = self.registry.lookup(did)
         self._cache[did] = _CacheEntry(document=doc, fetched_at=now)
         return doc

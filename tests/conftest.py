@@ -103,12 +103,13 @@ def household():
 # Ways to tamper with a registry snapshot, each of which loading must refuse.
 TAMPERINGS = (
     "swapped-document", "bad-signature", "unparsable-document", "zero-signed-genesis",
-    "genesis-replayed", "filed-under-another-did", "self-signed-genesis", "peer-did-history",
+    "genesis-replayed", "update-before-genesis", "self-signed-genesis", "peer-did-history",
 )
 
 
 def rotated_registry() -> tuple[Registry, Did, Did]:
-    """A registry of two reg identities, the first rotated once: (registry, rotated, other)."""
+    """A registry of two reg identities, the first rotated once: (registry, rotated, other).
+    Its write log is the first's genesis, the other's genesis, the first's update."""
     registry = Registry()
     first = build_actor("first", 1, registry, method="reg")
     other = build_actor("other", 2, registry, method="reg")
@@ -120,11 +121,11 @@ def rotated_registry() -> tuple[Registry, Did, Did]:
 
 def tampered_snapshot(how: str) -> tuple[bytes, Did]:
     """The snapshot of rotated_registry() tampered `how` (one of TAMPERINGS), and the
-    DID whose history it changed."""
-    registry, did, other = rotated_registry()
+    DID whose records it changed."""
+    registry, did, _ = rotated_registry()
     snapshot = from_canonical(registry.snapshot())
-    history = snapshot["entries"][format_did(did)]
-    latest = history[-1]
+    records = snapshot["records"]
+    genesis, latest = records[0], records[-1]
     attacker = crypto.keygen(crypto.PURPOSE_SIGN, seed=bytes(31) + b"\xee")
     attacker_keys = (PublicKeyEntry(attacker.key_id, crypto.PURPOSE_SIGN, attacker.public),)
     if how == "swapped-document":
@@ -138,26 +139,27 @@ def tampered_snapshot(how: str) -> tuple[bytes, Did]:
     elif how == "unparsable-document":
         latest["document"] = b"{}".hex()
     elif how in ("zero-signed-genesis", "self-signed-genesis"):
-        # One record: the attacker's document under the DID, signed by nobody or by
-        # the attacker's own key, which that genesis lists.
+        # The DID's records replaced by one: the attacker's document under the DID,
+        # signed by nobody or by the attacker's own key, which that genesis lists.
         doc = DidDocument(did, attacker_keys).to_bytes()
         signature = bytes(64) if how == "zero-signed-genesis" else crypto.sign(attacker, doc)
-        history[:] = [{"document": doc.hex(), "signature": signature.hex(),
-                       "signed_by": attacker.key_id, "version": 1}]
+        records[:] = [{"document": doc.hex(), "signature": signature.hex(),
+                       "signed_by": attacker.key_id}, records[1]]
     elif how == "genesis-replayed":
         # A valid record again, after a later version.
-        history.append(history[0])
-    elif how == "filed-under-another-did":
-        snapshot["entries"][format_did(other)] = history
+        records.append(genesis)
+    elif how == "update-before-genesis":
+        # Every record valid, but the update written ahead of its genesis.
+        records[:] = [latest, records[1], genesis]
     elif how == "peer-did-history":
-        # A history the registry would write for a reg DID, but of a peer DID: a
+        # A record the registry would write for a reg DID, but of a peer DID: a
         # self-certifying genesis signed by the key it lists.
         doc = DidDocument.from_body(DocumentBody(attacker_keys), "peer").to_bytes()
         did = DidDocument.from_bytes(doc).id
-        snapshot["entries"][format_did(did)] = [{
+        records.append({
             "document": doc.hex(), "signature": crypto.sign(attacker, doc).hex(),
-            "signed_by": attacker.key_id, "version": 1,
-        }]
+            "signed_by": attacker.key_id,
+        })
     else:
         raise ValueError(how)
     return canonical_bytes(snapshot), did

@@ -11,6 +11,7 @@ import pytest
 from conftest import TAMPERINGS, tampered_snapshot
 from tinyssi.cli import EXIT_OUTPUT_CLOSED, main
 from tinyssi.encoding import canonical_bytes
+from tinyssi.resolver import Registry
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "owner-two-devices.scn"
 LIFECYCLE = Path(__file__).resolve().parent.parent / "scenarios" / "household-lifecycle.scn"
@@ -118,6 +119,7 @@ class TestDidCommands:
 
     def test_resolve_unknown_is_verification_failure(self, tmp_path, capsys):
         registry = tmp_path / "net.reg"
+        Registry().save(str(registry))
         code, out = run(
             capsys, "did", "resolve", "did:reg:3UnknownUnknownUnknown",
             "--registry", str(registry),
@@ -519,10 +521,11 @@ class TestMalformedFiles:
 
     @pytest.mark.parametrize("content", [
         b"[]",
-        b'{"entries":[],"format":"tinyssi-registry/1"}',
-        b'{"entries":{"did:reg:x":[{"document":"00"}]},"format":"tinyssi-registry/1"}',
+        b'{"format":"tinyssi-registry/2","records":{}}',
+        b'{"format":"tinyssi-registry/2","records":[{"document":"00"}]}',
         b"not json",
-    ], ids=["list", "entries-list", "record-missing-fields", "not-json"])
+        b'{"entries":{},"format":"tinyssi-registry/1"}',
+    ], ids=["list", "records-mapping", "record-missing-fields", "not-json", "format-1"])
     def test_registry_snapshot(self, content, tmp_path, capsys):
         registry = tmp_path / "net.reg"
         registry.write_bytes(content)
@@ -538,6 +541,33 @@ class TestMalformedFiles:
         code, out = run(capsys, "did", "resolve", str(did), "--registry", str(registry))
         assert code == 2, out
         assert "bad registry snapshot" in out["error"]["reason"]
+
+    @pytest.mark.parametrize("command", ["did-resolve", "ddoc-rotate-key", "vc-verify"])
+    def test_missing_registry(self, command, tmp_path, capsys):
+        # Only `did create` starts a registry file; a named one that is not there is
+        # an error of its own, never an empty registry.
+        wallet, registry = str(tmp_path / "w.wallet"), str(tmp_path / "net.reg")
+        wallet_args = ["--wallet", wallet, "--passphrase", PASS]
+        run(capsys, "wallet", "create", *wallet_args)
+        code, out = run(capsys, "did", "create", "--method", "reg", "--registry", registry,
+                        *wallet_args)
+        assert code == 0, out
+        did, vc = out["did"], str(tmp_path / "c.vc")
+        code, out = run(capsys, "vc", "issue", *wallet_args, "--subject", did, "--claim",
+                        "type=Camera", "--out", vc, "--openings-out", str(tmp_path / "c.op"))
+        assert code == 0, out
+        typo = str(tmp_path / "typo.reg")
+        argv = {
+            "did-resolve": ["did", "resolve", did, "--registry", typo],
+            "ddoc-rotate-key": ["ddoc", "rotate-key", "--registry", typo, *wallet_args],
+            "vc-verify": ["vc", "verify", vc, "--registry", typo],
+        }[command]
+        code, out = run(capsys, *argv)
+        assert code == 2, out
+        assert "typo.reg" in out["error"]["reason"]
+        assert not Path(typo).exists()
+        code, out = run(capsys, "ddoc", "show", *wallet_args)
+        assert out["version"] == 1
 
     @pytest.mark.parametrize("content", [
         b"[]", b"not json", b'{"owner":"did:peer:1","revoked":[7]}', None,

@@ -359,7 +359,7 @@ class TestRevocation:
             PublicKeyEntry(sign_kp.key_id, crypto.PURPOSE_SIGN, sign_kp.public),
             PublicKeyEntry(agree_kp.key_id, crypto.PURPOSE_AGREE, agree_kp.public),
         ))
-        resolver = Resolver()
+        resolver = Resolver(Registry())
         resolver.store_peer(issuer, doc)
         registry = RevocationRegistry(issuer)
         with pytest.raises(CredentialError):

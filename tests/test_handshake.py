@@ -477,7 +477,7 @@ class TestHonestRun:
         from tinyssi.wallet import Wallet
 
         with pytest.raises(HandshakeError):
-            SessionConfig.from_wallet(Wallet(), Resolver())
+            SessionConfig.from_wallet(Wallet(), Resolver(Registry()))
 
 
 class TestAuthFailures:

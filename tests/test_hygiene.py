@@ -22,6 +22,10 @@ holds no per-session state, which lives in the session that uses it. Only
 written once. Only `Resolver.store_peer` calls `verify_peer_document`: a peer
 document is checked once, where it enters the store, not again on resolve.
 
+The registry parses and verifies a record once, when a snapshot loads: in
+resolver.py only `Registry.from_snapshot` calls `from_bytes` or `verify`, so a
+lookup reads the parsed document and a write asks the parsed version before it.
+
 One rule makes a DID of any method: only `DocumentBody.derive_did` (the digest
 of a genesis body) and `Did.from_wire` (the id read off the wire) call
 `base58_encode`. One rule names a key whose maker names none: only
@@ -319,3 +323,26 @@ def test_checker_flags_a_second_key_id_rule():
     assert scopes_holding(source, _formats_a_key_id) == {
         "default_key_id", "PublicKeyEntry.from_wire", "keygen",
     }
+
+
+def test_registry_parses_only_on_load():
+    source = (PACKAGE / "resolver.py").read_text(encoding="utf-8")
+    assert callers_of(source, "from_bytes") == {"Registry.from_snapshot"}
+    assert callers_of(source, "verify") == {"Registry.from_snapshot"}
+
+
+def test_checker_flags_a_registry_parse_on_read():
+    source = (
+        "class Registry:\n"
+        "    def lookup(self, did):\n"
+        "        return DidDocument.from_bytes(self._log[-1].document)\n"
+        "    def register(self, doc, kp):\n"
+        "        if not crypto.verify(kp.public, doc.to_bytes(), crypto.sign(kp, doc)):\n"
+        "            raise RegistryError(doc)\n"
+        "    @classmethod\n"
+        "    def from_snapshot(cls, raw):\n"
+        "        doc = identity.DidDocument.from_bytes(raw)\n"
+        "        return crypto.verify(key.public, raw, signature)\n"
+    )
+    assert callers_of(source, "from_bytes") == {"Registry.lookup", "Registry.from_snapshot"}
+    assert callers_of(source, "verify") == {"Registry.register", "Registry.from_snapshot"}

@@ -239,7 +239,7 @@ def record_strategies(dids, documents):
             public=st.binary(min_size=32, max_size=32), secret=st.binary(min_size=32, max_size=32),
         ),
         "RegistryRecord": st.builds(
-            RegistryRecord, document=st.binary(max_size=40), version=ints,
+            RegistryRecord, document=st.binary(max_size=40),
             signature=st.binary(min_size=64, max_size=64), signed_by=texts,
         ),
         "RevocationRegistry": st.builds(RevocationRegistry, owner=dids, revoked=tuples(texts)),
@@ -447,7 +447,7 @@ def test_wallet_registry_and_scenario_errors():
         Wallet._from_payload(dict(payload, version="1"))
     snapshot = from_canonical(Registry().snapshot())
     with pytest.raises(RegistryError):
-        Registry.from_snapshot(canonical_bytes(dict(snapshot, entries={"did:reg:x": [{}]})))
+        Registry.from_snapshot(canonical_bytes(dict(snapshot, records=[{}])))
     with pytest.raises(ScenarioError):
         Scenario.from_mapping({"actors": [{"name": "a", "role": 1}]})
     with pytest.raises(EncodingError):

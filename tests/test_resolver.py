@@ -207,6 +207,25 @@ class TestSnapshotCheck:
         with pytest.raises(RegistryError, match=f"genesis body does not derive {did}"):
             Registry.from_snapshot(raw)
 
+    def test_update_before_its_genesis_is_refused_by_its_binding(self):
+        # Each record is signed as register() signed it; replayed in this order, the
+        # update comes first and is read as a genesis, which its body does not derive.
+        raw, did = tampered_snapshot("update-before-genesis")
+        with pytest.raises(RegistryError, match=f"record 0: genesis body does not derive {did}"):
+            Registry.from_snapshot(raw)
+
+    def test_loaded_registry_reads_without_parsing(self, monkeypatch):
+        # A snapshot is parsed once, on load; a lookup reads the parsed document.
+        registry, did, other = rotated_registry()
+        restored = Registry.from_snapshot(registry.snapshot())
+
+        def refuse_to_parse(*_):
+            raise AssertionError("parsed a document on lookup")
+
+        monkeypatch.setattr(DidDocument, "from_bytes", refuse_to_parse)
+        assert restored.lookup(did) == registry.lookup(did)
+        assert restored.lookup(other).version == 1
+
 
 class TestResolverCache:
     def test_resolves_within_ttl_hit_registry_once(self):
@@ -355,7 +374,7 @@ class TestKeyRefresh:
 class TestPeerStore:
     def test_honest_store_and_resolve(self):
         _, did, doc = peer_identity()
-        resolver = Resolver()
+        resolver = Resolver(Registry())
         resolver.store_peer(did, doc)
         assert resolver.resolve(did, 0) == doc
 
@@ -367,13 +386,13 @@ class TestPeerStore:
             public=bytes([doc.public_keys[0].public[0] ^ 1]) + doc.public_keys[0].public[1:],
         )
         forged = DidDocument(id=did, public_keys=(bad_key,))
-        resolver = Resolver()
+        resolver = Resolver(Registry())
         with pytest.raises(DocumentIntegrityError):
             resolver.store_peer(did, forged)
 
     def test_restore_identical_is_idempotent(self):
         _, did, doc = peer_identity()
-        resolver = Resolver()
+        resolver = Resolver(Registry())
         resolver.store_peer(did, doc)
         resolver.store_peer(did, doc)
         assert resolver.resolve(did, 0) == doc
@@ -381,7 +400,7 @@ class TestPeerStore:
     def test_substituted_document_is_refused_on_store(self):
         _, did, doc = peer_identity()
         _, _, other_doc = peer_identity(seed=9)
-        resolver = Resolver()
+        resolver = Resolver(Registry())
         resolver.store_peer(did, doc)
         with pytest.raises(DocumentIntegrityError):
             resolver.store_peer(did, DidDocument(id=did, public_keys=other_doc.public_keys))
@@ -392,7 +411,7 @@ class TestPeerStore:
         # for as long as the document is kept because nothing in it can change.
         _, did, doc = peer_identity()
         _, _, other_doc = peer_identity(seed=9)
-        resolver = Resolver()
+        resolver = Resolver(Registry())
         resolver.store_peer(did, doc)
         stored = resolver.resolve(did, 0)
         with pytest.raises(FrozenInstanceError):
@@ -404,11 +423,11 @@ class TestPeerStore:
     def test_unknown_peer_not_found(self):
         _, did, _ = peer_identity()
         with pytest.raises(DidNotFound):
-            Resolver().resolve(did, 0)
+            Resolver(Registry()).resolve(did, 0)
 
     def test_store_peer_rejects_other_methods(self):
         kp, did, doc = reg_identity()
-        resolver = Resolver()
+        resolver = Resolver(Registry())
         with pytest.raises(UnsupportedDidMethod):
             resolver.store_peer(did, doc)
 
@@ -417,7 +436,7 @@ class TestPeerStore:
         # resolve never returns a document whose digest disagrees with the id.
         rng = Random(3)
         _, did, doc = peer_identity()
-        resolver = Resolver()
+        resolver = Resolver(Registry())
         resolver.store_peer(did, doc)
         for _ in range(50):
             mutated_public = bytearray(doc.public_keys[0].public)
