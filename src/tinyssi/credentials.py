@@ -12,10 +12,10 @@ from __future__ import annotations
 import secrets
 from dataclasses import dataclass, replace
 from random import Random
-from typing import Iterable, Sequence
+from typing import Annotated, Iterable, Sequence
 
 from . import crypto
-from .encoding import Record, canonical_bytes, encode
+from .encoding import ByteForm, Record, canonical_bytes, encode, hex_id
 from .identity import Did, DidError
 from .resolver import ResolutionError, Resolver
 
@@ -63,22 +63,16 @@ def _check_length(what: str, raw: bytes, expected: int) -> None:
         raise CredentialError(f"{what} must be {expected} bytes, got {len(raw)}")
 
 
-def _did_wire(value: str) -> bytes | None:
-    """The wire bytes of a value that is the text of a DID with a wire form, else None.
-    Its id is base58, which the raw id gives back exactly, so the text round-trips."""
+def _did_wire(value: str) -> bytes | str:
+    """DID text as the DID's wire bytes (a base58 id round-trips), other values as is."""
     try:
         return Did.from_text(value).to_wire()
     except DidError:
-        return None
+        return value
 
 
-@dataclass(frozen=True)
-class _OpeningWire:
-    """A ClaimOpening as it travels: a DID value as its wire bytes, other text as text."""
-
-    name: str
-    value: bytes | str
-    salt: bytes
+# A claim value that is DID text travels as the DID's wire bytes.
+DidText = Annotated[str, ByteForm(_did_wire, lambda raw: str(Did.from_wire(raw)))]
 
 
 @dataclass(frozen=True)
@@ -86,27 +80,11 @@ class ClaimOpening(_Record):
     """Holder-side secret that opens one commitment."""
 
     name: str
-    value: str
+    value: DidText
     salt: bytes
 
     def __post_init__(self) -> None:
         _check_length("salt", self.salt, crypto.SALT_LEN)
-
-    wire_form = _OpeningWire
-
-    def to_wire(self) -> _OpeningWire:
-        return _OpeningWire(self.name, _did_wire(self.value) or self.value, self.salt)
-
-    @classmethod
-    def from_wire(cls, wire: _OpeningWire) -> "ClaimOpening":
-        """The opening a wire opening names: bytes are a DID's wire form (else DidError),
-        and text that a DID's wire form would carry is refused, so each opening has one
-        wire form."""
-        if isinstance(wire.value, bytes):
-            return cls(wire.name, str(Did.from_wire(wire.value)), wire.salt)
-        if _did_wire(wire.value) is not None:
-            raise CredentialError(f"DID value {wire.value!r} must travel as its wire bytes")
-        return cls(wire.name, wire.value, wire.salt)
 
     def commitment(self) -> "Commitment":
         """The commitment this opening opens."""
@@ -124,7 +102,7 @@ class Commitment(_Record):
 
 @dataclass(frozen=True)
 class Proof(_Record):
-    verification_key_id: str
+    verification_key_id: crypto.KeyId
     signature: bytes
 
     def __post_init__(self) -> None:
@@ -205,6 +183,12 @@ class RevocationRegistry(_Record):
         self.revoked = tuple(sorted({*self.revoked, vc_id}))
 
 
+# The id issue() gives a credential, `vc:` and random bytes in hex, travels as those bytes.
+_VC_ID_LEN = 8
+_VC_ID = hex_id(_VC_ID_LEN, lambda raw: "vc:" + encode(raw))
+VcId = Annotated[str, _VC_ID]
+
+
 def commitment_hash(name: str, value: str, salt: bytes) -> bytes:
     """Salted digest of one claim; the NUL keeps the name/value split unambiguous."""
     return crypto.digest(name.encode("utf-8") + b"\x00" + value.encode("utf-8") + salt)
@@ -241,7 +225,7 @@ def issue(
     )
     commitments = tuple(o.commitment() for o in openings)
     unsigned = VerifiableCredential(
-        vc_id="vc:" + encode(rand(8)),
+        vc_id=_VC_ID.build(rand(_VC_ID_LEN)),
         issuer=issuer,
         subject=subject,
         commitments=commitments,

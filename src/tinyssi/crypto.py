@@ -17,8 +17,10 @@ a replayed or rewound counter.
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import dataclass
+from typing import Annotated
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -34,13 +36,14 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-import hashlib
+from .encoding import hex_id
 
 KEY_LEN = 32
 SIGNATURE_LEN = 64
 DIGEST_LEN = 32
 NONCE_LEN = 12
 SALT_LEN = 16
+KEY_ID_DIGEST_LEN = 4
 
 PURPOSE_SIGN = "sign"
 PURPOSE_AGREE = "agree"
@@ -105,7 +108,15 @@ def digest(data: bytes) -> bytes:
 def default_key_id(purpose: str, public: bytes) -> str:
     """The id of a key whose maker names none: its purpose and a 4-byte digest prefix,
     so a reader that holds the key derives it."""
-    return f"{purpose}-{digest(public)[:4].hex()}"
+    return _key_id(purpose, digest(public)[:KEY_ID_DIGEST_LEN])
+
+
+def _key_id(purpose: str, prefix: bytes) -> str:
+    return f"{purpose}-{prefix.hex()}"
+
+
+# A signing key id of the default shape, `sign-<8 hex>`, travels as its digest prefix.
+KeyId = Annotated[str, hex_id(KEY_ID_DIGEST_LEN, lambda prefix: _key_id(PURPOSE_SIGN, prefix))]
 
 
 def keygen(purpose: str, seed: bytes | None = None, key_id: str | None = None) -> KeyPair:

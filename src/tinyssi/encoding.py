@@ -11,15 +11,15 @@ messages travel in, limited to the items their records hold: unsigned and
 negative integers, byte strings, text, arrays, and false, true and null. A
 record is an array of its fields in declared order, with no names; bytes
 travel raw as a byte string. A type with a `from_wire` constructor travels as
-its `wire_form`: `to_wire` gives that value and `from_wire` takes it back. Its
-users are the DID (a byte string of its method byte and raw id), a document's
-public key and a credential's claim opening (each a record that leaves out or
-shortens what its reader derives). Integers and lengths take the shortest
-head. `from_cbor` accepts exactly these bytes and refuses the rest of CBOR:
-maps, tags, floats and every other simple value, indefinite lengths,
-trailing bytes and invalid UTF-8; `read_uint` reads one unsigned integer's
-head at the front of longer bytes. `cbor_bytes` likewise refuses a dict or
-a float, so a record with such a field (a scenario file's) has no wire form.
+its `wire_form`, which `to_wire` gives: the DID (its method byte and raw id)
+and a document's public key. A text field declared `Annotated[str, ByteForm]`
+travels as bytes where it has some: a DID claim value, a default-shaped key
+id, an issued credential id. Integers and lengths take the shortest head.
+`from_cbor` accepts exactly these bytes and refuses the rest of CBOR: maps,
+tags, floats and every other simple value, indefinite lengths, trailing bytes
+and invalid UTF-8; `read_uint` reads one unsigned integer's head at the front
+of longer bytes. `cbor_bytes` likewise refuses a dict or a float, so a record
+with such a field (a scenario file's) has no wire form.
 
 Records (dataclasses: documents, credentials, wallet and registry contents,
 handshake messages) map to both forms through their fields alone, by one plan
@@ -235,6 +235,34 @@ def _read_item(raw: bytes, at: int) -> tuple[Any, int]:
 # Records
 # ---------------------------------------------------------------------------
 
+class ByteForm(typing.NamedTuple):
+    """How a text field declared `Annotated[str, form]` travels: as `write(text)`,
+    its bytes or else itself; `build(raw)` gives the text of bytes back."""
+
+    write: Callable[[str], bytes | str]
+    build: Callable[[bytes], str]
+
+    def read(self, value: Any) -> str:
+        """The text a wire value names, if `write` gives that value: one form each."""
+        text = _construct(self.build, value) if type(value) is bytes else _exactly(str, value)
+        if self.write(text) != value:
+            raise EncodingError(f"{text!r} has another wire form than {value!r}")
+        return text
+
+
+def hex_id(size: int, build: Callable[[bytes], str]) -> ByteForm:
+    """The byte form of an id that `build` makes from `size` bytes, their hex last."""
+
+    def write(text: str) -> bytes | str:
+        try:
+            raw = bytes.fromhex(text[-2 * size :])
+        except ValueError:
+            return text
+        return raw if len(raw) == size and build(raw) == text else text
+
+    return ByteForm(write, build)
+
+
 def encode(value: Any) -> Any:
     """The canonical form of a record, or of any value a record field holds."""
     return _laid_out(value, False)
@@ -259,6 +287,8 @@ def _encoder(tp: Any, wire: bool) -> Callable[[Any], Any] | None:
     by_value = functools.partial(_laid_out, wire=wire)
     if origin in (types.UnionType, typing.Union):
         return by_value
+    if origin is typing.Annotated:
+        return args[1].write if wire else None
     if origin in (tuple, list):
         item = _encoder(args[0], wire) if args else by_value
         return list if item is None else lambda items: [item(v) for v in items]
@@ -272,7 +302,7 @@ def _encoder(tp: Any, wire: bool) -> Callable[[Any], Any] | None:
     if not wire and hasattr(tp, "from_text"):
         return str
     if dataclasses.is_dataclass(tp):
-        hints = typing.get_type_hints(tp)
+        hints = typing.get_type_hints(tp, include_extras=True)
         plan = [(f.name, _encoder(hints[f.name], wire)) for f in dataclasses.fields(tp)]
 
         def field_values(record: Any) -> list[Any]:
@@ -307,6 +337,8 @@ def _decoder(tp: Any, wire: bool) -> Callable[[Any], Any]:
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (types.UnionType, typing.Union):
         return _union_decoder(tp, [_decoder(arg, wire) for arg in args])
+    if origin is typing.Annotated:
+        return args[1].read if wire else _decoder(str, False)
     if origin in (tuple, list):
         item = _decoder(args[0], wire)
         return lambda value: origin(item(v) for v in _exactly(list, value))
@@ -360,7 +392,7 @@ def _union_decoder(tp: Any, options: list[Callable[[Any], Any]]) -> Callable[[An
 
 
 def _record_decoder(tp: type, wire: bool) -> Callable[[Any], Any]:
-    hints = typing.get_type_hints(tp)
+    hints = typing.get_type_hints(tp, include_extras=True)
     readers = [(f.name, _decoder(hints[f.name], wire)) for f in dataclasses.fields(tp)]
     names = frozenset(name for name, _ in readers)
 

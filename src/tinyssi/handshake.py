@@ -5,10 +5,10 @@ layer 2 exchanges credential presentations over that channel and applies a
 trust policy.
 
   I -> R  HELLO       Hello: did (reg) or document body (peer, the did derived
-                      from it), ephemeral key, nonce
+                      from it), ephemeral key
   I <- R  HELLO_ACK   Hello likewise
-  I -> R  AUTH        Auth: signature over the transcript digest so far
-  I <- R  AUTH_ACK    Auth: the responder's signature likewise
+  I -> R  AUTH        Auth: a proof (key id, signature) of the transcript so far
+  I <- R  AUTH_ACK    Auth: the responder's proof likewise
           both sides now agree on the ephemerals and derive session keys
   I -> R  CRED_REQUEST + CRED_PRESENT   sealed; wanted claim names, and
                                         the initiator's own presentations
@@ -21,36 +21,39 @@ A message is a tag byte and a body. Every body is a record in wire form
 `credentials.Verdict` or Error. step() runs every message through one
 pipeline: its tag must be one the session accepts in its state (else
 `protocol`), a sealed body must open (else `channel`), and the body must
-decode as its tag's record (else `protocol`). An ERROR ends the session in
-any state until it is complete; a complete session, holding both verdicts,
-ignores whatever arrives.
+decode as its tag's record (else `protocol`). An ERROR ends the session
+until it is complete, but once there are session keys one that does not open
+is dropped. A complete session, holding both verdicts, ignores whatever arrives.
 
 The wire leaves out what its reader can derive (as SCHC does, RFC 8724):
 - A document travels as the body its peer DID is the digest of, so the
   reader derives the DID and the decoded body gives back its canonical bytes.
+- A HELLO has no nonce: its fresh ephemeral key makes the transcript fresh.
 - A key travels with null for its id when the id is the default
   (`crypto.default_key_id` of its purpose and public key), and with its
-  purpose as an index into `crypto.PURPOSES`. AUTH and proofs keep their
-  key ids, which the resolver needs to detect a stale `reg` document.
-- A disclosed claim value that is DID text of a method with a wire form
-  travels as that DID's wire bytes; the reader writes its text back.
+  purpose as an index into `crypto.PURPOSES`. In AUTH and proofs a key id
+  of the default signing shape travels as its digest bytes (`crypto.KeyId`).
+- A disclosed claim value that is DID text travels as the DID's wire bytes,
+  and one that is its credential's issuer as null (IssuerOpening). An id
+  that issue() made travels as its raw bytes (`credentials.VcId`).
 - A presentation travels as a PresentationWire: its credential without the
   subject, which holder binding makes the authenticated peer, and with null
   for each commitment a disclosed opening opens, the digest of that opening.
-  The reader restores both before it verifies the presentation, and the
+  The reader restores each before it verifies the presentation, and the
   restored credential is the one the issuer signed and the holder stores as
   canonical JSON, so another subject or a changed opening fails `signature`.
 - The bodies of CRED_REQUEST, CRED_PRESENT, TRUST_RESULT and DATA travel
-  sealed, each as one record `tag | counter | ciphertext`. The counter is the
-  sender's record number as a shortest CBOR unsigned head (1 byte up to 23),
-  and the reader rebuilds the 12-byte nonce from the sender's role byte and
-  the counter, as OSCORE rebuilds its nonce from a Partial IV (RFC 8613). The
-  tag byte is the ciphertext's associated data. The session keeps one count
-  per direction, as OSCORE keeps one replay window (RFC 8613 section 7.4):
-  the records it sealed, and the highest counter it opened.
+  sealed (an ERROR's too, once there are keys), each as one record `tag |
+  counter | ciphertext`. The counter is the sender's record number as a
+  shortest CBOR unsigned head (1 byte up to 23), and the reader rebuilds the
+  12-byte nonce from the sender's role byte and the counter, as OSCORE
+  rebuilds its nonce from a Partial IV (RFC 8613). The tag byte is the
+  ciphertext's associated data. The session keeps one count per direction,
+  as OSCORE keeps one replay window (RFC 8613 section 7.4): the records it
+  sealed, and the highest counter it opened.
 
-Both sides sign the running transcript, so swapping any key or nonce in
-transit breaks authentication on at least one side. The initiator presents
+Both sides sign the running transcript, so swapping any key in transit
+breaks authentication on at least one side. The initiator presents
 proactively (without waiting for a request) so that both sides can reach a
 verdict within three round trips; it discloses the claims its own policy
 would ask of the peer.
@@ -59,7 +62,6 @@ would ask of the peer.
 from __future__ import annotations
 
 import hashlib
-import secrets
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
@@ -75,6 +77,7 @@ from .credentials import (
     RevocationRegistry,
     StoredCredential,
     Verdict,
+    VcId,
     VerifiableCredential,
     present,
     verify_presentation,
@@ -97,8 +100,6 @@ _ENCRYPTED_TAGS = frozenset({MSG_CRED_REQUEST, MSG_CRED_PRESENT, MSG_TRUST_RESUL
 
 # Each role's byte, which leads the nonces it seals under, and its peer's.
 _ROLE_BYTES = {crypto.ROLE_INITIATOR: (0x01, 0x02), crypto.ROLE_RESPONDER: (0x02, 0x01)}
-
-HELLO_NONCE_LEN = 16
 
 FAIL_PROTOCOL = "protocol"
 FAIL_AUTH = "auth"
@@ -137,37 +138,35 @@ _CHANNEL_STATES = frozenset({State.SECURE, State.TRUSTED, State.UNTRUSTED})
 @dataclass(frozen=True)
 class Hello(Record):
     """HELLO and HELLO_ACK: my DID (reg) or my document's body (peer, the DID
-    derived from it), never both, and my key share."""
+    derived from it), never both, and my key share, fresh for each session."""
 
     did: Did | None
     document: DocumentBody | None
     ephemeral: bytes
-    nonce: bytes
 
     def __post_init__(self) -> None:
-        if len(self.ephemeral) != crypto.KEY_LEN or len(self.nonce) != HELLO_NONCE_LEN:
-            raise ValueError(
-                f"ephemeral key must be {crypto.KEY_LEN} bytes and nonce {HELLO_NONCE_LEN}"
-            )
+        if len(self.ephemeral) != crypto.KEY_LEN:
+            raise ValueError(f"ephemeral key must be {crypto.KEY_LEN} bytes")
         if (self.did is None) == (self.document is None):
             raise ValueError("a Hello carries a DID or a document, exactly one")
 
 
-@dataclass(frozen=True)
-class Auth(Record):
-    """AUTH and AUTH_ACK: my signature over the transcript digest so far."""
-
-    key_id: str
-    signature: bytes
-
-    def __post_init__(self) -> None:
-        if len(self.signature) != crypto.SIGNATURE_LEN:
-            raise ValueError(f"signature must be {crypto.SIGNATURE_LEN} bytes")
+class Auth(Proof):
+    """AUTH and AUTH_ACK: my proof over the transcript digest so far."""
 
 
 @dataclass(frozen=True)
 class CredRequest(Record):
     want: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class IssuerOpening(Record):
+    """A disclosed opening of its credential's issuer DID: the reader fills it in."""
+
+    name: str
+    value: None
+    salt: bytes
 
 
 @dataclass(frozen=True)
@@ -179,28 +178,40 @@ class PresentationWire(Record):
     None: it is that opening's digest. Undisclosed commitments travel whole.
     """
 
-    vc_id: str
+    vc_id: VcId
     issuer: Did
     commitments: tuple[Commitment | None, ...]
     issued_at: int
     expires_at: int
     proof: Proof
-    disclosed: tuple[ClaimOpening, ...]
+    disclosed: tuple[ClaimOpening | IssuerOpening, ...]
 
     @classmethod
     def of(cls, p: Presentation) -> "PresentationWire":
         vc, opened = p.credential, {o.name for o in p.disclosed}
         commitments = tuple(None if c.claim_name in opened else c for c in vc.commitments)
+        issuer = format_did(vc.issuer)
+        disclosed = tuple(
+            IssuerOpening(o.name, None, o.salt) if o.value == issuer else o for o in p.disclosed
+        )
         return cls(vc.vc_id, vc.issuer, commitments, vc.issued_at, vc.expires_at, vc.proof,
-                   p.disclosed)
+                   disclosed)
 
     def restore(self, subject: Did) -> Presentation:
-        """The presentation of `subject`, each None commitment rebuilt from the
-        next disclosed opening in order. CredentialError if the None slots and
+        """The presentation of `subject`, the issuer filled in for each null value
+        and each None commitment rebuilt from the next disclosed opening in order.
+        CredentialError if an opening spells out the issuer, if the None slots and
         the openings do not pair one to one, or the credential breaks an invariant."""
         if sum(c is None for c in self.commitments) != len(self.disclosed):
             raise CredentialError("derived commitments do not pair with the disclosed openings")
-        openings = iter(self.disclosed)
+        issuer = format_did(self.issuer)
+        if any(o.value == issuer for o in self.disclosed):
+            raise CredentialError("the issuer's DID as a value travels as null")
+        disclosed = tuple(
+            ClaimOpening(o.name, issuer if o.value is None else o.value, o.salt)
+            for o in self.disclosed
+        )
+        openings = iter(disclosed)
         commitments = tuple(
             next(openings).commitment() if c is None else c for c in self.commitments
         )
@@ -208,7 +219,7 @@ class PresentationWire(Record):
             self.vc_id, self.issuer, subject, commitments, self.issued_at, self.expires_at,
             self.proof,
         )
-        return Presentation(credential, self.disclosed)
+        return Presentation(credential, disclosed)
 
 
 @dataclass(frozen=True)
@@ -319,11 +330,6 @@ class SessionConfig:
     def did(self) -> Did:
         return self.document.id
 
-    def random_bytes(self, n: int) -> bytes:
-        if self.rng is not None:
-            return self.rng.randbytes(n)
-        return secrets.token_bytes(n)
-
     @classmethod
     def from_wallet(cls, wallet, resolver: Resolver, **kwargs) -> "SessionConfig":
         """Wire a config from a wallet: identity, current sign key, credentials."""
@@ -346,8 +352,8 @@ class HandshakeSession:
         # Only a key my document authorizes signs; any other fails the peer's check.
         if not config.document.authorizes(config.sign_key):
             raise HandshakeError("signing key is not a current key of my document")
-        self.my_nonce: bytes = config.random_bytes(HELLO_NONCE_LEN)
-        self.ephemeral = crypto.keygen(crypto.PURPOSE_AGREE, seed=config.random_bytes(32))
+        seed = config.rng.randbytes(crypto.KEY_LEN) if config.rng is not None else None
+        self.ephemeral = crypto.keygen(crypto.PURPOSE_AGREE, seed=seed)
         # My HELLO, packed once here, carries my document's body (peer) or my
         # DID (reg), which must travel.
         if config.did.method == METHOD_PEER:
@@ -355,7 +361,7 @@ class HandshakeSession:
         else:
             did, body = config.did, None
         try:
-            self._hello_body = pack(Hello(did, body, self.ephemeral.public, self.my_nonce))
+            self._hello_body = pack(Hello(did, body, self.ephemeral.public))
         except EncodingError as exc:
             raise HandshakeError(f"my document has no wire form: {exc}") from exc
         self.role = role
@@ -389,8 +395,9 @@ class HandshakeSession:
         return [self._send(MSG_ERROR, Error(reason))]
 
     def _send(self, tag: int, body: Record) -> bytes:
-        """One message: the tag byte, then the body's wire bytes, sealed if the tag is."""
-        if tag in _ENCRYPTED_TAGS:
+        """One message: the tag byte, then the body's wire bytes, sealed if the tag
+        is (an ERROR's once there are keys)."""
+        if tag in _ENCRYPTED_TAGS or (tag == MSG_ERROR and self.session_keys is not None):
             return self._seal(tag, pack(body))
         return bytes([tag]) + pack(body)
 
@@ -455,6 +462,11 @@ class HandshakeSession:
             return []
         tag, body = (incoming[0] if incoming else None), incoming[1:]
         if tag == MSG_ERROR:
+            if self.session_keys is not None:  # a plaintext or forged one is dropped
+                try:
+                    body = self._open(incoming)
+                except ChannelError:
+                    return []
             error = _read(Error, body)
             self.state = State.FAILED
             self.failure_reason = f"{FAIL_PEER}: {error.reason if error else 'unspecified'}"
@@ -517,13 +529,14 @@ class HandshakeSession:
         # The peer signed the transcript up to the message before this one,
         # with a current signing key of its document. A reg document that does
         # not know the key may predate a rotation: the resolver re-reads it once.
-        key = self.peer_document.signing_key(auth.key_id)
+        key_id = auth.verification_key_id
+        key = self.peer_document.signing_key(key_id)
         if key is None and self.peer_did.method != METHOD_PEER:
             try:
-                self.peer_document = self.config.resolver.resolve(self.peer_did, now, auth.key_id)
+                self.peer_document = self.config.resolver.resolve(self.peer_did, now, key_id)
             except ResolutionError:
                 return self._fail(FAIL_RESOLVE)
-            key = self.peer_document.signing_key(auth.key_id)
+            key = self.peer_document.signing_key(key_id)
         if key is None or not crypto.verify(key.public, self.transcript_digest(), auth.signature):
             return self._fail(FAIL_AUTH)
         self._transcript.update(raw)

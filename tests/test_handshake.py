@@ -72,7 +72,9 @@ from tinyssi.handshake import (
     initiate,
     respond,
 )
-from tinyssi.identity import Did, DocumentBody, PublicKeyEntry, format_did, rotate_key
+from tinyssi.identity import (
+    Did, DidDocument, DocumentBody, PublicKeyEntry, format_did, rotate_key,
+)
 from tinyssi.resolver import Registry, Resolver
 from tinyssi.wallet import Wallet
 
@@ -159,7 +161,7 @@ def rotate(actor: Actor, registry: Registry, now: int) -> None:
 def forged_key_id(role, message):
     """An intercept naming a key id that no document holds in AUTH."""
     if message[0] == MSG_AUTH:
-        return forge(message, Auth, key_id="sign-ffffffff")
+        return forge(message, Auth, verification_key_id="sign-ffffffff")
     return message
 
 
@@ -235,10 +237,10 @@ class TestWireSize:
     """The owner-two-devices handshake as its LoRa link carries it: 9 messages in 7 legs."""
 
     TAGS = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x06, 0x07, 0x07]
-    MESSAGE_BYTES = [166, 164, 82, 82, 26, 269, 269, 21, 21]
+    MESSAGE_BYTES = [149, 147, 73, 73, 26, 215, 215, 21, 21]
     LORA_FRAGMENTS = [1, 1, 1, 1, 2, 2, 1]  # one transport message per leg
-    AIR_BYTES = 1243  # data and ACK frames
-    HELLO_MARGIN = 48  # what the largest HELLO leaves of one LoRa fragment's payload
+    AIR_BYTES = 1083  # data and ACK frames
+    HELLO_MARGIN = 65  # what the largest HELLO leaves of one LoRa fragment's payload
     FRAMES = 10  # 9 data frames, 6 of them carrying an ACK, and the last leg's ACK alone
     TICKS = 8  # a leg a tick, each answering the one before, and the last ACK's return
 
@@ -262,9 +264,9 @@ class TestWireSize:
     def test_every_hello_of_the_shipped_scenarios_is_one_lora_fragment(self):
         """A peer HELLO omits both copies of its DID, which the reader derives
         from the document, and each default key id, which the reader derives
-        from the key, so it fits one 214-byte LoRa payload: the owner-two-devices
-        HELLO is 166 B, a margin of 48 B, as the README says. A reg HELLO
-        carries its DID and no document."""
+        from the key, and it carries no nonce, so it fits one 214-byte LoRa
+        payload: the owner-two-devices HELLO is 149 B, a margin of 65 B, as the
+        README says. A reg HELLO carries its DID and no document."""
         hellos = [
             bytes.fromhex(m) for messages in scenario_handshake_messages().values()
             for m in messages if m[:2] in ("01", "02")
@@ -278,7 +280,9 @@ class TestWireSize:
     def test_owner_two_devices_at_sf12_saves_whole_fragments(self):
         """At LoRa SF12 (a 51-byte MTU, so 43 B of payload per fragment) the
         derived key ids and DID values save a fragment in each HELLO leg and
-        in each presentation leg: 27 fragments, where sending them took 31."""
+        in each presentation leg, and the implied issuer value and the raw
+        key and credential ids one more in each presentation leg: 25
+        fragments, where sending them all took 31."""
         sf12 = transport.LinkProfile(name="lora-sf12", mtu=51)
         make_link = harness.make_link
         with mock.patch.object(
@@ -289,8 +293,21 @@ class TestWireSize:
             )
         (step,) = report.steps
         assert step.outcome == "trusted"
-        assert list(step.fragments_per_message) == [4, 4, 2, 2, 7, 7, 1]
-        assert (step.bytes_sent, step.ticks) == (1387, self.TICKS)
+        assert list(step.fragments_per_message) == [4, 4, 2, 2, 6, 6, 1]
+        assert (step.bytes_sent, step.ticks) == (1211, self.TICKS)
+
+    def test_reg_pairing_on_ble_sends_each_presentation_leg_in_two_fragments(self):
+        """A pairing of two reg devices on BLE, the shape of the fleet-ble
+        benchmark's pairings. Each presentation leg is 4 B over one 236-byte
+        BLE payload, so a change that crosses that boundary shows here."""
+        registry, alice, camera, lock = reg_household()
+        session_i, hello = initiate(owner_match_config(camera, alice, 1), now=NOW)
+        session_r = respond(owner_match_config(lock, alice, 2), now=NOW)
+        link = transport.make_link("ble", a="camera", b="lock")
+        run = harness.drive_handshake(link, session_i, hello, session_r, NOW)
+        assert run.outcome() == "trusted"
+        assert run.fragments_per_message == [1, 1, 1, 1, 2, 2, 1]
+        assert link.bytes_on_wire() == 931
 
     def test_readme_handshake_table_states_the_pinned_figures(self):
         """The README's message table and the paragraph under it give today's
@@ -396,7 +413,6 @@ class TestHonestRun:
         cfg_i.rng = None  # fresh randomness
         first, _ = initiate(cfg_i, now=NOW)
         second, _ = initiate(cfg_i, now=NOW)
-        assert first.my_nonce != second.my_nonce
         assert first.ephemeral.public != second.ephemeral.public
 
     def test_reg_method_handshake(self):
@@ -499,12 +515,38 @@ class TestAuthFailures:
 
         def intercept(role, message):
             if message[0] == MSG_AUTH:
-                return forge(message, Auth, key_id="sign-ffffffff")
+                return forge(message, Auth, verification_key_id="sign-ffffffff")
             return message
 
         _, session_r, _ = run_direct(cfg_i, cfg_r, intercept=intercept)
         assert session_r.state == State.FAILED
         assert session_r.failure_reason == "auth"
+
+    def test_auth_replayed_into_a_new_session_fails(self, household):
+        # A HELLO carries no nonce: each session's fresh ephemeral keys make its
+        # transcript fresh. Sessions between the same two configs draw new ones.
+        cfg_i, cfg_r, _ = household_configs(household)
+        recorded = {}
+
+        def record(role, message):
+            recorded.setdefault(message[0], message)
+            return message
+
+        first_i, first_r, _ = run_direct(cfg_i, cfg_r, intercept=record)
+        assert first_i.state == first_r.state == State.TRUSTED
+
+        # The recorded AUTH in a new honest session, in place of the fresh one.
+        def replay(role, message):
+            return recorded[MSG_AUTH] if message[0] == MSG_AUTH else message
+
+        _, session_r, _ = run_direct(cfg_i, cfg_r, intercept=replay)
+        assert (session_r.state, session_r.failure_reason) == (State.FAILED, "auth")
+        # The recorded HELLO and AUTH alone, replayed to a new responder.
+        session_r = respond(cfg_r, now=NOW)
+        (hello_ack,) = session_r.step(recorded[MSG_HELLO], NOW)
+        assert hello_ack != recorded[MSG_HELLO_ACK]
+        session_r.step(recorded[MSG_AUTH], NOW)
+        assert (session_r.state, session_r.failure_reason) == (State.FAILED, "auth")
 
     @pytest.mark.parametrize("stored", [True, False], ids=["stored", "from-hello"])
     def test_unknown_key_id_of_a_peer_did_reads_no_registry(self, household, stored):
@@ -659,6 +701,30 @@ class TestProtocolOrder:
             assert (session.my_verdict, session.peer_verdict) == verdicts
         assert run.outcome() == "trusted"
 
+    def test_plaintext_error_to_a_secure_session_is_dropped(self, household):
+        # A plaintext ERROR that nobody signed or sealed once ended a Secure
+        # session as `peer: spoofed`. Once there is a channel, it is dropped.
+        session_i, session_r, leg = secure_pair(household)
+        spoofed = bytes([MSG_ERROR]) + pack(Error("spoofed"))
+        for session in (session_i, session_r):
+            assert session.step(spoofed, NOW) == []
+            assert (session.state, session.failure_reason) == (State.SECURE, None)
+        # The handshake goes on to both verdicts.
+        replies = [r for m in leg for r in session_r.step(m, NOW)]
+        for m in replies:
+            session_i.step(m, NOW)
+        assert session_i.state == session_r.state == State.TRUSTED
+
+    def test_error_in_a_channel_state_travels_sealed(self, household):
+        session_i, session_r, _ = secure_pair(household)
+        (error,) = session_i._fail("bye")
+        assert error[0] == MSG_ERROR and b"bye" not in error
+        # A tampered copy does not open, and is dropped.
+        assert session_r.step(error[:-1] + bytes([error[-1] ^ 1]), NOW) == []
+        assert session_r.state == State.SECURE
+        assert session_r.step(error, NOW) == []
+        assert (session_r.state, session_r.failure_reason) == (State.FAILED, "peer: bye")
+
     def test_state_machine_safety_unexpected_pairs_only_fail(self, household):
         # Feeding every message tag into a fresh session in each reachable
         # at-rest state either follows the table or lands in FAILED.
@@ -742,6 +808,20 @@ class TestTotality:
             key[slot(PublicKeyEntry, "purpose")] = index
 
         session_r = self._hello_with(edit, *household_configs(household)[:2])
+        assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
+
+    def test_default_shaped_key_id_spelled_out_in_auth_fails_protocol(self, household):
+        cfg_i, cfg_r, _ = household_configs(household)
+        key_id = cfg_i.sign_key.key_id
+
+        def intercept(role, message):
+            if message[0] == MSG_AUTH:
+                prefix, signature = from_cbor(message[1:])
+                assert prefix == crypto.digest(cfg_i.sign_key.public)[:4]
+                return message[:1] + cbor_bytes([key_id, signature])
+            return message
+
+        _, session_r, _ = run_direct(cfg_i, cfg_r, intercept=intercept)
         assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
 
     def test_default_key_id_spelled_out_fails_protocol(self, household):
@@ -1042,6 +1122,7 @@ class TestLayer2:
         sent = legs[0::2] if holder == "initiator" else legs[1::2]
         assert MSG_CRED_PRESENT not in [m[0] for leg in sent for m in leg]
         assert sent[-1][-1][0] == MSG_ERROR
+        assert b"credentials" not in sent[-1][-1]  # sealed: the reason does not leak
 
 
 class TestDerivedFields:
@@ -1082,14 +1163,76 @@ class TestDerivedFields:
         alice, _, lock = household
 
         def edit(wire):
-            # The owner value travels as Alice's DID in its wire form; the lock's replaces it.
+            # The owner value is Alice's DID, the issuer's, so it travels as null;
+            # the lock's DID in its wire form replaces it.
             (opening,) = wire[slot(PresentationWire, "disclosed")]
-            assert opening[slot(ClaimOpening, "value")] == alice.did.to_wire()
+            assert opening[slot(ClaimOpening, "value")] is None
             opening[slot(ClaimOpening, "value")] = lock.did.to_wire()
 
         session_r = self._presented(household, edit)
         assert session_r.presented == []
         assert session_r.rejected == ["signature"]
+
+    def test_issuer_did_sent_where_null_is_due_fails_protocol(self, household):
+        alice = household[0]
+
+        def edit(wire):
+            (opening,) = wire[slot(PresentationWire, "disclosed")]
+            opening[slot(ClaimOpening, "value")] = alice.did.to_wire()
+
+        session_r = self._presented(household, edit)
+        assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
+
+    def test_null_for_a_value_other_than_the_issuer_is_dropped_for_signature(self, household):
+        # The type claim ("Camera") disclosed with a null value: the reader fills
+        # in the issuer, whose commitment under that name the issuer never
+        # signed. The reader cannot tell this null from an honest one, so the
+        # signature, not the decode, refuses it.
+        kind = household[1].credentials[0].opening_for("type")
+
+        def edit(wire):
+            wire[slot(PresentationWire, "commitments")] = [None, None]
+            wire[slot(PresentationWire, "disclosed")].append([kind.name, None, kind.salt])
+
+        session_r = self._presented(household, edit)
+        assert session_r.presented == []
+        assert session_r.rejected == ["signature"]
+
+    def test_presentation_moved_under_another_issuer_is_dropped_for_signature(self, household):
+        # Mallory's document lists Alice's signing key under its own DID, so
+        # the proof's key resolves; but the restored credential names Mallory
+        # as issuer and, through the null value, as owner: not what Alice signed.
+        alice, _, lock = household
+        key = PublicKeyEntry(alice.sign_key.key_id, crypto.PURPOSE_SIGN, alice.sign_key.public)
+        mallory = DidDocument.from_body(DocumentBody((key,)), "peer")
+        lock.resolver.store_peer(mallory.id, mallory)
+
+        def edit(wire):
+            assert wire[slot(PresentationWire, "issuer")] == alice.did.to_wire()
+            wire[slot(PresentationWire, "issuer")] = mallory.id.to_wire()
+
+        session_r = self._presented(household, edit)
+        assert session_r.presented == []
+        assert session_r.rejected == ["signature"]
+
+    @pytest.mark.parametrize("field", ["vc_id", "proof"])
+    def test_issued_ids_spelled_out_as_text_fail_protocol(self, household, field):
+        # An issued credential id travels as its 8 bytes, and a default-shaped
+        # key id in the proof as its 4 digest bytes; as text, neither decodes.
+        vc = household[1].credentials[0].credential
+
+        def edit(wire):
+            if field == "vc_id":
+                assert wire[slot(PresentationWire, "vc_id")] == bytes.fromhex(vc.vc_id[3:])
+                wire[slot(PresentationWire, "vc_id")] = vc.vc_id
+            else:
+                proof = wire[slot(PresentationWire, "proof")]
+                key_id = vc.proof.verification_key_id
+                assert proof[0] == crypto.digest(household[0].sign_key.public)[:4]
+                proof[0] = key_id
+
+        session_r = self._presented(household, edit)
+        assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
 
     # The honest commitments slot is [null, type commitment], with one opening (owner).
     @pytest.mark.parametrize("commitments, outcome", [
@@ -1122,6 +1265,11 @@ class TestDerivedFields:
     )
     def test_wire_form_restores_the_presentation(self, claims, data):
         alice, camera, lock = _household()
+        # Some claims are of the issuer's DID, as an owner claim is.
+        claims = {
+            n: format_did(alice.did) if data.draw(st.booleans(), label=f"issuer {n}") else v
+            for n, v in claims.items()
+        }
         subject = data.draw(st.sampled_from([alice.did, camera.did, lock.did]), label="subject")
         subset = data.draw(st.sets(st.sampled_from(sorted(claims)), min_size=1), label="subset")
         vc, openings = issue(
@@ -1129,9 +1277,16 @@ class TestDerivedFields:
             3600, NOW, rng=Random(data.draw(st.integers(0, 2**32), label="seed")),
         )
         p = present(vc, openings, subset)
-        wire = unpack(PresentationWire, pack(PresentationWire.of(p)))
+        raw = pack(PresentationWire.of(p))
+        wire = unpack(PresentationWire, raw)
         restored = wire.restore(subject)
         assert restored == p
+        # Each value that is the issuer's DID travels as null, and the id as its 8 bytes.
+        vc_id, *_, disclosed = from_cbor(raw)
+        assert vc_id == bytes.fromhex(vc.vc_id[3:])
+        assert [v is None for _, v, _ in disclosed] == [
+            o.value == format_did(alice.did) for o in p.disclosed
+        ]
         assert restored.credential.signing_payload() == vc.signing_payload()
 
 

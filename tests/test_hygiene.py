@@ -29,15 +29,21 @@ lookup reads the parsed document and a write asks the parsed version before it.
 One rule makes a DID of any method: only `DocumentBody.derive_did` (the digest
 of a genesis body) and `Did.from_wire` (the id read off the wire) call
 `base58_encode`. One rule names a key whose maker names none: only
-`crypto.default_key_id` writes the `f"{purpose}-…"` format, which `keygen`
-and a key read off the wire both ask it for.
+`crypto._key_id` writes the `f"{purpose}-…"` format, for
+`crypto.default_key_id`, which `keygen` and a key read off the wire ask, and
+for `crypto.KeyId`, the one byte form of a signing key id on the wire. Only
+the codec parses hex.
 """
 
 import ast
 import builtins
+import typing
 from pathlib import Path
 
 import pytest
+
+from tinyssi import crypto
+from tinyssi.credentials import Proof
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tinyssi"
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
@@ -299,6 +305,14 @@ def _formats_a_key_id(node: ast.AST) -> bool:
     )
 
 
+def _package_callers(function: str) -> set[tuple[str, str]]:
+    return {
+        (module, scope)
+        for module in MODULES
+        for scope in callers_of((PACKAGE / module).read_text(encoding="utf-8"), function)
+    }
+
+
 def test_one_rule_names_a_default_key():
     formats = {
         (module, scope)
@@ -306,7 +320,21 @@ def test_one_rule_names_a_default_key():
         for scope in scopes_holding((PACKAGE / module).read_text(encoding="utf-8"),
                                     _formats_a_key_id)
     }
-    assert formats == {("crypto.py", "default_key_id")}
+    # One formatter writes a key id from its purpose and digest prefix, for the
+    # default id of a key and for the prefix a signing key id travels as.
+    assert formats == {("crypto.py", "_key_id")}
+    # A key id's byte form has one home, `crypto.KeyId`, which declares a proof's
+    # key id (AUTH's too). Only crypto and credentials declare an id's byte
+    # form, and nothing but the codec parses hex, so no module reads an id's
+    # bytes off its text another way.
+    hints = typing.get_type_hints(Proof, include_extras=True)
+    assert hints["verification_key_id"] == crypto.KeyId
+    assert _package_callers("hex_id") == {
+        ("crypto.py", "<module>"), ("credentials.py", "<module>"),
+    }
+    assert _package_callers("fromhex") == {
+        ("encoding.py", "from_hex"), ("encoding.py", "hex_id.write"),
+    }
 
 
 def test_checker_flags_a_second_key_id_rule():
@@ -319,10 +347,14 @@ def test_checker_flags_a_second_key_id_rule():
         "def keygen(purpose):\n"
         "    return f\"{kp.purpose}-{public.hex()}\", f\"{purpose}:{public.hex()}\"\n"
         "LABEL = f\"{name}-{n}\"\n"
+        "class Auth:\n"
+        "    def from_wire(cls, wire):\n"
+        "        return cls(bytes.fromhex(wire.key_id[5:]), wire.signature)\n"
     )
     assert scopes_holding(source, _formats_a_key_id) == {
         "default_key_id", "PublicKeyEntry.from_wire", "keygen",
     }
+    assert callers_of(source, "fromhex") == {"Auth.from_wire"}
 
 
 def test_registry_parses_only_on_load():

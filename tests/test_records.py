@@ -32,6 +32,7 @@ from tinyssi.credentials import (
     StoredCredential,
     Verdict,
     VerifiableCredential,
+    _VC_ID,
     present,
 )
 from tinyssi.encoding import (
@@ -52,6 +53,7 @@ from tinyssi.handshake import (
     CredRequest,
     Error,
     Hello,
+    IssuerOpening,
     PresentationWire,
 )
 from tinyssi.harness import (
@@ -160,8 +162,14 @@ openings = st.builds(
 commitments = st.builds(
     Commitment, claim_name=texts, value_hash=st.binary(min_size=32, max_size=32)
 )
-proofs = st.builds(
-    Proof, verification_key_id=texts, signature=st.binary(min_size=64, max_size=64)
+# A key id named by its maker, or one of the default signing shape, which
+# travels as its digest prefix.
+key_ids = texts | st.builds(crypto.default_key_id, st.just(crypto.PURPOSE_SIGN), publics)
+signatures = st.binary(min_size=64, max_size=64)
+proofs = st.builds(Proof, verification_key_id=key_ids, signature=signatures)
+# A disclosed opening of the issuer's DID, whose value travels as null.
+issuer_openings = st.builds(
+    IssuerOpening, name=texts, value=st.none(), salt=st.binary(min_size=16, max_size=16)
 )
 
 
@@ -195,13 +203,10 @@ tuples = lambda strategy: st.lists(strategy, max_size=3).map(tuple)  # noqa: E73
 
 def hellos(dids, bodies):
     """Hellos with a DID and no document, or with a document body and no DID."""
-    key_share = {
-        "ephemeral": st.binary(min_size=32, max_size=32),
-        "nonce": st.binary(min_size=16, max_size=16),
-    }
+    ephemerals = st.binary(min_size=32, max_size=32)
     return (
-        st.builds(Hello, did=dids, document=st.none(), **key_share)
-        | st.builds(Hello, did=st.none(), document=bodies, **key_share)
+        st.builds(Hello, did=dids, document=st.none(), ephemeral=ephemerals)
+        | st.builds(Hello, did=st.none(), document=bodies, ephemeral=ephemerals)
     )
 
 
@@ -211,12 +216,13 @@ def record_strategies(dids, documents):
     presentations = st.builds(
         Presentation, credential=credentials(dids), disclosed=tuples(openings)
     )
-    # Any mix of whole and derived (null) commitments: the wire record pairs
-    # them with the openings only when it is restored.
+    # Any mix of whole and derived (null) commitments, and of openings with a
+    # value and of the issuer (null): the wire record pairs them only when it is
+    # restored. An id as issue() makes it travels as raw bytes, any other as text.
     presentation_wires = st.builds(
-        PresentationWire, vc_id=texts, issuer=dids,
-        commitments=tuples(st.none() | commitments), issued_at=ints, expires_at=ints,
-        proof=proofs, disclosed=tuples(openings),
+        PresentationWire, vc_id=texts | st.builds(_VC_ID.build, st.binary(min_size=8, max_size=8)),
+        issuer=dids, commitments=tuples(st.none() | commitments), issued_at=ints,
+        expires_at=ints, proof=proofs, disclosed=tuples(openings | issuer_openings),
     )
     bodies = documents.map(DidDocument.body)
     return {
@@ -226,6 +232,7 @@ def record_strategies(dids, documents):
         "DidDocument": documents,
         "DocumentBody": bodies,
         "ClaimOpening": openings,
+        "IssuerOpening": issuer_openings,
         "Commitment": commitments,
         "Proof": proofs,
         "VerifiableCredential": credentials(dids),
@@ -244,7 +251,7 @@ def record_strategies(dids, documents):
         ),
         "RevocationRegistry": st.builds(RevocationRegistry, owner=dids, revoked=tuples(texts)),
         "Hello": hellos(dids, bodies),
-        "Auth": st.builds(Auth, key_id=texts, signature=st.binary(min_size=64, max_size=64)),
+        "Auth": st.builds(Auth, verification_key_id=key_ids, signature=signatures),
         "CredRequest": st.builds(CredRequest, want=tuples(texts)),
         "CredPresent": st.builds(CredPresent, presentations=tuples(presentation_wires)),
         "Verdict": st.builds(Verdict, ok=st.booleans(), reason=st.none() | texts),
@@ -325,8 +332,23 @@ def test_keys_and_openings_leave_out_what_their_reader_derives(key, did_value, t
         assert unpack(ClaimOpening, pack(opening)) == opening
 
 
+@settings(max_examples=100, deadline=None)
+@given(public=publics, named=texts)
+def test_a_default_signing_key_id_travels_as_its_digest_prefix(public, named):
+    default = crypto.default_key_id(crypto.PURPOSE_SIGN, public)
+    assert from_cbor(pack(Auth(default, bytes(64)))) == [crypto.digest(public)[:4], bytes(64)]
+    assert unpack(Auth, pack(Auth(default, bytes(64)))) == Auth(default, bytes(64))
+    # Any other id travels as its text: a maker's name, an agreement key's
+    # default, or the signing shape spelled otherwise.
+    agree = crypto.default_key_id(crypto.PURPOSE_AGREE, public)
+    for other in (named, agree, default.upper(), default + "0", default[:-1]):
+        assert from_cbor(pack(Proof(other, bytes(64))))[0] == other
+        assert unpack(Proof, pack(Proof(other, bytes(64)))).verification_key_id == other
+
+
 def test_every_message_record_is_walked():
-    assert {"Hello", "RetiredKey", "PresentationWire", "Proof", "Error"} <= set(TRAVELLING)
+    assert {"Hello", "Auth", "RetiredKey", "PresentationWire", "Proof", "IssuerOpening",
+            "Error"} <= set(TRAVELLING)
     # A presentation travels as its wire record, its credential never whole.
     assert {"Presentation", "VerifiableCredential"}.isdisjoint(TRAVELLING)
     assert "ScenarioLink" not in TRAVELLING
@@ -552,10 +574,10 @@ SIGNATURE = b"\x58\x40" + bytes(64)   # a 64-byte byte string
 PEER_DID, PEER_DOCUMENT = generate_peer_did(
     [PublicKeyEntry("k1", crypto.PURPOSE_SIGN, bytes(32))]
 )
-HELLO = Hello(None, PEER_DOCUMENT.body(), bytes(32), bytes(16))
+HELLO = Hello(None, PEER_DOCUMENT.body(), bytes(32))
 # The same 32-byte id under the reg method: a HELLO that carries its DID and no document.
-REG_HELLO = Hello(Did(METHOD_REG, PEER_DID.id), None, bytes(32), bytes(16))
-KEY_SHARE = b"\x58\x20" + bytes(32) + b"\x50" + bytes(16)   # ephemeral, nonce
+REG_HELLO = Hello(Did(METHOD_REG, PEER_DID.id), None, bytes(32))
+KEY_SHARE = b"\x58\x20" + bytes(32)   # the ephemeral key: a fresh one is the session's freshness
 
 
 def test_wire_form_of_a_record_is_an_array_of_its_fields():
@@ -566,7 +588,7 @@ def test_wire_form_of_a_record_is_an_array_of_its_fields():
 
 def test_a_did_travels_as_its_method_byte_and_raw_id():
     assert PEER_DID.to_wire() == b"\x01" + crypto.digest(canonical_bytes(encode(HELLO.document)))
-    assert pack(REG_HELLO) == b"\x84\x58\x21" + REG_HELLO.did.to_wire() + b"\xf6" + KEY_SHARE
+    assert pack(REG_HELLO) == b"\x83\x58\x21" + REG_HELLO.did.to_wire() + b"\xf6" + KEY_SHARE
     assert Did.from_wire(Did(METHOD_REG, "11z").to_wire()) == Did(METHOD_REG, "11z")
     with pytest.raises(EncodingError, match="no wire form"):
         pack(Did("web", "abc"))
@@ -578,7 +600,7 @@ def test_a_peer_hello_travels_without_either_did():
     # A key is [key_id | null, purpose index, public].
     assert from_cbor(body) == [[["k1", crypto.PURPOSES.index(crypto.PURPOSE_SIGN), bytes(32)]],
                                [], 1, []]
-    assert pack(HELLO) == b"\x84\xf6" + body + KEY_SHARE
+    assert pack(HELLO) == b"\x83\xf6" + body + KEY_SHARE
     assert unpack(Hello, pack(HELLO)) == HELLO
     # The reader derives the document, and with it the DID, from the body.
     assert DidDocument.from_body(unpack(DocumentBody, body), METHOD_PEER) == PEER_DOCUMENT
@@ -596,7 +618,7 @@ def test_only_a_peer_document_travels():
     # A HELLO carries a reg DID or a peer document's body: never both, never neither.
     for did, document in ((REG_HELLO.did, HELLO.document), (None, None)):
         with pytest.raises(ValueError, match="exactly one"):
-            Hello(did, document, bytes(32), bytes(16))
+            Hello(did, document, bytes(32))
 
 
 def _with_did_byte(raw: bytes, method_byte: int) -> bytes:
@@ -620,9 +642,9 @@ def _with_did_byte(raw: bytes, method_byte: int) -> bytes:
     (Auth, b"\x82" + b"\x63\xed\xa0\x80" + SIGNATURE),
     (Hello, _with_did_byte(pack(REG_HELLO), 0x07)),
     (Hello, _with_did_byte(pack(REG_HELLO), 0x00)),
-    (Hello, b"\x84\x58\x21" + PEER_DID.to_wire() + pack(HELLO)[2:]),
-    (Hello, b"\x84\xf6\xf6" + KEY_SHARE),
-    (Hello, b"\x84\xf6\x85\x58\x21" + PEER_DID.to_wire() + pack(HELLO.document)[1:] + KEY_SHARE),
+    (Hello, b"\x83\x58\x21" + PEER_DID.to_wire() + pack(HELLO)[2:]),
+    (Hello, b"\x83\xf6\xf6" + KEY_SHARE),
+    (Hello, b"\x83\xf6\x85\x58\x21" + PEER_DID.to_wire() + pack(HELLO.document)[1:] + KEY_SHARE),
     (Auth, b"\x82" + b"\x61k" + b"\x58\x3f" + bytes(63)),
     (Auth, b"\x9f" + b"\x61k" + SIGNATURE + b"\xff"),
     (Auth, b"\xd8\x18" + pack(AUTH)),
@@ -638,6 +660,9 @@ def _with_did_byte(raw: bytes, method_byte: int) -> bytes:
     (ClaimOpening, cbor_bytes(["owner", b"\x07" + bytes(32), bytes(16)])),
     (ClaimOpening, cbor_bytes(["owner", b"\x01", bytes(16)])),
     (ClaimOpening, cbor_bytes(["owner", str(PEER_DID), bytes(16)])),
+    (Auth, cbor_bytes([crypto.default_key_id(crypto.PURPOSE_SIGN, bytes(32)), bytes(64)])),
+    (Proof, cbor_bytes([bytes(3), bytes(64)])),
+    (IssuerOpening, cbor_bytes(["owner", PEER_DID.to_wire(), bytes(16)])),
 ], ids=[
     "major-type-bytes-for-text", "major-type-text-for-bytes", "major-type-int-for-bool",
     "field-count-short", "field-count-long",
@@ -652,6 +677,7 @@ def _with_did_byte(raw: bytes, method_byte: int) -> bytes:
     "undefined-simple-value",
     "purpose-index-past-the-end", "negative-purpose-index", "default-key-id-spelled-out",
     "did-value-of-unknown-method-byte", "did-value-without-id", "did-value-as-text",
+    "default-shaped-key-id-spelled-out", "key-id-prefix-of-3-bytes", "issuer-value-not-null",
 ])
 def test_unpack_rejects(tp, raw):
     with pytest.raises(EncodingError):
