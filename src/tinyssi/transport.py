@@ -57,13 +57,19 @@ message that is fully acknowledged, or, if its timer has expired, sends the
 unacknowledged fragments again, or gives up after RETRY_LIMIT
 retransmissions; then the endpoints send their new messages, which the
 caller starts between ticks; last, before the clock advances, each endpoint
-sends alone the ACKs that rode none of its data frames. A receiver
-acknowledges each message whose data arrived in a tick once, in that tick:
-the ACK rides the first data frame with room for it that the receiver
+sends alone the ACKs that rode none of its data frames. A receiver owes
+each message whose data arrived in a tick one ACK, due in that tick: the
+ACK rides the first data frame with room for it that the receiver
 transmits in the tick, a retransmission or a new message. So a receiver can
 answer in the tick a message arrives, and the answer carries that message's
-ACK, the way DTLS 1.3 sends its next flight (RFC 9147 §7). Each endpoint has
-at most one message in flight, so a link carries at most one per direction.
+ACK, the way DTLS 1.3 sends its next flight (RFC 9147 §7). A data frame with
+room that carries no ACK due carries the ACK of the newest message whose
+receive state its sender holds, partial or complete, the way TCP states its
+ACK number in every segment (RFC 9293 §3.4) and QUIC repeats ACK ranges in
+later packets (RFC 9000 §13.2). So when an answer's first round is lost with
+the ACK it carried, its next round states that ACK again. Such a re-ridden
+ACK never goes alone and never adds a packet. Each endpoint has at most one
+message in flight, so a link carries at most one per direction.
 """
 
 from __future__ import annotations
@@ -521,11 +527,20 @@ class Messenger:
     MTU. A full fragment has no room, so the ACK goes with a message's last
     fragment or a short retransmission. When no data frame leaves in the tick,
     or none has room, send_acks() sends the ACK alone at the tick's end,
-    before the clock advances. Either way the ACK leaves in the tick its data
-    arrived, so the ARQ timer and the tick count are what they would be with
-    every ACK alone; only the frame count falls. A reply that answers a
-    message carries that message's ACK, and the two are lost or delivered
-    together.
+    before the clock advances. Either way an ACK due leaves in the tick its
+    data arrived. A reply that answers a message carries that message's ACK,
+    and the two are lost or delivered together.
+
+    A data frame with room that no ACK due rides carries the ACK of the
+    newest message whose receive state this endpoint holds, the last one
+    _receiving gained, with its bitmap as it stands: a re-ridden ACK. So each
+    later round of a reply states again the ACK its lost first round carried,
+    and the peer's message ends in the tick that round arrives, not only
+    once a duplicate of it, sent again, draws an ACK due. A
+    re-ridden ACK never goes alone: it costs bytes in a packet that leaves
+    anyway, never a packet. A lossless handshake carries none, since each of
+    its replies leaves in the tick of the delivery it answers, with that
+    delivery's ACK due.
 
     The simulator charges transit, not airtime: frames sent in the same tick
     all arrive one transit later. So a k-fragment message costs one round
@@ -569,11 +584,18 @@ class Messenger:
     ids are allocated on the link, far from the 65,536 a wrap needs. It is
     re-acknowledged if its message's receive state is still there, and
     otherwise opens a partial state that the next delivery forgets; the
-    sender ignores that ACK, whose id is not the one in flight. An ACK that
-    rides a data frame changes none of this: it leaves in the same tick, with
-    the same bitmap, as it would alone. A batch changes none of it either: it
-    is one message id, sent and delivered once, and its messages wait in the
-    receive() queue only until the caller takes them.
+    sender ignores that ACK, whose id is not the one in flight. An ACK due
+    that rides a data frame changes none of this: it leaves in the same tick,
+    with the same bitmap, as it would alone. A re-ridden ACK changes none of
+    it either. It states a receive state the endpoint still holds, as that
+    state stands when the ACK leaves, so it claims no fragment the endpoint
+    lacks. Its id is that of the peer's message in flight, or of one the peer
+    no longer has in flight: its last message, acknowledged or given up, or
+    a stale copy's, whose partial state is the newest until the next delivery
+    forgets it. The sender ignores ACKs for any id other than the one in
+    flight, so such an ACK acknowledges nothing. A batch changes none of it
+    either: it is one message id, sent and delivered once, and its messages
+    wait in the receive() queue only until the caller takes them.
     """
 
     def __init__(self, link: SimLink, endpoint: str):
@@ -614,12 +636,15 @@ class Messenger:
         out.deadline = self.link.now + self.link.round_trip_ticks
 
     def _transmit(self, frame: Frame) -> None:
-        """Transmit a data frame with the first ACK due that fits riding ahead of it."""
+        """Transmit a data frame with an ACK riding ahead of it: the first ACK due
+        that fits, or else, if it fits, the ACK of the newest message held."""
         room = self.link.profile.mtu - HEADER_LEN - len(frame.payload)
-        for message_id in self._ack_due:
+        newest = list(self._receiving)[-1:]
+        for message_id in (*self._ack_due, *newest):
             ack = self._ack(message_id)
             if ack is not None and HEADER_LEN + len(ack.payload) <= room:
-                self._ack_due.remove(message_id)
+                if message_id in self._ack_due:
+                    self._ack_due.remove(message_id)
                 self.link.transmit(self.endpoint, frame, ack)
                 return
         self.link.transmit(self.endpoint, frame)

@@ -75,8 +75,11 @@ def data_ticks(link) -> dict[int, list[int]]:
 def record_acks_due(link) -> None:
     """Keep on `link.acks_due` a (tick, endpoint, message id) for each message
     whose data arrived in a tick and whose receive state that tick's deliveries
-    left in place: each of these owes one ACK, in that tick."""
-    link.acks_due = []
+    left in place: each of these owes one ACK, in that tick. Keep on
+    `link.newest_held`, by (tick, endpoint), the message id and held fragment
+    indexes of the newest receive state the endpoint keeps after that tick's
+    deliveries: the ACK its data frames of the tick may carry when none is due."""
+    link.acks_due, link.newest_held = [], {}
     attach = link.attach
 
     def recording_attach(endpoint, messenger):
@@ -93,6 +96,10 @@ def record_acks_due(link) -> None:
                 if message_id in messenger._receiving
             )
             arrived.clear()
+            if messenger._receiving:
+                message_id, state = list(messenger._receiving.items())[-1]
+                held = range(state.frag_count) if state.delivered else sorted(state.fragments)
+                link.newest_held[link.now, endpoint] = (message_id, tuple(held))
             check_timer()
 
         messenger.handle_packet = recording_handle
@@ -368,14 +375,34 @@ class TestPipelinedLegs:
         assert set(outcomes) <= {"trusted", "delivery-failed"}
         assert "trusted" in outcomes
         assert len({link.profile.seed for link in links}) == 200
-        riding = 0
+        riding = reridden = 0
         for link in links:
             assert_one_message_in_flight_per_endpoint(link)
-            # Every ACK, riding a data frame or alone, leaves in the tick its data arrived.
-            sent = [(e.tick, e.src, e.ack_id) for e in acks(link)]
-            assert sorted(sent) == sorted(link.acks_due)
-            riding += sum(1 for e in acks(link) if e.kind == "data")
-        assert riding > 0
+            due = list(link.acks_due)
+            for entry in acks(link):
+                key = (entry.tick, entry.src, entry.ack_id)
+                if key in due:
+                    due.remove(key)
+                    riding += entry.kind == "data"
+                    continue
+                # Any other ACK rides a data frame and states the sender's newest
+                # held message as it stands in that tick.
+                assert entry.kind == "data"
+                held = link.newest_held.get((entry.tick, entry.src))
+                assert held == (entry.ack_id, entry.acked)
+                reridden += 1
+            # Every due ACK, riding a data frame or alone, leaves in the tick its data arrived.
+            assert due == []
+        assert riding > 0 and reridden > 0
+        # The sweep's totals pin the ARQ's cost on a lossy link. Before ACKs were
+        # re-ridden (an ACK rode only the data frames of the tick its data
+        # arrived in), they were 4,284 frames, 411,591 bytes, 7,819 ticks and
+        # 1 delivery-failed step.
+        steps = report.steps
+        assert sum(s.frames for s in steps) == 3858
+        assert sum(s.bytes_sent for s in steps) == 391423
+        assert sum(s.ticks for s in steps) == 6984
+        assert outcomes.count("delivery-failed") == 0
 
 
 class TestBenchmarkReconciliation:

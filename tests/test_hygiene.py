@@ -33,6 +33,10 @@ of a genesis body) and `Did.from_wire` (the id read off the wire) call
 `crypto.default_key_id`, which `keygen` and a key read off the wire ask, and
 for `crypto.KeyId`, the one byte form of a signing key id on the wire. Only
 the codec parses hex.
+
+One rule picks the ACK that rides a data frame: only `Messenger._transmit`
+calls `SimLink.transmit` with an ACK riding (a third argument, or `ack=`).
+Every other call puts one frame on the link alone.
 """
 
 import ast
@@ -378,3 +382,40 @@ def test_checker_flags_a_registry_parse_on_read():
     )
     assert callers_of(source, "from_bytes") == {"Registry.lookup", "Registry.from_snapshot"}
     assert callers_of(source, "verify") == {"Registry.register", "Registry.from_snapshot"}
+
+
+def _rides_an_ack(node: ast.AST) -> bool:
+    """A `transmit` call that passes an ACK to ride: a third argument, or `ack=`."""
+    return (
+        isinstance(node, ast.Call)
+        and _name(node.func) == "transmit"
+        and (len(node.args) > 2 or any(keyword.arg == "ack" for keyword in node.keywords))
+    )
+
+
+def test_one_rule_picks_the_riding_ack():
+    riders = {
+        (module, scope)
+        for module in MODULES
+        for scope in scopes_holding((PACKAGE / module).read_text(encoding="utf-8"),
+                                    _rides_an_ack)
+    }
+    assert riders == {("transport.py", "Messenger._transmit")}
+
+
+def test_checker_flags_a_second_riding_ack_rule():
+    source = (
+        "class Messenger:\n"
+        "    def _transmit(self, frame):\n"
+        "        self.link.transmit(self.endpoint, frame, self._ack(self._ack_due[0]))\n"
+        "    def send_acks(self):\n"
+        "        self.link.transmit(self.endpoint, self._ack(self._ack_due.pop()))\n"
+        "    def _transmit_round(self):\n"
+        "        for frame in self._sending.frames:\n"
+        "            self.link.transmit(self.endpoint, frame, ack=self._newest_ack())\n"
+        "def resend(link, frame):\n"
+        "    link.transmit('A', frame, None)\n"
+    )
+    assert scopes_holding(source, _rides_an_ack) == {
+        "Messenger._transmit", "Messenger._transmit_round", "resend",
+    }

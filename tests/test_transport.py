@@ -27,6 +27,7 @@ from tinyssi.transport import (
     Messenger,
     PROFILES,
     RETRY_LIMIT,
+    TRANSIT_TICKS,
     TransportError,
     ack_bitmap,
     decode_packet,
@@ -710,6 +711,81 @@ class TestPiggybackedAck:
         assert decode_packet(data.encode()) == (None, data)
 
 
+class TestReriddenAck:
+    """A data frame that carries no due ACK, and has room, carries the ACK of the
+    newest message its endpoint holds; such an ACK never goes alone."""
+
+    @staticmethod
+    def _exchange(profile: str, request: bytes, reply: bytes):
+        """A sends `request` at tick 0 and B sends its two-fragment `reply` in the
+        tick the request arrives. B's first copy of its last fragment is lost, with
+        any ACK riding it, and so is every data frame A sends after tick 0, so B
+        never sees a duplicate of the request. Returns the link and the tick A's
+        send ended in."""
+        link = make_link(profile, seed=1)
+        a = Messenger(link, "A")
+        b = Messenger(link, "B")
+        transmit, lost = link.transmit, []
+
+        def lose(src, frame, ack=None):
+            first_last = src == "B" and frame.frag_index == 1 and not lost
+            if first_last or (src == "A" and not frame.is_ack and link.now > 0):
+                lost.append((link.now, src, frame.frag_index))
+                return
+            transmit(src, frame, ack)
+
+        link.transmit = lose
+        a.send(request)
+        link.tick()
+        assert drain(b) == [request]
+        b.send(reply)
+        ended = None
+        while not (a.idle and b.idle):
+            link.tick()
+            if ended is None and a.idle:
+                ended = link.now
+        assert a.failure is None and b.failure is None
+        assert drain(a) == [reply]
+        assert (1, "B", 1) in lost
+        return link, ended
+
+    def test_next_round_of_a_reply_ends_the_request_it_answers(self):
+        capacity = PROFILES["lora"].mtu - HEADER_LEN
+        link, ended = self._exchange("lora", bytes(100), bytes(capacity + 50))
+        replies = [(e.tick, e.frag_index, e.ack_id, e.acked) for e in link.trace if e.src == "B"]
+        # B's first round lost its last fragment and the request's ACK with it;
+        # A's ACK of fragment 0 was lost on A's retransmission, so B's second
+        # round sends both fragments and its last one states the request again.
+        assert replies == [(1, 0, None, ()), (3, 0, None, ()), (3, 1, 1, (0,))]
+        # The request ends in the tick that round arrives, not on a re-ACK that a
+        # duplicate of the request would draw a round later.
+        assert ended == 3 + TRANSIT_TICKS
+        assert [e.tick for e in link.trace if e.src == "A" and e.kind == "data"] == [0]
+
+    @pytest.mark.parametrize("profile", ["lora", "ble"])
+    @pytest.mark.parametrize("acked_fragments", [1, 9], ids=["9-byte-ack", "10-byte-ack"])
+    def test_a_reridden_ack_never_goes_alone_or_over_the_mtu(self, profile, acked_fragments):
+        capacity = PROFILES[profile].mtu - HEADER_LEN
+        ack_len = HEADER_LEN + (acked_fragments + 7) // 8
+        for last in range(capacity - ack_len - 3, capacity + 1):
+            request = bytes(acked_fragments * capacity)
+            reply = Random(last).randbytes(capacity + last)  # two fragments
+            link, _ = self._exchange(profile, request, reply)
+            assert all(e.length <= link.profile.mtu for e in link.trace)
+            sent = [e for e in link.trace if e.src == "B"]
+            replies = [(e.tick, e.kind, e.frag_index, e.ack_id) for e in sent]
+            fits = HEADER_LEN + last + ack_len <= link.profile.mtu
+            # A's ACK of fragment 0 goes alone, since A's full request fragments
+            # have no room, so B's second round, at tick 3, resends the last
+            # fragment only. B has no ACK due then: the fragment carries the
+            # request's ACK only if the packet fits, and no ACK goes alone.
+            assert replies == (
+                [(1, "data", 0, None), (3, "data", 1, 1)] if fits
+                else [(1, "data", 0, None), (1, "ack", 0, 1), (3, "data", 1, None)]
+            )
+            assert sent[-1].length == HEADER_LEN + last + (ack_len if fits else 0)
+
+
 class _Truncated(Frame):
     def encode(self) -> bytes:
         return super().encode()[:5]
@@ -767,7 +843,9 @@ class TestMalformedPackets:
             Frame(0, 0x7777, 1, 3, b"y"), prelude=[Frame(0, 0x7777, 0, 2, b"x")]
         )
         acks = [e for e in link.trace if e.src == "A" and e.ack_id == 0x7777]
-        assert [e.acked for e in acks] == [(0,)]  # the prelude's, not the trailer's
+        # The prelude's, never the trailer's: alone in tick 1, then riding A's
+        # retransmission as the newest message A holds.
+        assert [(e.tick, e.kind, e.acked) for e in acks] == [(1, "ack", (0,)), (2, "data", (0,))]
 
 
 class TestMessageIds:
