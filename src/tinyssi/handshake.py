@@ -8,13 +8,14 @@ trust policy.
                       from it), ephemeral key
   I <- R  HELLO_ACK   Hello likewise
   I -> R  AUTH        Auth: a proof (key id, signature) of the transcript so far
-  I <- R  AUTH_ACK    Auth: the responder's proof likewise
-          both sides now agree on the ephemerals and derive session keys
-  I -> R  CRED_REQUEST + CRED_PRESENT   sealed; wanted claim names, and
-                                        the initiator's own presentations
-  I <- R  CRED_PRESENT + TRUST_RESULT   responder's presentations (tailored
+  I <- R  AUTH_ACK + CRED_REQUEST + CRED_PRESENT
+                      Auth: the responder's proof likewise, after which both
+                      sides derive session keys from the transcript; then,
+                      sealed, the responder's wanted claim names and its own
+                      presentations
+  I -> R  CRED_PRESENT + TRUST_RESULT   initiator's presentations (tailored
                                         to the request) and its verdict
-  I -> R  TRUST_RESULT                  initiator's verdict
+  I <- R  TRUST_RESULT                  responder's verdict
 
 A message is a tag byte and a body. Every body is a record in wire form
 (deterministic CBOR, `encoding.pack`): Hello, Auth, CredRequest, CredPresent,
@@ -53,10 +54,17 @@ The wire leaves out what its reader can derive (as SCHC does, RFC 8724):
   sealed, and the highest counter it opened.
 
 Both sides sign the running transcript, so swapping any key in transit
-breaks authentication on at least one side. The initiator presents
-proactively (without waiting for a request) so that both sides can reach a
-verdict within three round trips; it discloses the claims its own policy
-would ask of the peer.
+breaks authentication on at least one side. The responder opens layer 2 in
+the leg that carries AUTH_ACK, as a TLS 1.3 server sends its
+CertificateRequest in the flight that authenticates it (RFC 8446 section
+4.3.2). By then AUTH has authenticated the initiator, and the records are
+sealed under keys bound to the transcript the initiator signed, so each side
+discloses only to a peer it has authenticated: the responder after AUTH, the
+initiator after AUTH_ACK. The responder presents proactively (without
+waiting for a request) so that both sides have decided once the fifth leg
+arrives, within three round trips; it discloses the claims its own policy
+would ask of the peer. The initiator's presentations answer the responder's
+request exactly.
 """
 
 from __future__ import annotations
@@ -540,10 +548,10 @@ class HandshakeSession:
         if key is None or not crypto.verify(key.public, self.transcript_digest(), auth.signature):
             return self._fail(FAIL_AUTH)
         self._transcript.update(raw)
-        replies = []
+        auth_ack = None
         if self.role == crypto.ROLE_RESPONDER:
-            replies.append(self._send(MSG_AUTH_ACK, self._auth()))
-            self._transcript.update(replies[0])
+            auth_ack = self._send(MSG_AUTH_ACK, self._auth())
+            self._transcript.update(auth_ack)
         try:
             shared = crypto.agree(self.ephemeral, self.peer_ephemeral)
         except crypto.CryptoError:
@@ -552,15 +560,16 @@ class HandshakeSession:
             shared, self.transcript_digest(), self.role, established_at=now
         )
         self.state = State.SECURE
-        if replies:
-            return replies
-        # The initiator opens layer 2: its request and a proactive presentation.
+        if auth_ack is None:
+            return []  # the initiator waits for the responder's layer 2
+        # The responder opens layer 2 in the AUTH_ACK leg: its request and a
+        # proactive presentation, sealed to the peer that AUTH authenticated.
         want = requested_claims(self.config.policy)
-        return [self._send(MSG_CRED_REQUEST, CredRequest(want)), *self._present(want)]
+        return [auth_ack, self._send(MSG_CRED_REQUEST, CredRequest(want)), *self._present(want)]
 
     def _on_present(self, message: CredPresent, now: int) -> list[bytes]:
         """Restore the peer's presentations, sort them into verified and rejected,
-        answer (responder), decide."""
+        answer (initiator), decide."""
         try:
             # Holder binding: a credential speaks only for its own subject, so
             # the authenticated peer is the subject of each.
@@ -574,7 +583,7 @@ class HandshakeSession:
             else:
                 self.rejected.append(verdict.reason)
         replies = []
-        if self.role == crypto.ROLE_RESPONDER:
+        if self.role == crypto.ROLE_INITIATOR:
             replies = self._present(self._peer_requested)
             if self.state is State.FAILED:
                 return replies

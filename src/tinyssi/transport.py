@@ -373,7 +373,11 @@ class SimLink:
         self._handlers[endpoint] = handler
 
     def allocate_message_id(self) -> int:
+        """The next 16-bit message id. Each attached endpoint forgets what it
+        received under that id, which belonged to a message 65,536 ids ago."""
         self._next_message_id = (self._next_message_id + 1) % 0x10000
+        for handler in self._handlers.values():
+            handler.forget(self._next_message_id)
         return self._next_message_id
 
     @property
@@ -570,7 +574,11 @@ class Messenger:
     stray, are forgotten then. A receiver's messages all come from the one
     peer, which starts its next message only once this one is acknowledged,
     so that state is still there for as long as the peer may send the
-    message again.
+    message again. It stays until the link hands out its id anew, 65,536
+    allocations later: then each endpoint forgets what it holds under that
+    id, so a new message under a wrapped id is delivered, never taken for a
+    duplicate of the last one. The receiver's own sends allocate ids too, so
+    one-sided traffic on a long-lived link gets there.
 
     A duplicate can belong only to the message whose id it carries. A round
     sends at most one copy of each unacknowledged fragment, and its timer is
@@ -730,6 +738,10 @@ class Messenger:
             state.fragments.clear()
             self._receiving = {frame.message_id: state}
             self._received.extend(_unbatch(payload) if state.batch else [payload])
+
+    def forget(self, message_id: int) -> None:
+        """Drop the receive state kept under `message_id`, which the link hands out anew."""
+        self._receiving.pop(message_id, None)
 
     def _ack(self, message_id: int) -> Frame | None:
         """The ACK of a message whose data arrived this tick; None if its state is forgotten."""

@@ -56,6 +56,7 @@ from tinyssi.handshake import (
     HandshakeError,
     Hello,
     MSG_AUTH,
+    MSG_AUTH_ACK,
     MSG_CRED_PRESENT,
     MSG_CRED_REQUEST,
     MSG_DATA,
@@ -123,15 +124,16 @@ def household_configs(household, policy_override=None):
 
 
 def secure_pair(household):
-    """Both sides just past AUTH_ACK, Secure, and the initiator's leg 5
-    (CRED_REQUEST, CRED_PRESENT), not yet delivered."""
+    """Both sides just past AUTH_ACK, Secure, and the sealed records of the
+    responder's leg 4 (CRED_REQUEST, CRED_PRESENT), not yet delivered."""
     cfg_i, cfg_r, _ = household_configs(household)
     session_i, hello = initiate(cfg_i, now=NOW)
     session_r = respond(cfg_r, now=NOW)
     (hello_ack,) = session_r.step(hello, NOW)
     (auth,) = session_i.step(hello_ack, NOW)
-    (auth_ack,) = session_r.step(auth, NOW)
-    return session_i, session_r, session_i.step(auth_ack, NOW)
+    auth_ack, *records = session_r.step(auth, NOW)
+    assert session_i.step(auth_ack, NOW) == []
+    return session_i, session_r, records
 
 
 def reg_household():
@@ -165,10 +167,10 @@ def forged_key_id(role, message):
     return message
 
 
-def camera_wire(household) -> list:
-    """The wire array of the camera's presentation of its owner claim: the
-    commitments [null, type] and the owner opening."""
-    stored = household[1].credentials[0]
+def owner_wire(device: Actor) -> list:
+    """The wire array of a household device's presentation of its owner claim:
+    the commitments [null, type] and the owner opening."""
+    stored = device.credentials[0]
     assert stored.credential.claim_names() == ("owner", "type")
     p = present(stored.credential, stored.openings, ["owner"])
     return from_cbor(pack(PresentationWire.of(p)))
@@ -196,11 +198,11 @@ class TestWireFormat:
         assert hello_ack[0] == MSG_HELLO_ACK
         (auth,) = session_i.step(hello_ack, NOW)
         assert auth[0] == MSG_AUTH
-        (auth_ack,) = session_r.step(auth, NOW)
+        auth_ack, request, presentation = session_r.step(auth, NOW)
         assert auth_ack[0] == 0x04
-        request, presentation = session_i.step(auth_ack, NOW)
         assert request[0] == 0x05
         assert presentation[0] == MSG_CRED_PRESENT
+        assert session_i.step(auth_ack, NOW) == []
 
 
 def scenario_handshake_messages() -> dict[str, list[str]]:
@@ -234,15 +236,15 @@ README = ROOT / "README.md"
 
 
 class TestWireSize:
-    """The owner-two-devices handshake as its LoRa link carries it: 9 messages in 7 legs."""
+    """The owner-two-devices handshake as its LoRa link carries it: 9 messages in 6 legs."""
 
     TAGS = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x06, 0x07, 0x07]
     MESSAGE_BYTES = [149, 147, 73, 73, 26, 215, 215, 21, 21]
-    LORA_FRAGMENTS = [1, 1, 1, 1, 2, 2, 1]  # one transport message per leg
-    AIR_BYTES = 1083  # data and ACK frames
+    LORA_FRAGMENTS = [1, 1, 1, 2, 2, 1]  # one transport message per leg
+    AIR_BYTES = 1068  # data and ACK frames
     HELLO_MARGIN = 65  # what the largest HELLO leaves of one LoRa fragment's payload
-    FRAMES = 10  # 9 data frames, 6 of them carrying an ACK, and the last leg's ACK alone
-    TICKS = 8  # a leg a tick, each answering the one before, and the last ACK's return
+    FRAMES = 9  # 8 data frames, 5 of them carrying an ACK, and the last leg's ACK alone
+    TICKS = 7  # a leg a tick, each answering the one before, and the last ACK's return
 
     def test_owner_two_devices_message_sizes_and_fragments(self):
         messages = [
@@ -282,7 +284,8 @@ class TestWireSize:
         derived key ids and DID values save a fragment in each HELLO leg and
         in each presentation leg, and the implied issuer value and the raw
         key and credential ids one more in each presentation leg: 25
-        fragments, where sending them all took 31."""
+        fragments, where sending them all took 31. AUTH_ACK rides the
+        responder's presentation leg, which fills 8 fragments."""
         sf12 = transport.LinkProfile(name="lora-sf12", mtu=51)
         make_link = harness.make_link
         with mock.patch.object(
@@ -293,21 +296,22 @@ class TestWireSize:
             )
         (step,) = report.steps
         assert step.outcome == "trusted"
-        assert list(step.fragments_per_message) == [4, 4, 2, 2, 6, 6, 1]
-        assert (step.bytes_sent, step.ticks) == (1211, self.TICKS)
+        assert list(step.fragments_per_message) == [4, 4, 2, 8, 6, 1]
+        assert (step.bytes_sent, step.ticks) == (1204, self.TICKS)
 
     def test_reg_pairing_on_ble_sends_each_presentation_leg_in_two_fragments(self):
         """A pairing of two reg devices on BLE, the shape of the fleet-ble
-        benchmark's pairings. Each presentation leg is 4 B over one 236-byte
-        BLE payload, so a change that crosses that boundary shows here."""
+        benchmark's pairings. The responder's presentation leg, with AUTH_ACK,
+        is 320 B, and the initiator's is 240 B: 4 B over one 236-byte BLE
+        payload, so a change that crosses that boundary shows here."""
         registry, alice, camera, lock = reg_household()
         session_i, hello = initiate(owner_match_config(camera, alice, 1), now=NOW)
         session_r = respond(owner_match_config(lock, alice, 2), now=NOW)
         link = transport.make_link("ble", a="camera", b="lock")
         run = harness.drive_handshake(link, session_i, hello, session_r, NOW)
         assert run.outcome() == "trusted"
-        assert run.fragments_per_message == [1, 1, 1, 1, 2, 2, 1]
-        assert link.bytes_on_wire() == 931
+        assert run.fragments_per_message == [1, 1, 1, 2, 2, 1]
+        assert link.bytes_on_wire() == 916
 
     def test_readme_handshake_table_states_the_pinned_figures(self):
         """The README's message table and the paragraph under it give today's
@@ -506,9 +510,14 @@ class TestAuthFailures:
                 return forge(message, Auth, signature=crypto.sign(rogue, b"anything"))
             return message
 
-        session_i, session_r, _ = run_direct(cfg_i, cfg_r, intercept=intercept)
+        session_i, session_r, legs = run_direct(cfg_i, cfg_r, intercept=intercept)
         assert session_r.state == State.FAILED
         assert session_r.failure_reason == "auth"
+        # The responder opens layer 2 only once AUTH verifies: its answer is a
+        # plaintext ERROR alone, with no request and no presentation.
+        assert session_r.session_keys is None
+        assert [[m[0] for m in leg] for leg in legs[3:]] == [[MSG_ERROR]]
+        assert (session_i.state, session_i.failure_reason) == (State.FAILED, "peer: auth")
 
     def test_unknown_key_id_in_auth_fails(self, household):
         cfg_i, cfg_r, _ = household_configs(household)
@@ -521,6 +530,25 @@ class TestAuthFailures:
         _, session_r, _ = run_direct(cfg_i, cfg_r, intercept=intercept)
         assert session_r.state == State.FAILED
         assert session_r.failure_reason == "auth"
+
+    def test_forged_auth_ack_draws_no_presentation(self, household):
+        # The initiator presents only in answer to the responder's CRED_PRESENT,
+        # which it never opens once AUTH_ACK fails to verify.
+        cfg_i, cfg_r, _ = household_configs(household)
+        rogue = crypto.keygen(crypto.PURPOSE_SIGN, seed=bytes(32))
+
+        def intercept(role, message):
+            if message[0] == MSG_AUTH_ACK:
+                return forge(message, Auth, signature=crypto.sign(rogue, b"anything"))
+            return message
+
+        session_i, session_r, legs = run_direct(cfg_i, cfg_r, intercept=intercept)
+        assert (session_i.state, session_i.failure_reason) == (State.FAILED, "auth")
+        assert session_i.session_keys is None
+        assert session_i.presented == []
+        sent = [m for leg in legs[0::2] for m in leg]
+        assert [m[0] for m in sent] == [MSG_HELLO, MSG_AUTH, MSG_ERROR]
+        assert b"auth" in sent[-1]  # no keys, so the ERROR travels in plaintext
 
     def test_auth_replayed_into_a_new_session_fails(self, household):
         # A HELLO carries no nonce: each session's fresh ephemeral keys make its
@@ -704,26 +732,26 @@ class TestProtocolOrder:
     def test_plaintext_error_to_a_secure_session_is_dropped(self, household):
         # A plaintext ERROR that nobody signed or sealed once ended a Secure
         # session as `peer: spoofed`. Once there is a channel, it is dropped.
-        session_i, session_r, leg = secure_pair(household)
+        session_i, session_r, records = secure_pair(household)
         spoofed = bytes([MSG_ERROR]) + pack(Error("spoofed"))
         for session in (session_i, session_r):
             assert session.step(spoofed, NOW) == []
             assert (session.state, session.failure_reason) == (State.SECURE, None)
         # The handshake goes on to both verdicts.
-        replies = [r for m in leg for r in session_r.step(m, NOW)]
+        replies = [r for m in records for r in session_i.step(m, NOW)]
         for m in replies:
-            session_i.step(m, NOW)
+            session_r.step(m, NOW)
         assert session_i.state == session_r.state == State.TRUSTED
 
     def test_error_in_a_channel_state_travels_sealed(self, household):
         session_i, session_r, _ = secure_pair(household)
-        (error,) = session_i._fail("bye")
+        (error,) = session_r._fail("bye")
         assert error[0] == MSG_ERROR and b"bye" not in error
         # A tampered copy does not open, and is dropped.
-        assert session_r.step(error[:-1] + bytes([error[-1] ^ 1]), NOW) == []
-        assert session_r.state == State.SECURE
-        assert session_r.step(error, NOW) == []
-        assert (session_r.state, session_r.failure_reason) == (State.FAILED, "peer: bye")
+        assert session_i.step(error[:-1] + bytes([error[-1] ^ 1]), NOW) == []
+        assert session_i.state == State.SECURE
+        assert session_i.step(error, NOW) == []
+        assert (session_i.state, session_i.failure_reason) == (State.FAILED, "peer: bye")
 
     def test_state_machine_safety_unexpected_pairs_only_fail(self, household):
         # Feeding every message tag into a fresh session in each reachable
@@ -761,7 +789,7 @@ class TestProtocolOrder:
                 session_r = respond(cfg_r, now=NOW)
                 (hello_ack,) = session_r.step(hello, NOW)
                 (auth,) = session_i.step(hello_ack, NOW)
-                (auth_ack,) = session_r.step(auth, NOW)
+                auth_ack, *_ = session_r.step(auth, NOW)
                 session_i.step(auth_ack, NOW)
                 victim = session_i if victim_role == "initiator" else session_r
                 assert victim.state == State.SECURE
@@ -841,13 +869,13 @@ class TestTotality:
                              ids=["unknown-method-byte", "no-id", "empty", "did-as-text"])
     def test_opening_value_of_no_did_bytes_fails_protocol(self, household, value):
         session_i, session_r, _ = secure_pair(household)
-        wire = camera_wire(household)
+        wire = owner_wire(household[2])
         (opening,) = wire[slot(PresentationWire, "disclosed")]
         # None: the owner DID written as text, where its wire bytes must travel.
         opening[slot(ClaimOpening, "value")] = str(household[0].did) if value is None else value
-        record = session_i._seal(MSG_CRED_PRESENT, cbor_bytes([[wire]]))  # [presentations]
-        assert session_r.step(record, NOW) != []
-        assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
+        record = session_r._seal(MSG_CRED_PRESENT, cbor_bytes([[wire]]))  # [presentations]
+        assert session_i.step(record, NOW) != []
+        assert (session_i.state, session_i.failure_reason) == (State.FAILED, "protocol")
 
     # A document body that breaks a document invariant decodes as no Hello, on
     # either side: the body record holds the invariants, so its decode fails.
@@ -928,9 +956,9 @@ class TestTotality:
 
     def test_presentations_not_a_list_fails_protocol(self, household):
         session_i, session_r, _ = secure_pair(household)
-        record = session_i._seal(MSG_CRED_PRESENT, cbor_bytes([5]))  # [presentations]
-        session_r.step(record, NOW)
-        assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
+        record = session_r._seal(MSG_CRED_PRESENT, cbor_bytes([5]))  # [presentations]
+        session_i.step(record, NOW)
+        assert (session_i.state, session_i.failure_reason) == (State.FAILED, "protocol")
 
     # `body` maps the honest AUTH array (None for other tags) to the body sent.
     @pytest.mark.parametrize("tag, body", [
@@ -949,14 +977,12 @@ class TestTotality:
             (auth,) = session_i.step(*victim.step(hello, NOW), NOW)
             message = bytes([MSG_AUTH]) + cbor_bytes(body(from_cbor(auth[1:])))
         else:
+            victim, sender, records = secure_pair(household)
             if tag == MSG_TRUST_RESULT:
-                # The responder has its own verdict and waits for the initiator's.
-                sender, victim, leg5 = secure_pair(household)
-                for message in leg5:
+                # The initiator has its own verdict and waits for the responder's.
+                for message in records:
                     victim.step(message, NOW)
                 assert victim.state == State.TRUSTED
-            else:
-                sender, victim, _ = secure_pair(household)
             message = sender._seal(tag, cbor_bytes(body(None)))
         assert victim.step(message, NOW) != []
         assert (victim.state, victim.failure_reason) == (State.FAILED, "protocol")
@@ -990,7 +1016,7 @@ class TestTotality:
         actor = data.draw(st.sampled_from([alice, camera, lock]), label="doc")
         document = pack(actor.document.body())
         # The camera's presentation with drawn null slots and openings.
-        wire = camera_wire((alice, camera, lock))
+        wire = owner_wire(camera)
         stored = camera.credentials[0]
         wire[slot(PresentationWire, "commitments")] = data.draw(st.lists(
             st.sampled_from([None, *from_cbor(pack(stored.credential.commitments))]), max_size=3,
@@ -1092,18 +1118,35 @@ class TestLayer2:
         assert disclosed_names == {"owner"}
 
     def test_one_sided_exchange(self, household):
-        # Initiator holds no credential, so it discloses nothing; the responder
-        # trusts anyone and still presents on request, so the initiator's
-        # policy could check it.
+        # Responder holds no credential, so it discloses nothing; the initiator
+        # trusts anyone and still presents on request, so the responder's
+        # policy could check it: a strict responder facing an AlwaysTrust
+        # initiator ends trusted on both sides.
         alice, camera, lock = household
         cfg_i = owner_match_config(camera, alice, 700)
-        cfg_i.credentials = ()
+        cfg_i.policy = AlwaysTrust()
         cfg_r = owner_match_config(lock, alice, 701)
+        cfg_r.credentials = ()
+        session_i, session_r, _ = run_direct(cfg_i, cfg_r)
+        assert session_r.state == State.TRUSTED   # verified the camera's owner claim
+        assert session_i.state == State.TRUSTED   # trusts regardless
+        assert session_i.presented == []          # lock disclosed nothing
+
+    def test_strict_initiator_facing_an_always_trust_responder_is_untrusted(self, household):
+        # The responder presents in its AUTH_ACK leg, before it hears from the
+        # initiator, which sends no request. So it discloses what its own
+        # policy would ask: nothing under AlwaysTrust.
+        alice, camera, lock = household
+        cfg_i = owner_match_config(camera, alice, 704)
+        cfg_r = owner_match_config(lock, alice, 705)
         cfg_r.policy = AlwaysTrust()
         session_i, session_r, _ = run_direct(cfg_i, cfg_r)
-        assert session_i.state == State.TRUSTED   # verified the lock's owner claim
-        assert session_r.state == State.TRUSTED   # trusts regardless
-        assert session_r.presented == []          # camera disclosed nothing
+        assert session_r.state == State.TRUSTED
+        assert session_i.presented == []
+        assert (session_i.state, session_i.my_verdict) == (
+            State.UNTRUSTED, Verdict(False, "no valid credentials"),
+        )
+        assert session_r.peer_verdict == Verdict(False, "no valid credentials")
 
     @pytest.mark.parametrize("holder", ["initiator", "responder"])
     def test_credential_without_a_wire_form_never_leaves(self, household, holder):
@@ -1130,20 +1173,20 @@ class TestDerivedFields:
     reader; no edit of what travels instead makes it count, or raises."""
 
     def _presented(self, household, edit):
-        """The lock after a CRED_PRESENT holding the camera's presentation, its
+        """The camera after a CRED_PRESENT holding the lock's presentation, its
         wire array changed by `edit`."""
         session_i, session_r, _ = secure_pair(household)
-        wire = camera_wire(household)
+        wire = owner_wire(household[2])
         edit(wire)
-        record = session_i._seal(MSG_CRED_PRESENT, cbor_bytes([[wire]]))  # [presentations]
-        assert session_r.step(record, NOW) != []
-        return session_r
+        record = session_r._seal(MSG_CRED_PRESENT, cbor_bytes([[wire]]))  # [presentations]
+        assert session_i.step(record, NOW) != []
+        return session_i
 
     def test_honest_presentation_is_restored_and_counts(self, household):
-        session_r = self._presented(household, lambda wire: None)
-        assert session_r.state == State.TRUSTED
-        (p,) = session_r.presented
-        assert p.credential == household[1].credentials[0].credential
+        session_i = self._presented(household, lambda wire: None)
+        assert session_i.state == State.TRUSTED
+        (p,) = session_i.presented
+        assert p.credential == household[2].credentials[0].credential
 
     @pytest.mark.parametrize("field, value", [
         ("value", "did:peer:3somebodyelse"),
@@ -1154,24 +1197,24 @@ class TestDerivedFields:
             (opening,) = wire[slot(PresentationWire, "disclosed")]
             opening[slot(ClaimOpening, field)] = value
 
-        session_r = self._presented(household, edit)
-        assert session_r.presented == []
-        assert session_r.rejected == ["signature"]
-        assert session_r.my_verdict == Verdict(False, "signature")
+        session_i = self._presented(household, edit)
+        assert session_i.presented == []
+        assert session_i.rejected == ["signature"]
+        assert session_i.my_verdict == Verdict(False, "signature")
 
     def test_disclosed_did_swapped_for_another_did_is_dropped_for_signature(self, household):
-        alice, _, lock = household
+        alice, camera, _ = household
 
         def edit(wire):
             # The owner value is Alice's DID, the issuer's, so it travels as null;
-            # the lock's DID in its wire form replaces it.
+            # the camera's DID in its wire form replaces it.
             (opening,) = wire[slot(PresentationWire, "disclosed")]
             assert opening[slot(ClaimOpening, "value")] is None
-            opening[slot(ClaimOpening, "value")] = lock.did.to_wire()
+            opening[slot(ClaimOpening, "value")] = camera.did.to_wire()
 
-        session_r = self._presented(household, edit)
-        assert session_r.presented == []
-        assert session_r.rejected == ["signature"]
+        session_i = self._presented(household, edit)
+        assert session_i.presented == []
+        assert session_i.rejected == ["signature"]
 
     def test_issuer_did_sent_where_null_is_due_fails_protocol(self, household):
         alice = household[0]
@@ -1180,46 +1223,46 @@ class TestDerivedFields:
             (opening,) = wire[slot(PresentationWire, "disclosed")]
             opening[slot(ClaimOpening, "value")] = alice.did.to_wire()
 
-        session_r = self._presented(household, edit)
-        assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
+        session_i = self._presented(household, edit)
+        assert (session_i.state, session_i.failure_reason) == (State.FAILED, "protocol")
 
     def test_null_for_a_value_other_than_the_issuer_is_dropped_for_signature(self, household):
-        # The type claim ("Camera") disclosed with a null value: the reader fills
+        # The type claim ("Lock") disclosed with a null value: the reader fills
         # in the issuer, whose commitment under that name the issuer never
         # signed. The reader cannot tell this null from an honest one, so the
         # signature, not the decode, refuses it.
-        kind = household[1].credentials[0].opening_for("type")
+        kind = household[2].credentials[0].opening_for("type")
 
         def edit(wire):
             wire[slot(PresentationWire, "commitments")] = [None, None]
             wire[slot(PresentationWire, "disclosed")].append([kind.name, None, kind.salt])
 
-        session_r = self._presented(household, edit)
-        assert session_r.presented == []
-        assert session_r.rejected == ["signature"]
+        session_i = self._presented(household, edit)
+        assert session_i.presented == []
+        assert session_i.rejected == ["signature"]
 
     def test_presentation_moved_under_another_issuer_is_dropped_for_signature(self, household):
         # Mallory's document lists Alice's signing key under its own DID, so
         # the proof's key resolves; but the restored credential names Mallory
         # as issuer and, through the null value, as owner: not what Alice signed.
-        alice, _, lock = household
+        alice, camera, _ = household
         key = PublicKeyEntry(alice.sign_key.key_id, crypto.PURPOSE_SIGN, alice.sign_key.public)
         mallory = DidDocument.from_body(DocumentBody((key,)), "peer")
-        lock.resolver.store_peer(mallory.id, mallory)
+        camera.resolver.store_peer(mallory.id, mallory)
 
         def edit(wire):
             assert wire[slot(PresentationWire, "issuer")] == alice.did.to_wire()
             wire[slot(PresentationWire, "issuer")] = mallory.id.to_wire()
 
-        session_r = self._presented(household, edit)
-        assert session_r.presented == []
-        assert session_r.rejected == ["signature"]
+        session_i = self._presented(household, edit)
+        assert session_i.presented == []
+        assert session_i.rejected == ["signature"]
 
     @pytest.mark.parametrize("field", ["vc_id", "proof"])
     def test_issued_ids_spelled_out_as_text_fail_protocol(self, household, field):
         # An issued credential id travels as its 8 bytes, and a default-shaped
         # key id in the proof as its 4 digest bytes; as text, neither decodes.
-        vc = household[1].credentials[0].credential
+        vc = household[2].credentials[0].credential
 
         def edit(wire):
             if field == "vc_id":
@@ -1231,8 +1274,8 @@ class TestDerivedFields:
                 assert proof[0] == crypto.digest(household[0].sign_key.public)[:4]
                 proof[0] = key_id
 
-        session_r = self._presented(household, edit)
-        assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
+        session_i = self._presented(household, edit)
+        assert (session_i.state, session_i.failure_reason) == (State.FAILED, "protocol")
 
     # The honest commitments slot is [null, type commitment], with one opening (owner).
     @pytest.mark.parametrize("commitments, outcome", [
@@ -1243,17 +1286,17 @@ class TestDerivedFields:
     def test_null_slots_that_do_not_pair_with_the_openings_are_refused(
         self, household, commitments, outcome,
     ):
-        owner, kind = from_cbor(pack(household[1].credentials[0].credential.commitments))
+        owner, kind = from_cbor(pack(household[2].credentials[0].credential.commitments))
 
         def edit(wire):
             wire[slot(PresentationWire, "commitments")] = commitments(owner, kind)
 
-        session_r = self._presented(household, edit)
+        session_i = self._presented(household, edit)
         if outcome == "protocol":
-            assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
+            assert (session_i.state, session_i.failure_reason) == (State.FAILED, "protocol")
         else:
-            assert session_r.presented == []
-            assert session_r.rejected == [outcome]
+            assert session_i.presented == []
+            assert session_i.rejected == [outcome]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1339,15 +1382,16 @@ class TestSecureChannel:
 
     def test_record_is_tag_counter_ciphertext(self, household):
         session_i, _ = self._secure_pair(household)
-        # The handshake sealed 3 records each way, so this is the 4th: a 1-byte
-        # counter head, then the 16-byte tag of an empty plaintext.
+        # The initiator sealed 2 records in the handshake (CRED_PRESENT and
+        # TRUST_RESULT), so this is the 3rd: a 1-byte counter head, then the
+        # 16-byte tag of an empty plaintext.
         wire = session_i.secure_send(b"", NOW)
-        assert wire[:2] == bytes([MSG_DATA, 4]) and len(wire) == 2 + 16
+        assert wire[:2] == bytes([MSG_DATA, 3]) and len(wire) == 2 + 16
 
     @pytest.mark.parametrize("defect", CHANNEL_DEFECTS)
     def test_defective_data_record_is_refused(self, household, defect):
         session_i, session_r = self._secure_pair(household)
-        # Counters 4 to 27, after the handshake's 3: the last ones take a 2-byte head.
+        # Counters 3 to 26, after the handshake's 2: the last ones take a 2-byte head.
         sent = [session_i.secure_send(bytes([n]), NOW) for n in range(24)]
         first, last = sent[0], sent[-1]
         counter, start = read_uint(first, 1)
@@ -1361,7 +1405,7 @@ class TestSecureChannel:
         elif defect == "non-shortest-counter":
             record = first[:1] + bytes([0x18, counter]) + first[start:]
         elif defect == "truncated-counter":
-            assert last[1] == 0x18  # counter 27 takes a 2-byte head
+            assert last[1] == 0x18  # counter 26 takes a 2-byte head
             record = last[:2]
         elif defect == "truncated-tag":
             record = first[: start + 15]
@@ -1375,16 +1419,16 @@ class TestSecureChannel:
 
     @pytest.mark.parametrize("defect", CHANNEL_DEFECTS)
     def test_defective_handshake_record_fails_channel(self, household, defect):
-        """The same defects on the initiator's CRED_REQUEST (counter 1), which a
+        """The same defects on the responder's CRED_REQUEST (counter 1), which a
         Secure session of either role accepts by its tag."""
         session_i, session_r, (request, _) = secure_pair(household)
         assert request[:2] == bytes([MSG_CRED_REQUEST, 1])
-        victim = session_r
+        victim = session_i
         if defect == "replayed":
-            session_r.step(request, NOW)
+            session_i.step(request, NOW)
             record = request
         elif defect == "rewound":
-            session_r.step(session_i._seal(MSG_CRED_REQUEST, pack(CredRequest(()))), NOW)
+            session_i.step(session_r._seal(MSG_CRED_REQUEST, pack(CredRequest(()))), NOW)
             record = request
         elif defect == "non-shortest-counter":
             record = request[:1] + bytes([0x18, 1]) + request[2:]
@@ -1393,7 +1437,7 @@ class TestSecureChannel:
         elif defect == "truncated-tag":
             record = request[: 2 + 15]
         else:
-            victim, record = session_i, request
+            victim, record = session_r, request
         assert victim.step(record, NOW) != []
         assert (victim.state, victim.failure_reason) == (State.FAILED, "channel")
 

@@ -246,7 +246,7 @@ class TestOwnerScenario:
         step = run_scenario(scenario()).steps[0]
         # Lossless LoRa: each leg goes out in the tick its request arrives, and
         # the last leg's ACK comes back a round trip after it left.
-        assert step.ticks == len(step.fragments_per_message) + 1 == 8
+        assert step.ticks == len(step.fragments_per_message) + 1 == 7
 
     def test_every_data_frame_of_a_leg_goes_out_in_the_same_tick(self):
         with kept_links() as links:
@@ -254,7 +254,7 @@ class TestOwnerScenario:
         (link,) = links
         ticks = data_ticks(link)
         # One transport message per leg, each answering the one before a tick later.
-        assert [set(t) for t in ticks.values()] == [{leg} for leg in range(7)]
+        assert [set(t) for t in ticks.values()] == [{leg} for leg in range(6)]
         assert [len(t) for t in ticks.values()] == step.fragments_per_message
 
     def test_delivery_failure_reports_what_the_link_carried(self):
@@ -358,10 +358,10 @@ class TestPipelinedLegs:
         # its timer, tick 2, and holds AUTH (3), ready at tick 2, until that
         # ACK is back at tick 4.
         assert data_ticks(link) == {
-            1: [0, 2], 2: [1], 3: [4], 4: [5], 5: [6, 6], 6: [7, 7], 7: [8],
+            1: [0, 2], 2: [1], 3: [4], 4: [5, 5], 5: [6, 6], 6: [7],
         }
         assert step.retransmissions == 1
-        assert step.ticks == 8 + 2  # the 2 ticks AUTH was held
+        assert step.ticks == 7 + 2  # the 2 ticks AUTH was held
         assert_one_message_in_flight_per_endpoint(link)
 
     def test_lossy_sweep_ends_trusted_or_delivery_failed(self):
@@ -397,11 +397,13 @@ class TestPipelinedLegs:
         # The sweep's totals pin the ARQ's cost on a lossy link. Before ACKs were
         # re-ridden (an ACK rode only the data frames of the tick its data
         # arrived in), they were 4,284 frames, 411,591 bytes, 7,819 ticks and
-        # 1 delivery-failed step.
+        # 1 delivery-failed step. Before the responder opened layer 2 in its
+        # AUTH_ACK leg (7 legs, not 6), they were 3,858 frames, 391,423 bytes,
+        # 6,984 ticks and no delivery-failed step.
         steps = report.steps
-        assert sum(s.frames for s in steps) == 3858
-        assert sum(s.bytes_sent for s in steps) == 391423
-        assert sum(s.ticks for s in steps) == 6984
+        assert sum(s.frames for s in steps) == 3497
+        assert sum(s.bytes_sent for s in steps) == 384526
+        assert sum(s.ticks for s in steps) == 6202
         assert outcomes.count("delivery-failed") == 0
 
 
@@ -434,11 +436,11 @@ class TestBenchmarkReconciliation:
         ]
         data = sum(1 for frame in frames if not frame.is_ack)
         alone = sum(1 for frame in frames if frame.is_ack)
-        assert (data, alone) == (9, 1)
-        assert data + alone == len(link.trace) == metrics.frames == 10
+        assert (data, alone) == (8, 1)
+        assert data + alone == len(link.trace) == metrics.frames == 9
         riding = [e for e in acks(link) if e.kind == "data"]
         assert [(e.message_id, e.ack_id) for e in riding] == [
-            (2, 1), (3, 2), (4, 3), (5, 4), (6, 5), (7, 6),
+            (2, 1), (3, 2), (4, 3), (5, 4), (6, 5),
         ]
 
 

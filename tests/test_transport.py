@@ -864,6 +864,21 @@ class TestMessageIds:
         assert data_frames(link) - before == 1
         assert receiver.receive() == b"third"
 
+    def test_id_of_the_last_delivered_message_is_a_new_message_after_a_wrap(self):
+        # B's last delivery is A's first message: B's own reply leaves that
+        # receive state in place. The wrapped id must not read as its duplicate.
+        link = make_link("lora", seed=1)
+        a, b = Messenger(link, "A"), Messenger(link, "B")
+        deliver(a, b"ping")
+        assert b.receive() == b"ping"
+        deliver(b, b"pong")
+        assert a.receive() == b"pong"
+        assert list(b._receiving) == [1]
+        link._next_message_id = 0  # the next send reuses the id of A's first message
+        assert deliver(a, b"ping again") == 1
+        assert a.failure is None
+        assert b.receive() == b"ping again"
+
     def test_state_stays_bounded_over_many_messages(self):
         link = make_link("lora", loss=0.1, reorder=0.1, seed=6)
         a = Messenger(link, "A")
