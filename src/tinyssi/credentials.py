@@ -15,8 +15,8 @@ from random import Random
 from typing import Annotated, Iterable, Sequence
 
 from . import crypto
-from .encoding import ByteForm, Record, canonical_bytes, encode, hex_id
-from .identity import Did, DidError
+from .encoding import Record, canonical_bytes, encode, hex_id, text_as_bytes
+from .identity import Did
 from .resolver import ResolutionError, Resolver
 
 # Stable verdict reasons, also surfaced through the CLI.
@@ -63,16 +63,10 @@ def _check_length(what: str, raw: bytes, expected: int) -> None:
         raise CredentialError(f"{what} must be {expected} bytes, got {len(raw)}")
 
 
-def _did_wire(value: str) -> bytes | str:
-    """DID text as the DID's wire bytes (a base58 id round-trips), other values as is."""
-    try:
-        return Did.from_text(value).to_wire()
-    except DidError:
-        return value
-
-
 # A claim value that is DID text travels as the DID's wire bytes.
-DidText = Annotated[str, ByteForm(_did_wire, lambda raw: str(Did.from_wire(raw)))]
+DidText = Annotated[str, text_as_bytes(
+    lambda raw: str(Did.from_wire(raw)), lambda text: Did.from_text(text).to_wire()
+)]
 
 
 @dataclass(frozen=True)
@@ -225,7 +219,7 @@ def issue(
     )
     commitments = tuple(o.commitment() for o in openings)
     unsigned = VerifiableCredential(
-        vc_id=_VC_ID.build(rand(_VC_ID_LEN)),
+        vc_id=_VC_ID.read(rand(_VC_ID_LEN)),
         issuer=issuer,
         subject=subject,
         commitments=commitments,

@@ -10,11 +10,11 @@ Wire form is deterministic CBOR (RFC 8949 section 4.2), the form handshake
 messages travel in, limited to the items their records hold: unsigned and
 negative integers, byte strings, text, arrays, and false, true and null. A
 record is an array of its fields in declared order, with no names; bytes
-travel raw as a byte string. A type with a `from_wire` constructor travels as
-its `wire_form`, which `to_wire` gives: the DID (its method byte and raw id)
-and a document's public key. A text field declared `Annotated[str, ByteForm]`
-travels as bytes where it has some: a DID claim value, a default-shaped key
-id, an issued credential id. Integers and lengths take the shortest head.
+travel raw as a byte string. A value that declares a `WireForm`, by its type's
+`WIRE` (a DID, a document's key) or as `Annotated[str, form]` (a DID claim
+value, a default-shaped key id, an issued credential id), travels as its
+`write`; a reader refuses a wire value that `write(read(value))` does not give
+back, so each value has one form. Integers and lengths take the shortest head.
 `from_cbor` accepts exactly these bytes and refuses the rest of CBOR: maps,
 tags, floats and every other simple value, indefinite lengths, trailing bytes
 and invalid UTF-8; `read_uint` reads one unsigned integer's head at the front
@@ -235,32 +235,45 @@ def _read_item(raw: bytes, at: int) -> tuple[Any, int]:
 # Records
 # ---------------------------------------------------------------------------
 
-class ByteForm(typing.NamedTuple):
-    """How a text field declared `Annotated[str, form]` travels: as `write(text)`,
-    its bytes or else itself; `build(raw)` gives the text of bytes back."""
+class WireForm(typing.NamedTuple):
+    """A value's wire form: `write` gives a value of the declared type `form`, `read` undoes it."""
 
-    write: Callable[[str], bytes | str]
-    build: Callable[[bytes], str]
+    form: Any
+    write: Callable[[Any], Any]
+    read: Callable[[Any], Any]
 
-    def read(self, value: Any) -> str:
-        """The text a wire value names, if `write` gives that value: one form each."""
-        text = _construct(self.build, value) if type(value) is bytes else _exactly(str, value)
-        if self.write(text) != value:
-            raise EncodingError(f"{text!r} has another wire form than {value!r}")
-        return text
+    @staticmethod
+    def of(tp: Any) -> WireForm | None:
+        """The form a value declared as `tp` travels in: its field's, else its type's."""
+        if typing.get_origin(tp) is typing.Annotated:
+            return tp.__metadata__[0]
+        return getattr(tp, "WIRE", None)
+
+    def value_of(self, wire_value: Any) -> Any:
+        """The value a wire value names, refused unless `write` gives it back."""
+        value = _construct(self.read, wire_value)
+        if _construct(self.write, value) != wire_value:
+            raise EncodingError(f"{value!r} has another wire form than {wire_value!r}")
+        return value
 
 
-def hex_id(size: int, build: Callable[[bytes], str]) -> ByteForm:
-    """The byte form of an id that `build` makes from `size` bytes, their hex last."""
+def text_as_bytes(build: Callable[[bytes], str], raw_of: Callable[[str], bytes]) -> WireForm:
+    """The form of text that `build(raw)` makes, which travels as `raw`: `raw_of`
+    finds it (or raises a ValueError). Any other text travels as itself."""
 
     def write(text: str) -> bytes | str:
         try:
-            raw = bytes.fromhex(text[-2 * size :])
+            raw = raw_of(text)
         except ValueError:
             return text
-        return raw if len(raw) == size and build(raw) == text else text
+        return raw if build(raw) == text else text
 
-    return ByteForm(write, build)
+    return WireForm(bytes | str, write, lambda w: build(w) if type(w) is bytes else w)
+
+
+def hex_id(size: int, build: Callable[[bytes], str]) -> WireForm:
+    """The form of an id that `build` makes from `size` bytes, their hex last."""
+    return text_as_bytes(build, lambda text: bytes.fromhex(text[-2 * size :]))
 
 
 def encode(value: Any) -> Any:
@@ -287,8 +300,8 @@ def _encoder(tp: Any, wire: bool) -> Callable[[Any], Any] | None:
     by_value = functools.partial(_laid_out, wire=wire)
     if origin in (types.UnionType, typing.Union):
         return by_value
-    if origin is typing.Annotated:
-        return args[1].write if wire else None
+    if wire and (form := WireForm.of(tp)):
+        return lambda value: _laid_out(_construct(form.write, value), True)
     if origin in (tuple, list):
         item = _encoder(args[0], wire) if args else by_value
         return list if item is None else lambda items: [item(v) for v in items]
@@ -297,12 +310,10 @@ def _encoder(tp: Any, wire: bool) -> Callable[[Any], Any] | None:
         return dict if item is None else lambda mapping: {k: item(v) for k, v in mapping.items()}
     if tp is bytes:
         return None if wire else bytes.hex
-    if wire and hasattr(tp, "from_wire"):
-        return lambda value: _laid_out(_construct(value.to_wire), True)
     if not wire and hasattr(tp, "from_text"):
         return str
     if dataclasses.is_dataclass(tp):
-        hints = typing.get_type_hints(tp, include_extras=True)
+        hints = typing.get_type_hints(tp, include_extras=wire)
         plan = [(f.name, _encoder(hints[f.name], wire)) for f in dataclasses.fields(tp)]
 
         def field_values(record: Any) -> list[Any]:
@@ -337,8 +348,9 @@ def _decoder(tp: Any, wire: bool) -> Callable[[Any], Any]:
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (types.UnionType, typing.Union):
         return _union_decoder(tp, [_decoder(arg, wire) for arg in args])
-    if origin is typing.Annotated:
-        return args[1].read if wire else _decoder(str, False)
+    if wire and (form := WireForm.of(tp)):
+        read = _decoder(form.form, True)
+        return lambda value: form.value_of(read(value))
     if origin in (tuple, list):
         item = _decoder(args[0], wire)
         return lambda value: origin(item(v) for v in _exactly(list, value))
@@ -354,9 +366,6 @@ def _decoder(tp: Any, wire: bool) -> Callable[[Any], Any]:
         return lambda value: float(value if type(value) is int else _exactly(float, value))
     if tp in (bytes, str, int, float, bool, type(None)):
         return functools.partial(_exactly, tp)
-    if wire and hasattr(tp, "from_wire"):
-        read = _decoder(tp.wire_form, True)
-        return lambda value: _construct(tp.from_wire, read(value))
     if not wire and hasattr(tp, "from_text"):
         return lambda value: _construct(tp.from_text, _exactly(str, value))
     if dataclasses.is_dataclass(tp):
@@ -392,7 +401,7 @@ def _union_decoder(tp: Any, options: list[Callable[[Any], Any]]) -> Callable[[An
 
 
 def _record_decoder(tp: type, wire: bool) -> Callable[[Any], Any]:
-    hints = typing.get_type_hints(tp, include_extras=True)
+    hints = typing.get_type_hints(tp, include_extras=wire)
     readers = [(f.name, _decoder(hints[f.name], wire)) for f in dataclasses.fields(tp)]
     names = frozenset(name for name, _ in readers)
 

@@ -26,7 +26,10 @@ decode as its tag's record (else `protocol`). An ERROR ends the session
 until it is complete, but once there are session keys one that does not open
 is dropped. A complete session, holding both verdicts, ignores whatever arrives.
 
-The wire leaves out what its reader can derive (as SCHC does, RFC 8724):
+The wire leaves out what its reader can derive (as SCHC does, RFC 8724). The
+compact key, key id, DID value and credential id below each travel in the
+`encoding.WireForm` their type or field declares, and the codec refuses a
+second spelling of the same value:
 - A document travels as the body its peer DID is the digest of, so the
   reader derives the DID and the decoded body gives back its canonical bytes.
 - A HELLO has no nonce: its fresh ephemeral key makes the transcript fresh.
@@ -34,9 +37,10 @@ The wire leaves out what its reader can derive (as SCHC does, RFC 8724):
   (`crypto.default_key_id` of its purpose and public key), and with its
   purpose as an index into `crypto.PURPOSES`. In AUTH and proofs a key id
   of the default signing shape travels as its digest bytes (`crypto.KeyId`).
-- A disclosed claim value that is DID text travels as the DID's wire bytes,
-  and one that is its credential's issuer as null (IssuerOpening). An id
-  that issue() made travels as its raw bytes (`credentials.VcId`).
+- A disclosed claim value that is DID text travels as the DID's wire bytes
+  (`credentials.DidText`), and one that is its credential's issuer as null
+  (IssuerOpening). An id that issue() made travels as its raw bytes
+  (`credentials.VcId`).
 - A presentation travels as a PresentationWire: its credential without the
   subject, which holder binding makes the authenticated peer, and with null
   for each commitment a disclosed opening opens, the digest of that opening.

@@ -198,6 +198,8 @@ class Scenario:
             for ref in (link.a, link.b):
                 if ref not in known:
                     problems.append(f"link {i}: unknown actor {ref!r}")
+            if link.a == link.b:
+                problems.append(f"link {i} joins {link.a!r} to itself")
             if link.profile not in PROFILES:
                 problems.append(f"link {i}: unknown profile {link.profile!r}")
             for name, value in (("loss", link.loss), ("reorder", link.reorder)):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Iterable
 
 from . import crypto
-from .encoding import Record, base58_decode, base58_encode, is_base58
+from .encoding import Record, WireForm, base58_decode, base58_encode, is_base58
 
 METHOD_PEER = "peer"
 METHOD_REG = "reg"
@@ -53,18 +53,18 @@ class Did:
     def from_text(cls, text: str) -> "Did":
         return parse_did(text)
 
-    wire_form = bytes
-
     def to_wire(self) -> bytes:
         if self.method not in _METHOD_BYTES:
             raise DidError(f"method {self.method!r} has no wire form")
         return bytes([_METHOD_BYTES[self.method]]) + base58_decode(self.id)
 
-    @classmethod
-    def from_wire(cls, raw: bytes) -> "Did":
+    @staticmethod
+    def from_wire(raw: bytes) -> Did:
         if not raw or raw[0] not in _BYTE_METHODS:
             raise DidError(f"unknown DID method byte in {raw[:1].hex()!r}")
-        return cls(method=_BYTE_METHODS[raw[0]], id=base58_encode(raw[1:]))
+        return Did(method=_BYTE_METHODS[raw[0]], id=base58_encode(raw[1:]))
+
+    WIRE = WireForm(bytes, to_wire, from_wire)
 
 
 def parse_did(text: str) -> Did:
@@ -114,25 +114,22 @@ class PublicKeyEntry(_Record):
             raise DidError(f"unknown key purpose {self.purpose!r}")
         _check_key_length(self.public)
 
-    wire_form = _KeyWire
-
     def to_wire(self) -> _KeyWire:
         default = self.key_id == crypto.default_key_id(self.purpose, self.public)
         return _KeyWire(
             None if default else self.key_id, crypto.PURPOSES.index(self.purpose), self.public
         )
 
-    @classmethod
-    def from_wire(cls, wire: _KeyWire) -> "PublicKeyEntry":
-        """The entry a wire key names; an id equal to the default must travel as None,
-        so each entry has one wire form."""
+    @staticmethod
+    def from_wire(wire: _KeyWire) -> PublicKeyEntry:
+        """The entry a wire key names: a null id is the default id of its key."""
         if not 0 <= wire.purpose < len(crypto.PURPOSES):
             raise DidError(f"unknown key purpose index {wire.purpose}")
         purpose = crypto.PURPOSES[wire.purpose]
         default = crypto.default_key_id(purpose, wire.public)
-        if wire.key_id == default:
-            raise DidError(f"default key id {default!r} must travel as null")
-        return cls(default if wire.key_id is None else wire.key_id, purpose, wire.public)
+        return PublicKeyEntry(default if wire.key_id is None else wire.key_id, purpose, wire.public)
+
+    WIRE = WireForm(_KeyWire, to_wire, from_wire)
 
 
 @dataclass(frozen=True)

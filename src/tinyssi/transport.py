@@ -355,6 +355,8 @@ class SimLink:
     """
 
     def __init__(self, profile: LinkProfile, a: str = "A", b: str = "B"):
+        if a == b:
+            raise TransportError(f"a link joins two endpoints, not {a!r} to itself")
         self.profile = profile
         self.endpoints = (a, b)
         self.now = 0

@@ -519,6 +519,16 @@ class TestMalformedFiles:
         assert code == 2, out
         assert out["error"]["reason"]
 
+    def test_scenario_link_of_an_actor_to_itself(self, tmp_path, capsys):
+        # A handshake over it would stall at once: both sides are one endpoint.
+        scenario = json.loads(SCENARIO.read_text())
+        scenario["links"][0]["b"] = scenario["steps"][0]["responder"] = "camera"
+        bad = tmp_path / "self.scn"
+        bad.write_text(json.dumps(scenario))
+        code, out = run(capsys, "sim", "run", str(bad))
+        assert code == 2, out
+        assert "link 0 joins 'camera' to itself" in out["error"]["reason"]
+
     @pytest.mark.parametrize("content", [
         b"[]",
         b'{"format":"tinyssi-registry/2","records":{}}',
@@ -568,6 +578,16 @@ class TestMalformedFiles:
         assert not Path(typo).exists()
         code, out = run(capsys, "ddoc", "show", *wallet_args)
         assert out["version"] == 1
+
+    def test_scenario_link_of_an_actor_to_itself(self, tmp_path, capsys):
+        # A handshake over it would stall at once: both sides are one endpoint.
+        scenario = json.loads(SCENARIO.read_text())
+        scenario["links"][0]["b"] = scenario["steps"][0]["responder"] = "camera"
+        bad = tmp_path / "self.scn"
+        bad.write_text(json.dumps(scenario))
+        code, out = run(capsys, "sim", "run", str(bad))
+        assert code == 2, out
+        assert "link 0 joins 'camera' to itself" in out["error"]["reason"]
 
     @pytest.mark.parametrize("content", [
         b"[]", b"not json", b'{"owner":"did:peer:1","revoked":[7]}', None,

@@ -160,6 +160,14 @@ class TestValidation:
         problems = Scenario.from_mapping(bad).validate()
         assert any("does not join" in p for p in problems)
 
+    def test_link_must_join_two_actors(self):
+        bad = copy.deepcopy(BASE)
+        bad["links"][0]["b"] = "camera"
+        bad["steps"][0]["responder"] = "camera"
+        assert Scenario.from_mapping(bad).validate() == ["link 0 joins 'camera' to itself"]
+        with pytest.raises(ScenarioError, match="to itself"):
+            run_scenario(Scenario.from_mapping(bad))
+
     def test_owner_match_needs_owner(self):
         bad = copy.deepcopy(BASE)
         del bad["actors"][1]["owner"]

@@ -34,6 +34,12 @@ of a genesis body) and `Did.from_wire` (the id read off the wire) call
 for `crypto.KeyId`, the one byte form of a signing key id on the wire. Only
 the codec parses hex.
 
+One rule says how a value travels other than as its own layout: an
+`encoding.WireForm`, declared on its type (`WIRE`) or on a text field
+(`Annotated[str, form]`). No module defines the retired `wire_form` hook, and
+only encoding.py looks a form up by attribute name, in `WireForm.of`.
+Text that travels as bytes has one rule, `encoding.text_as_bytes`.
+
 One rule picks the ACK that rides a data frame: only `Messenger._transmit`
 calls `SimLink.transmit` with an ACK riding (a third argument, or `ack=`).
 Every other call puts one frame on the link alone.
@@ -337,7 +343,11 @@ def test_one_rule_names_a_default_key():
         ("crypto.py", "<module>"), ("credentials.py", "<module>"),
     }
     assert _package_callers("fromhex") == {
-        ("encoding.py", "from_hex"), ("encoding.py", "hex_id.write"),
+        ("encoding.py", "from_hex"), ("encoding.py", "hex_id"),
+    }
+    # Text that travels as bytes, an id's or a DID's, has one rule.
+    assert _package_callers("text_as_bytes") == {
+        ("encoding.py", "hex_id"), ("credentials.py", "<module>"),
     }
 
 
@@ -359,6 +369,50 @@ def test_checker_flags_a_second_key_id_rule():
         "default_key_id", "PublicKeyEntry.from_wire", "keygen",
     }
     assert callers_of(source, "fromhex") == {"Auth.from_wire"}
+
+
+def wire_form_hooks(source: str) -> set[str]:
+    """How a module declares or finds a wire form other than by an `encoding.WireForm`
+    on a type or field: each `wire_form` it defines, each attribute with "wire" in
+    its name that it looks up by name (`getattr`, `hasattr`), and each read of a
+    type's `WIRE`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "wire_form":
+            found.add("defines wire_form")
+        elif isinstance(node, (ast.Name, ast.Attribute)) and _name(node) == "wire_form":
+            if isinstance(node.ctx, ast.Store):
+                found.add("defines wire_form")
+        elif isinstance(node, ast.Call) and _name(node.func) in ("getattr", "hasattr"):
+            attr = node.args[1] if len(node.args) > 1 else None
+            if isinstance(attr, ast.Constant) and "wire" in str(attr.value).lower():
+                found.add(f"{_name(node.func)} {attr.value}")
+        if isinstance(node, ast.Attribute) and node.attr == "WIRE":
+            if isinstance(node.ctx, ast.Load):
+                found.add("reads WIRE")
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_the_codec_finds_a_wire_form(module):
+    hooks = wire_form_hooks((PACKAGE / module).read_text(encoding="utf-8"))
+    assert hooks == ({"getattr WIRE"} if module == "encoding.py" else set())
+
+
+def test_checker_flags_a_second_wire_form_hook():
+    cases = {
+        "class Did:\n    wire_form = bytes\n": {"defines wire_form"},
+        "class Did:\n    def wire_form(self): ...\n": {"defines wire_form"},
+        "PublicKeyEntry.wire_form = _KeyWire\n": {"defines wire_form"},
+        "a = hasattr(tp, 'from_wire')\n": {"hasattr from_wire"},
+        "b = getattr(tp, 'wire_form', tp)\n": {"getattr wire_form"},
+        "c = Did.WIRE.write(did)\n": {"reads WIRE"},
+        # Declaring a form on a type, or asking the codec for one, is no second hook.
+        "class Did:\n    WIRE = WireForm(bytes, to_wire, from_wire)\n": set(),
+        "d = getattr(tp, 'from_text')\ne = WireForm.of(tp)\n": set(),
+    }
+    for source, hooks in cases.items():
+        assert wire_form_hooks(source) == hooks, source
 
 
 def test_registry_parses_only_on_load():

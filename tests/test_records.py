@@ -26,10 +26,12 @@ from tinyssi.credentials import (
     ClaimOpening,
     Commitment,
     CredentialError,
+    DidText,
     Presentation,
     Proof,
     RevocationRegistry,
     StoredCredential,
+    VcId,
     Verdict,
     VerifiableCredential,
     _VC_ID,
@@ -37,6 +39,7 @@ from tinyssi.credentials import (
 )
 from tinyssi.encoding import (
     EncodingError,
+    WireForm,
     canonical_bytes,
     cbor_bytes,
     decode,
@@ -143,10 +146,11 @@ wire_dids = st.builds(
 purposes = st.sampled_from(crypto.PURPOSES)
 publics = st.binary(min_size=32, max_size=32)
 # A key named by its maker, or one with the default id, which travels as null.
-keys = st.builds(PublicKeyEntry, key_id=texts, purpose=purposes, public=publics) | st.builds(
+default_keys = st.builds(
     lambda purpose, public: PublicKeyEntry(crypto.default_key_id(purpose, public), purpose, public),
     purposes, publics,
 )
+keys = st.builds(PublicKeyEntry, key_id=texts, purpose=purposes, public=publics) | default_keys
 endpoints = st.builds(ServiceEndpoint, endpoint_id=texts, type=texts, address=texts)
 retired = st.builds(RetiredKey, key_id=texts, public=st.binary(min_size=32, max_size=32),
                     retired_at=ints)
@@ -164,9 +168,12 @@ commitments = st.builds(
 )
 # A key id named by its maker, or one of the default signing shape, which
 # travels as its digest prefix.
-key_ids = texts | st.builds(crypto.default_key_id, st.just(crypto.PURPOSE_SIGN), publics)
+default_key_ids = st.builds(crypto.default_key_id, st.just(crypto.PURPOSE_SIGN), publics)
+key_ids = texts | default_key_ids
 signatures = st.binary(min_size=64, max_size=64)
 proofs = st.builds(Proof, verification_key_id=key_ids, signature=signatures)
+# An id as issue() makes it: `vc:` and 8 random bytes in hex.
+issued_vc_ids = st.builds(_VC_ID.read, st.binary(min_size=8, max_size=8))
 # A disclosed opening of the issuer's DID, whose value travels as null.
 issuer_openings = st.builds(
     IssuerOpening, name=texts, value=st.none(), salt=st.binary(min_size=16, max_size=16)
@@ -220,7 +227,7 @@ def record_strategies(dids, documents):
     # value and of the issuer (null): the wire record pairs them only when it is
     # restored. An id as issue() makes it travels as raw bytes, any other as text.
     presentation_wires = st.builds(
-        PresentationWire, vc_id=texts | st.builds(_VC_ID.build, st.binary(min_size=8, max_size=8)),
+        PresentationWire, vc_id=texts | issued_vc_ids,
         issuer=dids, commitments=tuples(st.none() | commitments), issued_at=ints,
         expires_at=ints, proof=proofs, disclosed=tuples(openings | issuer_openings),
     )
@@ -266,22 +273,41 @@ def record_strategies(dids, documents):
     }
 
 
-def travelling_records() -> list[str]:
-    """The names of every record a handshake message carries: each body record
-    and, field by field, every record nested in it. A type whose wire form is
-    no record (a DID) is a leaf."""
+def travelling_types() -> set:
+    """Every type a handshake message carries, as its record declares it: each
+    body record and, field by field, every type nested in it. A type with a
+    wire form is walked as what travels (a DID is a leaf)."""
     seen, todo = set(), [*(tp for bodies in _ACCEPTS.values() for tp in bodies.values()), Error]
     while todo:
         tp = todo.pop()
-        form = getattr(tp, "wire_form", tp)
-        if dataclasses.is_dataclass(form) and tp not in seen:
-            seen.add(tp)
-            todo += [t for hint in typing.get_type_hints(form).values() for t in _types_in(hint)]
-    return sorted(tp.__name__ for tp in seen)
+        if tp in seen:
+            continue
+        seen.add(tp)
+        shape = _travels_as(tp)
+        if dataclasses.is_dataclass(shape):
+            hints = typing.get_type_hints(shape, include_extras=True).values()
+            todo += [t for hint in hints for t in _types_in(hint)]
+    return seen
+
+
+def _travels_as(tp):
+    form = WireForm.of(tp)
+    return tp if form is None else form.form
+
+
+def travelling_records() -> list[str]:
+    """The names of every record a handshake message carries. A type whose wire
+    form is no record (a DID) is a leaf."""
+    records = (tp for tp in travelling_types() if dataclasses.is_dataclass(_travels_as(tp)))
+    return sorted(tp.__name__ for tp in records)
 
 
 def _types_in(hint):
-    return [hint, *(t for arg in typing.get_args(hint) for t in _types_in(arg))]
+    """A hint and every type nested in it; an `Annotated` hint's form is no type."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is typing.Annotated:
+        args = args[:1]
+    return [hint, *(t for arg in args for t in _types_in(arg))]
 
 
 RECORDS = record_strategies(dids, documents(dids))
@@ -344,6 +370,46 @@ def test_a_default_signing_key_id_travels_as_its_digest_prefix(public, named):
     for other in (named, agree, default.upper(), default + "0", default[:-1]):
         assert from_cbor(pack(Proof(other, bytes(64))))[0] == other
         assert unpack(Proof, pack(Proof(other, bytes(64)))).verification_key_id == other
+
+
+# Every form a handshake body reaches: the type that declares it, values that
+# travel in it, and a second spelling of each value, which its reader refuses.
+FORMS = {
+    # DID text where the DID's bytes are due.
+    "Did": (Did, wire_dids, str),
+    # A default key id spelled out, where it travels as null.
+    "PublicKeyEntry": (PublicKeyEntry, default_keys,
+                       lambda key: [key.key_id, crypto.PURPOSES.index(key.purpose), key.public]),
+    # A default signing key id, an issued vc id and DID text, each as text.
+    "KeyId": (crypto.KeyId, default_key_ids, str),
+    "VcId": (VcId, issued_vc_ids, str),
+    "DidText": (DidText, did_values, str),
+}
+# A one-field record per form, so the codec reads each as it reads a declared field.
+HOLDERS = {
+    name: dataclasses.make_dataclass(f"{name}Holder", [("value", tp)], frozen=True)
+    for name, (tp, _, _) in FORMS.items()
+}
+
+
+def test_every_travelling_form_is_checked():
+    travelling = {tp for tp in travelling_types() if WireForm.of(tp) is not None}
+    assert travelling == {tp for tp, _, _ in FORMS.values()}
+
+
+@pytest.mark.parametrize("name", sorted(FORMS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_form_round_trips_and_refuses_a_second_spelling(name, data):
+    _, values, second_spelling = FORMS[name]
+    holder = HOLDERS[name]
+    value = data.draw(values)
+    raw = pack(holder(value))
+    assert unpack(holder, raw) == holder(value)
+    other = cbor_bytes([second_spelling(value)])
+    assert other != raw
+    with pytest.raises(EncodingError):
+        unpack(holder, other)
 
 
 def test_every_message_record_is_walked():

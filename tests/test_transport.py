@@ -27,6 +27,7 @@ from tinyssi.transport import (
     Messenger,
     PROFILES,
     RETRY_LIMIT,
+    SimLink,
     TRANSIT_TICKS,
     TransportError,
     ack_bitmap,
@@ -251,6 +252,12 @@ class TestProfiles:
     def test_unknown_profile_rejected(self):
         with pytest.raises(TransportError):
             make_link("zigbee")
+
+    def test_link_of_an_endpoint_to_itself_rejected(self):
+        with pytest.raises(TransportError, match="itself"):
+            make_link("lora", "camera", "camera")
+        with pytest.raises(TransportError, match="itself"):
+            SimLink(PROFILES["lora"], "A", "A")
 
 
 class TestReliableDelivery:
