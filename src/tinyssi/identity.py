@@ -7,9 +7,10 @@ its id is the digest of the canonical genesis body (the document without its
 id), so two devices can exchange peer documents directly with no registry,
 and a registry can check that a genesis belongs to its DID. A document
 travels as a DocumentBody, which holds the document invariants, and the
-receiver derives the document and its DID with `DidDocument.from_body`. A
-key's default id (`crypto.default_key_id`) does not travel: the receiver
-derives it from the key.
+receiver derives the document and its DID with `DidDocument.from_body`. Only
+a genesis body travels, without its version and retired keys, which the
+receiver restores. A key's default id (`crypto.default_key_id`) does not
+travel: the receiver derives it from the key.
 """
 
 from __future__ import annotations
@@ -150,8 +151,19 @@ class RetiredKey(_Record):
 
 
 @dataclass(frozen=True)
+class _GenesisWire:
+    """A genesis DocumentBody as it travels: its keys and endpoints. The reader
+    restores version 1 and no retired keys."""
+
+    public_keys: tuple[PublicKeyEntry, ...]
+    service_endpoints: tuple[ServiceEndpoint, ...]
+
+
+@dataclass(frozen=True)
 class DocumentBody(_Record):
-    """A document without its id: what a peer DID is the digest of, and what travels."""
+    """A document without its id: what a peer DID is the digest of, and what travels.
+
+    Only a genesis body travels, since a peer identity never rotates."""
 
     public_keys: tuple[PublicKeyEntry, ...]
     service_endpoints: tuple[ServiceEndpoint, ...] = ()
@@ -172,6 +184,20 @@ class DocumentBody(_Record):
         """The DID of `method` this genesis body certifies: base58 of the digest of its
         canonical bytes. The one rule that makes a DID, for every method."""
         return Did(method, base58_encode(crypto.digest(self.to_bytes())))
+
+    def to_wire(self) -> _GenesisWire:
+        if (self.version, self.previous_keys) != (1, ()):
+            raise DidError(
+                f"a body of version {self.version} with {len(self.previous_keys)} retired keys"
+                " is no genesis and has no wire form"
+            )
+        return _GenesisWire(self.public_keys, self.service_endpoints)
+
+    @staticmethod
+    def from_wire(wire: _GenesisWire) -> DocumentBody:
+        return DocumentBody(wire.public_keys, wire.service_endpoints)
+
+    WIRE = WireForm(_GenesisWire, to_wire, from_wire)
 
 
 @dataclass(frozen=True)

@@ -1,35 +1,48 @@
 """MTU-bounded framing with fragmentation, selective-repeat ARQ, and a
 deterministic lossy-link simulator.
 
-Frame header, 8 bytes, big-endian:
+Every frame opens with a 4-byte head, big-endian:
 
   byte 0    magic 0xD1
-  byte 1    flags: bit0 = ACK, bit2 = batch; the other bits are sent as 0
+  byte 1    flags: bit0 = ACK, bit1 = whole, bit2 = batch; the other bits are sent as 0
   bytes 2-3 message_id
+
+A whole frame stands for a whole message, so the reader knows its fragment
+fields and the frame sends none: the data frame of a message that fits one
+fragment is the head and the payload, and the ACK of a delivered message is
+the head alone. Every other frame is a fragment, with an 8-byte header:
+
   bytes 4-5 frag_index
   bytes 6-7 frag_count
 
-Data payload capacity is mtu - 8. A data frame is its message's last
-fragment when frag_index == frag_count - 1. An ACK frame acknowledges a whole
-message: its header carries frag_index 0 and the message's frag_count, and
-its payload is a bitmap of ceil(frag_count / 8) bytes, bit i (least
-significant bit of byte 0 first) set when the receiver holds fragment i.
-Once the message is delivered, every bit is set. So a message of up to 8
-fragments is acknowledged in 9 bytes. A message whose ACK would not fit the
-MTU, more than 8 * (mtu - 8) fragments, is refused before it is sent.
-Timeouts run on simulated ticks, never wall clock, so a fixed seed
-reproduces a run frame for frame.
+That is SCHC's rule (RFC 8724 §8): a packet that fits the MTU goes with no
+fragmentation header. Fragmentation itself does not change: a message
+travels in ceil(size / (mtu - 8)) frames, whole when that is 1. A data
+fragment is its message's last when frag_index == frag_count - 1.
+
+An ACK acknowledges a whole message, in one of two forms. A whole ACK says
+the message is delivered. An ACK that leaves a fragment unacknowledged is a
+hole report: frag_index 0, the message's frag_count, and a bitmap of
+ceil(frag_count / 8) bytes, bit i (least significant bit of byte 0 first)
+set when the receiver holds fragment i. A hole report of up to 8 fragments
+takes 9 bytes; a whole ACK takes 4, however many fragments it covers. Each
+frame has one wire form: a data frame of a one-fragment message with
+fragment fields, or a bitmap that sets every bit, does not decode. A message
+whose hole report would not fit the MTU, more than 8 * (mtu - 8) fragments,
+is refused before it is sent. Timeouts run on simulated ticks, never wall
+clock, so a fixed seed reproduces a run frame for frame.
 
 A link packet is one frame, or an ACK frame followed by a data frame. An ACK
-states its own length, 8 + ceil(frag_count / 8) bytes, so the packet needs
-no length field or flag to say where the data frame starts, and every frame
-keeps its bytes. The packet as a whole is bounded by the MTU. The receiver of a
-packet checks every frame in it before it acts on any: one that does not
-decode or does not fit drops the whole packet. An ACK riding a data frame
-costs its bytes but no frame of its own, the way a CoAP response is
-piggybacked on its ACK (RFC 7252 §5.2.1) and DTLS 1.3 packs several records
-into one datagram (RFC 9147 §4); on LoRa a frame costs its preamble and
-header in airtime, whatever its length.
+states its own length, 4 bytes whole or 8 + ceil(frag_count / 8) as a hole
+report, so the packet needs no length field or flag to say where the data
+frame starts, and every frame keeps its bytes. The packet as a whole is
+bounded by the MTU: an ACK rides a data frame only when the frame leaves room
+for the ACK's encoded length. The receiver of a packet checks every frame in
+it before it acts on any: one that does not decode or does not fit drops the
+whole packet. An ACK riding a data frame costs its bytes but no frame of its
+own, the way a CoAP response is piggybacked on its ACK (RFC 7252 §5.2.1) and
+DTLS 1.3 packs several records into one datagram (RFC 9147 §4); on LoRa a
+frame costs its preamble and header in airtime, whatever its length.
 
 Messenger.send takes one or more protocol messages and sends them as one
 transport message: one message id, one fragment stream, one ARQ timer. One
@@ -42,7 +55,8 @@ several messages costs one round trip, not one per message.
 The ARQ window is the whole message: every fragment goes out at once, and
 one timer waits for all their ACKs. When it fires, only the fragments still
 unacknowledged go out again. That is SCHC's ACK-on-Error mode (RFC 8724
-§8.4.3): its retransmission pattern, and its ACK, one bitmap for the window.
+§8.4.3): its retransmission pattern, and its ACK, one for the window, which
+carries a bitmap only to report a hole.
 An ACK states everything the receiver holds, so a later ACK also covers
 fragments whose earlier ACK was lost. The timer is the link's worst-case
 round trip: a frame takes TRANSIT_TICKS each way, plus REORDER_DELAY_TICKS
@@ -82,15 +96,17 @@ from random import Random
 from typing import Iterable
 
 MAGIC = 0xD1
-HEADER_LEN = 8
+HEADER_LEN = 8  # the header of a fragment: a data frame of a fragmented message, or a hole report
 FLAG_ACK = 0x01
+FLAG_WHOLE = 0x02
 FLAG_BATCH = 0x04
 
 RETRY_LIMIT = 8          # retransmissions per fragment before giving up
 TRANSIT_TICKS = 1        # one-way delay of every delivered frame
 REORDER_DELAY_TICKS = 2  # extra one-way delay of a reordered frame
 
-_HEADER = struct.Struct(">BBHHH")
+_HEAD = struct.Struct(">BBH")  # magic, flags, message_id: every frame's head
+_FRAGMENT = struct.Struct(">HH")  # frag_index, frag_count: after the head, unless whole
 _LENGTH = struct.Struct(">H")
 
 
@@ -118,27 +134,61 @@ class Frame:
     def is_ack(self) -> bool:
         return bool(self.flags & FLAG_ACK)
 
+    @property
+    def whole(self) -> bool:
+        """It stands for a whole message, so it travels without fragment fields:
+        a data frame of a one-fragment message, or an ACK with no bitmap."""
+        if self.is_ack:
+            return not self.payload
+        return (self.frag_index, self.frag_count) == (0, 1)
+
     def encode(self) -> bytes:
-        return _HEADER.pack(
-            MAGIC, self.flags, self.message_id, self.frag_index, self.frag_count
-        ) + self.payload
+        if self.whole:
+            return _HEAD.pack(MAGIC, self.flags | FLAG_WHOLE, self.message_id) + self.payload
+        return (
+            _HEAD.pack(MAGIC, self.flags, self.message_id)
+            + _FRAGMENT.pack(self.frag_index, self.frag_count)
+            + self.payload
+        )
 
     @classmethod
     def decode(cls, raw: bytes) -> "Frame":
-        if len(raw) < HEADER_LEN:
-            raise FrameError(f"frame shorter than header: {len(raw)} bytes")
-        magic, flags, message_id, frag_index, frag_count = _HEADER.unpack_from(raw)
+        """The one frame `raw` holds; FrameError unless it holds exactly that."""
+        frame, end = cls._read(raw)
+        if end != len(raw):
+            raise FrameError(f"{len(raw) - end} bytes follow the ACK")
+        return frame
+
+    @classmethod
+    def _read(cls, raw: bytes) -> tuple["Frame", int]:
+        """The frame at the front of `raw`, and the offset it ends at: an ACK
+        ends at the length it states, a data frame at the end of `raw`.
+
+        FrameError unless the frame decodes and is in its one wire form: a
+        whole message's frame spelled with fragment fields is refused.
+        """
+        if len(raw) < _HEAD.size:
+            raise FrameError(f"frame shorter than its head: {len(raw)} bytes")
+        magic, flags, message_id = _HEAD.unpack_from(raw)
         if magic != MAGIC:
             raise FrameError(f"bad magic 0x{magic:02x}")
+        is_ack = bool(flags & FLAG_ACK)
+        if flags & FLAG_WHOLE:
+            end = _HEAD.size if is_ack else len(raw)
+            return cls(flags & ~FLAG_WHOLE, message_id, 0, 1, raw[_HEAD.size : end]), end
+        if len(raw) < HEADER_LEN:
+            raise FrameError(f"frame shorter than header: {len(raw)} bytes")
+        frag_index, frag_count = _FRAGMENT.unpack_from(raw, _HEAD.size)
         if frag_index >= frag_count:
             raise FrameError(f"frag_index {frag_index} >= frag_count {frag_count}")
-        return cls(
-            flags=flags,
-            message_id=message_id,
-            frag_index=frag_index,
-            frag_count=frag_count,
-            payload=raw[HEADER_LEN:],
-        )
+        end = HEADER_LEN + _bitmap_len(frag_count) if is_ack else len(raw)
+        if len(raw) < end:
+            raise FrameError(f"ACK bitmap cut short at {len(raw) - HEADER_LEN} bytes")
+        frame = cls(flags, message_id, frag_index, frag_count, raw[HEADER_LEN:end])
+        holds_all = is_ack and int.from_bytes(frame.payload, "little") == (1 << frag_count) - 1
+        if frame.whole or holds_all:
+            raise FrameError(f"whole message {message_id} spelled with fragment fields")
+        return frame, end
 
 
 def _bitmap_len(frag_count: int) -> int:
@@ -146,12 +196,16 @@ def _bitmap_len(frag_count: int) -> int:
 
 
 def _ackable_fragments(mtu: int) -> int:
-    """The most fragments one ACK frame within `mtu` can acknowledge."""
+    """The most fragments one hole report within `mtu` can acknowledge."""
     return 8 * (mtu - HEADER_LEN)
 
 
 def make_ack(message_id: int, frag_count: int, held: int) -> Frame:
-    """The ACK of a message of frag_count fragments; bit i of `held` is fragment i."""
+    """The ACK of a message of frag_count fragments; bit i of `held` is fragment i.
+
+    Whole when `held` covers every fragment, else a hole report."""
+    if held == (1 << frag_count) - 1:
+        return Frame(FLAG_ACK, message_id, frag_index=0, frag_count=1, payload=b"")
     return Frame(
         flags=FLAG_ACK,
         message_id=message_id,
@@ -162,7 +216,7 @@ def make_ack(message_id: int, frag_count: int, held: int) -> Frame:
 
 
 def ack_bitmap(frame: Frame) -> int:
-    """The fragments an ACK frame acknowledges, bit i for fragment i.
+    """The fragments a hole report acknowledges, bit i for fragment i.
 
     FrameError unless frag_index is 0, the bitmap is ceil(frag_count / 8)
     bytes long, and no bit at or beyond frag_count is set.
@@ -210,19 +264,16 @@ def decode_packet(raw: bytes) -> tuple[Frame | None, Frame | None]:
     """Split a link packet into its ACK and its data frame; either may be absent.
 
     A packet is one frame, or an ACK followed by a data frame: the ACK ends
-    after its ceil(frag_count / 8)-byte bitmap. FrameError unless every part
-    decodes and a second frame, if any, is a data frame.
+    at the length it states. FrameError unless every part decodes and a
+    second frame, if any, is a data frame.
     """
-    first = Frame.decode(raw)
-    if not first.is_ack:
-        return None, first
-    end = HEADER_LEN + _bitmap_len(first.frag_count)
-    if len(raw) <= end:
-        return first, None
+    first, end = Frame._read(raw)
+    if end == len(raw):
+        return (first, None) if first.is_ack else (None, first)
     data = Frame.decode(raw[end:])
     if data.is_ack:
         raise FrameError("a packet carries at most one ACK")
-    return replace(first, payload=raw[HEADER_LEN:end]), data
+    return first, data
 
 
 def reassemble(frames: Iterable[Frame]) -> bytes | None:
@@ -322,7 +373,9 @@ class TraceEntry:
     length: int  # of the whole packet
     dropped: bool
     ack_id: int | None = None  # the message id of the ACK the packet carries, alone or riding
-    acked: tuple[int, ...] = ()  # that ACK's bitmap, as the fragment indexes it sets
+    # That ACK's bitmap, as the fragment indexes it sets; None for a whole ACK,
+    # which covers every fragment.
+    acked: tuple[int, ...] | None = ()
 
     def line(self) -> str:
         if self.kind == "ack":
@@ -338,7 +391,9 @@ class TraceEntry:
         )
 
 
-def _indexes(acked: tuple[int, ...]) -> str:
+def _indexes(acked: tuple[int, ...] | None) -> str:
+    if acked is None:
+        return "all"
     return ",".join(map(str, acked)) or "none"
 
 
@@ -415,7 +470,9 @@ class SimLink:
         if carried is not None:
             bits = int.from_bytes(carried.payload, "little")
             ack_id = carried.message_id
-            acked = tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
+            acked = None if carried.whole else tuple(
+                i for i in range(bits.bit_length()) if bits >> i & 1
+            )
         self.trace.append(
             TraceEntry(
                 tick=self.now,
@@ -524,14 +581,16 @@ class Messenger:
     arms it again; when a fragment is still unacknowledged after RETRY_LIMIT
     retransmissions, the send gives up and `failure` holds a DeliveryError.
     The peer's Messenger, attached to the same link, acknowledges each message
-    whose data arrived in a tick with one bitmap ACK in that tick; the
+    whose data arrived in a tick with one ACK in that tick, whole or a hole
+    report; the
     messages of a completed transport message queue up, in send order, behind
     receive().
 
     An ACK rides the first data frame this endpoint transmits in the tick
-    that has room for it: the packet, ACK and data frame, stays within the
-    MTU. A full fragment has no room, so the ACK goes with a message's last
-    fragment or a short retransmission. When no data frame leaves in the tick,
+    that has room for its encoded length: the packet, ACK and data frame,
+    stays within the MTU. A full fragment has no room, so the ACK goes with a
+    message's last fragment or a short retransmission; a full whole frame,
+    4 bytes shorter, has room for a whole ACK. When no data frame leaves in the tick,
     or none has room, send_acks() sends the ACK alone at the tick's end,
     before the clock advances. Either way an ACK due leaves in the tick its
     data arrived. A reply that answers a message carries that message's ACK,
@@ -648,11 +707,11 @@ class Messenger:
     def _transmit(self, frame: Frame) -> None:
         """Transmit a data frame with an ACK riding ahead of it: the first ACK due
         that fits, or else, if it fits, the ACK of the newest message held."""
-        room = self.link.profile.mtu - HEADER_LEN - len(frame.payload)
+        room = self.link.profile.mtu - len(frame.encode())
         newest = list(self._receiving)[-1:]
         for message_id in (*self._ack_due, *newest):
             ack = self._ack(message_id)
-            if ack is not None and HEADER_LEN + len(ack.payload) <= room:
+            if ack is not None and len(ack.encode()) <= room:
                 if message_id in self._ack_due:
                     self._ack_due.remove(message_id)
                 self.link.transmit(self.endpoint, frame, ack)
@@ -698,11 +757,14 @@ class Messenger:
             self._take(data, state)
 
     def _acknowledged(self, ack: Frame) -> int:
-        """The fragments of the message in flight that `ack` acknowledges: none for another id."""
-        held = ack_bitmap(ack)
+        """The fragments of the message in flight that `ack` acknowledges: all of
+        them for a whole ACK, none for another id."""
+        held = None if ack.whole else ack_bitmap(ack)
         out = self._sending
         if out is None or ack.message_id != out.message_id:
             return 0
+        if held is None:
+            return (1 << out.fragments) - 1
         if ack.frag_count != out.fragments:
             raise FrameError(
                 f"ACK for {ack.frag_count} fragments of message {ack.message_id}, "

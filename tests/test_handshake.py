@@ -239,10 +239,10 @@ class TestWireSize:
     """The owner-two-devices handshake as its LoRa link carries it: 9 messages in 6 legs."""
 
     TAGS = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x06, 0x07, 0x07]
-    MESSAGE_BYTES = [149, 147, 73, 73, 26, 215, 215, 21, 21]
+    MESSAGE_BYTES = [147, 145, 73, 73, 26, 215, 215, 21, 21]
     LORA_FRAGMENTS = [1, 1, 1, 2, 2, 1]  # one transport message per leg
-    AIR_BYTES = 1068  # data and ACK frames
-    HELLO_MARGIN = 65  # what the largest HELLO leaves of one LoRa fragment's payload
+    AIR_BYTES = 1018  # data and ACK frames
+    HELLO_MARGIN = 67  # what the largest HELLO leaves of one LoRa fragment's payload
     FRAMES = 9  # 8 data frames, 5 of them carrying an ACK, and the last leg's ACK alone
     TICKS = 7  # a leg a tick, each answering the one before, and the last ACK's return
 
@@ -266,8 +266,9 @@ class TestWireSize:
     def test_every_hello_of_the_shipped_scenarios_is_one_lora_fragment(self):
         """A peer HELLO omits both copies of its DID, which the reader derives
         from the document, and each default key id, which the reader derives
-        from the key, and it carries no nonce, so it fits one 214-byte LoRa
-        payload: the owner-two-devices HELLO is 149 B, a margin of 65 B, as the
+        from the key, its body's version and retired keys, which the reader
+        restores for a genesis body, and no nonce, so it fits one 214-byte LoRa
+        payload: the owner-two-devices HELLO is 147 B, a margin of 67 B, as the
         README says. A reg HELLO carries its DID and no document."""
         hellos = [
             bytes.fromhex(m) for messages in scenario_handshake_messages().values()
@@ -297,7 +298,7 @@ class TestWireSize:
         (step,) = report.steps
         assert step.outcome == "trusted"
         assert list(step.fragments_per_message) == [4, 4, 2, 8, 6, 1]
-        assert (step.bytes_sent, step.ticks) == (1204, self.TICKS)
+        assert (step.bytes_sent, step.ticks) == (1166, self.TICKS)
 
     def test_reg_pairing_on_ble_sends_each_presentation_leg_in_two_fragments(self):
         """A pairing of two reg devices on BLE, the shape of the fleet-ble
@@ -311,7 +312,7 @@ class TestWireSize:
         run = harness.drive_handshake(link, session_i, hello, session_r, NOW)
         assert run.outcome() == "trusted"
         assert run.fragments_per_message == [1, 1, 1, 2, 2, 1]
-        assert link.bytes_on_wire() == 916
+        assert link.bytes_on_wire() == 870
 
     def test_readme_handshake_table_states_the_pinned_figures(self):
         """The README's message table and the paragraph under it give today's
@@ -813,9 +814,11 @@ class TestTotality:
 
     def test_list_valued_retired_key_id_fails_protocol(self, household):
         def edit(body):
-            # One retired key: [key_id, public, retired_at], its key id an array.
+            # A genesis body travels without its version and retired keys; this
+            # one spells them out, one retired key [key_id, public, retired_at]
+            # with its key id an array.
             document = body[slot(Hello, "document")]
-            document[slot(DocumentBody, "previous_keys")] = [[["k"], bytes(32), 1]]
+            document += [1, [[["k"], bytes(32), 1]]]
 
         session_r = self._hello_with(edit, *household_configs(household)[:2])
         assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
@@ -885,7 +888,8 @@ class TestTotality:
         lambda document: document[slot(DocumentBody, "public_keys")].append(
             document[slot(DocumentBody, "public_keys")][0]
         ),
-        lambda document: document.__setitem__(slot(DocumentBody, "version"), 0),
+        # A genesis body's version does not travel: one spelled out, as 0, is refused.
+        lambda document: document.extend([0, []]),
     ], ids=["no-keys", "duplicate-key-id", "version-zero"])
     def test_document_body_that_breaks_an_invariant_fails_protocol(self, household, tag, edit):
         cfg_i, cfg_r, _ = household_configs(household)

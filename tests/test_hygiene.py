@@ -43,6 +43,11 @@ Text that travels as bytes has one rule, `encoding.text_as_bytes`.
 One rule picks the ACK that rides a data frame: only `Messenger._transmit`
 calls `SimLink.transmit` with an ACK riding (a third argument, or `ack=`).
 Every other call puts one frame on the link alone.
+
+The frame layout has one home, `transport.Frame`: only `Frame.encode` and
+`Frame._read` (which `Frame.decode` and `decode_packet` call) use the header
+structs, `_HEAD` and `_FRAGMENT`, so a whole frame and a fragment are
+written and read in one place.
 """
 
 import ast
@@ -473,3 +478,36 @@ def test_checker_flags_a_second_riding_ack_rule():
     assert scopes_holding(source, _rides_an_ack) == {
         "Messenger._transmit", "Messenger._transmit_round", "resend",
     }
+
+
+HEADER_STRUCTS = frozenset({"_HEAD", "_FRAGMENT"})
+
+
+def header_struct_users(source: str) -> set[str]:
+    """Where a module names a frame header struct, its definition aside."""
+    return scopes_holding(
+        source, lambda node: isinstance(node, ast.Name) and node.id in HEADER_STRUCTS
+        and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_only_the_frame_codec_lays_out_a_frame():
+    users = {
+        (module, scope)
+        for module in MODULES
+        for scope in header_struct_users((PACKAGE / module).read_text(encoding="utf-8"))
+    }
+    assert users == {("transport.py", "Frame.encode"), ("transport.py", "Frame._read")}
+
+
+def test_checker_flags_a_second_frame_layout():
+    source = (
+        "_HEAD = struct.Struct('>BBH')\n"
+        "class Frame:\n"
+        "    def encode(self):\n"
+        "        return _HEAD.pack(0xD1, self.flags, self.message_id)\n"
+        "def decode_packet(raw):\n"
+        "    magic, flags, message_id = _HEAD.unpack_from(raw)\n"
+        "    index, count = _FRAGMENT.unpack_from(raw, 4)\n"
+    )
+    assert header_struct_users(source) == {"Frame.encode", "decode_packet"}

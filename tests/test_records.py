@@ -181,15 +181,16 @@ issuer_openings = st.builds(
 
 
 @st.composite
-def documents(draw, dids=dids):
+def documents(draw, dids=dids, genesis=False):
+    """Documents; a `genesis` one has version 1 and no retired keys."""
     # Key ids are unique across current and retired keys.
     current = draw(st.lists(keys, min_size=1, max_size=3))
-    old = draw(st.lists(retired, max_size=2))
+    old = [] if genesis else draw(st.lists(retired, max_size=2))
     return DidDocument(
         id=draw(dids),
         public_keys=tuple(replace(k, key_id=f"k{i}{k.key_id}") for i, k in enumerate(current)),
         service_endpoints=tuple(draw(st.lists(endpoints, max_size=2))),
-        version=draw(st.integers(min_value=1, max_value=2**40)),
+        version=1 if genesis else draw(st.integers(min_value=1, max_value=2**40)),
         previous_keys=tuple(replace(k, key_id=f"r{i}{k.key_id}") for i, k in enumerate(old)),
     )
 
@@ -311,7 +312,8 @@ def _types_in(hint):
 
 
 RECORDS = record_strategies(dids, documents(dids))
-WIRE_RECORDS = record_strategies(wire_dids, documents(wire_dids))
+# Only a genesis body travels: a peer identity never rotates.
+WIRE_RECORDS = record_strategies(wire_dids, documents(wire_dids, genesis=True))
 TRAVELLING = travelling_records()
 
 
@@ -384,6 +386,9 @@ FORMS = {
     "KeyId": (crypto.KeyId, default_key_ids, str),
     "VcId": (VcId, issued_vc_ids, str),
     "DidText": (DidText, did_values, str),
+    # A genesis body with the version and retired keys its reader restores.
+    "DocumentBody": (DocumentBody, WIRE_RECORDS["DocumentBody"],
+                     lambda body: [*from_cbor(pack(body)), 1, []]),
 }
 # A one-field record per form, so the codec reads each as it reads a declared field.
 HOLDERS = {
@@ -413,8 +418,10 @@ def test_a_form_round_trips_and_refuses_a_second_spelling(name, data):
 
 
 def test_every_message_record_is_walked():
-    assert {"Hello", "Auth", "RetiredKey", "PresentationWire", "Proof", "IssuerOpening",
+    assert {"Hello", "Auth", "DocumentBody", "PresentationWire", "Proof", "IssuerOpening",
             "Error"} <= set(TRAVELLING)
+    # A peer body travels as its genesis, so no retired key travels.
+    assert "RetiredKey" not in TRAVELLING
     # A presentation travels as its wire record, its credential never whole.
     assert {"Presentation", "VerifiableCredential"}.isdisjoint(TRAVELLING)
     assert "ScenarioLink" not in TRAVELLING
@@ -662,14 +669,26 @@ def test_a_did_travels_as_its_method_byte_and_raw_id():
 
 def test_a_peer_hello_travels_without_either_did():
     body = pack(HELLO.document)
-    # The document's body alone: [public_keys, service_endpoints, version, previous_keys].
-    # A key is [key_id | null, purpose index, public].
+    # The document's genesis body alone: [public_keys, service_endpoints]; the
+    # reader restores version 1 and no retired keys. A key is [key_id | null,
+    # purpose index, public].
     assert from_cbor(body) == [[["k1", crypto.PURPOSES.index(crypto.PURPOSE_SIGN), bytes(32)]],
-                               [], 1, []]
+                               []]
     assert pack(HELLO) == b"\x83\xf6" + body + KEY_SHARE
     assert unpack(Hello, pack(HELLO)) == HELLO
     # The reader derives the document, and with it the DID, from the body.
     assert DidDocument.from_body(unpack(DocumentBody, body), METHOD_PEER) == PEER_DOCUMENT
+
+
+def test_only_a_genesis_body_travels():
+    # A peer identity never rotates, so a body of a later version, or with
+    # retired keys, has no wire form; its canonical form is unchanged.
+    rotated = replace(HELLO.document, version=2)
+    retired_key = RetiredKey("k0", bytes(32), 1)
+    for body in (rotated, replace(HELLO.document, previous_keys=(retired_key,))):
+        with pytest.raises(EncodingError, match="no genesis"):
+            pack(body)
+        assert DocumentBody.from_bytes(body.to_bytes()) == body
 
 
 def test_a_substituted_key_derives_another_did():
@@ -710,7 +729,7 @@ def _with_did_byte(raw: bytes, method_byte: int) -> bytes:
     (Hello, _with_did_byte(pack(REG_HELLO), 0x00)),
     (Hello, b"\x83\x58\x21" + PEER_DID.to_wire() + pack(HELLO)[2:]),
     (Hello, b"\x83\xf6\xf6" + KEY_SHARE),
-    (Hello, b"\x83\xf6\x85\x58\x21" + PEER_DID.to_wire() + pack(HELLO.document)[1:] + KEY_SHARE),
+    (Hello, b"\x83\xf6\x83\x58\x21" + PEER_DID.to_wire() + pack(HELLO.document)[1:] + KEY_SHARE),
     (Auth, b"\x82" + b"\x61k" + b"\x58\x3f" + bytes(63)),
     (Auth, b"\x9f" + b"\x61k" + SIGNATURE + b"\xff"),
     (Auth, b"\xd8\x18" + pack(AUTH)),
