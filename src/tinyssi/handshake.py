@@ -47,6 +47,13 @@ second spelling of the same value:
   The reader restores each before it verifies the presentation, and the
   restored credential is the one the issuer signed and the holder stores as
   canonical JSON, so another subject or a changed opening fails `signature`.
+- The issuer of the first presentation in the responder's CRED_PRESENT is
+  the context issuer. An initiator's presentation whose issuer is that one
+  travels with null for it, and the reader fills it in before it restores
+  the rest, so a credential of another issuer sent with null fails
+  `signature`. The issuer spelled out where it is the context's, or null
+  where there is no context (every responder presentation, and an initiator
+  one when the responder presented nothing), fails `protocol`.
 - The bodies of CRED_REQUEST, CRED_PRESENT, TRUST_RESULT and DATA travel
   sealed (an ERROR's too, once there are keys), each as one record `tag |
   counter | ciphertext`. The counter is the sender's record number as a
@@ -186,12 +193,14 @@ class PresentationWire(Record):
     """A presentation as CRED_PRESENT carries it, less what its reader derives.
 
     Its credential's subject is left out: holder binding makes it the
-    authenticated peer. Each commitment that a disclosed opening opens is
-    None: it is that opening's digest. Undisclosed commitments travel whole.
+    authenticated peer. Its issuer is None when it is the context issuer,
+    which both sides already hold. Each commitment that a disclosed opening
+    opens is None: it is that opening's digest. Undisclosed commitments
+    travel whole.
     """
 
     vc_id: VcId
-    issuer: Did
+    issuer: Did | None
     commitments: tuple[Commitment | None, ...]
     issued_at: int
     expires_at: int
@@ -199,24 +208,29 @@ class PresentationWire(Record):
     disclosed: tuple[ClaimOpening | IssuerOpening, ...]
 
     @classmethod
-    def of(cls, p: Presentation) -> "PresentationWire":
+    def of(cls, p: Presentation, context: Did | None) -> "PresentationWire":
         vc, opened = p.credential, {o.name for o in p.disclosed}
         commitments = tuple(None if c.claim_name in opened else c for c in vc.commitments)
         issuer = format_did(vc.issuer)
         disclosed = tuple(
             IssuerOpening(o.name, None, o.salt) if o.value == issuer else o for o in p.disclosed
         )
-        return cls(vc.vc_id, vc.issuer, commitments, vc.issued_at, vc.expires_at, vc.proof,
-                   disclosed)
+        return cls(vc.vc_id, None if vc.issuer == context else vc.issuer, commitments,
+                   vc.issued_at, vc.expires_at, vc.proof, disclosed)
 
-    def restore(self, subject: Did) -> Presentation:
-        """The presentation of `subject`, the issuer filled in for each null value
-        and each None commitment rebuilt from the next disclosed opening in order.
-        CredentialError if an opening spells out the issuer, if the None slots and
-        the openings do not pair one to one, or the credential breaks an invariant."""
+    def restore(self, subject: Did, context: Did | None) -> Presentation:
+        """The presentation of `subject`, the context issuer filled in for a null
+        issuer, the issuer for each null value, and each None commitment rebuilt
+        from the next disclosed opening in order. CredentialError if the issuer
+        is spelled out where it is the context or is null with no context, if an
+        opening spells out the issuer, if the None slots and the openings do not
+        pair one to one, or the credential breaks an invariant."""
+        if self.issuer == context:  # both null, or the context spelled out
+            raise CredentialError("the issuer travels as null exactly when it is the context's")
+        issuer_did = context if self.issuer is None else self.issuer
         if sum(c is None for c in self.commitments) != len(self.disclosed):
             raise CredentialError("derived commitments do not pair with the disclosed openings")
-        issuer = format_did(self.issuer)
+        issuer = format_did(issuer_did)
         if any(o.value == issuer for o in self.disclosed):
             raise CredentialError("the issuer's DID as a value travels as null")
         disclosed = tuple(
@@ -228,7 +242,7 @@ class PresentationWire(Record):
             next(openings).commitment() if c is None else c for c in self.commitments
         )
         credential = VerifiableCredential(
-            self.vc_id, self.issuer, subject, commitments, self.issued_at, self.expires_at,
+            self.vc_id, issuer_did, subject, commitments, self.issued_at, self.expires_at,
             self.proof,
         )
         return Presentation(credential, disclosed)
@@ -391,6 +405,9 @@ class HandshakeSession:
         self._transcript = hashlib.sha256()
         self._expected_peer_did: Did | None = None
         self._peer_requested: tuple[str, ...] = ()
+        # The issuer of the responder's first presentation, which the
+        # initiator's presentations name by null.
+        self._context_issuer: Did | None = None
         self._role_byte, self._peer_role_byte = _ROLE_BYTES[role]
         # The channel's counts: records I sealed, and the highest counter I opened.
         self._sealed = 0
@@ -456,10 +473,13 @@ class HandshakeSession:
                 if n in requested and stored.opening_for(n) is not None
             ]
             if subset:
-                p = present(stored.credential, stored.openings, subset)
-                presentations.append(PresentationWire.of(p))
+                presentations.append(present(stored.credential, stored.openings, subset))
+        # The responder presents first, with no context; its first issuer becomes it.
+        wires = tuple(PresentationWire.of(p, self._context_issuer) for p in presentations)
+        if self.role == crypto.ROLE_RESPONDER and presentations:
+            self._context_issuer = presentations[0].credential.issuer
         try:
-            return [self._send(MSG_CRED_PRESENT, CredPresent(tuple(presentations)))]
+            return [self._send(MSG_CRED_PRESENT, CredPresent(wires))]
         except EncodingError:
             return self._fail(FAIL_CREDENTIALS)
 
@@ -577,9 +597,14 @@ class HandshakeSession:
         try:
             # Holder binding: a credential speaks only for its own subject, so
             # the authenticated peer is the subject of each.
-            presentations = [p.restore(self.peer_did) for p in message.presentations]
+            presentations = [
+                p.restore(self.peer_did, self._context_issuer) for p in message.presentations
+            ]
         except CredentialError:
             return self._fail(FAIL_PROTOCOL)
+        if self.role == crypto.ROLE_INITIATOR and presentations:
+            # The context issuer holds whether or not that presentation verifies.
+            self._context_issuer = presentations[0].credential.issuer
         for p in presentations:
             verdict = verify_presentation(p, self.config.resolver, self.config.revocation, now)
             if verdict:

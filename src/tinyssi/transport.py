@@ -651,9 +651,17 @@ class Messenger:
     3 ticks. A send lasts at least a round trip, 2 ticks, so until it lands
     each endpoint starts at most two more sends: at most four more message
     ids are allocated on the link, far from the 65,536 a wrap needs. It is
-    re-acknowledged if its message's receive state is still there, and
-    otherwise opens a partial state that the next delivery forgets; the
-    sender ignores that ACK, whose id is not the one in flight. An ACK due
+    re-acknowledged if its message's receive state is still there. Otherwise
+    it opens a new receive state, and the sender ignores its ACK, whose id is
+    not the one in flight. A copy that cannot complete its message leaves a
+    partial state that the next delivery forgets. But a copy that completes
+    one on its own, a one-fragment message or a full round, delivers that
+    message a second time. That is a known defect (ROADMAP item 18): on a
+    long-lived link that reorders and carries traffic both ways, a re-ridden
+    ACK can end the sender's message while a stale copy is still on the way,
+    and the copy lands after the receiver's next delivery forgot the
+    message. A handshake does not hit it: it runs on a fresh link, and its
+    legs alternate. So delivery is not yet exactly once. An ACK due
     that rides a data frame changes none of this: it leaves in the same tick,
     with the same bitmap, as it would alone. A re-ridden ACK changes none of
     it either. It states a receive state the endpoint still holds, as that

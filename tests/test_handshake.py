@@ -123,10 +123,13 @@ def household_configs(household, policy_override=None):
     return cfg_i, cfg_r, (alice, camera, lock)
 
 
-def secure_pair(household):
+def secure_pair(household, responder_presents=True):
     """Both sides just past AUTH_ACK, Secure, and the sealed records of the
-    responder's leg 4 (CRED_REQUEST, CRED_PRESENT), not yet delivered."""
+    responder's leg 4 (CRED_REQUEST, CRED_PRESENT), not yet delivered. A
+    responder that does not present holds no credentials."""
     cfg_i, cfg_r, _ = household_configs(household)
+    if not responder_presents:
+        cfg_r.credentials = ()
     session_i, hello = initiate(cfg_i, now=NOW)
     session_r = respond(cfg_r, now=NOW)
     (hello_ack,) = session_r.step(hello, NOW)
@@ -167,13 +170,13 @@ def forged_key_id(role, message):
     return message
 
 
-def owner_wire(device: Actor) -> list:
-    """The wire array of a household device's presentation of its owner claim:
-    the commitments [null, type] and the owner opening."""
+def owner_wire(device: Actor, context: Did | None = None) -> list:
+    """The wire array of a household device's presentation of its owner claim,
+    under a context issuer: the commitments [null, type] and the owner opening."""
     stored = device.credentials[0]
     assert stored.credential.claim_names() == ("owner", "type")
     p = present(stored.credential, stored.openings, ["owner"])
-    return from_cbor(pack(PresentationWire.of(p)))
+    return from_cbor(pack(PresentationWire.of(p, context)))
 
 
 class TestWireFormat:
@@ -239,11 +242,13 @@ class TestWireSize:
     """The owner-two-devices handshake as its LoRa link carries it: 9 messages in 6 legs."""
 
     TAGS = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x06, 0x07, 0x07]
-    MESSAGE_BYTES = [147, 145, 73, 73, 26, 215, 215, 21, 21]
-    LORA_FRAGMENTS = [1, 1, 1, 2, 2, 1]  # one transport message per leg
-    AIR_BYTES = 1018  # data and ACK frames
+    # The responder's CRED_PRESENT spells out its issuer, the context issuer
+    # that the initiator's names by null.
+    MESSAGE_BYTES = [147, 145, 73, 73, 26, 215, 181, 21, 21]
+    LORA_FRAGMENTS = [1, 1, 1, 2, 1, 1]  # one transport message per leg
+    AIR_BYTES = 972  # data and ACK frames
     HELLO_MARGIN = 67  # what the largest HELLO leaves of one LoRa fragment's payload
-    FRAMES = 9  # 8 data frames, 5 of them carrying an ACK, and the last leg's ACK alone
+    FRAMES = 8  # 7 data frames, 5 of them carrying an ACK, and the last leg's ACK alone
     TICKS = 7  # a leg a tick, each answering the one before, and the last ACK's return
 
     def test_owner_two_devices_message_sizes_and_fragments(self):
@@ -283,10 +288,11 @@ class TestWireSize:
     def test_owner_two_devices_at_sf12_saves_whole_fragments(self):
         """At LoRa SF12 (a 51-byte MTU, so 43 B of payload per fragment) the
         derived key ids and DID values save a fragment in each HELLO leg and
-        in each presentation leg, and the implied issuer value and the raw
-        key and credential ids one more in each presentation leg: 25
-        fragments, where sending them all took 31. AUTH_ACK rides the
-        responder's presentation leg, which fills 8 fragments."""
+        in each presentation leg, the implied issuer value and the raw key
+        and credential ids one more in each presentation leg, and the shared
+        issuer by reference one more in the initiator's: 24 fragments, where
+        sending them all took 31. AUTH_ACK rides the responder's presentation
+        leg, which fills 8 fragments."""
         sf12 = transport.LinkProfile(name="lora-sf12", mtu=51)
         make_link = harness.make_link
         with mock.patch.object(
@@ -297,38 +303,68 @@ class TestWireSize:
             )
         (step,) = report.steps
         assert step.outcome == "trusted"
-        assert list(step.fragments_per_message) == [4, 4, 2, 8, 6, 1]
-        assert (step.bytes_sent, step.ticks) == (1166, self.TICKS)
+        assert list(step.fragments_per_message) == [4, 4, 2, 8, 5, 1]
+        assert (step.bytes_sent, step.ticks) == (1124, self.TICKS)
 
-    def test_reg_pairing_on_ble_sends_each_presentation_leg_in_two_fragments(self):
+    def _reg_pairing_on_ble(self, camera_owner):
         """A pairing of two reg devices on BLE, the shape of the fleet-ble
-        benchmark's pairings. The responder's presentation leg, with AUTH_ACK,
-        is 320 B, and the initiator's is 240 B: 4 B over one 236-byte BLE
-        payload, so a change that crosses that boundary shows here."""
+        benchmark's pairings, the camera's credential issued by `camera_owner`
+        (alice, the lock's owner, or bob): the run, the bytes on the air, and
+        the issuer slot of each side's presentation, the lock's first."""
         registry, alice, camera, lock = reg_household()
+        bob = build_actor("bob", 4, registry)
+        introduce(alice, bob, camera, lock)
+        if camera_owner == "bob":
+            camera.credentials = ()
+            give_owner_credential(bob, camera, 10, {"type": "Camera"})
         session_i, hello = initiate(owner_match_config(camera, alice, 1), now=NOW)
         session_r = respond(owner_match_config(lock, alice, 2), now=NOW)
         link = transport.make_link("ble", a="camera", b="lock")
-        run = harness.drive_handshake(link, session_i, hello, session_r, NOW)
+        made, of = [], PresentationWire.of
+        with mock.patch.object(
+            PresentationWire, "of", lambda p, context: made.append(of(p, context)) or made[-1]
+        ):
+            run = harness.drive_handshake(link, session_i, hello, session_r, NOW)
+        return run, link.bytes_on_wire(), [wire.issuer for wire in made], (alice, bob)
+
+    def test_same_owner_reg_pairing_on_ble_sends_leg_5_in_one_fragment(self):
+        """The responder's presentation leg, with AUTH_ACK, is 320 B: two
+        236-byte BLE payloads. The initiator's names the shared issuer by
+        null, 206 B, and with its riding ACK is a 214 B packet: one frame,
+        where spelling out the issuer took 240 B and two."""
+        run, air_bytes, issuers, (alice, _) = self._reg_pairing_on_ble("alice")
         assert run.outcome() == "trusted"
+        assert issuers == [alice.did, None]
+        assert run.fragments_per_message == [1, 1, 1, 2, 1, 1]
+        assert air_bytes == 824
+
+    def test_cross_owner_reg_pairing_on_ble_spells_the_issuer_out(self):
+        """The camera's credential is bob's, not the context issuer alice's, so
+        it travels with its issuer: 240 B, 4 B over one BLE payload, two
+        fragments and the bytes it took before the shared issuer went by
+        reference. The lock's policy wants alice's credentials."""
+        run, air_bytes, issuers, (alice, bob) = self._reg_pairing_on_ble("bob")
+        assert run.outcome() == "untrusted(issuer)"
+        assert issuers == [alice.did, bob.did]
         assert run.fragments_per_message == [1, 1, 1, 2, 2, 1]
-        assert link.bytes_on_wire() == 870
+        assert air_bytes == 876
 
     def test_readme_handshake_table_states_the_pinned_figures(self):
         """The README's message table and the paragraph under it give today's
-        figures: the last `bytes (fragments)` of each row, and the totals."""
+        figures: the last stage's `bytes (fragments)` of each row, one for
+        each direction in sending order where the two differ, and the totals."""
         text = README.read_text(encoding="utf-8")
         stated = {
-            int(tag, 16): tuple(map(int, figures))
-            for tag, *figures in re.findall(
-                r"^\| `0x(0[1-7])` \|.*?(\d+) \((\d+)\) \|$", text, re.M
-            )
+            int(tag, 16): re.findall(r"(\d+) \((\d+)\)", last)
+            for tag, last in re.findall(r"^\| `0x(0[1-7])` \|.*→ ([^→]*) \|$", text, re.M)
         }
-        pinned = {
-            tag: (size, math.ceil(size / LORA_PAYLOAD))
-            for tag, size in zip(self.TAGS, self.MESSAGE_BYTES)
-        }
+        pinned: dict[int, list] = {}
+        for tag, size in zip(self.TAGS, self.MESSAGE_BYTES):
+            figure = (str(size), str(math.ceil(size / LORA_PAYLOAD)))
+            if figure not in pinned.setdefault(tag, []):
+                pinned[tag].append(figure)
         assert stated == pinned
+        assert len(pinned[MSG_CRED_PRESENT]) == 2
         total = re.search(
             r"now (\d+) LoRa data fragments `\[([\d,]+)\]`.*? (\d+) frames and ([\d,]+) B"
             r".*? in (\d+) ticks",
@@ -1004,10 +1040,14 @@ class TestTotality:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_step_never_raises(self, data):
-        """Any bytes, in any state a handshake passes through, from either side."""
+        """Any bytes, in any state a handshake passes through, from either side,
+        with a context issuer or, when the lock presents nothing, without one."""
         alice, camera, lock = _household()
         session_i, hello = initiate(owner_match_config(camera, alice, 1), now=NOW)
-        session_r = respond(owner_match_config(lock, alice, 2), now=NOW)
+        cfg_r = owner_match_config(lock, alice, 2)
+        if not data.draw(st.booleans(), label="lock presents"):
+            cfg_r.credentials = ()
+        session_r = respond(cfg_r, now=NOW)
         inbox, target, other = [hello], session_r, session_i
         for _ in range(data.draw(st.integers(0, 5), label="honest legs")):
             outbox = [reply for message in inbox for reply in target.step(message, NOW)]
@@ -1019,8 +1059,11 @@ class TestTotality:
         not_wire = data.draw(_NOT_WIRE, label="not wire")
         actor = data.draw(st.sampled_from([alice, camera, lock]), label="doc")
         document = pack(actor.document.body())
-        # The camera's presentation with drawn null slots and openings.
+        # The camera's presentation with a drawn issuer slot, null slots and openings.
         wire = owner_wire(camera)
+        wire[slot(PresentationWire, "issuer")] = data.draw(
+            st.sampled_from([None, alice.did.to_wire()]), label="issuer"
+        )
         stored = camera.credentials[0]
         wire[slot(PresentationWire, "commitments")] = data.draw(st.lists(
             st.sampled_from([None, *from_cbor(pack(stored.credential.commitments))]), max_size=3,
@@ -1186,11 +1229,79 @@ class TestDerivedFields:
         assert session_i.step(record, NOW) != []
         return session_i
 
+    def _presented_in_leg_5(self, household, edit, responder_presents=True):
+        """The lock after the camera's CRED_PRESENT holding its presentation,
+        written under the context issuer Alice (or none if the lock presented
+        nothing), its wire array changed by `edit`."""
+        session_i, session_r, records = secure_pair(household, responder_presents)
+        for record in records:
+            session_i.step(record, NOW)  # leg 4; the camera's honest answer is dropped
+        context = household[0].did if responder_presents else None
+        wire = owner_wire(household[1], context)
+        edit(wire)
+        record = session_i._seal(MSG_CRED_PRESENT, cbor_bytes([[wire]]))  # [presentations]
+        assert session_r.step(record, NOW) != []
+        return session_r
+
     def test_honest_presentation_is_restored_and_counts(self, household):
         session_i = self._presented(household, lambda wire: None)
         assert session_i.state == State.TRUSTED
         (p,) = session_i.presented
         assert p.credential == household[2].credentials[0].credential
+
+    def test_honest_presentation_naming_the_context_issuer_by_null_counts(self, household):
+        def edit(wire):
+            assert wire[slot(PresentationWire, "issuer")] is None
+
+        session_r = self._presented_in_leg_5(household, edit)
+        assert session_r.state == State.TRUSTED
+        (p,) = session_r.presented
+        assert p.credential == household[1].credentials[0].credential
+
+    def test_context_issuer_spelled_out_fails_protocol(self, household):
+        def edit(wire):
+            wire[slot(PresentationWire, "issuer")] = household[0].did.to_wire()
+
+        session_r = self._presented_in_leg_5(household, edit)
+        assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
+
+    # A null issuer with no context: in the responder's presentations (leg 4),
+    # which come first, and in the initiator's (leg 5) when the responder
+    # presented nothing.
+    @pytest.mark.parametrize("leg", [4, 5])
+    def test_null_issuer_with_no_context_fails_protocol(self, household, leg):
+        def edit(wire):
+            assert wire[slot(PresentationWire, "issuer")] == household[0].did.to_wire()
+            wire[slot(PresentationWire, "issuer")] = None
+
+        if leg == 4:
+            victim = self._presented(household, edit)
+        else:
+            victim = self._presented_in_leg_5(household, edit, responder_presents=False)
+        assert (victim.state, victim.failure_reason) == (State.FAILED, "protocol")
+
+    def test_another_issuers_credential_sent_with_a_null_issuer_is_dropped_for_signature(
+        self, household,
+    ):
+        # Mallory's document lists Alice's signing key, so a credential Mallory
+        # issued, owner claim and all, is signed with that key. Sent with a null
+        # issuer, the reader restores Alice as its issuer and owner: the proof's
+        # key resolves, but not over what was signed.
+        alice, camera, _ = household
+        key = PublicKeyEntry(alice.sign_key.key_id, crypto.PURPOSE_SIGN, alice.sign_key.public)
+        mallory = DidDocument.from_body(DocumentBody((key,)), "peer")
+        vc, openings = issue(alice.sign_key, mallory.id, camera.did,
+                             [Claim("owner", format_did(mallory.id))], 3600, NOW)
+        p = present(vc, openings, ["owner"])
+
+        def edit(wire):
+            wire[:] = from_cbor(pack(PresentationWire.of(p, alice.did)))
+            assert wire[slot(PresentationWire, "issuer")] == mallory.id.to_wire()
+            wire[slot(PresentationWire, "issuer")] = None
+
+        session_r = self._presented_in_leg_5(household, edit)
+        assert session_r.presented == []
+        assert session_r.rejected == ["signature"]
 
     @pytest.mark.parametrize("field, value", [
         ("value", "did:peer:3somebodyelse"),
@@ -1318,18 +1429,22 @@ class TestDerivedFields:
             for n, v in claims.items()
         }
         subject = data.draw(st.sampled_from([alice.did, camera.did, lock.did]), label="subject")
+        # The context issuer: none (the responder's), the issuer, or another DID.
+        context = data.draw(st.sampled_from([None, alice.did, lock.did]), label="context")
         subset = data.draw(st.sets(st.sampled_from(sorted(claims)), min_size=1), label="subset")
         vc, openings = issue(
             alice.sign_key, alice.did, subject, [Claim(n, v) for n, v in claims.items()],
             3600, NOW, rng=Random(data.draw(st.integers(0, 2**32), label="seed")),
         )
         p = present(vc, openings, subset)
-        raw = pack(PresentationWire.of(p))
+        raw = pack(PresentationWire.of(p, context))
         wire = unpack(PresentationWire, raw)
-        restored = wire.restore(subject)
+        restored = wire.restore(subject, context)
         assert restored == p
-        # Each value that is the issuer's DID travels as null, and the id as its 8 bytes.
-        vc_id, *_, disclosed = from_cbor(raw)
+        # The issuer travels as null exactly when it is the context's, each value
+        # that is the issuer's DID as null, and the id as its 8 bytes.
+        vc_id, issuer, *_, disclosed = from_cbor(raw)
+        assert (issuer is None) == (context == alice.did)
         assert vc_id == bytes.fromhex(vc.vc_id[3:])
         assert [v is None for _, v, _ in disclosed] == [
             o.value == format_did(alice.did) for o in p.disclosed

@@ -367,7 +367,7 @@ class TestPipelinedLegs:
         # its timer, tick 2, and holds AUTH (3), ready at tick 2, until that
         # ACK is back at tick 4.
         assert data_ticks(link) == {
-            1: [0, 2], 2: [1], 3: [4], 4: [5, 5], 5: [6, 6], 6: [7],
+            1: [0, 2], 2: [1], 3: [4], 4: [5, 5], 5: [6], 6: [7],
         }
         assert step.retransmissions == 1
         assert step.ticks == 7 + 2  # the 2 ticks AUTH was held
@@ -411,10 +411,13 @@ class TestPipelinedLegs:
         # 6,984 ticks and no delivery-failed step. Before whole frames (a
         # one-fragment message's frame and a delivered message's ACK sent with
         # fragment fields) and the genesis-only HELLO body, the bytes were 384,526.
+        # Before the initiator's presentation named the shared issuer by null
+        # (its leg two fragments, not one), they were 3,497 frames, 366,714
+        # bytes and 6,202 ticks.
         steps = report.steps
-        assert sum(s.frames for s in steps) == 3497
-        assert sum(s.bytes_sent for s in steps) == 366714
-        assert sum(s.ticks for s in steps) == 6202
+        assert sum(s.frames for s in steps) == 3018
+        assert sum(s.bytes_sent for s in steps) == 353385
+        assert sum(s.ticks for s in steps) == 5860
         assert outcomes.count("delivery-failed") == 0
 
 
@@ -447,8 +450,8 @@ class TestBenchmarkReconciliation:
         ]
         data = sum(1 for frame in frames if not frame.is_ack)
         alone = sum(1 for frame in frames if frame.is_ack)
-        assert (data, alone) == (8, 1)
-        assert data + alone == len(link.trace) == metrics.frames == 9
+        assert (data, alone) == (7, 1)
+        assert data + alone == len(link.trace) == metrics.frames == 8
         riding = [e for e in acks(link) if e.kind == "data"]
         assert [(e.message_id, e.ack_id) for e in riding] == [
             (2, 1), (3, 2), (4, 3), (5, 4), (6, 5),

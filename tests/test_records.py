@@ -225,11 +225,12 @@ def record_strategies(dids, documents):
         Presentation, credential=credentials(dids), disclosed=tuples(openings)
     )
     # Any mix of whole and derived (null) commitments, and of openings with a
-    # value and of the issuer (null): the wire record pairs them only when it is
-    # restored. An id as issue() makes it travels as raw bytes, any other as text.
+    # value and of the issuer (null), and an issuer spelled out or the context
+    # issuer (null): the wire record pairs them only when it is restored. An id
+    # as issue() makes it travels as raw bytes, any other as text.
     presentation_wires = st.builds(
         PresentationWire, vc_id=texts | issued_vc_ids,
-        issuer=dids, commitments=tuples(st.none() | commitments), issued_at=ints,
+        issuer=dids | st.none(), commitments=tuples(st.none() | commitments), issued_at=ints,
         expires_at=ints, proof=proofs, disclosed=tuples(openings | issuer_openings),
     )
     bodies = documents.map(DidDocument.body)
