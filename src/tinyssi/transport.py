@@ -7,6 +7,10 @@ Every frame opens with a 4-byte head, big-endian:
   byte 1    flags: bit0 = ACK, bit1 = whole, bit2 = batch; the other bits are sent as 0
   bytes 2-3 message_id
 
+Each endpoint numbers its own messages, from a 16-bit counter that wraps, the
+way each direction of a TCP connection has its own sequence numbers (RFC 9293
+§3.4): a message id names a message within its sender's stream only.
+
 A whole frame stands for a whole message, so the reader knows its fragment
 fields and the frame sends none: the data frame of a message that fits one
 fragment is the head and the payload, and the ACK of a delivered message is
@@ -27,10 +31,11 @@ ceil(frag_count / 8) bytes, bit i (least significant bit of byte 0 first)
 set when the receiver holds fragment i. A hole report of up to 8 fragments
 takes 9 bytes; a whole ACK takes 4, however many fragments it covers. Each
 frame has one wire form: a data frame of a one-fragment message with
-fragment fields, or a bitmap that sets every bit, does not decode. A message
-whose hole report would not fit the MTU, more than 8 * (mtu - 8) fragments,
-is refused before it is sent. Timeouts run on simulated ticks, never wall
-clock, so a fixed seed reproduces a run frame for frame.
+fragment fields, or a bitmap that sets every bit, does not decode, and
+neither does a data frame without payload, which no message yields. A
+message whose hole report would not fit the MTU, more than 8 * (mtu - 8)
+fragments, is refused before it is sent. Timeouts run on simulated ticks,
+never wall clock, so a fixed seed reproduces a run frame for frame.
 
 A link packet is one frame, or an ACK frame followed by a data frame. An ACK
 states its own length, 4 bytes whole or 8 + ceil(frag_count / 8) as a hole
@@ -77,12 +82,12 @@ ACK rides the first data frame with room for it that the receiver
 transmits in the tick, a retransmission or a new message. So a receiver can
 answer in the tick a message arrives, and the answer carries that message's
 ACK, the way DTLS 1.3 sends its next flight (RFC 9147 §7). A data frame with
-room that carries no ACK due carries the ACK of the newest message whose
-receive state its sender holds, partial or complete, the way TCP states its
-ACK number in every segment (RFC 9293 §3.4) and QUIC repeats ACK ranges in
-later packets (RFC 9000 §13.2). So when an answer's first round is lost with
-the ACK it carried, its next round states that ACK again. Such a re-ridden
-ACK never goes alone and never adds a packet. Each endpoint has at most one
+room that carries no ACK due carries the ACK of the newest message its
+sender holds, partial or delivered, the way TCP states its ACK number in
+every segment (RFC 9293 §3.4) and QUIC repeats ACK ranges in later packets
+(RFC 9000 §13.2). So when an answer's first round is lost with the ACK it
+carried, its next round states that ACK again. Such a re-ridden ACK never
+goes alone and never adds a packet. Each endpoint has at most one
 message in flight, so a link carries at most one per direction.
 """
 
@@ -104,6 +109,10 @@ FLAG_BATCH = 0x04
 RETRY_LIMIT = 8          # retransmissions per fragment before giving up
 TRANSIT_TICKS = 1        # one-way delay of every delivered frame
 REORDER_DELAY_TICKS = 2  # extra one-way delay of a reordered frame
+# How far behind a receiver's last delivery a stale copy's id can be. The copy
+# lands within a worst-case one-way trip, and each send lasts at least a round
+# trip, so its sender takes at most this many more ids before it lands.
+STALE_IDS = math.ceil((TRANSIT_TICKS + REORDER_DELAY_TICKS) / (2 * TRANSIT_TICKS))
 
 _HEAD = struct.Struct(">BBH")  # magic, flags, message_id: every frame's head
 _FRAGMENT = struct.Struct(">HH")  # frag_index, frag_count: after the head, unless whole
@@ -165,7 +174,8 @@ class Frame:
         ends at the length it states, a data frame at the end of `raw`.
 
         FrameError unless the frame decodes and is in its one wire form: a
-        whole message's frame spelled with fragment fields is refused.
+        whole message's frame spelled with fragment fields is refused, and so
+        is a data frame without payload.
         """
         if len(raw) < _HEAD.size:
             raise FrameError(f"frame shorter than its head: {len(raw)} bytes")
@@ -173,6 +183,8 @@ class Frame:
         if magic != MAGIC:
             raise FrameError(f"bad magic 0x{magic:02x}")
         is_ack = bool(flags & FLAG_ACK)
+        if not is_ack and len(raw) == (_HEAD.size if flags & FLAG_WHOLE else HEADER_LEN):
+            raise FrameError(f"data frame of message {message_id} without payload")
         if flags & FLAG_WHOLE:
             end = _HEAD.size if is_ack else len(raw)
             return cls(flags & ~FLAG_WHOLE, message_id, 0, 1, raw[_HEAD.size : end]), end
@@ -422,20 +434,11 @@ class SimLink:
         # the tick it was sent in, so tick() delivers just the new tick's key.
         self._pending: dict[int, list[tuple[str, bytes]]] = {}
         self._handlers: dict[str, "Messenger"] = {}
-        self._next_message_id = 0
 
     def attach(self, endpoint: str, handler: "Messenger") -> None:
         if endpoint not in self.endpoints:
             raise TransportError(f"unknown endpoint {endpoint!r}")
         self._handlers[endpoint] = handler
-
-    def allocate_message_id(self) -> int:
-        """The next 16-bit message id. Each attached endpoint forgets what it
-        received under that id, which belonged to a message 65,536 ids ago."""
-        self._next_message_id = (self._next_message_id + 1) % 0x10000
-        for handler in self._handlers.values():
-            handler.forget(self._next_message_id)
-        return self._next_message_id
 
     @property
     def round_trip_ticks(self) -> int:
@@ -549,10 +552,12 @@ def make_link(
 
 @dataclass
 class _ReceiveState:
+    """The message a Messenger holds part of."""
+
+    message_id: int
     frag_count: int
     batch: bool
     fragments: dict[int, Frame] = field(default_factory=dict)
-    delivered: bool = False
 
 
 @dataclass
@@ -582,9 +587,8 @@ class Messenger:
     retransmissions, the send gives up and `failure` holds a DeliveryError.
     The peer's Messenger, attached to the same link, acknowledges each message
     whose data arrived in a tick with one ACK in that tick, whole or a hole
-    report; the
-    messages of a completed transport message queue up, in send order, behind
-    receive().
+    report; the messages of a completed transport message queue up, in send
+    order, behind receive().
 
     An ACK rides the first data frame this endpoint transmits in the tick
     that has room for its encoded length: the packet, ACK and data frame,
@@ -597,15 +601,15 @@ class Messenger:
     and the two are lost or delivered together.
 
     A data frame with room that no ACK due rides carries the ACK of the
-    newest message whose receive state this endpoint holds, the last one
-    _receiving gained, with its bitmap as it stands: a re-ridden ACK. So each
-    later round of a reply states again the ACK its lost first round carried,
-    and the peer's message ends in the tick that round arrives, not only
-    once a duplicate of it, sent again, draws an ACK due. A
-    re-ridden ACK never goes alone: it costs bytes in a packet that leaves
-    anyway, never a packet. A lossless handshake carries none, since each of
-    its replies leaves in the tick of the delivery it answers, with that
-    delivery's ACK due.
+    newest message this endpoint holds, with its bitmap as it stands: the
+    partial message if there is one, else the last one delivered. That is a
+    re-ridden ACK. So each later round of a reply states again the ACK its
+    lost first round carried, and the peer's message ends in the tick that
+    round arrives, not only once a duplicate of it, sent again, draws an ACK
+    due. A re-ridden ACK never goes alone: it costs bytes in a packet that
+    leaves anyway, never a packet. A lossless handshake carries none, since
+    each of its replies leaves in the tick of the delivery it answers, with
+    that delivery's ACK due.
 
     The simulator charges transit, not airtime: frames sent in the same tick
     all arrive one transit later. So a k-fragment message costs one round
@@ -622,64 +626,27 @@ class Messenger:
     fragment has room for the ACK of the message it answers: the first n - 1
     ACKs ride the replies, and only the last goes alone.
 
-    State stays bounded on a long-lived link, whose 16-bit message ids wrap.
-    The sender keeps one message, the one in flight, with its bitmap and
-    timer, and ignores ACKs for any other id. Each endpoint has at most one
-    message in flight, so a link carries at most two at once, one each way.
-    The receiver keeps the ids whose data arrived in the current tick. Each
-    leaves the list when its ACK rides a data frame, and send_acks() sends
-    the rest and empties it, so the list is empty whenever the clock
-    advances. An id whose receive state a delivery in the same tick has
-    forgotten gets no ACK. Each delivery leaves the receiver with just the
-    delivered message's receive state: other partial messages, abandoned or
-    stray, are forgotten then. A receiver's messages all come from the one
-    peer, which starts its next message only once this one is acknowledged,
-    so that state is still there for as long as the peer may send the
-    message again. It stays until the link hands out its id anew, 65,536
-    allocations later: then each endpoint forgets what it holds under that
-    id, so a new message under a wrapped id is delivered, never taken for a
-    duplicate of the last one. The receiver's own sends allocate ids too, so
-    one-sided traffic on a long-lived link gets there.
-
-    A duplicate can belong only to the message whose id it carries. A round
-    sends at most one copy of each unacknowledged fragment, and its timer is
-    the worst-case round trip, so a round that ends on the timer has none of
-    its frames in flight. A round can also end early, on an ACK that covers
-    every fragment, while one of its copies is still on the way: a fragment
-    the receiver already held, whose earlier ACK was lost. That copy left at
-    the round's start, so it lands within a worst-case one-way trip, at most
-    3 ticks. A send lasts at least a round trip, 2 ticks, so until it lands
-    each endpoint starts at most two more sends: at most four more message
-    ids are allocated on the link, far from the 65,536 a wrap needs. It is
-    re-acknowledged if its message's receive state is still there. Otherwise
-    it opens a new receive state, and the sender ignores its ACK, whose id is
-    not the one in flight. A copy that cannot complete its message leaves a
-    partial state that the next delivery forgets. But a copy that completes
-    one on its own, a one-fragment message or a full round, delivers that
-    message a second time. That is a known defect (ROADMAP item 18): on a
-    long-lived link that reorders and carries traffic both ways, a re-ridden
-    ACK can end the sender's message while a stale copy is still on the way,
-    and the copy lands after the receiver's next delivery forgot the
-    message. A handshake does not hit it: it runs on a fresh link, and its
-    legs alternate. So delivery is not yet exactly once. An ACK due
-    that rides a data frame changes none of this: it leaves in the same tick,
-    with the same bitmap, as it would alone. A re-ridden ACK changes none of
-    it either. It states a receive state the endpoint still holds, as that
-    state stands when the ACK leaves, so it claims no fragment the endpoint
-    lacks. Its id is that of the peer's message in flight, or of one the peer
-    no longer has in flight: its last message, acknowledged or given up, or
-    a stale copy's, whose partial state is the newest until the next delivery
-    forgets it. The sender ignores ACKs for any id other than the one in
-    flight, so such an ACK acknowledges nothing. A batch changes none of it
-    either: it is one message id, sent and delivered once, and its messages
-    wait in the receive() queue only until the caller takes them.
+    Each endpoint numbers its own messages, and keeps one in flight, with its
+    bitmap and timer; it ignores ACKs for any other id. A receiver keeps the
+    id of the last message it delivered and at most one partial message. One
+    rule, in _receive_state, sorts every data frame that arrives: a copy of
+    the delivered message is acknowledged again, whole; a frame whose id
+    trails that one by 1 to STALE_IDS is a stale copy of an earlier message,
+    dropped with no ACK; any other frame goes into the partial message, which
+    a frame of another message replaces. So state stays bounded on a
+    long-lived link, and each message is delivered exactly once, in send
+    order: tests/test_transport.py's ExactlyOnce state machine checks that on
+    long-lived lossy, reordering links, with traffic both ways and ids across
+    the 16-bit wrap.
     """
 
     def __init__(self, link: SimLink, endpoint: str):
         self.link = link
         self.endpoint = endpoint
         self.failure: DeliveryError | None = None  # set when the last send gave up
-        self._receiving: dict[int, _ReceiveState] = {}
+        self._sent_id = 0  # the id of the last message this endpoint sent
+        self._delivered: int | None = None  # the id of the last message it delivered
+        self._partial: _ReceiveState | None = None
         self._ack_due: list[int] = []
         self._sending: _Outbound | None = None
         self._received: deque[bytes] = deque()
@@ -695,11 +662,12 @@ class Messenger:
         if self._sending is not None:
             raise TransportError(f"message {self._sending.message_id} is still in flight")
         payload, flags = _payload(messages)
-        message_id = self.link.allocate_message_id()
+        message_id = (self._sent_id + 1) % 0x10000
         frames = fragment(payload, self.link.profile.mtu, message_id, flags)
         count = len(frames)
         if count > _ackable_fragments(self.link.profile.mtu):
             raise TransportError(f"message needs {count} fragments; its ACK would exceed the mtu")
+        self._sent_id = message_id
         self.failure = None
         self._sending = _Outbound(message_id, frames, count)
         self._transmit_round()
@@ -716,8 +684,8 @@ class Messenger:
         """Transmit a data frame with an ACK riding ahead of it: the first ACK due
         that fits, or else, if it fits, the ACK of the newest message held."""
         room = self.link.profile.mtu - len(frame.encode())
-        newest = list(self._receiving)[-1:]
-        for message_id in (*self._ack_due, *newest):
+        newest = self._delivered if self._partial is None else self._partial.message_id
+        for message_id in (*self._ack_due, newest):
             ack = self._ack(message_id)
             if ack is not None and len(ack.encode()) <= room:
                 if message_id in self._ack_due:
@@ -780,51 +748,49 @@ class Messenger:
             )
         return held
 
-    def _receive_state(self, frame: Frame) -> _ReceiveState:
-        """The receive state `frame` belongs to, new if its message has none; FrameError
-        if the frame does not fit it."""
+    def _receive_state(self, frame: Frame) -> _ReceiveState | None:
+        """The partial message `frame` adds to, new unless it is the one held;
+        None for a copy of a delivered message. FrameError if the frame does not
+        fit its message."""
         if frame.frag_count > _ackable_fragments(self.link.profile.mtu):
             raise FrameError(f"{frame.frag_count} fragments: their ACK would exceed the mtu")
+        delivered = self._delivered
+        if delivered is not None and (delivered - frame.message_id) % 0x10000 <= STALE_IDS:
+            return None
         batch = bool(frame.flags & FLAG_BATCH)
-        state = self._receiving.get(frame.message_id)
-        if state is None:
-            return _ReceiveState(frag_count=frame.frag_count, batch=batch)
+        state = self._partial
+        if state is None or state.message_id != frame.message_id:
+            return _ReceiveState(frame.message_id, frame.frag_count, batch)
         if frame.frag_count != state.frag_count:
             raise FrameError(f"inconsistent frag_count for message {frame.message_id}")
         if batch != state.batch:
             raise FrameError(f"inconsistent batch flag for message {frame.message_id}")
         return state
 
-    def _take(self, frame: Frame, state: _ReceiveState) -> None:
-        self._receiving[frame.message_id] = state
-        # Duplicate data (a lost ACK) is re-acknowledged, never re-delivered.
+    def _take(self, frame: Frame, state: _ReceiveState | None) -> None:
+        if state is None and frame.message_id != self._delivered:
+            return  # a stale copy of an earlier message: no ACK
         if frame.message_id not in self._ack_due:
             self._ack_due.append(frame.message_id)
-        if state.delivered:
-            return
+        if state is None:
+            return  # a copy of the delivered message: acknowledged again, never delivered again
+        self._partial = state
         state.fragments.setdefault(frame.frag_index, frame)
         if len(state.fragments) == state.frag_count:
             payload = reassemble(state.fragments.values())
             # Delivered before the split: a batch that does not split is dropped once.
-            state.delivered = True
-            state.fragments.clear()
-            self._receiving = {frame.message_id: state}
+            self._partial, self._delivered = None, state.message_id
             self._received.extend(_unbatch(payload) if state.batch else [payload])
 
-    def forget(self, message_id: int) -> None:
-        """Drop the receive state kept under `message_id`, which the link hands out anew."""
-        self._receiving.pop(message_id, None)
-
-    def _ack(self, message_id: int) -> Frame | None:
-        """The ACK of a message whose data arrived this tick; None if its state is forgotten."""
-        state = self._receiving.get(message_id)
-        if state is None:
-            return None  # forgotten by a delivery in the same tick
-        if state.delivered:
-            held = (1 << state.frag_count) - 1
-        else:
-            held = sum(1 << index for index in state.fragments)
-        return make_ack(message_id, state.frag_count, held)
+    def _ack(self, message_id: int | None) -> Frame | None:
+        """The ACK of a message this endpoint holds, whole once delivered; None
+        for any other, such as one whose partial state a frame of the next replaced."""
+        state = self._partial
+        if state is not None and message_id == state.message_id:
+            return make_ack(message_id, state.frag_count, sum(1 << i for i in state.fragments))
+        if message_id is None or message_id != self._delivered:
+            return None
+        return make_ack(message_id, frag_count=1, held=1)
 
     def send_acks(self) -> None:
         """Send alone, once each, the ACKs due this tick that rode no data frame."""

@@ -397,10 +397,10 @@ class TestSimCommands:
             assert len(frames) == steps[index]["frames"]
             lengths = [int(line.split(" len=")[1].split()[0]) for line in frames]
             assert sum(lengths) == steps[index]["bytes_sent"]
-            # The HELLO's 4-byte whole ACK rides the 76-byte whole HELLO_ACK frame:
-            # one 80-byte packet.
+            # The HELLO's 4-byte whole ACK rides the 76-byte whole HELLO_ACK frame,
+            # the lock's first message: one 80-byte packet.
             assert frames[1] == (
-                "t=1 dir=lock→camera type=data id=2 idx=0/1 ack=1:all len=80 dropped=false"
+                "t=1 dir=lock→camera type=data id=1 idx=0/1 ack=1:all len=80 dropped=false"
             )
 
     def test_unwritable_trace_path_is_validation_error(self, tmp_path, capsys):

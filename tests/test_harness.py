@@ -63,22 +63,25 @@ def kept_links(prepare=lambda link: None):
         yield links
 
 
-def data_ticks(link) -> dict[int, list[int]]:
-    """The ticks each message's data frames went out in, by message id."""
-    ticks: dict[int, list[int]] = {}
+def data_ticks(link) -> dict[tuple[str, int], list[int]]:
+    """The ticks each message's data frames went out in, by sender and message
+    id: each endpoint numbers its own messages."""
+    ticks: dict[tuple[str, int], list[int]] = {}
     for entry in link.trace:
         if entry.kind == "data":
-            ticks.setdefault(entry.message_id, []).append(entry.tick)
+            ticks.setdefault((entry.src, entry.message_id), []).append(entry.tick)
     return ticks
 
 
 def record_acks_due(link) -> None:
     """Keep on `link.acks_due` a (tick, endpoint, message id) for each message
-    whose data arrived in a tick and whose receive state that tick's deliveries
-    left in place: each of these owes one ACK, in that tick. Keep on
-    `link.newest_held`, by (tick, endpoint), the message id and held fragment
-    indexes of the newest receive state the endpoint keeps after that tick's
-    deliveries: the ACK its data frames of the tick may carry when none is due."""
+    whose data arrived in a tick and that the endpoint still holds after that
+    tick's deliveries, as its last delivered or its partial message: each of
+    these owes one ACK, in that tick. Keep on `link.newest_held`, by (tick,
+    endpoint), the message id and held fragment indexes of the newest message
+    the endpoint holds after that tick's deliveries, None for a delivered one:
+    the ACK its data frames of the tick may carry when none is due. The ids
+    are the peer's: each endpoint numbers its own messages."""
     link.acks_due, link.newest_held = [], {}
     attach = link.attach
 
@@ -91,15 +94,18 @@ def record_acks_due(link) -> None:
                 arrived.append(data.message_id)
 
         def recording_check_timer():  # runs once a tick, after its deliveries
+            partial = messenger._partial
+            held = {messenger._delivered: None}
+            if partial is not None:
+                held[partial.message_id] = tuple(sorted(partial.fragments))
             link.acks_due.extend(
                 (link.now, endpoint, message_id) for message_id in dict.fromkeys(arrived)
-                if message_id in messenger._receiving
+                if message_id in held
             )
             arrived.clear()
-            if messenger._receiving:
-                message_id, state = list(messenger._receiving.items())[-1]
-                held = None if state.delivered else tuple(sorted(state.fragments))
-                link.newest_held[link.now, endpoint] = (message_id, held)
+            newest = messenger._delivered if partial is None else partial.message_id
+            if newest is not None:
+                link.newest_held[link.now, endpoint] = (newest, held[newest])
             check_timer()
 
         messenger.handle_packet = recording_handle
@@ -262,7 +268,9 @@ class TestOwnerScenario:
             step = run_scenario(scenario()).steps[0]
         (link,) = links
         ticks = data_ticks(link)
-        # One transport message per leg, each answering the one before a tick later.
+        # One transport message per leg, each answering the one before a tick
+        # later; each side numbers its own legs from 1.
+        assert list(ticks) == [(side, n) for n in (1, 2, 3) for side in ("camera", "lock")]
         assert [set(t) for t in ticks.values()] == [{leg} for leg in range(6)]
         assert [len(t) for t in ticks.values()] == step.fragments_per_message
 
@@ -362,12 +370,13 @@ class TestPipelinedLegs:
             step = run_scenario(scenario()).steps[0]
         (link,) = links
         assert step.outcome == "trusted"
-        # The lock answers the HELLO (1) at tick 1, though the HELLO's ACK,
-        # which rode that answer, is lost. The camera sends the HELLO again at
-        # its timer, tick 2, and holds AUTH (3), ready at tick 2, until that
-        # ACK is back at tick 4.
+        # The lock answers the HELLO (the camera's message 1) at tick 1, though
+        # the HELLO's ACK, which rode that answer, is lost. The camera sends the
+        # HELLO again at its timer, tick 2, and holds AUTH (its message 2),
+        # ready at tick 2, until that ACK is back at tick 4.
         assert data_ticks(link) == {
-            1: [0, 2], 2: [1], 3: [4], 4: [5, 5], 5: [6], 6: [7],
+            ("camera", 1): [0, 2], ("lock", 1): [1], ("camera", 2): [4],
+            ("lock", 2): [5, 5], ("camera", 3): [6], ("lock", 3): [7],
         }
         assert step.retransmissions == 1
         assert step.ticks == 7 + 2  # the 2 ticks AUTH was held
@@ -452,9 +461,11 @@ class TestBenchmarkReconciliation:
         alone = sum(1 for frame in frames if frame.is_ack)
         assert (data, alone) == (7, 1)
         assert data + alone == len(link.trace) == metrics.frames == 8
+        # Each leg's data frame carries the ACK of the peer's leg it answers;
+        # each side numbers its own messages.
         riding = [e for e in acks(link) if e.kind == "data"]
-        assert [(e.message_id, e.ack_id) for e in riding] == [
-            (2, 1), (3, 2), (4, 3), (5, 4), (6, 5),
+        assert [(e.src, e.message_id, e.ack_id) for e in riding] == [
+            ("lock", 1, 1), ("camera", 2, 1), ("lock", 2, 2), ("camera", 3, 2), ("lock", 3, 3),
         ]
 
 

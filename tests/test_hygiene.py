@@ -48,6 +48,11 @@ The frame layout has one home, `transport.Frame`: only `Frame.encode` and
 `Frame._read` (which `Frame.decode` and `decode_packet` call) use the header
 structs, `_HEAD` and `_FRAGMENT`, so a whole frame and a fragment are
 written and read in one place.
+
+Message ids wrap in one place each way: only `Messenger.send` (which takes
+the next id) and `Messenger._receive_state` (which tells a stale copy by how
+far its id trails the last delivered one) do 16-bit modular arithmetic, a
+`% 0x10000` or a `& 0xFFFF`.
 """
 
 import ast
@@ -511,3 +516,42 @@ def test_checker_flags_a_second_frame_layout():
         "    index, count = _FRAGMENT.unpack_from(raw, 4)\n"
     )
     assert header_struct_users(source) == {"Frame.encode", "decode_packet"}
+
+
+def _wraps_an_id(node: ast.AST) -> bool:
+    """16-bit modular arithmetic: `x % 0x10000` or `x & 0xFFFF`."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.right, ast.Constant)
+        and (isinstance(node.op, ast.Mod) and node.right.value == 0x10000
+             or isinstance(node.op, ast.BitAnd) and node.right.value == 0xFFFF)
+    )
+
+
+def test_one_rule_wraps_message_ids():
+    wrappers = {
+        (module, scope)
+        for module in MODULES
+        for scope in scopes_holding((PACKAGE / module).read_text(encoding="utf-8"), _wraps_an_id)
+    }
+    assert wrappers == {("transport.py", "Messenger.send"), ("transport.py", "Messenger._receive_state")}
+
+
+def test_checker_flags_a_second_id_wrap():
+    source = (
+        "class Messenger:\n"
+        "    def send(self, *messages):\n"
+        "        message_id = (self._sent_id + 1) % 0x10000\n"
+        "    def _receive_state(self, frame):\n"
+        "        behind = (self._delivered - frame.message_id) % 0x10000\n"
+        "    def _ack(self, message_id):\n"
+        "        return message_id == (self._delivered + 1) & 0xFFFF\n"
+        "class SimLink:\n"
+        "    def allocate_message_id(self):\n"
+        "        self._next_message_id = (self._next_message_id + 1) % 0x10000\n"
+        "LIMIT = 0xFFFF % 7\n"
+    )
+    assert scopes_holding(source, _wraps_an_id) == {
+        "Messenger.send", "Messenger._receive_state", "Messenger._ack",
+        "SimLink.allocate_message_id",
+    }

@@ -10,12 +10,14 @@ Regenerate it only on purpose, from the repository root:
 
 import math
 import sys
+from collections import deque
 from dataclasses import replace
 from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from tinyssi.transport import (
     DeliveryError,
@@ -28,6 +30,7 @@ from tinyssi.transport import (
     Messenger,
     PROFILES,
     RETRY_LIMIT,
+    STALE_IDS,
     SimLink,
     TRANSIT_TICKS,
     TransportError,
@@ -131,6 +134,18 @@ class TestFrameCodec:
             Frame.decode(frame.encode())
         with pytest.raises(FrameError, match="whole message"):
             decode_packet(frame.encode())
+
+    @pytest.mark.parametrize(
+        "raw", [b"\xd1\x02\x00\x09", b"\xd1\x00\x00\x09\x00\x00\x00\x02"],
+        ids=["whole", "fragment"],
+    )
+    def test_data_frame_without_payload_rejected(self, raw):
+        # No sender makes one: send() refuses an empty message, and fragment()
+        # gives every frame part of the message.
+        with pytest.raises(FrameError, match="without payload"):
+            Frame.decode(raw)
+        with pytest.raises(FrameError, match="without payload"):
+            decode_packet(make_ack(1, 1, 1).encode() + raw)
 
     def test_bad_magic_rejected(self):
         raw = bytearray(Frame(0, 1, 0, 1, b"").encode())
@@ -495,7 +510,7 @@ class TestNonBlockingSend:
         with pytest.raises(TransportError, match="still in flight"):
             sender.send(b"second")
         assert [e.message_id for e in link.trace] == [1]
-        assert link._next_message_id == 1  # refused before an id was taken
+        assert sender._sent_id == 1  # refused before an id was taken
 
     def test_both_directions_in_flight_at_once(self):
         link = make_link("lora", seed=1)
@@ -507,10 +522,11 @@ class TestNonBlockingSend:
         assert drain(b) == [bytes(300)] and drain(a) == [b"reply"]
         link.tick()
         assert a.idle and b.idle
+        # Each endpoint numbers its own messages: both send their message 1.
         kinds = [(e.tick, e.src, e.kind, e.message_id) for e in link.trace]
         assert kinds == [
-            (0, "A", "data", 1), (0, "A", "data", 1), (0, "B", "data", 2),
-            (1, "A", "ack", 2), (1, "B", "ack", 1),
+            (0, "A", "data", 1), (0, "A", "data", 1), (0, "B", "data", 1),
+            (1, "A", "ack", 1), (1, "B", "ack", 1),
         ]
 
     def test_a_send_that_gives_up_leaves_its_error_and_the_next_send_clears_it(self):
@@ -605,7 +621,7 @@ class TestTrace:
         link.tick()
         lock.send(b"reply")  # answers in the tick the message arrived
         assert link.trace_lines()[2] == (
-            "t=1 dir=lock→cam type=data id=2 idx=0/1 ack=1:all len=13 dropped=false"
+            "t=1 dir=lock→cam type=data id=1 idx=0/1 ack=1:all len=13 dropped=false"
         )
         link.tick()
         assert cam.idle and drain(cam) == [b"reply"]
@@ -770,7 +786,7 @@ class TestPiggybackedAck:
         link.tick()
         entry = link.trace[-1]
         assert (entry.tick, entry.src, entry.kind, entry.message_id) == (2, "B", "data", 1)
-        assert (entry.ack_id, entry.acked) == (2, None)  # whole
+        assert (entry.ack_id, entry.acked) == (1, None)  # A's message 1, whole
         link.tick()
         link.tick()
         assert a.idle and b.idle
@@ -986,35 +1002,46 @@ class TestMalformedPackets:
 
 
 class TestMessageIds:
-    """16-bit message ids wrap; a reused id is a new message, and state stays bounded."""
+    """Each endpoint numbers its own messages from a 16-bit counter that wraps. A
+    receiver keeps the id of the last message it delivered and at most one
+    partial message, so its state stays bounded."""
 
     def test_message_after_id_wrap_is_delivered(self):
         link = make_link("lora", seed=1)
         sender = Messenger(link, "A")
         receiver = Messenger(link, "B")
-        for message in (b"first", b"second"):
-            deliver(sender, message)
+        sender._sent_id = 0xFFFE  # the counter wraps between the deliveries below
+        for message in (b"first", b"second", b"third"):
+            before = data_frames(link)
+            assert deliver(sender, message) == 1
+            assert data_frames(link) - before == 1
             assert receiver.receive() == message
-        link._next_message_id = 0  # the next send reuses the first message's id
-        before = data_frames(link)
-        assert deliver(sender, b"third") == 1
-        assert data_frames(link) - before == 1
-        assert receiver.receive() == b"third"
+        assert [e.message_id for e in link.trace if e.kind == "data"] == [0xFFFF, 0, 1]
+        assert receiver._delivered == 1
 
-    def test_id_of_the_last_delivered_message_is_a_new_message_after_a_wrap(self):
-        # B's last delivery is A's first message: B's own reply leaves that
-        # receive state in place. The wrapped id must not read as its duplicate.
+    @pytest.mark.parametrize("last", [10, 1], ids=["fresh-ids", "ids-across-the-wrap"])
+    def test_copy_of_a_delivered_message_is_never_delivered_again(self, last):
+        """A copy of the last message delivered draws a whole ACK; a copy 1 to
+        STALE_IDS ids behind it is stale and draws none; the next id is new."""
+        assert STALE_IDS == 2  # a 3-tick worst-case one-way trip over 2-tick sends
         link = make_link("lora", seed=1)
-        a, b = Messenger(link, "A"), Messenger(link, "B")
-        deliver(a, b"ping")
-        assert b.receive() == b"ping"
-        deliver(b, b"pong")
-        assert a.receive() == b"pong"
-        assert list(b._receiving) == [1]
-        link._next_message_id = 0  # the next send reuses the id of A's first message
-        assert deliver(a, b"ping again") == 1
-        assert a.failure is None
-        assert b.receive() == b"ping again"
+        sender = Messenger(link, "A")
+        receiver = Messenger(link, "B")
+        ids = [(last + k) % 0x10000 for k in range(-STALE_IDS, 2)]  # e.g. 8, 9, 10, 11
+        sender._sent_id = (ids[0] - 1) % 0x10000
+        for message_id in ids[:-1]:
+            deliver(sender, message_id.to_bytes(2, "big"))
+        assert drain(receiver) == [i.to_bytes(2, "big") for i in ids[:-1]]
+        assert receiver._delivered == last
+        before = len(link.trace)
+        for message_id in ids:
+            link.transmit("A", Frame(0, message_id, 0, 1, b"copy"))
+            for _ in range(2):
+                link.tick()
+        assert drain(receiver) == [b"copy"]  # only the new message
+        assert link.malformed_frames == 0
+        replies = [(e.kind, e.message_id, e.acked) for e in link.trace[before:] if e.src == "B"]
+        assert replies == [("ack", last, None), ("ack", ids[-1], None)]  # whole ACKs
 
     def test_state_stays_bounded_over_many_messages(self):
         link = make_link("lora", loss=0.1, reorder=0.1, seed=6)
@@ -1027,9 +1054,10 @@ class TestMessageIds:
             assert receiver.receive() == message
         for messenger in (a, b):
             assert messenger._sending is None  # the ACK bitmap goes with it
-            assert all(s.delivered for s in messenger._receiving.values())
-        assert list(b._receiving) == [link._next_message_id - 1]
-        assert list(a._receiving) == [link._next_message_id]
+            assert messenger._partial is None
+        # Each endpoint holds one id of the peer's: the last message it delivered.
+        assert b._delivered == a._sent_id == 500
+        assert a._delivered == b._sent_id == 500
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -1055,7 +1083,7 @@ class TestMessageIds:
                 return
             assert drain(receiver) == messages
             assert sender._sending is None
-            assert list(receiver._receiving) == [link._next_message_id]
+            assert receiver._partial is None and receiver._delivered == sender._sent_id
         for _ in range(4 * link.round_trip_ticks):
             link.tick()  # late duplicates are re-acknowledged, never re-delivered
         assert drain(receiver) == []
@@ -1075,7 +1103,96 @@ class TestMessageIds:
         message = Random(8).randbytes(600)
         deliver(sender, message)
         assert receiver.receive() == message
-        assert list(receiver._receiving) == [1]
+        assert receiver._delivered == 1
+
+
+class ExactlyOnce(RuleBasedStateMachine):
+    """Two Messengers on one long-lived, lossy link, possibly reordering, with
+    traffic both ways and ids that may start near the 16-bit wrap. Rules queue
+    sends, each one message or a batch, and run the link: each side starts its
+    next queued send whenever it is idle. After every step, each side has
+    delivered a subsequence, in send order, of what its peer sent, none of it
+    twice, and each send that ended without `failure` has been delivered."""
+
+    @initialize(
+        profile=st.sampled_from(["lora", "ble"]),
+        loss=st.sampled_from([0.2, 0.5]),
+        reorder=st.sampled_from([0.0, 0.1]),
+        seed=st.integers(min_value=0, max_value=2**16),
+        last_ids=st.tuples(*[st.just(0) | st.integers(0xFFF8, 0xFFFF)] * 2),
+    )
+    def open_link(self, profile, loss, reorder, seed, last_ids):
+        self.link = make_link(profile, loss=loss, reorder=reorder, seed=seed)
+        self.ends = {name: Messenger(self.link, name) for name in self.link.endpoints}
+        for messenger, last_id in zip(self.ends.values(), last_ids):
+            messenger._sent_id = last_id
+        self.sent = {name: {} for name in self.ends}  # message -> its place in send order
+        self.queued = {name: deque() for name in self.ends}
+        self.in_flight = {name: [] for name in self.ends}
+        self.delivered = {name: [] for name in self.ends}
+
+    @rule(side=st.sampled_from(["A", "B"]), sends=st.lists(
+        st.lists(st.integers(5, 200) | st.integers(5, 5 * 222), min_size=1, max_size=3),
+        min_size=1, max_size=8,
+    ))
+    def queue(self, side, sends):
+        """Queue sends, each of one message or a batch of several, of the given
+        sizes; every message is unique. Most messages of up to 200 B travel whole."""
+        sent = self.sent[side]
+        for sizes in sends:
+            places = range(len(sent), len(sent) + len(sizes))
+            messages = [p.to_bytes(4, "big").ljust(size, b".") for p, size in zip(places, sizes)]
+            sent.update(zip(messages, places))
+            self.queued[side].append(messages)
+
+    @rule(ticks=st.integers(min_value=1, max_value=20))
+    def run(self, ticks):
+        """Tick the link; before each tick, each idle side starts its next queued
+        send. A send that ends without `failure` ends on the peer's delivery."""
+        for _ in range(ticks):
+            for name, messenger in self.ends.items():
+                if messenger.idle and self.queued[name]:
+                    self.in_flight[name] = self.queued[name].popleft()
+                    messenger.send(*self.in_flight[name])
+            self.link.tick()
+            for name, messenger in self.ends.items():
+                self.delivered[name].extend(drain(messenger))
+            for name, messenger in self.ends.items():
+                if messenger.idle and self.in_flight[name]:
+                    if messenger.failure is None:
+                        peer = self.delivered[self.link.other_end(name)]
+                        assert peer[-len(self.in_flight[name]):] == self.in_flight[name]
+                    self.in_flight[name] = []
+
+    @invariant()
+    def delivered_once_in_send_order(self):
+        for name, delivered in self.delivered.items():
+            sent = self.sent[self.link.other_end(name)]
+            places = [sent[message] for message in delivered]
+            assert places == sorted(set(places))
+
+
+TestExactlyOnce = ExactlyOnce.TestCase
+TestExactlyOnce.settings = settings(max_examples=40, stateful_step_count=40, deadline=None)
+
+
+class TestExactlyOnceExamples:
+    @pytest.mark.parametrize("profile, loss, seed", [
+        ("lora", 0.2, 558), ("lora", 0.5, 1253), ("ble", 0.2, 1554), ("ble", 0.2, 1617),
+    ])
+    def test_both_sides_send_whenever_idle(self, profile, loss, seed):
+        """ExactlyOnce, seeded, on a link that reorders: each side queues 400
+        single messages of 5 B to 5 MTUs, and the link runs 400 ticks. Each
+        seed lands a stale copy of a one-fragment message after the
+        receiver's next delivery, which must not deliver it again."""
+        machine = ExactlyOnce()
+        machine.open_link(profile=profile, loss=loss, reorder=0.1, seed=seed, last_ids=(0, 0))
+        rng = Random(seed)
+        mtu = machine.link.profile.mtu
+        for side in machine.ends:
+            machine.queue(side, [[rng.randint(5, 5 * mtu)] for _ in range(400)])
+        machine.run(400)
+        machine.delivered_once_in_send_order()
 
 
 class _BadMagic(Frame):
@@ -1118,6 +1235,13 @@ class TestMalformedFrames:
     def test_second_spelling_of_a_whole_frame_dropped(self, src, frame):
         link = self._inject_then_deliver(src, frame)
         assert not any(e.dst == src and e.ack_id == 0x7777 for e in link.trace)
+
+    def test_data_frame_without_payload_dropped(self):
+        # Counted once and never delivered: the next receive() is the message
+        # sent after it.
+        link = self._inject_then_deliver("A", Frame(0, 9, 0, 1, b""))
+        assert link.trace[0].length == 4
+        assert not any(e.dst == "A" and e.ack_id == 9 for e in link.trace)
 
     def test_ack_with_wrong_payload_length_dropped(self):
         self._inject_then_deliver("B", Frame(FLAG_ACK, 0x7777, 0, 1, b"\x00\x00\x00"))
