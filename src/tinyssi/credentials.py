@@ -15,7 +15,7 @@ from random import Random
 from typing import Annotated, Iterable, Sequence
 
 from . import crypto
-from .encoding import Record, canonical_bytes, encode, hex_id, text_as_bytes
+from .encoding import Record, WireForm, canonical_bytes, encode, hex_id, text_as_bytes
 from .identity import Did
 from .resolver import ResolutionError, Resolver
 
@@ -49,13 +49,24 @@ class _Record(Record):
 @dataclass(frozen=True)
 class Verdict(_Record):
     """A verification outcome, failures with a reason instead of raising; also a
-    handshake side's verdict on its peer, the body of TRUST_RESULT."""
+    handshake side's verdict on its peer, the body of TRUST_RESULT.
+
+    It has a reason exactly when it is a failure, so it travels as one value:
+    null for a success, the reason's text for a failure."""
 
     ok: bool
     reason: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.ok != (self.reason is None):
+            raise CredentialError("a verdict has a reason exactly when it is a failure")
+
     def __bool__(self) -> bool:
         return self.ok
+
+    WIRE = WireForm(
+        str | None, lambda verdict: verdict.reason, lambda reason: Verdict(reason is None, reason)
+    )
 
 
 def _check_length(what: str, raw: bytes, expected: int) -> None:

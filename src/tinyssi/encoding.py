@@ -9,12 +9,13 @@ JSON is the form that is signed, hashed and stored.
 Wire form is deterministic CBOR (RFC 8949 section 4.2), the form handshake
 messages travel in, limited to the items their records hold: unsigned and
 negative integers, byte strings, text, arrays, and false, true and null. A
-record is an array of its fields in declared order, with no names; bytes
-travel raw as a byte string. A value that declares a `WireForm`, by its type's
-`WIRE` (a DID, a document's key) or as `Annotated[str, form]` (a DID claim
-value, a default-shaped key id, an issued credential id), travels as its
-`write`; a reader refuses a wire value that `write(read(value))` does not give
-back, so each value has one form. Integers and lengths take the shortest head.
+record is an array of its fields in declared order, with no names, and a
+record of one field travels as that field; bytes travel raw as a byte
+string. A value that declares a `WireForm`, by its type's `WIRE` (a DID, a
+document's key, a verdict) or as `Annotated[str, form]` (a DID claim value,
+a default-shaped key id, an issued credential id), travels as its `write`;
+a reader refuses a wire value that `write(read(value))` does not give back,
+so each value has one form. Integers and lengths take the shortest head.
 `from_cbor` accepts exactly these bytes and refuses the rest of CBOR: maps,
 tags, floats and every other simple value, indefinite lengths, trailing bytes
 and invalid UTF-8; `read_uint` reads one unsigned integer's head at the front
@@ -323,6 +324,8 @@ def _encoder(tp: Any, wire: bool) -> Callable[[Any], Any] | None:
             ]
 
         if wire:
+            if len(plan) == 1:
+                return lambda record: field_values(record)[0]
             return field_values
         names = [name for name, _ in plan]
         return lambda record: dict(zip(names, field_values(record)))
@@ -406,8 +409,11 @@ def _record_decoder(tp: type, wire: bool) -> Callable[[Any], Any]:
     names = frozenset(name for name, _ in readers)
 
     def field_values(value: Any) -> list[Any]:
-        """The record's field values in declared order: an array, or a mapping by name."""
+        """The record's field values in declared order: an array (the value
+        itself for a record of one field), or a mapping by name."""
         if wire:
+            if len(readers) == 1:
+                return [value]
             if type(value) is not list:
                 raise EncodingError(f"{tp.__name__} must be an array, got {type(value).__name__}")
             if len(value) != len(readers):

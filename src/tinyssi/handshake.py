@@ -27,11 +27,14 @@ until it is complete, but once there are session keys one that does not open
 is dropped. A complete session, holding both verdicts, ignores whatever arrives.
 
 The wire leaves out what its reader can derive (as SCHC does, RFC 8724). The
-compact key, key id, DID value and credential id below each travel in the
-`encoding.WireForm` their type or field declares, and the codec refuses a
-second spelling of the same value:
+compact key, key id, DID value, credential id, endpoint and verdict below
+each travel in the `encoding.WireForm` their type or field declares, and the
+codec refuses a second spelling of the same value:
 - A document travels as the body its peer DID is the digest of, so the
   reader derives the DID and the decoded body gives back its canonical bytes.
+- The i-th service endpoint of that body (counting from 1) travels with null
+  for its id when the id is `ep-<i>`, and with null for its type when the
+  type is its address's URI scheme.
 - A HELLO has no nonce: its fresh ephemeral key makes the transcript fresh.
 - A key travels with null for its id when the id is the default
   (`crypto.default_key_id` of its purpose and public key), and with its
@@ -54,6 +57,13 @@ second spelling of the same value:
   `signature`. The issuer spelled out where it is the context's, or null
   where there is no context (every responder presentation, and an initiator
   one when the responder presented nothing), fails `protocol`.
+- A TRUST_RESULT's verdict travels as one value (`credentials.Verdict`):
+  null when it is trusted, and the reason's text when it is not.
+- A record of one field travels as that field, not as an array of one
+  (`encoding.pack`): a CredRequest as its claim names, a CredPresent as its
+  presentations, an Error as its reason.
+- A leg of several messages travels as one transport batch, whose last
+  message carries no length prefix but runs to the end (`transport`).
 - The bodies of CRED_REQUEST, CRED_PRESENT, TRUST_RESULT and DATA travel
   sealed (an ERROR's too, once there are keys), each as one record `tag |
   counter | ciphertext`. The counter is the sender's record number as a

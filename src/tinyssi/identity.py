@@ -10,7 +10,9 @@ travels as a DocumentBody, which holds the document invariants, and the
 receiver derives the document and its DID with `DidDocument.from_body`. Only
 a genesis body travels, without its version and retired keys, which the
 receiver restores. A key's default id (`crypto.default_key_id`) does not
-travel: the receiver derives it from the key.
+travel: the receiver derives it from the key. Nor does the i-th service
+endpoint's id when it is `ep-<i>`, or its type when that is its address's
+URI scheme.
 """
 
 from __future__ import annotations
@@ -134,10 +136,47 @@ class PublicKeyEntry(_Record):
 
 
 @dataclass(frozen=True)
+class _EndpointWire:
+    """The i-th ServiceEndpoint of a genesis body as it travels (i from 1): its id,
+    or None when it is `ep-<i>`, its type, or None when it is its address's URI
+    scheme, and its address."""
+
+    endpoint_id: str | None
+    type: str | None
+    address: str
+
+
+def _scheme(address: str) -> str | None:
+    """An address's URI scheme: the text before its first colon, if it has one."""
+    scheme, colon, _ = address.partition(":")
+    return scheme if colon else None
+
+
+@dataclass(frozen=True)
 class ServiceEndpoint(_Record):
     endpoint_id: str
     type: str
     address: str
+
+    def to_wire(self, position: int) -> _EndpointWire:
+        return _EndpointWire(
+            None if self.endpoint_id == f"ep-{position}" else self.endpoint_id,
+            None if self.type == _scheme(self.address) else self.type,
+            self.address,
+        )
+
+    @staticmethod
+    def from_wire(wire: _EndpointWire, position: int) -> ServiceEndpoint:
+        """The endpoint at `position` a wire endpoint names: a null id is `ep-<position>`,
+        a null type its address's scheme, which it must then have."""
+        scheme = _scheme(wire.address)
+        if wire.type is None and scheme is None:
+            raise DidError(f"endpoint address {wire.address!r} has no scheme to be its type")
+        return ServiceEndpoint(
+            f"ep-{position}" if wire.endpoint_id is None else wire.endpoint_id,
+            scheme if wire.type is None else wire.type,
+            wire.address,
+        )
 
 
 @dataclass(frozen=True)
@@ -156,7 +195,7 @@ class _GenesisWire:
     restores version 1 and no retired keys."""
 
     public_keys: tuple[PublicKeyEntry, ...]
-    service_endpoints: tuple[ServiceEndpoint, ...]
+    service_endpoints: tuple[_EndpointWire, ...]
 
 
 @dataclass(frozen=True)
@@ -191,11 +230,15 @@ class DocumentBody(_Record):
                 f"a body of version {self.version} with {len(self.previous_keys)} retired keys"
                 " is no genesis and has no wire form"
             )
-        return _GenesisWire(self.public_keys, self.service_endpoints)
+        endpoints = enumerate(self.service_endpoints, 1)
+        return _GenesisWire(self.public_keys, tuple(ep.to_wire(i) for i, ep in endpoints))
 
     @staticmethod
     def from_wire(wire: _GenesisWire) -> DocumentBody:
-        return DocumentBody(wire.public_keys, wire.service_endpoints)
+        endpoints = enumerate(wire.service_endpoints, 1)
+        return DocumentBody(
+            wire.public_keys, tuple(ServiceEndpoint.from_wire(ep, i) for i, ep in endpoints)
+        )
 
     WIRE = WireForm(_GenesisWire, to_wire, from_wire)
 

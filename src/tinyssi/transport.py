@@ -51,11 +51,16 @@ frame costs its preamble and header in airtime, whatever its length.
 
 Messenger.send takes one or more protocol messages and sends them as one
 transport message: one message id, one fragment stream, one ARQ timer. One
-message travels as it is. Two or more travel as a batch: each is preceded by
-its 2-byte big-endian length, and every fragment sets the batch flag. The
-receiver queues a completed batch's messages in send order, and drops a batch
-whose length prefixes do not tile its payload exactly. So a handshake leg of
-several messages costs one round trip, not one per message.
+message travels as it is. Two or more travel as a batch, and every fragment
+sets the batch flag: each message but the last is preceded by its 2-byte
+big-endian length, and the last runs to the end of the payload. A last
+message that opens with what reads as the length of a non-empty message
+within it keeps its prefix, so a batch splits one way only; a handshake
+message opens with its tag byte, so one under 258 bytes never does. The
+receiver queues a completed batch's messages in send order, and drops a
+batch that does not split so into two or more non-empty messages, or whose
+last message has a prefix it does not need. So a handshake leg of several
+messages costs one round trip, not one per message.
 
 The ARQ window is the whole message: every fragment goes out at once, and
 one timer waits for all their ACKs. When it fires, only the fragments still
@@ -323,25 +328,32 @@ def _payload(messages: tuple[bytes, ...]) -> tuple[bytes, int]:
         raise TransportError("cannot send an empty message")
     if len(messages) == 1:
         return messages[0], 0
-    if any(len(m) > 0xFFFF for m in messages):
+    *prefixed, last = messages
+    if _opens_with_length(last):
+        prefixed, last = messages, b""
+    if any(len(m) > 0xFFFF for m in prefixed):
         raise TransportError("a batched message is limited to 65535 bytes")
-    return b"".join(_LENGTH.pack(len(m)) + m for m in messages), FLAG_BATCH
+    return b"".join(_LENGTH.pack(len(m)) + m for m in prefixed) + last, FLAG_BATCH
+
+
+def _opens_with_length(raw: bytes) -> bool:
+    """`raw` opens with the 2-byte length of a non-empty message within it, which
+    a batch's reader takes for a length prefix."""
+    return len(raw) > _LENGTH.size and 0 < _LENGTH.unpack_from(raw)[0] <= len(raw) - _LENGTH.size
 
 
 def _unbatch(payload: bytes) -> list[bytes]:
-    """Split a batch payload; FrameError unless its length prefixes tile it exactly."""
-    messages, offset = [], 0
-    while offset < len(payload):
-        if offset + _LENGTH.size > len(payload):
-            raise FrameError("batch ends inside a length prefix")
-        (length,) = _LENGTH.unpack_from(payload, offset)
-        offset += _LENGTH.size
-        if length == 0:
-            raise FrameError("batch holds an empty message")
-        if offset + length > len(payload):
-            raise FrameError(f"batch entry of {length} bytes overruns the payload")
-        messages.append(payload[offset : offset + length])
-        offset += length
+    """Split a batch payload into the messages _payload batched; FrameError unless
+    it holds two or more, and the last has a prefix only if it needs one."""
+    messages, rest = [], payload
+    while _opens_with_length(rest):
+        end = _LENGTH.size + _LENGTH.unpack_from(rest)[0]
+        messages.append(rest[_LENGTH.size : end])
+        rest = rest[end:]
+    if rest:
+        messages.append(rest)
+    elif not _opens_with_length(messages[-1]):
+        raise FrameError("the last message of a batch spelled with its length prefix")
     if len(messages) < 2:
         raise FrameError("batch of fewer than two messages")
     return messages
@@ -617,23 +629,28 @@ class Messenger:
     k - 1 idle ACK turnarounds, with the same data frames and airtime. Its
     fragments arrive in the same tick on a lossless link, so they draw one
     ACK, not k. A batch of m messages saves m - 1 round trips the same way. It
-    costs 2 bytes of length prefix per message, and may need fewer fragments
-    than m sends would: only its last fragment is partly filled. A reply sent
-    in the tick its request is delivered saves the rest of that request's
-    round trip: a chain of n messages that each answer the one before, every
-    one delivered at its first try, costs n + 1 ticks on a link that never
-    reorders, not 2n. It costs one ACK frame, not n, when each reply's last
-    fragment has room for the ACK of the message it answers: the first n - 1
-    ACKs ride the replies, and only the last goes alone.
+    costs 2 bytes of length prefix per message but the last, and may need
+    fewer fragments than m sends would: only its last fragment is partly
+    filled. A reply sent in the tick its request is delivered saves the rest
+    of that request's round trip: a chain of n messages that each answer the
+    one before, every one delivered at its first try, costs n + 1 ticks on a
+    link that never reorders, not 2n. It costs one ACK frame, not n, when
+    each reply's last fragment has room for the ACK of the message it
+    answers: the first n - 1 ACKs ride the replies, and only the last goes
+    alone.
 
     Each endpoint numbers its own messages, and keeps one in flight, with its
-    bitmap and timer; it ignores ACKs for any other id. A receiver keeps the
-    id of the last message it delivered and at most one partial message. One
-    rule, in _receive_state, sorts every data frame that arrives: a copy of
-    the delivered message is acknowledged again, whole; a frame whose id
-    trails that one by 1 to STALE_IDS is a stale copy of an earlier message,
-    dropped with no ACK; any other frame goes into the partial message, which
-    a frame of another message replaces. So state stays bounded on a
+    bitmap and timer; it ignores ACKs for any other id. It keeps the id of its
+    last message the peer acknowledged whole, and send refuses, with
+    TransportError, a message whose id trails that one by 0 to STALE_IDS,
+    which the peer would take for a copy: after 65,533 sends in a row that
+    gave up, as TCP and DTLS stop before their sequence space wraps. A
+    receiver keeps the id of the last message it delivered and at most one
+    partial message. One rule, in _receive_state, sorts every data frame that
+    arrives: a copy of the delivered message is acknowledged again, whole; a
+    frame whose id trails that one by 1 to STALE_IDS is a stale copy of an
+    earlier message, dropped with no ACK; any other frame goes into the
+    partial message, which a frame of another message replaces. So state stays bounded on a
     long-lived link, and each message is delivered exactly once, in send
     order: tests/test_transport.py's ExactlyOnce state machine checks that on
     long-lived lossy, reordering links, with traffic both ways and ids across
@@ -645,6 +662,7 @@ class Messenger:
         self.endpoint = endpoint
         self.failure: DeliveryError | None = None  # set when the last send gave up
         self._sent_id = 0  # the id of the last message this endpoint sent
+        self._acked_id = 0  # the id of the last one the peer acknowledged whole
         self._delivered: int | None = None  # the id of the last message it delivered
         self._partial: _ReceiveState | None = None
         self._ack_due: list[int] = []
@@ -663,6 +681,11 @@ class Messenger:
             raise TransportError(f"message {self._sending.message_id} is still in flight")
         payload, flags = _payload(messages)
         message_id = (self._sent_id + 1) % 0x10000
+        if (self._acked_id - message_id) % 0x10000 <= STALE_IDS:
+            raise TransportError(
+                f"message id {message_id} would read as a copy of message {self._acked_id},"
+                " the last the peer acknowledged"
+            )
         frames = fragment(payload, self.link.profile.mtu, message_id, flags)
         count = len(frames)
         if count > _ackable_fragments(self.link.profile.mtu):
@@ -704,7 +727,7 @@ class Messenger:
         if out is None:
             return
         if out.acked == (1 << out.fragments) - 1:
-            self._sending = None
+            self._sending, self._acked_id = None, out.message_id
             return
         if self.link.now < out.deadline:
             return

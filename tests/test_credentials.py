@@ -12,6 +12,7 @@ from tinyssi.credentials import (
     CredentialError,
     Presentation,
     RevocationRegistry,
+    Verdict,
     VerifiableCredential,
     commitment_hash,
     issue,
@@ -119,6 +120,11 @@ class TestIssue:
 
 
 class TestVerifyCredential:
+    @pytest.mark.parametrize("ok, reason", [(False, None), (True, "revoked"), (True, "")])
+    def test_a_verdict_has_a_reason_exactly_when_it_fails(self, ok, reason):
+        with pytest.raises(CredentialError):
+            Verdict(ok, reason)
+
     def test_fresh_credential_is_valid(self):
         sign_kp, issuer, _, resolver, _ = make_issuer()
         vc, _ = issue(sign_kp, issuer, subject_did(), [Claim("type", "Camera")], MONTH, NOW)

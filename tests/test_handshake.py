@@ -6,11 +6,18 @@ and session keys bind these exact bytes, so they must not drift. Regenerate
 only on purpose, from the repository root:
 
     PYTHONPATH=src python tests/test_handshake.py > tests/golden/handshake-messages.json
+
+The README's handshake table gives each message's size from that golden and
+the handshake's totals from the owner-two-devices report golden; this prints
+the figures its last column and the paragraph under it state today:
+
+    PYTHONPATH=src python tests/test_handshake.py --readme-table
 """
 
 import json
 import math
 import re
+import sys
 from dataclasses import fields, replace
 from functools import cache
 from pathlib import Path
@@ -74,7 +81,7 @@ from tinyssi.handshake import (
     respond,
 )
 from tinyssi.identity import (
-    Did, DidDocument, DocumentBody, PublicKeyEntry, format_did, rotate_key,
+    Did, DidDocument, DocumentBody, PublicKeyEntry, _EndpointWire, format_did, rotate_key,
 )
 from tinyssi.resolver import Registry, Resolver
 from tinyssi.wallet import Wallet
@@ -236,6 +243,31 @@ def test_handshake_messages_match_golden():
 # What one LoRa frame carries after the 8-byte frame header.
 LORA_PAYLOAD = transport.PROFILES["lora"].mtu - transport.HEADER_LEN
 README = ROOT / "README.md"
+GOLDEN_REPORT = ROOT / "tests" / "golden" / "owner-two-devices.report.json"
+
+
+def readme_table() -> list[str]:
+    """The README handshake table's current figures, from the goldens: one line
+    per row with its last `bytes (fragments)`, the sender named where the two
+    sides' differ, then the totals of the paragraph under the table."""
+    goldens = json.loads(GOLDEN_MESSAGES.read_text(encoding="utf-8"))
+    figures: dict[int, list[str]] = {}
+    for message in map(bytes.fromhex, goldens["owner-two-devices/step-0"]):
+        figure = f"{len(message)} ({math.ceil(len(message) / LORA_PAYLOAD)})"
+        if figure not in figures.setdefault(message[0], []):
+            figures[message[0]].append(figure)
+    lines = []
+    for tag, stated in figures.items():
+        if len(stated) == 2:  # the responder sends its own first
+            stated = [f"responder {stated[0]}", f"initiator {stated[1]}"]
+        lines.append(f"`0x{tag:02X}` {', '.join(stated)}")
+    (step,) = json.loads(GOLDEN_REPORT.read_text(encoding="utf-8"))["steps"]
+    per_leg = step["fragments_per_message"]
+    lines.append(
+        f"totals: {sum(per_leg)} LoRa data fragments [{','.join(map(str, per_leg))}],"
+        f" {step['frames']} frames, {step['bytes_sent']:,} B, {step['ticks']} ticks"
+    )
+    return lines
 
 
 class TestWireSize:
@@ -244,10 +276,10 @@ class TestWireSize:
     TAGS = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x06, 0x07, 0x07]
     # The responder's CRED_PRESENT spells out its issuer, the context issuer
     # that the initiator's names by null.
-    MESSAGE_BYTES = [147, 145, 73, 73, 26, 215, 181, 21, 21]
+    MESSAGE_BYTES = [135, 133, 73, 73, 25, 214, 180, 19, 19]
     LORA_FRAGMENTS = [1, 1, 1, 2, 1, 1]  # one transport message per leg
-    AIR_BYTES = 972  # data and ACK frames
-    HELLO_MARGIN = 67  # what the largest HELLO leaves of one LoRa fragment's payload
+    AIR_BYTES = 937  # data and ACK frames
+    HELLO_MARGIN = 79  # what the largest HELLO leaves of one LoRa fragment's payload
     FRAMES = 8  # 7 data frames, 5 of them carrying an ACK, and the last leg's ACK alone
     TICKS = 7  # a leg a tick, each answering the one before, and the last ACK's return
 
@@ -272,8 +304,9 @@ class TestWireSize:
         """A peer HELLO omits both copies of its DID, which the reader derives
         from the document, and each default key id, which the reader derives
         from the key, its body's version and retired keys, which the reader
-        restores for a genesis body, and no nonce, so it fits one 214-byte LoRa
-        payload: the owner-two-devices HELLO is 147 B, a margin of 67 B, as the
+        restores for a genesis body, its endpoint's default id and the type its
+        address's scheme names, and no nonce, so it fits one 214-byte LoRa
+        payload: the owner-two-devices HELLO is 135 B, a margin of 79 B, as the
         README says. A reg HELLO carries its DID and no document."""
         hellos = [
             bytes.fromhex(m) for messages in scenario_handshake_messages().values()
@@ -292,7 +325,9 @@ class TestWireSize:
         and credential ids one more in each presentation leg, and the shared
         issuer by reference one more in the initiator's: 24 fragments, where
         sending them all took 31. AUTH_ACK rides the responder's presentation
-        leg, which fills 8 fragments."""
+        leg, which fills 8 fragments. The derived endpoint fields, the verdict
+        as one value, one-field records as their field and the batch's
+        unprefixed last message save 35 B, no fragment."""
         sf12 = transport.LinkProfile(name="lora-sf12", mtu=51)
         make_link = harness.make_link
         with mock.patch.object(
@@ -304,7 +339,7 @@ class TestWireSize:
         (step,) = report.steps
         assert step.outcome == "trusted"
         assert list(step.fragments_per_message) == [4, 4, 2, 8, 5, 1]
-        assert (step.bytes_sent, step.ticks) == (1124, self.TICKS)
+        assert (step.bytes_sent, step.ticks) == (1089, self.TICKS)
 
     def _reg_pairing_on_ble(self, camera_owner):
         """A pairing of two reg devices on BLE, the shape of the fleet-ble
@@ -328,26 +363,26 @@ class TestWireSize:
         return run, link.bytes_on_wire(), [wire.issuer for wire in made], (alice, bob)
 
     def test_same_owner_reg_pairing_on_ble_sends_leg_5_in_one_fragment(self):
-        """The responder's presentation leg, with AUTH_ACK, is 320 B: two
+        """The responder's presentation leg, with AUTH_ACK, is 316 B: two
         236-byte BLE payloads. The initiator's names the shared issuer by
-        null, 206 B, and with its riding ACK is a 214 B packet: one frame,
-        where spelling out the issuer took 240 B and two."""
+        null, 201 B, and with its riding ACK is a 209 B packet: one frame."""
         run, air_bytes, issuers, (alice, _) = self._reg_pairing_on_ble("alice")
         assert run.outcome() == "trusted"
         assert issuers == [alice.did, None]
         assert run.fragments_per_message == [1, 1, 1, 2, 1, 1]
-        assert air_bytes == 824
+        assert air_bytes == 813
 
     def test_cross_owner_reg_pairing_on_ble_spells_the_issuer_out(self):
         """The camera's credential is bob's, not the context issuer alice's, so
-        it travels with its issuer: 240 B, 4 B over one BLE payload, two
-        fragments and the bytes it took before the shared issuer went by
-        reference. The lock's policy wants alice's credentials."""
+        it travels with its issuer: 235 B, within one 236-byte BLE payload. It
+        took 240 B and two fragments before the verdict went as one value, the
+        presentations as the CredPresent itself and the batch's last message
+        without its length prefix. The lock's policy wants alice's credentials."""
         run, air_bytes, issuers, (alice, bob) = self._reg_pairing_on_ble("bob")
         assert run.outcome() == "untrusted(issuer)"
         assert issuers == [alice.did, bob.did]
-        assert run.fragments_per_message == [1, 1, 1, 2, 2, 1]
-        assert air_bytes == 876
+        assert run.fragments_per_message == [1, 1, 1, 2, 1, 1]
+        assert air_bytes == 853
 
     def test_readme_handshake_table_states_the_pinned_figures(self):
         """The README's message table and the paragraph under it give today's
@@ -377,6 +412,21 @@ class TestWireSize:
         assert int(frames) == self.FRAMES
         assert int(air_bytes.replace(",", "")) == self.AIR_BYTES
         assert int(ticks) == self.TICKS
+
+    def test_readme_table_command_prints_the_stated_figures(self):
+        """`--readme-table` prints, from the goldens, the last figure of each row
+        of the README's table, and the pinned totals."""
+        text = README.read_text(encoding="utf-8")
+        *rows, totals = readme_table()
+        assert len(rows) == len(set(self.TAGS))
+        for row in rows:
+            tag, figures = row.split(" ", 1)
+            assert re.search(rf"^\| {tag} \|.*→ {re.escape(figures)} \|$", text, re.M), row
+        assert totals == (
+            f"totals: {sum(self.LORA_FRAGMENTS)} LoRa data fragments"
+            f" [{','.join(map(str, self.LORA_FRAGMENTS))}], {self.FRAMES} frames,"
+            f" {self.AIR_BYTES:,} B, {self.TICKS} ticks"
+        )
 
     def test_readme_scenarios_paragraph_states_the_pinned_figures(self):
         """The Scenarios section's step description gives the same totals."""
@@ -912,7 +962,7 @@ class TestTotality:
         (opening,) = wire[slot(PresentationWire, "disclosed")]
         # None: the owner DID written as text, where its wire bytes must travel.
         opening[slot(ClaimOpening, "value")] = str(household[0].did) if value is None else value
-        record = session_r._seal(MSG_CRED_PRESENT, cbor_bytes([[wire]]))  # [presentations]
+        record = session_r._seal(MSG_CRED_PRESENT, cbor_bytes([wire]))  # the presentations
         assert session_i.step(record, NOW) != []
         assert (session_i.state, session_i.failure_reason) == (State.FAILED, "protocol")
 
@@ -988,6 +1038,30 @@ class TestTotality:
         assert session_r.step(bytes([MSG_HELLO]) + body, NOW) != []
         assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
 
+    @pytest.mark.parametrize("body, reason", [
+        ("auth", "peer: auth"), (["auth"], "peer: unspecified"),
+    ], ids=["reason", "reason-in-an-array-of-one"])
+    def test_error_travels_as_its_reason(self, household, body, reason):
+        cfg_i, _, _ = household_configs(household)
+        session_i, _ = initiate(cfg_i, now=NOW)
+        assert session_i.step(bytes([MSG_ERROR]) + cbor_bytes(body), NOW) == []
+        assert (session_i.state, session_i.failure_reason) == (State.FAILED, reason)
+
+    # The i-th endpoint's default id, `ep-<i>`, and a type that is its
+    # address's scheme travel as null: spelled out, or a null type for an
+    # address with no scheme, they do not decode.
+    @pytest.mark.parametrize("field, value", [
+        ("endpoint_id", "ep-1"), ("type", "sim-link"), ("address", "camera"),
+    ], ids=["default-id-spelled-out", "scheme-type-spelled-out", "null-type-without-scheme"])
+    def test_endpoint_in_a_second_spelling_fails_protocol(self, household, field, value):
+        def edit(body):
+            (endpoint,) = body[slot(Hello, "document")][slot(DocumentBody, "service_endpoints")]
+            assert endpoint == [None, None, "sim-link://camera"]
+            endpoint[slot(_EndpointWire, field)] = value
+
+        session_r = self._hello_with(edit, *household_configs(household)[:2])
+        assert (session_r.state, session_r.failure_reason) == (State.FAILED, "protocol")
+
     def test_error_message_that_is_not_a_mapping(self, household):
         cfg_i, _, _ = household_configs(household)
         session_i, _ = initiate(cfg_i, now=NOW)
@@ -996,7 +1070,7 @@ class TestTotality:
 
     def test_presentations_not_a_list_fails_protocol(self, household):
         session_i, session_r, _ = secure_pair(household)
-        record = session_r._seal(MSG_CRED_PRESENT, cbor_bytes([5]))  # [presentations]
+        record = session_r._seal(MSG_CRED_PRESENT, cbor_bytes(5))  # the presentations
         session_i.step(record, NOW)
         assert (session_i.state, session_i.failure_reason) == (State.FAILED, "protocol")
 
@@ -1004,11 +1078,18 @@ class TestTotality:
     @pytest.mark.parametrize("tag, body", [
         (MSG_AUTH, lambda auth: auth + [1]),              # [key_id, signature, extra]
         (MSG_AUTH, lambda auth: [auth[0], bytes(63)]),
-        (MSG_CRED_PRESENT, lambda _: []),
-        (MSG_CRED_PRESENT, lambda _: [[[5, []]]]),        # [[[credential, disclosed]]]
-        (MSG_TRUST_RESULT, lambda _: [True, 5]),          # [ok, reason]
+        (MSG_CRED_PRESENT, lambda _: None),               # presentations
+        (MSG_CRED_PRESENT, lambda _: [[5, []]]),          # [[credential, disclosed]]
+        (MSG_TRUST_RESULT, lambda _: 5),                  # null or the reason
+        # The second spelling of a verdict, and of a one-field record.
+        (MSG_TRUST_RESULT, lambda _: [True, None]),
+        (MSG_TRUST_RESULT, lambda _: [False, "x"]),
+        (MSG_CRED_REQUEST, lambda _: [["owner"]]),
+        (MSG_CRED_PRESENT, lambda _: [[]]),
     ], ids=["auth-extra-field", "auth-short-signature", "present-without-presentations",
-            "present-undecodable", "result-reason-not-a-string"])
+            "present-undecodable", "result-reason-not-a-string", "result-as-ok-and-no-reason",
+            "result-as-failure-and-reason", "request-in-an-array-of-one",
+            "presentations-in-an-array-of-one"])
     def test_body_that_does_not_decode_fails_protocol(self, household, tag, body):
         cfg_i, cfg_r, _ = household_configs(household)
         if tag == MSG_AUTH:
@@ -1068,10 +1149,17 @@ class TestTotality:
         value = cbor_bytes(data.draw(_CBOR, label="value"))
         not_wire = data.draw(_NOT_WIRE, label="not wire")
         actor = data.draw(st.sampled_from([alice, camera, lock]), label="doc")
-        document = pack(actor.document.body())
+        document = from_cbor(pack(actor.document.body()))
+        # The body's endpoints: each slot null (derived), its default spelled
+        # out, or drawn, and an address with or without a scheme.
+        document[slot(DocumentBody, "service_endpoints")] = data.draw(st.lists(st.tuples(
+            st.sampled_from([None, "ep-1", "ep-2"]) | st.text(max_size=4),
+            st.sampled_from([None, "sim-link"]) | st.text(max_size=4),
+            st.sampled_from([f"sim-link://{actor.name}", "no-scheme"]) | st.text(max_size=6),
+        ).map(list), max_size=2), label="endpoints")
         # A peer HELLO's layout: no DID, a document without its id, then the
-        # drawn value and another as ephemeral key and nonce.
-        hello_layout = b"\x84\xf6" + document + value + cbor_bytes(data.draw(_CBOR, label="nonce"))
+        # drawn value as ephemeral key.
+        hello_layout = b"\x83\xf6" + cbor_bytes(document) + value
         # The camera's presentation with a drawn issuer slot, null slots and openings.
         wire = owner_wire(camera)
         wire[slot(PresentationWire, "issuer")] = data.draw(
@@ -1084,9 +1172,12 @@ class TestTotality:
         wire[slot(PresentationWire, "disclosed")] = data.draw(st.lists(
             st.sampled_from(from_cbor(pack(stored.openings))), max_size=3,
         ), label="openings")
-        presentations = cbor_bytes([[wire]])  # [presentations]
+        presentations = cbor_bytes([wire])
+        # A verdict: null (trusted) or a reason.
+        verdict = cbor_bytes(data.draw(st.none() | st.text(max_size=8), label="verdict"))
         shaped = {
             MSG_HELLO: hello_layout, MSG_HELLO_ACK: hello_layout, MSG_CRED_PRESENT: presentations,
+            MSG_TRUST_RESULT: verdict,
         }.get(tag, value)
         body = data.draw(st.just(shaped) | st.sampled_from([
             value,
@@ -1248,7 +1339,7 @@ class TestDerivedFields:
         session_i, session_r, _ = secure_pair(household)
         wire = owner_wire(household[2])
         edit(wire)
-        record = session_r._seal(MSG_CRED_PRESENT, cbor_bytes([[wire]]))  # [presentations]
+        record = session_r._seal(MSG_CRED_PRESENT, cbor_bytes([wire]))  # the presentations
         assert session_i.step(record, NOW) != []
         return session_i
 
@@ -1262,7 +1353,7 @@ class TestDerivedFields:
         context = household[0].did if responder_presents else None
         wire = owner_wire(household[1], context)
         edit(wire)
-        record = session_i._seal(MSG_CRED_PRESENT, cbor_bytes([[wire]]))  # [presentations]
+        record = session_i._seal(MSG_CRED_PRESENT, cbor_bytes([wire]))  # the presentations
         assert session_r.step(record, NOW) != []
         return session_r
 
@@ -1753,4 +1844,7 @@ class TestEndToEndPolicies:
 
 
 if __name__ == "__main__":
-    print(json.dumps(scenario_handshake_messages(), indent=1, sort_keys=True))
+    if sys.argv[1:] == ["--readme-table"]:
+        print("\n".join(readme_table()))
+    else:
+        print(json.dumps(scenario_handshake_messages(), indent=1, sort_keys=True))

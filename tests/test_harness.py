@@ -422,10 +422,12 @@ class TestPipelinedLegs:
         # fragment fields) and the genesis-only HELLO body, the bytes were 384,526.
         # Before the initiator's presentation named the shared issuer by null
         # (its leg two fragments, not one), they were 3,497 frames, 366,714
-        # bytes and 6,202 ticks.
+        # bytes and 6,202 ticks. Before the derived endpoint fields, the
+        # one-value verdict, the one-field records and the batch's unprefixed
+        # last message, the bytes were 353,385.
         steps = report.steps
         assert sum(s.frames for s in steps) == 3018
-        assert sum(s.bytes_sent for s in steps) == 353385
+        assert sum(s.bytes_sent for s in steps) == 340754
         assert sum(s.ticks for s in steps) == 5860
         assert outcomes.count("delivery-failed") == 0
 

@@ -78,6 +78,7 @@ from tinyssi.identity import (
     PublicKeyEntry,
     RetiredKey,
     ServiceEndpoint,
+    _EndpointWire,
     generate_peer_did,
 )
 from tinyssi.resolver import Registry, RegistryError, RegistryRecord
@@ -151,7 +152,14 @@ default_keys = st.builds(
     purposes, publics,
 )
 keys = st.builds(PublicKeyEntry, key_id=texts, purpose=purposes, public=publics) | default_keys
-endpoints = st.builds(ServiceEndpoint, endpoint_id=texts, type=texts, address=texts)
+# An endpoint whose id may be the default of its place in a body, `ep-<i>`, and
+# whose type may be its address's URI scheme: in a body each travels as null.
+endpoints = st.builds(
+    ServiceEndpoint,
+    endpoint_id=texts | st.sampled_from(["ep-1", "ep-2"]),
+    type=texts | st.just("sim-link"),
+    address=texts | st.sampled_from(["sim-link://camera", "sim-link:", "camera"]),
+)
 retired = st.builds(RetiredKey, key_id=texts, public=st.binary(min_size=32, max_size=32),
                     retired_at=ints)
 # DID-like text that is not DID text of a method with a wire form.
@@ -178,6 +186,8 @@ issued_vc_ids = st.builds(_VC_ID.read, st.binary(min_size=8, max_size=8))
 issuer_openings = st.builds(
     IssuerOpening, name=texts, value=st.none(), salt=st.binary(min_size=16, max_size=16)
 )
+# A verdict has a reason exactly when it is a failure.
+verdicts = st.just(Verdict(True)) | texts.map(lambda reason: Verdict(False, reason))
 
 
 @st.composite
@@ -235,8 +245,12 @@ def record_strategies(dids, documents):
     )
     bodies = documents.map(DidDocument.body)
     return {
+        "Did": dids,
         "PublicKeyEntry": keys,
         "ServiceEndpoint": endpoints,
+        "_EndpointWire": st.builds(
+            _EndpointWire, endpoint_id=st.none() | texts, type=st.none() | texts, address=texts
+        ),
         "RetiredKey": retired,
         "DidDocument": documents,
         "DocumentBody": bodies,
@@ -263,7 +277,7 @@ def record_strategies(dids, documents):
         "Auth": st.builds(Auth, verification_key_id=key_ids, signature=signatures),
         "CredRequest": st.builds(CredRequest, want=tuples(texts)),
         "CredPresent": st.builds(CredPresent, presentations=tuples(presentation_wires)),
-        "Verdict": st.builds(Verdict, ok=st.booleans(), reason=st.none() | texts),
+        "Verdict": verdicts,
         "Error": st.builds(Error, reason=texts),
         "ScenarioActor": st.builds(ScenarioActor, name=texts, role=texts, did_method=texts,
                                    owner=st.none() | texts),
@@ -298,10 +312,9 @@ def _travels_as(tp):
 
 
 def travelling_records() -> list[str]:
-    """The names of every record a handshake message carries. A type whose wire
-    form is no record (a DID) is a leaf."""
-    records = (tp for tp in travelling_types() if dataclasses.is_dataclass(_travels_as(tp)))
-    return sorted(tp.__name__ for tp in records)
+    """The names of every record type a handshake message carries, whatever its
+    wire form: a DID travels as bytes and a verdict as null or text."""
+    return sorted(tp.__name__ for tp in travelling_types() if dataclasses.is_dataclass(tp))
 
 
 def _types_in(hint):
@@ -390,6 +403,8 @@ FORMS = {
     # A genesis body with the version and retired keys its reader restores.
     "DocumentBody": (DocumentBody, WIRE_RECORDS["DocumentBody"],
                      lambda body: [*from_cbor(pack(body)), 1, []]),
+    # A verdict as the record [ok, reason], where null or the reason is due.
+    "Verdict": (Verdict, verdicts, lambda verdict: [verdict.ok, verdict.reason]),
 }
 # A one-field record per form, so the codec reads each as it reads a declared field.
 HOLDERS = {
@@ -412,7 +427,7 @@ def test_a_form_round_trips_and_refuses_a_second_spelling(name, data):
     value = data.draw(values)
     raw = pack(holder(value))
     assert unpack(holder, raw) == holder(value)
-    other = cbor_bytes([second_spelling(value)])
+    other = cbor_bytes(second_spelling(value))  # a record of one field travels as that field
     assert other != raw
     with pytest.raises(EncodingError):
         unpack(holder, other)
@@ -426,6 +441,8 @@ def test_every_message_record_is_walked():
     # A presentation travels as its wire record, its credential never whole.
     assert {"Presentation", "VerifiableCredential"}.isdisjoint(TRAVELLING)
     assert "ScenarioLink" not in TRAVELLING
+    # A body's endpoint travels as what its place in the body leaves of it.
+    assert "_EndpointWire" in TRAVELLING and "ServiceEndpoint" not in TRAVELLING
 
 
 def test_no_message_carries_a_document_with_its_did():
@@ -657,7 +674,11 @@ KEY_SHARE = b"\x58\x20" + bytes(32)   # the ephemeral key: a fresh one is the se
 def test_wire_form_of_a_record_is_an_array_of_its_fields():
     assert pack(AUTH) == b"\x82" + b"\x61k" + SIGNATURE
     assert unpack(Auth, b"\x82" + b"\x61k" + SIGNATURE) == AUTH
-    assert pack(Verdict(False)) == b"\x82\xf4\xf6"
+    # A record of one field travels as that field, and a verdict as null or its reason.
+    assert pack(CredRequest(("a",))) == b"\x81\x61a"
+    assert pack(Error("x")) == b"\x61x"
+    assert pack(Verdict(True)) == b"\xf6"
+    assert pack(Verdict(False, "x")) == b"\x61x"
 
 
 def test_a_did_travels_as_its_method_byte_and_raw_id():
@@ -707,6 +728,29 @@ def test_only_a_peer_document_travels():
             Hello(did, document, bytes(32))
 
 
+def test_an_endpoint_travels_without_its_default_id_and_scheme_type():
+    # The i-th endpoint's id is null when it is `ep-<i>`, and its type when it
+    # is its address's URI scheme; an address without a scheme keeps its type.
+    endpoints = (
+        ServiceEndpoint("ep-1", "sim-link", "sim-link://a"),
+        ServiceEndpoint("ep-1", "http", "sim-link://b"),
+        ServiceEndpoint("ep-3", "sim-link", "camera"),
+    )
+    body = replace(HELLO.document, service_endpoints=endpoints)
+    assert from_cbor(pack(body))[1] == [
+        [None, None, "sim-link://a"],
+        ["ep-1", "http", "sim-link://b"],
+        [None, "sim-link", "camera"],
+    ]
+    assert unpack(DocumentBody, pack(body)) == body
+
+
+def _body_with_endpoint(endpoint: list) -> bytes:
+    """HELLO's genesis body on the wire, with this one endpoint."""
+    keys, _ = from_cbor(pack(HELLO.document))
+    return cbor_bytes([keys, [endpoint]])
+
+
 def _with_did_byte(raw: bytes, method_byte: int) -> bytes:
     """A reg HELLO's wire bytes with the DID's method byte replaced."""
     return raw[:3] + bytes([method_byte]) + raw[4:]
@@ -715,7 +759,7 @@ def _with_did_byte(raw: bytes, method_byte: int) -> bytes:
 @pytest.mark.parametrize("tp, raw", [
     (Auth, b"\x82" + b"\x41k" + SIGNATURE),
     (Auth, b"\x82" + b"\x61k" + b"\x78\x40" + b"0" * 64),
-    (Verdict, b"\x82\x01\xf6"),
+    (bool, b"\x01"),
     (Auth, b"\x81\x61k"),
     (Auth, b"\x83\x61k" + SIGNATURE + b"\x00"),
     (Auth, b"\x82" + b"\x78\x01k" + SIGNATURE),
@@ -734,11 +778,11 @@ def _with_did_byte(raw: bytes, method_byte: int) -> bytes:
     (Auth, b"\x82" + b"\x61k" + b"\x58\x3f" + bytes(63)),
     (Auth, b"\x9f" + b"\x61k" + SIGNATURE + b"\xff"),
     (Auth, b"\xd8\x18" + pack(AUTH)),
-    (Verdict, b"\x82\xf5\xa1\x61a\x61b"),
-    (Verdict, b"\x82\xf5\xf9\x3e\x00"),
-    (Verdict, b"\x82\xf5\xfa" + struct.pack(">f", 1.5)),
-    (Verdict, b"\x82\xf5\xfb" + struct.pack(">d", 1.5)),
-    (Verdict, b"\x82\xf5\xf7"),
+    (Verdict, b"\xa1\x61a\x61b"),
+    (Verdict, b"\xf9\x3e\x00"),
+    (Verdict, b"\xfa" + struct.pack(">f", 1.5)),
+    (Verdict, b"\xfb" + struct.pack(">d", 1.5)),
+    (Verdict, b"\xf7"),
     (PublicKeyEntry, cbor_bytes([None, len(crypto.PURPOSES), bytes(32)])),
     (PublicKeyEntry, cbor_bytes([None, -1, bytes(32)])),
     (PublicKeyEntry, cbor_bytes([crypto.default_key_id(crypto.PURPOSE_SIGN, bytes(32)), 0,
@@ -749,6 +793,14 @@ def _with_did_byte(raw: bytes, method_byte: int) -> bytes:
     (Auth, cbor_bytes([crypto.default_key_id(crypto.PURPOSE_SIGN, bytes(32)), bytes(64)])),
     (Proof, cbor_bytes([bytes(3), bytes(64)])),
     (IssuerOpening, cbor_bytes(["owner", PEER_DID.to_wire(), bytes(16)])),
+    (Verdict, cbor_bytes([True, None])),
+    (Verdict, cbor_bytes([False, "x"])),
+    (CredRequest, cbor_bytes([["a"]])),
+    (CredPresent, cbor_bytes([[]])),
+    (Error, cbor_bytes(["x"])),
+    (DocumentBody, _body_with_endpoint(["ep-1", None, "sim-link://a"])),
+    (DocumentBody, _body_with_endpoint([None, "sim-link", "sim-link://a"])),
+    (DocumentBody, _body_with_endpoint([None, None, "camera"])),
 ], ids=[
     "major-type-bytes-for-text", "major-type-text-for-bytes", "major-type-int-for-bool",
     "field-count-short", "field-count-long",
@@ -764,6 +816,10 @@ def _with_did_byte(raw: bytes, method_byte: int) -> bytes:
     "purpose-index-past-the-end", "negative-purpose-index", "default-key-id-spelled-out",
     "did-value-of-unknown-method-byte", "did-value-without-id", "did-value-as-text",
     "default-shaped-key-id-spelled-out", "key-id-prefix-of-3-bytes", "issuer-value-not-null",
+    "verdict-as-ok-and-null", "verdict-as-failure-and-reason",
+    "request-in-an-array-of-one", "presentations-in-an-array-of-one", "error-in-an-array-of-one",
+    "endpoint-default-id-spelled-out", "endpoint-scheme-type-spelled-out",
+    "endpoint-null-type-without-scheme",
 ])
 def test_unpack_rejects(tp, raw):
     with pytest.raises(EncodingError):

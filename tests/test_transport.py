@@ -46,8 +46,8 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 LOSSY_TRACE = FIXTURES / "lora-loss0.2-reorder0.1-seed12.trace"
 
 
-def batch_payload(*entries: bytes) -> bytes:
-    """Each entry preceded by its 2-byte big-endian length."""
+def prefixed(*entries: bytes) -> bytes:
+    """Each entry preceded by its 2-byte big-endian length, the last one too."""
     return b"".join(len(e).to_bytes(2, "big") + e for e in entries)
 
 
@@ -566,11 +566,31 @@ class TestBatch:
         assert received == [b"abc"]
 
     def test_batch_payload_is_length_prefixed_messages(self):
-        frames, _, received, _ = self._sent_frames(b"abc", b"de")
+        # Each message but the last has its length prefix; the last runs to the end.
+        frames, _, received, _ = self._sent_frames(b"abc", b"fg", b"de")
         assert [(f.flags, f.payload) for f in frames] == [
-            (FLAG_BATCH, b"\x00\x03abc\x00\x02de")
+            (FLAG_BATCH, b"\x00\x03abc\x00\x02fgde")
         ]
-        assert received == [b"abc", b"de"]
+        assert received == [b"abc", b"fg", b"de"]
+
+    @pytest.mark.parametrize("last", [b"\x00\x01x", b"\x00\x02xy", b"\x00\x01xyz"],
+                             ids=["exactly", "exactly-2", "and-more"])
+    def test_last_message_that_opens_with_a_length_keeps_its_prefix(self, last):
+        # It reads as the length of a non-empty message within it, so without
+        # its prefix the batch would split another way.
+        frames, _, received, _ = self._sent_frames(b"abc", last)
+        assert [f.payload for f in frames] == [prefixed(b"abc", last)]
+        assert received == [b"abc", last]
+
+    @pytest.mark.parametrize(
+        "last", [b"\x00\x00x", b"\x00\x02x", b"\x00", b"\x07\x01" + bytes(17)],
+        ids=["zero-length", "overrun", "one-byte", "tag-byte-first"],
+    )
+    def test_last_message_that_reads_as_no_length_goes_without_a_prefix(self, last):
+        # A zero length, or one that overruns it, is no prefix a reader could take.
+        frames, _, received, _ = self._sent_frames(b"abc", last)
+        assert [f.payload for f in frames] == [prefixed(b"abc") + last]
+        assert received == [b"abc", last]
 
     def test_batch_is_one_message_with_one_timer(self):
         messages = [Random(i).randbytes(size) for i, size in enumerate((37, 376, 300))]
@@ -578,8 +598,8 @@ class TestBatch:
         assert received == messages
         assert {f.message_id for f in frames} == {1}
         assert all(f.flags & FLAG_BATCH for f in frames)
-        # 3 * 2 B of lengths + 713 B of messages: 4 LoRa fragments, one round trip.
-        assert fragments == len(frames) == math.ceil(719 / 214) == 4
+        # 2 * 2 B of lengths + 713 B of messages: 4 LoRa fragments, one round trip.
+        assert fragments == len(frames) == math.ceil(717 / 214) == 4
         assert link.now == link.round_trip_ticks
 
     @pytest.mark.parametrize(
@@ -1010,7 +1030,8 @@ class TestMessageIds:
         link = make_link("lora", seed=1)
         sender = Messenger(link, "A")
         receiver = Messenger(link, "B")
-        sender._sent_id = 0xFFFE  # the counter wraps between the deliveries below
+        # The counter wraps between the deliveries below.
+        sender._sent_id = sender._acked_id = 0xFFFE
         for message in (b"first", b"second", b"third"):
             before = data_frames(link)
             assert deliver(sender, message) == 1
@@ -1028,7 +1049,7 @@ class TestMessageIds:
         sender = Messenger(link, "A")
         receiver = Messenger(link, "B")
         ids = [(last + k) % 0x10000 for k in range(-STALE_IDS, 2)]  # e.g. 8, 9, 10, 11
-        sender._sent_id = (ids[0] - 1) % 0x10000
+        sender._sent_id = sender._acked_id = (ids[0] - 1) % 0x10000
         for message_id in ids[:-1]:
             deliver(sender, message_id.to_bytes(2, "big"))
         assert drain(receiver) == [i.to_bytes(2, "big") for i in ids[:-1]]
@@ -1042,6 +1063,30 @@ class TestMessageIds:
         assert link.malformed_frames == 0
         replies = [(e.kind, e.message_id, e.acked) for e in link.trace[before:] if e.src == "B"]
         assert replies == [("ack", last, None), ("ack", ids[-1], None)]  # whole ACKs
+
+    @pytest.mark.parametrize("gave_up", [65532, 65533, 65534, 65535])
+    def test_send_the_peer_would_take_for_a_copy_is_refused(self, gave_up):
+        """After `gave_up` sends in a row that the peer never acknowledged, the
+        next id trails the last one it acknowledged by 65,535 - gave_up. Within
+        STALE_IDS of it, the peer would acknowledge the message as a copy or
+        drop it as stale, and never deliver it, so send refuses it before it
+        transmits anything."""
+        link = make_link("lora", seed=1)
+        sender = Messenger(link, "A")
+        receiver = Messenger(link, "B")
+        deliver(sender, b"first")
+        assert receiver.receive() == b"first"
+        assert sender._acked_id == receiver._delivered == 1
+        sender._sent_id = (1 + gave_up) % 0x10000  # as if those sends gave up unheard
+        before = len(link.trace)
+        if 0xFFFF - gave_up <= STALE_IDS:
+            with pytest.raises(TransportError, match="copy of message 1"):
+                sender.send(b"next")
+            assert len(link.trace) == before and sender.idle
+            assert sender._sent_id == (1 + gave_up) % 0x10000
+        else:
+            deliver(sender, b"next")
+            assert receiver.receive() == b"next"
 
     def test_state_stays_bounded_over_many_messages(self):
         link = make_link("lora", loss=0.1, reorder=0.1, seed=6)
@@ -1125,7 +1170,7 @@ class ExactlyOnce(RuleBasedStateMachine):
         self.link = make_link(profile, loss=loss, reorder=reorder, seed=seed)
         self.ends = {name: Messenger(self.link, name) for name in self.link.endpoints}
         for messenger, last_id in zip(self.ends.values(), last_ids):
-            messenger._sent_id = last_id
+            messenger._sent_id = messenger._acked_id = last_id
         self.sent = {name: {} for name in self.ends}  # message -> its place in send order
         self.queued = {name: deque() for name in self.ends}
         self.in_flight = {name: [] for name in self.ends}
@@ -1249,12 +1294,15 @@ class TestMalformedFrames:
     @pytest.mark.parametrize(
         "payload",
         [
-            batch_payload(b"ab", b"cd")[:-1],  # the last entry overruns the payload
-            batch_payload(b"ab", b"cd") + b"\x00",  # a 1-byte tail
-            batch_payload(b"ab", b""),  # a zero-length entry
-            batch_payload(b"ab"),  # one message is never batched
+            b"\x00\x03ab",  # the first entry overruns the payload: one message
+            prefixed(b"ab", b"c"),  # a 1-byte tail keeps a prefix it does not need
+            b"\x00\x00ab",  # a zero length is no prefix: one message
+            prefixed(b"ab"),  # one message is never batched
+            prefixed(b"ab", b"cd"),  # the last message keeps a prefix it does not need
+            prefixed(b"ab", b"cd", b"ef"),
         ],
-        ids=["overrun", "one-byte-tail", "zero-length-entry", "single-entry"],
+        ids=["overrun", "one-byte-tail", "zero-length-entry", "single-entry", "prefixed-last",
+             "prefixed-last-of-three"],
     )
     def test_batch_that_does_not_split_dropped(self, payload):
         bad = Frame(FLAG_BATCH, 0x7777, 0, 1, payload)
@@ -1263,7 +1311,7 @@ class TestMalformedFrames:
         assert [e.kind for e in link.trace if e.message_id == 0x7777] == ["data", "ack"] * 2
 
     def test_batch_split_across_frames_that_does_not_split_dropped(self):
-        payload = batch_payload(b"ab", b"cd") + b"\x00"
+        payload = prefixed(b"ab", b"cd")  # the last message keeps a prefix it does not need
         first = Frame(FLAG_BATCH, 0x7777, 0, 2, payload[:4])
         self._inject_then_deliver("A", Frame(FLAG_BATCH, 0x7777, 1, 2, payload[4:]),
                                   prelude=[first])
