@@ -38,6 +38,7 @@ from .identity import (
     METHOD_PEER,
     METHOD_REG,
     ServiceEndpoint,
+    _scheme,
     format_did,
     parse_did,
 )
@@ -115,13 +116,19 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_did_create(args) -> int:
+    endpoints = ()
+    if args.endpoint:
+        scheme = _scheme(args.endpoint)
+        if not scheme:
+            reason = f"endpoint {args.endpoint!r} has no URI scheme to be its type"
+            return _fail(EXIT_VALIDATION, reason)
+        endpoints = (ServiceEndpoint("ep-1", scheme, args.endpoint),)
     w = _unlock(args)
     registry = None
     if args.method == METHOD_REG:
         if not args.registry:
             return _fail(EXIT_VALIDATION, "reg method needs --registry")
         registry = Registry.load(args.registry) if Path(args.registry).exists() else Registry()
-    endpoints = (ServiceEndpoint("ep-1", "sim-link", args.endpoint),) if args.endpoint else ()
     try:
         doc = w.create_identity(
             crypto.keygen(crypto.PURPOSE_SIGN), crypto.keygen(crypto.PURPOSE_AGREE),
@@ -378,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = did.add_parser("create")
     p.add_argument("--method", choices=[METHOD_PEER, METHOD_REG], default=METHOD_PEER)
-    p.add_argument("--endpoint", help="service endpoint address")
+    p.add_argument("--endpoint", help="service endpoint address, typed by its URI scheme")
     p.add_argument("--registry", help="registry snapshot for reg method; created if missing")
     _add_wallet_args(p)
     p.set_defaults(func=cmd_did_create)

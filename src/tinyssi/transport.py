@@ -68,11 +68,23 @@ unacknowledged go out again. That is SCHC's ACK-on-Error mode (RFC 8724
 §8.4.3): its retransmission pattern, and its ACK, one for the window, which
 carries a bitmap only to report a hole.
 An ACK states everything the receiver holds, so a later ACK also covers
-fragments whose earlier ACK was lost. The timer is the link's worst-case
-round trip: a frame takes TRANSIT_TICKS each way, plus REORDER_DELAY_TICKS
-when the link reorders it. That is 2 ticks on a link that never reorders and
-6 on one that may. A timer that fires then finds nothing in flight, so it
-never fires on a late ACK.
+fragments whose earlier ACK was lost. A frame takes TRANSIT_TICKS each way,
+plus REORDER_DELAY_TICKS when the link reorders it, and the timer of a round
+depends on what the round carries. A round that carries no ACK due arms the
+link's worst-case round trip, 2 ticks on a link that never reorders and 6 on
+one that may, so its timer never fires on a late ACK. A round that carries an
+ACK due, the ACK of a peer message whose data arrived in the tick, answers a
+peer that is waiting for it, and arms the round trip with at most one of its
+two legs reordered: 2 * TRANSIT_TICKS + REORDER_DELAY_TICKS, 4 ticks on a
+link that may reorder, 2 on one that never does. It fires early, and sends a
+copy the peer already holds, only when the round and its ACK are both
+reordered. In return a lost answer goes out again before the peer's own timer
+fires: on a reordering link, a message sent at tick s and delivered at s + 1
+is answered then and, the answer lost, again at s + 5, so the copy lands at
+s + 6, the tick in which the message's timer fires. Delivery runs first in a
+tick, so the ACK the copy carries ends the message, which is not sent again.
+DTLS 1.3 (RFC 9147 §5.8) and SCHC ACK-on-Error (RFC 8724 §8.4.3) likewise tie
+retransmission to what the peer is known to wait for.
 
 Sending does not block. Messenger.send transmits every fragment, arms the
 timer and returns; SimLink.tick() carries the message to its end. Each tick
@@ -115,8 +127,10 @@ RETRY_LIMIT = 8          # retransmissions per fragment before giving up
 TRANSIT_TICKS = 1        # one-way delay of every delivered frame
 REORDER_DELAY_TICKS = 2  # extra one-way delay of a reordered frame
 # How far behind a receiver's last delivery a stale copy's id can be. The copy
-# lands within a worst-case one-way trip, and each send lasts at least a round
-# trip, so its sender takes at most this many more ids before it lands.
+# lands within a worst-case one-way trip, and each send lasts at least a
+# loss-free round trip, 2 * TRANSIT_TICKS: it ends on an ACK, which takes that
+# long, or gives up after rounds whose timers are all at least that long. So its
+# sender takes at most this many more ids before the copy lands.
 STALE_IDS = math.ceil((TRANSIT_TICKS + REORDER_DELAY_TICKS) / (2 * TRANSIT_TICKS))
 
 _HEAD = struct.Struct(">BBH")  # magic, flags, message_id: every frame's head
@@ -460,6 +474,14 @@ class SimLink:
             one_way += REORDER_DELAY_TICKS
         return 2 * one_way
 
+    @property
+    def answer_round_trip_ticks(self) -> int:
+        """Ticks from transmitting a frame to receiving its ACK when at most one
+        of the two is reordered: the timer of a round that carries an ACK due."""
+        if self.profile.reorder_probability > 0:
+            return 2 * TRANSIT_TICKS + REORDER_DELAY_TICKS
+        return self.round_trip_ticks
+
     def other_end(self, endpoint: str) -> str:
         a, b = self.endpoints
         if endpoint == a:
@@ -589,14 +611,18 @@ class Messenger:
 
     send(*messages) carries its messages as one transport message, batched
     when there are two or more (see the module docstring). It transmits every
-    fragment, arms a timer of one round trip, and returns the message's
-    fragment count; the link's trace logs every frame it sends. It raises
+    fragment, arms the round's timer, and returns the message's fragment
+    count; the link's trace logs every frame it sends. It raises
     TransportError while an earlier message is still in flight: `idle` says
     when there is none. From then on SimLink.tick() drives the message: the
     tick in which the ACKs cover every fragment ends it. When the timer fires
     first, check_timer() sends only the fragments still unacknowledged and
-    arms it again; when a fragment is still unacknowledged after RETRY_LIMIT
-    retransmissions, the send gives up and `failure` holds a DeliveryError.
+    arms it again. Each round's timer is SimLink.answer_round_trip_ticks when
+    an ACK due rides one of its frames, else SimLink.round_trip_ticks: a
+    round that answers a waiting peer recovers from loss in 4 ticks on a
+    reordering link, and any other round waits out the worst case. When a
+    fragment is still unacknowledged after RETRY_LIMIT retransmissions, the
+    send gives up and `failure` holds a DeliveryError.
     The peer's Messenger, attached to the same link, acknowledges each message
     whose data arrived in a tick with one ACK in that tick, whole or a hole
     report; the messages of a completed transport message queue up, in send
@@ -698,24 +724,31 @@ class Messenger:
 
     def _transmit_round(self) -> None:
         out = self._sending
+        carried_due = False
         for frame in out.frames:
-            self._transmit(frame)
+            carried_due |= self._transmit(frame)
         out.rounds += 1
-        out.deadline = self.link.now + self.link.round_trip_ticks
+        out.deadline = self.link.now + (
+            self.link.answer_round_trip_ticks if carried_due else self.link.round_trip_ticks
+        )
 
-    def _transmit(self, frame: Frame) -> None:
+    def _transmit(self, frame: Frame) -> bool:
         """Transmit a data frame with an ACK riding ahead of it: the first ACK due
-        that fits, or else, if it fits, the ACK of the newest message held."""
+        that fits, or else, if it fits, the ACK of the newest message held.
+
+        True when an ACK due rode it."""
         room = self.link.profile.mtu - len(frame.encode())
         newest = self._delivered if self._partial is None else self._partial.message_id
         for message_id in (*self._ack_due, newest):
             ack = self._ack(message_id)
             if ack is not None and len(ack.encode()) <= room:
-                if message_id in self._ack_due:
+                due = message_id in self._ack_due
+                if due:
                     self._ack_due.remove(message_id)
                 self.link.transmit(self.endpoint, frame, ack)
-                return
+                return due
         self.link.transmit(self.endpoint, frame)
+        return False
 
     def check_timer(self) -> None:
         """End the message in flight once every fragment is acknowledged; at its

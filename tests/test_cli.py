@@ -107,6 +107,40 @@ class TestDidCommands:
         code, out = run(capsys, "did", "resolve", did, "--registry", str(registry))
         assert code == 0
 
+    @pytest.mark.parametrize("address, scheme", [
+        ("sim-link://issuer", "sim-link"), ("coap://lock.local", "coap"),
+    ])
+    def test_did_create_types_an_endpoint_by_its_scheme(self, tmp_path, capsys, address, scheme):
+        wallet = tmp_path / "w.wallet"
+        run(capsys, "wallet", "create", "--wallet", str(wallet), "--passphrase", PASS)
+        code, _ = run(
+            capsys, "did", "create", "--method", "peer", "--endpoint", address,
+            "--wallet", str(wallet), "--passphrase", PASS,
+        )
+        assert code == 0
+        code, doc = run(capsys, "ddoc", "show", "--wallet", str(wallet), "--passphrase", PASS)
+        assert code == 0
+        assert doc["service_endpoints"] == [
+            {"address": address, "endpoint_id": "ep-1", "type": scheme}
+        ]
+
+    @pytest.mark.parametrize("address", ["lock.local", ":lock.local"])
+    def test_did_create_endpoint_without_a_scheme_is_validation_error(
+        self, tmp_path, capsys, address
+    ):
+        wallet = tmp_path / "w.wallet"
+        run(capsys, "wallet", "create", "--wallet", str(wallet), "--passphrase", PASS)
+        code, out = run(
+            capsys, "did", "create", "--method", "peer", "--endpoint", address,
+            "--wallet", str(wallet), "--passphrase", PASS,
+        )
+        assert code == 2
+        assert out["error"]["reason"] == (
+            f"endpoint {address!r} has no URI scheme to be its type"
+        )
+        code, out = run(capsys, "wallet", "unlock", "--wallet", str(wallet), "--passphrase", PASS)
+        assert (out["owner_did"], out["documents"]) == (None, 0)
+
     def test_second_did_create_is_validation_error(self, issuer, capsys):
         wallet, did, _ = issuer
         code, out = run(

@@ -29,6 +29,7 @@ from tinyssi.transport import (
     LinkProfile,
     Messenger,
     PROFILES,
+    REORDER_DELAY_TICKS,
     RETRY_LIMIT,
     STALE_IDS,
     SimLink,
@@ -655,7 +656,9 @@ class TestTrace:
 
 
 class TestAckTimeout:
-    """One timer, the link's worst-case round trip, covers every unacknowledged fragment."""
+    """One timer covers every unacknowledged fragment of a round. A round that
+    carries no ACK due, as every round of a one-way send, arms the link's
+    worst-case round trip."""
 
     @pytest.mark.parametrize("fragments", [1, 2, 15])
     def test_lossless_message_is_acknowledged_in_one_round_trip(self, fragments):
@@ -946,6 +949,140 @@ class TestReriddenAck:
                 else [(1, "data", 0, None), (1, "ack", 0, 1), (3, "data", 1, None)]
             )
             assert sent[-1].length == HEADER_LEN + last + (ack_len if fits else 0)
+
+
+class _Rounds(Messenger):
+    """A Messenger that logs each round it transmits: (message id, round, timer ticks)."""
+
+    def __init__(self, link: SimLink, endpoint: str):
+        super().__init__(link, endpoint)
+        self.rounds: list[tuple[int, int, int]] = []
+
+    def _transmit_round(self) -> None:
+        super()._transmit_round()
+        out = self._sending
+        self.rounds.append((out.message_id, out.rounds, out.deadline - self.link.now))
+
+
+class TestAnswerTimer:
+    """A round that carries an ACK due, the ACK of a peer message whose data
+    arrived in the tick, arms the round trip with at most one leg reordered;
+    any other round arms the link's worst-case round trip."""
+
+    @pytest.mark.parametrize("reorder, answer_bound", [
+        (0.0, 2 * TRANSIT_TICKS), (0.1, 2 * TRANSIT_TICKS + REORDER_DELAY_TICKS),
+    ])
+    def test_a_round_that_carries_an_ack_due_arms_the_shorter_timer(self, reorder, answer_bound):
+        link = make_link("lora", reorder=reorder, seed=1)
+        a, b = _Rounds(link, "A"), _Rounds(link, "B")
+        assert link.answer_round_trip_ticks == answer_bound
+        one_way = TRANSIT_TICKS + (REORDER_DELAY_TICKS if reorder else 0)
+        assert link.round_trip_ticks == 2 * one_way
+        a.send(b"request")
+        link.tick()
+        assert drain(b) == [b"request"]
+        b.send(b"answer")
+        assert link.trace[-1].ack_id == 1  # the answer carries the request's ACK, due
+        assert a.rounds == [(1, 1, link.round_trip_ticks)]
+        assert b.rounds == [(1, 1, answer_bound)]
+
+    @pytest.mark.parametrize("reorder", [0.0, 0.1])
+    @pytest.mark.parametrize("case", ["answer-a-tick-late", "answer-without-room"])
+    def test_a_round_without_an_ack_due_arms_the_worst_case(self, reorder, case):
+        link = make_link("lora", reorder=reorder, seed=1)
+        a, b = _Rounds(link, "A"), _Rounds(link, "B")
+        a.send(b"request")
+        link.tick()
+        assert drain(b) == [b"request"]
+        if case == "answer-a-tick-late":
+            # The request's ACK goes alone at the end of the tick it arrived in;
+            # the answer carries it again, re-ridden, not due.
+            link.tick()
+            b.send(b"answer")
+            expected = [(1, "ack", 1), (2, "data", 1)]
+        else:
+            # A full last fragment leaves no room, so the ACK goes alone at the tick's end.
+            b.send(bytes(2 * (link.profile.mtu - HEADER_LEN)))
+            link.tick()
+            expected = [(1, "data", None), (1, "data", None), (1, "ack", 1)]
+        assert [(e.tick, e.kind, e.ack_id) for e in link.trace if e.src == "B"] == expected
+        assert b.rounds == [(1, 1, link.round_trip_ticks)]
+
+    def test_a_lost_answer_is_sent_again_before_the_request_times_out(self):
+        """The answer, and the request's ACK it carries, are lost. The answer's
+        next round carries that ACK again and lands in the tick the request's
+        timer fires; delivery runs first, so the request ends unsent again."""
+        link = make_link("lora", reorder=0.1, seed=1)
+        a, b = _Rounds(link, "A"), _Rounds(link, "B")
+        transmit, lost = link.transmit, []
+
+        def lose_the_first_answer(src, frame, ack=None):
+            if src == "B" and not frame.is_ack and not lost:
+                lost.append((link.now, ack.message_id))
+                return
+            transmit(src, frame, ack)
+
+        link.transmit = lose_the_first_answer
+        a.send(b"request")
+        link.tick()
+        assert drain(b) == [b"request"]
+        b.send(b"answer")
+        ended = None
+        while not (a.idle and b.idle):
+            link.tick()
+            if ended is None and a.idle:
+                ended = link.now
+        assert drain(a) == [b"answer"] and a.failure is None and b.failure is None
+        assert lost == [(1, 1)]
+        answer_bound, full = link.answer_round_trip_ticks, link.round_trip_ticks
+        assert a.rounds == [(1, 1, full)]  # the request went out exactly once
+        assert ended == full  # in the tick its timer fires
+        # The answer's second round carries a re-ridden ACK, not one due.
+        assert b.rounds == [(1, 1, answer_bound), (1, 2, full)]
+        packets = [(e.tick, e.src, e.kind, e.ack_id) for e in link.trace]
+        assert packets == [
+            (0, "A", "data", None),
+            (1 + answer_bound, "B", "data", 1),
+            (full, "A", "ack", 1),
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        reorder=st.floats(min_value=0.01, max_value=1.0),
+        sizes=st.lists(st.integers(min_value=1, max_value=3 * 222), min_size=1, max_size=12),
+    )
+    @example(seed=0, reorder=1.0, sizes=[100] * 6)
+    def test_no_worst_case_round_is_sent_again_on_a_loss_free_link(self, seed, reorder, sizes):
+        """A opens, as a one-way send or a first HELLO does, and each side
+        answers each message it receives with the next size: in the tick the
+        message arrives when it is idle, else once it is. Nothing is lost, so a
+        round goes out again only when its timer fired early, which the
+        worst-case round trip never does."""
+        link = make_link("lora", reorder=reorder, seed=seed)
+        ends = {name: _Rounds(link, name) for name in link.endpoints}
+        owed = {name: 0 for name in ends}
+        pending = deque(sizes)
+        ends["A"].send(bytes(pending.popleft()))
+        for _ in range(100 * len(sizes)):
+            if not pending and all(m.idle for m in ends.values()):
+                break
+            link.tick()
+            for name, messenger in ends.items():
+                owed[name] += len(drain(messenger))
+                if owed[name] and messenger.idle and pending:
+                    owed[name] -= 1
+                    messenger.send(bytes(pending.popleft()))
+        else:
+            pytest.fail("the exchange did not end")
+        assert ends["A"].rounds[0] == (1, 1, link.round_trip_ticks)  # the opening carries no ACK
+        for messenger in ends.values():
+            assert messenger.failure is None
+            worst_case = {
+                (m, r) for m, r, ticks in messenger.rounds if ticks == link.round_trip_ticks
+            }
+            sent_again = {(m, r - 1) for m, r, _ in messenger.rounds if r > 1}
+            assert not worst_case & sent_again
 
 
 class _Truncated(Frame):
