@@ -119,8 +119,8 @@ def _key_id(purpose: str, prefix: bytes) -> str:
 KeyId = Annotated[str, hex_id(KEY_ID_DIGEST_LEN, lambda prefix: _key_id(PURPOSE_SIGN, prefix))]
 
 
-def keygen(purpose: str, seed: bytes | None = None, key_id: str | None = None) -> KeyPair:
-    """Generate a keypair; a fixed 32-byte seed gives a deterministic pair."""
+def keygen(purpose: str, seed: bytes | None = None) -> KeyPair:
+    """A keypair under its default key id; a fixed 32-byte seed gives a deterministic pair."""
     if seed is not None and len(seed) != KEY_LEN:
         raise CryptoError(f"seed must be exactly {KEY_LEN} bytes, got {len(seed)}")
     secret = seed if seed is not None else os.urandom(KEY_LEN)
@@ -134,8 +134,7 @@ def keygen(purpose: str, seed: bytes | None = None, key_id: str | None = None) -
         )
     else:
         raise CryptoError(f"unknown key purpose {purpose!r}")
-    if key_id is None:
-        key_id = default_key_id(purpose, public)
+    key_id = default_key_id(purpose, public)
     return KeyPair(key_id=key_id, purpose=purpose, public=public, secret=secret)
 
 

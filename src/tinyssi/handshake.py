@@ -21,10 +21,11 @@ A message is a tag byte and a body. Every body is a record in wire form
 (deterministic CBOR, `encoding.pack`): Hello, Auth, CredRequest, CredPresent,
 `credentials.Verdict` or Error. step() runs every message through one
 pipeline: its tag must be one the session accepts in its state (else
-`protocol`), a sealed body must open (else `channel`), and the body must
-decode as its tag's record (else `protocol`). An ERROR ends the session
-until it is complete, but once there are session keys one that does not open
-is dropped. A complete session, holding both verdicts, ignores whatever arrives.
+`protocol`), once the session holds keys the message must open (else
+`channel`), and the body must decode as its tag's record (else `protocol`).
+An ERROR ends the session until it is complete, but once the session holds
+keys one that does not open is dropped. A complete session, holding both
+verdicts, ignores whatever arrives.
 
 The wire leaves out what its reader can derive (as SCHC does, RFC 8724). The
 compact key, key id, DID value, credential id, endpoint and verdict below
@@ -64,15 +65,17 @@ codec refuses a second spelling of the same value:
   presentations, an Error as its reason.
 - A leg of several messages travels as one transport batch, whose last
   message carries no length prefix but runs to the end (`transport`).
-- The bodies of CRED_REQUEST, CRED_PRESENT, TRUST_RESULT and DATA travel
-  sealed (an ERROR's too, once there are keys), each as one record `tag |
-  counter | ciphertext`. The counter is the sender's record number as a
-  shortest CBOR unsigned head (1 byte up to 23), and the reader rebuilds the
-  12-byte nonce from the sender's role byte and the counter, as OSCORE
-  rebuilds its nonce from a Partial IV (RFC 8613). The tag byte is the
-  ciphertext's associated data. The session keeps one count per direction,
-  as OSCORE keeps one replay window (RFC 8613 section 7.4): the records it
-  sealed, and the highest counter it opened.
+- A message travels sealed exactly when its sender holds session keys,
+  whatever its tag, as OSCORE protects a message once a security context
+  exists (RFC 8613): HELLO, HELLO_ACK, AUTH and AUTH_ACK are written before
+  there are keys, and every later message, an ERROR included, after. A
+  sealed message is one record `tag | counter | ciphertext`. The counter is
+  the sender's record number as a shortest CBOR unsigned head (1 byte up to
+  23), and the reader rebuilds the 12-byte nonce from the sender's role byte
+  and the counter, as OSCORE rebuilds its nonce from a Partial IV (RFC
+  8613). The tag byte is the ciphertext's associated data. The session keeps
+  one count per direction, as OSCORE keeps one replay window (RFC 8613
+  section 7.4): the records it sealed, and the highest counter it opened.
 
 Both sides sign the running transcript, so swapping any key in transit
 breaks authentication on at least one side. The responder opens layer 2 in
@@ -124,8 +127,6 @@ MSG_CRED_PRESENT = 0x06
 MSG_TRUST_RESULT = 0x07
 MSG_DATA = 0x08
 MSG_ERROR = 0x7F
-
-_ENCRYPTED_TAGS = frozenset({MSG_CRED_REQUEST, MSG_CRED_PRESENT, MSG_TRUST_RESULT, MSG_DATA})
 
 # Each role's byte, which leads the nonces it seals under, and its peer's.
 _ROLE_BYTES = {crypto.ROLE_INITIATOR: (0x01, 0x02), crypto.ROLE_RESPONDER: (0x02, 0x01)}
@@ -390,16 +391,6 @@ class HandshakeSession:
             raise HandshakeError("signing key is not a current key of my document")
         seed = config.rng.randbytes(crypto.KEY_LEN) if config.rng is not None else None
         self.ephemeral = crypto.keygen(crypto.PURPOSE_AGREE, seed=seed)
-        # My HELLO, packed once here, carries my document's body (peer) or my
-        # DID (reg), which must travel.
-        if config.did.method == METHOD_PEER:
-            did, body = None, config.document.body()
-        else:
-            did, body = config.did, None
-        try:
-            self._hello_body = pack(Hello(did, body, self.ephemeral.public))
-        except EncodingError as exc:
-            raise HandshakeError(f"my document has no wire form: {exc}") from exc
         self.role = role
         self.config = config
         self.state = State.INIT
@@ -422,6 +413,17 @@ class HandshakeSession:
         # The channel's counts: records I sealed, and the highest counter I opened.
         self._sealed = 0
         self._opened = 0
+        # My HELLO (HELLO_ACK as responder), written once here, carries my
+        # document's body (peer) or my DID (reg), which must travel.
+        if config.did.method == METHOD_PEER:
+            did, body = None, config.document.body()
+        else:
+            did, body = config.did, None
+        tag = MSG_HELLO if role == crypto.ROLE_INITIATOR else MSG_HELLO_ACK
+        try:
+            self._hello = self._send(tag, Hello(did, body, self.ephemeral.public))
+        except EncodingError as exc:
+            raise HandshakeError(f"my document has no wire form: {exc}") from exc
 
     # -- helpers ------------------------------------------------------------
 
@@ -434,9 +436,9 @@ class HandshakeSession:
         return [self._send(MSG_ERROR, Error(reason))]
 
     def _send(self, tag: int, body: Record) -> bytes:
-        """One message: the tag byte, then the body's wire bytes, sealed if the tag
-        is (an ERROR's once there are keys)."""
-        if tag in _ENCRYPTED_TAGS or (tag == MSG_ERROR and self.session_keys is not None):
+        """One message: the tag byte, then the body's wire bytes, sealed once the
+        session holds keys, as it does for every message after AUTH_ACK."""
+        if self.session_keys is not None:
             return self._seal(tag, pack(body))
         return bytes([tag]) + pack(body)
 
@@ -503,24 +505,19 @@ class HandshakeSession:
         ):
             return []
         tag, body = (incoming[0] if incoming else None), incoming[1:]
+        bodies = _ACCEPTS.get(self.state, {})
+        if tag != MSG_ERROR and tag not in bodies:
+            return self._fail(FAIL_PROTOCOL)
+        if self.session_keys is not None:
+            try:
+                body = self._open(incoming)
+            except ChannelError:  # a plaintext or forged ERROR is dropped
+                return [] if tag == MSG_ERROR else self._fail(FAIL_CHANNEL)
         if tag == MSG_ERROR:
-            if self.session_keys is not None:  # a plaintext or forged one is dropped
-                try:
-                    body = self._open(incoming)
-                except ChannelError:
-                    return []
             error = _read(Error, body)
             self.state = State.FAILED
             self.failure_reason = f"{FAIL_PEER}: {error.reason if error else 'unspecified'}"
             return []
-        bodies = _ACCEPTS.get(self.state, {})
-        if tag not in bodies:
-            return self._fail(FAIL_PROTOCOL)
-        if tag in _ENCRYPTED_TAGS:
-            try:
-                body = self._open(incoming)
-            except ChannelError:
-                return self._fail(FAIL_CHANNEL)
         message = _read(bodies[tag], body)
         match message:
             case Hello():
@@ -558,7 +555,7 @@ class HandshakeSession:
         self.peer_did, self.peer_document, self.peer_ephemeral = did, doc, hello.ephemeral
         self._transcript.update(raw)
         if self.role == crypto.ROLE_RESPONDER:
-            reply = bytes([MSG_HELLO_ACK]) + self._hello_body
+            reply = self._hello
             self.state = State.HELLO_RECEIVED
         else:
             reply = self._send(MSG_AUTH, self._auth())
@@ -667,10 +664,9 @@ def initiate(
     """
     session = HandshakeSession(crypto.ROLE_INITIATOR, config)
     session._expected_peer_did = peer_hint
-    hello = bytes([MSG_HELLO]) + session._hello_body
-    session._transcript.update(hello)
+    session._transcript.update(session._hello)
     session.state = State.HELLO_SENT
-    return session, hello
+    return session, session._hello
 
 
 def respond(config: SessionConfig, now: int = 0) -> HandshakeSession:

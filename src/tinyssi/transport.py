@@ -170,6 +170,11 @@ class Frame:
             return not self.payload
         return (self.frag_index, self.frag_count) == (0, 1)
 
+    @property
+    def held(self) -> int:
+        """A hole report's bitmap: bit i is set when the receiver holds fragment i."""
+        return int.from_bytes(self.payload, "little")
+
     def encode(self) -> bytes:
         if self.whole:
             return _HEAD.pack(MAGIC, self.flags | FLAG_WHOLE, self.message_id) + self.payload
@@ -192,9 +197,14 @@ class Frame:
         """The frame at the front of `raw`, and the offset it ends at: an ACK
         ends at the length it states, a data frame at the end of `raw`.
 
-        FrameError unless the frame decodes and is in its one wire form: a
-        whole message's frame spelled with fragment fields is refused, and so
-        is a data frame without payload.
+        FrameError unless the frame decodes and is in its one wire form. It
+        refuses a frame shorter than its head or without the magic byte; a
+        data frame without payload; a fragment shorter than its header, or
+        whose frag_index is not below its frag_count; a hole report whose
+        frag_index is not 0, whose bitmap is cut short of ceil(frag_count / 8)
+        bytes, or that sets a bit at or beyond frag_count; and a whole
+        message's frame spelled with fragment fields, a data frame of one
+        fragment or a hole report that sets every bit.
         """
         if len(raw) < _HEAD.size:
             raise FrameError(f"frame shorter than its head: {len(raw)} bytes")
@@ -216,8 +226,11 @@ class Frame:
         if len(raw) < end:
             raise FrameError(f"ACK bitmap cut short at {len(raw) - HEADER_LEN} bytes")
         frame = cls(flags, message_id, frag_index, frag_count, raw[HEADER_LEN:end])
-        holds_all = is_ack and int.from_bytes(frame.payload, "little") == (1 << frag_count) - 1
-        if frame.whole or holds_all:
+        if is_ack and frag_index != 0:
+            raise FrameError(f"ACK with frag_index {frag_index}, want 0")
+        if is_ack and frame.held >> frag_count:
+            raise FrameError(f"ACK bitmap sets a bit at or beyond fragment {frag_count}")
+        if frame.whole or (is_ack and frame.held == (1 << frag_count) - 1):
             raise FrameError(f"whole message {message_id} spelled with fragment fields")
         return frame, end
 
@@ -244,24 +257,6 @@ def make_ack(message_id: int, frag_count: int, held: int) -> Frame:
         frag_count=frag_count,
         payload=held.to_bytes(_bitmap_len(frag_count), "little"),
     )
-
-
-def ack_bitmap(frame: Frame) -> int:
-    """The fragments a hole report acknowledges, bit i for fragment i.
-
-    FrameError unless frag_index is 0, the bitmap is ceil(frag_count / 8)
-    bytes long, and no bit at or beyond frag_count is set.
-    """
-    if frame.frag_index != 0:
-        raise FrameError(f"ACK with frag_index {frame.frag_index}, want 0")
-    if len(frame.payload) != _bitmap_len(frame.frag_count):
-        raise FrameError(
-            f"ACK bitmap of {len(frame.payload)} bytes for {frame.frag_count} fragments"
-        )
-    held = int.from_bytes(frame.payload, "little")
-    if held >> frame.frag_count:
-        raise FrameError(f"ACK bitmap sets a bit at or beyond fragment {frame.frag_count}")
-    return held
 
 
 def fragment(message: bytes, mtu: int, message_id: int, flags: int = 0) -> list[Frame]:
@@ -505,10 +500,9 @@ class SimLink:
         carried = frame if frame.is_ack else ack
         ack_id, acked = None, ()
         if carried is not None:
-            bits = int.from_bytes(carried.payload, "little")
-            ack_id = carried.message_id
+            ack_id, held = carried.message_id, carried.held
             acked = None if carried.whole else tuple(
-                i for i in range(bits.bit_length()) if bits >> i & 1
+                i for i in range(held.bit_length()) if held >> i & 1
             )
         self.trace.append(
             TraceEntry(
@@ -617,37 +611,26 @@ class Messenger:
     when there is none. From then on SimLink.tick() drives the message: the
     tick in which the ACKs cover every fragment ends it. When the timer fires
     first, check_timer() sends only the fragments still unacknowledged and
-    arms it again. Each round's timer is SimLink.answer_round_trip_ticks when
-    an ACK due rides one of its frames, else SimLink.round_trip_ticks: a
-    round that answers a waiting peer recovers from loss in 4 ticks on a
-    reordering link, and any other round waits out the worst case. When a
-    fragment is still unacknowledged after RETRY_LIMIT retransmissions, the
-    send gives up and `failure` holds a DeliveryError.
+    arms it again. A round arms SimLink.answer_round_trip_ticks when an ACK
+    due rides one of its frames, else SimLink.round_trip_ticks, for the
+    reasons the module docstring gives. When a fragment is still
+    unacknowledged after RETRY_LIMIT retransmissions, the send gives up and
+    `failure` holds a DeliveryError.
     The peer's Messenger, attached to the same link, acknowledges each message
     whose data arrived in a tick with one ACK in that tick, whole or a hole
     report; the messages of a completed transport message queue up, in send
     order, behind receive().
 
-    An ACK rides the first data frame this endpoint transmits in the tick
-    that has room for its encoded length: the packet, ACK and data frame,
-    stays within the MTU. A full fragment has no room, so the ACK goes with a
-    message's last fragment or a short retransmission; a full whole frame,
-    4 bytes shorter, has room for a whole ACK. When no data frame leaves in the tick,
-    or none has room, send_acks() sends the ACK alone at the tick's end,
-    before the clock advances. Either way an ACK due leaves in the tick its
-    data arrived. A reply that answers a message carries that message's ACK,
-    and the two are lost or delivered together.
-
-    A data frame with room that no ACK due rides carries the ACK of the
-    newest message this endpoint holds, with its bitmap as it stands: the
-    partial message if there is one, else the last one delivered. That is a
-    re-ridden ACK. So each later round of a reply states again the ACK its
-    lost first round carried, and the peer's message ends in the tick that
-    round arrives, not only once a duplicate of it, sent again, draws an ACK
-    due. A re-ridden ACK never goes alone: it costs bytes in a packet that
-    leaves anyway, never a packet. A lossless handshake carries none, since
-    each of its replies leaves in the tick of the delivery it answers, with
-    that delivery's ACK due.
+    ACKs ride data frames as the module docstring sets out. A full fragment
+    has no room for one, so an ACK goes with a message's last fragment or a
+    short retransmission; a full whole frame, 4 bytes shorter, has room for a
+    whole ACK. A reply that answers a message carries that message's ACK, and
+    the two are lost or delivered together. Because each later round of a
+    reply re-rides the ACK its lost first round carried, the peer's message
+    ends in the tick that round arrives, not only once a duplicate of it,
+    sent again, draws an ACK due. A lossless handshake carries no re-ridden
+    ACK, since each of its replies leaves in the tick of the delivery it
+    answers, with that delivery's ACK due.
 
     The simulator charges transit, not airtime: frames sent in the same tick
     all arrive one transit later. So a k-fragment message costs one round
@@ -665,20 +648,20 @@ class Messenger:
     answers: the first n - 1 ACKs ride the replies, and only the last goes
     alone.
 
-    Each endpoint numbers its own messages, and keeps one in flight, with its
-    bitmap and timer; it ignores ACKs for any other id. It keeps the id of its
-    last message the peer acknowledged whole, and send refuses, with
-    TransportError, a message whose id trails that one by 0 to STALE_IDS,
-    which the peer would take for a copy: after 65,533 sends in a row that
-    gave up, as TCP and DTLS stop before their sequence space wraps. A
-    receiver keeps the id of the last message it delivered and at most one
-    partial message. One rule, in _receive_state, sorts every data frame that
-    arrives: a copy of the delivered message is acknowledged again, whole; a
-    frame whose id trails that one by 1 to STALE_IDS is a stale copy of an
-    earlier message, dropped with no ACK; any other frame goes into the
-    partial message, which a frame of another message replaces. So state stays bounded on a
-    long-lived link, and each message is delivered exactly once, in send
-    order: tests/test_transport.py's ExactlyOnce state machine checks that on
+    An endpoint keeps its one message in flight with its bitmap and timer,
+    and ignores ACKs for any other id. It keeps the id of its last message
+    the peer acknowledged whole, and send refuses, with TransportError, a
+    message whose id trails that one by 0 to STALE_IDS, which the peer would
+    take for a copy: after 65,533 sends in a row that gave up, as TCP and
+    DTLS stop before their sequence space wraps. A receiver keeps the id of
+    the last message it delivered and at most one partial message. One rule,
+    in _receive_state, sorts every data frame that arrives: a copy of the
+    delivered message is acknowledged again, whole; a frame whose id trails
+    that one by 1 to STALE_IDS is a stale copy of an earlier message, dropped
+    with no ACK; any other frame goes into the partial message, which a frame
+    of another message replaces. So state stays bounded on a long-lived link,
+    and each message is delivered exactly once, in send order:
+    tests/test_transport.py's ExactlyOnce state machine checks that on
     long-lived lossy, reordering links, with traffic both ways and ids across
     the 16-bit wrap.
     """
@@ -790,19 +773,19 @@ class Messenger:
 
     def _acknowledged(self, ack: Frame) -> int:
         """The fragments of the message in flight that `ack` acknowledges: all of
-        them for a whole ACK, none for another id."""
-        held = None if ack.whole else ack_bitmap(ack)
+        them for a whole ACK, none for another id. Frame._read has checked its
+        bitmap; only the message in flight tells whether its count is right."""
         out = self._sending
         if out is None or ack.message_id != out.message_id:
             return 0
-        if held is None:
+        if ack.whole:
             return (1 << out.fragments) - 1
         if ack.frag_count != out.fragments:
             raise FrameError(
                 f"ACK for {ack.frag_count} fragments of message {ack.message_id}, "
                 f"which has {out.fragments}"
             )
-        return held
+        return ack.held
 
     def _receive_state(self, frame: Frame) -> _ReceiveState | None:
         """The partial message `frame` adds to, new unless it is the one held;

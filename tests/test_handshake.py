@@ -58,6 +58,7 @@ from tinyssi.handshake import (
     AlwaysTrust,
     Auth,
     ChannelError,
+    CredPresent,
     CredRequest,
     Error,
     HandshakeError,
@@ -238,6 +239,19 @@ def scenario_handshake_messages() -> dict[str, list[str]]:
 def test_handshake_messages_match_golden():
     golden = json.loads(GOLDEN_MESSAGES.read_text(encoding="utf-8"))
     assert scenario_handshake_messages() == golden
+
+
+def test_golden_messages_are_sealed_exactly_once_there_are_keys():
+    """HELLO, HELLO_ACK, AUTH and AUTH_ACK leave before either side holds keys,
+    so they travel plain; every later message is a sealed record."""
+    plain = {MSG_HELLO: Hello, MSG_HELLO_ACK: Hello, MSG_AUTH: Auth, MSG_AUTH_ACK: Auth}
+    golden = json.loads(GOLDEN_MESSAGES.read_text(encoding="utf-8"))
+    for message in (bytes.fromhex(m) for messages in golden.values() for m in messages):
+        if message[0] in plain:
+            unpack(plain[message[0]], message[1:])
+        else:
+            counter, start = read_uint(message, 1)
+            assert counter >= 1 and len(message) - start >= 16  # at least the AEAD tag
 
 
 # What one LoRa frame carries after the 8-byte frame header.
@@ -525,9 +539,20 @@ class TestHonestRun:
         with pytest.raises(HandshakeError):
             initiate(cfg_i, now=NOW)
 
+    def test_document_without_a_wire_form_rejected_at_start(self, household):
+        """A DID of a method with no wire form cannot travel in a HELLO, so
+        neither role opens a session with it."""
+        cfg_i, cfg_r, _ = household_configs(household)
+        for cfg in (cfg_i, cfg_r):
+            cfg.document = replace(cfg.document, id=Did("web", "abc"))
+        with pytest.raises(HandshakeError, match="no wire form"):
+            initiate(cfg_i, now=NOW)
+        with pytest.raises(HandshakeError, match="no wire form"):
+            respond(cfg_r, now=NOW)
+
     def test_key_pair_with_a_listed_id_but_other_bytes_rejected_at_initiate(self, household):
         cfg_i, _, _ = household_configs(household)
-        cfg_i.sign_key = crypto.keygen(crypto.PURPOSE_SIGN, key_id=cfg_i.sign_key.key_id)
+        cfg_i.sign_key = replace(crypto.keygen(crypto.PURPOSE_SIGN), key_id=cfg_i.sign_key.key_id)
         with pytest.raises(HandshakeError, match="current key"):
             initiate(cfg_i, now=NOW)
 
@@ -839,6 +864,34 @@ class TestProtocolOrder:
         assert session_i.state == State.SECURE
         assert session_i.step(error, NOW) == []
         assert (session_i.state, session_i.failure_reason) == (State.FAILED, "peer: bye")
+
+    @pytest.mark.parametrize(
+        ("state", "tag", "body"),
+        [
+            (State.SECURE, MSG_CRED_REQUEST, CredRequest(("owner",))),
+            (State.SECURE, MSG_CRED_PRESENT, CredPresent(())),
+            (State.TRUSTED, MSG_TRUST_RESULT, Verdict(True)),
+            (State.UNTRUSTED, MSG_TRUST_RESULT, Verdict(False, "owner mismatch")),
+        ],
+        ids=["secure-request", "secure-present", "trusted-result", "untrusted-result"],
+    )
+    def test_plaintext_message_fails_channel_once_there_are_keys(
+        self, household, state, tag, body
+    ):
+        """A session that holds keys opens every message, so a plaintext body
+        under a tag its channel state accepts fails `channel`. The same bytes
+        fail `protocol` at a session with no keys, whose state accepts no such tag."""
+        session_i, _, records = secure_pair(household, responder_presents=state != State.UNTRUSTED)
+        if state != State.SECURE:
+            for record in records:
+                session_i.step(record, NOW)
+        assert (session_i.state, session_i.peer_verdict) == (state, None)
+        plaintext = bytes([tag]) + pack(body)
+        assert session_i.step(plaintext, NOW) != []
+        assert (session_i.state, session_i.failure_reason) == (State.FAILED, "channel")
+        keyless = respond(household_configs(household)[1], now=NOW)
+        assert keyless.step(plaintext, NOW) != []
+        assert (keyless.state, keyless.failure_reason) == (State.FAILED, "protocol")
 
     def test_state_machine_safety_unexpected_pairs_only_fail(self, household):
         # Feeding every message tag into a fresh session in each reachable

@@ -471,7 +471,7 @@ def test_wallet_payload_and_registry_snapshot_round_trip(doc, vc, key_pairs):
     assert Wallet._from_payload(from_canonical(canonical_bytes(payload)))._payload() == payload
     # A genesis the registry accepts: the drawn document's body plus a key that
     # signs it, under the reg DID that body derives.
-    controller = crypto.keygen(crypto.PURPOSE_SIGN, seed=bytes(32), key_id="controller")
+    controller = replace(crypto.keygen(crypto.PURPOSE_SIGN, seed=bytes(32)), key_id="controller")
     entry = PublicKeyEntry(controller.key_id, crypto.PURPOSE_SIGN, controller.public)
     body = replace(doc.body(), public_keys=doc.public_keys + (entry,))
     registry = Registry()

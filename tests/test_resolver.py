@@ -97,8 +97,8 @@ class TestRegistry:
         signers = {
             "outsider": crypto.keygen(crypto.PURPOSE_SIGN, seed=bytes(31) + b"\x09"),
             "own-agreement-key": agree,
-            "listed-id-other-bytes": crypto.keygen(
-                crypto.PURPOSE_SIGN, seed=bytes(31) + b"\x09", key_id=kp.key_id
+            "listed-id-other-bytes": replace(
+                crypto.keygen(crypto.PURPOSE_SIGN, seed=bytes(31) + b"\x09"), key_id=kp.key_id
             ),
         }
         with pytest.raises(RegistryError):

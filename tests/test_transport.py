@@ -35,7 +35,6 @@ from tinyssi.transport import (
     SimLink,
     TRANSIT_TICKS,
     TransportError,
-    ack_bitmap,
     decode_packet,
     fragment,
     make_ack,
@@ -169,24 +168,27 @@ class TestFrameCodec:
         assert raw[8:] == bytes([0b0000_0101, 0b0000_0010])
         decoded = Frame.decode(raw)
         assert decoded.is_ack
-        assert ack_bitmap(decoded) == held
+        assert decoded.held == held
         # A hole report of up to 8 fragments takes 9 bytes; a whole ACK 4, however many.
         assert [len(make_ack(1, n, 0).encode()) for n in (1, 8, 9)] == [9, 9, 10]
         assert [len(make_ack(1, n, (1 << n) - 1).encode()) for n in (1, 8, 9)] == [4, 4, 4]
 
     @pytest.mark.parametrize(
-        "frame",
+        ("frame", "refusal"),
         [
-            Frame(FLAG_ACK, 1, 0, 10, b"\xff"),  # bitmap one byte short
-            Frame(FLAG_ACK, 1, 0, 3, b"\x07\x00"),  # bitmap one byte long
-            Frame(FLAG_ACK, 1, 0, 3, b"\x08"),  # bit 3 of a 3-fragment message
-            Frame(FLAG_ACK, 1, 1, 3, b"\x07"),  # frag_index not 0
+            (Frame(FLAG_ACK, 1, 0, 10, b"\xff"), "cut short"),  # bitmap one byte short
+            (Frame(FLAG_ACK, 1, 0, 3, b"\x03\x00"), "follow the ACK"),  # one byte long
+            (Frame(FLAG_ACK, 1, 0, 3, b"\x08"), "beyond"),  # bit 3 of a 3-fragment message
+            (Frame(FLAG_ACK, 1, 1, 3, b"\x03"), "frag_index 1"),  # frag_index not 0
         ],
         ids=["short", "long", "bit-beyond-count", "nonzero-index"],
     )
-    def test_malformed_ack_bitmap_rejected(self, frame):
+    def test_malformed_ack_bitmap_rejected(self, frame, refusal):
+        """The decoder refuses the ACK, alone or riding a data frame."""
+        with pytest.raises(FrameError, match=refusal):
+            Frame.decode(frame.encode())
         with pytest.raises(FrameError):
-            ack_bitmap(frame)
+            decode_packet(frame.encode() + Frame(0, 2, 0, 1, b"data").encode())
 
 
 message_ids = st.integers(min_value=0, max_value=0xFFFF)
