@@ -13,8 +13,9 @@ trust policy.
                       sides derive session keys from the transcript; then,
                       sealed, the responder's wanted claim names and its own
                       presentations
-  I -> R  CRED_PRESENT + TRUST_RESULT   initiator's presentations (tailored
-                                        to the request) and its verdict
+  I -> R  CRED_PRESENT + TRUST_RESULT   initiator's presentations (the
+                                        requested claims, from the requested
+                                        issuer) and its verdict
   I <- R  TRUST_RESULT                  responder's verdict
 
 A message is a tag byte and a body. Every body is a record in wire form
@@ -58,11 +59,17 @@ codec refuses a second spelling of the same value:
   `signature`. The issuer spelled out where it is the context's, or null
   where there is no context (every responder presentation, and an initiator
   one when the responder presented nothing), fails `protocol`.
+- A CRED_REQUEST whose issuer is the context issuer travels as its claim
+  names alone, and the reader fills the context issuer in once the
+  responder's CRED_PRESENT, which follows it in the same leg, names it. A
+  request of another issuer, or of any issuer (null), travels whole
+  (RequestWire). The context issuer spelled out, or left out where there is
+  no context, fails `protocol`.
 - A TRUST_RESULT's verdict travels as one value (`credentials.Verdict`):
   null when it is trusted, and the reason's text when it is not.
 - A record of one field travels as that field, not as an array of one
-  (`encoding.pack`): a CredRequest as its claim names, a CredPresent as its
-  presentations, an Error as its reason.
+  (`encoding.pack`): a CredPresent as its presentations, an Error as its
+  reason.
 - A leg of several messages travels as one transport batch, whose last
   message carries no length prefix but runs to the end (`transport`).
 - A message travels sealed exactly when its sender holds session keys,
@@ -87,8 +94,14 @@ discloses only to a peer it has authenticated: the responder after AUTH, the
 initiator after AUTH_ACK. The responder presents proactively (without
 waiting for a request) so that both sides have decided once the fifth leg
 arrives, within three round trips; it discloses the claims its own policy
-would ask of the peer. The initiator's presentations answer the responder's
-request exactly.
+would ask of the peer. The request names the one issuer the responder's
+policy accepts, or any, and the initiator presents only credentials of that
+issuer, as a TLS 1.3 CertificateRequest names the authorities a server
+accepts and a client with no match sends an empty Certificate (RFC 8446
+sections 4.2.4 and 4.4.2). So a device of another owner learns neither the
+initiator's owner nor its claims, and the CRED_PRESENT leg still goes,
+empty. Whatever arrives is still verified and judged by the reader's own
+policy.
 """
 
 from __future__ import annotations
@@ -187,7 +200,34 @@ class Auth(Proof):
 
 @dataclass(frozen=True)
 class CredRequest(Record):
+    """CRED_REQUEST: the claim names the responder wants, and the one issuer
+    whose credentials its policy accepts, None for any issuer."""
+
     want: tuple[str, ...]
+    issuer: Did | None
+
+    def wire(self, context: Did | None) -> RequestWire:
+        """What travels: the claim names alone when the issuer is the context issuer."""
+        return self.want if context is not None and self.issuer == context else self
+
+    @staticmethod
+    def restore(wire: RequestWire, context: Did | None) -> CredRequest:
+        """The request that `wire` carries, the context issuer filled in for a
+        left-out issuer. CredentialError if the issuer is spelled out where it is
+        the context's, or left out where there is no context."""
+        if isinstance(wire, CredRequest):
+            if context is not None and wire.issuer == context:
+                raise CredentialError("the issuer is left out exactly when it is the context's")
+            return wire
+        if context is None:
+            raise CredentialError("a request that leaves its issuer out needs a context issuer")
+        return CredRequest(wire, context)
+
+
+# A CRED_REQUEST body: a CredRequest, or its claim names alone when its issuer
+# is the context issuer. A claim name is text and a CredRequest an array, so
+# each body decodes one way.
+RequestWire = tuple[str, ...] | CredRequest
 
 
 @dataclass(frozen=True)
@@ -294,26 +334,29 @@ class RequireClaim:
 TrustPolicy = AlwaysTrust | OwnerMatch | RequireClaim
 
 
-# The tags each state accepts, each with its body record; any other message
-# fails `protocol`, and an ERROR's body is an Error. Each set-up state belongs
-# to one role, and the channel states accept the same tags in both.
-_ACCEPTS: dict[State, dict[int, type[Record]]] = {
+# The tags each state accepts, each with the type its body decodes as; any
+# other message fails `protocol`, and an ERROR's body is an Error. Each set-up
+# state belongs to one role, and the channel states accept the same tags in
+# both.
+_ACCEPTS: dict[State, dict[int, Any]] = {
     State.INIT: {MSG_HELLO: Hello},
     State.HELLO_SENT: {MSG_HELLO_ACK: Hello},
     State.HELLO_RECEIVED: {MSG_AUTH: Auth},
     State.AUTH_PENDING: {MSG_AUTH_ACK: Auth},
-    State.SECURE: {MSG_CRED_REQUEST: CredRequest, MSG_CRED_PRESENT: CredPresent},
+    State.SECURE: {MSG_CRED_REQUEST: RequestWire, MSG_CRED_PRESENT: CredPresent},
     State.TRUSTED: {MSG_TRUST_RESULT: Verdict},
     State.UNTRUSTED: {MSG_TRUST_RESULT: Verdict},
 }
 
 
-def requested_claims(policy: TrustPolicy) -> tuple[str, ...]:
+def policy_request(policy: TrustPolicy) -> CredRequest:
+    """What a policy asks of a peer: the claim names it reads, and the one
+    issuer whose credentials it accepts (None for any)."""
     if isinstance(policy, OwnerMatch):
-        return ("owner",)
+        return CredRequest(("owner",), policy.my_owner)
     if isinstance(policy, RequireClaim):
-        return (policy.name,)
-    return ()
+        return CredRequest((policy.name,), None)
+    return CredRequest((), None)
 
 
 def decide_trust(
@@ -405,7 +448,10 @@ class HandshakeSession:
         self.failure_reason: str | None = None
         self._transcript = hashlib.sha256()
         self._expected_peer_did: Did | None = None
-        self._peer_requested: tuple[str, ...] = ()
+        # The responder's request as it travelled: the initiator reads it once
+        # the responder's presentations fix the context issuer. Until one
+        # arrives, nothing is asked for.
+        self._peer_request: RequestWire = CredRequest((), None)
         # The issuer of the responder's first presentation, which the
         # initiator's presentations name by null.
         self._context_issuer: Did | None = None
@@ -472,24 +518,28 @@ class HandshakeSession:
         self._opened = counter
         return plain
 
-    def _present(self, requested: Sequence[str]) -> list[bytes]:
-        """My CRED_PRESENT: the claims requested, from each credential that holds them.
+    def _presentations(self, want: Sequence[str], issuer: Did | None) -> list[Presentation]:
+        """The claims wanted, from each of my credentials that holds them and
+        that `issuer` issued (any issuer if None)."""
+        presentations = []
+        for stored in self.config.credentials:
+            vc = stored.credential
+            if issuer is not None and vc.issuer != issuer:
+                continue
+            subset = [n for n in vc.claim_names() if n in want and stored.opening_for(n) is not None]
+            if subset:
+                presentations.append(present(vc, stored.openings, subset))
+        return presentations
+
+    def _present(self, presentations: Sequence[Presentation]) -> list[bytes]:
+        """My CRED_PRESENT. The responder's goes first, so no context issuer
+        shortens it.
 
         A credential with no wire form (its issuer's DID method has none) never
         leaves: the session fails `credentials` instead.
         """
-        presentations = []
-        for stored in self.config.credentials:
-            subset = [
-                n for n in stored.credential.claim_names()
-                if n in requested and stored.opening_for(n) is not None
-            ]
-            if subset:
-                presentations.append(present(stored.credential, stored.openings, subset))
-        # The responder presents first, with no context; its first issuer becomes it.
-        wires = tuple(PresentationWire.of(p, self._context_issuer) for p in presentations)
-        if self.role == crypto.ROLE_RESPONDER and presentations:
-            self._context_issuer = presentations[0].credential.issuer
+        context = self._context_issuer if self.role == crypto.ROLE_INITIATOR else None
+        wires = tuple(PresentationWire.of(p, context) for p in presentations)
         try:
             return [self._send(MSG_CRED_PRESENT, CredPresent(wires))]
         except EncodingError:
@@ -524,8 +574,8 @@ class HandshakeSession:
                 return self._on_hello(message, incoming, now)
             case Auth():
                 return self._on_auth(message, incoming, now)
-            case CredRequest():
-                self._peer_requested = message.want
+            case CredRequest() | tuple():
+                self._peer_request = message
                 return []
             case CredPresent():
                 return self._on_present(message, now)
@@ -593,10 +643,19 @@ class HandshakeSession:
         self.state = State.SECURE
         if auth_ack is None:
             return []  # the initiator waits for the responder's layer 2
-        # The responder opens layer 2 in the AUTH_ACK leg: its request and a
-        # proactive presentation, sealed to the peer that AUTH authenticated.
-        want = requested_claims(self.config.policy)
-        return [auth_ack, self._send(MSG_CRED_REQUEST, CredRequest(want)), *self._present(want)]
+        # The responder opens layer 2 in the AUTH_ACK leg, sealed to the peer
+        # that AUTH authenticated: its request, then a proactive presentation
+        # of the claims it asks for, from any issuer. The first one's issuer is
+        # the context issuer, which the request leaves out when it names it.
+        request = policy_request(self.config.policy)
+        mine = self._presentations(request.want, None)
+        if mine:
+            self._context_issuer = mine[0].credential.issuer
+        return [
+            auth_ack,
+            self._send(MSG_CRED_REQUEST, request.wire(self._context_issuer)),
+            *self._present(mine),
+        ]
 
     def _on_present(self, message: CredPresent, now: int) -> list[bytes]:
         """Restore the peer's presentations, sort them into verified and rejected,
@@ -607,11 +666,13 @@ class HandshakeSession:
             presentations = [
                 p.restore(self.peer_did, self._context_issuer) for p in message.presentations
             ]
+            if self.role == crypto.ROLE_INITIATOR:
+                # The context issuer holds whether or not that presentation verifies.
+                if presentations:
+                    self._context_issuer = presentations[0].credential.issuer
+                request = CredRequest.restore(self._peer_request, self._context_issuer)
         except CredentialError:
             return self._fail(FAIL_PROTOCOL)
-        if self.role == crypto.ROLE_INITIATOR and presentations:
-            # The context issuer holds whether or not that presentation verifies.
-            self._context_issuer = presentations[0].credential.issuer
         for p in presentations:
             verdict = verify_presentation(p, self.config.resolver, self.config.revocation, now)
             if verdict:
@@ -620,7 +681,7 @@ class HandshakeSession:
                 self.rejected.append(verdict.reason)
         replies = []
         if self.role == crypto.ROLE_INITIATOR:
-            replies = self._present(self._peer_requested)
+            replies = self._present(self._presentations(request.want, request.issuer))
             if self.state is State.FAILED:
                 return replies
         decision = decide_trust(self.config.policy, self.presented, self.rejected)
@@ -647,7 +708,7 @@ class HandshakeSession:
         return self._open(data)
 
 
-def _read(body: type[Record], raw: bytes) -> Any:
+def _read(body: Any, raw: bytes) -> Any:
     """The body record that raw wire bytes hold, or None if they hold none."""
     try:
         return unpack(body, raw)

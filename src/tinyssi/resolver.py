@@ -9,9 +9,11 @@ write a document: `register` asks it before it signs, and a snapshot loaded
 from a file replays its log through it, the one place records enter from
 outside. Resolution goes through a per-device cache so constrained devices
 touch the registry once per TTL window, and once more when a signed artifact
-names a key that the cached document does not know; peer-method documents
-live in a local store, checked against their self-certifying id once, when
-stored.
+names a key that the cached document does not know. The cache keeps the
+highest version of each `reg` DID it has accepted, past its TTL, and refuses
+a read that goes back from it, as a TUF client refuses metadata older than
+what it holds (Samuel et al., CCS 2010). Peer-method documents live in a
+local store, checked against their self-certifying id once, when stored.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ class UnsupportedDidMethod(ResolutionError):
 
 
 class DocumentIntegrityError(ResolutionError):
-    """A peer document does not match its self-certifying identifier."""
+    """A peer document does not match its self-certifying identifier, or the
+    registry serves an older version of a reg document than one accepted."""
 
 
 @dataclass(frozen=True)
@@ -174,7 +177,11 @@ class _CacheEntry:
 
 
 class Resolver:
-    """Resolves DIDs through a TTL cache, with a local store for peer documents."""
+    """Resolves DIDs through a TTL cache, with a local store for peer documents.
+
+    A cache entry outlives its TTL: it is read again, never dropped, so it
+    holds the highest version of its DID this resolver has accepted.
+    """
 
     def __init__(self, registry: Registry, ttl: int = DEFAULT_TTL):
         self.registry = registry
@@ -201,31 +208,33 @@ class Resolver:
         read, so it is re-read once, bypassing the cache (DID Resolution's noCache),
         unless it was read at this same instant. One artifact thus costs at most one
         registry read. A peer document is frozen: it is returned as stored.
+
+        DocumentIntegrityError if a read gives a lower version than the one
+        cached, which stays: the registry has rolled back.
         """
         if did.method == METHOD_PEER:
             return self._resolve_peer(did)
         if did.method != METHOD_REG:
             raise UnsupportedDidMethod(f"cannot resolve method {did.method!r}")
         entry = self._cache.get(did)
-        if (
-            key_id is not None and entry is not None and entry.fetched_at != now
-            and entry.document.proof_key(key_id) is None
+        if entry is not None and now - entry.fetched_at < self.ttl and (
+            key_id is None or entry.fetched_at == now
+            or entry.document.proof_key(key_id) is not None
         ):
-            del self._cache[did]
-        return self._resolve_registered(did, now)
+            self.hit_count += 1
+            return entry.document
+        self.miss_count += 1
+        doc = self.registry.lookup(did)
+        if entry is not None and doc.version < entry.document.version:
+            raise DocumentIntegrityError(
+                f"rollback: the registry serves version {doc.version} of {format_did(did)}, "
+                f"older than version {entry.document.version}"
+            )
+        self._cache[did] = _CacheEntry(document=doc, fetched_at=now)
+        return doc
 
     def _resolve_peer(self, did: Did) -> DidDocument:
         doc = self._peers.get(did)
         if doc is None:
             raise DidNotFound(f"{format_did(did)} not in local peer store")
-        return doc
-
-    def _resolve_registered(self, did: Did, now: int) -> DidDocument:
-        entry = self._cache.get(did)
-        if entry is not None and now - entry.fetched_at < self.ttl:
-            self.hit_count += 1
-            return entry.document
-        self.miss_count += 1
-        doc = self.registry.lookup(did)
-        self._cache[did] = _CacheEntry(document=doc, fetched_at=now)
         return doc

@@ -119,6 +119,14 @@ def rotated_registry() -> tuple[Registry, Did, Did]:
     return registry, first.did, other.did
 
 
+def cut_registry(registry: Registry, records: int) -> Registry:
+    """A registry loaded from the first `records` records of `registry`'s write
+    log: a log cut short, which loads as any log register() could write does."""
+    snapshot = from_canonical(registry.snapshot())
+    snapshot["records"] = snapshot["records"][:records]
+    return Registry.from_snapshot(canonical_bytes(snapshot))
+
+
 def tampered_snapshot(how: str) -> tuple[bytes, Did]:
     """The snapshot of rotated_registry() tampered `how` (one of TAMPERINGS), and the
     DID whose records it changed."""

@@ -32,6 +32,7 @@ from conftest import (
     NOW,
     Actor,
     build_actor,
+    cut_registry,
     give_owner_credential,
     introduce,
     owner_match_config,
@@ -62,6 +63,7 @@ from tinyssi.handshake import (
     CredRequest,
     Error,
     HandshakeError,
+    HandshakeSession,
     Hello,
     MSG_AUTH,
     MSG_AUTH_ACK,
@@ -84,7 +86,7 @@ from tinyssi.handshake import (
 from tinyssi.identity import (
     Did, DidDocument, DocumentBody, PublicKeyEntry, _EndpointWire, format_did, rotate_key,
 )
-from tinyssi.resolver import Registry, Resolver
+from tinyssi.resolver import DEFAULT_TTL, Registry, Resolver
 from tinyssi.wallet import Wallet
 
 ALL_TAGS = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x7F]
@@ -357,16 +359,18 @@ class TestWireSize:
 
     def _reg_pairing_on_ble(self, camera_owner):
         """A pairing of two reg devices on BLE, the shape of the fleet-ble
-        benchmark's pairings, the camera's credential issued by `camera_owner`
-        (alice, the lock's owner, or bob): the run, the bytes on the air, and
-        the issuer slot of each side's presentation, the lock's first."""
+        benchmark's pairings: the camera owned by `camera_owner` (alice, the
+        lock's owner, or bob), which issued its credential, and each side
+        trusting what its own owner issued. The run, the bytes on the air, and
+        the issuer slot of each presentation sent, the lock's first."""
         registry, alice, camera, lock = reg_household()
         bob = build_actor("bob", 4, registry)
         introduce(alice, bob, camera, lock)
+        owner = alice
         if camera_owner == "bob":
-            camera.credentials = ()
+            owner, camera.credentials = bob, ()
             give_owner_credential(bob, camera, 10, {"type": "Camera"})
-        session_i, hello = initiate(owner_match_config(camera, alice, 1), now=NOW)
+        session_i, hello = initiate(owner_match_config(camera, owner, 1), now=NOW)
         session_r = respond(owner_match_config(lock, alice, 2), now=NOW)
         link = transport.make_link("ble", a="camera", b="lock")
         made, of = [], PresentationWire.of
@@ -386,17 +390,17 @@ class TestWireSize:
         assert run.fragments_per_message == [1, 1, 1, 2, 1, 1]
         assert air_bytes == 813
 
-    def test_cross_owner_reg_pairing_on_ble_spells_the_issuer_out(self):
-        """The camera's credential is bob's, not the context issuer alice's, so
-        it travels with its issuer: 235 B, within one 236-byte BLE payload. It
-        took 240 B and two fragments before the verdict went as one value, the
-        presentations as the CredPresent itself and the batch's last message
-        without its length prefix. The lock's policy wants alice's credentials."""
+    def test_cross_owner_reg_pairing_on_ble_presents_nothing_to_the_other_owner(self):
+        """The lock's request names alice, and the camera holds only bob's
+        credential, so its CRED_PRESENT goes empty: leg 5 is one BLE fragment,
+        678 B in all. Sending bob's credential, which the lock's policy can only
+        refuse as `issuer`, made leg 5 241 B, two fragments, and 871 B."""
         run, air_bytes, issuers, (alice, bob) = self._reg_pairing_on_ble("bob")
         assert run.outcome() == "untrusted(issuer)"
-        assert issuers == [alice.did, bob.did]
+        assert run.responder.my_verdict == Verdict(False, "no valid credentials")
+        assert issuers == [alice.did]
         assert run.fragments_per_message == [1, 1, 1, 2, 1, 1]
-        assert air_bytes == 853
+        assert air_bytes == 678
 
     def test_readme_handshake_table_states_the_pinned_figures(self):
         """The README's message table and the paragraph under it give today's
@@ -792,6 +796,31 @@ class TestStaleDocument:
         assert reads == [1, 1, 0]
 
 
+class TestRegistryRollback:
+    """A resolver that accepted a rotated document refuses the older version a
+    cut registry log serves, so a pairing with that peer fails `resolve`."""
+
+    @pytest.mark.parametrize("when", ["after-the-ttl", "at-the-re-read"])
+    def test_pairing_with_a_rolled_back_peer_fails_resolve(self, when):
+        registry, alice, camera, lock = reg_household()
+        rotate(camera, registry, NOW + 10)
+        assert lock.resolver.resolve(camera.did, NOW + 20, camera.sign_key.key_id).version == 2
+        lock.resolver.registry = cut_registry(registry, 2)  # the two geneses
+        # After the TTL, HELLO re-reads the camera's document; within it, an
+        # AUTH that names a key the cached document does not know does.
+        now, intercept = (
+            (NOW + 20 + DEFAULT_TTL, None) if when == "after-the-ttl"
+            else (NOW + 30, forged_key_id)
+        )
+        session_i, session_r, _ = run_direct(
+            owner_match_config(camera, alice, 1), owner_match_config(lock, alice, 2),
+            now=now, intercept=intercept,
+        )
+        assert (session_r.state, session_r.failure_reason) == (State.FAILED, "resolve")
+        assert session_i.failure_reason == "peer: resolve"
+        assert lock.resolver._cache[camera.did].document == camera.document
+
+
 class TestProtocolOrder:
     def test_out_of_order_message_fails_protocol(self, household):
         cfg_i, cfg_r, _ = household_configs(household)
@@ -868,7 +897,7 @@ class TestProtocolOrder:
     @pytest.mark.parametrize(
         ("state", "tag", "body"),
         [
-            (State.SECURE, MSG_CRED_REQUEST, CredRequest(("owner",))),
+            (State.SECURE, MSG_CRED_REQUEST, CredRequest(("owner",), None)),
             (State.SECURE, MSG_CRED_PRESENT, CredPresent(())),
             (State.TRUSTED, MSG_TRUST_RESULT, Verdict(True)),
             (State.UNTRUSTED, MSG_TRUST_RESULT, Verdict(False, "owner mismatch")),
@@ -1365,9 +1394,12 @@ class TestLayer2:
     @pytest.mark.parametrize("holder", ["initiator", "responder"])
     def test_credential_without_a_wire_form_never_leaves(self, household, holder):
         # A did:web issuer has no wire byte. The subject does not travel, so the
-        # issuer is the credential's one DID that must have a wire form.
+        # issuer is the credential's one DID that must have a wire form. The
+        # lock asks for an owner claim of any issuer: under OwnerMatch it would
+        # ask for Alice's, and the camera would not present the did:web one.
         alice, camera, lock = household
         cfg_i, cfg_r, _ = household_configs(household)
+        cfg_r.policy = RequireClaim("owner", format_did(alice.did))
         config, device = (cfg_i, camera) if holder == "initiator" else (cfg_r, lock)
         vc, openings = issue(alice.sign_key, Did("web", "abc"), device.did,
                              [Claim("owner", format_did(alice.did))], 3600, NOW)
@@ -1714,7 +1746,7 @@ class TestSecureChannel:
             session_i.step(request, NOW)
             record = request
         elif defect == "rewound":
-            session_i.step(session_r._seal(MSG_CRED_REQUEST, pack(CredRequest(()))), NOW)
+            session_i.step(session_r._seal(MSG_CRED_REQUEST, pack(CredRequest((), None))), NOW)
             record = request
         elif defect == "non-shortest-counter":
             record = request[:1] + bytes([0x18, 1]) + request[2:]
@@ -1861,7 +1893,8 @@ class TestEndToEndPolicies:
     def test_presentation_of_another_subject_is_dropped(self, household):
         # Eve, Bob's device, holds the camera's owner credential and its
         # openings (as handed over in an earlier handshake with the camera)
-        # and presents it to the lock, which trusts devices Alice owns.
+        # and presents it to the lock, which asks for Alice's credentials, so
+        # it is all Eve presents.
         alice, camera, lock = household
         registry = Registry()
         bob = build_actor("bob", 4, registry)
@@ -1874,11 +1907,11 @@ class TestEndToEndPolicies:
             owner_match_config(lock, alice, 501),
         )
         assert session_r.state == State.UNTRUSTED
-        assert session_r.my_verdict.reason == "issuer"
-        assert [p.credential.subject for p in session_r.presented] == [eve.did]
         # The subject does not travel: the lock restores the camera's credential
         # with Eve's DID, which Alice never signed.
+        assert session_r.presented == []
         assert session_r.rejected == ["signature"]
+        assert session_r.my_verdict.reason == "signature"
 
     def test_revoked_credential_is_named_in_both_verdicts(self, household):
         alice, camera, _ = household
@@ -1894,6 +1927,98 @@ class TestEndToEndPolicies:
         # The camera learns the reason from the lock's TRUST_RESULT.
         assert session_i.state == State.TRUSTED
         assert session_i.peer_verdict == Verdict(False, "revoked")
+
+
+def owners_and_devices():
+    """Alice and Bob, and a camera and a lock that each hold nothing yet."""
+    registry = Registry()
+    alice = build_actor("alice", 1, registry)
+    bob = build_actor("bob", 4, registry)
+    camera = build_actor("camera", 2, registry)
+    lock = build_actor("lock", 3, registry)
+    introduce(alice, bob, camera, lock)
+    return alice, bob, camera, lock
+
+
+class TestRequestedIssuer:
+    """The responder's CRED_REQUEST names the one issuer its policy accepts, and
+    the initiator presents only that issuer's credentials; the verifier still
+    judges whatever arrives."""
+
+    def test_initiator_that_ignores_the_request_is_still_refused_as_issuer(self):
+        alice, bob, camera, lock = owners_and_devices()
+        give_owner_credential(bob, camera, 60)
+        give_owner_credential(alice, lock, 61)
+        honest = HandshakeSession._presentations
+
+        def any_issuer(self, want, issuer):
+            return honest(self, want, None)
+
+        with mock.patch.object(HandshakeSession, "_presentations", any_issuer):
+            session_i, session_r, _ = run_direct(
+                owner_match_config(camera, bob, 600), owner_match_config(lock, alice, 601),
+            )
+        # Bob's credential arrives, spelled out, and verifies; Alice's lock
+        # refuses it by its own policy.
+        assert [p.credential.issuer for p in session_r.presented] == [bob.did]
+        assert (session_r.state, session_r.my_verdict) == (
+            State.UNTRUSTED, Verdict(False, "issuer"),
+        )
+        assert session_i.my_verdict == Verdict(False, "issuer")
+
+    def test_request_spelling_out_the_context_issuer_fails_protocol(self, household):
+        session_i, session_r, (_, presentation) = secure_pair(household)
+        session_r._sealed = 0  # the forged request takes the honest one's counter
+        forged = session_r._seal(
+            MSG_CRED_REQUEST, cbor_bytes([["owner"], household[0].did.to_wire()])
+        )
+        assert session_i.step(forged, NOW) == []
+        assert session_i.step(presentation, NOW) != []
+        assert (session_i.state, session_i.failure_reason) == (State.FAILED, "protocol")
+
+    def test_request_leaving_out_the_issuer_with_no_context_fails_protocol(self, household):
+        # The lock presents nothing, so its honest request names Alice whole.
+        session_i, session_r, (request, presentation) = secure_pair(
+            household, responder_presents=False
+        )
+        session_i.step(request, NOW)
+        assert session_i._peer_request == CredRequest(("owner",), household[0].did)
+        session_i, session_r, (_, presentation) = secure_pair(household, responder_presents=False)
+        session_r._sealed = 0
+        assert session_i.step(session_r._seal(MSG_CRED_REQUEST, cbor_bytes(["owner"])), NOW) == []
+        assert session_i.step(presentation, NOW) != []
+        assert (session_i.state, session_i.failure_reason) == (State.FAILED, "protocol")
+
+    def test_request_of_another_issuer_than_the_context_selects_its_credentials(self):
+        # The lock trusts Bob's devices but holds Alice's credential, so its
+        # request names Bob whole. The camera holds a credential of each and
+        # presents only Bob's.
+        alice, bob, camera, lock = owners_and_devices()
+        give_owner_credential(alice, camera, 62)
+        give_owner_credential(bob, camera, 63)
+        give_owner_credential(alice, lock, 64)
+        session_i, session_r, _ = run_direct(
+            owner_match_config(camera, alice, 602), owner_match_config(lock, bob, 603),
+        )
+        assert session_i._peer_request == CredRequest(("owner",), bob.did)
+        assert [p.credential.issuer for p in session_r.presented] == [bob.did]
+        assert session_r.rejected == []
+        assert session_r.state == State.TRUSTED
+
+    def test_claim_policy_receives_a_credential_of_any_issuer(self):
+        # RequireClaim accepts any issuer: Bob's camera credential reaches Alice's
+        # lock, which trusts it on its claim.
+        alice, bob, camera, lock = owners_and_devices()
+        give_owner_credential(bob, camera, 65, {"type": "Camera"})
+        give_owner_credential(alice, lock, 66, {"type": "Lock"})
+        cfg_i = owner_match_config(camera, bob, 604)
+        cfg_i.policy = AlwaysTrust()
+        cfg_r = owner_match_config(lock, alice, 605)
+        cfg_r.policy = RequireClaim("type", "Camera")
+        session_i, session_r, _ = run_direct(cfg_i, cfg_r)
+        assert session_i._peer_request == CredRequest(("type",), None)
+        assert [p.credential.issuer for p in session_r.presented] == [bob.did]
+        assert session_i.state == session_r.state == State.TRUSTED
 
 
 if __name__ == "__main__":

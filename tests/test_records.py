@@ -58,6 +58,7 @@ from tinyssi.handshake import (
     Hello,
     IssuerOpening,
     PresentationWire,
+    RequestWire,
 )
 from tinyssi.harness import (
     HandshakeStep,
@@ -275,7 +276,7 @@ def record_strategies(dids, documents):
         "RevocationRegistry": st.builds(RevocationRegistry, owner=dids, revoked=tuples(texts)),
         "Hello": hellos(dids, bodies),
         "Auth": st.builds(Auth, verification_key_id=key_ids, signature=signatures),
-        "CredRequest": st.builds(CredRequest, want=tuples(texts)),
+        "CredRequest": st.builds(CredRequest, want=tuples(texts), issuer=dids | st.none()),
         "CredPresent": st.builds(CredPresent, presentations=tuples(presentation_wires)),
         "Verdict": verdicts,
         "Error": st.builds(Error, reason=texts),
@@ -291,9 +292,11 @@ def record_strategies(dids, documents):
 
 def travelling_types() -> set:
     """Every type a handshake message carries, as its record declares it: each
-    body record and, field by field, every type nested in it. A type with a
-    wire form is walked as what travels (a DID is a leaf)."""
-    seen, todo = set(), [*(tp for bodies in _ACCEPTS.values() for tp in bodies.values()), Error]
+    body record (each form of a body that travels in several) and, field by
+    field, every type nested in it. A type with a wire form is walked as what
+    travels (a DID is a leaf)."""
+    bodies = [tp for accepted in _ACCEPTS.values() for tp in accepted.values()]
+    seen, todo = set(), [*(t for tp in bodies for t in _types_in(tp)), Error]
     while todo:
         tp = todo.pop()
         if tp in seen:
@@ -434,8 +437,8 @@ def test_a_form_round_trips_and_refuses_a_second_spelling(name, data):
 
 
 def test_every_message_record_is_walked():
-    assert {"Hello", "Auth", "DocumentBody", "PresentationWire", "Proof", "IssuerOpening",
-            "Error"} <= set(TRAVELLING)
+    assert {"Hello", "Auth", "CredRequest", "DocumentBody", "PresentationWire", "Proof",
+            "IssuerOpening", "Error"} <= set(TRAVELLING)
     # A peer body travels as its genesis, so no retired key travels.
     assert "RetiredKey" not in TRAVELLING
     # A presentation travels as its wire record, its credential never whole.
@@ -675,10 +678,40 @@ def test_wire_form_of_a_record_is_an_array_of_its_fields():
     assert pack(AUTH) == b"\x82" + b"\x61k" + SIGNATURE
     assert unpack(Auth, b"\x82" + b"\x61k" + SIGNATURE) == AUTH
     # A record of one field travels as that field, and a verdict as null or its reason.
-    assert pack(CredRequest(("a",))) == b"\x81\x61a"
+    assert pack(CredPresent(())) == b"\x80"
     assert pack(Error("x")) == b"\x61x"
     assert pack(Verdict(True)) == b"\xf6"
     assert pack(Verdict(False, "x")) == b"\x61x"
+
+
+def test_a_request_leaves_out_the_context_issuer():
+    # Its issuer the context issuer, a request travels as its claim names alone;
+    # of another issuer, or of any (null), it travels whole.
+    request = CredRequest(("a",), PEER_DID)
+    assert pack(request.wire(PEER_DID)) == b"\x81\x61a"
+    assert pack(request.wire(None)) == b"\x82\x81\x61a\x58\x21" + PEER_DID.to_wire()
+    assert pack(CredRequest(("a",), None).wire(PEER_DID)) == b"\x82\x81\x61a\xf6"
+    assert unpack(RequestWire, b"\x81\x61a") == ("a",)
+    assert CredRequest.restore(("a",), PEER_DID) == request
+    # The context issuer spelled out, or left out with no context, does not restore.
+    with pytest.raises(CredentialError):
+        CredRequest.restore(request, PEER_DID)
+    with pytest.raises(CredentialError):
+        CredRequest.restore(("a",), None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(request=WIRE_RECORDS["CredRequest"], context=st.none() | wire_dids, data=st.data())
+def test_every_request_form_round_trips(request, context, data):
+    """Under any context issuer (none, the request's own issuer, or another),
+    a request travels in the one form its reader restores, and short exactly
+    when its issuer is the context issuer."""
+    if data.draw(st.booleans()) and request.issuer is not None:
+        context = request.issuer
+    raw = pack(request.wire(context))
+    assert (from_cbor(raw) == list(request.want)) == (context is not None
+                                                      and request.issuer == context)
+    assert CredRequest.restore(unpack(RequestWire, raw), context) == request
 
 
 def test_a_did_travels_as_its_method_byte_and_raw_id():

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from conftest import TAMPERINGS, rotated_registry, tampered_snapshot
+from conftest import NOW, TAMPERINGS, cut_registry, rotated_registry, tampered_snapshot
 from tinyssi import crypto
 from tinyssi.identity import (
     Did,
@@ -17,6 +17,7 @@ from tinyssi.identity import (
     rotate_key,
 )
 from tinyssi.resolver import (
+    DEFAULT_TTL,
     DidNotFound,
     DocumentIntegrityError,
     Registry,
@@ -369,6 +370,50 @@ class TestKeyRefresh:
         resolver.registry = Registry()
         with pytest.raises(DidNotFound):
             resolver.resolve(did, 1010, "sign-unknown")
+
+
+class TestRollback:
+    """A resolver keeps the highest version of each reg DID it has accepted, and
+    refuses a registry read that goes back from it."""
+
+    def _rolled_back(self):
+        """A resolver holding the rotated DID at version 2, its registry swapped
+        for the log cut before the update: (resolver, rotated, other)."""
+        registry, did, other = rotated_registry()
+        resolver = Resolver(registry)
+        assert resolver.resolve(did, NOW).version == 2
+        resolver.registry = cut_registry(registry, 2)  # both geneses, no update
+        assert resolver.registry.lookup(did).version == 1
+        return resolver, did, other
+
+    def test_read_after_the_ttl_is_refused_and_the_newer_version_stays(self):
+        resolver, did, other = self._rolled_back()
+        with pytest.raises(DocumentIntegrityError, match="rollback: .* version 1 .* version 2"):
+            resolver.resolve(did, NOW + DEFAULT_TTL)
+        assert resolver._cache[did].document.version == 2
+        # The cut log still serves the DID it did not roll back.
+        assert resolver.resolve(other, NOW + DEFAULT_TTL).version == 1
+
+    def test_the_mark_outlives_many_ttl_windows(self):
+        resolver, did, _ = self._rolled_back()
+        for windows in (1, 2, 10):
+            with pytest.raises(DocumentIntegrityError, match="rollback"):
+                resolver.resolve(did, NOW + windows * DEFAULT_TTL)
+
+    def test_key_id_re_read_is_refused_too(self):
+        # Within the TTL, an unknown key id forces the read that finds version 1.
+        resolver, did, _ = self._rolled_back()
+        with pytest.raises(DocumentIntegrityError, match="rollback"):
+            resolver.resolve(did, NOW + 10, "sign-unknown")
+        assert resolver._cache[did].document.version == 2
+        assert resolver.resolve(did, NOW + 20).version == 2  # a cache hit, as before
+
+    def test_the_same_version_again_is_accepted(self):
+        registry, did, _ = rotated_registry()
+        resolver = Resolver(registry)
+        resolver.resolve(did, NOW)
+        resolver.registry = Registry.from_snapshot(registry.snapshot())
+        assert resolver.resolve(did, NOW + DEFAULT_TTL).version == 2
 
 
 class TestPeerStore:
