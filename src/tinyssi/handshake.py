@@ -471,6 +471,13 @@ class HandshakeSession:
         except EncodingError as exc:
             raise HandshakeError(f"my document has no wire form: {exc}") from exc
 
+    @property
+    def complete(self) -> bool:
+        """Failed, or both verdicts in: the session sends nothing more."""
+        return self.state == State.FAILED or (
+            self.my_verdict is not None and self.peer_verdict is not None
+        )
+
     # -- helpers ------------------------------------------------------------
 
     def transcript_digest(self) -> bytes:
@@ -549,10 +556,7 @@ class HandshakeSession:
 
     def step(self, incoming: bytes, now: int) -> list[bytes]:
         """Feed one incoming message; returns messages to send in order."""
-        # A failed session, or a complete one (both verdicts in), ignores what arrives.
-        if self.state == State.FAILED or (
-            self.my_verdict is not None and self.peer_verdict is not None
-        ):
+        if self.complete:  # it ignores what arrives
             return []
         tag, body = (incoming[0] if incoming else None), incoming[1:]
         bodies = _ACCEPTS.get(self.state, {})

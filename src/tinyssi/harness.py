@@ -496,12 +496,13 @@ def drive_handshake(
     """Run the handshake over the link, each session answering a leg in the tick it arrives.
 
     A leg is the messages one session's step()s just produced. It travels as
-    one transport message, sent once its endpoint has nothing in flight. Then
-    the link ticks, and each session steps, in order, the messages delivered
-    to it; their replies form its next leg, which carries the ACK of what it
-    answers. The run ends when nothing is in flight and no leg waits to be
-    sent, or when a send gives up; the ACKs its last tick made due still go
-    out, alone.
+    one transport message, sent once its endpoint has nothing in flight, and
+    sent last when the session is complete, so the leg that ends a pairing
+    draws no ACK. Then the link ticks, and each session steps, in order, the
+    messages delivered to it; their replies form its next leg, which carries
+    the ACK of what it answers. The run ends when nothing is in flight and no
+    leg waits to be sent, or when a send gives up; the ACKs its last tick
+    made due still go out, alone.
     `intercept(receiver_role, message) -> message` models an on-path attacker:
     it may rewrite any message after reassembly, before the receiver steps it.
     """
@@ -514,7 +515,9 @@ def drive_handshake(
     while True:
         for name, messenger in messengers.items():
             if outboxes[name] and messenger.idle and run.legs < MAX_LEGS:
-                run.fragments_per_message.append(messenger.send(*outboxes[name]))
+                run.fragments_per_message.append(
+                    messenger.send(*outboxes[name], last=sessions[name].complete)
+                )
                 outboxes[name] = []
         if all(m.idle for m in messengers.values()):
             break

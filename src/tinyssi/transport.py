@@ -4,7 +4,7 @@ deterministic lossy-link simulator.
 Every frame opens with a 4-byte head, big-endian:
 
   byte 0    magic 0xD1
-  byte 1    flags: bit0 = ACK, bit1 = whole, bit2 = batch; the other bits are sent as 0
+  byte 1    flags: bit0 = ACK, bit1 = whole, bit2 = batch, bit3 = last; the other bits are sent as 0
   bytes 2-3 message_id
 
 Each endpoint numbers its own messages, from a 16-bit counter that wraps, the
@@ -32,9 +32,11 @@ set when the receiver holds fragment i. A hole report of up to 8 fragments
 takes 9 bytes; a whole ACK takes 4, however many fragments it covers. Each
 frame has one wire form: a data frame of a one-fragment message with
 fragment fields, or a bitmap that sets every bit, does not decode, and
-neither does a data frame without payload, which no message yields. A
-message whose hole report would not fit the MTU, more than 8 * (mtu - 8)
-fragments, is refused before it is sent. Timeouts run on simulated ticks,
+neither does a data frame without payload, which no message yields, a
+frame that sets a bit above the last flag, an ACK with the batch or last
+flag, or a fragment with the last flag. A message whose hole report would
+not fit the MTU, more than 8 * (mtu - 8) fragments, is refused before it
+is sent. Timeouts run on simulated ticks,
 never wall clock, so a fixed seed reproduces a run frame for frame.
 
 A link packet is one frame, or an ACK frame followed by a data frame. An ACK
@@ -91,21 +93,36 @@ timer and returns; SimLink.tick() carries the message to its end. Each tick
 runs in this order: the packets due are delivered; each sender finishes a
 message that is fully acknowledged, or, if its timer has expired, sends the
 unacknowledged fragments again, or gives up after RETRY_LIMIT
-retransmissions; then the endpoints send their new messages, which the
-caller starts between ticks; last, before the clock advances, each endpoint
-sends alone the ACKs that rode none of its data frames. A receiver owes
-each message whose data arrived in a tick one ACK, due in that tick: the
-ACK rides the first data frame with room for it that the receiver
-transmits in the tick, a retransmission or a new message. So a receiver can
-answer in the tick a message arrives, and the answer carries that message's
-ACK, the way DTLS 1.3 sends its next flight (RFC 9147 §7). A data frame with
-room that carries no ACK due carries the ACK of the newest message its
-sender holds, partial or delivered, the way TCP states its ACK number in
-every segment (RFC 9293 §3.4) and QUIC repeats ACK ranges in later packets
-(RFC 9000 §13.2). So when an answer's first round is lost with the ACK it
-carried, its next round states that ACK again. Such a re-ridden ACK never
-goes alone and never adds a packet. Each endpoint has at most one
-message in flight, so a link carries at most one per direction.
+retransmissions, and an endpoint whose last message was lost sends it
+again; then the endpoints send their new messages, which the caller starts
+between ticks; last, before the clock advances, each endpoint sends alone
+the ACKs that rode none of its data frames. A receiver owes each message
+whose data arrived in a tick, in frames not sent last, one ACK, due in
+that tick: the ACK rides the first data frame with room for it that the
+receiver transmits in the tick, a retransmission or a new message. So a
+receiver can answer in the tick a message arrives, and the answer carries
+that message's ACK, the way DTLS 1.3 sends its next flight (RFC 9147 §7). A
+data frame with room that carries no ACK due carries the ACK of the newest
+message its sender holds, partial or delivered, unless it came last, the
+way TCP states its ACK number in every segment (RFC 9293 §3.4) and QUIC
+repeats ACK ranges in later packets (RFC 9000 §13.2). So when an answer's
+first round is lost with the ACK it carried, its next round states that
+ACK again. Such a re-ridden ACK never goes alone and never adds a packet.
+Each endpoint has at most one message in flight, so a link carries at most
+one per direction.
+
+The message that ends an exchange goes unacknowledged. Messenger.send(...,
+last=True) sends a message as last when it is one whole frame and the ACK
+riding it is the whole ACK of a peer message delivered in the same tick,
+which the peer still waits for: the frame sets the last flag and arms no
+timer. Its receiver delivers it and owes it no ACK, alone or riding, and
+drops a copy of it silently. The peer's timer makes it reliable: a copy of
+the message it answered means the last frame was lost, and the endpoint
+sends it again in that tick as an ordinary message, without the flag, with
+the copy's ACK riding it and its own timer. A CoAP piggybacked response is
+never acknowledged, and the server sends it again on a duplicate request
+(RFC 7252 §4.5, §5.2.1); the DTLS peer that sends the final flight sends it
+again only when the other side retransmits its own (RFC 6347 §4.2.4).
 """
 
 from __future__ import annotations
@@ -122,6 +139,7 @@ HEADER_LEN = 8  # the header of a fragment: a data frame of a fragmented message
 FLAG_ACK = 0x01
 FLAG_WHOLE = 0x02
 FLAG_BATCH = 0x04
+FLAG_LAST = 0x08
 
 RETRY_LIMIT = 8          # retransmissions per fragment before giving up
 TRANSIT_TICKS = 1        # one-way delay of every delivered frame
@@ -198,9 +216,11 @@ class Frame:
         ends at the length it states, a data frame at the end of `raw`.
 
         FrameError unless the frame decodes and is in its one wire form. It
-        refuses a frame shorter than its head or without the magic byte; a
-        data frame without payload; a fragment shorter than its header, or
-        whose frag_index is not below its frag_count; a hole report whose
+        refuses a frame shorter than its head or without the magic byte; one
+        that sets a flag bit above FLAG_LAST, an ACK that sets FLAG_BATCH or
+        FLAG_LAST, and a fragment that sets FLAG_LAST; a data frame without
+        payload; a fragment shorter than its header, or whose frag_index is
+        not below its frag_count; a hole report whose
         frag_index is not 0, whose bitmap is cut short of ceil(frag_count / 8)
         bytes, or that sets a bit at or beyond frag_count; and a whole
         message's frame spelled with fragment fields, a data frame of one
@@ -211,7 +231,13 @@ class Frame:
         magic, flags, message_id = _HEAD.unpack_from(raw)
         if magic != MAGIC:
             raise FrameError(f"bad magic 0x{magic:02x}")
+        if flags & ~(FLAG_ACK | FLAG_WHOLE | FLAG_BATCH | FLAG_LAST):
+            raise FrameError(f"reserved flag bits set: 0x{flags:02x}")
         is_ack = bool(flags & FLAG_ACK)
+        if is_ack and flags & (FLAG_BATCH | FLAG_LAST):
+            raise FrameError(f"ACK of message {message_id} with data flags: 0x{flags:02x}")
+        if flags & FLAG_LAST and not flags & FLAG_WHOLE:
+            raise FrameError(f"fragment of message {message_id} sent as last")
         if not is_ack and len(raw) == (_HEAD.size if flags & FLAG_WHOLE else HEADER_LEN):
             raise FrameError(f"data frame of message {message_id} without payload")
         if flags & FLAG_WHOLE:
@@ -409,6 +435,7 @@ class TraceEntry:
     # That ACK's bitmap, as the fragment indexes it sets; None for a whole ACK,
     # which covers every fragment.
     acked: tuple[int, ...] | None = ()
+    last: bool = False  # a data frame sent last, which no ACK answers
 
     def line(self) -> str:
         if self.kind == "ack":
@@ -421,6 +448,7 @@ class TraceEntry:
             f"t={self.tick} dir={self.src}→{self.dst} type={self.kind} "
             f"id={self.message_id} {position} "
             f"len={self.length} dropped={str(self.dropped).lower()}"
+            + (" last" if self.last else "")
         )
 
 
@@ -517,6 +545,7 @@ class SimLink:
                 dropped=dropped,
                 ack_id=ack_id,
                 acked=acked,
+                last=bool(frame.flags & FLAG_LAST),
             )
         )
         if dropped:
@@ -598,6 +627,7 @@ class _Outbound:
     deadline: int = 0  # the tick its timer fires
     rounds: int = 0
     acked: int = 0  # bit i: fragment i
+    answers: int | None = None  # sent last: the id of the peer message it answers
 
 
 class Messenger:
@@ -617,9 +647,9 @@ class Messenger:
     unacknowledged after RETRY_LIMIT retransmissions, the send gives up and
     `failure` holds a DeliveryError.
     The peer's Messenger, attached to the same link, acknowledges each message
-    whose data arrived in a tick with one ACK in that tick, whole or a hole
-    report; the messages of a completed transport message queue up, in send
-    order, behind receive().
+    whose data arrived in a tick, unless sent last, with one ACK in that
+    tick, whole or a hole report; the messages of a completed transport
+    message queue up, in send order, behind receive().
 
     ACKs ride data frames as the module docstring sets out. A full fragment
     has no room for one, so an ACK goes with a message's last fragment or a
@@ -642,19 +672,25 @@ class Messenger:
     fewer fragments than m sends would: only its last fragment is partly
     filled. A reply sent in the tick its request is delivered saves the rest
     of that request's round trip: a chain of n messages that each answer the
-    one before, every one delivered at its first try, costs n + 1 ticks on a
-    link that never reorders, not 2n. It costs one ACK frame, not n, when
-    each reply's last fragment has room for the ACK of the message it
-    answers: the first n - 1 ACKs ride the replies, and only the last goes
-    alone.
+    one before, every one delivered at its first try and the last sent last,
+    costs n ticks on a link that never reorders, not 2n. It costs no ACK
+    frame when each reply's last fragment has room for the ACK of the
+    message it answers: the first n - 1 ACKs ride the replies, and the last
+    message draws none.
 
     An endpoint keeps its one message in flight with its bitmap and timer,
     and ignores ACKs for any other id. It keeps the id of its last message
-    the peer acknowledged whole, and send refuses, with TransportError, a
-    message whose id trails that one by 0 to STALE_IDS, which the peer would
-    take for a copy: after 65,533 sends in a row that gave up, as TCP and
-    DTLS stop before their sequence space wraps. A receiver keeps the id of
-    the last message it delivered and at most one partial message. One rule,
+    the peer acknowledged whole, or sent as last, which no ACK covers, and
+    send refuses, with TransportError, a message whose id trails that one by
+    0 to STALE_IDS, which the peer would take for a copy: after 65,533 sends
+    in a row that gave up, as TCP and DTLS stop before their sequence space
+    wraps. It keeps a message sent as last until a newer peer message
+    arrives, which the peer sends only once the answered one has ended, and
+    until then send refuses a new message with TransportError: were the
+    last one lost, the new one would reach the peer first, and the last one,
+    sent again, would be dropped as stale. So a last message is delivered
+    unless the send it answers gives up. A receiver keeps the id of the
+    last message it delivered and at most one partial message. One rule,
     in _receive_state, sorts every data frame that arrives: a copy of the
     delivered message is acknowledged again, whole; a frame whose id trails
     that one by 1 to STALE_IDS is a stale copy of an earlier message, dropped
@@ -673,6 +709,9 @@ class Messenger:
         self._sent_id = 0  # the id of the last message this endpoint sent
         self._acked_id = 0  # the id of the last one the peer acknowledged whole
         self._delivered: int | None = None  # the id of the last message it delivered
+        self._delivered_at = -1  # the tick it was delivered in
+        self._delivered_last = False  # it came in a last frame, whose ACK never travels
+        self._last: _Outbound | None = None  # sent last; kept until a newer peer message
         self._partial: _ReceiveState | None = None
         self._ack_due: list[int] = []
         self._sending: _Outbound | None = None
@@ -681,13 +720,20 @@ class Messenger:
 
     @property
     def idle(self) -> bool:
-        """No message in flight: the last one sent was acknowledged, or gave up."""
+        """No message in flight: the last one sent was acknowledged, gave up, or went last."""
         return self._sending is None
 
-    def send(self, *messages: bytes) -> int:
-        """Start sending `messages` as one transport message; SimLink.tick() finishes it."""
+    def send(self, *messages: bytes, last: bool = False) -> int:
+        """Start sending `messages` as one transport message; SimLink.tick() finishes it.
+
+        `last` says the exchange ends with them: they go as a last message
+        when they can, as the class docstring sets out."""
         if self._sending is not None:
             raise TransportError(f"message {self._sending.message_id} is still in flight")
+        if self._last is not None:
+            raise TransportError(
+                f"message {self._last.message_id} went last, and the peer has sent nothing newer"
+            )
         payload, flags = _payload(messages)
         message_id = (self._sent_id + 1) % 0x10000
         if (self._acked_id - message_id) % 0x10000 <= STALE_IDS:
@@ -701,9 +747,26 @@ class Messenger:
             raise TransportError(f"message needs {count} fragments; its ACK would exceed the mtu")
         self._sent_id = message_id
         self.failure = None
-        self._sending = _Outbound(message_id, frames, count)
-        self._transmit_round()
+        answered = self._answered(frames[0]) if last and count == 1 else None
+        out = _Outbound(message_id, frames, count, answers=answered)
+        if answered is None:
+            self._sending = out
+            self._transmit_round()
+        else:
+            # No ACK will cover it, so it counts as the peer's mark from now on.
+            self._last, self._acked_id = out, message_id
+            self._transmit(replace(frames[0], flags=flags | FLAG_LAST))
         return count
+
+    def _answered(self, frame: Frame) -> int | None:
+        """The peer message that `frame`, a whole frame, answers as last: the
+        one whose ACK due would ride it, when it was delivered in this tick, so
+        that no ACK of it has gone and the peer waits for this one. None if
+        the ACK that would ride is any other, or there is none."""
+        if self._delivered_at != self.link.now:
+            return None
+        ack, due = self._riding_ack(frame)
+        return ack.message_id if due and ack.message_id == self._delivered else None
 
     def _transmit_round(self) -> None:
         out = self._sending
@@ -716,31 +779,46 @@ class Messenger:
         )
 
     def _transmit(self, frame: Frame) -> bool:
-        """Transmit a data frame with an ACK riding ahead of it: the first ACK due
-        that fits, or else, if it fits, the ACK of the newest message held.
+        """Transmit a data frame with the ACK _riding_ack picks riding ahead of it.
 
         True when an ACK due rode it."""
+        ack, due = self._riding_ack(frame)
+        if ack is None:
+            self.link.transmit(self.endpoint, frame)
+            return False
+        if due:
+            self._ack_due.remove(ack.message_id)
+        self.link.transmit(self.endpoint, frame, ack)
+        return due
+
+    def _riding_ack(self, frame: Frame) -> tuple[Frame | None, bool]:
+        """The ACK to ride ahead of `frame`, and whether it is due: the first ACK
+        due that fits, or else, if it fits, the ACK of the newest message held,
+        unless that message came last. None when no ACK fits."""
         room = self.link.profile.mtu - len(frame.encode())
-        newest = self._delivered if self._partial is None else self._partial.message_id
+        if self._partial is not None:
+            newest = self._partial.message_id
+        else:
+            newest = None if self._delivered_last else self._delivered
         for message_id in (*self._ack_due, newest):
             ack = self._ack(message_id)
             if ack is not None and len(ack.encode()) <= room:
-                due = message_id in self._ack_due
-                if due:
-                    self._ack_due.remove(message_id)
-                self.link.transmit(self.endpoint, frame, ack)
-                return due
-        self.link.transmit(self.endpoint, frame)
-        return False
+                return ack, message_id in self._ack_due
+        return None, False
 
     def check_timer(self) -> None:
         """End the message in flight once every fragment is acknowledged; at its
         timer, send the unacknowledged fragments again, or give up after RETRY_LIMIT.
+        With none in flight, send a lost last message again, as ordinary.
 
         SimLink.tick() calls it once a tick, after the tick's packets are delivered.
         """
         out = self._sending
         if out is None:
+            if self._last is not None and self._last.answers in self._ack_due:
+                # A copy of the message my last one answered: the last one was lost.
+                self._sending, self._last = self._last, None
+                self._transmit_round()
             return
         if out.acked == (1 << out.fragments) - 1:
             self._sending, self._acked_id = None, out.message_id
@@ -809,16 +887,22 @@ class Messenger:
     def _take(self, frame: Frame, state: _ReceiveState | None) -> None:
         if state is None and frame.message_id != self._delivered:
             return  # a stale copy of an earlier message: no ACK
-        if frame.message_id not in self._ack_due:
+        last = bool(frame.flags & FLAG_LAST)
+        if not last and frame.message_id not in self._ack_due:
             self._ack_due.append(frame.message_id)
         if state is None:
-            return  # a copy of the delivered message: acknowledged again, never delivered again
+            # A copy of the delivered message: acknowledged again, unless it
+            # came last, and never delivered again.
+            return
+        # The peer sends a newer message only once the one my last answered has ended.
+        self._last = None
         self._partial = state
         state.fragments.setdefault(frame.frag_index, frame)
         if len(state.fragments) == state.frag_count:
             payload = reassemble(state.fragments.values())
             # Delivered before the split: a batch that does not split is dropped once.
             self._partial, self._delivered = None, state.message_id
+            self._delivered_at, self._delivered_last = self.link.now, last
             self._received.extend(_unbatch(payload) if state.batch else [payload])
 
     def _ack(self, message_id: int | None) -> Frame | None:

@@ -431,6 +431,10 @@ class TestSimCommands:
             assert len(frames) == steps[index]["frames"]
             lengths = [int(line.split(" len=")[1].split()[0]) for line in frames]
             assert sum(lengths) == steps[index]["bytes_sent"]
+            # Each pairing ends with its last leg's data frame, sent last, and
+            # no ACK goes alone: 7 frames in 6 ticks.
+            assert len(frames) == 7 and frames[-1].startswith("t=5 ")
+            assert frames[-1].endswith(" last") and " type=ack " not in text
             # The HELLO's 4-byte whole ACK rides the 76-byte whole HELLO_ACK frame,
             # the lock's first message: one 80-byte packet.
             assert frames[1] == (

@@ -294,10 +294,11 @@ class TestWireSize:
     # that the initiator's names by null.
     MESSAGE_BYTES = [135, 133, 73, 73, 25, 214, 180, 19, 19]
     LORA_FRAGMENTS = [1, 1, 1, 2, 1, 1]  # one transport message per leg
-    AIR_BYTES = 937  # data and ACK frames
+    AIR_BYTES = 933  # data frames and the ACKs riding them
     HELLO_MARGIN = 79  # what the largest HELLO leaves of one LoRa fragment's payload
-    FRAMES = 8  # 7 data frames, 5 of them carrying an ACK, and the last leg's ACK alone
-    TICKS = 7  # a leg a tick, each answering the one before, and the last ACK's return
+    # 7 data frames, 6 of them carrying an ACK; the last leg's goes last, so no ACK goes alone
+    FRAMES = 7
+    TICKS = 6  # a leg a tick, each answering the one before
 
     def test_owner_two_devices_message_sizes_and_fragments(self):
         messages = [
@@ -343,7 +344,8 @@ class TestWireSize:
         sending them all took 31. AUTH_ACK rides the responder's presentation
         leg, which fills 8 fragments. The derived endpoint fields, the verdict
         as one value, one-field records as their field and the batch's
-        unprefixed last message save 35 B, no fragment."""
+        unprefixed last message save 35 B, no fragment. The last leg, sent
+        last, draws no ACK: 4 B and a tick less."""
         sf12 = transport.LinkProfile(name="lora-sf12", mtu=51)
         make_link = harness.make_link
         with mock.patch.object(
@@ -355,7 +357,7 @@ class TestWireSize:
         (step,) = report.steps
         assert step.outcome == "trusted"
         assert list(step.fragments_per_message) == [4, 4, 2, 8, 5, 1]
-        assert (step.bytes_sent, step.ticks) == (1089, self.TICKS)
+        assert (step.bytes_sent, step.ticks) == (1085, self.TICKS)
 
     def _reg_pairing_on_ble(self, camera_owner):
         """A pairing of two reg devices on BLE, the shape of the fleet-ble
@@ -388,19 +390,20 @@ class TestWireSize:
         assert run.outcome() == "trusted"
         assert issuers == [alice.did, None]
         assert run.fragments_per_message == [1, 1, 1, 2, 1, 1]
-        assert air_bytes == 813
+        assert air_bytes == 809
 
     def test_cross_owner_reg_pairing_on_ble_presents_nothing_to_the_other_owner(self):
         """The lock's request names alice, and the camera holds only bob's
         credential, so its CRED_PRESENT goes empty: leg 5 is one BLE fragment,
-        678 B in all. Sending bob's credential, which the lock's policy can only
-        refuse as `issuer`, made leg 5 241 B, two fragments, and 871 B."""
+        674 B in all. Sending bob's credential, which the lock's policy can only
+        refuse as `issuer`, made leg 5 241 B, two fragments, and 871 B while
+        the last leg still drew an ACK."""
         run, air_bytes, issuers, (alice, bob) = self._reg_pairing_on_ble("bob")
         assert run.outcome() == "untrusted(issuer)"
         assert run.responder.my_verdict == Verdict(False, "no valid credentials")
         assert issuers == [alice.did]
         assert run.fragments_per_message == [1, 1, 1, 2, 1, 1]
-        assert air_bytes == 678
+        assert air_bytes == 674
 
     def test_readme_handshake_table_states_the_pinned_figures(self):
         """The README's message table and the paragraph under it give today's

@@ -3,6 +3,7 @@
 import copy
 import json
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +17,7 @@ from tinyssi.harness import (
     ScenarioError,
     run_scenario,
 )
-from tinyssi.transport import RETRY_LIMIT, Frame, SimLink
+from tinyssi.transport import FLAG_LAST, RETRY_LIMIT, Frame, SimLink
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -77,11 +78,12 @@ def record_acks_due(link) -> None:
     """Keep on `link.acks_due` a (tick, endpoint, message id) for each message
     whose data arrived in a tick and that the endpoint still holds after that
     tick's deliveries, as its last delivered or its partial message: each of
-    these owes one ACK, in that tick. Keep on `link.newest_held`, by (tick,
-    endpoint), the message id and held fragment indexes of the newest message
-    the endpoint holds after that tick's deliveries, None for a delivered one:
-    the ACK its data frames of the tick may carry when none is due. The ids
-    are the peer's: each endpoint numbers its own messages."""
+    these owes one ACK, in that tick. A frame sent last creates no ACK due.
+    Keep on `link.newest_held`, by (tick, endpoint), the message id and held
+    fragment indexes of the newest message the endpoint holds after that
+    tick's deliveries, None for a delivered one: the ACK its data frames of
+    the tick may carry when none is due. A message delivered in a last frame
+    has none. The ids are the peer's: each endpoint numbers its own messages."""
     link.acks_due, link.newest_held = [], {}
     attach = link.attach
 
@@ -90,7 +92,7 @@ def record_acks_due(link) -> None:
 
         def recording_handle(ack, data):
             handle(ack, data)
-            if data is not None:
+            if data is not None and not data.flags & FLAG_LAST:
                 arrived.append(data.message_id)
 
         def recording_check_timer():  # runs once a tick, after its deliveries
@@ -104,7 +106,7 @@ def record_acks_due(link) -> None:
             )
             arrived.clear()
             newest = messenger._delivered if partial is None else partial.message_id
-            if newest is not None:
+            if newest is not None and (partial is not None or not messenger._delivered_last):
                 link.newest_held[link.now, endpoint] = (newest, held[newest])
             check_timer()
 
@@ -260,8 +262,8 @@ class TestOwnerScenario:
     def test_ticks_are_one_link_round_trip_per_leg(self):
         step = run_scenario(scenario()).steps[0]
         # Lossless LoRa: each leg goes out in the tick its request arrives, and
-        # the last leg's ACK comes back a round trip after it left.
-        assert step.ticks == len(step.fragments_per_message) + 1 == 7
+        # the last leg, sent last, draws no ACK: the run ends as it arrives.
+        assert step.ticks == len(step.fragments_per_message) == 6
 
     def test_every_data_frame_of_a_leg_goes_out_in_the_same_tick(self):
         with kept_links() as links:
@@ -379,7 +381,7 @@ class TestPipelinedLegs:
             ("lock", 2): [5, 5], ("camera", 3): [6], ("lock", 3): [7],
         }
         assert step.retransmissions == 1
-        assert step.ticks == 7 + 2  # the 2 ticks AUTH was held
+        assert step.ticks == 6 + 2  # the 2 ticks AUTH was held
         assert_one_message_in_flight_per_endpoint(link)
 
     def test_lossy_sweep_ends_trusted_or_delivery_failed(self):
@@ -427,11 +429,64 @@ class TestPipelinedLegs:
         # last message, the bytes were 353,385. Before a round that carries an
         # ACK due armed the shorter timer of a round trip with at most one leg
         # reordered, they were 3,018 frames, 340,754 bytes and 5,860 ticks.
+        # Before the last leg went unacknowledged, they were 2,925 frames,
+        # 319,555 bytes and 5,020 ticks: at loss 0.3 a lost last frame waits
+        # for the requester's copy of its 209 B leg, so the bytes rise.
         steps = report.steps
-        assert sum(s.frames for s in steps) == 2925
-        assert sum(s.bytes_sent for s in steps) == 319555
-        assert sum(s.ticks for s in steps) == 5020
+        assert sum(s.frames for s in steps) == 2620
+        assert sum(s.bytes_sent for s in steps) == 322639
+        assert sum(s.ticks for s in steps) == 4503
         assert outcomes.count("delivery-failed") == 0
+
+
+class TestLastLeg:
+    """The leg that completes its sender's session goes last: unacknowledged,
+    and sent again, as an ordinary message, only on a copy of what it answers."""
+
+    def test_lossless_pairing_ends_with_the_last_legs_data_frame(self):
+        with kept_links() as links:
+            step = run_scenario(scenario()).steps[0]
+        (link,) = links
+        assert step.outcome == "trusted"
+        assert (step.ticks, step.frames) == (6, 7)
+        assert not [e for e in link.trace if e.kind == "ack"]  # no ACK goes alone
+        *_, end = link.trace
+        # The lock's TRUST_RESULT carries the ACK of the camera's leg 5, arrives
+        # at tick 6, and the run ends with it.
+        assert (end.src, end.kind, end.message_id, end.ack_id, end.last) == (
+            "lock", "data", 3, 3, True,
+        )
+        assert end.line().endswith(" dropped=false last")
+        assert [e.last for e in link.trace] == [False] * 6 + [True]
+
+    def test_lost_last_frame_goes_again_on_the_requesters_copy(self):
+        def lose_first_last_frame(link):
+            transmit, profile = link.transmit, link.profile
+
+            def transmit_losing_first_last(src, frame, ack=None):
+                if frame.flags & FLAG_LAST and not any(e.last for e in link.trace):
+                    link.profile = replace(profile, loss_probability=1.0)
+                transmit(src, frame, ack)
+                link.profile = profile
+
+            link.transmit = transmit_losing_first_last
+
+        with kept_links(lose_first_last_frame) as links:
+            step = run_scenario(scenario()).steps[0]
+        (link,) = links
+        assert [(e.tick, e.dropped) for e in link.trace if e.last] == [(5, True)]
+        assert step.outcome == "trusted"  # both sides end trusted
+        # The camera's leg 5 goes again at its timer, tick 6. The lock answers
+        # that copy in the tick it arrives, 7, with its TRUST_RESULT again: not
+        # last, carrying the copy's ACK. The camera acknowledges it alone.
+        assert data_ticks(link)[("camera", 3)] == [4, 6]
+        resend = [e for e in link.trace if e.src == "lock" and e.message_id == 3]
+        assert [(e.tick, e.ack_id, e.last) for e in resend] == [(5, 3, True), (7, 3, False)]
+        alone = [e for e in link.trace if e.kind == "ack"]
+        assert [(e.tick, e.src, e.message_id) for e in alone] == [(8, "camera", 3)]
+        assert step.retransmissions == 2  # the camera's copy and the lock's resend
+        assert step.ticks == 9
+        assert_one_message_in_flight_per_endpoint(link)
 
 
 class TestBenchmarkReconciliation:
@@ -463,8 +518,8 @@ class TestBenchmarkReconciliation:
         ]
         data = sum(1 for frame in frames if not frame.is_ack)
         alone = sum(1 for frame in frames if frame.is_ack)
-        assert (data, alone) == (7, 1)
-        assert data + alone == len(link.trace) == metrics.frames == 8
+        assert (data, alone) == (7, 0)
+        assert data + alone == len(link.trace) == metrics.frames == 7
         # Each leg's data frame carries the ACK of the peer's leg it answers;
         # each side numbers its own messages.
         riding = [e for e in acks(link) if e.kind == "data"]

@@ -485,6 +485,69 @@ def test_checker_flags_a_second_riding_ack_rule():
     }
 
 
+def _mentions_the_last_flag(node: ast.AST) -> bool:
+    return any(_name(n) == "FLAG_LAST" for n in ast.walk(node) if isinstance(n, ast.Name))
+
+
+def _only_flags(node: ast.AST) -> bool:
+    """A mask: flag constants joined by `|`."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        return _only_flags(node.left) and _only_flags(node.right)
+    return isinstance(node, ast.Name) and node.id.startswith("FLAG_")
+
+
+def _sets_the_last_flag(node: ast.AST) -> bool:
+    """An expression that sets FLAG_LAST on a frame: `flags | FLAG_LAST` or
+    `flags |= FLAG_LAST` (a mask of flag constants alone sets nothing), or
+    FLAG_LAST in the flags passed by keyword or as a Frame's first argument."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        return _mentions_the_last_flag(node) and not _only_flags(node) and (
+            _name(node.left) == "FLAG_LAST" or _name(node.right) == "FLAG_LAST"
+        )
+    if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitOr):
+        return _mentions_the_last_flag(node.value)
+    if isinstance(node, ast.keyword):
+        return node.arg == "flags" and _mentions_the_last_flag(node.value)
+    return (
+        isinstance(node, ast.Call) and _name(node.func) == "Frame"
+        and bool(node.args) and _mentions_the_last_flag(node.args[0])
+    )
+
+
+def test_one_rule_sends_a_frame_last():
+    setters = {
+        (module, scope)
+        for module in MODULES
+        for scope in scopes_holding((PACKAGE / module).read_text(encoding="utf-8"),
+                                    _sets_the_last_flag)
+    }
+    assert setters == {("transport.py", "Messenger.send")}
+
+
+def test_checker_flags_a_second_last_flag_rule():
+    source = (
+        "class Messenger:\n"
+        "    def send(self, *messages, last=False):\n"
+        "        self._transmit(replace(frames[0], flags=flags | FLAG_LAST))\n"
+        "    def check_timer(self):\n"
+        "        frame = Frame(FLAG_LAST, out.message_id, 0, 1, payload)\n"
+        "    def _transmit_round(self):\n"
+        "        flags = 0\n"
+        "        flags |= FLAG_LAST\n"
+        "def resend(frame):\n"
+        "    return replace(frame, flags=FLAG_LAST)\n"
+        "def is_last(frame):\n"
+        "    return bool(frame.flags & FLAG_LAST)\n"
+        "def refuse(flags):\n"
+        "    return flags & ~(FLAG_ACK | FLAG_WHOLE | FLAG_BATCH | FLAG_LAST)\n"
+        "def batch(frame):\n"
+        "    return replace(frame, flags=frame.flags | FLAG_BATCH)\n"
+    )
+    assert scopes_holding(source, _sets_the_last_flag) == {
+        "Messenger.send", "Messenger.check_timer", "Messenger._transmit_round", "resend",
+    }
+
+
 HEADER_STRUCTS = frozenset({"_HEAD", "_FRAGMENT"})
 
 

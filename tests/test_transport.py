@@ -23,6 +23,7 @@ from tinyssi.transport import (
     DeliveryError,
     FLAG_ACK,
     FLAG_BATCH,
+    FLAG_LAST,
     Frame,
     FrameError,
     HEADER_LEN,
@@ -147,6 +148,35 @@ class TestFrameCodec:
         with pytest.raises(FrameError, match="without payload"):
             decode_packet(make_ack(1, 1, 1).encode() + raw)
 
+    @pytest.mark.parametrize(
+        ("raw", "refusal"),
+        [
+            ("d1120005" "6869", "reserved flag bits"),  # bit 4 on a whole data frame
+            ("d1820005" "6869", "reserved flag bits"),  # bit 7
+            ("d1070005", "data flags"),  # the batch flag on a whole ACK
+            ("d10b0005", "data flags"),  # the last flag on a whole ACK
+            ("d1090005" "00000002" "00", "data flags"),  # the last flag on a hole report
+            ("d1080005" "00000002" "6869", "sent as last"),  # the last flag on a fragment
+        ],
+        ids=["bit-4", "bit-7", "batch-ack", "last-ack", "last-hole-report", "last-fragment"],
+    )
+    def test_flags_outside_their_one_wire_form_rejected(self, raw, refusal):
+        """A frame sets only the four flags, an ACK neither the batch nor the
+        last flag, and only a whole data frame the last flag."""
+        with pytest.raises(FrameError, match=refusal):
+            Frame.decode(bytes.fromhex(raw))
+        with pytest.raises(FrameError, match=refusal):
+            decode_packet(bytes.fromhex(raw))
+        with pytest.raises(FrameError):
+            decode_packet(make_ack(1, 1, 1).encode() + bytes.fromhex(raw))
+
+    def test_last_whole_data_frame_round_trips(self):
+        frame = Frame(FLAG_LAST | FLAG_BATCH, 5, 0, 1, b"hi")
+        assert frame.encode() == bytes.fromhex("d10e00056869")
+        assert Frame.decode(frame.encode()) == frame
+        ack = make_ack(9, 1, 1)
+        assert decode_packet(ack.encode() + frame.encode()) == (ack, frame)
+
     def test_bad_magic_rejected(self):
         raw = bytearray(Frame(0, 1, 0, 1, b"").encode())
         raw[0] = 0x55
@@ -197,12 +227,14 @@ message_ids = st.integers(min_value=0, max_value=0xFFFF)
 @st.composite
 def emitted_packets(draw):
     """A packet a Messenger can emit, as its (ACK, data frame) pair: a data
-    frame, whole or a fragment, with a whole ACK, a hole report or no ACK
-    riding it, or an ACK alone."""
+    frame, whole, possibly sent last, or a fragment, with a whole ACK, a hole
+    report or no ACK riding it, or an ACK alone."""
     mtu = draw(st.sampled_from([64, 222, 244]))
     message = draw(st.binary(min_size=1, max_size=1500))
     flags = draw(st.sampled_from([0, FLAG_BATCH]))
     data = draw(st.sampled_from(fragment(message, mtu, draw(message_ids), flags)) | st.none())
+    if data is not None and data.whole and draw(st.booleans()):
+        data = replace(data, flags=data.flags | FLAG_LAST)
     count = draw(st.integers(min_value=1, max_value=20))
     ack = make_ack(draw(message_ids), count, draw(st.integers(0, (1 << count) - 1)))
     if data is not None and draw(st.booleans()):
@@ -1160,6 +1192,162 @@ class TestMalformedPackets:
         assert [(e.tick, e.kind, e.acked) for e in acks] == [(1, "ack", (0,)), (2, "data", (0,))]
 
 
+def answered_last(link: SimLink, answer: bytes = b"answer") -> tuple[Messenger, Messenger]:
+    """A sends message 1, b"request"; in the tick it arrives, B answers with
+    `answer` and last=True. Returns A and B."""
+    a, b = Messenger(link, "A"), Messenger(link, "B")
+    a.send(b"request")
+    while (request := b.receive()) is None:
+        link.tick()
+    assert request == b"request"
+    b.send(answer, last=True)
+    return a, b
+
+
+def lose_next(link: SimLink, wanted) -> list[Frame]:
+    """Drop, on the link's trace, the next data frame that `wanted(frame)` accepts;
+    returns the list the dropped frame goes on."""
+    transmit, profile, lost = link.transmit, link.profile, []
+
+    def transmit_losing(src, frame, ack=None):
+        if not lost and not frame.is_ack and wanted(frame):
+            lost.append(frame)
+            link.profile = replace(profile, loss_probability=1.0)
+        transmit(src, frame, ack)
+        link.profile = profile
+
+    link.transmit = transmit_losing
+    return lost
+
+
+class TestLastMessage:
+    """A message sent last ends its exchange: one whole frame that carries the
+    whole ACK of a peer message delivered in the same tick. It arms no timer
+    and draws no ACK; a copy of the message it answers shows it was lost."""
+
+    def test_answer_sent_last_draws_no_ack(self):
+        link = make_link("lora", seed=1)
+        a, b = answered_last(link)
+        assert b.idle  # no timer
+        last = link.trace[-1]
+        assert (last.src, last.message_id, last.ack_id, last.last) == ("B", 1, 1, True)
+        assert last.line() == (
+            "t=1 dir=B→A type=data id=1 idx=0/1 ack=1:all len=14 dropped=false last"
+        )
+        link.tick()
+        assert a.idle and a.failure is None  # the ACK riding the last frame ended it
+        assert a.receive() == b"answer"
+        for _ in range(3 * link.round_trip_ticks):
+            link.tick()
+        assert [e.kind for e in link.trace] == ["data", "data"]  # no ACK, alone or riding
+        # A's next message carries no ACK of the last one either.
+        deliver(a, b"next")
+        assert b.receive() == b"next"
+        assert link.trace[2].ack_id is None
+
+    def test_lost_last_frame_goes_again_as_an_ordinary_message(self):
+        link = make_link("lora", seed=1)
+        lost = lose_next(link, lambda frame: frame.flags & FLAG_LAST)
+        a, b = answered_last(link)
+        assert lost and b.idle
+        while not (a.idle and b.idle):
+            link.tick()
+        assert a.failure is b.failure is None
+        assert drain(a) == [b"answer"]
+        # A sends its request again at its timer, tick 2; B answers the copy in
+        # the tick it arrives, 3, without the flag and with the copy's ACK, and
+        # A acknowledges that answer.
+        lines = [(e.tick, e.src, e.kind, e.message_id, e.ack_id, e.last, e.dropped)
+                 for e in link.trace]
+        assert lines == [
+            (0, "A", "data", 1, None, False, False),
+            (1, "B", "data", 1, 1, True, True),
+            (2, "A", "data", 1, None, False, False),
+            (3, "B", "data", 1, 1, False, False),
+            (4, "A", "ack", 1, 1, False, False),
+        ]
+        assert b._acked_id == 1
+
+    @pytest.mark.parametrize("fate", ["duplicated", "reordered"])
+    def test_last_frame_is_delivered_once_and_never_acknowledged(self, fate):
+        link = make_link("lora", reorder=1.0 if fate == "reordered" else 0.0, seed=1)
+        a, b = answered_last(link)
+        if fate == "duplicated":  # a copy right behind it, and one long after
+            link.transmit("B", Frame(FLAG_LAST, 1, 0, 1, b"answer"))
+        for tick in range(4 * link.round_trip_ticks):
+            link.tick()
+            if tick == 2 * link.round_trip_ticks and fate == "duplicated":
+                link.transmit("B", Frame(FLAG_LAST, 1, 0, 1, b"answer"))
+        assert a.idle and b.idle
+        assert drain(a) == [b"answer"]
+        assert not [e for e in link.trace if e.src == "A" and e.kind == "ack"]
+        assert [e.kind for e in link.trace if e.src == "A"] == ["data"]
+        assert link.malformed_frames == 0
+
+    @pytest.mark.parametrize(
+        "shape", ["two-fragments", "no-ack-due", "ack-went-alone", "ack-of-a-copy"]
+    )
+    def test_last_send_that_cannot_go_last_is_an_ordinary_message(self, shape):
+        """last=True on a message of two fragments, or with no ACK due, or whose
+        ACK due answers a copy the peer may no longer wait for, goes through
+        ordinary ARQ: the flag stays off, a timer runs, and a lost frame of it
+        is sent again."""
+        link = make_link("lora", seed=1)
+        a, b = Messenger(link, "A"), Messenger(link, "B")
+        answer = bytes(300) if shape == "two-fragments" else b"answer"
+        if shape != "no-ack-due":
+            a.send(b"request")
+            link.tick()
+            assert b.receive() == b"request"
+        if shape in ("ack-went-alone", "ack-of-a-copy"):
+            link.tick()  # the request's ACK goes alone
+            assert a.idle
+        if shape == "ack-of-a-copy":
+            link.transmit("A", Frame(0, 1, 0, 1, b"request"))
+            link.tick()
+            assert b._ack_due == [1]
+        lose_next(link, lambda frame: frame.frag_index == 0)
+        assert b.send(answer, last=True) == math.ceil(len(answer) / (link.profile.mtu - 8))
+        assert not b.idle
+        while not b.idle:
+            link.tick()
+        assert b.failure is None
+        assert drain(a) == [answer]
+        assert not any(e.last for e in link.trace)
+        assert any(e.dropped for e in link.trace)
+        assert [e.src for e in link.trace if e.kind == "ack"][-1] == "A"
+
+    def test_next_send_waits_for_a_newer_peer_message(self):
+        """Were the last message lost, a new one would reach the peer first and
+        the last one, sent again, would be dropped as stale."""
+        link = make_link("lora", seed=1)
+        a, b = answered_last(link)
+        with pytest.raises(TransportError, match="message 1 went last"):
+            b.send(b"more")
+        assert b.idle and len(link.trace) == 2
+        link.tick()
+        deliver(a, b"newer")
+        assert drain(b) == [b"newer"]
+        deliver(b, b"more")
+        assert drain(a) == [b"answer", b"more"]
+
+    def test_send_after_a_last_message_near_the_wrap_is_refused(self):
+        """A last message, which no ACK covers, is the peer's delivered mark:
+        once the counter has come round to its id, the next send would read
+        as a copy of it, so it is refused before anything is transmitted."""
+        link = make_link("lora", seed=1)
+        a, b = answered_last(link)
+        link.tick()
+        assert a._delivered == b._acked_id == 1
+        deliver(a, b"newer")
+        assert drain(b) == [b"newer"]
+        b._sent_id = 0  # as if 65,535 sends after the last one gave up unheard
+        before = len(link.trace)
+        with pytest.raises(TransportError, match="copy of message 1"):
+            b.send(b"next")
+        assert len(link.trace) == before and b.idle
+
+
 class TestMessageIds:
     """Each endpoint numbers its own messages from a 16-bit counter that wraps. A
     receiver keeps the id of the last message it delivered and at most one
@@ -1293,10 +1481,13 @@ class TestMessageIds:
 class ExactlyOnce(RuleBasedStateMachine):
     """Two Messengers on one long-lived, lossy link, possibly reordering, with
     traffic both ways and ids that may start near the 16-bit wrap. Rules queue
-    sends, each one message or a batch, and run the link: each side starts its
-    next queued send whenever it is idle. After every step, each side has
-    delivered a subsequence, in send order, of what its peer sent, none of it
-    twice, and each send that ended without `failure` has been delivered."""
+    sends, each one message or a batch, answer as last between ticks, and run
+    the link: each side starts its next queued send whenever it is idle, and
+    send does not refuse it for a last message still held. After every step, each side has delivered a
+    subsequence, in send order, of what its peer sent, none of it twice, and
+    each send that ended without `failure` has been delivered. A message sent
+    last is delivered once the send it answers ends without `failure`, or is
+    being sent again, which ends as any send does."""
 
     @initialize(
         profile=st.sampled_from(["lora", "ble"]),
@@ -1314,6 +1505,9 @@ class ExactlyOnce(RuleBasedStateMachine):
         self.queued = {name: deque() for name in self.ends}
         self.in_flight = {name: [] for name in self.ends}
         self.delivered = {name: [] for name in self.ends}
+        self.last_sent = {name: None for name in self.ends}  # each side's last message sent last
+        # By side: the message its peer sent last to answer its send in flight.
+        self.answered_by = {name: None for name in self.ends}
 
     @rule(side=st.sampled_from(["A", "B"]), sends=st.lists(
         st.lists(st.integers(5, 200) | st.integers(5, 5 * 222), min_size=1, max_size=3),
@@ -1329,24 +1523,76 @@ class ExactlyOnce(RuleBasedStateMachine):
             sent.update(zip(messages, places))
             self.queued[side].append(messages)
 
+    @rule(side=st.sampled_from(["A", "B"]), size=st.integers(5, 200))
+    def answer(self, side, size):
+        """Run the link until `side` delivers a message, for up to 20 ticks, and
+        then, if it is idle with nothing queued, send one message with
+        last=True. It goes last when it answers the message just delivered,
+        with that message's ACK due; else it is an ordinary send."""
+        messenger, peer = self.ends[side], self.link.other_end(side)
+        for _ in range(20):
+            delivered = len(self.delivered[side])
+            self.tick()
+            if len(self.delivered[side]) > delivered:
+                break
+        else:
+            return
+        if self.queued[side] or not messenger.idle:
+            return
+        place = len(self.sent[side])
+        message = place.to_bytes(4, "big").ljust(size, b".")
+        if not self.started(side, [message], last=True):
+            return
+        self.sent[side][message] = place
+        if not messenger.idle:
+            self.in_flight[side] = [message]
+            return
+        self.last_sent[side] = [message]
+        answered = self.in_flight[peer]
+        if answered and self.delivered[side][-len(answered):] == answered:
+            self.answered_by[peer] = message
+
     @rule(ticks=st.integers(min_value=1, max_value=20))
     def run(self, ticks):
-        """Tick the link; before each tick, each idle side starts its next queued
-        send. A send that ends without `failure` ends on the peer's delivery."""
         for _ in range(ticks):
-            for name, messenger in self.ends.items():
-                if messenger.idle and self.queued[name]:
-                    self.in_flight[name] = self.queued[name].popleft()
-                    messenger.send(*self.in_flight[name])
-            self.link.tick()
-            for name, messenger in self.ends.items():
-                self.delivered[name].extend(drain(messenger))
-            for name, messenger in self.ends.items():
-                if messenger.idle and self.in_flight[name]:
-                    if messenger.failure is None:
-                        peer = self.delivered[self.link.other_end(name)]
-                        assert peer[-len(self.in_flight[name]):] == self.in_flight[name]
-                    self.in_flight[name] = []
+            self.tick()
+
+    def started(self, side, messages, last=False):
+        """Whether `side` started sending `messages`: it refuses while the peer
+        has sent nothing newer than what its last message answered."""
+        try:
+            self.ends[side].send(*messages, last=last)
+        except TransportError as refusal:
+            assert "went last" in str(refusal) and self.last_sent[side] is not None
+            return False
+        return True
+
+    def tick(self):
+        """Tick the link; before the tick, each idle side starts its next queued
+        send if it can. A send that ends without `failure` ends on the peer's
+        delivery."""
+        for name, messenger in self.ends.items():
+            if messenger.idle and self.queued[name] and self.started(name, self.queued[name][0]):
+                self.in_flight[name] = self.queued[name].popleft()
+        self.link.tick()
+        for name, messenger in self.ends.items():
+            self.delivered[name].extend(drain(messenger))
+            if not messenger.idle and not self.in_flight[name]:
+                # Nothing was started: a lost last message goes again.
+                assert self.last_sent[name] is not None
+                self.in_flight[name] = self.last_sent[name]
+        for name, messenger in self.ends.items():
+            if messenger.idle and self.in_flight[name]:
+                peer = self.link.other_end(name)
+                if messenger.failure is None:
+                    assert self.delivered[peer][-len(self.in_flight[name]):] == (
+                        self.in_flight[name]
+                    )
+                    answer = self.answered_by[name]  # delivered, or being sent again
+                    assert answer is None or answer in self.delivered[name] or (
+                        self.in_flight[peer] == [answer]
+                    )
+                self.in_flight[name], self.answered_by[name] = [], None
 
     @invariant()
     def delivered_once_in_send_order(self):
