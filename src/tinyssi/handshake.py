@@ -70,8 +70,9 @@ codec refuses a second spelling of the same value:
 - A record of one field travels as that field, not as an array of one
   (`encoding.pack`): a CredPresent as its presentations, an Error as its
   reason.
-- A leg of several messages travels as one transport batch, whose last
-  message carries no length prefix but runs to the end (`transport`).
+- A leg of several messages travels as one transport message, whose last
+  message carries no length prefix but runs to the end
+  (`harness.drive_handshake`).
 - A message travels sealed exactly when its sender holds session keys,
   whatever its tag, as OSCORE protects a message once a security context
   exists (RFC 8613): HELLO, HELLO_ACK, AUTH and AUTH_ACK are written before

@@ -11,6 +11,7 @@ all derive from it.
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from random import Random
 from typing import Any
@@ -34,11 +35,12 @@ from .identity import (
     Did, DidError, METHOD_PEER, METHOD_REG, ServiceEndpoint, format_did, parse_did,
 )
 from .resolver import Registry, ResolutionError, Resolver
-from .transport import Messenger, PROFILES, make_link
+from .transport import Messenger, PROFILES, TransportError, make_link
 from .wallet import Wallet
 
 EPOCH = 1_700_000_000
 MAX_LEGS = 64
+_LENGTH = struct.Struct(">H")  # the length prefix of a message within a leg
 
 
 class ScenarioError(Exception):
@@ -489,6 +491,47 @@ def _round_trips(legs: int | None) -> int | None:
 _TERMINAL = frozenset({State.TRUSTED, State.UNTRUSTED, State.FAILED})
 
 
+def _join(leg: list[bytes]) -> bytes:
+    """The one transport message that carries a leg: each message but the last
+    behind its 2-byte big-endian length, and the last behind its own only when
+    it opens with what reads as the length of a non-empty message within it,
+    so that the leg splits one way only. A handshake message opens with its
+    tag byte, so one under 258 bytes never does, and a leg of one such
+    message travels as that message.
+
+    TransportError for an empty leg or message, or for a prefixed message
+    longer than 65,535 bytes."""
+    if not leg or not all(leg):
+        raise TransportError("a leg is one or more non-empty messages")
+    *prefixed, last = leg
+    if _split(last) != [last]:  # it opens with a length, so it keeps its prefix
+        prefixed, last = leg, b""
+    if any(len(message) > 0xFFFF for message in prefixed):
+        raise TransportError("a message of a leg is limited to 65535 bytes")
+    return b"".join(_LENGTH.pack(len(message)) + message for message in prefixed) + last
+
+
+def _split(payload: bytes) -> list[bytes] | None:
+    """The leg that _join made `payload` from; None for any other spelling,
+    such as a last message with a length prefix it does not need."""
+    def message_end(raw: bytes, at: int) -> int:
+        """Where the message ends whose length prefix opens raw[at:]; 0 when
+        those bytes state no length of a non-empty message within them."""
+        if len(raw) - at <= _LENGTH.size:
+            return 0
+        end = at + _LENGTH.size + _LENGTH.unpack_from(raw, at)[0]
+        return end if at + _LENGTH.size < end <= len(raw) else 0
+
+    messages, at = [], 0
+    while end := message_end(payload, at):
+        messages.append(payload[at + _LENGTH.size : end])
+        at = end
+    if at < len(payload):
+        return messages + [payload[at:]]  # the last message, which runs to the end
+    # Every message had a prefix: the last needs one only if it opens with a length.
+    return messages if messages and message_end(messages[-1], 0) else None
+
+
 def drive_handshake(
     link, initiator: HandshakeSession, first_message: bytes,
     responder: HandshakeSession, now: int, intercept=None,
@@ -496,13 +539,18 @@ def drive_handshake(
     """Run the handshake over the link, each session answering a leg in the tick it arrives.
 
     A leg is the messages one session's step()s just produced. It travels as
-    one transport message, sent once its endpoint has nothing in flight, and
-    sent last when the session is complete, so the leg that ends a pairing
-    draws no ACK. Then the link ticks, and each session steps, in order, the
-    messages delivered to it; their replies form its next leg, which carries
-    the ACK of what it answers. The run ends when nothing is in flight and no
-    leg waits to be sent, or when a send gives up; the ACKs its last tick
-    made due still go out, alone.
+    one transport message, _join's, sent once its endpoint has nothing in
+    flight, and sent last when the session is complete, so the leg that ends
+    a pairing draws no ACK. So a leg of m messages costs one round trip, not
+    m, and 2 bytes of length prefix per message but the last; it may need
+    fewer fragments than m sends would, since only its last fragment is
+    partly filled. Then the link ticks, and each session steps, in order,
+    the messages of each leg delivered to it; their replies form its next
+    leg, which carries the ACK of what it answers. A leg that does not split
+    (see _split) is acknowledged, as every delivered message is, and dropped
+    whole: no message of it is stepped. The run ends when nothing is in
+    flight and no leg waits to be sent, or when a send gives up; the ACKs its
+    last tick made due still go out, alone.
     `intercept(receiver_role, message) -> message` models an on-path attacker:
     it may rewrite any message after reassembly, before the receiver steps it.
     """
@@ -516,7 +564,7 @@ def drive_handshake(
         for name, messenger in messengers.items():
             if outboxes[name] and messenger.idle and run.legs < MAX_LEGS:
                 run.fragments_per_message.append(
-                    messenger.send(*outboxes[name], last=sessions[name].complete)
+                    messenger.send(_join(outboxes[name]), last=sessions[name].complete)
                 )
                 outboxes[name] = []
         if all(m.idle for m in messengers.values()):
@@ -526,10 +574,11 @@ def drive_handshake(
             run.delivery_failed = True
             break
         for name, messenger in messengers.items():
-            while (received := messenger.receive()) is not None:
-                if intercept is not None:
-                    received = intercept(sessions[name].role, received)
-                outboxes[name].extend(sessions[name].step(received, now))
+            while (leg := messenger.receive()) is not None:
+                for received in _split(leg) or []:
+                    if intercept is not None:
+                        received = intercept(sessions[name].role, received)
+                    outboxes[name].extend(sessions[name].step(received, now))
         if run.legs_to_secure is None and all(
             s.state in _CHANNEL_STATES for s in sessions.values()
         ):

@@ -4,7 +4,7 @@ deterministic lossy-link simulator.
 Every frame opens with a 4-byte head, big-endian:
 
   byte 0    magic 0xD1
-  byte 1    flags: bit0 = ACK, bit1 = whole, bit2 = batch, bit3 = last; the other bits are sent as 0
+  byte 1    flags: bit0 = ACK, bit1 = whole, bit3 = last; the other bits are sent as 0
   bytes 2-3 message_id
 
 Each endpoint numbers its own messages, from a 16-bit counter that wraps, the
@@ -33,7 +33,7 @@ takes 9 bytes; a whole ACK takes 4, however many fragments it covers. Each
 frame has one wire form: a data frame of a one-fragment message with
 fragment fields, or a bitmap that sets every bit, does not decode, and
 neither does a data frame without payload, which no message yields, a
-frame that sets a bit above the last flag, an ACK with the batch or last
+frame that sets a bit other than the three flags, an ACK with the last
 flag, or a fragment with the last flag. A message whose hole report would
 not fit the MTU, more than 8 * (mtu - 8) fragments, is refused before it
 is sent. Timeouts run on simulated ticks,
@@ -51,18 +51,10 @@ own, the way a CoAP response is piggybacked on its ACK (RFC 7252 §5.2.1) and
 DTLS 1.3 packs several records into one datagram (RFC 9147 §4); on LoRa a
 frame costs its preamble and header in airtime, whatever its length.
 
-Messenger.send takes one or more protocol messages and sends them as one
-transport message: one message id, one fragment stream, one ARQ timer. One
-message travels as it is. Two or more travel as a batch, and every fragment
-sets the batch flag: each message but the last is preceded by its 2-byte
-big-endian length, and the last runs to the end of the payload. A last
-message that opens with what reads as the length of a non-empty message
-within it keeps its prefix, so a batch splits one way only; a handshake
-message opens with its tag byte, so one under 258 bytes never does. The
-receiver queues a completed batch's messages in send order, and drops a
-batch that does not split so into two or more non-empty messages, or whose
-last message has a prefix it does not need. So a handshake leg of several
-messages costs one round trip, not one per message.
+Messenger.send takes one message and sends it as it is: one message id,
+one fragment stream, one ARQ timer. A caller with several messages to send
+at once frames them into one, as harness.drive_handshake does with the
+messages of a handshake leg.
 
 The ARQ window is the whole message: every fragment goes out at once, and
 one timer waits for all their ACKs. When it fires, only the fragments still
@@ -138,7 +130,6 @@ MAGIC = 0xD1
 HEADER_LEN = 8  # the header of a fragment: a data frame of a fragmented message, or a hole report
 FLAG_ACK = 0x01
 FLAG_WHOLE = 0x02
-FLAG_BATCH = 0x04
 FLAG_LAST = 0x08
 
 RETRY_LIMIT = 8          # retransmissions per fragment before giving up
@@ -153,7 +144,6 @@ STALE_IDS = math.ceil((TRANSIT_TICKS + REORDER_DELAY_TICKS) / (2 * TRANSIT_TICKS
 
 _HEAD = struct.Struct(">BBH")  # magic, flags, message_id: every frame's head
 _FRAGMENT = struct.Struct(">HH")  # frag_index, frag_count: after the head, unless whole
-_LENGTH = struct.Struct(">H")
 
 
 class TransportError(Exception):
@@ -217,10 +207,10 @@ class Frame:
 
         FrameError unless the frame decodes and is in its one wire form. It
         refuses a frame shorter than its head or without the magic byte; one
-        that sets a flag bit above FLAG_LAST, an ACK that sets FLAG_BATCH or
-        FLAG_LAST, and a fragment that sets FLAG_LAST; a data frame without
-        payload; a fragment shorter than its header, or whose frag_index is
-        not below its frag_count; a hole report whose
+        that sets a flag bit other than FLAG_ACK, FLAG_WHOLE and FLAG_LAST, an
+        ACK that sets FLAG_LAST, and a fragment that sets FLAG_LAST; a data
+        frame without payload; a fragment shorter than its header, or whose
+        frag_index is not below its frag_count; a hole report whose
         frag_index is not 0, whose bitmap is cut short of ceil(frag_count / 8)
         bytes, or that sets a bit at or beyond frag_count; and a whole
         message's frame spelled with fragment fields, a data frame of one
@@ -231,10 +221,10 @@ class Frame:
         magic, flags, message_id = _HEAD.unpack_from(raw)
         if magic != MAGIC:
             raise FrameError(f"bad magic 0x{magic:02x}")
-        if flags & ~(FLAG_ACK | FLAG_WHOLE | FLAG_BATCH | FLAG_LAST):
+        if flags & ~(FLAG_ACK | FLAG_WHOLE | FLAG_LAST):
             raise FrameError(f"reserved flag bits set: 0x{flags:02x}")
         is_ack = bool(flags & FLAG_ACK)
-        if is_ack and flags & (FLAG_BATCH | FLAG_LAST):
+        if is_ack and flags & FLAG_LAST:
             raise FrameError(f"ACK of message {message_id} with data flags: 0x{flags:02x}")
         if flags & FLAG_LAST and not flags & FLAG_WHOLE:
             raise FrameError(f"fragment of message {message_id} sent as last")
@@ -285,8 +275,8 @@ def make_ack(message_id: int, frag_count: int, held: int) -> Frame:
     )
 
 
-def fragment(message: bytes, mtu: int, message_id: int, flags: int = 0) -> list[Frame]:
-    """Split a message into ceil(len / (mtu - 8)) frames, each carrying `flags`."""
+def fragment(message: bytes, mtu: int, message_id: int) -> list[Frame]:
+    """Split a message into ceil(len / (mtu - 8)) frames."""
     if mtu <= HEADER_LEN:
         raise TransportError(f"mtu must exceed the {HEADER_LEN}-byte header")
     if not message:
@@ -297,19 +287,10 @@ def fragment(message: bytes, mtu: int, message_id: int, flags: int = 0) -> list[
         raise TransportError(
             f"message needs {count} fragments; the header field allows 65535"
         )
-    frames = []
-    for index in range(count):
-        chunk = message[index * capacity : (index + 1) * capacity]
-        frames.append(
-            Frame(
-                flags=flags,
-                message_id=message_id,
-                frag_index=index,
-                frag_count=count,
-                payload=chunk,
-            )
-        )
-    return frames
+    return [
+        Frame(0, message_id, index, count, message[index * capacity : (index + 1) * capacity])
+        for index in range(count)
+    ]
 
 
 def decode_packet(raw: bytes) -> tuple[Frame | None, Frame | None]:
@@ -353,45 +334,6 @@ def reassemble(frames: Iterable[Frame]) -> bytes | None:
     if frag_count is None or len(by_index) < frag_count:
         return None
     return b"".join(by_index[i] for i in range(frag_count))
-
-
-def _payload(messages: tuple[bytes, ...]) -> tuple[bytes, int]:
-    """The payload and flags of the transport message that carries `messages`."""
-    if not messages:
-        raise TransportError("send needs at least one message")
-    if not all(messages):
-        raise TransportError("cannot send an empty message")
-    if len(messages) == 1:
-        return messages[0], 0
-    *prefixed, last = messages
-    if _opens_with_length(last):
-        prefixed, last = messages, b""
-    if any(len(m) > 0xFFFF for m in prefixed):
-        raise TransportError("a batched message is limited to 65535 bytes")
-    return b"".join(_LENGTH.pack(len(m)) + m for m in prefixed) + last, FLAG_BATCH
-
-
-def _opens_with_length(raw: bytes) -> bool:
-    """`raw` opens with the 2-byte length of a non-empty message within it, which
-    a batch's reader takes for a length prefix."""
-    return len(raw) > _LENGTH.size and 0 < _LENGTH.unpack_from(raw)[0] <= len(raw) - _LENGTH.size
-
-
-def _unbatch(payload: bytes) -> list[bytes]:
-    """Split a batch payload into the messages _payload batched; FrameError unless
-    it holds two or more, and the last has a prefix only if it needs one."""
-    messages, rest = [], payload
-    while _opens_with_length(rest):
-        end = _LENGTH.size + _LENGTH.unpack_from(rest)[0]
-        messages.append(rest[_LENGTH.size : end])
-        rest = rest[end:]
-    if rest:
-        messages.append(rest)
-    elif not _opens_with_length(messages[-1]):
-        raise FrameError("the last message of a batch spelled with its length prefix")
-    if len(messages) < 2:
-        raise FrameError("batch of fewer than two messages")
-    return messages
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +409,8 @@ class SimLink:
     timers. Every transmitted packet is bounds-checked against the MTU and
     logged to the trace, dropped or not. A delivered packet that fails to
     decode, or that its handler rejects with FrameError, is dropped whole and
-    counted once in malformed_frames.
+    counted once in malformed_frames, which so counts frames only: what a
+    delivered message holds is its reader's to judge.
     """
 
     def __init__(self, profile: LinkProfile, a: str = "A", b: str = "B"):
@@ -613,7 +556,6 @@ class _ReceiveState:
 
     message_id: int
     frag_count: int
-    batch: bool
     fragments: dict[int, Frame] = field(default_factory=dict)
 
 
@@ -633,23 +575,21 @@ class _Outbound:
 class Messenger:
     """Reliable message endpoint over a SimLink: selective repeat over the whole message.
 
-    send(*messages) carries its messages as one transport message, batched
-    when there are two or more (see the module docstring). It transmits every
-    fragment, arms the round's timer, and returns the message's fragment
-    count; the link's trace logs every frame it sends. It raises
-    TransportError while an earlier message is still in flight: `idle` says
-    when there is none. From then on SimLink.tick() drives the message: the
-    tick in which the ACKs cover every fragment ends it. When the timer fires
-    first, check_timer() sends only the fragments still unacknowledged and
-    arms it again. A round arms SimLink.answer_round_trip_ticks when an ACK
-    due rides one of its frames, else SimLink.round_trip_ticks, for the
-    reasons the module docstring gives. When a fragment is still
-    unacknowledged after RETRY_LIMIT retransmissions, the send gives up and
-    `failure` holds a DeliveryError.
+    send(message) transmits every fragment of its one message, arms the
+    round's timer, and returns the message's fragment count; the link's trace
+    logs every frame it sends. It raises TransportError while an earlier
+    message is still in flight: `idle` says when there is none. From then on
+    SimLink.tick() drives the message: the tick in which the ACKs cover every
+    fragment ends it. When the timer fires first, check_timer() sends only the
+    fragments still unacknowledged and arms it again. A round arms
+    SimLink.answer_round_trip_ticks when an ACK due rides one of its frames,
+    else SimLink.round_trip_ticks, for the reasons the module docstring gives.
+    When a fragment is still unacknowledged after RETRY_LIMIT retransmissions,
+    the send gives up and `failure` holds a DeliveryError.
     The peer's Messenger, attached to the same link, acknowledges each message
     whose data arrived in a tick, unless sent last, with one ACK in that
-    tick, whole or a hole report; the messages of a completed transport
-    message queue up, in send order, behind receive().
+    tick, whole or a hole report; completed messages queue up, in send
+    order, behind receive().
 
     ACKs ride data frames as the module docstring sets out. A full fragment
     has no room for one, so an ACK goes with a message's last fragment or a
@@ -663,20 +603,16 @@ class Messenger:
     answers, with that delivery's ACK due.
 
     The simulator charges transit, not airtime: frames sent in the same tick
-    all arrive one transit later. So a k-fragment message costs one round
-    trip here where a round trip per fragment would cost k; the saving is the
-    k - 1 idle ACK turnarounds, with the same data frames and airtime. Its
-    fragments arrive in the same tick on a lossless link, so they draw one
-    ACK, not k. A batch of m messages saves m - 1 round trips the same way. It
-    costs 2 bytes of length prefix per message but the last, and may need
-    fewer fragments than m sends would: only its last fragment is partly
-    filled. A reply sent in the tick its request is delivered saves the rest
-    of that request's round trip: a chain of n messages that each answer the
-    one before, every one delivered at its first try and the last sent last,
-    costs n ticks on a link that never reorders, not 2n. It costs no ACK
-    frame when each reply's last fragment has room for the ACK of the
-    message it answers: the first n - 1 ACKs ride the replies, and the last
-    message draws none.
+    all arrive one transit later. So a k-fragment message costs one round trip
+    here where a round trip per fragment would cost k; the saving is the k - 1
+    idle ACK turnarounds, with the same data frames and airtime. Its fragments
+    arrive in the same tick on a lossless link, so they draw one ACK, not k. A
+    reply sent in the tick its request is delivered saves the rest of that
+    request's round trip: a chain of n messages that each answer the one
+    before, every one delivered at its first try and the last sent last, costs
+    n ticks on a link that never reorders, not 2n. It costs no ACK frame when
+    each reply's last fragment has room for the ACK of the message it answers:
+    the first n - 1 ACKs ride the replies, and the last message draws none.
 
     An endpoint keeps its one message in flight with its bitmap and timer,
     and ignores ACKs for any other id. It keeps the id of its last message
@@ -723,25 +659,24 @@ class Messenger:
         """No message in flight: the last one sent was acknowledged, gave up, or went last."""
         return self._sending is None
 
-    def send(self, *messages: bytes, last: bool = False) -> int:
-        """Start sending `messages` as one transport message; SimLink.tick() finishes it.
+    def send(self, message: bytes, last: bool = False) -> int:
+        """Start sending `message`; SimLink.tick() finishes it.
 
-        `last` says the exchange ends with them: they go as a last message
-        when they can, as the class docstring sets out."""
+        `last` says the exchange ends with it: it goes as a last message
+        when it can, as the class docstring sets out."""
         if self._sending is not None:
             raise TransportError(f"message {self._sending.message_id} is still in flight")
         if self._last is not None:
             raise TransportError(
                 f"message {self._last.message_id} went last, and the peer has sent nothing newer"
             )
-        payload, flags = _payload(messages)
         message_id = (self._sent_id + 1) % 0x10000
         if (self._acked_id - message_id) % 0x10000 <= STALE_IDS:
             raise TransportError(
                 f"message id {message_id} would read as a copy of message {self._acked_id},"
                 " the last the peer acknowledged"
             )
-        frames = fragment(payload, self.link.profile.mtu, message_id, flags)
+        frames = fragment(message, self.link.profile.mtu, message_id)
         count = len(frames)
         if count > _ackable_fragments(self.link.profile.mtu):
             raise TransportError(f"message needs {count} fragments; its ACK would exceed the mtu")
@@ -755,7 +690,7 @@ class Messenger:
         else:
             # No ACK will cover it, so it counts as the peer's mark from now on.
             self._last, self._acked_id = out, message_id
-            self._transmit(replace(frames[0], flags=flags | FLAG_LAST))
+            self._transmit(replace(frames[0], flags=FLAG_LAST))
         return count
 
     def _answered(self, frame: Frame) -> int | None:
@@ -839,8 +774,7 @@ class Messenger:
         """Take one packet off the link: an ACK, a data frame, or both, ACK first.
 
         Both are checked before either is acted on. FrameError means nothing
-        in the packet was acted on, or that the batch its data frame completed
-        did not split and was dropped.
+        in the packet was acted on.
         """
         held = 0 if ack is None else self._acknowledged(ack)
         state = None if data is None else self._receive_state(data)
@@ -874,14 +808,11 @@ class Messenger:
         delivered = self._delivered
         if delivered is not None and (delivered - frame.message_id) % 0x10000 <= STALE_IDS:
             return None
-        batch = bool(frame.flags & FLAG_BATCH)
         state = self._partial
         if state is None or state.message_id != frame.message_id:
-            return _ReceiveState(frame.message_id, frame.frag_count, batch)
+            return _ReceiveState(frame.message_id, frame.frag_count)
         if frame.frag_count != state.frag_count:
             raise FrameError(f"inconsistent frag_count for message {frame.message_id}")
-        if batch != state.batch:
-            raise FrameError(f"inconsistent batch flag for message {frame.message_id}")
         return state
 
     def _take(self, frame: Frame, state: _ReceiveState | None) -> None:
@@ -899,11 +830,9 @@ class Messenger:
         self._partial = state
         state.fragments.setdefault(frame.frag_index, frame)
         if len(state.fragments) == state.frag_count:
-            payload = reassemble(state.fragments.values())
-            # Delivered before the split: a batch that does not split is dropped once.
             self._partial, self._delivered = None, state.message_id
             self._delivered_at, self._delivered_last = self.link.now, last
-            self._received.extend(_unbatch(payload) if state.batch else [payload])
+            self._received.append(reassemble(state.fragments.values()))
 
     def _ack(self, message_id: int | None) -> Frame | None:
         """The ACK of a message this endpoint holds, whole once delivered; None

@@ -5,9 +5,11 @@ import json
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from random import Random
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tinyssi import crypto, harness
 from tinyssi.handshake import HandshakeSession
@@ -15,9 +17,13 @@ from tinyssi.harness import (
     Deployment,
     Scenario,
     ScenarioError,
+    _join,
+    _split,
     run_scenario,
 )
-from tinyssi.transport import FLAG_LAST, RETRY_LIMIT, Frame, SimLink
+from tinyssi.transport import (
+    FLAG_LAST, RETRY_LIMIT, DeliveryError, Frame, Messenger, SimLink, TransportError, make_link,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -41,6 +47,11 @@ BASE = {
          "link": 0, "policy": "owner-match", "expect": "trusted"},
     ],
 }
+
+
+def prefixed(*entries: bytes) -> bytes:
+    """Each entry preceded by its 2-byte big-endian length, the last one too."""
+    return b"".join(len(e).to_bytes(2, "big") + e for e in entries)
 
 
 def scenario(**overrides) -> Scenario:
@@ -487,6 +498,166 @@ class TestLastLeg:
         assert step.retransmissions == 2  # the camera's copy and the lock's resend
         assert step.ticks == 9
         assert_one_message_in_flight_per_endpoint(link)
+
+
+# Messages of a leg: arbitrary bytes, and bytes that open with a length.
+leg_messages = st.binary(min_size=1, max_size=60) | st.builds(
+    lambda body, rest: prefixed(body) + rest,
+    st.binary(min_size=1, max_size=20), st.binary(max_size=4),
+)
+
+
+class TestLegs:
+    """harness._join frames a handshake leg as one transport message, and
+    harness._split reads it back: each message but the last behind its 2-byte
+    big-endian length, and the last behind its own only when it opens with
+    what reads as a length."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(leg=st.lists(leg_messages, min_size=1, max_size=4))
+    def test_a_leg_round_trips(self, leg):
+        joined = _join(leg)
+        assert _split(joined) == leg
+        *first, last = leg
+        assert joined.startswith(prefixed(*first))
+        assert joined.endswith(last)
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=st.binary(max_size=40) | st.lists(leg_messages, max_size=3).map(
+        lambda entries: prefixed(*entries)
+    ))
+    def test_a_leg_has_one_spelling(self, payload):
+        """Any bytes split into a leg whose join they are, or into none."""
+        leg = _split(payload)
+        assert leg is None or _join(leg) == payload
+
+    def test_each_message_but_the_last_is_length_prefixed(self):
+        assert _join([b"abc", b"fg", b"de"]) == b"\x00\x03abc\x00\x02fgde"
+        assert _join([b"abc"]) == b"abc"  # a leg of one travels as its message
+
+    @pytest.mark.parametrize("last", [b"\x00\x01x", b"\x00\x02xy", b"\x00\x01xyz"],
+                             ids=["exactly", "exactly-2", "and-more"])
+    def test_last_message_that_opens_with_a_length_keeps_its_prefix(self, last):
+        # It reads as the length of a non-empty message within it, so without
+        # its prefix the leg would split another way.
+        assert _join([b"abc", last]) == prefixed(b"abc", last)
+        assert _join([last]) == prefixed(last)
+        assert _split(prefixed(b"abc", last)) == [b"abc", last]
+        assert _split(prefixed(last)) == [last]
+
+    @pytest.mark.parametrize(
+        "last", [b"\x00\x00x", b"\x00\x02x", b"\x00", b"\x07\x01" + bytes(17)],
+        ids=["zero-length", "overrun", "one-byte", "tag-byte-first"],
+    )
+    def test_last_message_that_reads_as_no_length_goes_without_a_prefix(self, last):
+        # A zero length, or one that overruns it, is no prefix a reader could take.
+        assert _join([b"abc", last]) == prefixed(b"abc") + last
+        assert _join([last]) == last
+        assert _split(prefixed(b"abc") + last) == [b"abc", last]
+        assert _split(last) == [last]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"",
+            prefixed(b"ab"),  # a lone message with a prefix it does not need
+            prefixed(b"c", b"d"),  # a 1-byte last message keeps a prefix it does not need
+            prefixed(b"ab", b"cd"),
+            prefixed(b"ab", b"cd", b"ef"),
+        ],
+        ids=["empty", "single-entry", "one-byte-tail", "prefixed-last", "prefixed-last-of-three"],
+    )
+    def test_second_spelling_of_a_leg_does_not_split(self, payload):
+        assert _split(payload) is None
+
+    @pytest.mark.parametrize(
+        "leg",
+        [[], [b""], [b"a", b""], [bytes(0x10000), b"a"]],
+        ids=["none", "empty", "empty-in-leg", "too-long-to-prefix"],
+    )
+    def test_unsendable_legs_rejected(self, leg):
+        with pytest.raises(TransportError):
+            _join(leg)
+
+    def test_a_leg_is_one_message_with_one_timer(self):
+        link = make_link("lora", seed=1)
+        sender = Messenger(link, "A")
+        receiver = Messenger(link, "B")
+        leg = [Random(i).randbytes(size) for i, size in enumerate((37, 376, 300))]
+        fragments = sender.send(_join(leg))
+        while not sender.idle:
+            link.tick()
+        assert _split(receiver.receive()) == leg and receiver.receive() is None
+        assert {e.message_id for e in link.trace if e.kind == "data"} == {1}
+        # 2 * 2 B of lengths + 713 B of messages: 4 LoRa fragments, one round trip.
+        assert fragments == len(link.trace) - 1 == 4
+        assert link.now == link.round_trip_ticks
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        legs=st.lists(
+            st.lists(st.integers(min_value=1, max_value=600), min_size=1, max_size=3),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_legs_delivered_once_in_order_under_loss(self, seed, legs):
+        link = make_link("lora", loss=0.3, reorder=0.1, seed=seed)
+        sender = Messenger(link, "A")
+        receiver = Messenger(link, "B")
+        rng = Random(seed)
+        for sizes in legs:
+            leg = [rng.randbytes(size) for size in sizes]
+            sender.send(_join(leg))
+            while not sender.idle:
+                link.tick()
+            delivered = receiver.receive()
+            if sender.failure is not None:
+                assert isinstance(sender.failure, DeliveryError)
+                # The last ACK may be what was lost: all of the leg or none of it.
+                assert delivered is None or _split(delivered) == leg
+                return
+            assert _split(delivered) == leg and receiver.receive() is None
+        for _ in range(4 * link.round_trip_ticks):
+            link.tick()  # late duplicates are re-acknowledged, never re-delivered
+        assert receiver.receive() is None
+
+    def test_a_leg_that_does_not_split_is_never_stepped(self):
+        """Sent in the camera's name as the lock sends its HELLO_ACK, a leg of
+        two messages, the last with a prefix it does not need, reaches the lock
+        while it waits for the camera's AUTH. The lock's Messenger delivers and
+        acknowledges it; the harness drops it whole, so neither of its
+        messages, each of which would fail the lock, is stepped."""
+        bad = prefixed(b"\x03junk", b"\x04junk")
+        assert _split(bad) is None
+
+        def inject_after_hello_ack(link):
+            transmit = link.transmit
+
+            def transmit_with_injection(src, frame, ack=None):
+                transmit(src, frame, ack)
+                if src == "lock" and frame.message_id == 1 and not frame.is_ack:
+                    transmit("camera", Frame(0, 0x7777, 0, 1, bad))
+
+            link.transmit = transmit_with_injection
+
+        with (
+            kept_links(inject_after_hello_ack) as links,
+            mock.patch.object(
+                HandshakeSession, "step", autospec=True, side_effect=HandshakeSession.step
+            ) as step,
+        ):
+            metrics = run_scenario(scenario()).steps[0]
+        (link,) = links
+        assert metrics.outcome == "trusted"
+        assert step.call_count == 9
+        stepped = [call.args[1] for call in step.call_args_list]
+        assert not {b"\x03junk", b"\x04junk", bad} & set(stepped)
+        assert [(e.tick, e.src, e.kind) for e in link.trace if e.ack_id == 0x7777] == [
+            (2, "lock", "ack"),
+        ]
+        assert link.malformed_frames == 0
+        assert metrics.ticks == 6  # as without the injection
 
 
 class TestBenchmarkReconciliation:

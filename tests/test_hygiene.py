@@ -49,6 +49,12 @@ The frame layout has one home, `transport.Frame`: only `Frame.encode` and
 structs, `_HEAD` and `_FRAGMENT`, so a whole frame and a fragment are
 written and read in one place.
 
+One rule frames a handshake leg, in the one function that makes legs: only
+`harness._join` writes a 2-byte big-endian length prefix (a `struct.Struct(">H")`
+packed, `struct.pack(">H", …)` or `n.to_bytes(2, "big")`) and only
+`harness._split` reads one, in its `message_end`. transport.py binds no such
+struct: a Messenger sends one message as it is.
+
 Message ids wrap in one place each way: only `Messenger.send` (which takes
 the next id) and `Messenger._receive_state` (which tells a stale copy by how
 far its id trails the last delivered one) do 16-bit modular arithmetic, a
@@ -527,7 +533,7 @@ def test_one_rule_sends_a_frame_last():
 def test_checker_flags_a_second_last_flag_rule():
     source = (
         "class Messenger:\n"
-        "    def send(self, *messages, last=False):\n"
+        "    def send(self, message, last=False):\n"
         "        self._transmit(replace(frames[0], flags=flags | FLAG_LAST))\n"
         "    def check_timer(self):\n"
         "        frame = Frame(FLAG_LAST, out.message_id, 0, 1, payload)\n"
@@ -539,9 +545,9 @@ def test_checker_flags_a_second_last_flag_rule():
         "def is_last(frame):\n"
         "    return bool(frame.flags & FLAG_LAST)\n"
         "def refuse(flags):\n"
-        "    return flags & ~(FLAG_ACK | FLAG_WHOLE | FLAG_BATCH | FLAG_LAST)\n"
-        "def batch(frame):\n"
-        "    return replace(frame, flags=frame.flags | FLAG_BATCH)\n"
+        "    return flags & ~(FLAG_ACK | FLAG_WHOLE | FLAG_LAST)\n"
+        "def ack(frame):\n"
+        "    return replace(frame, flags=frame.flags | FLAG_ACK)\n"
     )
     assert scopes_holding(source, _sets_the_last_flag) == {
         "Messenger.send", "Messenger.check_timer", "Messenger._transmit_round", "resend",
@@ -603,7 +609,7 @@ def test_one_rule_wraps_message_ids():
 def test_checker_flags_a_second_id_wrap():
     source = (
         "class Messenger:\n"
-        "    def send(self, *messages):\n"
+        "    def send(self, message):\n"
         "        message_id = (self._sent_id + 1) % 0x10000\n"
         "    def _receive_state(self, frame):\n"
         "        behind = (self._delivered - frame.message_id) % 0x10000\n"
@@ -618,3 +624,79 @@ def test_checker_flags_a_second_id_wrap():
         "Messenger.send", "Messenger._receive_state", "Messenger._ack",
         "SimLink.allocate_message_id",
     }
+
+
+LENGTH_FORMAT = ">H"
+LENGTH_WRITES = frozenset({"pack", "to_bytes"})
+LENGTH_READS = frozenset({"unpack", "unpack_from"})
+
+
+def length_structs(source: str) -> set[str]:
+    """The names a module binds to a length-prefix struct, `struct.Struct(">H")`."""
+    return {
+        target.id
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+        and _name(node.value.func) == "Struct"
+        and [a.value for a in node.value.args if isinstance(a, ast.Constant)] == [LENGTH_FORMAT]
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+
+
+def length_prefix_scopes(source: str, methods: frozenset[str]) -> set[str]:
+    """Where a module calls one of `methods` on a 2-byte big-endian length: through
+    a length-prefix struct, as `struct.<method>(">H", …)`, or as `.to_bytes(2, "big")`."""
+    structs = length_structs(source)
+
+    def handles_a_length(node: ast.AST) -> bool:
+        if not isinstance(node, ast.Call) or _name(node.func) not in methods:
+            return False
+        constants = [a.value for a in node.args[:2] if isinstance(a, ast.Constant)]
+        return (
+            _name(getattr(node.func, "value", None)) in structs
+            or constants[:1] == [LENGTH_FORMAT]
+            or constants == [2, "big"]
+        )
+
+    return scopes_holding(source, handles_a_length)
+
+
+def test_one_rule_frames_a_leg():
+    sources = {module: (PACKAGE / module).read_text(encoding="utf-8") for module in MODULES}
+
+    def users(methods):
+        return {
+            (module, scope)
+            for module, source in sources.items()
+            for scope in length_prefix_scopes(source, methods)
+        }
+
+    assert users(LENGTH_WRITES) == {("harness.py", "_join")}
+    assert users(LENGTH_READS) == {("harness.py", "_split.message_end")}
+    assert length_structs(sources["transport.py"]) == set()
+
+
+def test_checker_flags_a_second_leg_framing():
+    source = (
+        "_LENGTH = struct.Struct('>H')\n"
+        "_HEAD = struct.Struct('>BBH')\n"
+        "def _join(leg):\n"
+        "    return b''.join(_LENGTH.pack(len(m)) + m for m in leg)\n"
+        "def _split(payload):\n"
+        "    def message_end(raw, at):\n"
+        "        return _LENGTH.unpack_from(raw, at)[0]\n"
+        "class Messenger:\n"
+        "    def send(self, *messages):\n"
+        "        payload = b''.join(struct.pack('>H', len(m)) + m for m in messages)\n"
+        "    def _take(self, payload):\n"
+        "        (length,) = struct.unpack('>H', payload[:2])\n"
+        "def batch(messages):\n"
+        "    return b''.join(len(m).to_bytes(2, 'big') + m for m in messages)\n"
+        "def encode(frame, n):\n"
+        "    return _HEAD.pack(0xD1, frame.flags, frame.message_id) + n.to_bytes(4, 'big')\n"
+        "def nonce(counter, size):\n"
+        "    return counter.to_bytes(size, 'big') + _HEAD.unpack_from(size)\n"
+    )
+    assert length_structs(source) == {"_LENGTH"}
+    assert length_prefix_scopes(source, LENGTH_WRITES) == {"_join", "Messenger.send", "batch"}
+    assert length_prefix_scopes(source, LENGTH_READS) == {"_split.message_end", "Messenger._take"}

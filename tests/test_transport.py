@@ -22,7 +22,6 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from tinyssi.transport import (
     DeliveryError,
     FLAG_ACK,
-    FLAG_BATCH,
     FLAG_LAST,
     Frame,
     FrameError,
@@ -47,15 +46,10 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 LOSSY_TRACE = FIXTURES / "lora-loss0.2-reorder0.1-seed12.trace"
 
 
-def prefixed(*entries: bytes) -> bytes:
-    """Each entry preceded by its 2-byte big-endian length, the last one too."""
-    return b"".join(len(e).to_bytes(2, "big") + e for e in entries)
-
-
-def deliver(sender: Messenger, *messages: bytes) -> int:
+def deliver(sender: Messenger, message: bytes) -> int:
     """Send, then tick the link until the send ends; raise its DeliveryError if it gave up.
     Returns the message's fragment count, as send() does."""
-    fragments = sender.send(*messages)
+    fragments = sender.send(message)
     while not sender.idle:
         sender.link.tick()
     if sender.failure is not None:
@@ -96,11 +90,10 @@ class _Fragmented(Frame):
 
 class TestFrameCodec:
     def test_header_layout_is_bit_exact(self):
-        frame = Frame(flags=FLAG_BATCH, message_id=0x1234, frag_index=2, frag_count=3,
-                      payload=b"xyz")
+        frame = Frame(flags=0, message_id=0x1234, frag_index=2, frag_count=3, payload=b"xyz")
         raw = frame.encode()
         assert raw[0] == 0xD1
-        assert raw[1] == 0x04
+        assert raw[1] == 0x00
         assert raw[2:4] == b"\x12\x34"
         assert raw[4:6] == b"\x00\x02"
         assert raw[6:8] == b"\x00\x03"
@@ -110,16 +103,15 @@ class TestFrameCodec:
     def test_whole_frame_has_a_four_byte_head(self):
         """A one-fragment message's frame and the ACK of a delivered message
         set flag bit 1 and send no fragment fields."""
-        data = Frame(flags=FLAG_BATCH, message_id=0x1234, frag_index=0, frag_count=1,
-                     payload=b"xyz")
+        data = Frame(flags=0, message_id=0x1234, frag_index=0, frag_count=1, payload=b"xyz")
         assert data.whole
-        assert data.encode() == b"\xd1\x06\x12\x34xyz"
+        assert data.encode() == b"\xd1\x02\x12\x34xyz"
         assert Frame.decode(data.encode()) == data
         ack = make_ack(message_id=0x1234, frag_count=3, held=0b111)
         assert ack.whole and ack.is_ack
         assert ack.encode() == b"\xd1\x03\x12\x34"
         assert Frame.decode(ack.encode()) == ack
-        assert fragment(b"xyz", mtu=222, message_id=0x1234) == [replace(data, flags=0)]
+        assert fragment(b"xyz", mtu=222, message_id=0x1234) == [data]
 
     @pytest.mark.parametrize(
         "frame",
@@ -153,16 +145,19 @@ class TestFrameCodec:
         [
             ("d1120005" "6869", "reserved flag bits"),  # bit 4 on a whole data frame
             ("d1820005" "6869", "reserved flag bits"),  # bit 7
-            ("d1070005", "data flags"),  # the batch flag on a whole ACK
+            ("d1060005" "6869", "reserved flag bits"),  # bit 2, once the batch flag
+            ("d1041234" "00020003" "78797a", "reserved flag bits"),  # bit 2 on a fragment
+            ("d1070005", "reserved flag bits"),  # bit 2 on a whole ACK
             ("d10b0005", "data flags"),  # the last flag on a whole ACK
             ("d1090005" "00000002" "00", "data flags"),  # the last flag on a hole report
             ("d1080005" "00000002" "6869", "sent as last"),  # the last flag on a fragment
         ],
-        ids=["bit-4", "bit-7", "batch-ack", "last-ack", "last-hole-report", "last-fragment"],
+        ids=["bit-4", "bit-7", "bit-2", "bit-2-fragment", "batch-ack", "last-ack",
+             "last-hole-report", "last-fragment"],
     )
     def test_flags_outside_their_one_wire_form_rejected(self, raw, refusal):
-        """A frame sets only the four flags, an ACK neither the batch nor the
-        last flag, and only a whole data frame the last flag."""
+        """A frame sets only the three flags, an ACK not the last flag, and
+        only a whole data frame the last flag."""
         with pytest.raises(FrameError, match=refusal):
             Frame.decode(bytes.fromhex(raw))
         with pytest.raises(FrameError, match=refusal):
@@ -171,8 +166,8 @@ class TestFrameCodec:
             decode_packet(make_ack(1, 1, 1).encode() + bytes.fromhex(raw))
 
     def test_last_whole_data_frame_round_trips(self):
-        frame = Frame(FLAG_LAST | FLAG_BATCH, 5, 0, 1, b"hi")
-        assert frame.encode() == bytes.fromhex("d10e00056869")
+        frame = Frame(FLAG_LAST, 5, 0, 1, b"hi")
+        assert frame.encode() == bytes.fromhex("d10a00056869")
         assert Frame.decode(frame.encode()) == frame
         ack = make_ack(9, 1, 1)
         assert decode_packet(ack.encode() + frame.encode()) == (ack, frame)
@@ -231,8 +226,7 @@ def emitted_packets(draw):
     report or no ACK riding it, or an ACK alone."""
     mtu = draw(st.sampled_from([64, 222, 244]))
     message = draw(st.binary(min_size=1, max_size=1500))
-    flags = draw(st.sampled_from([0, FLAG_BATCH]))
-    data = draw(st.sampled_from(fragment(message, mtu, draw(message_ids), flags)) | st.none())
+    data = draw(st.sampled_from(fragment(message, mtu, draw(message_ids))) | st.none())
     if data is not None and data.whole and draw(st.booleans()):
         data = replace(data, flags=data.flags | FLAG_LAST)
     count = draw(st.integers(min_value=1, max_value=20))
@@ -439,7 +433,7 @@ class TestReliableDelivery:
         link = make_link("lora", loss=1.0, seed=1)
         sender = Messenger(link, "A")
         Messenger(link, "B")
-        fragments = sender.send(bytes(300), b"x")  # one batch, two LoRa fragments
+        fragments = sender.send(bytes(301))  # two LoRa fragments
         while not sender.idle:
             link.tick()
         assert isinstance(sender.failure, DeliveryError)
@@ -578,9 +572,11 @@ class TestNonBlockingSend:
 
 
 class TestBatch:
-    """send(*messages): one transport message per call, batched when there are several."""
+    """send(message): one message per send, and the transport batches nothing.
+    A handshake leg of several messages travels as the one message that
+    harness._join makes of it (tests/test_harness.py::TestLegs)."""
 
-    def _sent_frames(self, *messages):
+    def _sent_frames(self, message):
         link = make_link("lora", seed=1)
         sender = Messenger(link, "A")
         receiver = Messenger(link, "B")
@@ -592,64 +588,27 @@ class TestBatch:
             transmit(src, frame)
 
         link.transmit = recording_transmit
-        fragments = deliver(sender, *messages)
-        return frames, fragments, drain(receiver), link
+        deliver(sender, message)
+        return frames, drain(receiver)
 
     def test_one_message_travels_unbatched(self):
-        frames, _, received, _ = self._sent_frames(b"abc")
-        assert [(f.flags, f.payload) for f in frames] == [(0, b"abc")]
-        assert received == [b"abc"]
+        # Bytes that open with what reads as a length travel as themselves
+        # too: the transport adds no prefix of its own.
+        for message in (b"abc", b"\x00\x01x", b"\x00\x02xy", bytes(range(8)), bytes(300)):
+            frames, received = self._sent_frames(message)
+            assert b"".join(f.payload for f in frames) == message
+            assert {f.flags for f in frames} == {0}
+            assert received == [message]
 
-    def test_batch_payload_is_length_prefixed_messages(self):
-        # Each message but the last has its length prefix; the last runs to the end.
-        frames, _, received, _ = self._sent_frames(b"abc", b"fg", b"de")
-        assert [(f.flags, f.payload) for f in frames] == [
-            (FLAG_BATCH, b"\x00\x03abc\x00\x02fgde")
-        ]
-        assert received == [b"abc", b"fg", b"de"]
-
-    @pytest.mark.parametrize("last", [b"\x00\x01x", b"\x00\x02xy", b"\x00\x01xyz"],
-                             ids=["exactly", "exactly-2", "and-more"])
-    def test_last_message_that_opens_with_a_length_keeps_its_prefix(self, last):
-        # It reads as the length of a non-empty message within it, so without
-        # its prefix the batch would split another way.
-        frames, _, received, _ = self._sent_frames(b"abc", last)
-        assert [f.payload for f in frames] == [prefixed(b"abc", last)]
-        assert received == [b"abc", last]
-
-    @pytest.mark.parametrize(
-        "last", [b"\x00\x00x", b"\x00\x02x", b"\x00", b"\x07\x01" + bytes(17)],
-        ids=["zero-length", "overrun", "one-byte", "tag-byte-first"],
-    )
-    def test_last_message_that_reads_as_no_length_goes_without_a_prefix(self, last):
-        # A zero length, or one that overruns it, is no prefix a reader could take.
-        frames, _, received, _ = self._sent_frames(b"abc", last)
-        assert [f.payload for f in frames] == [prefixed(b"abc") + last]
-        assert received == [b"abc", last]
-
-    def test_batch_is_one_message_with_one_timer(self):
-        messages = [Random(i).randbytes(size) for i, size in enumerate((37, 376, 300))]
-        frames, fragments, received, link = self._sent_frames(*messages)
-        assert received == messages
-        assert {f.message_id for f in frames} == {1}
-        assert all(f.flags & FLAG_BATCH for f in frames)
-        # 2 * 2 B of lengths + 713 B of messages: 4 LoRa fragments, one round trip.
-        assert fragments == len(frames) == math.ceil(717 / 214) == 4
-        assert link.now == link.round_trip_ticks
-
-    @pytest.mark.parametrize(
-        "messages",
-        [(), (b"",), (b"a", b""), (bytes(0x10000), b"a")],
-        ids=["none", "empty", "empty-in-batch", "too-long-to-batch"],
-    )
-    def test_unsendable_messages_rejected_before_transmitting(self, messages):
+    @pytest.mark.parametrize("message", [b""], ids=["empty"])
+    def test_unsendable_messages_rejected_before_transmitting(self, message):
         link = make_link("lora", seed=1)
         sender = Messenger(link, "A")
         Messenger(link, "B")
         with pytest.raises(TransportError):
-            deliver(sender, *messages)
+            deliver(sender, message)
         assert link.trace == []
-        assert sender._sending is None
+        assert sender._sending is None and sender._sent_id == 0
 
 
 class TestTrace:
@@ -899,7 +858,7 @@ class TestPiggybackedAck:
     def test_packet_layout_is_the_ack_then_the_data_frame(self):
         hole_report = make_ack(7, 10, 0b01_1111_1111)
         whole_ack = make_ack(7, 10, 0b11_1111_1111)
-        data = Frame(FLAG_BATCH, 8, 1, 2, b"payload")
+        data = Frame(0, 8, 1, 2, b"payload")
         for ack, ack_len in ((hole_report, 10), (whole_ack, 4)):
             raw = ack.encode() + data.encode()
             assert len(raw) == ack_len + 15
@@ -1431,35 +1390,6 @@ class TestMessageIds:
         assert b._delivered == a._sent_id == 500
         assert a._delivered == b._sent_id == 500
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        batches=st.lists(
-            st.lists(st.integers(min_value=1, max_value=600), min_size=1, max_size=3),
-            min_size=1, max_size=4,
-        ),
-    )
-    def test_batches_delivered_once_in_order_under_loss(self, seed, batches):
-        link = make_link("lora", loss=0.3, reorder=0.1, seed=seed)
-        sender = Messenger(link, "A")
-        receiver = Messenger(link, "B")
-        rng = Random(seed)
-        for sizes in batches:
-            messages = [rng.randbytes(size) for size in sizes]
-            try:
-                deliver(sender, *messages)
-            except DeliveryError:
-                # The last ACK may be what was lost: all of the batch or none of it.
-                assert drain(receiver) in ([], messages)
-                assert sender._sending is None
-                return
-            assert drain(receiver) == messages
-            assert sender._sending is None
-            assert receiver._partial is None and receiver._delivered == sender._sent_id
-        for _ in range(4 * link.round_trip_ticks):
-            link.tick()  # late duplicates are re-acknowledged, never re-delivered
-        assert drain(receiver) == []
-
     def test_stray_frame_mid_message_does_not_stop_delivery(self):
         link = make_link("lora", seed=3)
         sender = Messenger(link, "A")
@@ -1481,13 +1411,14 @@ class TestMessageIds:
 class ExactlyOnce(RuleBasedStateMachine):
     """Two Messengers on one long-lived, lossy link, possibly reordering, with
     traffic both ways and ids that may start near the 16-bit wrap. Rules queue
-    sends, each one message or a batch, answer as last between ticks, and run
-    the link: each side starts its next queued send whenever it is idle, and
-    send does not refuse it for a last message still held. After every step, each side has delivered a
-    subsequence, in send order, of what its peer sent, none of it twice, and
-    each send that ended without `failure` has been delivered. A message sent
-    last is delivered once the send it answers ends without `failure`, or is
-    being sent again, which ends as any send does."""
+    sends of one message each, answer as last between ticks, and run the
+    link: each side starts its next queued send whenever it is idle, and
+    send does not refuse it for a last message still held. After every step,
+    each side has delivered a subsequence, in send order, of what its peer
+    sent, none of it twice, and each send that ended without `failure` has
+    been delivered. A message sent last is delivered once the send it answers
+    ends without `failure`, or is being sent again, which ends as any send
+    does."""
 
     @initialize(
         profile=st.sampled_from(["lora", "ble"]),
@@ -1503,25 +1434,24 @@ class ExactlyOnce(RuleBasedStateMachine):
             messenger._sent_id = messenger._acked_id = last_id
         self.sent = {name: {} for name in self.ends}  # message -> its place in send order
         self.queued = {name: deque() for name in self.ends}
-        self.in_flight = {name: [] for name in self.ends}
+        self.in_flight = {name: None for name in self.ends}
         self.delivered = {name: [] for name in self.ends}
         self.last_sent = {name: None for name in self.ends}  # each side's last message sent last
         # By side: the message its peer sent last to answer its send in flight.
         self.answered_by = {name: None for name in self.ends}
 
-    @rule(side=st.sampled_from(["A", "B"]), sends=st.lists(
-        st.lists(st.integers(5, 200) | st.integers(5, 5 * 222), min_size=1, max_size=3),
-        min_size=1, max_size=8,
+    @rule(side=st.sampled_from(["A", "B"]), sizes=st.lists(
+        st.integers(5, 200) | st.integers(5, 5 * 222), min_size=1, max_size=8,
     ))
-    def queue(self, side, sends):
-        """Queue sends, each of one message or a batch of several, of the given
-        sizes; every message is unique. Most messages of up to 200 B travel whole."""
+    def queue(self, side, sizes):
+        """Queue sends of one message each, of the given sizes; every message
+        is unique. Most messages of up to 200 B travel whole."""
         sent = self.sent[side]
-        for sizes in sends:
-            places = range(len(sent), len(sent) + len(sizes))
-            messages = [p.to_bytes(4, "big").ljust(size, b".") for p, size in zip(places, sizes)]
-            sent.update(zip(messages, places))
-            self.queued[side].append(messages)
+        for size in sizes:
+            place = len(sent)
+            message = place.to_bytes(4, "big").ljust(size, b".")
+            sent[message] = place
+            self.queued[side].append(message)
 
     @rule(side=st.sampled_from(["A", "B"]), size=st.integers(5, 200))
     def answer(self, side, size):
@@ -1541,15 +1471,15 @@ class ExactlyOnce(RuleBasedStateMachine):
             return
         place = len(self.sent[side])
         message = place.to_bytes(4, "big").ljust(size, b".")
-        if not self.started(side, [message], last=True):
+        if not self.started(side, message, last=True):
             return
         self.sent[side][message] = place
         if not messenger.idle:
-            self.in_flight[side] = [message]
+            self.in_flight[side] = message
             return
-        self.last_sent[side] = [message]
+        self.last_sent[side] = message
         answered = self.in_flight[peer]
-        if answered and self.delivered[side][-len(answered):] == answered:
+        if answered is not None and self.delivered[side][-1:] == [answered]:
             self.answered_by[peer] = message
 
     @rule(ticks=st.integers(min_value=1, max_value=20))
@@ -1557,11 +1487,11 @@ class ExactlyOnce(RuleBasedStateMachine):
         for _ in range(ticks):
             self.tick()
 
-    def started(self, side, messages, last=False):
-        """Whether `side` started sending `messages`: it refuses while the peer
+    def started(self, side, message, last=False):
+        """Whether `side` started sending `message`: it refuses while the peer
         has sent nothing newer than what its last message answered."""
         try:
-            self.ends[side].send(*messages, last=last)
+            self.ends[side].send(message, last=last)
         except TransportError as refusal:
             assert "went last" in str(refusal) and self.last_sent[side] is not None
             return False
@@ -1577,22 +1507,20 @@ class ExactlyOnce(RuleBasedStateMachine):
         self.link.tick()
         for name, messenger in self.ends.items():
             self.delivered[name].extend(drain(messenger))
-            if not messenger.idle and not self.in_flight[name]:
+            if not messenger.idle and self.in_flight[name] is None:
                 # Nothing was started: a lost last message goes again.
                 assert self.last_sent[name] is not None
                 self.in_flight[name] = self.last_sent[name]
         for name, messenger in self.ends.items():
-            if messenger.idle and self.in_flight[name]:
+            if messenger.idle and self.in_flight[name] is not None:
                 peer = self.link.other_end(name)
                 if messenger.failure is None:
-                    assert self.delivered[peer][-len(self.in_flight[name]):] == (
-                        self.in_flight[name]
-                    )
+                    assert self.delivered[peer][-1:] == [self.in_flight[name]]
                     answer = self.answered_by[name]  # delivered, or being sent again
                     assert answer is None or answer in self.delivered[name] or (
-                        self.in_flight[peer] == [answer]
+                        self.in_flight[peer] == answer
                     )
-                self.in_flight[name], self.answered_by[name] = [], None
+                self.in_flight[name], self.answered_by[name] = None, None
 
     @invariant()
     def delivered_once_in_send_order(self):
@@ -1620,7 +1548,7 @@ class TestExactlyOnceExamples:
         rng = Random(seed)
         mtu = machine.link.profile.mtu
         for side in machine.ends:
-            machine.queue(side, [[rng.randint(5, 5 * mtu)] for _ in range(400)])
+            machine.queue(side, [rng.randint(5, 5 * mtu) for _ in range(400)])
         machine.run(400)
         machine.delivered_once_in_send_order()
 
@@ -1675,37 +1603,6 @@ class TestMalformedFrames:
 
     def test_ack_with_wrong_payload_length_dropped(self):
         self._inject_then_deliver("B", Frame(FLAG_ACK, 0x7777, 0, 1, b"\x00\x00\x00"))
-
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            b"\x00\x03ab",  # the first entry overruns the payload: one message
-            prefixed(b"ab", b"c"),  # a 1-byte tail keeps a prefix it does not need
-            b"\x00\x00ab",  # a zero length is no prefix: one message
-            prefixed(b"ab"),  # one message is never batched
-            prefixed(b"ab", b"cd"),  # the last message keeps a prefix it does not need
-            prefixed(b"ab", b"cd", b"ef"),
-        ],
-        ids=["overrun", "one-byte-tail", "zero-length-entry", "single-entry", "prefixed-last",
-             "prefixed-last-of-three"],
-    )
-    def test_batch_that_does_not_split_dropped(self, payload):
-        bad = Frame(FLAG_BATCH, 0x7777, 0, 1, payload)
-        # Sent twice: the duplicate is re-acknowledged, not split or counted again.
-        link = self._inject_then_deliver("A", bad, prelude=[bad])
-        assert [e.kind for e in link.trace if e.message_id == 0x7777] == ["data", "ack"] * 2
-
-    def test_batch_split_across_frames_that_does_not_split_dropped(self):
-        payload = prefixed(b"ab", b"cd")  # the last message keeps a prefix it does not need
-        first = Frame(FLAG_BATCH, 0x7777, 0, 2, payload[:4])
-        self._inject_then_deliver("A", Frame(FLAG_BATCH, 0x7777, 1, 2, payload[4:]),
-                                  prelude=[first])
-
-    def test_inconsistent_batch_flag_dropped(self):
-        first = Frame(FLAG_BATCH, 0x7777, 0, 2, b"\x00\x01")
-        link = self._inject_then_deliver("A", Frame(0, 0x7777, 1, 2, b"a"), prelude=[first])
-        acks = [e for e in link.trace if e.kind == "ack" and e.message_id == 0x7777]
-        assert [e.acked for e in acks] == [(0,)]
 
     def test_inconsistent_frag_count_dropped(self):
         first = Frame(0, 0x7777, 0, 2, b"x")
