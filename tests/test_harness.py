@@ -570,6 +570,19 @@ class TestLegs:
     def test_second_spelling_of_a_leg_does_not_split(self, payload):
         assert _split(payload) is None
 
+    @pytest.mark.parametrize("payload", [b"\x00\x03ab", b"\x00\x00ab"],
+                             ids=["overrun", "zero-length-entry"])
+    def test_lone_message_that_reads_as_no_length_is_a_leg_of_one(self, payload):
+        # Its first two bytes are no length a reader could take, so it crosses
+        # the link as it is and splits into itself.
+        link = make_link("lora", seed=1)
+        sender = Messenger(link, "A")
+        receiver = Messenger(link, "B")
+        sender.send(_join([payload]))
+        while not sender.idle:
+            link.tick()
+        assert _split(receiver.receive()) == [payload] and receiver.receive() is None
+
     @pytest.mark.parametrize(
         "leg",
         [[], [b""], [b"a", b""], [bytes(0x10000), b"a"]],
