@@ -18,9 +18,10 @@ a reader refuses a wire value that `write(read(value))` does not give back,
 so each value has one form. Integers and lengths take the shortest head.
 `from_cbor` accepts exactly these bytes and refuses the rest of CBOR: maps,
 tags, floats and every other simple value, indefinite lengths, trailing bytes
-and invalid UTF-8; `read_uint` reads one unsigned integer's head at the front
-of longer bytes. `cbor_bytes` likewise refuses a dict or a float, so a record
-with such a field (a scenario file's) has no wire form.
+and invalid UTF-8; `item_end` finds where one such item ends within longer
+bytes, as a CBOR sequence (RFC 8742) is read. `cbor_bytes` likewise refuses
+a dict or a float, so a record with such a field (a scenario file's) has no
+wire form.
 
 Records (dataclasses: documents, credentials, wallet and registry contents,
 handshake messages) map to both forms through their fields alone, by one plan
@@ -167,22 +168,24 @@ def _write(out: bytearray, value: Any) -> None:
 def from_cbor(raw: bytes) -> Any:
     """Parse exactly one deterministic CBOR item; anything else is an EncodingError."""
     raw = bytes(raw)
-    try:
-        value, end = _read_item(raw, 0)
-    except RecursionError as exc:
-        raise EncodingError("CBOR nested too deeply") from exc
+    value, end = _read_top(raw, 0)
     if end != len(raw):
         raise EncodingError(f"{len(raw) - end} trailing bytes after the CBOR item")
     return value
 
 
-def read_uint(raw: bytes, at: int = 0) -> tuple[int, int]:
-    """The unsigned integer whose shortest CBOR head starts at `at`, and where
-    that head ends; anything else there is an EncodingError."""
-    _take(raw, at, 1)
-    if raw[at] >> 5 != _UINT:
-        raise EncodingError(f"expected a CBOR unsigned integer, got 0x{raw[at]:02x}")
-    return _read_item(raw, at)
+def item_end(raw: bytes, at: int = 0) -> int:
+    """Where the deterministic CBOR item that starts at `at` ends; anything
+    else there is an EncodingError."""
+    return _read_top(raw, at)[1]
+
+
+def _read_top(raw: bytes, at: int) -> tuple[Any, int]:
+    """_read_item, with nesting too deep for the stack an EncodingError."""
+    try:
+        return _read_item(raw, at)
+    except RecursionError as exc:
+        raise EncodingError("CBOR nested too deeply") from exc
 
 
 def _take(raw: bytes, at: int, n: int) -> int:

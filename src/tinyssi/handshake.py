@@ -18,9 +18,10 @@ trust policy.
                                         issuer) and its verdict
   I <- R  TRUST_RESULT                  responder's verdict
 
-A message is a tag byte and a body. Every body is a record in wire form
-(deterministic CBOR, `encoding.pack`): Hello, Auth, CredRequest, CredPresent,
-`credentials.Verdict` or Error. step() runs every message through one
+A message is a tag byte and one deterministic CBOR item. The item is the
+body, a record in wire form (`encoding.pack`): Hello, Auth, CredRequest,
+CredPresent, `credentials.Verdict` or Error; or, once the session holds keys,
+the body sealed, as a byte string. step() runs every message through one
 pipeline: its tag must be one the session accepts in its state (else
 `protocol`), once the session holds keys the message must open (else
 `channel`), and the body must decode as its tag's record (else `protocol`).
@@ -70,20 +71,23 @@ codec refuses a second spelling of the same value:
 - A record of one field travels as that field, not as an array of one
   (`encoding.pack`): a CredPresent as its presentations, an Error as its
   reason.
-- A leg of several messages travels as one transport message, whose last
-  message carries no length prefix but runs to the end
-  (`harness.drive_handshake`).
+- A leg travels as its messages back to back, with no length prefix, as a
+  CBOR sequence does its items (RFC 8742): each message is a tag byte and
+  one item, so `split_leg` finds where each ends, and a leg has one
+  spelling (`harness.drive_handshake`).
 - A message travels sealed exactly when its sender holds session keys,
   whatever its tag, as OSCORE protects a message once a security context
   exists (RFC 8613): HELLO, HELLO_ACK, AUTH and AUTH_ACK are written before
   there are keys, and every later message, an ERROR included, after. A
-  sealed message is one record `tag | counter | ciphertext`. The counter is
-  the sender's record number as a shortest CBOR unsigned head (1 byte up to
-  23), and the reader rebuilds the 12-byte nonce from the sender's role byte
-  and the counter, as OSCORE rebuilds its nonce from a Partial IV (RFC
-  8613). The tag byte is the ciphertext's associated data. The session keeps
-  one count per direction, as OSCORE keeps one replay window (RFC 8613
-  section 7.4): the records it sealed, and the highest counter it opened.
+  sealed message is one record `tag | byte string`: the ciphertext as a CBOR
+  byte string, its associated data the tag byte. No counter travels. The
+  session keeps one count per direction, the records it sealed and the
+  records it opened, as TLS 1.3 keeps an implicit record number (RFC 8446
+  section 5.3), and the reader builds the 12-byte nonce of the next record
+  from the sender's role byte and that count. The transport delivers each
+  message of a direction once and in order, so the counts agree; a replayed,
+  reordered, reflected or forged record fails the AEAD, and so does every
+  record after one that went missing.
 
 Both sides sign the running transcript, so swapping any key in transit
 breaks authentication on at least one side. The responder opens layer 2 in
@@ -128,7 +132,7 @@ from .credentials import (
     present,
     verify_presentation,
 )
-from .encoding import EncodingError, Record, cbor_bytes, pack, read_uint, unpack
+from .encoding import EncodingError, Record, cbor_bytes, item_end, pack, unpack
 from .identity import Did, DidDocument, DocumentBody, METHOD_PEER, format_did
 from .resolver import ResolutionError, Resolver
 
@@ -141,6 +145,21 @@ MSG_CRED_PRESENT = 0x06
 MSG_TRUST_RESULT = 0x07
 MSG_DATA = 0x08
 MSG_ERROR = 0x7F
+
+
+def split_leg(leg: bytes) -> list[bytes] | None:
+    """The messages a leg carries back to back, each a tag byte and one CBOR
+    item; None unless `leg` is exactly one or more such messages."""
+    messages, at = [], 0
+    while at < len(leg):
+        try:
+            end = item_end(leg, at + 1)
+        except EncodingError:
+            return None
+        messages.append(leg[at:end])
+        at = end
+    return messages or None
+
 
 # Each role's byte, which leads the nonces it seals under, and its peer's.
 _ROLE_BYTES = {crypto.ROLE_INITIATOR: (0x01, 0x02), crypto.ROLE_RESPONDER: (0x02, 0x01)}
@@ -368,7 +387,10 @@ def decide_trust(
     OwnerMatch is RequireClaim("owner", <my owner's DID>) restricted to
     credentials my owner issued; both go through one claim-matching loop.
     `rejected` holds the reasons the other presentations did not verify;
-    when none verified, they are the verdict's reason.
+    when none verified, they are the verdict's reason. Otherwise nothing
+    from my owner reads `issuer`, whether the peer presented another
+    issuer's credential or none, and nothing at all under RequireClaim reads
+    `claim missing`.
     """
     if isinstance(policy, AlwaysTrust):
         return Verdict(True)
@@ -381,9 +403,9 @@ def decide_trust(
         mismatch, missing = "claim mismatch", "claim missing"
     else:
         raise HandshakeError(f"unknown policy {policy!r}")
-    if not presented:
-        return Verdict(False, "; ".join(dict.fromkeys(rejected)) or "no valid credentials")
-    if not candidates:
+    if rejected and not presented:
+        return Verdict(False, "; ".join(dict.fromkeys(rejected)))
+    if not candidates and isinstance(policy, OwnerMatch):
         return Verdict(False, "issuer")
     values = [o.value for p in candidates for o in p.disclosed if o.name == name]
     if value in values:
@@ -457,7 +479,7 @@ class HandshakeSession:
         # initiator's presentations name by null.
         self._context_issuer: Did | None = None
         self._role_byte, self._peer_role_byte = _ROLE_BYTES[role]
-        # The channel's counts: records I sealed, and the highest counter I opened.
+        # The channel's counts, one per direction: records I sealed, and records I opened.
         self._sealed = 0
         self._opened = 0
         # My HELLO (HELLO_ACK as responder), written once here, carries my
@@ -501,29 +523,30 @@ class HandshakeSession:
         return Auth(key.key_id, crypto.sign(key, self.transcript_digest()))
 
     def _seal(self, tag: int, plaintext: bytes) -> bytes:
-        """Seal one channel record: tag byte, counter, then ciphertext bound to the tag."""
+        """Seal my next channel record: the tag byte, then the ciphertext, bound
+        to the tag, as one byte string. The reader counts my records, so no
+        counter travels."""
         self._sealed += 1
         nonce = crypto.channel_nonce(self._role_byte, self._sealed)
-        sealed = crypto.seal(self.session_keys.send_key, nonce, plaintext, aad=bytes([tag]))
-        # The reader knows my role byte, so only the counter travels.
-        return bytes([tag]) + cbor_bytes(self._sealed) + sealed
+        return bytes([tag]) + cbor_bytes(
+            crypto.seal(self.session_keys.send_key, nonce, plaintext, aad=bytes([tag]))
+        )
 
     def _open(self, record: bytes) -> bytes:
-        """Open one channel record: read its counter, refuse a replay, unseal, and
-        only then take the counter as the highest opened (RFC 4303 section 3.4.3),
-        so a forged record cannot advance the window."""
+        """Open the peer's next channel record under the nonce of the next count,
+        and only then take that count as opened, so a forged record cannot
+        advance it. A replayed, reordered, reflected or forged record, or any
+        after a record that never opened, fails the AEAD."""
         try:
-            counter, start = read_uint(record, 1)
-            if counter <= self._opened:
-                raise ChannelError(f"counter {counter} replayed")
             plain = crypto.unseal(
-                self.session_keys.recv_key, crypto.channel_nonce(self._peer_role_byte, counter),
-                record[start:], aad=record[:1],
+                self.session_keys.recv_key,
+                crypto.channel_nonce(self._peer_role_byte, self._opened + 1),
+                unpack(bytes, record[1:]), aad=record[:1],
             )
         except (EncodingError, crypto.CryptoError) as exc:
-            # A bad counter head, or a short or forged ciphertext.
+            # Not one byte string, or a short or forged ciphertext.
             raise ChannelError(f"channel record refused: {exc}") from exc
-        self._opened = counter
+        self._opened += 1
         return plain
 
     def _presentations(self, want: Sequence[str], issuer: Did | None) -> list[Presentation]:

@@ -631,11 +631,15 @@ class Messenger:
     delivered message is acknowledged again, whole; a frame whose id trails
     that one by 1 to STALE_IDS is a stale copy of an earlier message, dropped
     with no ACK; any other frame goes into the partial message, which a frame
-    of another message replaces. So state stays bounded on a long-lived link,
-    and each message is delivered exactly once, in send order:
-    tests/test_transport.py's ExactlyOnce state machine checks that on
-    long-lived lossy, reordering links, with traffic both ways and ids across
-    the 16-bit wrap.
+    of another message replaces. A frame that would open a partial message in
+    the tick a message was delivered is refused with FrameError: it would
+    take that message's place as the one to acknowledge, yet an honest peer
+    sends its next message only once the delivered one's whole ACK has
+    reached it, or right after a give-up, whose frame its timer sends again.
+    So state stays bounded on a long-lived link, and each message is
+    delivered exactly once, in send order: tests/test_transport.py's
+    ExactlyOnce state machine checks that on long-lived lossy, reordering
+    links, with traffic both ways and ids across the 16-bit wrap.
     """
 
     def __init__(self, link: SimLink, endpoint: str):
@@ -810,6 +814,10 @@ class Messenger:
             return None
         state = self._partial
         if state is None or state.message_id != frame.message_id:
+            if self._delivered_at == self.link.now:
+                raise FrameError(
+                    f"message {frame.message_id} opens in the tick message {delivered} ended"
+                )
             return _ReceiveState(frame.message_id, frame.frag_count)
         if frame.frag_count != state.frag_count:
             raise FrameError(f"inconsistent frag_count for message {frame.message_id}")

@@ -87,6 +87,14 @@ def owner_match_config(device: Actor, owner: Actor, rng_seed: int) -> SessionCon
     )
 
 
+def seal_next(sender, receiver, tag: int, body: bytes) -> bytes:
+    """A record that `sender`'s keys seal as the one `receiver` opens next, in
+    place of whatever record `sender` sealed for that place: the reader counts
+    records, so a forged record must take an honest one's count to open."""
+    sender._sealed = receiver._opened
+    return sender._seal(tag, body)
+
+
 @pytest.fixture
 def household():
     """Alice with two devices holding her owner credentials, fully introduced."""

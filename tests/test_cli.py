@@ -488,17 +488,19 @@ class TestSimCommands:
         assert code == 4
         assert "delivery-failed" in out
 
-    def test_message_too_long_to_batch_is_transport_exit_code(self, tmp_path, capsys):
+    def test_message_longer_than_65535_bytes_completes(self, tmp_path, capsys):
+        """A leg is its messages back to back, with no length prefix to bound
+        one: a CRED_PRESENT over 65,535 B pairs like any other."""
         mapping = json.loads(SCENARIO.read_text())
         mapping["links"][0]["profile"] = "lossless"
         for credential in mapping["credentials"]:
             # Each claim adds a commitment: 2,000 make CRED_PRESENT longer than 65,535 B.
             credential["claims"].update({f"c{i}": "v" for i in range(2000)})
-        scn = tmp_path / "huge-presentation.scn"
+        scn, report = tmp_path / "huge-presentation.scn", tmp_path / "report.json"
         scn.write_text(json.dumps(mapping))
-        code, out = run(capsys, "sim", "run", str(scn))
-        assert code == 4
-        assert "65535" in out["error"]["reason"]
+        assert main(["sim", "run", str(scn), "--report", str(report)]) == 0
+        (step,) = json.loads(report.read_text())["steps"]
+        assert (step["outcome"], step["bytes_sent"]) == ("trusted", 162_731)
 
     def test_invalid_scenario_is_validation_error(self, tmp_path, capsys):
         mapping = json.loads(SCENARIO.read_text())

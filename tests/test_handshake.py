@@ -36,6 +36,7 @@ from conftest import (
     give_owner_credential,
     introduce,
     owner_match_config,
+    seal_next,
 )
 from tinyssi import crypto, harness, transport
 from tinyssi.credentials import (
@@ -52,7 +53,6 @@ from tinyssi.encoding import (
     cbor_bytes,
     from_cbor,
     pack,
-    read_uint,
     unpack,
 )
 from tinyssi.handshake import (
@@ -252,8 +252,7 @@ def test_golden_messages_are_sealed_exactly_once_there_are_keys():
         if message[0] in plain:
             unpack(plain[message[0]], message[1:])
         else:
-            counter, start = read_uint(message, 1)
-            assert counter >= 1 and len(message) - start >= 16  # at least the AEAD tag
+            assert len(unpack(bytes, message[1:])) >= 16  # at least the AEAD tag
 
 
 # What one LoRa frame carries after the 8-byte frame header.
@@ -292,9 +291,9 @@ class TestWireSize:
     TAGS = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x06, 0x07, 0x07]
     # The responder's CRED_PRESENT spells out its issuer, the context issuer
     # that the initiator's names by null.
-    MESSAGE_BYTES = [135, 133, 73, 73, 25, 214, 180, 19, 19]
+    MESSAGE_BYTES = [135, 133, 73, 73, 25, 215, 181, 19, 19]
     LORA_FRAGMENTS = [1, 1, 1, 2, 1, 1]  # one transport message per leg
-    AIR_BYTES = 933  # data frames and the ACKs riding them
+    AIR_BYTES = 929  # data frames and the ACKs riding them
     HELLO_MARGIN = 79  # what the largest HELLO leaves of one LoRa fragment's payload
     # 7 data frames, 6 of them carrying an ACK; the last leg's goes last, so no ACK goes alone
     FRAMES = 7
@@ -343,9 +342,9 @@ class TestWireSize:
         issuer by reference one more in the initiator's: 24 fragments, where
         sending them all took 31. AUTH_ACK rides the responder's presentation
         leg, which fills 8 fragments. The derived endpoint fields, the verdict
-        as one value, one-field records as their field and the batch's
-        unprefixed last message save 35 B, no fragment. The last leg, sent
-        last, draws no ACK: 4 B and a tick less."""
+        as one value, one-field records as their field, and legs of messages
+        back to back with no record counter save 39 B, no fragment. The last
+        leg, sent last, draws no ACK: 4 B and a tick less."""
         sf12 = transport.LinkProfile(name="lora-sf12", mtu=51)
         make_link = harness.make_link
         with mock.patch.object(
@@ -357,7 +356,7 @@ class TestWireSize:
         (step,) = report.steps
         assert step.outcome == "trusted"
         assert list(step.fragments_per_message) == [4, 4, 2, 8, 5, 1]
-        assert (step.bytes_sent, step.ticks) == (1085, self.TICKS)
+        assert (step.bytes_sent, step.ticks) == (1081, self.TICKS)
 
     def _reg_pairing_on_ble(self, camera_owner):
         """A pairing of two reg devices on BLE, the shape of the fleet-ble
@@ -383,27 +382,27 @@ class TestWireSize:
         return run, link.bytes_on_wire(), [wire.issuer for wire in made], (alice, bob)
 
     def test_same_owner_reg_pairing_on_ble_sends_leg_5_in_one_fragment(self):
-        """The responder's presentation leg, with AUTH_ACK, is 316 B: two
+        """The responder's presentation leg, with AUTH_ACK, is 313 B: two
         236-byte BLE payloads. The initiator's names the shared issuer by
-        null, 201 B, and with its riding ACK is a 209 B packet: one frame."""
+        null, 200 B, and with its riding ACK is a 208 B packet: one frame."""
         run, air_bytes, issuers, (alice, _) = self._reg_pairing_on_ble("alice")
         assert run.outcome() == "trusted"
         assert issuers == [alice.did, None]
         assert run.fragments_per_message == [1, 1, 1, 2, 1, 1]
-        assert air_bytes == 809
+        assert air_bytes == 805
 
     def test_cross_owner_reg_pairing_on_ble_presents_nothing_to_the_other_owner(self):
         """The lock's request names alice, and the camera holds only bob's
         credential, so its CRED_PRESENT goes empty: leg 5 is one BLE fragment,
-        674 B in all. Sending bob's credential, which the lock's policy can only
-        refuse as `issuer`, made leg 5 241 B, two fragments, and 871 B while
-        the last leg still drew an ACK."""
+        655 B in all. The lock's verdict is `issuer`, as it would be for bob's
+        credential, which made leg 5 241 B, two fragments, and 871 B while the
+        last leg still drew an ACK."""
         run, air_bytes, issuers, (alice, bob) = self._reg_pairing_on_ble("bob")
         assert run.outcome() == "untrusted(issuer)"
-        assert run.responder.my_verdict == Verdict(False, "no valid credentials")
+        assert run.responder.my_verdict == Verdict(False, "issuer")
         assert issuers == [alice.did]
         assert run.fragments_per_message == [1, 1, 1, 2, 1, 1]
-        assert air_bytes == 674
+        assert air_bytes == 655
 
     def test_readme_handshake_table_states_the_pinned_figures(self):
         """The README's message table and the paragraph under it give today's
@@ -888,12 +887,14 @@ class TestProtocolOrder:
         assert session_i.state == session_r.state == State.TRUSTED
 
     def test_error_in_a_channel_state_travels_sealed(self, household):
-        session_i, session_r, _ = secure_pair(household)
+        session_i, session_r, records = secure_pair(household)
+        for record in records:
+            session_i.step(record, NOW)  # the camera has decided, and waits for the lock
         (error,) = session_r._fail("bye")
         assert error[0] == MSG_ERROR and b"bye" not in error
         # A tampered copy does not open, and is dropped.
         assert session_i.step(error[:-1] + bytes([error[-1] ^ 1]), NOW) == []
-        assert session_i.state == State.SECURE
+        assert session_i.state == State.TRUSTED
         assert session_i.step(error, NOW) == []
         assert (session_i.state, session_i.failure_reason) == (State.FAILED, "peer: bye")
 
@@ -1047,7 +1048,7 @@ class TestTotality:
         (opening,) = wire[slot(PresentationWire, "disclosed")]
         # None: the owner DID written as text, where its wire bytes must travel.
         opening[slot(ClaimOpening, "value")] = str(household[0].did) if value is None else value
-        record = session_r._seal(MSG_CRED_PRESENT, cbor_bytes([wire]))  # the presentations
+        record = seal_next(session_r, session_i, MSG_CRED_PRESENT, cbor_bytes([wire]))
         assert session_i.step(record, NOW) != []
         assert (session_i.state, session_i.failure_reason) == (State.FAILED, "protocol")
 
@@ -1155,7 +1156,7 @@ class TestTotality:
 
     def test_presentations_not_a_list_fails_protocol(self, household):
         session_i, session_r, _ = secure_pair(household)
-        record = session_r._seal(MSG_CRED_PRESENT, cbor_bytes(5))  # the presentations
+        record = seal_next(session_r, session_i, MSG_CRED_PRESENT, cbor_bytes(5))
         session_i.step(record, NOW)
         assert (session_i.state, session_i.failure_reason) == (State.FAILED, "protocol")
 
@@ -1189,7 +1190,7 @@ class TestTotality:
                 for message in records:
                     victim.step(message, NOW)
                 assert victim.state == State.TRUSTED
-            message = sender._seal(tag, cbor_bytes(body(None)))
+            message = seal_next(sender, victim, tag, cbor_bytes(body(None)))
         assert victim.step(message, NOW) != []
         assert (victim.state, victim.failure_reason) == (State.FAILED, "protocol")
 
@@ -1276,7 +1277,7 @@ class TestTotality:
         flipped = _flip(honest, data.draw(st.integers(0, 8 * len(honest) - 1), label="bit"))
         forms = st.sampled_from([plain, flipped])
         if other.session_keys is not None:
-            forms = st.just(other._seal(tag, body)) | forms
+            forms = st.just(seal_next(other, target, tag, body)) | forms
         message = data.draw(forms, label="message")
         assert isinstance(target.step(message, NOW), list)
 
@@ -1390,9 +1391,9 @@ class TestLayer2:
         assert session_r.state == State.TRUSTED
         assert session_i.presented == []
         assert (session_i.state, session_i.my_verdict) == (
-            State.UNTRUSTED, Verdict(False, "no valid credentials"),
+            State.UNTRUSTED, Verdict(False, "issuer"),
         )
-        assert session_r.peer_verdict == Verdict(False, "no valid credentials")
+        assert session_r.peer_verdict == Verdict(False, "issuer")
 
     @pytest.mark.parametrize("holder", ["initiator", "responder"])
     def test_credential_without_a_wire_form_never_leaves(self, household, holder):
@@ -1427,7 +1428,7 @@ class TestDerivedFields:
         session_i, session_r, _ = secure_pair(household)
         wire = owner_wire(household[2])
         edit(wire)
-        record = session_r._seal(MSG_CRED_PRESENT, cbor_bytes([wire]))  # the presentations
+        record = seal_next(session_r, session_i, MSG_CRED_PRESENT, cbor_bytes([wire]))
         assert session_i.step(record, NOW) != []
         return session_i
 
@@ -1441,7 +1442,7 @@ class TestDerivedFields:
         context = household[0].did if responder_presents else None
         wire = owner_wire(household[1], context)
         edit(wire)
-        record = session_i._seal(MSG_CRED_PRESENT, cbor_bytes([wire]))  # the presentations
+        record = seal_next(session_i, session_r, MSG_CRED_PRESENT, cbor_bytes([wire]))
         assert session_r.step(record, NOW) != []
         return session_r
 
@@ -1654,9 +1655,9 @@ class TestDerivedFields:
         assert restored.credential.signing_payload() == vc.signing_payload()
 
 
-# Sealed records that must be refused without moving the replay window.
+# Sealed records that must be refused without moving the count of records opened.
 CHANNEL_DEFECTS = [
-    "replayed", "rewound", "non-shortest-counter", "truncated-counter", "truncated-tag",
+    "replayed", "rewound", "skipped", "non-shortest-head", "truncated-string", "truncated-tag",
     "reflected",
 ]
 
@@ -1694,73 +1695,93 @@ class TestSecureChannel:
     def test_forged_record_does_not_advance_replay_window(self, household):
         session_i, session_r = self._secure_pair(household)
         wire = session_i.secure_send(b"genuine", NOW)
-        # Same ciphertext under a far-future counter: its tag cannot verify.
-        _, start = read_uint(wire, 1)
-        forged = wire[:1] + cbor_bytes(2**63) + wire[start:]
+        # Random bytes in place of the ciphertext: they cannot verify.
+        forged = wire[:2] + Random(7).randbytes(len(wire) - 2)
         with pytest.raises(ChannelError):
             session_r.secure_recv(forged, NOW)
         assert session_r.secure_recv(wire, NOW) == b"genuine"
 
-    def test_record_is_tag_counter_ciphertext(self, household):
-        session_i, _ = self._secure_pair(household)
-        # The initiator sealed 2 records in the handshake (CRED_PRESENT and
-        # TRUST_RESULT), so this is the 3rd: a 1-byte counter head, then the
-        # 16-byte tag of an empty plaintext.
+    def test_record_is_tag_and_ciphertext_byte_string(self, household):
+        session_i, session_r = self._secure_pair(household)
+        # No counter travels: the tag byte, then the 16-byte AEAD tag of an
+        # empty plaintext as a byte string, whose head is one byte.
         wire = session_i.secure_send(b"", NOW)
-        assert wire[:2] == bytes([MSG_DATA, 3]) and len(wire) == 2 + 16
+        assert wire[:2] == bytes([MSG_DATA, 0x50]) and len(wire) == 2 + 16
+        # It is the initiator's 3rd record, after the handshake's CRED_PRESENT
+        # and TRUST_RESULT, and opens only as the 3rd the responder opens.
+        assert session_r._opened == 2
+        assert session_r.secure_recv(wire, NOW) == b""
 
     @pytest.mark.parametrize("defect", CHANNEL_DEFECTS)
     def test_defective_data_record_is_refused(self, household, defect):
         session_i, session_r = self._secure_pair(household)
-        # Counters 3 to 26, after the handshake's 2: the last ones take a 2-byte head.
-        sent = [session_i.secure_send(bytes([n]), NOW) for n in range(24)]
-        first, last = sent[0], sent[-1]
-        counter, start = read_uint(first, 1)
+        first, second = (session_i.secure_send(bytes([n]), NOW) for n in range(2))
+        # The tag byte, then a 17-byte string (1 B of plaintext and a 16 B
+        # tag) behind its 1-byte head.
+        assert first[1] == 0x51 and len(first) == 2 + 17
         receiver = session_r
         if defect == "replayed":
             session_r.secure_recv(first, NOW)
             record = first
         elif defect == "rewound":
-            session_r.secure_recv(sent[1], NOW)
+            session_r.secure_recv(first, NOW)
+            session_r.secure_recv(second, NOW)
             record = first
-        elif defect == "non-shortest-counter":
-            record = first[:1] + bytes([0x18, counter]) + first[start:]
-        elif defect == "truncated-counter":
-            assert last[1] == 0x18  # counter 26 takes a 2-byte head
-            record = last[:2]
+        elif defect == "skipped":
+            record = second  # the first is due
+        elif defect == "non-shortest-head":
+            record = first[:1] + bytes([0x58, 17]) + first[2:]
+        elif defect == "truncated-string":
+            record = first[:-1]
         elif defect == "truncated-tag":
-            record = first[: start + 15]
+            record = first[:1] + cbor_bytes(first[2:-2])  # 15 B: shorter than the AEAD tag
         else:
             receiver, record = session_i, first
         with pytest.raises(ChannelError):
             receiver.secure_recv(record, NOW)
         if defect not in ("replayed", "rewound"):
-            # The refused record did not move the window.
+            # The refused record did not move the count.
             assert session_r.secure_recv(first, NOW) == b"\x00"
 
     @pytest.mark.parametrize("defect", CHANNEL_DEFECTS)
     def test_defective_handshake_record_fails_channel(self, household, defect):
-        """The same defects on the responder's CRED_REQUEST (counter 1), which a
-        Secure session of either role accepts by its tag."""
-        session_i, session_r, (request, _) = secure_pair(household)
-        assert request[:2] == bytes([MSG_CRED_REQUEST, 1])
+        """The same defects on the responder's CRED_REQUEST, its first record,
+        which a Secure session of either role accepts by its tag."""
+        session_i, session_r, (request, presentation) = secure_pair(household)
+        assert request[0] == MSG_CRED_REQUEST and unpack(bytes, request[1:])
         victim = session_i
         if defect == "replayed":
             session_i.step(request, NOW)
             record = request
         elif defect == "rewound":
-            session_i.step(session_r._seal(MSG_CRED_REQUEST, pack(CredRequest((), None))), NOW)
+            session_i.step(request, NOW)
+            another = pack(CredRequest((), None))
+            session_i.step(seal_next(session_r, session_i, MSG_CRED_REQUEST, another), NOW)
             record = request
-        elif defect == "non-shortest-counter":
-            record = request[:1] + bytes([0x18, 1]) + request[2:]
-        elif defect == "truncated-counter":
-            record = request[:1] + bytes([0x19, 0])  # a 2-byte counter cut after 1
+        elif defect == "skipped":
+            record = presentation  # the request is due
+        elif defect == "non-shortest-head":
+            assert request[1] == 0x40 | (len(request) - 2)
+            record = request[:1] + bytes([0x58, len(request) - 2]) + request[2:]
+        elif defect == "truncated-string":
+            record = request[:-1]
         elif defect == "truncated-tag":
-            record = request[: 2 + 15]
+            record = request[:1] + cbor_bytes(request[2:17])
         else:
             victim, record = session_r, request
         assert victim.step(record, NOW) != []
         assert (victim.state, victim.failure_reason) == (State.FAILED, "channel")
+
+    def test_gap_fails_every_later_record(self, household):
+        """A record lost from the middle of a direction leaves the reader's
+        count behind: each later record fails `channel`, as the transport,
+        which delivers each message once and in order, never causes."""
+        session_i, session_r = self._secure_pair(household)
+        sent = [session_i.secure_send(bytes([n]), NOW) for n in range(4)]
+        assert session_r.secure_recv(sent[0], NOW) == b"\x00"
+        for record in sent[2:]:  # sent[1] is lost
+            with pytest.raises(ChannelError):
+                session_r.secure_recv(record, NOW)
 
     def test_cross_session_ciphertext_rejected(self, household):
         first_i, first_r = self._secure_pair(household, seed_base=500)
@@ -1829,9 +1850,9 @@ class TestDecideTrust:
 
     def test_no_presentations_untrusted(self, household):
         alice, _, _ = household
-        decision = decide_trust(OwnerMatch(my_owner=alice.did), [])
-        assert not decision.ok
-        assert decision.reason == "no valid credentials"
+        # Nothing from my owner, as when another owner's credential came.
+        assert decide_trust(OwnerMatch(my_owner=alice.did), []) == Verdict(False, "issuer")
+        assert decide_trust(RequireClaim("type", "Lock"), []) == Verdict(False, "claim missing")
 
     def test_no_verified_presentations_untrusted_for_their_rejection_reasons(self, household):
         alice, _, _ = household
@@ -1971,9 +1992,9 @@ class TestRequestedIssuer:
 
     def test_request_spelling_out_the_context_issuer_fails_protocol(self, household):
         session_i, session_r, (_, presentation) = secure_pair(household)
-        session_r._sealed = 0  # the forged request takes the honest one's counter
-        forged = session_r._seal(
-            MSG_CRED_REQUEST, cbor_bytes([["owner"], household[0].did.to_wire()])
+        forged = seal_next(  # in place of the honest request
+            session_r, session_i, MSG_CRED_REQUEST,
+            cbor_bytes([["owner"], household[0].did.to_wire()]),
         )
         assert session_i.step(forged, NOW) == []
         assert session_i.step(presentation, NOW) != []
@@ -1987,8 +2008,8 @@ class TestRequestedIssuer:
         session_i.step(request, NOW)
         assert session_i._peer_request == CredRequest(("owner",), household[0].did)
         session_i, session_r, (_, presentation) = secure_pair(household, responder_presents=False)
-        session_r._sealed = 0
-        assert session_i.step(session_r._seal(MSG_CRED_REQUEST, cbor_bytes(["owner"])), NOW) == []
+        forged = seal_next(session_r, session_i, MSG_CRED_REQUEST, cbor_bytes(["owner"]))
+        assert session_i.step(forged, NOW) == []
         assert session_i.step(presentation, NOW) != []
         assert (session_i.state, session_i.failure_reason) == (State.FAILED, "protocol")
 

@@ -12,17 +12,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tinyssi import crypto, harness
-from tinyssi.handshake import HandshakeSession
+from tinyssi.encoding import cbor_bytes
+from tinyssi.handshake import HandshakeSession, split_leg
 from tinyssi.harness import (
     Deployment,
     Scenario,
     ScenarioError,
-    _join,
-    _split,
     run_scenario,
 )
 from tinyssi.transport import (
-    FLAG_LAST, RETRY_LIMIT, DeliveryError, Frame, Messenger, SimLink, TransportError, make_link,
+    FLAG_LAST, RETRY_LIMIT, DeliveryError, Frame, Messenger, SimLink, make_link,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -47,11 +46,6 @@ BASE = {
          "link": 0, "policy": "owner-match", "expect": "trusted"},
     ],
 }
-
-
-def prefixed(*entries: bytes) -> bytes:
-    """Each entry preceded by its 2-byte big-endian length, the last one too."""
-    return b"".join(len(e).to_bytes(2, "big") + e for e in entries)
 
 
 def scenario(**overrides) -> Scenario:
@@ -442,10 +436,12 @@ class TestPipelinedLegs:
         # reordered, they were 3,018 frames, 340,754 bytes and 5,860 ticks.
         # Before the last leg went unacknowledged, they were 2,925 frames,
         # 319,555 bytes and 5,020 ticks: at loss 0.3 a lost last frame waits
-        # for the requester's copy of its 209 B leg, so the bytes rise.
+        # for the requester's copy of its 209 B leg, so the bytes rise. Before
+        # legs lost their length prefixes and sealed records their counter,
+        # the bytes were 322,639.
         steps = report.steps
         assert sum(s.frames for s in steps) == 2620
-        assert sum(s.bytes_sent for s in steps) == 322639
+        assert sum(s.bytes_sent for s in steps) == 321213
         assert sum(s.ticks for s in steps) == 4503
         assert outcomes.count("delivery-failed") == 0
 
@@ -500,109 +496,104 @@ class TestLastLeg:
         assert_one_message_in_flight_per_endpoint(link)
 
 
-# Messages of a leg: arbitrary bytes, and bytes that open with a length.
-leg_messages = st.binary(min_size=1, max_size=60) | st.builds(
-    lambda body, rest: prefixed(body) + rest,
-    st.binary(min_size=1, max_size=20), st.binary(max_size=4),
+# Messages of a leg: a tag byte and one wire-form CBOR item.
+_ITEMS = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**64), 2**64 - 1)
+    | st.text(max_size=8) | st.binary(max_size=40),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=10,
 )
+leg_messages = st.builds(lambda tag, item: bytes([tag]) + cbor_bytes(item), st.integers(0, 255), _ITEMS)
+
+
+def message(tag: int, size: int, seed: int = 0) -> bytes:
+    """A message of `tag` whose item is a byte string of `size` random bytes."""
+    return bytes([tag]) + cbor_bytes(Random(seed).randbytes(size))
+
+
+def inject_after(src: str, message_id: int, forger: str, frame: Frame):
+    """A link preparation: `forger` sends `frame` once, right after `src`
+    transmits its first data frame of message `message_id`."""
+    def prepare(link):
+        transmit, sent = link.transmit, []
+
+        def transmit_with_injection(sender, data, ack=None):
+            transmit(sender, data, ack)
+            if not sent and sender == src and data.message_id == message_id and not data.is_ack:
+                sent.append(frame)
+                transmit(forger, frame)
+
+        link.transmit = transmit_with_injection
+
+    return prepare
 
 
 class TestLegs:
-    """harness._join frames a handshake leg as one transport message, and
-    harness._split reads it back: each message but the last behind its 2-byte
-    big-endian length, and the last behind its own only when it opens with
-    what reads as a length."""
+    """A handshake leg travels as its messages back to back, each a tag byte
+    and one deterministic CBOR item, and handshake.split_leg reads it back."""
 
     @settings(max_examples=300, deadline=None)
     @given(leg=st.lists(leg_messages, min_size=1, max_size=4))
     def test_a_leg_round_trips(self, leg):
-        joined = _join(leg)
-        assert _split(joined) == leg
-        *first, last = leg
-        assert joined.startswith(prefixed(*first))
-        assert joined.endswith(last)
+        assert split_leg(b"".join(leg)) == leg
 
     @settings(max_examples=300, deadline=None)
-    @given(payload=st.binary(max_size=40) | st.lists(leg_messages, max_size=3).map(
-        lambda entries: prefixed(*entries)
+    @given(payload=st.binary(max_size=40) | st.builds(
+        lambda leg, tail: b"".join(leg) + tail,
+        st.lists(leg_messages, max_size=3), st.binary(max_size=3),
     ))
     def test_a_leg_has_one_spelling(self, payload):
-        """Any bytes split into a leg whose join they are, or into none."""
-        leg = _split(payload)
-        assert leg is None or _join(leg) == payload
+        """Any bytes split into messages that join back to them, each a leg of
+        its own, or into none."""
+        leg = split_leg(payload)
+        assert leg is None or b"".join(leg) == payload
+        assert leg is None or all(split_leg(m) == [m] for m in leg)
 
-    def test_each_message_but_the_last_is_length_prefixed(self):
-        assert _join([b"abc", b"fg", b"de"]) == b"\x00\x03abc\x00\x02fgde"
-        assert _join([b"abc"]) == b"abc"  # a leg of one travels as its message
-
-    @pytest.mark.parametrize("last", [b"\x00\x01x", b"\x00\x02xy", b"\x00\x01xyz"],
-                             ids=["exactly", "exactly-2", "and-more"])
-    def test_last_message_that_opens_with_a_length_keeps_its_prefix(self, last):
-        # It reads as the length of a non-empty message within it, so without
-        # its prefix the leg would split another way.
-        assert _join([b"abc", last]) == prefixed(b"abc", last)
-        assert _join([last]) == prefixed(last)
-        assert _split(prefixed(b"abc", last)) == [b"abc", last]
-        assert _split(prefixed(last)) == [last]
-
-    @pytest.mark.parametrize(
-        "last", [b"\x00\x00x", b"\x00\x02x", b"\x00", b"\x07\x01" + bytes(17)],
-        ids=["zero-length", "overrun", "one-byte", "tag-byte-first"],
-    )
-    def test_last_message_that_reads_as_no_length_goes_without_a_prefix(self, last):
-        # A zero length, or one that overruns it, is no prefix a reader could take.
-        assert _join([b"abc", last]) == prefixed(b"abc") + last
-        assert _join([last]) == last
-        assert _split(prefixed(b"abc") + last) == [b"abc", last]
-        assert _split(last) == [last]
+    def test_a_leg_is_its_messages_back_to_back(self):
+        # AUTH_ACK, then two sealed records: a 1-byte string head up to 23 B,
+        # a 2-byte one from 24 B.
+        leg = [b"\x04" + cbor_bytes([b"\x01\x02", bytes(3)]), message(5, 23), message(6, 24)]
+        joined = b"".join(leg)
+        assert joined == (
+            b"\x04\x82\x42\x01\x02\x43\x00\x00\x00" + b"\x05\x57" + leg[1][2:]
+            + b"\x06\x58\x18" + leg[2][3:]
+        )
+        assert split_leg(joined) == leg
+        assert split_leg(leg[0]) == leg[:1]  # a leg of one travels as its message
 
     @pytest.mark.parametrize(
         "payload",
         [
             b"",
-            prefixed(b"ab"),  # a lone message with a prefix it does not need
-            prefixed(b"c", b"d"),  # a 1-byte last message keeps a prefix it does not need
-            prefixed(b"ab", b"cd"),
-            prefixed(b"ab", b"cd", b"ef"),
+            b"\x05",  # a tag byte with no item
+            message(5, 3) + b"\x07",  # a message, then a tag byte with no item
+            b"\x06\x51" + bytes(16),  # a string whose head states 17 B
+            b"\x06\x58\x11" + bytes(17),  # a non-shortest head
+            b"\x05\xa0",  # a map
+            b"\x05\xf9\x3e\x00",  # a float
+            b"\x05\x9f\xff",  # an indefinite length
+            b"\x05\x61\xff",  # invalid UTF-8
+            b"\x05" + b"\x81" * 100_000,  # arrays beyond the recursion limit
         ],
-        ids=["empty", "single-entry", "one-byte-tail", "prefixed-last", "prefixed-last-of-three"],
+        ids=["empty", "tag-without-item", "one-byte-tail", "truncated-item",
+             "non-shortest-head", "map", "float", "indefinite-length", "invalid-utf-8",
+             "deep-nesting"],
     )
-    def test_second_spelling_of_a_leg_does_not_split(self, payload):
-        assert _split(payload) is None
-
-    @pytest.mark.parametrize("payload", [b"\x00\x03ab", b"\x00\x00ab"],
-                             ids=["overrun", "zero-length-entry"])
-    def test_lone_message_that_reads_as_no_length_is_a_leg_of_one(self, payload):
-        # Its first two bytes are no length a reader could take, so it crosses
-        # the link as it is and splits into itself.
-        link = make_link("lora", seed=1)
-        sender = Messenger(link, "A")
-        receiver = Messenger(link, "B")
-        sender.send(_join([payload]))
-        while not sender.idle:
-            link.tick()
-        assert _split(receiver.receive()) == [payload] and receiver.receive() is None
-
-    @pytest.mark.parametrize(
-        "leg",
-        [[], [b""], [b"a", b""], [bytes(0x10000), b"a"]],
-        ids=["none", "empty", "empty-in-leg", "too-long-to-prefix"],
-    )
-    def test_unsendable_legs_rejected(self, leg):
-        with pytest.raises(TransportError):
-            _join(leg)
+    def test_bytes_that_are_not_messages_do_not_split(self, payload):
+        assert split_leg(payload) is None
 
     def test_a_leg_is_one_message_with_one_timer(self):
         link = make_link("lora", seed=1)
         sender = Messenger(link, "A")
         receiver = Messenger(link, "B")
-        leg = [Random(i).randbytes(size) for i, size in enumerate((37, 376, 300))]
-        fragments = sender.send(_join(leg))
+        leg = [message(tag, size, tag) for tag, size in ((4, 37), (5, 376), (6, 300))]
+        fragments = sender.send(b"".join(leg))
         while not sender.idle:
             link.tick()
-        assert _split(receiver.receive()) == leg and receiver.receive() is None
+        assert split_leg(receiver.receive()) == leg and receiver.receive() is None
         assert {e.message_id for e in link.trace if e.kind == "data"} == {1}
-        # 2 * 2 B of lengths + 713 B of messages: 4 LoRa fragments, one round trip.
+        # 724 B of messages: 4 LoRa fragments, one round trip.
+        assert sum(map(len, leg)) == 724
         assert fragments == len(link.trace) - 1 == 4
         assert link.now == link.round_trip_ticks
 
@@ -620,42 +611,32 @@ class TestLegs:
         receiver = Messenger(link, "B")
         rng = Random(seed)
         for sizes in legs:
-            leg = [rng.randbytes(size) for size in sizes]
-            sender.send(_join(leg))
+            leg = [bytes([rng.randrange(256)]) + cbor_bytes(rng.randbytes(size)) for size in sizes]
+            sender.send(b"".join(leg))
             while not sender.idle:
                 link.tick()
             delivered = receiver.receive()
             if sender.failure is not None:
                 assert isinstance(sender.failure, DeliveryError)
                 # The last ACK may be what was lost: all of the leg or none of it.
-                assert delivered is None or _split(delivered) == leg
+                assert delivered is None or split_leg(delivered) == leg
                 return
-            assert _split(delivered) == leg and receiver.receive() is None
+            assert split_leg(delivered) == leg and receiver.receive() is None
         for _ in range(4 * link.round_trip_ticks):
             link.tick()  # late duplicates are re-acknowledged, never re-delivered
         assert receiver.receive() is None
 
     def test_a_leg_that_does_not_split_is_never_stepped(self):
         """Sent in the camera's name as the lock sends its HELLO_ACK, a leg of
-        two messages, the last with a prefix it does not need, reaches the lock
-        while it waits for the camera's AUTH. The lock's Messenger delivers and
-        acknowledges it; the harness drops it whole, so neither of its
-        messages, each of which would fail the lock, is stepped."""
-        bad = prefixed(b"\x03junk", b"\x04junk")
-        assert _split(bad) is None
-
-        def inject_after_hello_ack(link):
-            transmit = link.transmit
-
-            def transmit_with_injection(src, frame, ack=None):
-                transmit(src, frame, ack)
-                if src == "lock" and frame.message_id == 1 and not frame.is_ack:
-                    transmit("camera", Frame(0, 0x7777, 0, 1, bad))
-
-            link.transmit = transmit_with_injection
-
+        an AUTH and a lone tag byte reaches the lock while it waits for the
+        camera's AUTH. The lock's Messenger delivers and acknowledges it; the
+        harness drops it whole, so neither of its messages, each of which
+        would fail the lock, is stepped."""
+        first = b"\x03" + cbor_bytes([b"junk"])
+        bad = first + b"\x04"
+        assert split_leg(bad) is None
         with (
-            kept_links(inject_after_hello_ack) as links,
+            kept_links(inject_after("lock", 1, "camera", Frame(0, 0x7777, 0, 1, bad))) as links,
             mock.patch.object(
                 HandshakeSession, "step", autospec=True, side_effect=HandshakeSession.step
             ) as step,
@@ -665,12 +646,26 @@ class TestLegs:
         assert metrics.outcome == "trusted"
         assert step.call_count == 9
         stepped = [call.args[1] for call in step.call_args_list]
-        assert not {b"\x03junk", b"\x04junk", bad} & set(stepped)
+        assert not {first, b"\x04", bad} & set(stepped)
         assert [(e.tick, e.src, e.kind) for e in link.trace if e.ack_id == 0x7777] == [
             (2, "lock", "ack"),
         ]
         assert link.malformed_frames == 0
         assert metrics.ticks == 6  # as without the injection
+
+    def test_message_injected_behind_a_delivered_one_is_refused(self):
+        """A whole frame sent in the camera's name right behind its AUTH lands in
+        the tick the lock delivers AUTH. Taken, it would replace AUTH as the
+        message the lock acknowledges, so AUTH's ACK would never go, and AUTH,
+        sent again, would be delivered twice: the lock would fail `protocol`
+        at tick 8. Refused as a malformed frame, it changes nothing."""
+        forged = Frame(0, 0x7777, 0, 1, b"\x03junk")
+        with kept_links(inject_after("camera", 2, "camera", forged)) as links:
+            metrics = run_scenario(scenario()).steps[0]
+        (link,) = links
+        assert [e.tick for e in link.trace if e.message_id == 0x7777] == [2]
+        assert (metrics.outcome, metrics.ticks) == ("trusted", 6)
+        assert link.malformed_frames == 1
 
 
 class TestBenchmarkReconciliation:

@@ -49,11 +49,14 @@ The frame layout has one home, `transport.Frame`: only `Frame.encode` and
 structs, `_HEAD` and `_FRAGMENT`, so a whole frame and a fragment are
 written and read in one place.
 
-One rule frames a handshake leg, in the one function that makes legs: only
-`harness._join` writes a 2-byte big-endian length prefix (a `struct.Struct(">H")`
-packed, `struct.pack(">H", …)` or `n.to_bytes(2, "big")`) and only
-`harness._split` reads one, in its `message_end`. transport.py binds no such
-struct: a Messenger sends one message as it is.
+One rule splits a handshake leg: only `handshake.split_leg` walks one, by
+`encoding.item_end`, the end of each message's one CBOR item, since a leg is
+its messages back to back. No module writes or reads a 2-byte big-endian
+length prefix (a `struct.Struct(">H")` packed, `struct.pack(">H", …)` or
+`n.to_bytes(2, "big")`), and harness.py imports no `struct`. No counter
+travels in a sealed record: each channel nonce is built from a count the
+session keeps (`self._sealed`, `self._opened`), never from what a record
+holds.
 
 Message ids wrap in one place each way: only `Messenger.send` (which takes
 the next id) and `Messenger._receive_state` (which tells a stale copy by how
@@ -661,23 +664,32 @@ def length_prefix_scopes(source: str, methods: frozenset[str]) -> set[str]:
     return scopes_holding(source, handles_a_length)
 
 
-def test_one_rule_frames_a_leg():
+def _nonce_of_a_wire_count(node: ast.AST) -> bool:
+    """A channel nonce whose counter is not a count the session keeps: it holds
+    a name other than `self`, a call or a subscript."""
+    if not (isinstance(node, ast.Call) and _name(node.func) == "channel_nonce" and node.args):
+        return False
+    return any(
+        isinstance(n, (ast.Call, ast.Subscript)) or isinstance(n, ast.Name) and n.id != "self"
+        for n in ast.walk(node.args[-1])
+    )
+
+
+def test_one_rule_splits_a_leg():
     sources = {module: (PACKAGE / module).read_text(encoding="utf-8") for module in MODULES}
-
-    def users(methods):
-        return {
-            (module, scope)
-            for module, source in sources.items()
-            for scope in length_prefix_scopes(source, methods)
-        }
-
-    assert users(LENGTH_WRITES) == {("harness.py", "_join")}
-    assert users(LENGTH_READS) == {("harness.py", "_split.message_end")}
-    assert length_structs(sources["transport.py"]) == set()
+    assert _package_callers("item_end") == {("handshake.py", "split_leg")}
+    for source in sources.values():
+        assert length_prefix_scopes(source, LENGTH_WRITES | LENGTH_READS) == set()
+    assert "struct" not in imported_names(ast.parse(sources["harness.py"]))
+    assert _package_callers("channel_nonce") == {
+        ("handshake.py", "HandshakeSession._seal"), ("handshake.py", "HandshakeSession._open"),
+    }
+    assert scopes_holding(sources["handshake.py"], _nonce_of_a_wire_count) == set()
 
 
-def test_checker_flags_a_second_leg_framing():
+def test_checker_flags_a_second_leg_split():
     source = (
+        "import struct\n"
         "_LENGTH = struct.Struct('>H')\n"
         "_HEAD = struct.Struct('>BBH')\n"
         "def _join(leg):\n"
@@ -685,18 +697,37 @@ def test_checker_flags_a_second_leg_framing():
         "def _split(payload):\n"
         "    def message_end(raw, at):\n"
         "        return _LENGTH.unpack_from(raw, at)[0]\n"
+        "def split_leg(leg):\n"
+        "    return item_end(leg, 1)\n"
         "class Messenger:\n"
         "    def send(self, *messages):\n"
         "        payload = b''.join(struct.pack('>H', len(m)) + m for m in messages)\n"
         "    def _take(self, payload):\n"
         "        (length,) = struct.unpack('>H', payload[:2])\n"
+        "        end = item_end(payload, 1)\n"
         "def batch(messages):\n"
         "    return b''.join(len(m).to_bytes(2, 'big') + m for m in messages)\n"
         "def encode(frame, n):\n"
         "    return _HEAD.pack(0xD1, frame.flags, frame.message_id) + n.to_bytes(4, 'big')\n"
+        "class HandshakeSession:\n"
+        "    def _seal(self, tag, plaintext):\n"
+        "        nonce = crypto.channel_nonce(self._role_byte, self._sealed)\n"
+        "    def _open(self, record):\n"
+        "        counter, start = read_uint(record, 1)\n"
+        "        nonce = crypto.channel_nonce(self._peer_role_byte, counter)\n"
+        "    def _reopen(self, record):\n"
+        "        nonce = channel_nonce(self._peer_role_byte, record[1])\n"
+        "    def _next(self):\n"
+        "        nonce = channel_nonce(self._peer_role_byte, self._opened + 1)\n"
         "def nonce(counter, size):\n"
         "    return counter.to_bytes(size, 'big') + _HEAD.unpack_from(size)\n"
     )
     assert length_structs(source) == {"_LENGTH"}
-    assert length_prefix_scopes(source, LENGTH_WRITES) == {"_join", "Messenger.send", "batch"}
-    assert length_prefix_scopes(source, LENGTH_READS) == {"_split.message_end", "Messenger._take"}
+    assert length_prefix_scopes(source, LENGTH_WRITES | LENGTH_READS) == {
+        "_join", "_split.message_end", "Messenger.send", "Messenger._take", "batch",
+    }
+    assert callers_of(source, "item_end") == {"split_leg", "Messenger._take"}
+    assert "struct" in imported_names(ast.parse(source))
+    assert scopes_holding(source, _nonce_of_a_wire_count) == {
+        "HandshakeSession._open", "HandshakeSession._reopen",
+    }

@@ -573,8 +573,8 @@ class TestNonBlockingSend:
 
 class TestBatch:
     """send(message): one message per send, and the transport batches nothing.
-    A handshake leg of several messages travels as the one message that
-    harness._join makes of it (tests/test_harness.py::TestLegs)."""
+    A handshake leg of several messages travels as one message, those
+    messages back to back (tests/test_harness.py::TestLegs)."""
 
     def _sent_frames(self, message):
         link = make_link("lora", seed=1)
