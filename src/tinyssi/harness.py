@@ -454,7 +454,10 @@ class HandshakeRun:
     delivery_failed: bool = False
 
     def outcome(self) -> str:
-        if self.delivery_failed:
+        """The pairing's verdict once both sessions are complete, even when a
+        send gave up after that, such as an unflagged last leg whose ACK never
+        came; else delivery-failed if a send gave up."""
+        if self.delivery_failed and not (self.initiator.complete and self.responder.complete):
             return "delivery-failed"
         for session in (self.initiator, self.responder):
             if session.state == State.FAILED:

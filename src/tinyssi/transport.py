@@ -72,21 +72,37 @@ peer that is waiting for it, and arms the round trip with at most one of its
 two legs reordered: 2 * TRANSIT_TICKS + REORDER_DELAY_TICKS, 4 ticks on a
 link that may reorder, 2 on one that never does. It fires early, and sends a
 copy the peer already holds, only when the round and its ACK are both
-reordered. In return a lost answer goes out again before the peer's own timer
-fires: on a reordering link, a message sent at tick s and delivered at s + 1
-is answered then and, the answer lost, again at s + 5, so the copy lands at
-s + 6, the tick in which the message's timer fires. Delivery runs first in a
-tick, so the ACK the copy carries ends the message, which is not sent again.
-DTLS 1.3 (RFC 9147 §5.8) and SCHC ACK-on-Error (RFC 8724 §8.4.3) likewise tie
-retransmission to what the peer is known to wait for.
+reordered. In return a lost answer's timer fires no later than the peer's
+own: on a reordering link, a message sent at tick s and delivered at s + 1
+is answered then and, the answer lost, again at s + 5, so the answer's
+second round lands at s + 6, the tick in which the message's timer fires.
+Delivery runs first in a tick, so the ACK that round carries ends the
+message, which is not sent again. DTLS 1.3 (RFC 9147 §5.8) and SCHC
+ACK-on-Error (RFC 8724 §8.4.3) likewise tie retransmission to what the peer
+is known to wait for.
+
+One rule sends an answer again. A message sent in the tick a peer message
+was delivered answers that message. A copy of the answered message that
+arrives while the answer is unacknowledged means the peer still waits for
+the answer, which carried that message's ACK: the endpoint sends the answer's
+unacknowledged fragments again in that tick, with the copy's ACK riding
+them, and arms their timer again. A DTLS peer sends its last flight again
+when the other side retransmits its own (RFC 6347 §4.2.4), and a CoAP server
+sends its response again on a duplicate request (RFC 7252 §4.5). Such a round
+does not count toward RETRY_LIMIT: the peer's timer paces the copies, and
+the peer gives up after RETRY_LIMIT rounds of its own, so the rounds they
+draw are bounded. The round is wasted when the answer was only reordered
+and lands after the copy left. On a link that never loses or reorders a
+frame, no copy is ever sent and the rule never acts.
 
 Sending does not block. Messenger.send transmits every fragment, arms the
 timer and returns; SimLink.tick() carries the message to its end. Each tick
 runs in this order: the packets due are delivered; each sender finishes a
-message that is fully acknowledged, or, if its timer has expired, sends the
-unacknowledged fragments again, or gives up after RETRY_LIMIT
-retransmissions, and an endpoint whose last message was lost sends it
-again; then the endpoints send their new messages, which the caller starts
+message that is fully acknowledged, or sends its unacknowledged fragments
+again, at once on a copy of the message it answers, else when its timer has
+expired, or gives up after RETRY_LIMIT retransmissions at the timer, and an
+endpoint whose last message was lost sends it again on such a copy; then the
+endpoints send their new messages, which the caller starts
 between ticks; last, before the clock advances, each endpoint sends alone
 the ACKs that rode none of its data frames. A receiver owes each message
 whose data arrived in a tick, in frames not sent last, one ACK, due in
@@ -105,16 +121,17 @@ one per direction.
 
 The message that ends an exchange goes unacknowledged. Messenger.send(...,
 last=True) sends a message as last when it is one whole frame and the ACK
-riding it is the whole ACK of a peer message delivered in the same tick,
-which the peer still waits for: the frame sets the last flag and arms no
-timer. Its receiver delivers it and owes it no ACK, alone or riding, and
-drops a copy of it silently. The peer's timer makes it reliable: a copy of
-the message it answered means the last frame was lost, and the endpoint
-sends it again in that tick as an ordinary message, without the flag, with
-the copy's ACK riding it and its own timer. A CoAP piggybacked response is
-never acknowledged, and the server sends it again on a duplicate request
-(RFC 7252 §4.5, §5.2.1); the DTLS peer that sends the final flight sends it
-again only when the other side retransmits its own (RFC 6347 §4.2.4).
+riding it is the whole ACK of the peer message it answers, which the peer
+still waits for: the frame sets the last flag and arms no timer. Its
+receiver delivers it and owes it no ACK, alone or riding, and drops a copy
+of it silently. The peer's timer makes it reliable, through the one rule
+that sends any answer again: a copy of the message it answers means the
+last frame was lost, and the endpoint sends it again in that tick as an
+ordinary message, without the flag, with the copy's ACK riding it and its
+own timer. A CoAP piggybacked response is never acknowledged, and the
+server sends it again on a duplicate request (RFC 7252 §4.5, §5.2.1); the
+DTLS peer that sends the final flight sends it again only when the other
+side retransmits its own (RFC 6347 §4.2.4).
 """
 
 from __future__ import annotations
@@ -567,9 +584,9 @@ class _Outbound:
     frames: list[Frame]  # the fragments its last round sent
     fragments: int  # the message's fragment count
     deadline: int = 0  # the tick its timer fires
-    rounds: int = 0
+    rounds: int = 1  # the rounds that count toward RETRY_LIMIT: the first, and each at the timer
     acked: int = 0  # bit i: fragment i
-    answers: int | None = None  # sent last: the id of the peer message it answers
+    answers: int | None = None  # the id of the peer message delivered in the tick it was sent
 
 
 class Messenger:
@@ -581,11 +598,14 @@ class Messenger:
     message is still in flight: `idle` says when there is none. From then on
     SimLink.tick() drives the message: the tick in which the ACKs cover every
     fragment ends it. When the timer fires first, check_timer() sends only the
-    fragments still unacknowledged and arms it again. A round arms
+    fragments still unacknowledged and arms it again. A message sent in the
+    tick a peer message was delivered answers it, and a copy of that message
+    sends the answer's unacknowledged fragments again in the tick it
+    arrives, in a round that does not count toward RETRY_LIMIT. A round arms
     SimLink.answer_round_trip_ticks when an ACK due rides one of its frames,
     else SimLink.round_trip_ticks, for the reasons the module docstring gives.
-    When a fragment is still unacknowledged after RETRY_LIMIT retransmissions,
-    the send gives up and `failure` holds a DeliveryError.
+    When a fragment is still unacknowledged after RETRY_LIMIT retransmissions
+    at the timer, the send gives up and `failure` holds a DeliveryError.
     The peer's Messenger, attached to the same link, acknowledges each message
     whose data arrived in a tick, unless sent last, with one ACK in that
     tick, whole or a hole report; completed messages queue up, in send
@@ -686,33 +706,29 @@ class Messenger:
             raise TransportError(f"message needs {count} fragments; its ACK would exceed the mtu")
         self._sent_id = message_id
         self.failure = None
-        answered = self._answered(frames[0]) if last and count == 1 else None
-        out = _Outbound(message_id, frames, count, answers=answered)
-        if answered is None:
-            self._sending = out
-            self._transmit_round()
-        else:
+        answers = self._delivered if self._delivered_at == self.link.now else None
+        out = _Outbound(message_id, frames, count, answers=answers)
+        if last and count == 1 and self._goes_last(frames[0], answers):
             # No ACK will cover it, so it counts as the peer's mark from now on.
             self._last, self._acked_id = out, message_id
             self._transmit(replace(frames[0], flags=FLAG_LAST))
+        else:
+            self._sending = out
+            self._transmit_round()
         return count
 
-    def _answered(self, frame: Frame) -> int | None:
-        """The peer message that `frame`, a whole frame, answers as last: the
-        one whose ACK due would ride it, when it was delivered in this tick, so
-        that no ACK of it has gone and the peer waits for this one. None if
-        the ACK that would ride is any other, or there is none."""
-        if self._delivered_at != self.link.now:
-            return None
+    def _goes_last(self, frame: Frame, answers: int | None) -> bool:
+        """Whether `frame`, a whole frame, can go last: the ACK that would ride
+        it is the ACK due of `answers`, the peer message delivered in this
+        tick, so no ACK of that one has gone and the peer waits for this one."""
         ack, due = self._riding_ack(frame)
-        return ack.message_id if due and ack.message_id == self._delivered else None
+        return due and ack.message_id == answers
 
     def _transmit_round(self) -> None:
         out = self._sending
         carried_due = False
         for frame in out.frames:
             carried_due |= self._transmit(frame)
-        out.rounds += 1
         out.deadline = self.link.now + (
             self.link.answer_round_trip_ticks if carried_due else self.link.round_trip_ticks
         )
@@ -746,32 +762,38 @@ class Messenger:
         return None, False
 
     def check_timer(self) -> None:
-        """End the message in flight once every fragment is acknowledged; at its
-        timer, send the unacknowledged fragments again, or give up after RETRY_LIMIT.
-        With none in flight, send a lost last message again, as ordinary.
+        """End the message in flight once every fragment is acknowledged. Send
+        its unacknowledged fragments again in the tick a copy of the peer
+        message it answers arrives, or else at its timer, or give up after
+        RETRY_LIMIT timer rounds. A message kept since it went last goes again,
+        as ordinary, on such a copy.
 
         SimLink.tick() calls it once a tick, after the tick's packets are delivered.
         """
+        if self._last is not None and self._last.answers in self._ack_due:
+            self._sending, self._last = self._last, None
         out = self._sending
         if out is None:
-            if self._last is not None and self._last.answers in self._ack_due:
-                # A copy of the message my last one answered: the last one was lost.
-                self._sending, self._last = self._last, None
-                self._transmit_round()
             return
         if out.acked == (1 << out.fragments) - 1:
             self._sending, self._acked_id = None, out.message_id
             return
-        if self.link.now < out.deadline:
+        # A copy of the message it answers: the peer still waits for this one.
+        # The peer's own timer paces and bounds its copies, so a round they draw
+        # does not count.
+        copied = out.answers in self._ack_due
+        if not copied and self.link.now < out.deadline:
             return
         out.frames = [f for f in out.frames if not out.acked >> f.frag_index & 1]
-        if out.rounds > RETRY_LIMIT:
-            self._sending = None
-            self.failure = DeliveryError(
-                f"fragments {[f.frag_index for f in out.frames]} of message {out.message_id} "
-                f"unacknowledged after {RETRY_LIMIT} retries"
-            )
-            return
+        if not copied:
+            if out.rounds > RETRY_LIMIT:
+                self._sending = None
+                self.failure = DeliveryError(
+                    f"fragments {[f.frag_index for f in out.frames]} of message {out.message_id} "
+                    f"unacknowledged after {RETRY_LIMIT} retries"
+                )
+                return
+            out.rounds += 1
         self._transmit_round()
 
     def handle_packet(self, ack: Frame | None, data: Frame | None) -> None:

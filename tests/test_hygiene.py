@@ -44,6 +44,10 @@ One rule picks the ACK that rides a data frame: only `Messenger._transmit`
 calls `SimLink.transmit` with an ACK riding (a third argument, or `ack=`).
 Every other call puts one frame on the link alone.
 
+One rule sends an answer again: only `Messenger.check_timer` reads
+`_Outbound.answers`, the peer message an outbound message answers, whose
+copy sends the answer again, last or not.
+
 The frame layout has one home, `transport.Frame`: only `Frame.encode` and
 `Frame._read` (which `Frame.decode` and `decode_packet` call) use the header
 structs, `_HEAD` and `_FRAGMENT`, so a whole frame and a fragment are
@@ -554,6 +558,48 @@ def test_checker_flags_a_second_last_flag_rule():
     )
     assert scopes_holding(source, _sets_the_last_flag) == {
         "Messenger.send", "Messenger.check_timer", "Messenger._transmit_round", "resend",
+    }
+
+
+def _reads_what_it_answers(node: ast.AST) -> bool:
+    """A read of the peer message an outbound message answers: `.answers`
+    loaded, or `getattr(…, "answers")`."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "answers" and isinstance(node.ctx, ast.Load)
+    return (
+        isinstance(node, ast.Call) and _name(node.func) == "getattr" and len(node.args) > 1
+        and isinstance(node.args[1], ast.Constant) and node.args[1].value == "answers"
+    )
+
+
+def test_one_rule_sends_an_answer_again():
+    readers = {
+        (module, scope)
+        for module in MODULES
+        for scope in scopes_holding((PACKAGE / module).read_text(encoding="utf-8"),
+                                    _reads_what_it_answers)
+    }
+    assert readers == {("transport.py", "Messenger.check_timer")}
+
+
+def test_checker_flags_a_second_answer_resend_rule():
+    source = (
+        "class Messenger:\n"
+        "    def check_timer(self):\n"
+        "        copied = self._sending.answers in self._ack_due\n"
+        "    def _take(self, frame, state):\n"
+        "        if self._last and self._last.answers == frame.message_id:\n"
+        "            self._transmit_round()\n"
+        "    def send(self, message, last=False):\n"
+        "        out = _Outbound(message_id, frames, count, answers=answers)\n"
+        "        out.answers = self._delivered\n"
+        "def resend(out, due):\n"
+        "    return getattr(out, 'answers') in due\n"
+        "def other(out):\n"
+        "    return getattr(out, 'rounds')\n"
+    )
+    assert scopes_holding(source, _reads_what_it_answers) == {
+        "Messenger.check_timer", "Messenger._take", "resend",
     }
 
 

@@ -1078,6 +1078,136 @@ class TestAnswerTimer:
             assert not worst_case & sent_again
 
 
+def script_fates(link: SimLink, fate) -> None:
+    """Decide each data frame's fate on `link` by `fate(src, frame)`: "lost",
+    "late" (reordered) or "on time"; an ACK alone is always on time. The
+    link's profile, and so its timers, stay as they are."""
+    transmit, profile = link.transmit, link.profile
+
+    def transmit_scripted(src, frame, ack=None):
+        chosen = "on time" if frame.is_ack else fate(src, frame)
+        link.profile = replace(
+            profile, loss_probability=float(chosen == "lost"),
+            reorder_probability=float(chosen == "late"),
+        )
+        try:
+            transmit(src, frame, ack)
+        finally:
+            link.profile = profile
+
+    link.transmit = transmit_scripted
+
+
+class TestAnswerOnCopy:
+    """A message sent in the tick a peer message was delivered answers it. A
+    copy of that message, arriving while the answer is unacknowledged, sends
+    the answer's unacknowledged fragments again in that tick, with the copy's
+    ACK riding them, in a round that does not count toward RETRY_LIMIT."""
+
+    @pytest.mark.parametrize("case", ["request-late", "two-answer-rounds-lost"])
+    def test_lost_answer_goes_again_in_the_tick_the_copy_arrives(self, case):
+        """request-late: the request is reordered and arrives at tick 3; its
+        answer is lost, and the copy A's timer sends at 6 lands at 7, the tick
+        the answer's 4-tick timer fires. two-answer-rounds-lost: the answer and
+        its round at the timer are lost, the second arming the 6-tick timer of
+        a round without an ACK due; the copy lands at 7, four ticks early. In
+        both, the round the copy draws leaves `rounds` where it was, and A
+        acknowledges the answer alone."""
+        link = make_link("lora", reorder=0.1, seed=1)
+        a, b = _Rounds(link, "A"), _Rounds(link, "B")
+        answers_lost = 1 if case == "request-late" else 2
+        sent = {"A": 0, "B": 0}
+
+        def fate(src, frame):
+            sent[src] += 1
+            if src == "B":
+                return "lost" if sent["B"] <= answers_lost else "on time"
+            return "late" if case == "request-late" and sent["A"] == 1 else "on time"
+
+        script_fates(link, fate)
+        a.send(b"request")
+        while (request := b.receive()) is None:
+            link.tick()
+        assert request == b"request"
+        b.send(b"answer")
+        ends = {}  # the tick each side's send ended in
+        while not (a.idle and b.idle):
+            link.tick()
+            for name, messenger in (("A", a), ("B", b)):
+                if messenger.idle:
+                    ends.setdefault(name, link.now)
+        assert a.failure is b.failure is None
+        assert drain(a) == [b"answer"]
+        answer_bound, full = link.answer_round_trip_ticks, link.round_trip_ticks
+        packets = [(e.tick, e.src, e.kind, e.ack_id, e.dropped) for e in link.trace]
+        if case == "request-late":
+            assert b.rounds == [(1, 1, answer_bound), (1, 1, answer_bound)]
+            assert packets == [
+                (0, "A", "data", None, False),
+                (3, "B", "data", 1, True),
+                (6, "A", "data", None, False),
+                (7, "B", "data", 1, False),
+                (8, "A", "ack", 1, False),
+            ]
+        else:
+            assert b.rounds == [(1, 1, answer_bound), (1, 2, full), (1, 2, answer_bound)]
+            assert packets == [
+                (0, "A", "data", None, False),
+                (1, "B", "data", 1, True),
+                (5, "B", "data", 1, True),
+                (6, "A", "data", None, False),
+                (7, "B", "data", 1, False),
+                (8, "A", "ack", 1, False),
+            ]
+        # No ACK of the copy goes alone: it rides the answer sent again.
+        assert [e.src for e in link.trace if e.kind == "ack"] == ["A"]
+        assert a.rounds == [(1, 1, full), (1, 2, full)]
+        assert ends == {"A": 8, "B": 9}
+
+    @pytest.mark.parametrize("answers_lost", [3, 6, None], ids=["3", "6", "all"])
+    def test_a_send_the_peer_keeps_copying_still_ends(self, answers_lost):
+        """Every round of B's answer is lost, or its first `answers_lost`: A
+        sends a copy of its request at each of its timers, and each draws a
+        round of the answer. The answer ends delivered once a round gets
+        through; with none, A gives up, its copies stop, and B gives up after
+        RETRY_LIMIT rounds at its own timer."""
+        link = make_link("lora", reorder=0.1, seed=1)
+        a, b = _Rounds(link, "A"), _Rounds(link, "B")
+        sent = []
+
+        def fate(src, frame):
+            if src == "A":
+                return "on time"
+            sent.append(link.now)
+            return "lost" if answers_lost is None or len(sent) <= answers_lost else "on time"
+
+        script_fates(link, fate)
+        a.send(b"request")
+        link.tick()
+        assert drain(b) == [b"request"]
+        b.send(b"answer")
+        for _ in range(200):
+            if a.idle and b.idle:
+                break
+            link.tick()
+        assert a.idle and b.idle
+        counted = [rounds for _, rounds, _ in b.rounds]
+        # A round on a copy repeats the count of the round before it.
+        on_copies = sum(x == y for x, y in zip(counted, counted[1:]))
+        assert on_copies > 0
+        if answers_lost is None:
+            assert isinstance(a.failure, DeliveryError)
+            assert isinstance(b.failure, DeliveryError)
+            assert max(counted) == RETRY_LIMIT + 1
+            assert len(b.rounds) == RETRY_LIMIT + 1 + on_copies
+            assert drain(a) == []
+        else:
+            assert a.failure is b.failure is None
+            assert drain(a) == [b"answer"]
+            assert len(b.rounds) == answers_lost + 1
+        assert max(counted) <= RETRY_LIMIT + 1
+
+
 class _Truncated(Frame):
     """A frame cut short inside its 4-byte head."""
 
